@@ -598,9 +598,53 @@ fn bench_backend_draw(c: &mut Criterion) {
     group.finish();
 }
 
+/// One 60 000-step simulator replica of the exported ε-optimal
+/// (d = 2, f = 1) strategy per consensus backend — the unit of work the
+/// conformance witness repeats. Unlike `arrivals/backend_draw`, which times
+/// the arrival sources alone, this covers the simulator's per-step
+/// bookkeeping too: mining positions, fork extension, the strategy view and
+/// its table lookup, releases and window pruning.
+fn bench_chain_replica(c: &mut Criterion) {
+    use selfish_mining::{ConsensusBackend, StrategyExport};
+    use sm_chain::{SimulationConfig, Simulator, UnknownViewPolicy};
+
+    let model = model();
+    let solved = AnalysisProcedure::with_epsilon(1e-3)
+        .solve_dinkelbach(&model)
+        .unwrap();
+    let table = StrategyExport::new(&model)
+        .table(&solved.strategy, UnknownViewPolicy::Wait)
+        .unwrap();
+    let simulator = Simulator::new(SimulationConfig {
+        p: 0.3,
+        gamma: 0.5,
+        depth: 2,
+        forks_per_block: 1,
+        max_fork_length: 4,
+        steps: 60_000,
+        seed: 0x5EED,
+        ..SimulationConfig::default()
+    });
+    let mut group = c.benchmark_group("chain/replica");
+    group.sample_size(10);
+    for backend in ConsensusBackend::default_family() {
+        group.bench_function(format!("{backend}_d2f1_60k_steps"), |b| {
+            b.iter(|| {
+                let mut strategy = table.clone();
+                let mut source = backend.source(0.3, 0xA11CE).unwrap();
+                simulator
+                    .run_with_source(&mut strategy, source.as_mut())
+                    .adversary_blocks
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_backend_draw,
+    bench_chain_replica,
     bench_mean_payoff_methods,
     bench_search_strategies,
     bench_model_construction,

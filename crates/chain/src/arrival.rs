@@ -30,7 +30,7 @@ use crate::error::{validate_share, ChainError};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sm_proofs::pow::ProofOfWork;
-use sm_proofs::{hash_concat, ChallengeSchedule, Digest, UnpredictableSchedule};
+use sm_proofs::{ChallengeSchedule, Digest, HashTag, UnpredictableSchedule};
 
 /// Producer of the next block, as reported by an [`ArrivalSource`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,12 +126,19 @@ impl ArrivalSource for BernoulliSource {
 /// Miner id under which the adversarial coalition grinds its PoW attempts.
 const ADVERSARY_MINER: u64 = 0xAD;
 
+// Domain-separation tags heading this module's hash inputs; each midstate is
+// computed at compile time.
+pub(crate) const ARRIVAL_SLOT: HashTag = HashTag::new(b"arrival-slot");
+pub(crate) const ARRIVAL_GENESIS: HashTag = HashTag::new(b"arrival-genesis");
+pub(crate) const POW_CERTAIN: HashTag = HashTag::new(b"pow-certain");
+pub(crate) const HONEST_BLOCK: HashTag = HashTag::new(b"honest-block");
+
 /// Attributes a winning proof to one of the adversary's `sigma` mining
 /// positions, uniformly, by hashing the proof digest. Shared by every
 /// proof-backed arrival source (here and in [`crate::backend`]).
 pub(crate) fn slot_for(digest: &Digest, sigma: usize) -> usize {
     if sigma > 1 {
-        (hash_concat(&[b"arrival-slot", &digest.0]).leading_u64() % sigma as u64) as usize
+        (ARRIVAL_SLOT.hash(&[&digest.0]).leading_u64() % sigma as u64) as usize
     } else {
         0
     }
@@ -172,7 +179,7 @@ impl PowLotterySource {
         Ok(PowLotterySource {
             p,
             schedule: UnpredictableSchedule,
-            challenge: hash_concat(&[b"arrival-genesis", &seed.to_be_bytes()]),
+            challenge: ARRIVAL_GENESIS.hash(&[&seed.to_be_bytes()]),
             height: 0,
             nonce: 0,
         })
@@ -200,11 +207,7 @@ impl ArrivalSource for PowLotterySource {
         let winning_digest = if ratio <= 0.0 {
             None
         } else if ratio >= 1.0 {
-            Some(hash_concat(&[
-                b"pow-certain",
-                &self.challenge.0,
-                &self.nonce.to_be_bytes(),
-            ]))
+            Some(POW_CERTAIN.hash(&[&self.challenge.0, &self.nonce.to_be_bytes()]))
         } else {
             let puzzle = ProofOfWork {
                 target: (ratio * u64::MAX as f64) as u64,
@@ -222,11 +225,7 @@ impl ArrivalSource for PowLotterySource {
             None => {
                 // The honest block has no ground proof in this abstraction;
                 // a synthetic digest keeps the challenge chain unpredictable.
-                let digest = hash_concat(&[
-                    b"honest-block",
-                    &self.challenge.0,
-                    &self.nonce.to_be_bytes(),
-                ]);
+                let digest = HONEST_BLOCK.hash(&[&self.challenge.0, &self.nonce.to_be_bytes()]);
                 self.advance(digest);
                 ArrivalEvent::Honest
             }

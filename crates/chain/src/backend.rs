@@ -39,9 +39,7 @@ use sm_proofs::pospace::{ProofOfSpace, SpaceProof};
 use sm_proofs::post::ProofOfSpaceTime;
 use sm_proofs::postake::{ProofOfStake, StakerId};
 use sm_proofs::vdf::Vdf;
-use sm_proofs::{
-    hash_concat, ChallengeSchedule, Digest, PredictableSchedule, UnpredictableSchedule,
-};
+use sm_proofs::{ChallengeSchedule, Digest, HashTag, PredictableSchedule, UnpredictableSchedule};
 use std::fmt;
 
 /// Whether a backend's challenge schedule lets miners compute future
@@ -271,6 +269,22 @@ const PLOT_SIZE: usize = 32;
 /// conformance estimator evaluates one VDF per simulated step.
 const VDF_ITERATIONS: u64 = 8;
 
+// Domain-separation tags heading the backends' hash inputs; each midstate is
+// computed at compile time.
+const POSTAKE_GENESIS: HashTag = HashTag::new(b"postake-genesis");
+const POSTAKE_WIN: HashTag = HashTag::new(b"postake-win");
+const POSPACE_GENESIS: HashTag = HashTag::new(b"pospace-genesis");
+const POSPACE_ADVERSARY: HashTag = HashTag::new(b"pospace-adversary");
+const POSPACE_HONEST: HashTag = HashTag::new(b"pospace-honest");
+const POSPACE_WIN: HashTag = HashTag::new(b"pospace-win");
+const POSPACE_LOSE: HashTag = HashTag::new(b"pospace-lose");
+const POST_GENESIS: HashTag = HashTag::new(b"post-genesis");
+const POST_DRAW: HashTag = HashTag::new(b"post-draw");
+const POST_LOSE: HashTag = HashTag::new(b"post-lose");
+const POST_STALLED: HashTag = HashTag::new(b"post-stalled");
+const VDF_GENESIS: HashTag = HashTag::new(b"vdf-genesis");
+const VDF_DRAW: HashTag = HashTag::new(b"vdf-draw");
+
 /// A stake-lottery arrival source (the `(p, ∞)`-mining regime).
 ///
 /// Each step elects the producer through a real [`ProofOfStake`] eligibility
@@ -289,6 +303,9 @@ pub struct StakeLotterySource {
     schedule: PredictableSchedule,
     genesis: Digest,
     slot: u64,
+    /// The stake table, re-staked in place every step: the adversary's
+    /// stake follows `σ`.
+    table: ProofOfStake,
 }
 
 impl StakeLotterySource {
@@ -304,8 +321,9 @@ impl StakeLotterySource {
         Ok(StakeLotterySource {
             p,
             schedule: PredictableSchedule::new(STAKE_EPOCH_LENGTH, seed),
-            genesis: hash_concat(&[b"postake-genesis", &seed.to_be_bytes()]),
+            genesis: POSTAKE_GENESIS.hash(&[&seed.to_be_bytes()]),
             slot: 0,
+            table: ProofOfStake::new(vec![(ADVERSARY_STAKER, 0.0), (HONEST_STAKER, 1.0 - p)]),
         })
     }
 }
@@ -317,14 +335,12 @@ impl ArrivalSource for StakeLotterySource {
         // The schedule ignores the parent by construction (predictability);
         // the genesis digest only keys the per-seed stream.
         let challenge = self.schedule.challenge(&self.genesis, slot);
-        let table = ProofOfStake::new(vec![
-            (ADVERSARY_STAKER, self.p * sigma as f64),
-            (HONEST_STAKER, 1.0 - self.p),
-        ]);
-        match table.prove(&challenge, slot, ADVERSARY_STAKER, 1.0) {
+        self.table
+            .set_stake(ADVERSARY_STAKER, self.p * sigma as f64);
+        match self.table.prove(&challenge, slot, ADVERSARY_STAKER, 1.0) {
             Some(proof) => {
-                debug_assert!(table.verify(&challenge, &proof, 1.0));
-                let digest = hash_concat(&[b"postake-win", &challenge.0, &slot.to_be_bytes()]);
+                debug_assert!(self.table.verify(&challenge, &proof, 1.0));
+                let digest = POSTAKE_WIN.hash(&[&challenge.0, &slot.to_be_bytes()]);
                 ArrivalEvent::Adversary {
                     position: slot_for(&digest, sigma),
                 }
@@ -375,15 +391,14 @@ impl SpaceLotterySource {
             adversary_plot: ProofOfSpace::plot(seed ^ 0xADD1, PLOT_SIZE),
             honest_plot: ProofOfSpace::plot(seed ^ 0x40E5, PLOT_SIZE),
             schedule: UnpredictableSchedule,
-            challenge: hash_concat(&[b"pospace-genesis", &seed.to_be_bytes()]),
+            challenge: POSPACE_GENESIS.hash(&[&seed.to_be_bytes()]),
             height: 0,
         })
     }
 
     /// Hash-uniform draw in `[0, 1)` tied to one side's space proof.
-    fn draw(&self, tag: &[u8], proof: &SpaceProof) -> f64 {
-        hash_concat(&[
-            tag,
+    fn draw(&self, tag: &HashTag, proof: &SpaceProof) -> f64 {
+        tag.hash(&[
             &self.challenge.0,
             &proof.value.to_be_bytes(),
             &proof.quality.to_be_bytes(),
@@ -417,27 +432,20 @@ impl ArrivalSource for SpaceLotterySource {
             .verify(&self.challenge, &adversary_proof));
         let adversary_time = race_time(
             self.p * sigma as f64,
-            self.draw(b"pospace-adversary", &adversary_proof),
+            self.draw(&POSPACE_ADVERSARY, &adversary_proof),
         );
-        let honest_time = race_time(1.0 - self.p, self.draw(b"pospace-honest", &honest_proof));
+        let honest_time = race_time(1.0 - self.p, self.draw(&POSPACE_HONEST, &honest_proof));
         // Honest wins ties (measure zero): a degenerate double-infinity at
         // p = 1, σ = 0 must not mint adversarial blocks from nothing.
         if adversary_time < honest_time {
-            let digest = hash_concat(&[
-                b"pospace-win",
-                &self.challenge.0,
-                &adversary_proof.value.to_be_bytes(),
-            ]);
+            let digest =
+                POSPACE_WIN.hash(&[&self.challenge.0, &adversary_proof.value.to_be_bytes()]);
             self.advance(digest);
             ArrivalEvent::Adversary {
                 position: slot_for(&digest, sigma),
             }
         } else {
-            let digest = hash_concat(&[
-                b"pospace-lose",
-                &self.challenge.0,
-                &honest_proof.value.to_be_bytes(),
-            ]);
+            let digest = POSPACE_LOSE.hash(&[&self.challenge.0, &honest_proof.value.to_be_bytes()]);
             self.advance(digest);
             ArrivalEvent::Honest
         }
@@ -489,7 +497,7 @@ impl PostLotterySource {
             p,
             miner: ProofOfSpaceTime::new(seed, PLOT_SIZE, VDF_ITERATIONS, vdfs),
             schedule: UnpredictableSchedule,
-            challenge: hash_concat(&[b"post-genesis", &seed.to_be_bytes()]),
+            challenge: POST_GENESIS.hash(&[&seed.to_be_bytes()]),
             height: 0,
         })
     }
@@ -511,7 +519,8 @@ impl ArrivalSource for PostLotterySource {
         match self.miner.prove(&self.challenge, 0) {
             Some(proof) => {
                 debug_assert!(self.miner.verify(&self.challenge, &proof));
-                let uniform = hash_concat(&[b"post-draw", &self.challenge.0, &proof.time.output.0])
+                let uniform = POST_DRAW
+                    .hash(&[&self.challenge.0, &proof.time.output.0])
                     .as_unit_interval();
                 if uniform < ratio {
                     let digest = proof.time.output;
@@ -520,8 +529,7 @@ impl ArrivalSource for PostLotterySource {
                         position: slot_for(&digest, workable),
                     }
                 } else {
-                    let digest =
-                        hash_concat(&[b"post-lose", &self.challenge.0, &proof.time.output.0]);
+                    let digest = POST_LOSE.hash(&[&self.challenge.0, &proof.time.output.0]);
                     self.advance(digest);
                     ArrivalEvent::Honest
                 }
@@ -529,7 +537,7 @@ impl ArrivalSource for PostLotterySource {
             // Unreachable (the constructor guarantees at least one free
             // VDF at busy_vdfs = 0), kept total instead of panicking.
             None => {
-                let digest = hash_concat(&[b"post-stalled", &self.challenge.0]);
+                let digest = POST_STALLED.hash(&[&self.challenge.0]);
                 self.advance(digest);
                 ArrivalEvent::Honest
             }
@@ -572,7 +580,7 @@ impl VdfLotterySource {
         Ok(VdfLotterySource {
             p,
             vdf: Vdf::new(VDF_ITERATIONS, VDF_ITERATIONS),
-            beacon: hash_concat(&[b"vdf-genesis", &seed.to_be_bytes()]),
+            beacon: VDF_GENESIS.hash(&[&seed.to_be_bytes()]),
         })
     }
 }
@@ -582,7 +590,7 @@ impl ArrivalSource for VdfLotterySource {
         let proof = self.vdf.evaluate(&self.beacon);
         debug_assert!(self.vdf.verify(&self.beacon, &proof));
         self.beacon = proof.output;
-        let uniform = hash_concat(&[b"vdf-draw", &proof.output.0]).as_unit_interval();
+        let uniform = VDF_DRAW.hash(&[&proof.output.0]).as_unit_interval();
         if uniform < lottery_win_probability(self.p, sigma) {
             ArrivalEvent::Adversary {
                 position: slot_for(&proof.output, sigma),
@@ -616,6 +624,49 @@ mod tests {
             }
         }
         adversary as f64 / draws as f64
+    }
+
+    #[test]
+    fn every_tag_midstate_resumes_hash_concat() {
+        use crate::arrival::{ARRIVAL_GENESIS, ARRIVAL_SLOT, HONEST_BLOCK, POW_CERTAIN};
+        use sm_proofs::hash_concat;
+        let tags = [
+            ARRIVAL_SLOT,
+            ARRIVAL_GENESIS,
+            POW_CERTAIN,
+            HONEST_BLOCK,
+            POSTAKE_GENESIS,
+            POSTAKE_WIN,
+            POSPACE_GENESIS,
+            POSPACE_ADVERSARY,
+            POSPACE_HONEST,
+            POSPACE_WIN,
+            POSPACE_LOSE,
+            POST_GENESIS,
+            POST_DRAW,
+            POST_LOSE,
+            POST_STALLED,
+            VDF_GENESIS,
+            VDF_DRAW,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x7A65);
+        for tag in tags {
+            for _ in 0..16 {
+                let mut digest = [0u8; 32];
+                for chunk in digest.chunks_exact_mut(8) {
+                    chunk.copy_from_slice(&rand::Rng::next_u64(&mut rng).to_be_bytes());
+                }
+                let word = rand::Rng::next_u64(&mut rng).to_be_bytes();
+                let rest: [&[u8]; 2] = [&digest, &word];
+                assert_eq!(
+                    tag.hash(&rest),
+                    hash_concat(&[tag.tag(), &digest, &word]),
+                    "tag {:?}",
+                    tag.tag()
+                );
+                assert_eq!(tag.hash(&rest[..1]), hash_concat(&[tag.tag(), &digest]));
+            }
+        }
     }
 
     #[test]

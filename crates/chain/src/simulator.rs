@@ -6,7 +6,6 @@ use crate::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Which block positions the adversary mines on, mirroring the MDP-side
 /// transition filter of restricted attack scenarios.
@@ -23,8 +22,8 @@ pub enum MiningRegime {
 }
 
 /// Configuration of a simulation run. The parameters mirror the MDP's
-/// [`selfish-mining` attack parameters](https://docs.rs) so that computed
-/// strategies can be replayed faithfully.
+/// attack parameters (`AttackParams` in the `selfish-mining` crate) so that
+/// computed strategies can be replayed faithfully.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationConfig {
     /// Relative resource of the adversary.
@@ -68,13 +67,33 @@ pub struct Simulator {
     config: SimulationConfig,
 }
 
-/// Internal mutable simulation state.
-struct SimulationState {
+/// The private forks hanging off one window root: `forks_per_block` slots,
+/// each a path of adversary blocks (empty when the slot is free).
+#[derive(Debug)]
+struct ForkSet {
+    root: BlockId,
+    chains: Vec<Vec<BlockId>>,
+}
+
+/// One run's mutable state, plus the buffers it refills in place every step
+/// so that a step allocates nothing once the run has warmed up.
+struct Run {
+    config: SimulationConfig,
     tree: BlockTree,
     public_tip: BlockId,
-    /// Private forks keyed by their root block; each root has
-    /// `forks_per_block` slots, each a path of adversary blocks.
-    forks: HashMap<BlockId, Vec<Vec<BlockId>>>,
+    /// The main-chain blocks at depths `1..=d` of the public tip (tip
+    /// first; shorter than `d` near genesis). Refilled whenever the tip moves.
+    roots: Vec<BlockId>,
+    /// One fork set per window root, aligned with `roots`: `forks[i].root ==
+    /// roots[i]`. Forks only ever hang off window roots, so this is all the
+    /// private state there is.
+    forks: Vec<ForkSet>,
+    /// Fork sets that fell out of the window, emptied and kept for reuse.
+    spare: Vec<ForkSet>,
+    /// The adversary's current mining positions as `(depth index, slot)`.
+    slots: Vec<(usize, usize)>,
+    /// The view handed to the strategy at every decision point.
+    view: AdversaryView,
 }
 
 impl Simulator {
@@ -133,156 +152,138 @@ impl Simulator {
     ) -> SimulationReport {
         let config = self.config;
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut state = SimulationState {
-            tree: BlockTree::new(),
-            public_tip: BlockTree::new().genesis(),
-            forks: HashMap::new(),
-        };
-        state.public_tip = state.tree.genesis();
+        let mut run = Run::new(config);
 
         for _ in 0..config.steps {
-            let roots = self.window_roots(&state);
-            let slots = self.mining_slots(&state, &roots);
-
-            match source.next_block(&mut rng, slots.len()) {
+            run.fill_slots();
+            match source.next_block(&mut rng, run.slots.len()) {
                 ArrivalEvent::Adversary { position } => {
-                    let (root, slot) = slots[position];
-                    self.extend_fork(&mut state, root, slot);
-                    let view = self.view(&state, &roots, false, true);
-                    let action = strategy.decide(&view);
-                    self.apply_action(&mut state, &roots, action, None, &mut rng);
+                    let (depth, slot) = run.slots[position];
+                    run.extend_fork(depth, slot);
+                    run.fill_view(false, true);
+                    let action = strategy.decide(&run.view);
+                    run.apply_action(action, None, &mut rng);
                 }
                 ArrivalEvent::Honest => {
                     // Honest block found; it is pending until the adversary
                     // reacts.
-                    let pending = state.tree.add_block(state.public_tip, MinerClass::Honest);
-                    let view = self.view(&state, &roots, true, false);
-                    let action = strategy.decide(&view);
-                    self.apply_action(&mut state, &roots, action, Some(pending), &mut rng);
+                    let pending = run.tree.add_block(run.public_tip, MinerClass::Honest);
+                    run.fill_view(true, false);
+                    let action = strategy.decide(&run.view);
+                    run.apply_action(action, Some(pending), &mut rng);
                 }
             }
         }
 
-        let (honest, adversary) =
-            self.stable_ownership_counts(&state.tree, state.public_tip, config.depth);
+        let (honest, adversary) = run.stable_ownership_counts();
         SimulationReport::new(
             strategy.name().to_string(),
             config.steps,
             honest,
             adversary,
-            state.tree.height(state.public_tip),
+            run.tree.height(run.public_tip),
         )
     }
+}
 
-    /// The main-chain blocks at depths `1..=d` (tip first). Shorter than `d`
-    /// near genesis.
-    fn window_roots(&self, state: &SimulationState) -> Vec<BlockId> {
-        let mut roots = Vec::with_capacity(self.config.depth);
-        let mut current = Some(state.public_tip);
-        for _ in 0..self.config.depth {
-            match current {
-                Some(block) => {
-                    roots.push(block);
-                    current = state.tree.parent(block);
-                }
-                None => break,
-            }
+impl Run {
+    fn new(config: SimulationConfig) -> Self {
+        let tree = BlockTree::new();
+        let genesis = tree.genesis();
+        let mut run = Run {
+            config,
+            tree,
+            public_tip: genesis,
+            roots: Vec::with_capacity(config.depth),
+            forks: Vec::with_capacity(config.depth + 1),
+            spare: Vec::with_capacity(config.depth + 1),
+            slots: Vec::with_capacity(config.depth * config.forks_per_block),
+            view: AdversaryView {
+                fork_lengths: vec![vec![0; config.forks_per_block]; config.depth],
+                owners: vec![MinerClass::Honest; config.depth - 1],
+                pending_honest_block: false,
+                just_mined: false,
+            },
+        };
+        run.adopt_tip(genesis);
+        run
+    }
+
+    /// An empty fork set for `root`, reusing a pruned one when available.
+    fn fork_set(&mut self, root: BlockId) -> ForkSet {
+        match self.spare.pop() {
+            Some(set) => ForkSet { root, ..set },
+            None => ForkSet {
+                root,
+                chains: vec![Vec::new(); self.config.forks_per_block],
+            },
         }
-        roots
     }
 
     /// All positions the adversary currently mines on: every non-empty fork
     /// (extend it) plus, per root with a free slot, one new fork. Under
     /// [`MiningRegime::TipOnly`] only the tip root's positions count.
-    fn mining_slots(&self, state: &SimulationState, roots: &[BlockId]) -> Vec<(BlockId, usize)> {
+    fn fill_slots(&mut self) {
         let considered = match self.config.mining {
-            MiningRegime::AllSlots => roots,
-            MiningRegime::TipOnly => &roots[..roots.len().min(1)],
+            MiningRegime::AllSlots => self.forks.len(),
+            MiningRegime::TipOnly => self.forks.len().min(1),
         };
-        let mut slots = Vec::new();
-        for &root in considered {
-            let fork_slots = state.forks.get(&root);
-            let mut has_empty = false;
-            let mut first_empty = 0;
-            for slot in 0..self.config.forks_per_block {
-                let len = fork_slots
-                    .and_then(|slots| slots.get(slot))
-                    .map_or(0, |chain| chain.len());
-                if len > 0 && len < self.config.max_fork_length {
-                    slots.push((root, slot));
-                } else if len >= self.config.max_fork_length {
-                    // Saturated fork: the adversary still occupies the slot but
-                    // additional proofs are wasted; mirror the MDP by keeping
-                    // the position (its block simply does not extend the fork).
-                    slots.push((root, slot));
-                } else if !has_empty {
-                    has_empty = true;
-                    first_empty = slot;
+        self.slots.clear();
+        for (depth, set) in self.forks.iter().take(considered).enumerate() {
+            let mut first_empty = None;
+            for (slot, chain) in set.chains.iter().enumerate() {
+                if !chain.is_empty() {
+                    // A saturated fork (length `l`) keeps its position too:
+                    // the adversary still occupies the slot, its additional
+                    // proofs are simply wasted, mirroring the MDP.
+                    self.slots.push((depth, slot));
+                } else if first_empty.is_none() {
+                    first_empty = Some(slot);
                 }
             }
-            if has_empty {
-                slots.push((root, first_empty));
+            if let Some(slot) = first_empty {
+                self.slots.push((depth, slot));
             }
         }
-        slots
     }
 
-    fn extend_fork(&self, state: &mut SimulationState, root: BlockId, slot: usize) {
-        let entry = state
-            .forks
-            .entry(root)
-            .or_insert_with(|| vec![Vec::new(); self.config.forks_per_block]);
-        let chain = &mut entry[slot];
+    fn extend_fork(&mut self, depth: usize, slot: usize) {
+        let set = &mut self.forks[depth];
+        let chain = &mut set.chains[slot];
         if chain.len() >= self.config.max_fork_length {
             // Saturated: the proof is wasted, mirroring the MDP's min(·, l).
             return;
         }
-        let parent = chain.last().copied().unwrap_or(root);
-        let block = state.tree.add_block(parent, MinerClass::Adversary);
-        chain.push(block);
+        let parent = chain.last().copied().unwrap_or(set.root);
+        chain.push(self.tree.add_block(parent, MinerClass::Adversary));
     }
 
-    fn view(
-        &self,
-        state: &SimulationState,
-        roots: &[BlockId],
-        pending_honest_block: bool,
-        just_mined: bool,
-    ) -> AdversaryView {
-        let fork_lengths = (0..self.config.depth)
-            .map(|depth| {
-                (0..self.config.forks_per_block)
-                    .map(|slot| {
-                        roots
-                            .get(depth)
-                            .and_then(|root| state.forks.get(root))
-                            .and_then(|slots| slots.get(slot))
-                            .map_or(0, |chain| chain.len())
-                    })
-                    .collect()
-            })
-            .collect();
+    /// Refills the strategy's view from the current forks and window.
+    fn fill_view(&mut self, pending_honest_block: bool, just_mined: bool) {
+        for (depth, row) in self.view.fork_lengths.iter_mut().enumerate() {
+            match self.forks.get(depth) {
+                Some(set) => {
+                    for (len, chain) in row.iter_mut().zip(&set.chains) {
+                        *len = chain.len();
+                    }
+                }
+                None => row.fill(0),
+            }
+        }
         // Ownership of the tracked main-chain blocks at depths 1..d−1; blocks
         // missing near genesis count as honest (the genesis convention).
-        let owners = (0..self.config.depth.saturating_sub(1))
-            .map(|depth| {
-                roots
-                    .get(depth)
-                    .map_or(MinerClass::Honest, |&root| state.tree.owner(root))
-            })
-            .collect();
-        AdversaryView {
-            fork_lengths,
-            owners,
-            pending_honest_block,
-            just_mined,
+        for (depth, owner) in self.view.owners.iter_mut().enumerate() {
+            *owner = self
+                .roots
+                .get(depth)
+                .map_or(MinerClass::Honest, |&root| self.tree.owner(root));
         }
+        self.view.pending_honest_block = pending_honest_block;
+        self.view.just_mined = just_mined;
     }
 
     fn apply_action(
-        &self,
-        state: &mut SimulationState,
-        roots: &[BlockId],
+        &mut self,
         action: AdversaryAction,
         pending: Option<BlockId>,
         rng: &mut StdRng,
@@ -290,7 +291,7 @@ impl Simulator {
         match action {
             AdversaryAction::Wait => {
                 if let Some(pending) = pending {
-                    self.adopt_tip(state, pending);
+                    self.adopt_tip(pending);
                 }
             }
             AdversaryAction::Release {
@@ -298,14 +299,14 @@ impl Simulator {
                 fork,
                 length,
             } => {
-                match self.peek_release(state, roots, depth, fork, length) {
+                match self.peek_release(depth, fork, length) {
                     Some(released_tip) => {
                         let competes_with_pending = pending.is_some();
                         // Published chain height vs the public chain height
                         // (including a pending honest block if any).
-                        let published_height = state.tree.height(released_tip);
+                        let published_height = self.tree.height(released_tip);
                         let public_height =
-                            state.tree.height(state.public_tip) + u64::from(competes_with_pending);
+                            self.tree.height(self.public_tip) + u64::from(competes_with_pending);
                         let accepted = published_height > public_height
                             || (published_height == public_height
                                 && rng.gen_bool(self.config.gamma));
@@ -313,13 +314,13 @@ impl Simulator {
                             // Only now split the fork: the released prefix
                             // becomes public, the remainder re-anchors on the
                             // new tip.
-                            self.commit_release(state, roots, depth, fork, length);
-                            self.adopt_tip(state, released_tip);
+                            self.commit_release(depth, fork, length, released_tip);
+                            self.adopt_tip(released_tip);
                         } else if let Some(pending) = pending {
                             // Race lost: the honest block goes through and the
                             // adversary keeps its fork (now rooted one block
                             // deeper), exactly as in the MDP model.
-                            self.adopt_tip(state, pending);
+                            self.adopt_tip(pending);
                         }
                         // A rejected release against no pending block leaves
                         // the public tip unchanged.
@@ -327,7 +328,7 @@ impl Simulator {
                     None => {
                         // Invalid release: treat as Wait.
                         if let Some(pending) = pending {
-                            self.adopt_tip(state, pending);
+                            self.adopt_tip(pending);
                         }
                     }
                 }
@@ -338,89 +339,80 @@ impl Simulator {
     /// Validates a `(depth, fork, length)` release request and returns the
     /// block that would become the public tip if the release were adopted,
     /// without modifying any state.
-    fn peek_release(
-        &self,
-        state: &SimulationState,
-        roots: &[BlockId],
-        depth: usize,
-        fork: usize,
-        length: usize,
-    ) -> Option<BlockId> {
-        if depth == 0 || depth > roots.len() || fork == 0 || fork > self.config.forks_per_block {
+    fn peek_release(&self, depth: usize, fork: usize, length: usize) -> Option<BlockId> {
+        if depth == 0 || fork == 0 || length == 0 {
             return None;
         }
-        let root = roots[depth - 1];
-        let chain = state.forks.get(&root)?.get(fork - 1)?;
-        if length == 0 || length > chain.len() {
-            return None;
-        }
-        Some(chain[length - 1])
+        let chain = self.forks.get(depth - 1)?.chains.get(fork - 1)?;
+        chain.get(length - 1).copied()
     }
 
     /// Splits an accepted release off its fork: the released prefix leaves the
     /// private-fork bookkeeping and the remainder re-anchors on the released
-    /// tip as a fresh private fork.
-    fn commit_release(
-        &self,
-        state: &mut SimulationState,
-        roots: &[BlockId],
-        depth: usize,
-        fork: usize,
-        length: usize,
-    ) {
-        let root = roots[depth - 1];
-        let Some(slots) = state.forks.get_mut(&root) else {
-            return;
-        };
-        let chain = &mut slots[fork - 1];
-        let remainder: Vec<BlockId> = chain.split_off(length);
-        let prefix = std::mem::take(chain);
-        if !remainder.is_empty() {
-            let released_tip = *prefix.last().expect("prefix non-empty");
-            let entry = state
-                .forks
-                .entry(released_tip)
-                .or_insert_with(|| vec![Vec::new(); self.config.forks_per_block]);
-            entry[0] = remainder;
+    /// tip as a fresh private fork in its first slot. The new set goes to the
+    /// front, where [`Run::adopt_tip`] expects the new tip's forks.
+    fn commit_release(&mut self, depth: usize, fork: usize, length: usize, released_tip: BlockId) {
+        let mut set = self.fork_set(released_tip);
+        let chain = &mut self.forks[depth - 1].chains[fork - 1];
+        set.chains[0].extend_from_slice(&chain[length..]);
+        chain.clear();
+        self.forks.insert(0, set);
+    }
+
+    /// Makes `tip` the new public tip: refills the window roots and realigns
+    /// the fork sets with them, pruning the forks whose roots are no longer
+    /// within the last `d` blocks of the main chain.
+    fn adopt_tip(&mut self, tip: BlockId) {
+        self.public_tip = tip;
+        self.roots.clear();
+        let mut current = Some(tip);
+        while self.roots.len() < self.config.depth {
+            let Some(block) = current else { break };
+            self.roots.push(block);
+            current = self.tree.parent(block);
         }
-    }
-
-    /// Makes `tip` the new public tip and prunes private forks whose roots are
-    /// no longer within the last `d` blocks of the main chain.
-    fn adopt_tip(&self, state: &mut SimulationState, tip: BlockId) {
-        state.public_tip = tip;
-        let window: std::collections::HashSet<BlockId> = {
-            let mut set = std::collections::HashSet::new();
-            let mut current = Some(tip);
-            for _ in 0..self.config.depth {
-                match current {
-                    Some(block) => {
-                        set.insert(block);
-                        current = state.tree.parent(block);
-                    }
-                    None => break,
-                }
+        // Keep the sets whose roots stay in the window (a stable partition:
+        // the survivors keep their window order), recycle the rest.
+        let mut kept = 0;
+        for index in 0..self.forks.len() {
+            if self.roots.contains(&self.forks[index].root) {
+                self.forks.swap(kept, index);
+                kept += 1;
             }
-            set
-        };
-        state.forks.retain(|root, _| window.contains(root));
+        }
+        for mut set in self.forks.drain(kept..) {
+            set.chains.iter_mut().for_each(Vec::clear);
+            self.spare.push(set);
+        }
+        // Give every window root without forks an empty set, in place.
+        for depth in 0..self.roots.len() {
+            let root = self.roots[depth];
+            if self.forks.get(depth).map(|set| set.root) != Some(root) {
+                let set = self.fork_set(root);
+                self.forks.insert(depth, set);
+            }
+        }
+        debug_assert_eq!(self.forks.len(), self.roots.len());
     }
 
-    /// Ownership counts over the *stable* part of the main chain (everything
-    /// deeper than the attack window of `d` blocks).
-    fn stable_ownership_counts(&self, tree: &BlockTree, tip: BlockId, depth: usize) -> (u64, u64) {
-        let chain = tree.chain_to(tip);
-        let stable_len = chain.len().saturating_sub(depth);
+    /// Ownership counts over the *stable* part of the main chain: everything
+    /// deeper than the attack window of `d` blocks, genesis excluded.
+    fn stable_ownership_counts(&self) -> (u64, u64) {
+        let genesis = self.tree.genesis();
         let mut honest = 0;
         let mut adversary = 0;
-        for &block in chain.iter().take(stable_len) {
-            if block == tree.genesis() {
-                continue;
+        let mut current = Some(self.public_tip);
+        let mut skipped = 0;
+        while let Some(block) = current {
+            if skipped < self.config.depth {
+                skipped += 1;
+            } else if block != genesis {
+                match self.tree.owner(block) {
+                    MinerClass::Honest => honest += 1,
+                    MinerClass::Adversary => adversary += 1,
+                }
             }
-            match tree.owner(block) {
-                MinerClass::Honest => honest += 1,
-                MinerClass::Adversary => adversary += 1,
-            }
+            current = self.tree.parent(block);
         }
         (honest, adversary)
     }

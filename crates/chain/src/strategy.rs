@@ -2,6 +2,7 @@
 
 use crate::MinerClass;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The adversary's view of the simulation at a decision point, expressed in
 /// the same vocabulary as the selfish-mining MDP state: private fork lengths
@@ -162,6 +163,49 @@ pub enum UnknownViewPolicy {
     Panic,
 }
 
+/// The hasher of [`TableStrategy`] lookups: one multiply-rotate round per
+/// word (the `FxHash` construction). Views are a handful of small integers
+/// and never adversarial input, so SipHash's per-lookup setup and
+/// flooding resistance buy nothing on the simulator's per-step lookup.
+#[derive(Debug, Clone, Copy, Default)]
+struct ViewHasher(u64);
+
+impl ViewHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for ViewHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut buf = [0u8; 8];
+            buf.copy_from_slice(word);
+            self.add(u64::from_le_bytes(buf));
+        }
+        for &byte in words.remainder() {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A strategy defined by an explicit lookup table from views to actions, with
 /// an explicit [`UnknownViewPolicy`] for views without an entry.
 ///
@@ -171,7 +215,7 @@ pub enum UnknownViewPolicy {
 /// implementations.
 #[derive(Debug, Clone, Default)]
 pub struct TableStrategy {
-    table: HashMap<AdversaryView, AdversaryAction>,
+    table: HashMap<AdversaryView, AdversaryAction, BuildHasherDefault<ViewHasher>>,
     name: String,
     policy: UnknownViewPolicy,
     unknown_views: u64,
@@ -187,7 +231,7 @@ impl TableStrategy {
     /// Creates a table strategy with the given name and unknown-view policy.
     pub fn with_policy(name: impl Into<String>, policy: UnknownViewPolicy) -> Self {
         TableStrategy {
-            table: HashMap::new(),
+            table: HashMap::default(),
             name: name.into(),
             policy,
             unknown_views: 0,

@@ -9,7 +9,10 @@
 //! blocks. Both schedules are provided so the chain simulator can be run in
 //! either regime (the predictable regime is used by an ablation experiment).
 
-use crate::{hash_concat, Digest};
+use crate::{Digest, HashTag};
+
+pub(crate) const CHALLENGE: HashTag = HashTag::new(b"challenge");
+pub(crate) const PREDICTABLE_CHALLENGE: HashTag = HashTag::new(b"predictable-challenge");
 
 /// A rule for deriving the proof-system challenge of the next block.
 pub trait ChallengeSchedule {
@@ -28,7 +31,7 @@ pub struct UnpredictableSchedule;
 
 impl ChallengeSchedule for UnpredictableSchedule {
     fn challenge(&self, parent: &Digest, height: u64) -> Digest {
-        hash_concat(&[b"challenge", &parent.0, &height.to_be_bytes()])
+        CHALLENGE.hash(&[&parent.0, &height.to_be_bytes()])
     }
 
     fn is_predictable(&self) -> bool {
@@ -62,8 +65,7 @@ impl PredictableSchedule {
 impl ChallengeSchedule for PredictableSchedule {
     fn challenge(&self, _parent: &Digest, height: u64) -> Digest {
         let epoch = height / self.epoch_length;
-        hash_concat(&[
-            b"predictable-challenge",
+        PREDICTABLE_CHALLENGE.hash(&[
             &self.seed.to_be_bytes(),
             &epoch.to_be_bytes(),
             &(height % self.epoch_length).to_be_bytes(),

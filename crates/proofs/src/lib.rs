@@ -36,5 +36,5 @@ pub mod pow;
 pub mod vdf;
 
 pub use challenge::{ChallengeSchedule, PredictableSchedule, UnpredictableSchedule};
-pub use hash::{hash_bytes, hash_concat, Digest};
+pub use hash::{hash_bytes, hash_concat, Digest, HashTag};
 pub use lottery::{MinerId, MiningLottery, ProofSystemKind, ResourceAllocation, WinnerKind};

@@ -9,7 +9,9 @@
 //! challenges cheaply — the property that makes mining on many blocks
 //! essentially free and motivates the paper's attack.
 
-use crate::{hash_concat, Digest};
+use crate::{Digest, HashTag};
+
+pub(crate) const PLOT: HashTag = HashTag::new(b"plot");
 
 /// A plot: `size` pseudo-random points derived from a plot seed.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,7 +40,10 @@ impl ProofOfSpace {
     pub fn plot(seed: u64, size: usize) -> Self {
         assert!(size > 0, "plot size must be positive");
         let points = (0..size as u64)
-            .map(|i| hash_concat(&[b"plot", &seed.to_be_bytes(), &i.to_be_bytes()]).leading_u64())
+            .map(|i| {
+                PLOT.hash(&[&seed.to_be_bytes(), &i.to_be_bytes()])
+                    .leading_u64()
+            })
             .collect();
         ProofOfSpace { seed, points }
     }
@@ -67,12 +72,12 @@ impl ProofOfSpace {
     /// Verifies that a proof indeed refers to an entry of the plot with the
     /// claimed quality.
     pub fn verify(&self, challenge: &Digest, proof: &SpaceProof) -> bool {
-        let expected = hash_concat(&[
-            b"plot",
-            &self.seed.to_be_bytes(),
-            &(proof.index as u64).to_be_bytes(),
-        ])
-        .leading_u64();
+        let expected = PLOT
+            .hash(&[
+                &self.seed.to_be_bytes(),
+                &(proof.index as u64).to_be_bytes(),
+            ])
+            .leading_u64();
         expected == proof.value && proof.quality == proof.value.abs_diff(challenge.leading_u64())
     }
 }

@@ -9,7 +9,9 @@
 
 use crate::pospace::{ProofOfSpace, SpaceProof};
 use crate::vdf::{Vdf, VdfProof};
-use crate::{hash_concat, Digest, ProofSystemKind};
+use crate::{Digest, HashTag, ProofSystemKind};
+
+pub(crate) const POST: HashTag = HashTag::new(b"post");
 
 /// A PoST miner: one plot plus a fixed number of VDF processors.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,8 +76,7 @@ impl ProofOfSpaceTime {
             return None;
         }
         let space = self.plot.prove(challenge);
-        let vdf_input = hash_concat(&[
-            b"post",
+        let vdf_input = POST.hash(&[
             &challenge.0,
             &space.value.to_be_bytes(),
             &(space.index as u64).to_be_bytes(),
@@ -89,8 +90,7 @@ impl ProofOfSpaceTime {
         if !self.plot.verify(challenge, &proof.space) {
             return false;
         }
-        let vdf_input = hash_concat(&[
-            b"post",
+        let vdf_input = POST.hash(&[
             &challenge.0,
             &proof.space.value.to_be_bytes(),
             &(proof.space.index as u64).to_be_bytes(),

@@ -6,7 +6,9 @@
 //! simulator and to demonstrate why cheap proofs enable mining on many blocks
 //! at once (the nothing-at-stake behaviour the paper analyses).
 
-use crate::{hash_concat, Digest};
+use crate::{Digest, HashTag};
+
+pub(crate) const POSTAKE: HashTag = HashTag::new(b"postake");
 
 /// Identifier of a staker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -48,6 +50,26 @@ impl ProofOfStake {
         }
     }
 
+    /// Sets the stake of `staker`'s first entry in place (appending an entry
+    /// if it has none), so a table whose shares move every slot is updated
+    /// instead of rebuilt. The total is recomputed exactly as
+    /// [`ProofOfStake::new`] computes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stake` is negative or not finite.
+    pub fn set_stake(&mut self, staker: StakerId, stake: f64) {
+        assert!(
+            stake.is_finite() && stake >= 0.0,
+            "stakes must be non-negative"
+        );
+        match self.stakes.iter_mut().find(|(id, _)| *id == staker) {
+            Some(entry) => entry.1 = stake,
+            None => self.stakes.push((staker, stake)),
+        }
+        self.total_stake = self.stakes.iter().map(|&(_, s)| s).sum();
+    }
+
     /// The fraction of total stake held by a staker.
     pub fn stake_share(&self, staker: StakerId) -> f64 {
         if self.total_stake <= 0.0 {
@@ -63,13 +85,13 @@ impl ProofOfStake {
 
     /// Deterministic per-staker lottery value for a challenge and slot.
     pub fn lottery_value(&self, challenge: &Digest, slot: u64, staker: StakerId) -> f64 {
-        hash_concat(&[
-            b"postake",
-            &challenge.0,
-            &slot.to_be_bytes(),
-            &(staker.0 as u64).to_be_bytes(),
-        ])
-        .as_unit_interval()
+        POSTAKE
+            .hash(&[
+                &challenge.0,
+                &slot.to_be_bytes(),
+                &(staker.0 as u64).to_be_bytes(),
+            ])
+            .as_unit_interval()
     }
 
     /// Whether the staker is eligible to produce the block of `slot` under the
@@ -149,6 +171,18 @@ mod tests {
             ..proof
         };
         assert!(!pos.verify(&challenge, &forged, difficulty));
+    }
+
+    #[test]
+    fn set_stake_matches_a_rebuilt_table() {
+        let mut pos = table();
+        for stake in [0.0, 0.6, 1.2, 30.0] {
+            pos.set_stake(StakerId(0), stake);
+            let rebuilt = ProofOfStake::new(vec![(StakerId(0), stake), (StakerId(1), 70.0)]);
+            assert_eq!(pos, rebuilt);
+        }
+        pos.set_stake(StakerId(2), 5.0);
+        assert!((pos.stake_share(StakerId(2)) - 5.0 / 105.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! simulator here exists so the chain simulator and the examples can contrast
 //! the PoW and efficient-proof-system regimes with the same code path.
 
-use crate::{hash_concat, Digest};
+use crate::{Digest, HashTag};
+
+pub(crate) const POW: HashTag = HashTag::new(b"pow");
 
 /// A hashcash puzzle instance: find a nonce such that
 /// `H(challenge ‖ miner ‖ nonce)` interpreted as a number is below the target.
@@ -39,12 +41,7 @@ impl ProofOfWork {
 
     /// Evaluates one attempt for a given nonce.
     pub fn attempt(&self, challenge: &Digest, miner: u64, nonce: u64) -> Option<PowSolution> {
-        let digest = hash_concat(&[
-            b"pow",
-            &challenge.0,
-            &miner.to_be_bytes(),
-            &nonce.to_be_bytes(),
-        ]);
+        let digest = POW.hash(&[&challenge.0, &miner.to_be_bytes(), &nonce.to_be_bytes()]);
         (digest.leading_u64() <= self.target).then_some(PowSolution { nonce, digest })
     }
 

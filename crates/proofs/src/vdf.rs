@@ -9,7 +9,10 @@
 //! every block it tries to extend, which is exactly the `k` of
 //! `(p, k)`-mining.
 
-use crate::{hash_concat, Digest};
+use crate::{Digest, HashTag};
+
+pub(crate) const VDF_SEED: HashTag = HashTag::new(b"vdf-seed");
+pub(crate) const VDF_STEP: HashTag = HashTag::new(b"vdf-step");
 
 /// A VDF instance defined by its number of sequential iterations and a
 /// checkpointing interval used for verification.
@@ -49,14 +52,19 @@ impl Vdf {
         }
     }
 
+    /// Number of checkpoints an evaluation stores.
+    fn checkpoint_count(&self) -> usize {
+        usize::try_from(self.iterations.div_ceil(self.checkpoint_interval)).unwrap_or(0)
+    }
+
     fn step(value: &Digest) -> Digest {
-        hash_concat(&[b"vdf-step", &value.0])
+        VDF_STEP.hash(&[&value.0])
     }
 
     /// Sequentially evaluates the VDF on `input`.
     pub fn evaluate(&self, input: &Digest) -> VdfProof {
-        let mut value = hash_concat(&[b"vdf-seed", &input.0]);
-        let mut checkpoints = Vec::new();
+        let mut value = VDF_SEED.hash(&[&input.0]);
+        let mut checkpoints = Vec::with_capacity(self.checkpoint_count());
         for i in 1..=self.iterations {
             value = Self::step(&value);
             if i % self.checkpoint_interval == 0 || i == self.iterations {
@@ -78,7 +86,7 @@ impl Vdf {
         if proof.checkpoints.is_empty() || proof.checkpoints.last() != Some(&proof.output) {
             return false;
         }
-        let mut value = hash_concat(&[b"vdf-seed", &input.0]);
+        let mut value = VDF_SEED.hash(&[&input.0]);
         let mut checkpoint_index = 0;
         for i in 1..=self.iterations {
             value = Self::step(&value);
