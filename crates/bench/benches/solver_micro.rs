@@ -10,7 +10,7 @@ use selfish_mining::{
     available_actions, successors, AnalysisConfig, AnalysisProcedure, AttackParams,
     ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
 };
-use sm_mdp::{MeanPayoffMethod, MeanPayoffSolver, RelativeValueIteration, SweepKernel};
+use sm_mdp::{MeanPayoffMethod, MeanPayoffSolver, RelativeValueIteration};
 use sm_sweep::SweepConfig;
 use std::collections::{HashMap, VecDeque};
 
@@ -297,48 +297,6 @@ fn bench_intra_parallel_scaling(c: &mut Criterion) {
     }
 }
 
-/// Sweep-kernel ablation on one relative-value-iteration solve at fixed
-/// `β = 0.35`: full Jacobi sweeps vs in-place Gauss-Seidel evaluation
-/// sweeps vs the prioritized residual-thresholded variant. Certified bounds
-/// come from full Jacobi Bellman sweeps under every kernel, so the three
-/// rows solve the same problem to the same certificate — only the
-/// wall-clock time may differ. The `d = 3, f = 2` and `d = 4, f = 3` rows
-/// are gated behind `SM_BENCH_EXPENSIVE` (the d4f3 arena holds millions of
-/// states); their numbers feed the "Scaling to d = 4, f = 3" section of
-/// EXPERIMENTS.md.
-fn bench_sweep_kernels(c: &mut Criterion) {
-    // `(depth, forks, levels)`: the d4f3 scale target runs at level budget
-    // l = 2 — the only budget whose reachable set fits the solver's default
-    // 12M-state limit (~3.0M states / 22.9M transitions at l = 2).
-    let mut configs: Vec<(usize, usize, usize)> = vec![(2, 2, 4)];
-    if sm_bench::expensive_enabled() {
-        configs.push((3, 2, 4));
-        configs.push((4, 3, 2));
-    }
-    for (depth, forks, levels) in configs {
-        let family = ParametricModel::build(depth, forks, levels).unwrap();
-        let model = family.instantiate(0.3, 0.5).unwrap();
-        let rewards = model.beta_rewards(0.35).unwrap();
-        // The d4f3 row solves cold (no warm start) — at the 1e-6 precision of
-        // the smaller rows a single solve would dominate the nightly budget,
-        // so it runs at 1e-4, matching the d4f3 thread-scaling group.
-        let epsilon = if depth >= 4 { 1e-4 } else { 1e-6 };
-        let mut group = c.benchmark_group(format!("solver/kernel_d{depth}_f{forks}"));
-        group.sample_size(3);
-        for (name, kernel) in [
-            ("jacobi", SweepKernel::Jacobi),
-            ("gauss_seidel", SweepKernel::GaussSeidel),
-            ("prioritized", SweepKernel::Prioritized { threshold: 1e-7 }),
-        ] {
-            group.bench_with_input(BenchmarkId::from_parameter(name), &kernel, |b, &kernel| {
-                let solver = RelativeValueIteration::with_epsilon(epsilon).with_kernel(kernel);
-                b.iter(|| solver.solve(model.mdp(), &rewards).unwrap().gain);
-            });
-        }
-        group.finish();
-    }
-}
-
 /// Thread-scaling of the parallel Jacobi Bellman sweeps on the `d = 4,
 /// f = 3` arena — the scale target of the compact-arena work: one
 /// relative-value-iteration solve at fixed `β` per thread count. Gated
@@ -347,7 +305,8 @@ fn bench_d4f3_thread_scaling(c: &mut Criterion) {
     if !sm_bench::expensive_enabled() {
         return;
     }
-    // Level budget l = 2: see `bench_sweep_kernels` for the sizing argument.
+    // Level budget l = 2: the only budget whose reachable set fits the
+    // solver's default 12M-state limit (~3.0M states / 22.9M transitions).
     let family = ParametricModel::build(4, 3, 2).unwrap();
     let model = family.instantiate(0.3, 0.5).unwrap();
     let rewards = model.beta_rewards(0.35).unwrap();
@@ -650,7 +609,6 @@ criterion_group!(
     bench_model_construction,
     bench_construction_plus_vi,
     bench_intra_parallel_scaling,
-    bench_sweep_kernels,
     bench_d4f3_thread_scaling,
     bench_figure2_coarse_sweep,
     bench_certificate_audit,

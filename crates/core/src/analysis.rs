@@ -13,9 +13,7 @@
 //! the search strategy; both return the same value up to the precision.
 
 use crate::{SelfishMiningError, SelfishMiningModel};
-use sm_mdp::{
-    MeanPayoffMethod, MeanPayoffSolver, PositionalStrategy, SolverParallelism, SweepKernel,
-};
+use sm_mdp::{MeanPayoffMethod, MeanPayoffSolver, PositionalStrategy, SolverParallelism};
 
 /// Iteration cap of the Dinkelbach-style acceleration. Each iteration
 /// strictly increases `β` towards the fixed point `ERRev*`, so well-behaved
@@ -43,13 +41,6 @@ pub struct AnalysisConfig {
     /// Defaults to serial — the `sm-sweep` engine raises it per job from its
     /// global thread budget.
     pub parallelism: SolverParallelism,
-    /// Sweep kernel of the inner mean-payoff solves. The certified `β`
-    /// bounds come from the pure-Jacobi revenue evaluations and the inner
-    /// solvers' full Bellman sweeps regardless of the kernel, so any kernel
-    /// yields a valid `ε`-tight bracket; the Gauss-Seidel and prioritized
-    /// kernels only change how fast the interleaved accelerator sweeps
-    /// contract (see [`sm_mdp::SweepKernel`]).
-    pub kernel: SweepKernel,
 }
 
 impl Default for AnalysisConfig {
@@ -59,7 +50,6 @@ impl Default for AnalysisConfig {
             solver: MeanPayoffMethod::ValueIteration { epsilon: 1e-6 },
             zero_tolerance: 1e-9,
             parallelism: SolverParallelism::serial(),
-            kernel: SweepKernel::Jacobi,
         }
     }
 }
@@ -86,14 +76,6 @@ impl AnalysisConfig {
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: SolverParallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Returns the configuration with the given inner sweep kernel (see the
-    /// [`AnalysisConfig::kernel`] field).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: SweepKernel) -> Self {
-        self.kernel = kernel;
         self
     }
 }
@@ -201,8 +183,7 @@ impl AnalysisProcedure {
             });
         }
         let solver = MeanPayoffSolver::new(self.config.solver.clone())
-            .with_parallelism(self.config.parallelism)
-            .with_kernel(self.config.kernel);
+            .with_parallelism(self.config.parallelism);
         let mut beta_low: f64 = 0.0;
         let mut beta_up: f64 = 1.0;
         let mut steps = Vec::new();
@@ -297,8 +278,7 @@ impl AnalysisProcedure {
             });
         }
         let solver = MeanPayoffSolver::new(self.config.solver.clone())
-            .with_parallelism(self.config.parallelism)
-            .with_kernel(self.config.kernel);
+            .with_parallelism(self.config.parallelism);
         let mut bias: Vec<f64> = warm.map(|w| w.bias.clone()).unwrap_or_default();
         let mut evaluation_bias: Vec<Vec<f64>> =
             warm.map(|w| w.evaluation_bias.clone()).unwrap_or_default();
@@ -377,8 +357,7 @@ impl AnalysisProcedure {
                 // Only reachable when no bisection step ever moved the lower
                 // end (e.g. ε ≥ 1): solve once at β_low for the strategy.
                 let solver = MeanPayoffSolver::new(self.config.solver.clone())
-                    .with_parallelism(self.config.parallelism)
-                    .with_kernel(self.config.kernel);
+                    .with_parallelism(self.config.parallelism);
                 let rewards = model.beta_rewards(beta_low)?;
                 solver.solve(model.mdp(), &rewards)?.strategy
             }

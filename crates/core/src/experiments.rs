@@ -272,10 +272,9 @@ pub fn attack_curve_certified_with(
 }
 
 /// [`attack_curve_certified`] under a full [`AnalysisConfig`] — the entry
-/// point for configuring the sweep kernel on top of thread count. Certified
-/// β bounds, strategies and revenues are bit-identical for any kernel and
-/// any thread count: the certificates only ever come from full Jacobi
-/// sweeps, the kernels accelerate the interleaved evaluation sweeps.
+/// point for choosing the inner solver and its precision, the zero
+/// tolerance and the thread count. Certified β bounds, strategies, revenues
+/// and bias witnesses are bit-identical for any thread count.
 ///
 /// # Errors
 ///

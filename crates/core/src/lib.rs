@@ -77,10 +77,9 @@ pub use state::{Owner, Phase, SmState};
 // scenario axis.
 pub use sm_chain::{ChallengeVisibility, ConsensusBackend};
 
-// Intra-solve parallelism and sweep-kernel knobs, shared across the solver
-// stack (`sm-markov` chain sweeps, `sm-mdp` value iteration, the analysis
-// procedure here).
-pub use sm_mdp::{SolverParallelism, SweepKernel};
+// Intra-solve parallelism, shared across the solver stack (`sm-markov` chain
+// sweeps, `sm-mdp` value iteration, the analysis procedure here).
+pub use sm_mdp::SolverParallelism;
 pub use transition::{
     available_actions, available_actions_in, successors, successors_in, symbolic_successors,
     symbolic_successors_in, BlockRewards, Outcome, ProbTerm, SymbolicOutcome,

@@ -1,16 +1,18 @@
 //! Deterministic intra-solve parallelism: mass-balanced row blocks and a
 //! scoped block-sweep pool.
 //!
-//! The solver hot loops of this workspace (relative value iteration,
-//! discounted value iteration, fused chain-gain evaluation) are all *Jacobi*
-//! sweeps over a CSR arena: every state's new value is a pure function of the
-//! previous iterate, so a sweep can be cut into contiguous state blocks and
-//! the blocks computed concurrently without changing a single bit of the
-//! result — each state runs exactly the arithmetic it runs serially, in the
-//! same order, against the same read-only snapshot of the previous iterate.
-//! Per-sweep statistics (span, max-diff, reference values) are reduced *per
-//! block* and folded in block order, so even the reductions are independent
-//! of the thread count.
+//! The solver hot loops of this workspace (relative value iteration and
+//! fused chain-gain evaluation) are all *Jacobi* sweeps over a CSR arena:
+//! every state's new value is a pure function of the previous iterate, so a
+//! sweep can be cut into contiguous state blocks and the blocks computed
+//! concurrently without changing a single bit of the result — each state
+//! runs exactly the arithmetic it runs serially, in the same order, against
+//! the same read-only snapshot of the previous iterate. Per-sweep statistics
+//! (span, max-diff, reference values) are reduced *per block* and folded in
+//! block order, so even the reductions are independent of the thread count.
+//! Jacobi is the only sweep schedule: in-place (Gauss-Seidel-ordered)
+//! schedules measured slower on every arena size and would not parallelise
+//! without making results depend on the block layout.
 //!
 //! Three pieces live here:
 //!
@@ -97,52 +99,6 @@ impl Default for SolverParallelism {
     }
 }
 
-/// Sweep kernel used by the iterative solvers to advance their iterate
-/// *between* certifying sweeps.
-///
-/// Certified quantities — convergence spans, gain sandwiches, bound
-/// intervals — are **only ever read off full Jacobi sweeps**, whose
-/// certificate is valid for any finite starting iterate. The non-Jacobi
-/// kernels therefore act purely as accelerators: they interleave in-place
-/// Gauss-Seidel-ordered sweeps (which propagate fresh values within a sweep
-/// and typically converge in fewer passes) before each certifying sweep,
-/// reshaping the iterate the next Jacobi sweep starts from. Certificates,
-/// optimal strategies and the decisions derived from them are unaffected by
-/// the kernel choice; only the trajectory toward convergence changes.
-///
-/// # Example
-///
-/// ```
-/// use sm_markov::SweepKernel;
-///
-/// assert!(SweepKernel::default().is_jacobi());
-/// assert!(!SweepKernel::GaussSeidel.is_jacobi());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum SweepKernel {
-    /// Pure Jacobi sweeps (the historical default): every sweep reads only
-    /// the previous iterate, so sweeps parallelise deterministically.
-    #[default]
-    Jacobi,
-    /// In-place, block-sequential Gauss-Seidel accelerator sweeps interleaved
-    /// between the certifying Jacobi sweeps.
-    GaussSeidel,
-    /// Gauss-Seidel accelerator sweeps that skip the mass-balanced blocks
-    /// whose last-seen residual (local span of per-state updates) is already
-    /// below `threshold`, concentrating work on the rows still moving.
-    Prioritized {
-        /// Residual below which a block is skipped by accelerator sweeps.
-        threshold: f64,
-    },
-}
-
-impl SweepKernel {
-    /// Whether this is the pure-Jacobi kernel.
-    pub const fn is_jacobi(self) -> bool {
-        matches!(self, SweepKernel::Jacobi)
-    }
-}
-
 /// Minimum transition mass a block must carry before it is worth a dedicated
 /// worker. Solvers cap their thread count at
 /// `1 + total_mass / MIN_BLOCK_MASS`, so small models (where one sweep costs
@@ -150,24 +106,6 @@ impl SweepKernel {
 /// run serially no matter what the knob says. Results are unaffected either
 /// way — the cap is a pure wall-clock heuristic.
 pub const MIN_BLOCK_MASS: usize = 2048;
-
-/// Upper bound on the number of residual-tracking blocks used by the
-/// prioritized kernel ([`priority_blocks`]).
-pub const MAX_PRIORITY_BLOCKS: usize = 64;
-
-/// Fixed residual-tracking partition used by the prioritized sweep kernel:
-/// one block per [`MIN_BLOCK_MASS`] transitions, capped at
-/// [`MAX_PRIORITY_BLOCKS`]. The partition is a pure function of the
-/// cumulative transition mass — never of the thread count — so the set of
-/// rows a prioritized accelerator sweep skips is deterministic for any
-/// parallelism knob.
-pub fn priority_blocks(cumulative_mass: &[usize]) -> Vec<Range<usize>> {
-    let total = *cumulative_mass.last().unwrap_or(&0);
-    mass_balanced_blocks(
-        cumulative_mass,
-        (total / MIN_BLOCK_MASS).clamp(1, MAX_PRIORITY_BLOCKS),
-    )
-}
 
 /// Caps a requested thread count by the available transition mass: at most
 /// one thread per [`MIN_BLOCK_MASS`] transitions (and at least one thread).

@@ -1,9 +1,9 @@
 //! Long-run average (gain) and transient reward computations.
 
-use crate::parallel::{mass_balanced_blocks, mass_capped_threads, priority_blocks, sweep_scope};
+use crate::parallel::{mass_balanced_blocks, mass_capped_threads, sweep_scope};
 use crate::{
     MarkovChain, MarkovError, SolverParallelism, StateClass, StationaryDistribution,
-    StationaryMethod, SweepKernel,
+    StationaryMethod,
 };
 use sm_linalg::{solve_linear_system, DenseMatrix};
 use std::sync::{Mutex, PoisonError, RwLock};
@@ -252,197 +252,6 @@ pub fn iterative_gains_seeded_with(
     } else {
         gain_sweeps_serial(chain, rewards, epsilon, max_iterations, h)
     }
-}
-
-/// Number of in-place accelerator sweeps a non-Jacobi kernel runs before
-/// each certifying Jacobi sweep.
-const ACCELERATOR_SWEEPS_PER_ROUND: usize = 4;
-
-/// [`iterative_gains_seeded_with`] with an explicit [`SweepKernel`].
-///
-/// The kernel affects **only** how the bias iterate is advanced *between*
-/// certifying sweeps: [`SweepKernel::GaussSeidel`] and
-/// [`SweepKernel::Prioritized`] interleave in-place Gauss-Seidel accelerator
-/// sweeps (block-sequential; the prioritized variant skips blocks whose
-/// last-seen residual is below its threshold) before every full Jacobi sweep.
-/// The gain and its enclosing span are only ever read off full Jacobi sweeps,
-/// whose span sandwich certifies the gain for **any** finite starting bias —
-/// an accelerator sweep is indistinguishable from a lucky seed — so the
-/// certificate semantics of the Jacobi kernel carry over unchanged.
-///
-/// With [`SweepKernel::Jacobi`] this is exactly
-/// [`iterative_gains_seeded_with`] (bit for bit). With any other kernel the
-/// sweeps run serially (the parallelism knob is ignored) and `max_iterations`
-/// counts certifying Jacobi sweeps only.
-///
-/// # Errors
-///
-/// Same as [`iterative_gains`].
-#[allow(clippy::too_many_arguments)]
-pub fn iterative_gains_seeded_with_kernel(
-    chain: &MarkovChain,
-    rewards: &[&[f64]],
-    epsilon: f64,
-    max_iterations: usize,
-    seed: Option<&[Vec<f64>]>,
-    parallelism: SolverParallelism,
-    kernel: SweepKernel,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), MarkovError> {
-    if kernel.is_jacobi() {
-        return iterative_gains_seeded_with(
-            chain,
-            rewards,
-            epsilon,
-            max_iterations,
-            seed,
-            parallelism,
-        );
-    }
-    let n = chain.num_states();
-    for reward in rewards {
-        if reward.len() != n {
-            return Err(MarkovError::RewardDimensionMismatch {
-                expected: n,
-                actual: reward.len(),
-            });
-        }
-    }
-    let k = rewards.len();
-    if k == 0 {
-        return Ok((Vec::new(), Vec::new()));
-    }
-    let mut h = match seed {
-        Some(seed)
-            if seed.len() == k
-                && seed
-                    .iter()
-                    .all(|b| b.len() == n && b.iter().all(|v| v.is_finite())) =>
-        {
-            seed.to_vec()
-        }
-        _ => vec![vec![0.0; n]; k],
-    };
-    let tau = GAIN_SWEEP_LAZINESS;
-    let threshold = match kernel {
-        SweepKernel::Prioritized { threshold } => threshold,
-        _ => 0.0,
-    };
-    // Fixed residual-tracking partition: mass-derived, thread-independent.
-    let mut cumulative = Vec::with_capacity(n + 1);
-    cumulative.push(0usize);
-    for s in 0..n {
-        cumulative.push(cumulative[s] + chain.successors(s).0.len());
-    }
-    let blocks = priority_blocks(&cumulative);
-    // Residual of each (reward, block) as of the latest sweep that touched
-    // the block: the local span of per-state updates, which closes to 0 as
-    // the block converges (the raw update tends to the gain, not to 0).
-    let mut residual = vec![vec![f64::INFINITY; blocks.len()]; k];
-    let mut next = vec![vec![0.0; n]; k];
-    let mut gain = vec![f64::NAN; k];
-    // Running gain estimate subtracted inside the accelerator sweeps: without
-    // it the in-place iterate would grow (tilted) by the gain per sweep and
-    // never settle. Seeded from the first certifying sweep's span midpoint.
-    let mut gain_estimate = vec![0.0; k];
-    let mut open = vec![true; k];
-    for round in 0..max_iterations {
-        // Certifying Jacobi sweep: exactly the serial-loop arithmetic, plus a
-        // per-block residual refresh so stale skips get re-examined.
-        let mut min_delta = vec![f64::INFINITY; k];
-        let mut max_delta = vec![f64::NEG_INFINITY; k];
-        for (bi, range) in blocks.iter().enumerate() {
-            let mut block_lo = vec![f64::INFINITY; k];
-            let mut block_hi = vec![f64::NEG_INFINITY; k];
-            for s in range.clone() {
-                let (targets, probs) = chain.successors(s);
-                for r in 0..k {
-                    if !open[r] {
-                        continue;
-                    }
-                    let h_r = &h[r];
-                    let mut value = rewards[r][s] + (1.0 - tau) * h_r[s];
-                    for (&t, &p) in targets.iter().zip(probs) {
-                        value += tau * p * h_r[t as usize];
-                    }
-                    let delta = value - h_r[s];
-                    block_lo[r] = block_lo[r].min(delta);
-                    block_hi[r] = block_hi[r].max(delta);
-                    next[r][s] = value;
-                }
-            }
-            for r in 0..k {
-                if open[r] {
-                    residual[r][bi] = block_hi[r] - block_lo[r];
-                    min_delta[r] = min_delta[r].min(block_lo[r]);
-                    max_delta[r] = max_delta[r].max(block_hi[r]);
-                }
-            }
-        }
-        let mut any_open = false;
-        for r in 0..k {
-            if !open[r] {
-                continue;
-            }
-            let offset = next[r][0];
-            for s in 0..n {
-                h[r][s] = next[r][s] - offset;
-            }
-            gain_estimate[r] = 0.5 * (min_delta[r] + max_delta[r]);
-            if max_delta[r] - min_delta[r] < epsilon {
-                gain[r] = gain_estimate[r];
-                open[r] = false;
-            } else {
-                any_open = true;
-            }
-        }
-        if !any_open {
-            return Ok((gain, h));
-        }
-        if round + 1 == max_iterations {
-            break;
-        }
-        // Accelerator sweeps: in-place Gauss-Seidel over the blocks in order,
-        // with the current gain estimate subtracted (so the iterate converges
-        // to a bias vector instead of drifting), skipping blocks already
-        // below the prioritized threshold.
-        for _ in 0..ACCELERATOR_SWEEPS_PER_ROUND {
-            for r in 0..k {
-                if !open[r] {
-                    continue;
-                }
-                let g = gain_estimate[r];
-                let h_r = &mut h[r];
-                for (bi, range) in blocks.iter().enumerate() {
-                    if residual[r][bi] < threshold {
-                        continue;
-                    }
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for s in range.clone() {
-                        let (targets, probs) = chain.successors(s);
-                        let mut value = rewards[r][s] - g + (1.0 - tau) * h_r[s];
-                        for (&t, &p) in targets.iter().zip(probs) {
-                            value += tau * p * h_r[t as usize];
-                        }
-                        let delta = value - h_r[s];
-                        lo = lo.min(delta);
-                        hi = hi.max(delta);
-                        h_r[s] = value;
-                    }
-                    residual[r][bi] = hi - lo;
-                }
-                // Keep the iterate anchored at state 0, like the Jacobi loop.
-                let offset = h_r[0];
-                for v in h_r.iter_mut() {
-                    *v -= offset;
-                }
-            }
-        }
-    }
-    Err(MarkovError::ConvergenceFailure {
-        method: "iterative gain",
-        iterations: max_iterations,
-    })
 }
 
 /// The historical single-threaded sweep loop of [`iterative_gains_seeded`].
@@ -756,87 +565,6 @@ mod tests {
         let (ignored, _) =
             iterative_gains_seeded(&chain, &[&r], 1e-10, 200_000, Some(&bad_seed)).unwrap();
         assert!((ignored[0] - cold[0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kernel_variants_certify_the_same_gain() {
-        let chain = MarkovChain::from_rows(vec![
-            vec![(0, 0.2), (1, 0.5), (2, 0.3)],
-            vec![(0, 0.6), (2, 0.4)],
-            vec![(1, 1.0)],
-        ])
-        .unwrap();
-        let r1 = [3.0, 0.0, 1.0];
-        let r2 = [0.0, 2.0, 0.5];
-        let exact1 = long_run_average_reward(&chain, &r1).unwrap()[0];
-        let exact2 = long_run_average_reward(&chain, &r2).unwrap()[0];
-        for kernel in [
-            SweepKernel::Jacobi,
-            SweepKernel::GaussSeidel,
-            SweepKernel::Prioritized { threshold: 1e-7 },
-        ] {
-            let (gains, bias) = iterative_gains_seeded_with_kernel(
-                &chain,
-                &[&r1, &r2],
-                1e-10,
-                200_000,
-                None,
-                SolverParallelism::serial(),
-                kernel,
-            )
-            .unwrap();
-            assert!((gains[0] - exact1).abs() < 1e-8, "kernel {kernel:?}");
-            assert!((gains[1] - exact2).abs() < 1e-8, "kernel {kernel:?}");
-            // Warm restart from the returned bias also certifies.
-            let (warm, _) = iterative_gains_seeded_with_kernel(
-                &chain,
-                &[&r1, &r2],
-                1e-10,
-                200_000,
-                Some(&bias),
-                SolverParallelism::serial(),
-                kernel,
-            )
-            .unwrap();
-            assert!((warm[0] - gains[0]).abs() < 1e-9);
-        }
-        // The Jacobi kernel is the plain seeded entry point, bit for bit.
-        let (plain, _) = iterative_gains_seeded(&chain, &[&r1, &r2], 1e-10, 200_000, None).unwrap();
-        let (via_kernel, _) = iterative_gains_seeded_with_kernel(
-            &chain,
-            &[&r1, &r2],
-            1e-10,
-            200_000,
-            None,
-            SolverParallelism::serial(),
-            SweepKernel::Jacobi,
-        )
-        .unwrap();
-        assert_eq!(plain[0].to_bits(), via_kernel[0].to_bits());
-        assert_eq!(plain[1].to_bits(), via_kernel[1].to_bits());
-        // Dimension checks apply to the kernel entry as well.
-        assert!(iterative_gains_seeded_with_kernel(
-            &chain,
-            &[&r1[..2]],
-            1e-10,
-            10,
-            None,
-            SolverParallelism::serial(),
-            SweepKernel::GaussSeidel,
-        )
-        .is_err());
-        assert!(iterative_gains_seeded_with_kernel(
-            &chain,
-            &[],
-            1e-10,
-            10,
-            None,
-            SolverParallelism::serial(),
-            SweepKernel::GaussSeidel,
-        )
-        .unwrap()
-        .0
-        .is_empty());
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   [`RelativeValueIteration`] (sparse, scales to the large selfish-mining
 //!   models), [`PolicyIteration`] (Howard's algorithm, exact via linear
 //!   solves) and [`LinearProgrammingSolver`] (gain LP over the `sm-linalg`
-//!   simplex), plus [`DiscountedValueIteration`] for discounted objectives.
+//!   simplex). Value iteration runs one sweep schedule — full Jacobi Bellman
+//!   sweeps interleaved with Jacobi policy-evaluation sweeps — serially or
+//!   over deterministic row blocks ([`SolverParallelism`]).
 //! * [`MeanPayoffSolver`] — a façade that picks a solver and returns a
 //!   [`MeanPayoffResult`] with certified lower/upper bounds on the optimal
 //!   gain together with an optimal (up to the requested precision) strategy.
@@ -55,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod csr;
-mod discounted;
 mod error;
 mod lp;
 mod model;
@@ -66,7 +67,6 @@ mod strategy;
 mod value_iteration;
 
 pub use csr::{CsrLayout, CsrMdp, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
-pub use discounted::{DiscountedResult, DiscountedValueIteration};
 pub use error::MdpError;
 pub use lp::LinearProgrammingSolver;
 pub use model::{ActionRef, Mdp, MdpBuilder};
@@ -76,10 +76,9 @@ pub use solver::{MeanPayoffMethod, MeanPayoffResult, MeanPayoffSolver};
 pub use strategy::PositionalStrategy;
 pub use value_iteration::{RelativeValueIteration, ValueIterationOutcome};
 
-// Intra-solve parallelism and sweep-kernel vocabulary, shared with the
-// chain-evaluation sweeps: re-exported so solver users configure everything
-// from one crate.
-pub use sm_markov::{SolverParallelism, SweepKernel};
+// Intra-solve parallelism, shared with the chain-evaluation sweeps:
+// re-exported so solver users configure everything from one crate.
+pub use sm_markov::SolverParallelism;
 
 /// Tolerance used when validating transition probability distributions.
 pub const PROBABILITY_TOLERANCE: f64 = 1e-9;

@@ -2,7 +2,7 @@
 
 use crate::{
     LinearProgrammingSolver, Mdp, MdpError, PolicyEvaluation, PolicyIteration, PositionalStrategy,
-    RelativeValueIteration, SolverParallelism, SweepKernel, TransitionRewards,
+    RelativeValueIteration, SolverParallelism, TransitionRewards,
 };
 
 /// Which algorithm a [`MeanPayoffSolver`] should use.
@@ -68,7 +68,6 @@ pub struct MeanPayoffResult {
 pub struct MeanPayoffSolver {
     method: MeanPayoffMethod,
     parallelism: SolverParallelism,
-    kernel: SweepKernel,
 }
 
 impl MeanPayoffSolver {
@@ -77,7 +76,6 @@ impl MeanPayoffSolver {
         MeanPayoffSolver {
             method,
             parallelism: SolverParallelism::serial(),
-            kernel: SweepKernel::Jacobi,
         }
     }
 
@@ -91,17 +89,6 @@ impl MeanPayoffSolver {
         self
     }
 
-    /// Returns the solver with the given sweep kernel for its sweep-based
-    /// methods (currently value iteration; the exact methods ignore the
-    /// knob). Certified bounds only ever come from full Bellman sweeps, so
-    /// every kernel returns a valid gain interval — see
-    /// [`RelativeValueIteration::kernel`].
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: SweepKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
     /// The method this solver dispatches to.
     pub fn method(&self) -> &MeanPayoffMethod {
         &self.method
@@ -110,11 +97,6 @@ impl MeanPayoffSolver {
     /// The intra-solve parallelism applied to sweep-based methods.
     pub fn parallelism(&self) -> SolverParallelism {
         self.parallelism
-    }
-
-    /// The sweep kernel applied to sweep-based methods.
-    pub fn kernel(&self) -> SweepKernel {
-        self.kernel
     }
 
     /// Computes the maximal mean payoff of `mdp` under `rewards`.
@@ -151,8 +133,7 @@ impl MeanPayoffSolver {
         match &self.method {
             MeanPayoffMethod::ValueIteration { epsilon } => {
                 let solver = RelativeValueIteration::with_epsilon(*epsilon)
-                    .with_parallelism(self.parallelism)
-                    .with_kernel(self.kernel);
+                    .with_parallelism(self.parallelism);
                 let outcome = match seed {
                     Some(bias) if bias.len() == mdp.num_states() => {
                         solver.solve_from(mdp, rewards, bias)?

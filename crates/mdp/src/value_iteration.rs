@@ -5,10 +5,7 @@
 //! state spaces produced by the selfish-mining model at higher attack depths.
 
 use crate::{Mdp, MdpError, PositionalStrategy, TransitionRewards};
-use sm_markov::{
-    mass_balanced_blocks, mass_capped_threads, priority_blocks, sweep_scope, SolverParallelism,
-    SweepKernel,
-};
+use sm_markov::{mass_balanced_blocks, mass_capped_threads, sweep_scope, SolverParallelism};
 use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Relative value iteration (RVI) with the standard aperiodicity ("lazy")
@@ -66,27 +63,6 @@ pub struct RelativeValueIteration {
     /// [`sm_markov::MIN_BLOCK_MASS`] transition threshold run serially
     /// regardless.
     pub parallelism: SolverParallelism,
-    /// Sweep kernel for the interleaved evaluation sweeps. The certifying
-    /// full Bellman sweeps — the only sweeps the gain interval is ever taken
-    /// from — stay plain Jacobi for every kernel; the non-Jacobi kernels
-    /// only replace the policy-restricted evaluation sweeps with in-place
-    /// Gauss-Seidel passes (optionally skipping row blocks whose local
-    /// residual is already below a threshold). Those sweeps propagate value
-    /// information within a single pass instead of one step per pass, so
-    /// warm-started solves need fewer rounds. Non-Jacobi kernels run
-    /// serially; the [`Self::parallelism`] knob is ignored for them.
-    ///
-    /// The returned *strategy* is kernel-independent as well, but for a
-    /// different reason: it is not the raw argmax of the last sweep (whose
-    /// choice in exactly-tied states flips with the last bits of the
-    /// iterate's numerical history) but a canonical extraction from the
-    /// final bias — the lowest-indexed action within `epsilon` of each
-    /// state's best Bellman value. Near the fixed point every optimal action
-    /// sits within the convergence span of the maximum while strictly
-    /// suboptimal actions stay separated by their macroscopic value gap, so
-    /// the rule lands on the same choice from any bias vector the solver can
-    /// terminate with — for any kernel, warm start or thread count.
-    pub kernel: SweepKernel,
 }
 
 impl Default for RelativeValueIteration {
@@ -97,7 +73,6 @@ impl Default for RelativeValueIteration {
             laziness: 0.95,
             evaluation_sweeps: 8,
             parallelism: SolverParallelism::serial(),
-            kernel: SweepKernel::Jacobi,
         }
     }
 }
@@ -113,9 +88,10 @@ pub struct ValueIterationOutcome {
     /// Certified upper bound on the optimal gain.
     pub gain_upper: f64,
     /// Greedy strategy extracted from the final bias vector by the canonical
-    /// tolerance rule (lowest-indexed action within `epsilon` of the
-    /// per-state maximum), so it does not depend on the iterate's numerical
-    /// history — see [`RelativeValueIteration::kernel`].
+    /// tolerance rule (lowest-indexed action within
+    /// `STRATEGY_TIE_TOLERANCE · epsilon` of the per-state maximum), so it
+    /// does not depend on the iterate's numerical history — see
+    /// [`RelativeValueIteration::STRATEGY_TIE_TOLERANCE`].
     pub strategy: PositionalStrategy,
     /// Final (relative) bias vector.
     pub bias: Vec<f64>,
@@ -123,8 +99,9 @@ pub struct ValueIterationOutcome {
     pub iterations: usize,
 }
 
-/// Book-keeping of the borderline-tie refinement phase shared by the sweep
-/// loops: once a solve has converged but its canonical extraction is
+/// Book-keeping of the borderline-tie refinement phase shared by the serial
+/// and parallel sweep loops: once a solve has converged but its canonical
+/// extraction (see [`RelativeValueIteration::STRATEGY_TIE_TOLERANCE`]) is
 /// borderline (see [`RelativeValueIteration::STRATEGY_TIE_GUARD`]), the loop
 /// keeps sweeping with a halved span target per round until the guard band
 /// clears or the refinement budget — twice the sweeps the solve needed to
@@ -170,34 +147,51 @@ impl TieRefinement {
 
 impl RelativeValueIteration {
     /// Near-tie tolerance of the canonical strategy extraction, as a multiple
-    /// of [`Self::epsilon`]. Converged bias vectors differ across sweep
-    /// kernels (and across warm-start histories) by up to roughly one
-    /// `epsilon` in the action values they induce, so a cutoff at exactly
-    /// `epsilon` is maximally fragile: a state whose runner-up action sits at
-    /// a gap of about `epsilon` flips in and out of the tie set depending on
-    /// which kernel produced the bias. Placing the cutoff a comfortable
-    /// multiple above that jitter makes the discrete tie set — and with it
-    /// the exported strategy — stable across kernels, while the admitted
-    /// actions stay within `32·epsilon` of optimal in bias units (negligible
-    /// against the analysis-level certification width, which is two orders
-    /// of magnitude above the solver `epsilon`).
+    /// of [`Self::epsilon`].
+    ///
+    /// The exported strategy is not the raw argmax of the last sweep, whose
+    /// choice in exactly-tied states flips with the last bits of the
+    /// iterate's numerical history. It is a canonical extraction from the
+    /// final bias: the lowest-indexed action within
+    /// `STRATEGY_TIE_TOLERANCE · epsilon` of each state's best Bellman value.
+    /// The history that varies in practice is the warm start — a cold solve,
+    /// a solve seeded with the previous Dinkelbach step's bias, or one seeded
+    /// from a neighbouring curve point all terminate with different bias
+    /// vectors, which differ by up to roughly one `epsilon` in the action
+    /// values they induce. Near the fixed point every optimal action sits
+    /// within the convergence span of the maximum while strictly suboptimal
+    /// actions stay separated by their value gap, so a cutoff a comfortable
+    /// multiple above that jitter lands on the same tie set, and with it the
+    /// same strategy, from any of those histories. A cutoff at exactly
+    /// `epsilon` would be maximally fragile: a state whose runner-up sits at
+    /// a gap of about `epsilon` would flip in and out of the tie set with the
+    /// seed. The admitted actions stay within `32·epsilon` of optimal in bias
+    /// units, negligible against the analysis-level certification width,
+    /// which is two orders of magnitude above the solver `epsilon`.
     pub const STRATEGY_TIE_TOLERANCE: f64 = 32.0;
 
     /// Guard-band factor of the borderline check, as a multiple of the
-    /// residual span at extraction time. No fixed cutoff alone can make the
-    /// tie set kernel-invariant: the gap spectrum of a large MDP is dense
-    /// enough that some state's true gap eventually lands within iterate
-    /// jitter of *any* cutoff. So after convergence the extraction also
-    /// reports whether any action's gap falls within `guard · span` of the
-    /// cutoff; if one does, the solve keeps sweeping — halving the residual
-    /// span, and with it the guard band, each round — until the band clears
-    /// or the refinement budget runs out. Decisions are then made by the
-    /// *true* gap's side of the cutoff (a kernel-invariant quantity) rather
-    /// than by each kernel's jitter. The factor comfortably dominates the
-    /// observed gap-estimation error (about twice the residual span) and
-    /// stays below [`Self::STRATEGY_TIE_TOLERANCE`], so exact ties — whose
-    /// estimated gaps sit near zero, far from the cutoff — never trigger
-    /// refinement.
+    /// residual span at extraction time.
+    ///
+    /// No fixed cutoff alone makes the tie set independent of the warm-start
+    /// history: the gap spectrum of a large MDP is dense enough that some
+    /// state's true gap eventually lands within iterate jitter of *any*
+    /// cutoff. So after convergence the extraction also reports whether any
+    /// action's gap falls within `guard · span` of the cutoff; if one does,
+    /// the solve keeps sweeping — halving the residual span, and with it the
+    /// guard band, each round — until the band clears or the refinement
+    /// budget runs out. Decisions are then made by the *true* gap's side of
+    /// the cutoff rather than by the seed's jitter. The factor comfortably
+    /// dominates the observed gap-estimation error (about twice the residual
+    /// span) and stays below [`Self::STRATEGY_TIE_TOLERANCE`], so exact ties
+    /// — whose estimated gaps sit near zero, far from the cutoff — never
+    /// trigger refinement.
+    ///
+    /// The refinement rounds also advance the returned bias vector, which is
+    /// the witness `sm-audit` replays against the certified bracket. The loop
+    /// is therefore part of the pinned output: turning it off leaves the
+    /// certified brackets of the `d = 3, f = 2` curve unchanged but changes
+    /// the audited bias witnesses, and with them the artifact bytes.
     pub const STRATEGY_TIE_GUARD: f64 = 8.0;
 
     /// Creates a solver with the given precision and default iteration budget.
@@ -213,14 +207,6 @@ impl RelativeValueIteration {
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: SolverParallelism) -> Self {
         self.parallelism = parallelism;
-        self
-    }
-
-    /// Returns the solver with the given sweep kernel (see the
-    /// [`RelativeValueIteration::kernel`] field).
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: SweepKernel) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -319,9 +305,6 @@ impl RelativeValueIteration {
             Some(bias) => bias.to_vec(),
             None => vec![0.0; n],
         };
-        if !self.kernel.is_jacobi() {
-            return self.sweep_serial_kernel(mdp, &expected, h);
-        }
         let transitions = mdp.csr().layout().col().len();
         let threads = mass_capped_threads(self.parallelism.thread_count(), transitions);
         if threads > 1 {
@@ -336,13 +319,13 @@ impl RelativeValueIteration {
     /// [`Self::STRATEGY_TIE_TOLERANCE`]`·`[`Self::epsilon`] of the state's
     /// maximum. The aperiodicity term `(1−τ)·h(s)` is identical for all
     /// actions of a state, so it is dropped from the comparison. See
-    /// [`Self::kernel`] for why this — and not the raw argmax of the final
-    /// sweep — is what the solver exports.
+    /// [`Self::STRATEGY_TIE_TOLERANCE`] for why this — and not the raw argmax
+    /// of the final sweep — is what the solver exports.
     ///
     /// Also reports whether the extraction is *borderline*: some action's
     /// gap to its state's maximum lies within `margin` of the tie cutoff, so
-    /// the discrete tie set could differ under a bias produced by a
-    /// different sweep schedule. Callers refine (keep sweeping) while this
+    /// the discrete tie set could differ under a bias reached from a
+    /// different warm start. Callers refine (keep sweeping) while this
     /// holds — see [`Self::STRATEGY_TIE_GUARD`].
     fn canonical_strategy(
         &self,
@@ -499,161 +482,6 @@ impl RelativeValueIteration {
                 let offset = next[reference];
                 for s in 0..n {
                     h[s] = next[s] - offset;
-                }
-            }
-        }
-        if let Some(outcome) = refine.fallback {
-            return Ok(outcome);
-        }
-        Err(MdpError::ConvergenceFailure {
-            method: "relative value iteration",
-            iterations: self.max_iterations,
-        })
-    }
-
-    /// Sweep loop for the non-Jacobi kernels: the certifying full Bellman
-    /// sweeps are unchanged plain Jacobi — the gain interval only ever comes
-    /// from them, and the `min Δ ≤ g* ≤ max Δ`
-    /// sandwich holds for *any* finite bias vector, however it was produced —
-    /// while the interleaved evaluation sweeps become in-place Gauss-Seidel
-    /// passes over the greedy policy. Each pass subtracts the current gain
-    /// estimate so the iterate contracts toward a bias vector instead of
-    /// growing by the gain per application, and re-anchors the reference
-    /// state at zero afterwards. The prioritized kernel additionally skips
-    /// row blocks whose local increment span fell below its threshold; the
-    /// block partition is a pure function of the transition mass (see
-    /// [`sm_markov::priority_blocks`]), so the skip pattern is deterministic.
-    fn sweep_serial_kernel(
-        &self,
-        mdp: &Mdp,
-        expected: &[f64],
-        mut h: Vec<f64>,
-    ) -> Result<ValueIterationOutcome, MdpError> {
-        let n = mdp.num_states();
-        let tau = self.laziness;
-        let threshold = match self.kernel {
-            SweepKernel::Prioritized { threshold } => threshold,
-            _ => 0.0,
-        };
-        let csr = mdp.csr();
-        let layout = csr.layout();
-        let row_ptr = layout.row_ptr();
-        let action_ptr = layout.action_ptr();
-        let col = layout.col();
-        let prob = csr.probabilities();
-
-        let cumulative: Vec<usize> = (0..=n)
-            .map(|s| action_ptr[row_ptr[s] as usize] as usize)
-            .collect();
-        let blocks = priority_blocks(&cumulative);
-        // Local increment span per block, refreshed by every sweep that
-        // touches the block. Starts at infinity so no block is skipped
-        // before its first certifying sweep.
-        let mut residual = vec![f64::INFINITY; blocks.len()];
-
-        let mut next = vec![0.0; n];
-        let mut best_action = vec![0usize; n];
-        let reference = mdp.initial_state();
-        let mut sweeps = 0usize;
-        let mut refine = TieRefinement::new();
-
-        while sweeps < self.max_iterations {
-            // Certifying full Bellman sweep (plain Jacobi), iterated block by
-            // block so the per-block residuals are refreshed as a side effect.
-            sweeps += 1;
-            let mut min_delta = f64::INFINITY;
-            let mut max_delta = f64::NEG_INFINITY;
-            for (bi, range) in blocks.iter().enumerate() {
-                let mut lo = f64::INFINITY;
-                let mut hi = f64::NEG_INFINITY;
-                for s in range.clone() {
-                    let mut best = f64::NEG_INFINITY;
-                    let mut best_a = 0;
-                    let pair_start = row_ptr[s] as usize;
-                    let lazy = (1.0 - tau) * h[s];
-                    for pair in pair_start..row_ptr[s + 1] as usize {
-                        let mut acc = 0.0;
-                        for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
-                            acc += prob[k] * h[col[k] as usize];
-                        }
-                        let value = expected[pair] + tau * acc + lazy;
-                        if value > best {
-                            best = value;
-                            best_a = pair - pair_start;
-                        }
-                    }
-                    next[s] = best;
-                    best_action[s] = best_a;
-                    let delta = best - h[s];
-                    lo = lo.min(delta);
-                    hi = hi.max(delta);
-                }
-                residual[bi] = hi - lo;
-                min_delta = min_delta.min(lo);
-                max_delta = max_delta.max(hi);
-            }
-            let offset = next[reference];
-            for s in 0..n {
-                h[s] = next[s] - offset;
-            }
-            if max_delta - min_delta < self.epsilon.min(refine.target) {
-                let span = max_delta - min_delta;
-                let (strategy, borderline) =
-                    self.canonical_strategy(mdp, expected, &h, Self::STRATEGY_TIE_GUARD * span);
-                if !borderline || refine.exhausted(sweeps, self.max_iterations) {
-                    return Ok(ValueIterationOutcome {
-                        gain: 0.5 * (min_delta + max_delta),
-                        gain_lower: min_delta,
-                        gain_upper: max_delta,
-                        strategy,
-                        bias: h,
-                        iterations: sweeps,
-                    });
-                }
-                // The clone only happens on the rare borderline path.
-                let outcome = ValueIterationOutcome {
-                    gain: 0.5 * (min_delta + max_delta),
-                    gain_lower: min_delta,
-                    gain_upper: max_delta,
-                    strategy,
-                    bias: h.clone(),
-                    iterations: sweeps,
-                };
-                refine.continue_past(outcome, span, sweeps);
-            }
-            let gain_estimate = 0.5 * (min_delta + max_delta);
-
-            // Accelerator sweeps: in-place Gauss-Seidel over the greedy
-            // policy, with the gain estimate subtracted so the iterate heads
-            // for a bias vector rather than drifting by the gain per pass.
-            for _ in 0..self.evaluation_sweeps {
-                if sweeps >= self.max_iterations {
-                    break;
-                }
-                sweeps += 1;
-                for (bi, range) in blocks.iter().enumerate() {
-                    if residual[bi] < threshold {
-                        continue;
-                    }
-                    let mut lo = f64::INFINITY;
-                    let mut hi = f64::NEG_INFINITY;
-                    for s in range.clone() {
-                        let pair = row_ptr[s] as usize + best_action[s];
-                        let mut acc = 0.0;
-                        for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
-                            acc += prob[k] * h[col[k] as usize];
-                        }
-                        let value = expected[pair] - gain_estimate + tau * acc + (1.0 - tau) * h[s];
-                        let delta = value - h[s];
-                        lo = lo.min(delta);
-                        hi = hi.max(delta);
-                        h[s] = value;
-                    }
-                    residual[bi] = hi - lo;
-                }
-                let offset = h[reference];
-                for value in h.iter_mut().take(n) {
-                    *value -= offset;
                 }
             }
         }
@@ -1072,45 +900,6 @@ mod tests {
         assert!((plain.gain - interleaved.gain).abs() < 1e-9);
         assert_eq!(plain.strategy, interleaved.strategy);
         assert!(interleaved.gain_lower <= interleaved.gain_upper);
-    }
-
-    #[test]
-    fn sweep_kernels_certify_the_same_result() {
-        // Gauss-Seidel and prioritized accelerator sweeps must land on the
-        // same certified gain interval width and the same greedy strategy as
-        // plain Jacobi — the certificates only ever come from full Bellman
-        // sweeps, which are identical across kernels.
-        let mut b = MdpBuilder::new(3);
-        b.add_action(0, "a0", vec![(1, 0.6), (2, 0.4)]).unwrap();
-        b.add_action(0, "a1", vec![(0, 0.5), (2, 0.5)]).unwrap();
-        b.add_action(1, "b0", vec![(0, 1.0)]).unwrap();
-        b.add_action(1, "b1", vec![(2, 1.0)]).unwrap();
-        b.add_action(2, "c0", vec![(0, 0.5), (1, 0.5)]).unwrap();
-        let mdp = b.build(0).unwrap();
-        let r = TransitionRewards::from_fn(&mdp, |s, a, t| {
-            0.3 * s as f64 + 0.7 * a as f64 - 0.1 * t as f64
-        });
-        let base = RelativeValueIteration::with_epsilon(1e-10);
-        let jacobi = base.clone().solve(&mdp, &r).unwrap();
-        for kernel in [
-            sm_markov::SweepKernel::GaussSeidel,
-            sm_markov::SweepKernel::Prioritized { threshold: 1e-12 },
-        ] {
-            let solver = base.clone().with_kernel(kernel);
-            let out = solver.solve(&mdp, &r).unwrap();
-            assert!(
-                (out.gain - jacobi.gain).abs() < 1e-9,
-                "{kernel:?}: gain {} vs jacobi {}",
-                out.gain,
-                jacobi.gain
-            );
-            assert_eq!(out.strategy, jacobi.strategy, "{kernel:?}");
-            assert!(out.gain_upper - out.gain_lower < 1e-10);
-            // Warm starts remain valid entry points under every kernel.
-            let warm = solver.solve_from(&mdp, &r, &jacobi.bias).unwrap();
-            assert_eq!(warm.strategy, jacobi.strategy, "{kernel:?} warm");
-            assert!(warm.iterations <= out.iterations);
-        }
     }
 
     #[test]

@@ -10,30 +10,23 @@
 //!
 //! Runs in the nightly CI job as the scale proof of the compact CSR arena:
 //! it must build, instantiate and certify without exhausting memory or the
-//! nightly wall-clock budget. Environment knobs:
-//!
-//! * `SM_KERNEL` — `jacobi` (default), `gauss_seidel` or `prioritized`;
-//!   β bounds and strategies are bit-identical across all three, so the
-//!   kernel only changes the wall-clock time.
-//! * `SM_EPSILON` — certification precision (default `1e-3`).
+//! nightly wall-clock budget. Set `SM_EPSILON` to change the certification
+//! precision (default `1e-3`); a value that does not parse as a number is an
+//! error.
 
 use selfish_mining::experiments::CertifiedSolve;
-use selfish_mining::{
-    AnalysisConfig, AnalysisProcedure, ParametricModel, SolverParallelism, SweepKernel,
-};
+use selfish_mining::{AnalysisConfig, AnalysisProcedure, ParametricModel, SolverParallelism};
 use sm_audit::{audit_certificate, AuditConfig, CertificateArtifact};
 use std::time::Instant;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let kernel = match std::env::var("SM_KERNEL").as_deref() {
-        Ok("gauss_seidel") => SweepKernel::GaussSeidel,
-        Ok("prioritized") => SweepKernel::Prioritized { threshold: 1e-9 },
-        _ => SweepKernel::Jacobi,
+    let epsilon: f64 = match std::env::var("SM_EPSILON") {
+        Ok(value) => value
+            .parse()
+            .map_err(|e| format!("SM_EPSILON={value:?} is not a number: {e}"))?,
+        Err(std::env::VarError::NotPresent) => 1e-3,
+        Err(e) => return Err(format!("SM_EPSILON: {e}").into()),
     };
-    let epsilon: f64 = std::env::var("SM_EPSILON")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1e-3);
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let start = Instant::now();
@@ -58,13 +51,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stage = Instant::now();
     let procedure = AnalysisProcedure::new(
-        AnalysisConfig::with_epsilon(epsilon)
-            .with_parallelism(SolverParallelism::threads(threads))
-            .with_kernel(kernel),
+        AnalysisConfig::with_epsilon(epsilon).with_parallelism(SolverParallelism::threads(threads)),
     );
     let result = procedure.solve_dinkelbach(&model)?;
     println!(
-        "certify ({kernel:?}, {threads} threads): beta in [{:.6}, {:.6}] after {} solves, {:.1?}",
+        "certify ({threads} threads): beta in [{:.6}, {:.6}] after {} solves, {:.1?}",
         result.beta_low,
         result.beta_up,
         result.steps.len(),

@@ -6,19 +6,16 @@
 //! arithmetic may depend on the pool shape; these tests enforce that with
 //! exact `f64::to_bits` comparisons across 1/2/8 intra-solve threads over a
 //! seeded `(p, γ)` grid, plus a pinned large-instance (`d = 3, f = 2`)
-//! smoke test.
-//!
-//! The same bar applies to the sweep *kernels*: Gauss-Seidel and prioritized
-//! evaluation sweeps only accelerate convergence between the full Jacobi
-//! Bellman sweeps that certificates come from, so the certified curve — β
-//! bounds, strategies, revenues — must be bit-identical across every
-//! kernel × thread-count combination.
+//! smoke test. The serial certified `d = 2, f = 2` curve is additionally
+//! pinned to absolute bit patterns, so a change to the sweep schedule cannot
+//! move the reference that the thread counts are compared against.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selfish_mining::experiments::{attack_curve_certified_config, attack_curve_certified_with};
-use selfish_mining::{AnalysisConfig, ParametricModel, SolverParallelism, SweepKernel};
-use sm_mdp::{DiscountedValueIteration, RelativeValueIteration};
+use selfish_mining::experiments::attack_curve_certified_with;
+use selfish_mining::{ParametricModel, SolverParallelism};
+use sm_audit::Fnv1a;
+use sm_mdp::{PositionalStrategy, RelativeValueIteration};
 
 /// The seeded `(p, γ)` grid shared by the per-solver properties.
 fn seeded_grid(points: usize) -> Vec<(f64, f64)> {
@@ -26,6 +23,16 @@ fn seeded_grid(points: usize) -> Vec<(f64, f64)> {
     (0..points)
         .map(|_| (rng.gen_range(0.05..0.45), rng.gen_range(0.0..1.0)))
         .collect()
+}
+
+/// FNV-1a digest of a strategy's choices, each absorbed as a little-endian
+/// `u64`.
+fn strategy_digest(strategy: &PositionalStrategy) -> u64 {
+    let mut digest = Fnv1a::new();
+    for &choice in strategy.choices() {
+        digest.write_u64(choice as u64);
+    }
+    digest.finish()
 }
 
 fn assert_bits_eq(label: &str, reference: &[f64], candidate: &[f64]) {
@@ -100,28 +107,6 @@ fn warm_started_rvi_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn discounted_value_iteration_is_bit_identical_across_thread_counts() {
-    let family = ParametricModel::build(2, 2, 4).unwrap();
-    for &(p, gamma) in &seeded_grid(2) {
-        let model = family.instantiate(p, gamma).unwrap();
-        let rewards = model.beta_rewards(0.4).unwrap();
-        let reference = DiscountedValueIteration::new(0.95)
-            .solve(model.mdp(), &rewards)
-            .unwrap();
-        for threads in [2usize, 8] {
-            let parallel = DiscountedValueIteration::new(0.95)
-                .with_parallelism(SolverParallelism::threads(threads))
-                .solve(model.mdp(), &rewards)
-                .unwrap();
-            let label = format!("dvi p={p} gamma={gamma} threads={threads}");
-            assert_eq!(reference.iterations, parallel.iterations, "{label}");
-            assert_eq!(reference.strategy, parallel.strategy, "{label}");
-            assert_bits_eq(&label, &reference.values, &parallel.values);
-        }
-    }
-}
-
-#[test]
 fn fused_chain_gains_are_bit_identical_across_thread_counts() {
     // Evaluate a fixed strategy's revenue — the `iterative_gains` hot path —
     // on the chain induced by an actual ε-optimal strategy.
@@ -167,6 +152,44 @@ fn certified_attack_curves_are_bit_identical_across_thread_counts() {
     let reference =
         attack_curve_certified_with(&family, 0.5, &ps, 1e-3, true, SolverParallelism::serial())
             .unwrap();
+    // Absolute pins of the serial curve: `to_bits` of β_low, β_up and the
+    // strategy's revenue, and the strategy digest, per point.
+    let pins: [(u64, u64, u64, u64); 3] = [
+        (
+            0x3fc7_401d_280c_5c73,
+            0x3fc7_60e1_c3b2_3fc7,
+            0x3fc7_401d_280c_5c73,
+            0xb974_c2c4_23fb_dd69,
+        ),
+        (
+            0x3fd6_03a9_eb70_dd8f,
+            0x3fd6_140c_3943_cf39,
+            0x3fd6_03a9_eb70_dd8f,
+            0xcad9_5db7_05f9_ed6a,
+        ),
+        (
+            0x3fe1_2628_3d9c_f788,
+            0x3fe1_2e59_6486_705d,
+            0x3fe1_2628_3d9c_f788,
+            0x9431_07bb_39c8_47e1,
+        ),
+    ];
+    assert_eq!(reference.len(), pins.len());
+    for (solve, &(low, up, revenue, digest)) in reference.iter().zip(&pins) {
+        let context = format!("p = {}", solve.p);
+        assert_eq!(solve.beta_low.to_bits(), low, "{context}: beta_low");
+        assert_eq!(solve.beta_up.to_bits(), up, "{context}: beta_up");
+        assert_eq!(
+            solve.strategy_revenue.to_bits(),
+            revenue,
+            "{context}: strategy_revenue"
+        );
+        assert_eq!(
+            strategy_digest(&solve.strategy),
+            digest,
+            "{context}: strategy"
+        );
+    }
     for threads in [2usize, 8] {
         let parallel = attack_curve_certified_with(
             &family,
@@ -183,54 +206,6 @@ fn certified_attack_curves_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn certified_attack_curves_are_bit_identical_across_sweep_kernels() {
-    // The certified curve may not see the kernel: Gauss-Seidel / prioritized
-    // sweeps only run between the certifying Jacobi sweeps, and β bounds are
-    // evaluated by pure-Jacobi revenue solves on the per-step strategies.
-    // The bias vector is the one field outside the guarantee — the
-    // interleaved evaluation sweeps shape it per kernel; it is a certificate
-    // witness (any finite bias sandwiches the gain), not a certified output.
-    let family = ParametricModel::build(2, 2, 4).unwrap();
-    let ps = [0.15, 0.25, 0.35];
-    let reference =
-        attack_curve_certified_config(&family, 0.5, &ps, true, AnalysisConfig::with_epsilon(1e-3))
-            .unwrap();
-    for kernel in [
-        SweepKernel::GaussSeidel,
-        SweepKernel::Prioritized { threshold: 1e-7 },
-    ] {
-        for threads in [1usize, 2, 8] {
-            let candidate = attack_curve_certified_config(
-                &family,
-                0.5,
-                &ps,
-                true,
-                AnalysisConfig::with_epsilon(1e-3)
-                    .with_parallelism(SolverParallelism::threads(threads))
-                    .with_kernel(kernel),
-            )
-            .unwrap();
-            assert_eq!(reference.len(), candidate.len());
-            for (expected, got) in reference.iter().zip(&candidate) {
-                // Every f64 compared exactly; only `bias` is kernel-local.
-                let context = format!(
-                    "kernel = {kernel:?}, threads = {threads}, p = {}",
-                    expected.p
-                );
-                assert_eq!(expected.scenario, got.scenario, "{context}");
-                assert_eq!(expected.p, got.p, "{context}");
-                assert_eq!(expected.gamma, got.gamma, "{context}");
-                assert_eq!(expected.beta_low, got.beta_low, "{context}");
-                assert_eq!(expected.beta_up, got.beta_up, "{context}");
-                assert_eq!(expected.strategy_revenue, got.strategy_revenue, "{context}");
-                assert_eq!(expected.strategy, got.strategy, "{context}");
-                assert_eq!(expected.epsilon, got.epsilon, "{context}");
-            }
-        }
-    }
-}
-
-#[test]
 fn large_instance_smoke_d3_f2_is_pinned_and_deterministic() {
     // The `d = 3, f = 2` arena is the instance class this layer exists for:
     // two orders of magnitude beyond the default grid. Pin its size so a
@@ -241,22 +216,23 @@ fn large_instance_smoke_d3_f2_is_pinned_and_deterministic() {
     let model = family.instantiate(0.3, 0.5).unwrap();
     assert_eq!(model.num_states(), 133_299);
     let rewards = model.beta_rewards(0.45).unwrap();
-    // A coarser precision keeps the smoke affordable in debug builds; the
-    // 1.25M-transition sweeps still hammer the pool for ~90 rounds.
-    let solver = DiscountedValueIteration {
-        epsilon: 1e-4,
-        ..DiscountedValueIteration::new(0.9)
-    };
-    let reference = solver
-        .clone()
-        .with_parallelism(SolverParallelism::serial())
-        .solve(model.mdp(), &rewards)
-        .unwrap();
+    // The production solver at the analysis' default precision: ~130 full
+    // and evaluation sweeps over 1.25M transitions hammer the pool.
+    let solver = RelativeValueIteration::with_epsilon(1e-3);
+    let reference = solver.solve(model.mdp(), &rewards).unwrap();
     let parallel = solver
         .with_parallelism(SolverParallelism::threads(4))
         .solve(model.mdp(), &rewards)
         .unwrap();
+    assert_eq!(
+        reference.gain_lower.to_bits(),
+        parallel.gain_lower.to_bits()
+    );
+    assert_eq!(
+        reference.gain_upper.to_bits(),
+        parallel.gain_upper.to_bits()
+    );
     assert_eq!(reference.iterations, parallel.iterations);
     assert_eq!(reference.strategy, parallel.strategy);
-    assert_bits_eq("d3f2 values", &reference.values, &parallel.values);
+    assert_bits_eq("d3f2 bias", &reference.bias, &parallel.bias);
 }

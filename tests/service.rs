@@ -190,3 +190,16 @@ fn jsonl_transcripts_are_deterministic_across_budgets_and_cache_states() {
     assert_eq!(serial, transcript(4), "thread budget must not leak");
     assert_eq!(serial, transcript(8));
 }
+
+#[test]
+fn smoke_script_replays_the_golden_transcript_byte_for_byte() {
+    // The committed smoke script and its recorded transcript: any changed
+    // certified bit on the service path shows up as a diff here.
+    use selfish_mining_repro::service::jsonl::serve;
+    let script = include_str!("../crates/service/smoke/queries.jsonl");
+    let golden = include_str!("../crates/service/smoke/golden.jsonl");
+    let mut output = Vec::new();
+    serve(&service(1), script.as_bytes(), &mut output).expect("memory i/o");
+    let transcript = String::from_utf8(output).expect("utf-8 responses");
+    assert_eq!(transcript, golden);
+}
