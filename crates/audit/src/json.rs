@@ -1,13 +1,19 @@
 //! Minimal JSON reading and writing for certificate artifacts.
 //!
 //! The build environment has no crates.io access, so no serde; this module
-//! is a small recursive-descent parser (the same shape as the report parser
-//! in `sm-bench`, re-implemented here so the audit layer has no dependency
-//! on the benchmarking infrastructure it is meant to check) plus a writer
-//! whose `f64` formatting uses Rust's shortest round-trip-exact
-//! representation — an artifact survives a write/read cycle bit for bit.
+//! is a small recursive-descent parser — the one every JSON reader in the
+//! workspace uses (artifacts, benchmark reports, query-service requests) —
+//! plus a writer whose `f64` formatting uses Rust's shortest
+//! round-trip-exact representation — an artifact survives a write/read
+//! cycle bit for bit.
 
 use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse_json`] accepts. The documents the
+/// workspace writes nest at most three levels; the cap keeps untrusted input
+/// (the query service parses request lines from a pipe) from overflowing
+/// the stack of the recursive parser.
+const MAX_NESTING_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,11 +128,13 @@ pub fn write_json(value: &JsonValue, out: &mut String) {
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax error.
+/// Returns a human-readable description of the first syntax error, or of
+/// nesting deeper than 64 arrays/objects.
 pub fn parse_json(input: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -140,6 +148,8 @@ pub fn parse_json(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -181,8 +191,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -190,6 +200,24 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Runs `parse` on an array or object one nesting level down, failing
+    /// past [`MAX_NESTING_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_NESTING_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_NESTING_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -384,5 +412,15 @@ mod tests {
         assert!(parse_json("[1, 2").is_err());
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(parse_json(&nested(MAX_NESTING_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
     }
 }

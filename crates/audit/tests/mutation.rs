@@ -3,8 +3,8 @@
 //! named, and untouched artifacts from the reduced conformance grid must
 //! pass — including after a JSON round trip.
 
-use selfish_mining::experiments::{attack_curve_certified, CertifiedSolve};
-use selfish_mining::{ParametricModel, SelfishMiningModel};
+use selfish_mining::experiments::{attack_curve, CertifiedSolve};
+use selfish_mining::{AnalysisConfig, ParametricModel, SelfishMiningModel};
 use sm_audit::{
     audit_certificate, audit_model, audit_parametric, audit_scenario_restriction, AuditConfig,
     CertificateArtifact, Obligation,
@@ -17,7 +17,14 @@ fn family() -> ParametricModel {
 }
 
 fn certified(family: &ParametricModel, gamma: f64, ps: &[f64]) -> Vec<CertifiedSolve> {
-    attack_curve_certified(family, gamma, ps, EPSILON, true).expect("certified curve solves")
+    attack_curve(
+        family,
+        gamma,
+        ps,
+        true,
+        AnalysisConfig::with_epsilon(EPSILON),
+    )
+    .expect("certified curve solves")
 }
 
 fn artifact_for(

@@ -10,7 +10,7 @@ use selfish_mining::{
     available_actions, successors, AnalysisConfig, AnalysisProcedure, AttackParams,
     ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
 };
-use sm_mdp::{MeanPayoffMethod, MeanPayoffSolver, RelativeValueIteration};
+use sm_mdp::{LinearProgrammingSolver, PolicyIteration, RelativeValueIteration};
 use sm_sweep::SweepConfig;
 use std::collections::{HashMap, VecDeque};
 
@@ -223,19 +223,22 @@ fn bench_mean_payoff_methods(c: &mut Criterion) {
     let model = model();
     let rewards = model.beta_rewards(0.35).unwrap();
     let mut group = c.benchmark_group("solver/mean_payoff_d2_f1");
-    for (name, method) in [
-        (
-            "value_iteration",
-            MeanPayoffMethod::ValueIteration { epsilon: 1e-6 },
-        ),
-        ("policy_iteration", MeanPayoffMethod::PolicyIteration),
-        ("linear_programming", MeanPayoffMethod::LinearProgramming),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &method, |b, method| {
-            let solver = MeanPayoffSolver::new(method.clone());
-            b.iter(|| solver.solve(model.mdp(), &rewards).unwrap().gain);
+    let mdp = model.mdp();
+    group.bench_function("value_iteration", |b| {
+        let solver = RelativeValueIteration::with_epsilon(1e-6);
+        b.iter(|| solver.solve(mdp, &rewards).unwrap().gain);
+    });
+    group.bench_function("policy_iteration", |b| {
+        b.iter(|| PolicyIteration::default().solve(mdp, &rewards).unwrap().0);
+    });
+    group.bench_function("linear_programming", |b| {
+        b.iter(|| {
+            LinearProgrammingSolver::default()
+                .solve(mdp, &rewards)
+                .unwrap()
+                .0
         });
-    }
+    });
     group.finish();
 }
 
@@ -467,9 +470,14 @@ fn bench_certificate_audit(c: &mut Criterion) {
     }
     for (depth, forks) in configs {
         let family = ParametricModel::build(depth, forks, 4).unwrap();
-        let solves =
-            selfish_mining::experiments::attack_curve_certified(&family, 0.5, &[0.3], 1e-3, false)
-                .unwrap();
+        let solves = selfish_mining::experiments::attack_curve(
+            &family,
+            0.5,
+            &[0.3],
+            false,
+            AnalysisConfig::with_epsilon(1e-3),
+        )
+        .unwrap();
         let model = family.instantiate(0.3, 0.5).unwrap();
         let artifact = CertificateArtifact::from_certified(&solves[0], &model).unwrap();
         let config = AuditConfig::default();

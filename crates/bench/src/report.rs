@@ -4,252 +4,13 @@
 //! and comparing a current report against a committed baseline for the CI
 //! perf-regression gate.
 //!
-//! The JSON layer is a deliberately small recursive-descent parser — the
-//! build environment has no crates.io access, so no serde — that accepts
-//! the full JSON value grammar but is only exercised on the report schema
-//! documented in `bench/README.md`.
+//! Documents are read through the workspace's one JSON parser,
+//! [`sm_audit::json`]; [`BenchReport::to_json`] keeps its own emitter so
+//! the committed baselines keep their layout.
 
+use sm_audit::json::{parse_json, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// A parsed JSON value (the subset of structure the report needs; the
-/// parser itself accepts any valid JSON document).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (reports only use non-negative integers, which are
-    /// exact in an `f64` up to 2⁵³ — about 104 days in nanoseconds).
-    Number(f64),
-    /// A string with escapes resolved.
-    String(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object, in document order.
-    Object(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Looks up a key in an object value.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(entries) => entries.iter().find_map(|(k, v)| (k == key).then_some(v)),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_u128(&self) -> Option<u128> {
-        match self {
-            JsonValue::Number(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u128),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first syntax error.
-pub fn parse_json(input: &str) -> Result<JsonValue, String> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_whitespace();
-    let value = parser.value()?;
-    parser.skip_whitespace();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing characters at byte {}", parser.pos));
-    }
-    Ok(value)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_whitespace(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "malformed \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "malformed \\u escape".to_string())?;
-                            // Report names are ASCII; surrogate pairs are not
-                            // needed and decode to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(format!(
-                                "invalid escape {:?} at byte {}",
-                                other.map(|b| b as char),
-                                self.pos
-                            ))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences are
-                    // copied verbatim).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = s.chars().next().expect("non-empty remainder");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "malformed number".to_string())?;
-        text.parse::<f64>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("malformed number {text:?} at byte {start}"))
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(entries));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(entries));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
 
 /// One benchmark of a parsed report.
 #[derive(Debug, Clone, PartialEq)]
@@ -414,9 +175,9 @@ pub fn parse_report(input: &str) -> Result<BenchReport, String> {
     };
     let mut out = Vec::with_capacity(benchmarks.len());
     for (index, item) in benchmarks.iter().enumerate() {
-        let field_u128 = |key: &str| {
+        let field = |key: &str| {
             item.get(key)
-                .and_then(JsonValue::as_u128)
+                .and_then(JsonValue::as_usize)
                 .ok_or_else(|| format!("benchmark #{index} is missing integer {key:?}"))
         };
         out.push(BenchRecord {
@@ -425,10 +186,10 @@ pub fn parse_report(input: &str) -> Result<BenchReport, String> {
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| format!("benchmark #{index} is missing \"name\""))?
                 .to_string(),
-            median_ns: field_u128("median_ns")?,
-            mean_ns: field_u128("mean_ns")?,
-            min_ns: field_u128("min_ns")?,
-            samples: field_u128("samples")? as usize,
+            median_ns: field("median_ns")? as u128,
+            mean_ns: field("mean_ns")? as u128,
+            min_ns: field("min_ns")? as u128,
+            samples: field("samples")?,
         });
     }
     // `mem_footprint` is optional (absent from v1 reports) but malformed
@@ -446,10 +207,9 @@ pub fn parse_report(input: &str) -> Result<BenchReport, String> {
                         .to_string(),
                     bytes: item
                         .get("bytes")
-                        .and_then(JsonValue::as_u128)
-                        .ok_or_else(|| {
-                            format!("mem entry #{index} is missing integer \"bytes\"")
-                        })?,
+                        .and_then(JsonValue::as_usize)
+                        .ok_or_else(|| format!("mem entry #{index} is missing integer \"bytes\""))?
+                        as u128,
                 });
             }
         }

@@ -320,13 +320,20 @@ pub fn certify_point(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfish_mining::experiments::attack_curve_certified;
-    use selfish_mining::ParametricModel;
+    use selfish_mining::experiments::attack_curve;
+    use selfish_mining::{AnalysisConfig, ParametricModel};
 
     #[test]
     fn certify_point_witnesses_a_small_solve() {
         let family = ParametricModel::build(2, 1, 4).unwrap();
-        let solves = attack_curve_certified(&family, 0.5, &[0.3], 5e-3, true).unwrap();
+        let solves = attack_curve(
+            &family,
+            0.5,
+            &[0.3],
+            true,
+            AnalysisConfig::with_epsilon(5e-3),
+        )
+        .unwrap();
         let settings = ConformanceSettings {
             steps: 30_000,
             max_replicas: 24,
@@ -402,7 +409,14 @@ mod tests {
     #[test]
     fn invalid_slacks_are_rejected() {
         let family = ParametricModel::build(1, 1, 2).unwrap();
-        let solves = attack_curve_certified(&family, 0.5, &[0.2], 1e-2, true).unwrap();
+        let solves = attack_curve(
+            &family,
+            0.5,
+            &[0.2],
+            true,
+            AnalysisConfig::with_epsilon(1e-2),
+        )
+        .unwrap();
         let export = StrategyExport::from_family(&family);
         for (name, settings) in [
             (
@@ -430,7 +444,14 @@ mod tests {
     #[test]
     fn empty_backend_list_is_rejected() {
         let family = ParametricModel::build(1, 1, 2).unwrap();
-        let solves = attack_curve_certified(&family, 0.5, &[0.2], 1e-2, true).unwrap();
+        let solves = attack_curve(
+            &family,
+            0.5,
+            &[0.2],
+            true,
+            AnalysisConfig::with_epsilon(1e-2),
+        )
+        .unwrap();
         let settings = ConformanceSettings {
             backends: vec![],
             ..ConformanceSettings::default()
@@ -449,7 +470,14 @@ mod tests {
         // A cheap-backend slice of the matrix: the same solved point
         // conforms under the stake lottery and the VDF beacon too.
         let family = ParametricModel::build(1, 1, 2).unwrap();
-        let solves = attack_curve_certified(&family, 0.5, &[0.25], 5e-3, true).unwrap();
+        let solves = attack_curve(
+            &family,
+            0.5,
+            &[0.25],
+            true,
+            AnalysisConfig::with_epsilon(5e-3),
+        )
+        .unwrap();
         let settings = ConformanceSettings {
             steps: 20_000,
             max_replicas: 24,

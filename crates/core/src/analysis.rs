@@ -13,7 +13,10 @@
 //! the search strategy; both return the same value up to the precision.
 
 use crate::{SelfishMiningError, SelfishMiningModel};
-use sm_mdp::{MeanPayoffMethod, MeanPayoffSolver, PositionalStrategy, SolverParallelism};
+use sm_mdp::{
+    Mdp, MdpError, PositionalStrategy, RelativeValueIteration, SolverParallelism,
+    TransitionRewards, ValueIterationOutcome,
+};
 
 /// Iteration cap of the Dinkelbach-style acceleration. Each iteration
 /// strictly increases `β` towards the fixed point `ERRev*`, so well-behaved
@@ -21,18 +24,21 @@ use sm_mdp::{MeanPayoffMethod, MeanPayoffSolver, PositionalStrategy, SolverParal
 /// against a broken inner solver.
 const DINKELBACH_ITERATION_LIMIT: usize = 200;
 
+/// Tolerance below which an inner mean payoff is considered zero when the
+/// certified interval straddles zero (guards the sign test against solver
+/// precision).
+const ZERO_TOLERANCE: f64 = 1e-9;
+
 /// Configuration of the analysis procedure.
+///
+/// Every inner mean-payoff problem is solved by [`RelativeValueIteration`]
+/// at the precision `max(ε·10⁻², 10⁻⁹)`, so the procedure's only settings
+/// are `ε` itself and the thread allowance.
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
     /// The paper's precision parameter `ε`: on termination
     /// `β_up − β_low < ε` and the returned value is an `ε`-tight lower bound.
     pub epsilon: f64,
-    /// Mean-payoff solver used for the inner optimisations.
-    pub solver: MeanPayoffMethod,
-    /// Tolerance below which an inner mean payoff is considered zero when the
-    /// certified interval straddles zero (guards the sign test against solver
-    /// precision).
-    pub zero_tolerance: f64,
     /// Intra-solve parallelism: how many threads each inner mean-payoff
     /// solve and each revenue evaluation may fan its Bellman/chain sweeps
     /// over. Results are **bit-identical for any setting** (the sweeps are
@@ -45,29 +51,16 @@ pub struct AnalysisConfig {
 
 impl Default for AnalysisConfig {
     fn default() -> Self {
-        AnalysisConfig {
-            epsilon: 1e-3,
-            solver: MeanPayoffMethod::ValueIteration { epsilon: 1e-6 },
-            zero_tolerance: 1e-9,
-            parallelism: SolverParallelism::serial(),
-        }
+        AnalysisConfig::with_epsilon(1e-3)
     }
 }
 
 impl AnalysisConfig {
-    /// Creates a configuration with the given `ε` and the default inner
-    /// solver, choosing the inner precision a couple of orders of magnitude
-    /// tighter than `ε` — tight enough that inner-solver noise is invisible
-    /// next to `ε` (the sign test additionally consumes the certified gain
-    /// interval, so a straddling solve can never flip a bracket), while not
-    /// wasting sweeps on precision no consumer observes.
+    /// Creates a serial configuration with the given `ε`.
     pub fn with_epsilon(epsilon: f64) -> Self {
         AnalysisConfig {
             epsilon,
-            solver: MeanPayoffMethod::ValueIteration {
-                epsilon: (epsilon * 1e-2).max(1e-9),
-            },
-            ..AnalysisConfig::default()
+            parallelism: SolverParallelism::serial(),
         }
     }
 
@@ -86,13 +79,11 @@ pub struct SolveStep {
     /// The `β` value the MDP was solved for.
     pub beta: f64,
     /// The optimal mean payoff `MP*_β` reported by the solver (midpoint of
-    /// the certified interval for value iteration).
+    /// the certified interval).
     pub mean_payoff: f64,
-    /// Certified lower bound on `MP*_β` (equals `mean_payoff` for the exact
-    /// solvers).
+    /// Certified lower bound on `MP*_β`.
     pub gain_lower: f64,
-    /// Certified upper bound on `MP*_β` (equals `mean_payoff` for the exact
-    /// solvers).
+    /// Certified upper bound on `MP*_β`.
     pub gain_upper: f64,
     /// Number of solver iterations.
     pub iterations: usize,
@@ -111,9 +102,9 @@ pub struct DinkelbachWarmStart {
     /// lower bound), from which the ascent resumes — the termination test
     /// `|revenue − β| < ε` brackets `ERRev*` within `ε` in both cases.
     pub beta: f64,
-    /// Bias vector seeding the first inner relative-value-iteration solve
-    /// (ignored, and returned empty, for the exact inner solvers). An empty
-    /// vector means "start cold".
+    /// Bias vector seeding the first inner relative-value-iteration solve.
+    /// A vector whose length differs from the model's state count (such as
+    /// an empty one) means "start cold".
     pub bias: Vec<f64>,
     /// Bias vectors (one per base reward function) seeding the iterative
     /// revenue evaluations on the induced chains. Empty means "start cold".
@@ -139,9 +130,8 @@ pub struct AnalysisResult {
     /// Final bias vector of the last inner relative-value-iteration solve —
     /// the witness that lets an *independent* checker re-validate the
     /// certificate with single Jacobi Bellman-residual passes (see the
-    /// `sm-audit` crate). Empty when the inner solver is one of the exact
-    /// methods (they carry no bias) or when the bisection path terminated
-    /// without a seeded solve.
+    /// `sm-audit` crate). Empty for the bisection path
+    /// ([`AnalysisProcedure::solve`]), which keeps no bias.
     pub bias: Vec<f64>,
     /// One entry per inner mean-payoff solve.
     pub steps: Vec<SolveStep>,
@@ -159,7 +149,7 @@ impl AnalysisProcedure {
         AnalysisProcedure { config }
     }
 
-    /// Creates a procedure with precision `ε` and default solver choices.
+    /// Creates a serial procedure with precision `ε`.
     pub fn with_epsilon(epsilon: f64) -> Self {
         AnalysisProcedure::new(AnalysisConfig::with_epsilon(epsilon))
     }
@@ -182,8 +172,6 @@ impl AnalysisProcedure {
                 constraint: "must be positive",
             });
         }
-        let solver = MeanPayoffSolver::new(self.config.solver.clone())
-            .with_parallelism(self.config.parallelism);
         let mut beta_low: f64 = 0.0;
         let mut beta_up: f64 = 1.0;
         let mut steps = Vec::new();
@@ -194,7 +182,7 @@ impl AnalysisProcedure {
         while beta_up - beta_low >= self.config.epsilon {
             let beta = 0.5 * (beta_low + beta_up);
             let rewards = model.beta_rewards(beta)?;
-            let result = solver.solve(model.mdp(), &rewards)?;
+            let result = self.inner_solve(model.mdp(), &rewards, &[])?;
             steps.push(SolveStep {
                 beta,
                 mean_payoff: result.gain,
@@ -210,7 +198,7 @@ impl AnalysisProcedure {
             // invalidate the returned bracket. When the interval straddles
             // zero, `β` is within the certified precision of `ERRev*` and
             // Algorithm 1's `MP_β ≥ 0` branch applies: the lower end moves.
-            if result.gain_upper < -self.config.zero_tolerance {
+            if result.gain_upper < -ZERO_TOLERANCE {
                 beta_up = beta;
             } else {
                 beta_low = beta;
@@ -258,10 +246,7 @@ impl AnalysisProcedure {
     /// Correctness does not depend on the warm start: any finite bias vector
     /// is a valid RVI starting point, and any `warm.beta` that lower-bounds
     /// the instance's `ERRev*` (e.g. the certified `β_low` at a smaller `p`)
-    /// preserves the monotone convergence of the Dinkelbach iteration. The
-    /// bias seeding only applies to the
-    /// [`MeanPayoffMethod::ValueIteration`] inner solver; the exact solvers
-    /// run unseeded and return an empty carry-over bias.
+    /// preserves the monotone convergence of the Dinkelbach iteration.
     ///
     /// # Errors
     ///
@@ -277,8 +262,6 @@ impl AnalysisProcedure {
                 constraint: "must be positive",
             });
         }
-        let solver = MeanPayoffSolver::new(self.config.solver.clone())
-            .with_parallelism(self.config.parallelism);
         let mut bias: Vec<f64> = warm.map(|w| w.bias.clone()).unwrap_or_default();
         let mut evaluation_bias: Vec<Vec<f64>> =
             warm.map(|w| w.evaluation_bias.clone()).unwrap_or_default();
@@ -286,9 +269,8 @@ impl AnalysisProcedure {
         let mut steps = Vec::new();
         for _ in 0..DINKELBACH_ITERATION_LIMIT {
             let rewards = model.beta_rewards(beta)?;
-            let seed = (!bias.is_empty()).then_some(bias.as_slice());
-            let (result, carry_bias) = solver.solve_seeded(model.mdp(), &rewards, seed)?;
-            bias = carry_bias;
+            let result = self.inner_solve(model.mdp(), &rewards, &bias)?;
+            bias = result.bias;
             steps.push(SolveStep {
                 beta,
                 mean_payoff: result.gain,
@@ -302,8 +284,8 @@ impl AnalysisProcedure {
                 self.config.parallelism,
             )?;
             evaluation_bias = eval_bias;
-            let certified_zero = result.gain_lower >= -self.config.zero_tolerance
-                && result.gain_upper <= self.config.zero_tolerance;
+            let certified_zero =
+                result.gain_lower >= -ZERO_TOLERANCE && result.gain_upper <= ZERO_TOLERANCE;
             if (revenue - beta).abs() < self.config.epsilon || certified_zero {
                 // The strategy in hand is optimal for the final inner solve
                 // and `revenue` is its exact value — hand both to `finalize`
@@ -332,6 +314,29 @@ impl AnalysisProcedure {
         })
     }
 
+    /// One inner mean-payoff solve, warm from `seed` when it covers every
+    /// state and cold otherwise (a seed is an accelerator, not an input, so
+    /// a mis-shaped one is ignored rather than rejected).
+    fn inner_solve(
+        &self,
+        mdp: &Mdp,
+        rewards: &TransitionRewards,
+        seed: &[f64],
+    ) -> Result<ValueIterationOutcome, MdpError> {
+        // A couple of orders of magnitude tighter than ε: inner-solver noise
+        // is invisible next to ε (the sign test additionally consumes the
+        // certified gain interval, so a straddling solve can never flip a
+        // bracket), while no sweeps go to precision no consumer observes.
+        let inner_epsilon = (self.config.epsilon * 1e-2).max(1e-9);
+        let solver = RelativeValueIteration::with_epsilon(inner_epsilon)
+            .with_parallelism(self.config.parallelism);
+        if seed.len() == mdp.num_states() {
+            solver.solve_from(mdp, rewards, seed)
+        } else {
+            solver.solve(mdp, rewards)
+        }
+    }
+
     /// Assembles the final [`AnalysisResult`]. When the caller already holds
     /// the optimal strategy of its last inner solve (both search variants
     /// do), it is reused directly instead of re-solving the MDP at `β_low` —
@@ -356,10 +361,8 @@ impl AnalysisProcedure {
             None => {
                 // Only reachable when no bisection step ever moved the lower
                 // end (e.g. ε ≥ 1): solve once at β_low for the strategy.
-                let solver = MeanPayoffSolver::new(self.config.solver.clone())
-                    .with_parallelism(self.config.parallelism);
                 let rewards = model.beta_rewards(beta_low)?;
-                solver.solve(model.mdp(), &rewards)?.strategy
+                self.inner_solve(model.mdp(), &rewards, &[])?.strategy
             }
         };
         let strategy_revenue = match strategy_revenue {
@@ -453,6 +456,32 @@ mod tests {
         );
         // Dinkelbach needs far fewer inner solves than bisection for small ε.
         assert!(dink.steps.len() <= bisect.steps.len() + 2);
+    }
+
+    #[test]
+    fn mis_shaped_warm_bias_means_a_cold_solve() {
+        let params = AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap();
+        let model = SelfishMiningModel::build(&params).unwrap();
+        let procedure = AnalysisProcedure::with_epsilon(1e-3);
+        let (cold, carry) = procedure.solve_dinkelbach_warm(&model, None).unwrap();
+        assert_eq!(carry.bias.len(), model.num_states());
+        let mis_shaped = DinkelbachWarmStart {
+            beta: 0.0,
+            bias: vec![0.0],
+            evaluation_bias: Vec::new(),
+        };
+        let (ignored, _) = procedure
+            .solve_dinkelbach_warm(&model, Some(&mis_shaped))
+            .unwrap();
+        assert_eq!(ignored.beta_low.to_bits(), cold.beta_low.to_bits());
+        assert_eq!(ignored.strategy, cold.strategy);
+        assert_eq!(ignored.bias, cold.bias);
+        // A well-shaped seed is used: the re-solve needs no more sweeps.
+        let (warm, _) = procedure
+            .solve_dinkelbach_warm(&model, Some(&carry))
+            .unwrap();
+        let sweeps = |r: &AnalysisResult| r.steps.iter().map(|s| s.iterations).sum::<usize>();
+        assert!(sweeps(&warm) <= sweeps(&cold));
     }
 
     #[test]

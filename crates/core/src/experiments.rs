@@ -104,7 +104,9 @@ impl Figure2Sweep {
         let mut attack: Vec<Vec<f64>> = Vec::with_capacity(self.attack_grid.len());
         for &(depth, forks) in &self.attack_grid {
             let family = ParametricModel::build(depth, forks, self.max_fork_length)?;
-            attack.push(attack_curve(&family, gamma, ps, self.epsilon, true)?);
+            let config = AnalysisConfig::with_epsilon(self.epsilon);
+            let solves = attack_curve(&family, gamma, ps, true, config)?;
+            attack.push(solves.into_iter().map(|s| s.strategy_revenue).collect());
         }
         ps.iter()
             .enumerate()
@@ -126,67 +128,6 @@ impl Figure2Sweep {
             })
             .collect()
     }
-}
-
-/// Solves one attack curve — `ERRev` of a single `(d, f, l)` family at fixed
-/// `γ` over the given `p` values — on a shared parametric arena.
-///
-/// The family is instantiated once and refilled in place per point
-/// ([`ParametricModel::instantiate_into`]); with `warm_start` set, each
-/// point's Dinkelbach iteration is seeded with a `β` *extrapolated* from the
-/// two previous points of the curve (falling back to the neighbour's value
-/// for the second point) and with the neighbour's final bias vector for its
-/// first relative-value-iteration solve. A good seed collapses the analysis
-/// to a single inner solve plus one revenue evaluation per grid point; a bad
-/// seed merely costs extra iterations — over- and undershoots alike preserve
-/// the `ε` guarantee (see [`DinkelbachWarmStart`]).
-///
-/// This is the sequential building block the `sm-sweep` worker pool
-/// parallelizes across `(d, f) × γ` jobs.
-///
-/// # Errors
-///
-/// Propagates instantiation and solver errors.
-pub fn attack_curve(
-    family: &ParametricModel,
-    gamma: f64,
-    ps: &[f64],
-    epsilon: f64,
-    warm_start: bool,
-) -> Result<Vec<f64>, SelfishMiningError> {
-    attack_curve_with(
-        family,
-        gamma,
-        ps,
-        epsilon,
-        warm_start,
-        SolverParallelism::serial(),
-    )
-}
-
-/// [`attack_curve`] with intra-solve parallelism: every inner
-/// relative-value-iteration solve and revenue evaluation along the curve may
-/// fan its sweeps over `parallelism` threads. Results are bit-identical for
-/// any setting; this is the knob the `sm-sweep` engine uses to soak up
-/// left-over budget when it has fewer curve jobs than worker threads.
-///
-/// # Errors
-///
-/// Propagates instantiation and solver errors.
-pub fn attack_curve_with(
-    family: &ParametricModel,
-    gamma: f64,
-    ps: &[f64],
-    epsilon: f64,
-    warm_start: bool,
-    parallelism: SolverParallelism,
-) -> Result<Vec<f64>, SelfishMiningError> {
-    Ok(
-        attack_curve_certified_with(family, gamma, ps, epsilon, warm_start, parallelism)?
-            .into_iter()
-            .map(|solve| solve.strategy_revenue)
-            .collect(),
-    )
 }
 
 /// One certified point of an attack curve: the ε-certificate on `ERRev*`
@@ -218,68 +159,35 @@ pub struct CertifiedSolve {
     /// Final bias vector of the certifying solve — the witness an
     /// independent checker (the `sm-audit` crate) replays single
     /// Bellman-residual passes against to re-validate `[β_low, β_up]`
-    /// without re-running the solver. Empty when the inner solver carries
-    /// no bias (exact methods).
+    /// without re-running the solver.
     pub bias: Vec<f64>,
 }
 
-/// [`attack_curve`] returning the full per-point certificates instead of the
-/// bare revenues: same shared arena, same in-place re-instantiation, same
-/// warm-start schedule — [`attack_curve`] is this function with everything
-/// but `strategy_revenue` dropped.
+/// Solves one attack curve — the certified `ERRev` of a single `(d, f, l)`
+/// family at fixed `γ` over the given `p` values — on a shared parametric
+/// arena, returning one [`CertifiedSolve`] per point (callers that want
+/// only the revenues take [`CertifiedSolve::strategy_revenue`]).
+///
+/// The family is instantiated once and refilled in place per point
+/// ([`ParametricModel::instantiate_into`]); with `warm_start` set, each
+/// point's Dinkelbach iteration is seeded with a `β` *extrapolated* from the
+/// two previous points of the curve (falling back to the neighbour's value
+/// for the second point) and with the neighbour's final bias vector for its
+/// first relative-value-iteration solve. A good seed collapses the analysis
+/// to a single inner solve plus one revenue evaluation per grid point; a bad
+/// seed merely costs extra iterations — over- and undershoots alike preserve
+/// the `ε` guarantee (see [`DinkelbachWarmStart`]).
+///
+/// `config` sets `ε` and the intra-solve thread allowance; certified β
+/// bounds, strategies, revenues and bias witnesses are bit-identical for
+/// any thread count. This is the sequential building block the `sm-sweep`
+/// worker pool parallelizes across `(d, f) × γ` jobs, and a thin loop over
+/// [`CurveTracker::advance`].
 ///
 /// # Errors
 ///
 /// Propagates instantiation and solver errors.
-pub fn attack_curve_certified(
-    family: &ParametricModel,
-    gamma: f64,
-    ps: &[f64],
-    epsilon: f64,
-    warm_start: bool,
-) -> Result<Vec<CertifiedSolve>, SelfishMiningError> {
-    attack_curve_certified_with(
-        family,
-        gamma,
-        ps,
-        epsilon,
-        warm_start,
-        SolverParallelism::serial(),
-    )
-}
-
-/// [`attack_curve_certified`] with intra-solve parallelism (see
-/// [`attack_curve_with`]); bit-identical certificates for any thread count.
-///
-/// # Errors
-///
-/// Propagates instantiation and solver errors.
-pub fn attack_curve_certified_with(
-    family: &ParametricModel,
-    gamma: f64,
-    ps: &[f64],
-    epsilon: f64,
-    warm_start: bool,
-    parallelism: SolverParallelism,
-) -> Result<Vec<CertifiedSolve>, SelfishMiningError> {
-    attack_curve_certified_config(
-        family,
-        gamma,
-        ps,
-        warm_start,
-        AnalysisConfig::with_epsilon(epsilon).with_parallelism(parallelism),
-    )
-}
-
-/// [`attack_curve_certified`] under a full [`AnalysisConfig`] — the entry
-/// point for choosing the inner solver and its precision, the zero
-/// tolerance and the thread count. Certified β bounds, strategies, revenues
-/// and bias witnesses are bit-identical for any thread count.
-///
-/// # Errors
-///
-/// Propagates instantiation and solver errors.
-pub fn attack_curve_certified_config(
+pub fn attack_curve(
     family: &ParametricModel,
     gamma: f64,
     ps: &[f64],
@@ -294,8 +202,8 @@ pub fn attack_curve_certified_config(
 /// Dinkelbach carry (`β` seed + bias vectors) and the `(p, β_low)` history
 /// driving the quadratic `β` extrapolation.
 ///
-/// [`attack_curve_certified_config`] is a thin loop over
-/// [`CurveTracker::advance`]; the query service holds trackers *open* across
+/// [`attack_curve`] is a thin loop over [`CurveTracker::advance`]; the
+/// query service holds trackers *open* across
 /// requests instead, so a cached curve keeps warm-starting new points for as
 /// long as it stays resident. The certificate produced for a point is a pure
 /// function of the family, `γ`, the analysis config and the sequence of
@@ -347,9 +255,10 @@ pub struct CurveTracker<'a> {
 }
 
 impl<'a> CurveTracker<'a> {
-    /// Opens a tracker over `family` at switching probability `gamma`.
-    /// `warm_start = false` solves every point cold (the sweep engine's
-    /// ablation knob) while still reusing the arena.
+    /// Opens a tracker over `family` at switching probability `gamma`,
+    /// certifying every point at `config.epsilon`. `warm_start = false`
+    /// solves every point cold (the sweep engine's ablation knob) while
+    /// still reusing the arena.
     pub fn new(
         family: &'a ParametricModel,
         gamma: f64,
@@ -676,14 +585,12 @@ mod tests {
         let family = ParametricModel::build(2, 1, 4).unwrap();
         let ps = [0.1, 0.2, 0.3];
         let epsilon = 5e-3;
-        let solves = attack_curve_certified(&family, 0.5, &ps, epsilon, true).unwrap();
-        let revenues = attack_curve(&family, 0.5, &ps, epsilon, true).unwrap();
+        let config = AnalysisConfig::with_epsilon(epsilon);
+        let solves = attack_curve(&family, 0.5, &ps, true, config).unwrap();
         assert_eq!(solves.len(), ps.len());
-        for (solve, (&p, &revenue)) in solves.iter().zip(ps.iter().zip(&revenues)) {
+        for (solve, &p) in solves.iter().zip(&ps) {
             assert_eq!(solve.p, p);
             assert_eq!(solve.gamma, 0.5);
-            // attack_curve is the projection of the certified curve.
-            assert_eq!(solve.strategy_revenue, revenue);
             assert!(
                 solve.beta_low <= solve.strategy_revenue + 1e-12
                     && solve.strategy_revenue <= solve.beta_up + 1e-12,
@@ -723,9 +630,8 @@ mod tests {
         assert_eq!(plain.frontier(), Some(0.3));
         // Probing from identical chain state is reproducible bit for bit.
         assert_eq!(plain.probe(0.25).unwrap(), probed.probe(0.25).unwrap());
-        // And the legacy curve entry point is exactly a fold over advance.
-        let wrapped =
-            attack_curve_certified_config(&family, 0.5, &[0.1, 0.2, 0.3], true, config).unwrap();
+        // And the curve entry point is exactly a fold over advance.
+        let wrapped = attack_curve(&family, 0.5, &[0.1, 0.2, 0.3], true, config).unwrap();
         assert_eq!(wrapped, plain_solves);
     }
 

@@ -272,8 +272,12 @@ impl SelfishMiningModel {
         &self,
         strategy: &PositionalStrategy,
     ) -> Result<f64, SelfishMiningError> {
-        self.expected_relative_revenue_seeded(strategy, None)
-            .map(|(revenue, _)| revenue)
+        self.expected_relative_revenue_seeded_with(
+            strategy,
+            None,
+            sm_mdp::SolverParallelism::serial(),
+        )
+        .map(|(revenue, _)| revenue)
     }
 
     /// [`SelfishMiningModel::expected_relative_revenue`] warm-started from
@@ -281,25 +285,8 @@ impl SelfishMiningModel {
     /// and/or neighbouring parameters), returning the converged bias vectors
     /// for the next call. This is the evaluation hot path of the sweep
     /// engine; any seed is *valid* (mis-shaped ones are simply ignored), it
-    /// only affects the sweep count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy-evaluation errors.
-    pub fn expected_relative_revenue_seeded(
-        &self,
-        strategy: &PositionalStrategy,
-        seed: Option<&[Vec<f64>]>,
-    ) -> Result<(f64, Vec<Vec<f64>>), SelfishMiningError> {
-        self.expected_relative_revenue_seeded_with(
-            strategy,
-            seed,
-            sm_mdp::SolverParallelism::serial(),
-        )
-    }
-
-    /// [`SelfishMiningModel::expected_relative_revenue_seeded`] with
-    /// row-block parallel chain sweeps
+    /// only affects the sweep count. The chain sweeps run in row blocks
+    /// over `parallelism` threads
     /// ([`sm_markov::iterative_gains_seeded_with`]): the returned revenue and
     /// bias vectors are bit-identical for any thread count, the knob only
     /// trades wall-clock time for cores.

@@ -21,15 +21,16 @@
 //!   solves) and [`LinearProgrammingSolver`] (gain LP over the `sm-linalg`
 //!   simplex). Value iteration runs one sweep schedule — full Jacobi Bellman
 //!   sweeps interleaved with Jacobi policy-evaluation sweeps — serially or
-//!   over deterministic row blocks ([`SolverParallelism`]).
-//! * [`MeanPayoffSolver`] — a façade that picks a solver and returns a
-//!   [`MeanPayoffResult`] with certified lower/upper bounds on the optimal
-//!   gain together with an optimal (up to the requested precision) strategy.
+//!   over deterministic row blocks ([`SolverParallelism`]), and is the one
+//!   the analysis pipeline calls: its [`ValueIterationOutcome`] carries
+//!   certified lower/upper bounds on the optimal gain, an optimal (up to the
+//!   requested precision) strategy and the final bias vector. Policy
+//!   iteration and the LP are exact oracles the tests cross-check it against.
 //!
 //! # Example
 //!
 //! ```
-//! use sm_mdp::{MdpBuilder, MeanPayoffSolver, TransitionRewards};
+//! use sm_mdp::{MdpBuilder, RelativeValueIteration, TransitionRewards};
 //!
 //! # fn main() -> Result<(), sm_mdp::MdpError> {
 //! // A two-state MDP: in state 0 the action `stay` earns 1 and loops,
@@ -47,7 +48,8 @@
 //!         _ => 0.0,
 //!     }
 //! });
-//! let result = MeanPayoffSolver::default().solve(&mdp, &rewards)?;
+//! let result = RelativeValueIteration::with_epsilon(1e-7).solve(&mdp, &rewards)?;
+//! assert!(result.gain_lower <= 1.0 && 1.0 <= result.gain_upper);
 //! assert!((result.gain - 1.0).abs() < 1e-6);
 //! # Ok(())
 //! # }
@@ -62,7 +64,6 @@ mod lp;
 mod model;
 mod policy_iteration;
 mod rewards;
-mod solver;
 mod strategy;
 mod value_iteration;
 
@@ -72,7 +73,6 @@ pub use lp::LinearProgrammingSolver;
 pub use model::{ActionRef, Mdp, MdpBuilder};
 pub use policy_iteration::{PolicyEvaluation, PolicyIteration};
 pub use rewards::TransitionRewards;
-pub use solver::{MeanPayoffMethod, MeanPayoffResult, MeanPayoffSolver};
 pub use strategy::PositionalStrategy;
 pub use value_iteration::{RelativeValueIteration, ValueIterationOutcome};
 

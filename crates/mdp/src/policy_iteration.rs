@@ -271,7 +271,7 @@ impl PolicyIteration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MdpBuilder, RelativeValueIteration};
+    use crate::{LinearProgrammingSolver, MdpBuilder, RelativeValueIteration};
 
     fn random_like_mdp() -> (Mdp, TransitionRewards) {
         // A small hand-built MDP with non-trivial stochastic structure.
@@ -287,6 +287,55 @@ mod tests {
             (s as f64) * 0.5 + (a as f64) * 0.25 + (t as f64) * 0.1
         });
         (mdp, rewards)
+    }
+
+    fn mixed_reward_mdp() -> (Mdp, TransitionRewards) {
+        let mut b = MdpBuilder::new(3);
+        b.add_action(0, "a0", vec![(1, 0.6), (2, 0.4)]).unwrap();
+        b.add_action(0, "a1", vec![(0, 0.5), (2, 0.5)]).unwrap();
+        b.add_action(1, "b0", vec![(0, 1.0)]).unwrap();
+        b.add_action(1, "b1", vec![(2, 1.0)]).unwrap();
+        b.add_action(2, "c0", vec![(0, 0.5), (1, 0.5)]).unwrap();
+        let mdp = b.build(0).unwrap();
+        let rewards = TransitionRewards::from_fn(&mdp, |s, a, t| {
+            0.3 * s as f64 + 0.7 * a as f64 - 0.1 * t as f64
+        });
+        (mdp, rewards)
+    }
+
+    #[test]
+    fn all_methods_agree() {
+        let (mdp, rewards) = mixed_reward_mdp();
+        let vi = RelativeValueIteration::with_epsilon(1e-9)
+            .solve(&mdp, &rewards)
+            .unwrap();
+        let (pi_gain, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
+        let (lp_gain, _) = LinearProgrammingSolver::default()
+            .solve(&mdp, &rewards)
+            .unwrap();
+        assert!((vi.gain - pi_gain).abs() < 1e-6);
+        assert!((pi_gain - lp_gain).abs() < 1e-6);
+        assert!(vi.gain_lower <= vi.gain + 1e-12 && vi.gain <= vi.gain_upper + 1e-12);
+    }
+
+    #[test]
+    fn value_iteration_bounds_contain_exact_gain() {
+        let (mdp, rewards) = mixed_reward_mdp();
+        let (exact, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
+        let vi = RelativeValueIteration::with_epsilon(1e-4)
+            .solve(&mdp, &rewards)
+            .unwrap();
+        assert!(vi.gain_lower <= exact + 1e-9);
+        assert!(exact <= vi.gain_upper + 1e-9);
+        assert!(vi.gain_upper - vi.gain_lower <= 1e-4 + 1e-12);
+    }
+
+    #[test]
+    fn evaluation_of_the_optimal_strategy_matches_the_optimum() {
+        let (mdp, rewards) = mixed_reward_mdp();
+        let (gain, strategy) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
+        let eval = PolicyEvaluation::evaluate(&mdp, &rewards, &strategy).unwrap();
+        assert!((eval.gain_at(mdp.initial_state()) - gain).abs() < 1e-9);
     }
 
     #[test]

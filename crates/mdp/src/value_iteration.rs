@@ -77,8 +77,7 @@ impl Default for RelativeValueIteration {
     }
 }
 
-/// Result of a relative value iteration run (also reused by the façade in
-/// [`crate::MeanPayoffSolver`]).
+/// Result of a relative value iteration run.
 #[derive(Debug, Clone)]
 pub struct ValueIterationOutcome {
     /// Gain estimate (midpoint of the certified interval).

@@ -21,7 +21,9 @@
 //! (`selfish_mining::ConsensusBackend::from_label`); answers echo it
 //! together with the resulting `certificate_scope`. Every
 //! response carries `"status": "ok"` or `"status": "error"`; malformed
-//! lines produce an error response and the loop continues. `shutdown`
+//! lines (including invalid UTF-8 and JSON nested deeper than
+//! [`sm_audit::json::parse_json`] accepts) produce an error response and
+//! the loop continues. `shutdown`
 //! acknowledges and ends the loop (as does end of input).
 
 use crate::{Answer, Query, Service, ServiceError, ServiceStats};
@@ -38,19 +40,27 @@ use std::io::{BufRead, Write};
 ///
 /// # Errors
 ///
-/// Propagates I/O errors of `input`/`output`; request-level problems are
-/// reported in-band as `"status": "error"` lines instead.
+/// Propagates I/O errors of `input`/`output`; request-level problems,
+/// including a line that is not valid UTF-8, are reported in-band as
+/// `"status": "error"` lines instead.
 pub fn serve<R: BufRead, W: Write>(
     service: &Service,
     input: R,
     mut output: W,
 ) -> std::io::Result<()> {
-    for line in input.lines() {
+    // Lines are split as raw bytes: `BufRead::lines` would end the loop
+    // with an I/O error on the first non-UTF-8 byte. A `\r` left by CRLF
+    // input is JSON whitespace.
+    for line in input.split(b'\n') {
         let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = respond(service, &line);
+        let (response, shutdown) = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => respond(service, text),
+            Err(err) => (
+                error_response(&format!("request line is not valid UTF-8: {err}")),
+                false,
+            ),
+        };
         let mut rendered = String::new();
         write_json(&response, &mut rendered);
         writeln!(output, "{rendered}")?;
@@ -272,6 +282,40 @@ mod tests {
         assert!(lines[3].contains("\"status\":\"error\""));
         assert!(lines[4].contains("\"op\":\"stats\""));
         assert!(lines[5].contains("\"op\":\"shutdown\""));
+    }
+
+    fn serve_lines(service: &Service, script: &[u8]) -> Vec<String> {
+        let mut output = Vec::new();
+        serve(service, script, &mut output).expect("io never fails on memory buffers");
+        String::from_utf8(output)
+            .expect("responses are utf-8")
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn invalid_utf8_line_is_answered_in_band_and_the_loop_continues() {
+        let service = service();
+        let lines = serve_lines(
+            &service,
+            b"{\"op\":\"stats\"}\n{\"p\": 0.1\xff}\n{\"op\":\"stats\"}\n",
+        );
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(lines[0].contains("\"op\":\"stats\""));
+        assert!(lines[1].contains("\"status\":\"error\"") && lines[1].contains("UTF-8"));
+        assert!(lines[2].contains("\"op\":\"stats\""));
+    }
+
+    #[test]
+    fn deeply_nested_line_is_rejected_and_the_loop_continues() {
+        let service = service();
+        let mut script = "[".repeat(100_000).into_bytes();
+        script.extend_from_slice(b"\n{\"op\":\"stats\"}\n");
+        let lines = serve_lines(&service, &script);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].contains("\"status\":\"error\"") && lines[0].contains("nesting"));
+        assert!(lines[1].contains("\"op\":\"stats\""));
     }
 
     #[test]

@@ -45,10 +45,10 @@
 #![warn(missing_docs)]
 
 use selfish_mining::baselines::{honest_relative_revenue, SingleTreeAttack};
-use selfish_mining::experiments::{attack_curve_certified_with, attack_curve_with, Figure2Point};
+use selfish_mining::experiments::{attack_curve, Figure2Point};
 use selfish_mining::{
-    validate_epsilon, validate_share, AttackScenario, ParametricModel, SelfishMiningError,
-    SolverParallelism, StrategyExport,
+    validate_epsilon, validate_share, AnalysisConfig, AttackScenario, ParametricModel,
+    SelfishMiningError, SolverParallelism, StrategyExport,
 };
 use sm_conformance::{certify_point, ConformanceError, ConformancePoint, ConformanceReport};
 use sm_scheduler::{resolve_budget, run_budgeted_jobs};
@@ -189,7 +189,7 @@ impl SweepConfig {
 
     /// Runs the optional statistical-conformance pass over the grid: every
     /// `(scenario, d, f) × γ` attack curve is solved with full certificates
-    /// ([`selfish_mining::experiments::attack_curve_certified`], same arenas
+    /// ([`selfish_mining::experiments::attack_curve`], same arenas
     /// and warm starts as
     /// [`SweepConfig::run`]) on the scenario's own sub-arena, each point's
     /// ε-optimal strategy is exported into the simulator, and a batched
@@ -313,13 +313,12 @@ impl SweepConfig {
         settings: &ConformanceSettings,
         parallelism: SolverParallelism,
     ) -> Result<Vec<ConformancePoint>, ConformanceError> {
-        let solves = attack_curve_certified_with(
+        let solves = attack_curve(
             family,
             gamma,
             ps,
-            self.epsilon,
             self.warm_start,
-            parallelism,
+            AnalysisConfig::with_epsilon(self.epsilon).with_parallelism(parallelism),
         )?;
         // The export reads only the family's shared skeleton — no per-(p, γ)
         // instantiation is needed.
@@ -344,14 +343,14 @@ impl SweepConfig {
             CurveJob::Attack {
                 config,
                 gamma_index,
-            } => attack_curve_with(
+            } => attack_curve(
                 &families[config],
                 gammas[gamma_index],
                 ps,
-                self.epsilon,
                 self.warm_start,
-                parallelism,
-            ),
+                AnalysisConfig::with_epsilon(self.epsilon).with_parallelism(parallelism),
+            )
+            .map(|solves| solves.into_iter().map(|s| s.strategy_revenue).collect()),
             CurveJob::Baseline { gamma_index } => ps
                 .iter()
                 .map(|&p| {

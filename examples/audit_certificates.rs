@@ -15,8 +15,8 @@
 //! wall-clock time (the acceptance bound; ~3.6% measured, dominated by the
 //! arena fingerprint and the expected-reward precomputation).
 
-use selfish_mining::experiments::attack_curve_certified;
-use selfish_mining::{AttackScenario, ParametricModel};
+use selfish_mining::experiments::attack_curve;
+use selfish_mining::{AnalysisConfig, AttackScenario, ParametricModel};
 use sm_audit::{
     audit_certificate, audit_model, audit_parametric, audit_scenario_restriction, AuditConfig,
     CertificateArtifact,
@@ -136,8 +136,14 @@ fn reduced_grid_certificates() -> Result<usize, String> {
         ParametricModel::build(2, 1, 4).map_err(|err| format!("family failed to build: {err}"))?;
     let mut points = 0usize;
     for &gamma in &[0.0, 0.5, 1.0] {
-        let solves = attack_curve_certified(&family, gamma, &[0.1, 0.2, 0.3], EPSILON, true)
-            .map_err(|err| format!("gamma {gamma}: solve failed: {err}"))?;
+        let solves = attack_curve(
+            &family,
+            gamma,
+            &[0.1, 0.2, 0.3],
+            true,
+            AnalysisConfig::with_epsilon(EPSILON),
+        )
+        .map_err(|err| format!("gamma {gamma}: solve failed: {err}"))?;
         for solve in solves {
             let model = family
                 .instantiate(solve.p, solve.gamma)
@@ -164,8 +170,14 @@ fn d3f2_cost_ratio() -> Result<f64, String> {
     let family =
         ParametricModel::build(3, 2, 4).map_err(|err| format!("family failed to build: {err}"))?;
     let solve_start = Instant::now();
-    let solves = attack_curve_certified(&family, 0.5, &[0.3], EPSILON, false)
-        .map_err(|err| format!("solve failed: {err}"))?;
+    let solves = attack_curve(
+        &family,
+        0.5,
+        &[0.3],
+        false,
+        AnalysisConfig::with_epsilon(EPSILON),
+    )
+    .map_err(|err| format!("solve failed: {err}"))?;
     let solve_time = solve_start.elapsed();
     let solve = solves.into_iter().next().ok_or("no solve returned")?;
     let model = family

@@ -3,9 +3,8 @@
 //! certification driven through the sweep engine.
 
 use selfish_mining::baselines::honest_relative_revenue;
-use selfish_mining::experiments::attack_curve_certified;
-use selfish_mining::ConsensusBackend;
-use selfish_mining::{ParametricModel, StrategyExport};
+use selfish_mining::experiments::attack_curve;
+use selfish_mining::{AnalysisConfig, ConsensusBackend, ParametricModel, StrategyExport};
 use sm_chain::{HonestStrategy, SimulationConfig, UnknownViewPolicy};
 use sm_conformance::{certify_point, estimate_revenue, ConformanceSettings, EstimatorConfig};
 use sm_sweep::SweepConfig;
@@ -108,7 +107,14 @@ fn estimator_reports_are_bit_identical_for_1_2_and_8_workers() {
 #[test]
 fn certified_point_conforms_and_certification_is_deterministic() {
     let family = ParametricModel::build(2, 1, 4).unwrap();
-    let solves = attack_curve_certified(&family, 0.5, &[0.3], 5e-3, true).unwrap();
+    let solves = attack_curve(
+        &family,
+        0.5,
+        &[0.3],
+        true,
+        AnalysisConfig::with_epsilon(5e-3),
+    )
+    .unwrap();
     // The family-skeleton export and the instantiated-model export are the
     // same translation; certify through the former, assert against the
     // latter.

@@ -162,7 +162,25 @@ fn build_arena(description: &ModelDescription) -> sm_mdp::Mdp {
 /// optimal gain and the same strategy on both.
 #[test]
 fn nested_and_csr_arena_builders_are_equivalent() {
-    use sm_mdp::{MeanPayoffMethod, MeanPayoffSolver, TransitionRewards};
+    use sm_mdp::{
+        LinearProgrammingSolver, Mdp, PolicyIteration, PositionalStrategy, RelativeValueIteration,
+        TransitionRewards,
+    };
+
+    /// Optimal gain and strategy by value iteration, policy iteration and
+    /// the LP, in that order.
+    fn solve_all(mdp: &Mdp, rewards: &TransitionRewards) -> [(f64, PositionalStrategy); 3] {
+        let vi = RelativeValueIteration::with_epsilon(1e-9)
+            .solve(mdp, rewards)
+            .unwrap();
+        [
+            (vi.gain, vi.strategy),
+            PolicyIteration::default().solve(mdp, rewards).unwrap(),
+            LinearProgrammingSolver::default()
+                .solve(mdp, rewards)
+                .unwrap(),
+        ]
+    }
 
     let mut rng = StdRng::seed_from_u64(0x5EED_CAFE);
     for case in 0..25 {
@@ -186,23 +204,16 @@ fn nested_and_csr_arena_builders_are_equivalent() {
         // Buffers built against either representation align with both.
         assert!(r_nested.matches(&arena) && r_arena.matches(&nested));
 
-        for method in [
-            MeanPayoffMethod::ValueIteration { epsilon: 1e-9 },
-            MeanPayoffMethod::PolicyIteration,
-            MeanPayoffMethod::LinearProgramming,
-        ] {
-            let solver = MeanPayoffSolver::new(method.clone());
-            let a = solver.solve(&nested, &r_nested).unwrap();
-            let b = solver.solve(&arena, &r_arena).unwrap();
-            assert_eq!(
-                a.strategy, b.strategy,
-                "case {case}: {method:?} strategies diverge"
-            );
+        let methods = ["value iteration", "policy iteration", "linear programming"];
+        let on_nested = solve_all(&nested, &r_nested);
+        let on_arena = solve_all(&arena, &r_arena);
+        for ((method, a), b) in methods.iter().zip(on_nested).zip(on_arena) {
+            assert_eq!(a.1, b.1, "case {case}: {method} strategies diverge");
             assert!(
-                (a.gain - b.gain).abs() < 1e-12,
-                "case {case}: {method:?} gains diverge: {} vs {}",
-                a.gain,
-                b.gain
+                (a.0 - b.0).abs() < 1e-12,
+                "case {case}: {method} gains diverge: {} vs {}",
+                a.0,
+                b.0
             );
         }
     }

@@ -12,8 +12,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selfish_mining::experiments::attack_curve_certified_with;
-use selfish_mining::{ParametricModel, SolverParallelism};
+use selfish_mining::experiments::attack_curve;
+use selfish_mining::{AnalysisConfig, ParametricModel, SolverParallelism};
 use sm_audit::Fnv1a;
 use sm_mdp::{PositionalStrategy, RelativeValueIteration};
 
@@ -150,8 +150,7 @@ fn certified_attack_curves_are_bit_identical_across_thread_counts() {
     let family = ParametricModel::build(2, 2, 4).unwrap();
     let ps = [0.15, 0.25, 0.35];
     let reference =
-        attack_curve_certified_with(&family, 0.5, &ps, 1e-3, true, SolverParallelism::serial())
-            .unwrap();
+        attack_curve(&family, 0.5, &ps, true, AnalysisConfig::with_epsilon(1e-3)).unwrap();
     // Absolute pins of the serial curve: `to_bits` of β_low, β_up and the
     // strategy's revenue, and the strategy digest, per point.
     let pins: [(u64, u64, u64, u64); 3] = [
@@ -191,13 +190,13 @@ fn certified_attack_curves_are_bit_identical_across_thread_counts() {
         );
     }
     for threads in [2usize, 8] {
-        let parallel = attack_curve_certified_with(
+        let parallel = attack_curve(
             &family,
             0.5,
             &ps,
-            1e-3,
             true,
-            SolverParallelism::threads(threads),
+            AnalysisConfig::with_epsilon(1e-3)
+                .with_parallelism(SolverParallelism::threads(threads)),
         )
         .unwrap();
         // CertifiedSolve's PartialEq compares every f64 exactly.

@@ -10,7 +10,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfish_mining::{available_actions, successors, AttackParams, SelfishMiningModel};
-use sm_mdp::{MdpBuilder, MeanPayoffMethod, MeanPayoffSolver, TransitionRewards};
+use sm_mdp::{
+    LinearProgrammingSolver, MdpBuilder, PolicyIteration, RelativeValueIteration, TransitionRewards,
+};
 
 /// A varied grid of small attack parameter sets (the shim for the former
 /// proptest generator; 24 cases like the original configuration).
@@ -68,7 +70,7 @@ fn optimal_mean_payoff_is_monotone_in_beta() {
         let gamma = rng.gen_range(0.0..1.0);
         let params = AttackParams::new(p, gamma, 2, 1, 3).unwrap();
         let model = SelfishMiningModel::build(&params).unwrap();
-        let solver = MeanPayoffSolver::new(MeanPayoffMethod::ValueIteration { epsilon: 1e-7 });
+        let solver = RelativeValueIteration::with_epsilon(1e-7);
         let mut previous = f64::INFINITY;
         for beta in [0.0, 0.25, 0.5, 0.75, 1.0] {
             let rewards = model.beta_rewards(beta).unwrap();
@@ -154,18 +156,14 @@ fn mean_payoff_solvers_agree_on_random_mdps() {
         }
         let mdp = builder.build(0).unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, _| seed_rewards[s * 2 + a]);
-        let vi = MeanPayoffSolver::new(MeanPayoffMethod::ValueIteration { epsilon: 1e-9 })
+        let vi = RelativeValueIteration::with_epsilon(1e-9)
             .solve(&mdp, &rewards)
             .unwrap()
             .gain;
-        let pi = MeanPayoffSolver::new(MeanPayoffMethod::PolicyIteration)
+        let (pi, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
+        let (lp, _) = LinearProgrammingSolver::default()
             .solve(&mdp, &rewards)
-            .unwrap()
-            .gain;
-        let lp = MeanPayoffSolver::new(MeanPayoffMethod::LinearProgramming)
-            .solve(&mdp, &rewards)
-            .unwrap()
-            .gain;
+            .unwrap();
         assert!((vi - pi).abs() < 1e-5, "case {case}: vi {vi} vs pi {pi}");
         assert!((lp - pi).abs() < 1e-5, "case {case}: lp {lp} vs pi {pi}");
     }

@@ -2,9 +2,10 @@
 //! dominance of the stubborn family, the honest-mining sanity anchor, and
 //! end-to-end conformance of scenario strategies in the simulator.
 
-use selfish_mining::experiments::attack_curve_certified;
+use selfish_mining::experiments::attack_curve;
 use selfish_mining::{
-    AttackParams, AttackScenario, ParametricModel, SelfishMiningModel, StrategyExport,
+    AnalysisConfig, AttackParams, AttackScenario, ParametricModel, SelfishMiningModel,
+    StrategyExport,
 };
 use selfish_mining_repro::conformance::{certify_point, ConformanceSettings};
 
@@ -34,10 +35,24 @@ fn stubborn_certified_gains_are_dominated_by_the_optimal_scenario() {
         .map(|scenario| ParametricModel::build_scenario(scenario, 2, 1, 3).unwrap())
         .collect();
     for &gamma in &gammas {
-        let optimal = attack_curve_certified(&optimal_family, gamma, &ps, epsilon, true).unwrap();
+        let optimal = attack_curve(
+            &optimal_family,
+            gamma,
+            &ps,
+            true,
+            AnalysisConfig::with_epsilon(epsilon),
+        )
+        .unwrap();
         for family in &stubborn_families {
             assert!(family.scenario().is_action_restriction());
-            let restricted = attack_curve_certified(family, gamma, &ps, epsilon, true).unwrap();
+            let restricted = attack_curve(
+                family,
+                gamma,
+                &ps,
+                true,
+                AnalysisConfig::with_epsilon(epsilon),
+            )
+            .unwrap();
             for (r, o) in restricted.iter().zip(&optimal) {
                 assert_eq!(r.p, o.p);
                 assert_eq!(r.scenario, family.scenario());
@@ -71,7 +86,14 @@ fn honest_mining_certifies_the_proportional_share() {
         let family =
             ParametricModel::build_scenario(AttackScenario::HonestMining, depth, forks, 3).unwrap();
         for &gamma in &gammas {
-            let solves = attack_curve_certified(&family, gamma, &ps, epsilon, true).unwrap();
+            let solves = attack_curve(
+                &family,
+                gamma,
+                &ps,
+                true,
+                AnalysisConfig::with_epsilon(epsilon),
+            )
+            .unwrap();
             for solve in &solves {
                 assert!(
                     (solve.strategy_revenue - solve.p).abs() <= epsilon,
@@ -130,7 +152,14 @@ fn stubborn_reachable_states_embed_into_the_optimal_space() {
 #[test]
 fn honest_mining_conforms_in_the_simulator() {
     let family = ParametricModel::build_scenario(AttackScenario::HonestMining, 2, 1, 4).unwrap();
-    let solves = attack_curve_certified(&family, 0.5, &[0.3], 2e-3, true).unwrap();
+    let solves = attack_curve(
+        &family,
+        0.5,
+        &[0.3],
+        true,
+        AnalysisConfig::with_epsilon(2e-3),
+    )
+    .unwrap();
     let settings = ConformanceSettings {
         steps: 30_000,
         max_replicas: 24,
@@ -157,7 +186,14 @@ fn honest_mining_conforms_in_the_simulator() {
 #[test]
 fn lead_stubborn_conforms_in_the_simulator() {
     let family = ParametricModel::build_scenario(AttackScenario::LeadStubborn, 2, 1, 4).unwrap();
-    let solves = attack_curve_certified(&family, 0.5, &[0.35], 5e-3, true).unwrap();
+    let solves = attack_curve(
+        &family,
+        0.5,
+        &[0.35],
+        true,
+        AnalysisConfig::with_epsilon(5e-3),
+    )
+    .unwrap();
     let settings = ConformanceSettings {
         steps: 30_000,
         max_replicas: 24,
