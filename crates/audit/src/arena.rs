@@ -1,7 +1,8 @@
-//! Whole-arena invariant analysis: statically proves a `CsrMdp`, its reward
-//! buffers, a `ParametricModel`'s term tables, or a scenario restriction
-//! well-formed — without solving anything. Each function returns the list of
-//! violations it found (empty = pass), each naming the exact location.
+//! Whole-arena invariant analysis: statically proves an `Mdp` arena, its
+//! reward buffers, a `ParametricModel`'s term tables, or a scenario
+//! restriction well-formed — without solving anything. Each function returns
+//! the list of violations it found (empty = pass), each naming the exact
+//! location.
 
 use selfish_mining::{ParametricModel, SelfishMiningModel, SmState};
 use sm_mdp::{Mdp, TransitionRewards, PROBABILITY_TOLERANCE};
@@ -23,12 +24,11 @@ use std::collections::{HashMap, HashSet};
 /// * the initial state is in range.
 pub fn audit_mdp(mdp: &Mdp) -> Vec<String> {
     let mut violations = Vec::new();
-    let csr = mdp.csr();
-    let layout = csr.layout();
+    let layout = mdp.layout();
     let row_ptr = layout.row_ptr();
     let action_ptr = layout.action_ptr();
     let col = layout.col();
-    let prob = csr.probabilities();
+    let prob = mdp.probabilities();
     let n = mdp.num_states();
     let num_pairs = layout.num_pairs();
     let num_transitions = layout.num_transitions();

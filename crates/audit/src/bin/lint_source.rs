@@ -1,5 +1,6 @@
 //! Workspace lint gate: scans every member crate's sources against the
-//! committed allowlist and exits non-zero on any new finding.
+//! committed allowlist and exits non-zero on any new finding and on any
+//! stale allowlist entry (one that no longer matches a finding).
 //!
 //! ```text
 //! cargo run -p sm-audit --bin lint_source [-- --root DIR] [--allowlist FILE] [--list]
@@ -81,14 +82,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for entry in &outcome.stale {
-        eprintln!("lint_source: stale allowlist entry (no matching finding): {entry}");
-    }
-    if outcome.findings.is_empty() {
+    if outcome.findings.is_empty() && outcome.stale.is_empty() {
         println!(
-            "lint_source: clean ({} allowlisted site(s), {} stale allowlist entr(ies))",
-            outcome.allowlisted,
-            outcome.stale.len()
+            "lint_source: clean ({} allowlisted site(s))",
+            outcome.allowlisted
         );
         return ExitCode::SUCCESS;
     }
@@ -98,9 +95,13 @@ fn main() -> ExitCode {
             finding.path, finding.line, finding.rule, finding.snippet
         );
     }
+    for entry in &outcome.stale {
+        eprintln!("lint_source: stale allowlist entry (no matching finding): {entry}");
+    }
     eprintln!(
-        "lint_source: {} finding(s) not covered by {}",
+        "lint_source: {} finding(s) not covered and {} stale entr(ies) in {}",
         outcome.findings.len(),
+        outcome.stale.len(),
         allowlist_path.display()
     );
     ExitCode::FAILURE

@@ -95,12 +95,11 @@ pub fn derive_tolerances(epsilon: f64, r_total_max: f64, config: &AuditConfig) -
 /// same per-pair expected rewards) in ~25 lines; residuals are invariant
 /// under adding a constant to `h`, so no renormalisation is needed.
 fn bellman_residuals(mdp: &Mdp, expected: &[f64], h: &[f64], tau: f64) -> (f64, f64) {
-    let csr = mdp.csr();
-    let layout = csr.layout();
+    let layout = mdp.layout();
     let row_ptr = layout.row_ptr();
     let action_ptr = layout.action_ptr();
     let col = layout.col();
-    let prob = csr.probabilities();
+    let prob = mdp.probabilities();
     let mut min_delta = f64::INFINITY;
     let mut max_delta = f64::NEG_INFINITY;
     for s in 0..mdp.num_states() {
@@ -132,12 +131,11 @@ fn chain_residuals(
     tau: f64,
     strategy: &[u32],
 ) -> (f64, f64) {
-    let csr = mdp.csr();
-    let layout = csr.layout();
+    let layout = mdp.layout();
     let row_ptr = layout.row_ptr();
     let action_ptr = layout.action_ptr();
     let col = layout.col();
-    let prob = csr.probabilities();
+    let prob = mdp.probabilities();
     let mut min_delta = f64::INFINITY;
     let mut max_delta = f64::NEG_INFINITY;
     for s in 0..mdp.num_states() {

@@ -78,8 +78,7 @@ pub fn model_fingerprint(
     adversary: &TransitionRewards,
     honest: &TransitionRewards,
 ) -> u64 {
-    let csr = mdp.csr();
-    let layout = csr.layout();
+    let layout = mdp.layout();
     let mut hash = Fnv1a::new();
     hash.write_u64(mdp.num_states() as u64);
     hash.write_u64(layout.num_pairs() as u64);
@@ -88,7 +87,7 @@ pub fn model_fingerprint(
     hash.write_u32_slice(layout.row_ptr());
     hash.write_u32_slice(layout.action_ptr());
     hash.write_u32_slice(layout.col());
-    hash.write_f64_slice(csr.probabilities());
+    hash.write_f64_slice(mdp.probabilities());
     hash.write_f64_slice(adversary.values());
     hash.write_f64_slice(honest.values());
     hash.finish()

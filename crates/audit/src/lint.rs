@@ -57,8 +57,8 @@ pub struct LintOutcome {
     pub findings: Vec<Finding>,
     /// Number of findings the allowlist covered.
     pub allowlisted: usize,
-    /// Allowlist entries (`"rule path"`) that matched no finding: candidates
-    /// for removal, reported so the allowlist can only shrink.
+    /// Allowlist entries (`"rule path"`) that matched no finding. The gate
+    /// fails on any, so the allowlist can only shrink.
     pub stale: Vec<String>,
 }
 

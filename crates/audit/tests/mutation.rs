@@ -225,21 +225,20 @@ fn instantiated_models_pass_the_arena_audit() {
 #[test]
 fn corrupted_probability_mass_fails_the_arena_audit() {
     use sm_audit::audit_mdp;
-    use sm_mdp::MdpBuilder;
-    let mut builder = MdpBuilder::new(2);
+    use sm_mdp::CsrMdpBuilder;
+    let mut builder = CsrMdpBuilder::new();
+    builder.begin_state();
     builder
-        .add_action(0, "a", vec![(0, 0.5), (1, 0.5)])
+        .add_action("a", &[(0, 0.5), (1, 0.5)])
         .expect("valid action");
-    builder
-        .add_action(1, "b", vec![(0, 1.0)])
-        .expect("valid action");
-    let mut mdp = builder.build(0).expect("valid arena builds");
+    builder.begin_state();
+    builder.add_action("b", &[(0, 1.0)]).expect("valid action");
+    let mut mdp = builder.finish(0).expect("valid arena builds");
     assert!(audit_mdp(&mdp).is_empty());
-    // Corrupt one weight after construction (the builders reject bad mass
+    // Corrupt one weight after construction (the builder rejects bad mass
     // up front, so post-hoc reweighting is the only way in).
-    let good = mdp.csr().probabilities().to_vec();
-    mdp.csr_mut()
-        .reweight_in_place(|k| if k == 0 { good[0] + 0.25 } else { good[k] });
+    let good = mdp.probabilities().to_vec();
+    mdp.reweight_in_place(|k| if k == 0 { good[0] + 0.25 } else { good[k] });
     let violations = audit_mdp(&mdp);
     assert!(
         violations.iter().any(|v| v.contains("probability mass")),

@@ -14,9 +14,17 @@ use sm_mdp::{LinearProgrammingSolver, PolicyIteration, RelativeValueIteration};
 use sm_sweep::SweepConfig;
 use std::collections::{HashMap, VecDeque};
 
+/// Builds the model at `params`: the parametric BFS over the `(d, f, l)`
+/// topology plus one instantiation at `(p, γ)`.
+fn build(params: &AttackParams) -> SelfishMiningModel {
+    ParametricModel::build(params.depth, params.forks_per_block, params.max_fork_length)
+        .unwrap()
+        .instantiate(params.p, params.gamma)
+        .unwrap()
+}
+
 fn model() -> SelfishMiningModel {
-    let params = AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap();
-    SelfishMiningModel::build(&params).unwrap()
+    build(&AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap())
 }
 
 /// The seed's pre-CSR MDP representation, reproduced verbatim for the
@@ -36,8 +44,8 @@ struct LegacyMdp {
 
 /// The seed's construction pipeline: BFS staging every outcome into nested
 /// `Vec<Vec<Vec<…>>>` buffers, then a second pass assembling the nested-`Vec`
-/// model and per-action expected rewards. `SelfishMiningModel::build` streams
-/// straight into the CSR arena instead.
+/// model and per-action expected rewards. Today's parametric build writes the
+/// flat CSR arena directly instead.
 #[allow(clippy::type_complexity)]
 fn legacy_nested_build(params: &AttackParams) -> (LegacyMdp, Vec<Vec<f64>>, Vec<Vec<f64>>) {
     let initial = SmState::initial(params);
@@ -93,7 +101,7 @@ fn legacy_nested_build(params: &AttackParams) -> (LegacyMdp, Vec<Vec<f64>>, Vec<
             .iter()
             .zip(&outcomes[state_index])
         {
-            // Sort-and-merge duplicate targets, as the seed's MdpBuilder did.
+            // Sort-and-merge duplicate targets, as the seed's nested builder did.
             let mut transitions: Vec<(usize, f64)> =
                 entries.iter().map(|&(t, p, _, _)| (t, p)).collect();
             transitions.sort_by_key(|&(t, _)| t);
@@ -206,7 +214,7 @@ fn bench_construction_plus_vi(c: &mut Criterion) {
             &params,
             |b, params| {
                 b.iter(|| {
-                    let model = SelfishMiningModel::build(params).unwrap();
+                    let model = build(params);
                     let rewards = model.beta_rewards(beta).unwrap();
                     RelativeValueIteration::with_epsilon(1e-6)
                         .solve(model.mdp(), &rewards)
@@ -338,7 +346,7 @@ fn bench_model_construction(c: &mut Criterion) {
             |b, &(depth, forks)| {
                 b.iter(|| {
                     let params = AttackParams::new(0.3, 0.5, depth, forks, 4).unwrap();
-                    SelfishMiningModel::build(&params).unwrap().num_states()
+                    build(&params).num_states()
                 });
             },
         );
@@ -419,8 +427,7 @@ fn bench_figure2_coarse_sweep(c: &mut Criterion) {
                 for &p in &ps {
                     for &(depth, forks) in &attack_grid {
                         let params = AttackParams::new(p, gamma, depth, forks, 4).unwrap();
-                        let model = SelfishMiningModel::build(&params).unwrap();
-                        acc += seed_dinkelbach_revenue(&model, epsilon);
+                        acc += seed_dinkelbach_revenue(&build(&params), epsilon);
                     }
                     let single_tree = SingleTreeAttack {
                         p,

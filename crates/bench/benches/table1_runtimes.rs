@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selfish_mining::baselines::SingleTreeAttack;
-use selfish_mining::{AnalysisProcedure, AttackParams, SelfishMiningModel};
+use selfish_mining::{AnalysisProcedure, ParametricModel};
 
 fn bench_our_attack(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1/our_attack");
@@ -23,8 +23,10 @@ fn bench_our_attack(c: &mut Criterion) {
             &(depth, forks),
             |b, &(depth, forks)| {
                 b.iter(|| {
-                    let params = AttackParams::new(0.3, 0.5, depth, forks, 4).unwrap();
-                    let model = SelfishMiningModel::build(&params).unwrap();
+                    let model = ParametricModel::build(depth, forks, 4)
+                        .unwrap()
+                        .instantiate(0.3, 0.5)
+                        .unwrap();
                     AnalysisProcedure::with_epsilon(1e-3)
                         .solve_dinkelbach(&model)
                         .unwrap()

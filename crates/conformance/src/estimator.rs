@@ -17,6 +17,7 @@
 use crate::ConformanceError;
 use selfish_mining::SelfishMiningError;
 use sm_chain::{AdversaryStrategy, ConsensusBackend, SimulationConfig, Simulator};
+use sm_scheduler::{effective_workers, run_indexed_jobs};
 
 /// Configuration of the Monte-Carlo estimator.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,7 +116,7 @@ impl EstimatorConfig {
 
     /// The effective worker count for a round of `replicas` replicas.
     fn worker_count(&self, replicas: usize) -> usize {
-        crate::effective_workers(self.workers, replicas)
+        effective_workers(self.workers, replicas)
     }
 }
 
@@ -274,7 +275,7 @@ fn run_round<S>(
 where
     S: AdversaryStrategy + Clone + Send + Sync,
 {
-    crate::run_indexed_jobs(config.worker_count(count), count, |offset| {
+    run_indexed_jobs(config.worker_count(count), count, |offset| {
         run_replica(config, strategy, backend, first + offset)
     })
 }

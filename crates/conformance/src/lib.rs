@@ -34,11 +34,6 @@ mod report;
 
 pub use estimator::{estimate_revenue, Estimate, EstimatorConfig};
 pub use report::{ConformancePoint, ConformanceReport};
-// The scheduler primitives lived in a private `pool` module here before they
-// were promoted to the shared `sm-scheduler` crate (the sweep engine and the
-// query service run the same pool); re-exported so historical imports keep
-// compiling.
-pub use sm_scheduler::{effective_workers, resolve_budget, run_budgeted_jobs, run_indexed_jobs};
 
 use selfish_mining::experiments::CertifiedSolve;
 use selfish_mining::{AttackScenario, SelfishMiningError, StrategyExport};

@@ -392,11 +392,17 @@ impl AnalysisProcedure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AttackParams, SelfishMiningModel};
+    use crate::{ParametricModel, SelfishMiningModel};
+
+    fn build(p: f64, gamma: f64, d: usize, f: usize, l: usize) -> SelfishMiningModel {
+        ParametricModel::build(d, f, l)
+            .unwrap()
+            .instantiate(p, gamma)
+            .unwrap()
+    }
 
     fn analyse(p: f64, gamma: f64, d: usize, f: usize, l: usize, eps: f64) -> AnalysisResult {
-        let params = AttackParams::new(p, gamma, d, f, l).unwrap();
-        let model = SelfishMiningModel::build(&params).unwrap();
+        let model = build(p, gamma, d, f, l);
         AnalysisProcedure::with_epsilon(eps).solve(&model).unwrap()
     }
 
@@ -443,8 +449,7 @@ mod tests {
 
     #[test]
     fn dinkelbach_agrees_with_bisection() {
-        let params = AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap();
-        let model = SelfishMiningModel::build(&params).unwrap();
+        let model = build(0.3, 0.5, 2, 1, 4);
         let procedure = AnalysisProcedure::with_epsilon(1e-3);
         let bisect = procedure.solve(&model).unwrap();
         let dink = procedure.solve_dinkelbach(&model).unwrap();
@@ -460,8 +465,7 @@ mod tests {
 
     #[test]
     fn mis_shaped_warm_bias_means_a_cold_solve() {
-        let params = AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap();
-        let model = SelfishMiningModel::build(&params).unwrap();
+        let model = build(0.3, 0.5, 2, 1, 4);
         let procedure = AnalysisProcedure::with_epsilon(1e-3);
         let (cold, carry) = procedure.solve_dinkelbach_warm(&model, None).unwrap();
         assert_eq!(carry.bias.len(), model.num_states());
@@ -486,8 +490,7 @@ mod tests {
 
     #[test]
     fn invalid_epsilon_is_rejected() {
-        let params = AttackParams::new(0.3, 0.5, 1, 1, 2).unwrap();
-        let model = SelfishMiningModel::build(&params).unwrap();
+        let model = build(0.3, 0.5, 1, 1, 2);
         let procedure = AnalysisProcedure::new(AnalysisConfig {
             epsilon: 0.0,
             ..AnalysisConfig::default()

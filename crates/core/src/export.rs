@@ -31,12 +31,11 @@ use sm_mdp::PositionalStrategy;
 /// # Example
 ///
 /// ```
-/// use selfish_mining::{AnalysisProcedure, AttackParams, SelfishMiningModel, StrategyExport};
+/// use selfish_mining::{AnalysisProcedure, ParametricModel, StrategyExport};
 /// use sm_chain::UnknownViewPolicy;
 ///
 /// # fn main() -> Result<(), selfish_mining::SelfishMiningError> {
-/// let params = AttackParams::new(0.3, 0.5, 2, 1, 4)?;
-/// let model = SelfishMiningModel::build(&params)?;
+/// let model = ParametricModel::build(2, 1, 4)?.instantiate(0.3, 0.5)?;
 /// let result = AnalysisProcedure::with_epsilon(1e-2).solve_dinkelbach(&model)?;
 /// let table = StrategyExport::new(&model).table(&result.strategy, UnknownViewPolicy::Wait)?;
 /// assert!(!table.is_empty());
@@ -218,11 +217,13 @@ impl<'a> StrategyExport<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnalysisProcedure, AttackParams};
+    use crate::{AnalysisProcedure, ParametricModel};
 
     fn model() -> SelfishMiningModel {
-        let params = AttackParams::new(0.3, 0.5, 2, 1, 3).unwrap();
-        SelfishMiningModel::build(&params).unwrap()
+        ParametricModel::build(2, 1, 3)
+            .unwrap()
+            .instantiate(0.3, 0.5)
+            .unwrap()
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * [`SmState`], [`SmAction`], [`available_actions`], [`successors`] — the
 //!   structured state space, action space and probabilistic transition
 //!   function of the selfish-mining MDP.
-//! * [`SelfishMiningModel`] — reachable-state exploration and construction of
-//!   the finite MDP together with the reward structures `r_A` and `r_H` of
-//!   Section 3.3.
+//! * [`ParametricModel`] — reachable-state exploration of a `(d, f, l)`
+//!   topology, once; [`ParametricModel::instantiate`] turns it into a
+//!   [`SelfishMiningModel`], the finite MDP at concrete `(p, γ)` together
+//!   with the reward structures `r_A` and `r_H` of Section 3.3.
 //! * [`AnalysisProcedure`] — Algorithm 1: an `ε`-tight lower bound on the
 //!   optimal expected relative revenue plus an `ε`-optimal strategy, computed
 //!   by binary search over the mean-payoff reward family `r_β` (and a
@@ -30,13 +31,12 @@
 //! # Quickstart
 //!
 //! ```
-//! use selfish_mining::{AnalysisProcedure, AttackParams, SelfishMiningModel};
+//! use selfish_mining::{AnalysisProcedure, ParametricModel};
 //!
 //! # fn main() -> Result<(), selfish_mining::SelfishMiningError> {
 //! // d = 2, f = 1, l = 4 — the smallest configuration in which the attack
-//! // beats both baselines in the paper.
-//! let params = AttackParams::new(0.3, 0.5, 2, 1, 4)?;
-//! let model = SelfishMiningModel::build(&params)?;
+//! // beats both baselines in the paper — at p = 0.3, γ = 0.5.
+//! let model = ParametricModel::build(2, 1, 4)?.instantiate(0.3, 0.5)?;
 //! let result = AnalysisProcedure::with_epsilon(1e-2).solve(&model)?;
 //! assert!(result.strategy_revenue >= 0.3); // at least the honest share
 //! # Ok(())
@@ -65,8 +65,8 @@ pub use analysis::{
 };
 pub use error::SelfishMiningError;
 pub use export::StrategyExport;
-pub use model::{SelfishMiningModel, DEFAULT_STATE_LIMIT};
-pub use parametric::{ParametricModel, RewardAtom};
+pub use model::SelfishMiningModel;
+pub use parametric::{ParametricModel, RewardAtom, DEFAULT_STATE_LIMIT};
 pub use params::{validate_epsilon, validate_share, AttackParams};
 pub use scenario::{AttackScenario, CertificateScope};
 pub use state::{Owner, Phase, SmState};

@@ -1,32 +1,24 @@
-//! Construction of the finite MDP from the selfish-mining transition system.
+//! The selfish-mining MDP at concrete parameters `(p, γ)`.
 //!
-//! The builder explores the set of states reachable from the initial state
-//! under *any* strategy (breadth-first over [`crate::available_actions`] and
-//! [`crate::successors`]) and assembles:
+//! A [`SelfishMiningModel`] is what [`crate::ParametricModel::instantiate`]
+//! returns for one point of the parameter square:
 //!
-//! * an [`sm_mdp::Mdp`] whose states are indices into the discovered state
-//!   list — BFS discoveries are streamed straight into the flat CSR arena
-//!   ([`sm_mdp::CsrMdpBuilder`]) with no intermediate nested staging,
+//! * an [`sm_mdp::Mdp`] whose states are indices into the reachable state
+//!   list of the family's breadth-first exploration,
 //! * the two base reward structures `r_A` (adversarial blocks finalized) and
 //!   `r_H` (honest blocks finalized) of Section 3.3, stored as expected
 //!   per-action rewards in flat buffers aligned with the same arena, which is
 //!   all the mean-payoff machinery needs.
 
-use crate::{
-    available_actions_in, successors_in, AttackParams, AttackScenario, SelfishMiningError,
-    SmAction, SmState,
-};
-use sm_mdp::{CsrMdpBuilder, Mdp, PositionalStrategy, TransitionRewards};
-use std::collections::{HashMap, VecDeque};
+use crate::{AttackParams, AttackScenario, SelfishMiningError, SmAction, SmState};
+use sm_mdp::{Mdp, PositionalStrategy, TransitionRewards};
 use std::sync::Arc;
 
-/// Default cap on the number of reachable states the builder will enumerate
-/// before giving up. The largest configuration evaluated in the paper
-/// (`d = 4`, `f = 2`, `l = 4`) stays below ten million states.
-pub const DEFAULT_STATE_LIMIT: usize = 12_000_000;
-
-/// The fully constructed selfish-mining MDP together with its reward
-/// structures and the mapping back to structured states.
+/// The selfish-mining MDP at concrete parameters together with its reward
+/// structures and the mapping back to structured states. Obtain one with
+/// [`crate::ParametricModel::build`] (or
+/// [`crate::ParametricModel::build_scenario`]) followed by
+/// [`crate::ParametricModel::instantiate`].
 ///
 /// The state and action tables are behind [`Arc`]s: every `(p, γ)`
 /// instantiation of one [`crate::ParametricModel`] shares them (the reachable
@@ -44,141 +36,13 @@ pub struct SelfishMiningModel {
 }
 
 impl SelfishMiningModel {
-    /// Builds the model for the given parameters with the default state-space
-    /// limit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SelfishMiningError::StateSpaceTooLarge`] if the reachable
-    /// state space exceeds the limit, and propagates transition or MDP
-    /// construction errors.
-    pub fn build(params: &AttackParams) -> Result<Self, SelfishMiningError> {
-        Self::build_with_limit(params, DEFAULT_STATE_LIMIT)
-    }
-
-    /// Builds the model with an explicit cap on the number of reachable
-    /// states.
-    ///
-    /// # Errors
-    ///
-    /// See [`SelfishMiningModel::build`].
-    pub fn build_with_limit(
-        params: &AttackParams,
-        state_limit: usize,
-    ) -> Result<Self, SelfishMiningError> {
-        Self::build_scenario_with_limit(params, AttackScenario::Optimal, state_limit)
-    }
-
-    /// Builds the model of a restricted attack scenario: the breadth-first
-    /// exploration runs over the scenario's admissible action set (and, for
-    /// scenarios with a transition filter, its restricted mining split), so
-    /// the constructed MDP *is* the scenario's sub-model — no post-hoc
-    /// masking. [`AttackScenario::Optimal`] reproduces
-    /// [`SelfishMiningModel::build`] exactly.
-    ///
-    /// # Errors
-    ///
-    /// See [`SelfishMiningModel::build`].
-    pub fn build_scenario(
-        params: &AttackParams,
-        scenario: AttackScenario,
-    ) -> Result<Self, SelfishMiningError> {
-        Self::build_scenario_with_limit(params, scenario, DEFAULT_STATE_LIMIT)
-    }
-
-    /// [`SelfishMiningModel::build_scenario`] with an explicit state-space
-    /// limit.
-    ///
-    /// # Errors
-    ///
-    /// See [`SelfishMiningModel::build`].
-    pub fn build_scenario_with_limit(
-        params: &AttackParams,
-        scenario: AttackScenario,
-        state_limit: usize,
-    ) -> Result<Self, SelfishMiningError> {
-        params.validate()?;
-        let initial = SmState::initial(params);
-
-        let mut index_of: HashMap<SmState, usize> = HashMap::new();
-        let mut states: Vec<SmState> = Vec::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-
-        index_of.insert(initial.clone(), 0);
-        states.push(initial);
-        queue.push_back(0);
-
-        // BFS pops states in index order, which is exactly the append order
-        // the streaming CSR builder wants: every discovered action goes
-        // straight into the flat arena, with the expected per-action block
-        // counts accumulated alongside in flat per-pair buffers. There is no
-        // intermediate nested outcome staging.
-        let mut builder = CsrMdpBuilder::new();
-        let mut actions: Vec<Vec<SmAction>> = Vec::new();
-        let mut expected_adv: Vec<f64> = Vec::new();
-        let mut expected_hon: Vec<f64> = Vec::new();
-        let mut entries: Vec<(usize, f64)> = Vec::new();
-
-        while let Some(index) = queue.pop_front() {
-            let begun = builder.begin_state();
-            debug_assert_eq!(begun, index);
-            let state = states[index].clone();
-            let state_actions = available_actions_in(&scenario, params, &state);
-            for action in &state_actions {
-                let outs = successors_in(&scenario, params, &state, action)?;
-                entries.clear();
-                let mut adv = 0.0;
-                let mut hon = 0.0;
-                for out in outs {
-                    let target = match index_of.get(&out.state) {
-                        Some(&existing) => existing,
-                        None => {
-                            let new_index = states.len();
-                            if new_index >= state_limit {
-                                return Err(SelfishMiningError::StateSpaceTooLarge {
-                                    discovered: new_index + 1,
-                                    limit: state_limit,
-                                });
-                            }
-                            index_of.insert(out.state.clone(), new_index);
-                            states.push(out.state);
-                            queue.push_back(new_index);
-                            new_index
-                        }
-                    };
-                    entries.push((target, out.probability));
-                    adv += out.probability * f64::from(out.rewards.adversary);
-                    hon += out.probability * f64::from(out.rewards.honest);
-                }
-                builder.add_action(&action.name(), &entries)?;
-                expected_adv.push(adv);
-                expected_hon.push(hon);
-            }
-            actions.push(state_actions);
-        }
-
-        let mdp = builder.finish(0)?;
-        let adversary_rewards = TransitionRewards::from_pair_values(&mdp, &expected_adv)?;
-        let honest_rewards = TransitionRewards::from_pair_values(&mdp, &expected_hon)?;
-
-        Ok(SelfishMiningModel {
-            params: *params,
-            scenario,
-            mdp,
-            states: Arc::new(states),
-            actions: Arc::new(actions),
-            adversary_rewards,
-            honest_rewards,
-        })
-    }
-
     /// The parameters the model was built for.
     pub fn params(&self) -> &AttackParams {
         &self.params
     }
 
     /// The attack scenario the model was built for
-    /// ([`AttackScenario::Optimal`] for the plain builders).
+    /// ([`AttackScenario::Optimal`] for [`crate::ParametricModel::build`]).
     pub fn scenario(&self) -> AttackScenario {
         self.scenario
     }
@@ -367,11 +231,13 @@ impl SelfishMiningModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Phase;
+    use crate::{ParametricModel, Phase};
 
     fn build(p: f64, gamma: f64, d: usize, f: usize, l: usize) -> SelfishMiningModel {
-        let params = AttackParams::new(p, gamma, d, f, l).unwrap();
-        SelfishMiningModel::build(&params).unwrap()
+        ParametricModel::build(d, f, l)
+            .unwrap()
+            .instantiate(p, gamma)
+            .unwrap()
     }
 
     #[test]
@@ -410,13 +276,6 @@ mod tests {
                 assert!(adv + hon <= model.params().max_fork_length as f64 + 1.0);
             }
         }
-    }
-
-    #[test]
-    fn state_limit_is_enforced() {
-        let params = AttackParams::new(0.3, 0.5, 2, 2, 4).unwrap();
-        let err = SelfishMiningModel::build_with_limit(&params, 10).unwrap_err();
-        assert!(matches!(err, SelfishMiningError::StateSpaceTooLarge { .. }));
     }
 
     #[test]
@@ -501,26 +360,27 @@ mod tests {
 
     #[test]
     fn scenario_models_restrict_the_optimal_model() {
-        let params = AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap();
-        let optimal = SelfishMiningModel::build(&params).unwrap();
-        assert_eq!(optimal.scenario(), crate::AttackScenario::Optimal);
+        let build_scenario = |scenario| {
+            ParametricModel::build_scenario(scenario, 2, 1, 4)
+                .unwrap()
+                .instantiate(0.3, 0.5)
+                .unwrap()
+        };
+        let optimal = build(0.3, 0.5, 2, 1, 4);
+        assert_eq!(optimal.scenario(), AttackScenario::Optimal);
         for scenario in [
-            crate::AttackScenario::LeadStubborn,
-            crate::AttackScenario::EqualForkStubborn,
-            crate::AttackScenario::TrailStubborn { lag: 0 },
+            AttackScenario::LeadStubborn,
+            AttackScenario::EqualForkStubborn,
+            AttackScenario::TrailStubborn { lag: 0 },
         ] {
-            let restricted = SelfishMiningModel::build_scenario(&params, scenario).unwrap();
+            let restricted = build_scenario(scenario);
             assert_eq!(restricted.scenario(), scenario);
             assert!(restricted.num_states() <= optimal.num_states());
-            assert!(
-                restricted.mdp().num_state_action_pairs() <= optimal.mdp().num_state_action_pairs()
-            );
+            assert!(restricted.mdp().num_pairs() <= optimal.mdp().num_pairs());
             restricted.mdp().validate().unwrap();
         }
         // The honest scenario is a tiny degenerate chain.
-        let honest =
-            SelfishMiningModel::build_scenario(&params, crate::AttackScenario::HonestMining)
-                .unwrap();
+        let honest = build_scenario(AttackScenario::HonestMining);
         assert!(honest.num_states() < optimal.num_states() / 2);
         honest.mdp().validate().unwrap();
     }

@@ -19,19 +19,29 @@
 //! of a tie release still occupies its arena slot with probability 0 (and
 //! likewise the adversary split at `p = 0`), so one layout serves the entire
 //! parameter square. The induced-chain extraction and the recurrence
-//! classification ignore zero-probability entries, and
-//! `tests/parametric_equivalence.rs` pins the instantiation to the directly
-//! built model: bit-for-bit identical for interior parameters, identical
-//! solver results for the masked edges.
+//! classification ignore zero-probability entries.
+//!
+//! This is the workspace's only selfish-mining BFS. Its discovery order and
+//! successor sorting are those of a direct BFS over
+//! [`crate::successors_in`] streamed into [`sm_mdp::CsrMdpBuilder`], which
+//! `tests/parametric_equivalence.rs` keeps as a test oracle: an interior
+//! instantiation reproduces that pruned arena bit for bit, and at the masked
+//! edges the two agree on every solver result.
 
 use crate::{
     available_actions_in, symbolic_successors_in, AttackParams, AttackScenario, ProbTerm,
-    SelfishMiningError, SelfishMiningModel, SmAction, SmState, DEFAULT_STATE_LIMIT,
+    SelfishMiningError, SelfishMiningModel, SmAction, SmState,
 };
-use sm_mdp::{CsrLayout, CsrMdp, Mdp, TransitionRewards};
+use sm_mdp::{CsrLayout, Mdp, TransitionRewards};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
+
+/// Default cap on the number of reachable states the breadth-first
+/// exploration will enumerate before giving up. The largest configuration
+/// evaluated in the paper (`d = 4`, `f = 2`, `l = 4`) stays below ten million
+/// states.
+pub const DEFAULT_STATE_LIMIT: usize = 12_000_000;
 
 /// One *distinct* symbolic outcome: its probability term (as an id into the
 /// interned term pool) and the block counts it finalizes. The per-pair atom
@@ -109,39 +119,24 @@ pub struct ParametricModel {
 }
 
 impl ParametricModel {
-    /// Explores the `(depth, forks_per_block, max_fork_length)` topology with
-    /// the default state-space limit.
+    /// Explores the `(depth, forks_per_block, max_fork_length)` topology of
+    /// the unrestricted attack ([`AttackScenario::Optimal`]).
     ///
     /// # Errors
     ///
     /// Returns [`SelfishMiningError::InvalidParameter`] for zero structural
     /// parameters and [`SelfishMiningError::StateSpaceTooLarge`] if the
-    /// reachable state space exceeds the limit.
+    /// reachable state space exceeds [`DEFAULT_STATE_LIMIT`].
     pub fn build(
         depth: usize,
         forks_per_block: usize,
         max_fork_length: usize,
     ) -> Result<Self, SelfishMiningError> {
-        Self::build_with_limit(depth, forks_per_block, max_fork_length, DEFAULT_STATE_LIMIT)
-    }
-
-    /// Like [`ParametricModel::build`] with an explicit state-space limit.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParametricModel::build`].
-    pub fn build_with_limit(
-        depth: usize,
-        forks_per_block: usize,
-        max_fork_length: usize,
-        state_limit: usize,
-    ) -> Result<Self, SelfishMiningError> {
-        Self::build_scenario_with_limit(
+        Self::build_scenario(
             AttackScenario::Optimal,
             depth,
             forks_per_block,
             max_fork_length,
-            state_limit,
         )
     }
 
@@ -188,11 +183,7 @@ impl ParametricModel {
 
     /// [`ParametricModel::build_scenario`] with an explicit state-space
     /// limit.
-    ///
-    /// # Errors
-    ///
-    /// See [`ParametricModel::build`].
-    pub fn build_scenario_with_limit(
+    fn build_scenario_with_limit(
         scenario: AttackScenario,
         depth: usize,
         forks_per_block: usize,
@@ -211,9 +202,9 @@ impl ParametricModel {
         states.push(initial);
         queue.push_back(0);
 
-        // The BFS mirrors `SelfishMiningModel::build_with_limit` exactly —
-        // same discovery order, same successor sorting — so that an interior
-        // instantiation reproduces the directly built arena bit for bit.
+        // Discovery order and successor sorting are those of the direct BFS
+        // oracle in `tests/parametric_equivalence.rs`, so that an interior
+        // instantiation reproduces its arena bit for bit.
         let mut row_ptr: Vec<usize> = vec![0];
         let mut action_ptr: Vec<usize> = vec![0];
         let mut col: Vec<usize> = Vec::new();
@@ -332,7 +323,7 @@ impl ParametricModel {
     }
 
     /// The attack scenario the family was explored for
-    /// ([`AttackScenario::Optimal`] for the plain builders).
+    /// ([`AttackScenario::Optimal`] for [`ParametricModel::build`]).
     pub fn scenario(&self) -> AttackScenario {
         self.scenario
     }
@@ -404,14 +395,13 @@ impl ParametricModel {
         for (slot, value) in prob.iter_mut().enumerate() {
             *value = self.slot_probability(slot, &term_values);
         }
-        let csr = CsrMdp::from_raw_parts(
+        let mdp = Mdp::from_raw_parts(
             Arc::clone(&self.layout),
             prob,
             self.names.clone(),
             self.name_of_pair.clone(),
             0,
         )?;
-        let mdp = Mdp::from(csr);
 
         let transitions = self.layout.num_transitions();
         let mut adversary = Vec::with_capacity(transitions);
@@ -438,7 +428,7 @@ impl ParametricModel {
 
     /// Re-instantiates an existing model of this family at new `(p, gamma)`
     /// values *in place*: the probability and reward buffers are rewritten
-    /// through [`sm_mdp::CsrMdp::reweight_in_place`] and
+    /// through [`sm_mdp::Mdp::reweight_in_place`] and
     /// [`sm_mdp::TransitionRewards::values_mut`] with no hashing, no BFS and
     /// no allocation beyond one term-value table the size of the (tiny)
     /// interned term pool. This is the per-worker hot path of the sweep
@@ -462,7 +452,7 @@ impl ParametricModel {
             self.forks_per_block,
             self.max_fork_length,
         )?;
-        if !Arc::ptr_eq(&model.mdp.csr().layout_arc(), &self.layout) {
+        if !Arc::ptr_eq(&model.mdp.layout_arc(), &self.layout) {
             return Err(SelfishMiningError::Mdp(
                 sm_mdp::MdpError::RewardShapeMismatch {
                     detail: "model was not instantiated from this parametric family".to_string(),
@@ -474,7 +464,6 @@ impl ParametricModel {
         let term_values = self.term_values(p, gamma);
         model
             .mdp
-            .csr_mut()
             .reweight_in_place(|slot| self.slot_probability(slot, &term_values));
         // Per-pair expected block counts, replicated over each pair's
         // transition range exactly like the fresh construction does; one
@@ -593,8 +582,8 @@ impl ParametricModel {
     /// Evaluates every pooled term once at `(p, gamma)`. The fill passes
     /// gather from this table by id, so each term's floating-point value is
     /// computed exactly once per instantiation — and is bit-identical to
-    /// evaluating the term at every use site, which is what keeps
-    /// instantiation reproducing the directly built model bit for bit.
+    /// evaluating the term at every use site, which is what keeps an interior
+    /// instantiation reproducing the direct BFS oracle bit for bit.
     #[inline]
     fn term_values(&self, p: f64, gamma: f64) -> Vec<f64> {
         self.term_pool.iter().map(|t| t.eval(p, gamma)).collect()
@@ -613,8 +602,8 @@ impl ParametricModel {
 
     /// Expected `(adversary, honest)` block counts of state-action pair
     /// `pair`, accumulated over the outcomes in discovery order — the same
-    /// order (and therefore the same floating-point result) as the fresh
-    /// model construction.
+    /// order (and therefore the same floating-point result) as the direct
+    /// BFS oracle.
     #[inline]
     fn pair_rewards(&self, pair: usize, term_values: &[f64]) -> (f64, f64) {
         let range = self.reward_ptr[pair] as usize..self.reward_ptr[pair + 1] as usize;
@@ -633,14 +622,57 @@ impl ParametricModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Phase;
+    use crate::{successors_in, Phase};
+    use sm_mdp::CsrMdpBuilder;
 
-    #[test]
-    fn family_matches_fresh_build_on_interior_parameters() {
-        let family = ParametricModel::build(2, 1, 3).unwrap();
-        let params = AttackParams::new(0.3, 0.5, 2, 1, 3).unwrap();
-        let fresh = SelfishMiningModel::build(&params).unwrap();
-        let inst = family.instantiate(0.3, 0.5).unwrap();
+    /// A direct breadth-first search over the concrete transition function
+    /// at `params`: states in discovery order, each action streamed into
+    /// [`CsrMdpBuilder`], and the per-action expected block counts summed in
+    /// the order [`successors_in`] lists the outcomes. Returns the model
+    /// with its rewards wrapped as [`TransitionRewards`].
+    fn direct_build(scenario: AttackScenario, params: &AttackParams) -> SelfishMiningModel {
+        let initial = SmState::initial(params);
+        let mut index_of = HashMap::from([(initial.clone(), 0)]);
+        let mut states = vec![initial];
+        let mut actions = Vec::new();
+        let mut builder = CsrMdpBuilder::new();
+        let (mut adversary, mut honest) = (Vec::new(), Vec::new());
+        while actions.len() < states.len() {
+            builder.begin_state();
+            let state = states[actions.len()].clone();
+            let state_actions = available_actions_in(&scenario, params, &state);
+            for action in &state_actions {
+                let mut entries = Vec::new();
+                let (mut adv, mut hon) = (0.0, 0.0);
+                for out in successors_in(&scenario, params, &state, action).unwrap() {
+                    let target = *index_of.entry(out.state.clone()).or_insert_with(|| {
+                        states.push(out.state);
+                        states.len() - 1
+                    });
+                    entries.push((target, out.probability));
+                    adv += out.probability * f64::from(out.rewards.adversary);
+                    hon += out.probability * f64::from(out.rewards.honest);
+                }
+                builder.add_action(&action.name(), &entries).unwrap();
+                adversary.push(adv);
+                honest.push(hon);
+            }
+            actions.push(state_actions);
+        }
+        let mdp = builder.finish(0).unwrap();
+        SelfishMiningModel {
+            params: *params,
+            scenario,
+            adversary_rewards: TransitionRewards::from_pair_values(&mdp, &adversary).unwrap(),
+            honest_rewards: TransitionRewards::from_pair_values(&mdp, &honest).unwrap(),
+            mdp,
+            states: Arc::new(states),
+            actions: Arc::new(actions),
+        }
+    }
+
+    /// States, action lists, the whole arena and both reward buffers match.
+    fn assert_same_model(inst: &SelfishMiningModel, fresh: &SelfishMiningModel) {
         assert_eq!(inst.num_states(), fresh.num_states());
         for s in 0..fresh.num_states() {
             assert_eq!(inst.state(s), fresh.state(s));
@@ -656,20 +688,30 @@ mod tests {
             fresh.honest_rewards().values()
         );
         assert_eq!(inst.params(), fresh.params());
+        assert_eq!(inst.scenario(), fresh.scenario());
+    }
+
+    #[test]
+    fn family_matches_fresh_build_on_interior_parameters() {
+        let family = ParametricModel::build(2, 1, 3).unwrap();
+        let params = AttackParams::new(0.3, 0.5, 2, 1, 3).unwrap();
+        let fresh = direct_build(AttackScenario::Optimal, &params);
+        let inst = family.instantiate(0.3, 0.5).unwrap();
+        assert_same_model(&inst, &fresh);
     }
 
     #[test]
     fn masked_branches_are_kept_structurally() {
         let family = ParametricModel::build(1, 1, 2).unwrap();
         let masked = family.instantiate(0.3, 0.0).unwrap();
-        let params = AttackParams::new(0.3, 0.0, 1, 1, 2).unwrap();
-        let fresh = SelfishMiningModel::build(&params).unwrap();
-        // The γ = 0 topology prunes the race-win branch, the parametric
-        // arena keeps it with probability 0 — so the masked model has at
-        // least as many states/transitions and still validates.
-        assert!(masked.num_states() >= fresh.num_states());
+        let interior = family.instantiate(0.3, 0.5).unwrap();
+        // At γ = 0 the race-win branch has probability 0, but the parametric
+        // arena keeps it — so the masked model shares the interior skeleton
+        // and still validates.
+        assert_eq!(masked.num_states(), interior.num_states());
+        assert_eq!(masked.mdp().layout(), interior.mdp().layout());
         masked.mdp().validate().unwrap();
-        assert!(masked.mdp().csr().probabilities().contains(&0.0));
+        assert!(masked.mdp().probabilities().contains(&0.0));
     }
 
     #[test]
@@ -711,7 +753,7 @@ mod tests {
     #[test]
     fn state_limit_is_enforced() {
         assert!(matches!(
-            ParametricModel::build_with_limit(2, 2, 4, 10),
+            ParametricModel::build_scenario_with_limit(AttackScenario::Optimal, 2, 2, 4, 10),
             Err(SelfishMiningError::StateSpaceTooLarge { .. })
         ));
     }
@@ -719,28 +761,14 @@ mod tests {
     #[test]
     fn scenario_family_matches_the_scenario_direct_build() {
         // The per-scenario parametric arena must reproduce the per-scenario
-        // direct build bit for bit, exactly as the optimal arena does.
+        // direct search bit for bit, exactly as the optimal arena does.
         for scenario in AttackScenario::default_family() {
             let family = ParametricModel::build_scenario(scenario, 2, 1, 3).unwrap();
             assert_eq!(family.scenario(), scenario);
             let params = AttackParams::new(0.3, 0.5, 2, 1, 3).unwrap();
-            let fresh = SelfishMiningModel::build_scenario(&params, scenario).unwrap();
+            let fresh = direct_build(scenario, &params);
             let inst = family.instantiate(0.3, 0.5).unwrap();
-            assert_eq!(inst.scenario(), scenario);
-            assert_eq!(inst.num_states(), fresh.num_states(), "{scenario}");
-            for s in 0..fresh.num_states() {
-                assert_eq!(inst.state(s), fresh.state(s));
-                assert_eq!(inst.actions_of(s), fresh.actions_of(s));
-            }
-            assert_eq!(inst.mdp(), fresh.mdp(), "{scenario}");
-            assert_eq!(
-                inst.adversary_rewards().values(),
-                fresh.adversary_rewards().values()
-            );
-            assert_eq!(
-                inst.honest_rewards().values(),
-                fresh.honest_rewards().values()
-            );
+            assert_same_model(&inst, &fresh);
         }
     }
 

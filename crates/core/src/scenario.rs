@@ -7,12 +7,11 @@
 //! [`crate::available_actions`]) and, optionally, a transition filter
 //! restricting which block positions the adversary mines on. The whole
 //! solve → export → simulate → certify pipeline is generic over the
-//! scenario: [`crate::SelfishMiningModel::build_scenario`] and
-//! [`crate::ParametricModel::build_scenario`] construct per-scenario arenas,
-//! the sweep engine fans `(scenario, d, f) × γ × p` jobs over its worker
-//! pool, and the conformance subsystem witnesses each scenario's certified
-//! `[β_low, β_up]` bracket with a Monte-Carlo replay of the scenario's
-//! ε-optimal strategy.
+//! scenario: [`crate::ParametricModel::build_scenario`] constructs
+//! per-scenario arenas, the sweep engine fans `(scenario, d, f) × γ × p`
+//! jobs over its worker pool, and the conformance subsystem witnesses each
+//! scenario's certified `[β_low, β_up]` bracket with a Monte-Carlo replay of
+//! the scenario's ε-optimal strategy.
 //!
 //! # The certification argument under restriction
 //!
@@ -99,12 +98,12 @@ impl fmt::Display for CertificateScope {
 /// # Example
 ///
 /// ```
-/// use selfish_mining::{AttackParams, AttackScenario, SelfishMiningModel};
+/// use selfish_mining::{AttackScenario, ParametricModel};
 ///
 /// # fn main() -> Result<(), selfish_mining::SelfishMiningError> {
-/// let params = AttackParams::new(0.3, 0.5, 2, 1, 4)?;
-/// let optimal = SelfishMiningModel::build_scenario(&params, AttackScenario::Optimal)?;
-/// let stubborn = SelfishMiningModel::build_scenario(&params, AttackScenario::LeadStubborn)?;
+/// let optimal = ParametricModel::build_scenario(AttackScenario::Optimal, 2, 1, 4)?;
+/// let stubborn = ParametricModel::build_scenario(AttackScenario::LeadStubborn, 2, 1, 4)?
+///     .instantiate(0.3, 0.5)?;
 /// // A restriction never enlarges the reachable space.
 /// assert!(stubborn.num_states() <= optimal.num_states());
 /// assert_eq!(stubborn.scenario(), AttackScenario::LeadStubborn);
@@ -243,9 +242,8 @@ impl AttackScenario {
     ///
     /// The contract every scenario upholds: at least one *available* action
     /// (see [`available_actions`]) is admitted in every state, so scenario
-    /// MDPs never have action-less states. (The model builders additionally
-    /// enforce this structurally and fail with a typed error if a custom
-    /// variant ever violated it.)
+    /// MDPs never have action-less states. (The solvers additionally fail
+    /// with a typed `NoActions` error if a custom variant ever violated it.)
     pub fn admits(&self, params: &AttackParams, state: &SmState, action: &SmAction) -> bool {
         match self {
             AttackScenario::Optimal => true,

@@ -1,4 +1,6 @@
-//! The flat compressed-sparse-row (CSR) transition arena underlying [`Mdp`].
+//! The flat compressed-sparse-row (CSR) transition arena underlying [`Mdp`]:
+//! its shared index arrays ([`CsrLayout`]) and its streaming builder
+//! ([`CsrMdpBuilder`]).
 //!
 //! Every layer of the solver stack reads the same three index arrays:
 //!
@@ -20,7 +22,6 @@
 //! `String`s would dominate the memory profile.
 
 use crate::{Mdp, MdpError, PROBABILITY_TOLERANCE};
-use sm_markov::MarkovChain;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -224,330 +225,6 @@ impl CsrLayout {
     }
 }
 
-/// A finite MDP stored as one flat CSR transition arena: index arrays in a
-/// shared [`CsrLayout`], probabilities in a single `Vec<f64>` aligned with
-/// `col`, and action names interned into a deduplicated table.
-///
-/// [`Mdp`] is a thin façade over this type; solvers that want raw slice
-/// access use [`Mdp::csr`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CsrMdp {
-    layout: Arc<CsrLayout>,
-    /// Transition probability per arena slot, aligned with `layout.col()`.
-    prob: Vec<f64>,
-    /// Interned action-name table.
-    names: Vec<String>,
-    /// Per-pair index into `names`.
-    name_of_pair: Vec<u32>,
-    initial_state: usize,
-}
-
-impl CsrMdp {
-    /// Assembles an arena from an already-validated layout plus the aligned
-    /// probability buffer and interned action-name table.
-    ///
-    /// This is the zero-rebuild path used by parametric model families: the
-    /// layout (and the `Arc` it lives behind) is shared across every
-    /// instantiation, only the probability buffer is fresh. Shapes are
-    /// checked here; *distribution* validity (rows summing to 1) is the
-    /// caller's responsibility — run [`CsrMdp::validate`] when in doubt.
-    /// Zero-probability transitions are allowed: a parametric arena keeps
-    /// masked branches (e.g. `γ = 0` race outcomes) structurally and masks
-    /// them numerically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MdpError::RewardShapeMismatch`] if `prob` or `name_of_pair`
-    /// are not aligned with the layout or reference missing names, and
-    /// [`MdpError::InvalidState`] for an out-of-range initial state.
-    pub fn from_raw_parts(
-        layout: Arc<CsrLayout>,
-        prob: Vec<f64>,
-        names: Vec<String>,
-        name_of_pair: Vec<u32>,
-        initial_state: usize,
-    ) -> Result<CsrMdp, MdpError> {
-        if prob.len() != layout.num_transitions() {
-            return Err(MdpError::RewardShapeMismatch {
-                detail: format!(
-                    "probability buffer has {} entries, arena has {} transitions",
-                    prob.len(),
-                    layout.num_transitions()
-                ),
-            });
-        }
-        if name_of_pair.len() != layout.num_pairs() {
-            return Err(MdpError::RewardShapeMismatch {
-                detail: format!(
-                    "name table covers {} pairs, arena has {}",
-                    name_of_pair.len(),
-                    layout.num_pairs()
-                ),
-            });
-        }
-        if let Some(&id) = name_of_pair.iter().find(|&&id| id as usize >= names.len()) {
-            return Err(MdpError::RewardShapeMismatch {
-                detail: format!(
-                    "pair references action name {id}, table has {} entries",
-                    names.len()
-                ),
-            });
-        }
-        if initial_state >= layout.num_states() {
-            return Err(MdpError::InvalidState {
-                state: initial_state,
-                num_states: layout.num_states(),
-            });
-        }
-        Ok(CsrMdp {
-            layout,
-            prob,
-            names,
-            name_of_pair,
-            initial_state,
-        })
-    }
-
-    /// Rewrites every transition probability in place: `weight(k)` is the new
-    /// probability of arena transition `k` (the one targeting
-    /// `layout.col()[k]`).
-    ///
-    /// The layout, action names and reward alignments are untouched, which is
-    /// what lets a parametric model family re-instantiate an arena for new
-    /// parameter values in one linear pass with no rebuild. The caller is
-    /// responsible for keeping every per-pair distribution valid (summing to
-    /// 1); [`CsrMdp::validate`] checks that invariant.
-    pub fn reweight_in_place(&mut self, mut weight: impl FnMut(usize) -> f64) {
-        for (k, p) in self.prob.iter_mut().enumerate() {
-            *p = weight(k);
-        }
-        #[cfg(feature = "deep-checks")]
-        debug_assert!(
-            self.validate().is_ok(),
-            "deep-checks: reweighted arena fails validation: {:?}",
-            self.validate()
-        );
-    }
-
-    /// Number of states.
-    pub fn num_states(&self) -> usize {
-        self.layout.num_states()
-    }
-
-    /// The initial state `s₀`.
-    pub fn initial_state(&self) -> usize {
-        self.initial_state
-    }
-
-    /// Number of actions available in `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of bounds.
-    pub fn num_actions(&self, state: usize) -> usize {
-        self.layout.num_actions(state)
-    }
-
-    /// Total number of state-action pairs.
-    pub fn num_pairs(&self) -> usize {
-        self.layout.num_pairs()
-    }
-
-    /// Total number of transitions.
-    pub fn num_transitions(&self) -> usize {
-        self.layout.num_transitions()
-    }
-
-    /// The shared index arrays of the arena.
-    pub fn layout(&self) -> &CsrLayout {
-        &self.layout
-    }
-
-    /// A clone of the [`Arc`] holding the index arrays, for structures that
-    /// must stay aligned with this arena (reward buffers).
-    pub fn layout_arc(&self) -> Arc<CsrLayout> {
-        Arc::clone(&self.layout)
-    }
-
-    /// The flat probability buffer, aligned with [`CsrLayout::col`].
-    pub fn probabilities(&self) -> &[f64] {
-        &self.prob
-    }
-
-    /// The interned action-name table.
-    pub fn action_names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Name of the `action`-th action of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn action_name(&self, state: usize, action: usize) -> &str {
-        &self.names[self.name_of_pair[self.layout.pair_index(state, action)] as usize]
-    }
-
-    /// Successors of the `action`-th action of `state` as parallel slices of
-    /// (compact `u32`) targets and probabilities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn successors(&self, state: usize, action: usize) -> (&[u32], &[f64]) {
-        let range = self
-            .layout
-            .transition_range(self.layout.pair_index(state, action));
-        (&self.layout.col()[range.clone()], &self.prob[range])
-    }
-
-    /// Finds the index of an action by name in the given state.
-    pub fn find_action(&self, state: usize, name: &str) -> Option<usize> {
-        if state >= self.num_states() {
-            return None;
-        }
-        let pairs = self.layout.pair_range(state);
-        self.name_of_pair[pairs]
-            .iter()
-            .position(|&id| self.names[id as usize] == name)
-    }
-
-    /// Checks basic sanity of the arena: a non-empty model, at least one
-    /// action per state, targets in bounds, and validated distributions.
-    ///
-    /// # Errors
-    ///
-    /// Returns the corresponding [`MdpError`] on the first violation found.
-    pub fn validate(&self) -> Result<(), MdpError> {
-        let n = self.num_states();
-        if n == 0 {
-            return Err(MdpError::EmptyModel);
-        }
-        for state in 0..n {
-            if self.num_actions(state) == 0 {
-                return Err(MdpError::NoActions { state });
-            }
-            for pair in self.layout.pair_range(state) {
-                let range = self.layout.transition_range(pair);
-                let cols = &self.layout.col()[range.clone()];
-                let probs = &self.prob[range];
-                let sum: f64 = probs.iter().sum();
-                if (sum - 1.0).abs() > PROBABILITY_TOLERANCE || probs.iter().any(|&p| p < 0.0) {
-                    return Err(MdpError::InvalidDistribution {
-                        state,
-                        action: self.names[self.name_of_pair[pair] as usize].clone(),
-                        sum,
-                    });
-                }
-                if let Some(&target) = cols.iter().find(|&&t| t as usize >= n) {
-                    return Err(MdpError::InvalidState {
-                        state: target as usize,
-                        num_states: n,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The Markov chain induced by a positional strategy, extracted by copying
-    /// the chosen row slices straight out of the arena (no per-row allocation,
-    /// no re-sorting: arena rows are already sorted by successor). The chain
-    /// constructor re-validates the assembled CSR arrays in one pass.
-    ///
-    /// Zero-probability transitions are dropped during the copy: arenas
-    /// produced by the builders never contain them, but parametric
-    /// instantiations keep masked branches (e.g. `γ = 0` race outcomes)
-    /// structurally, and those must not register as edges of the induced
-    /// chain (they would corrupt its recurrence classification).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MdpError::InvalidAction`] if the strategy selects an action
-    /// that does not exist, or a shape error if the strategy does not cover
-    /// every state.
-    pub fn induced_chain(
-        &self,
-        strategy: &crate::PositionalStrategy,
-    ) -> Result<MarkovChain, MdpError> {
-        let n = self.num_states();
-        if strategy.num_states() != n {
-            return Err(MdpError::RewardShapeMismatch {
-                detail: format!(
-                    "strategy covers {} states, MDP has {}",
-                    strategy.num_states(),
-                    n
-                ),
-            });
-        }
-        let mut nnz = 0;
-        for state in 0..n {
-            let action = strategy.action(state);
-            if action >= self.num_actions(state) {
-                return Err(MdpError::InvalidAction {
-                    state,
-                    action,
-                    available: self.num_actions(state),
-                });
-            }
-            nnz += self
-                .layout
-                .transition_range(self.layout.pair_index(state, action))
-                .len();
-        }
-        let mut row_ptr: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut col: Vec<u32> = Vec::with_capacity(nnz);
-        let mut prob = Vec::with_capacity(nnz);
-        row_ptr.push(0);
-        for state in 0..n {
-            let range = self
-                .layout
-                .transition_range(self.layout.pair_index(state, strategy.action(state)));
-            for (&target, &p) in self.layout.col()[range.clone()]
-                .iter()
-                .zip(&self.prob[range])
-            {
-                if p > 0.0 {
-                    col.push(target);
-                    prob.push(p);
-                }
-            }
-            // The chain's transition count is bounded by the arena's, which
-            // the compact layout already proved fits in u32.
-            row_ptr.push(col.len() as u32);
-        }
-        Ok(MarkovChain::from_csr_parts_u32(row_ptr, col, prob)?)
-    }
-
-    /// States reachable from the initial state under *some* strategy, in
-    /// breadth-first order.
-    pub fn reachable_states(&self) -> Vec<usize> {
-        let n = self.num_states();
-        let mut seen = vec![false; n];
-        let mut order = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        seen[self.initial_state] = true;
-        queue.push_back(self.initial_state);
-        while let Some(s) = queue.pop_front() {
-            order.push(s);
-            for pair in self.layout.pair_range(s) {
-                let range = self.layout.transition_range(pair);
-                for (&t, &p) in self.layout.col()[range.clone()]
-                    .iter()
-                    .zip(&self.prob[range])
-                {
-                    let t = t as usize;
-                    if p > 0.0 && !seen[t] {
-                        seen[t] = true;
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-        order
-    }
-}
-
 /// Streaming builder for the CSR arena: states are appended in index order
 /// ([`CsrMdpBuilder::begin_state`]) and actions are appended to the *current*
 /// state, which is exactly the order a breadth-first model exploration
@@ -568,7 +245,7 @@ impl CsrMdp {
 /// b.add_action("stay", &[(1, 0.5), (0, 0.5)])?;
 /// let mdp = b.finish(0)?;
 /// assert_eq!(mdp.num_states(), 2);
-/// assert_eq!(mdp.csr().successors(1, 0), (&[0u32, 1][..], &[0.5f64, 0.5][..]));
+/// assert_eq!(mdp.successors(1, 0), (&[0u32, 1][..], &[0.5f64, 0.5][..]));
 /// # Ok(())
 /// # }
 /// ```
@@ -764,20 +441,20 @@ impl CsrMdpBuilder {
             action_ptr: self.action_ptr,
             col: self.col,
         };
-        let csr = CsrMdp {
-            layout: Arc::new(layout),
-            prob: self.prob,
-            names: self.names,
-            name_of_pair: self.name_of_pair,
+        let mdp = Mdp::from_raw_parts(
+            Arc::new(layout),
+            self.prob,
+            self.names,
+            self.name_of_pair,
             initial_state,
-        };
+        )?;
         #[cfg(feature = "deep-checks")]
         debug_assert!(
-            csr.validate().is_ok(),
+            mdp.validate().is_ok(),
             "deep-checks: finished arena fails validation: {:?}",
-            csr.validate()
+            mdp.validate()
         );
-        Ok(Mdp::from_csr(csr))
+        Ok(mdp)
     }
 }
 
@@ -794,16 +471,15 @@ mod tests {
         assert_eq!(b.begin_state(), 1);
         b.add_action("a", &[(0, 1.0)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        let csr = mdp.csr();
-        assert_eq!(csr.num_states(), 2);
-        assert_eq!(csr.num_pairs(), 3);
-        assert_eq!(csr.num_transitions(), 4);
-        assert_eq!(csr.layout().row_ptr(), &[0, 2, 3]);
-        assert_eq!(csr.layout().action_ptr(), &[0, 2, 3, 4]);
-        assert_eq!(csr.layout().col(), &[0, 1, 1, 0]);
+        assert_eq!(mdp.num_states(), 2);
+        assert_eq!(mdp.num_pairs(), 3);
+        assert_eq!(mdp.num_transitions(), 4);
+        assert_eq!(mdp.layout().row_ptr(), &[0, 2, 3]);
+        assert_eq!(mdp.layout().action_ptr(), &[0, 2, 3, 4]);
+        assert_eq!(mdp.layout().col(), &[0, 1, 1, 0]);
         // The name table is interned: "a" appears once.
-        assert_eq!(csr.action_names(), &["a".to_string(), "b".to_string()]);
-        assert_eq!(csr.action_name(1, 0), "a");
+        assert_eq!(mdp.action_names(), &["a".to_string(), "b".to_string()]);
+        assert_eq!(mdp.action_name(1, 0), "a");
     }
 
     #[test]
@@ -813,7 +489,7 @@ mod tests {
         b.add_action("a", &[(0, 0.25), (0, 0.5), (0, 0.25), (0, 0.0)])
             .unwrap();
         let mdp = b.finish(0).unwrap();
-        assert_eq!(mdp.csr().successors(0, 0), (&[0u32][..], &[1.0f64][..]));
+        assert_eq!(mdp.successors(0, 0), (&[0u32][..], &[1.0f64][..]));
     }
 
     #[test]
@@ -825,9 +501,9 @@ mod tests {
         b.add_action("a", &[(0, 1.0)]).unwrap();
         b.add_action("b", &[(0, 1.0)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        assert_eq!(mdp.num_state_action_pairs(), 2);
-        assert_eq!(mdp.csr().successors(0, 0), (&[0u32][..], &[1.0f64][..]));
-        assert_eq!(mdp.csr().successors(0, 1), (&[0u32][..], &[1.0f64][..]));
+        assert_eq!(mdp.num_pairs(), 2);
+        assert_eq!(mdp.successors(0, 0), (&[0u32][..], &[1.0f64][..]));
+        assert_eq!(mdp.successors(0, 1), (&[0u32][..], &[1.0f64][..]));
     }
 
     #[test]
@@ -897,7 +573,7 @@ mod tests {
         );
         // Zero-probability ("masked") entries are allowed as long as rows
         // still sum to 1.
-        let csr = CsrMdp::from_raw_parts(
+        let mdp = Mdp::from_raw_parts(
             Arc::clone(&layout),
             vec![1.0, 0.0, 1.0],
             vec!["a".to_string()],
@@ -905,11 +581,11 @@ mod tests {
             0,
         )
         .unwrap();
-        csr.validate().unwrap();
-        assert_eq!(csr.successors(0, 0), (&[0u32, 1][..], &[1.0f64, 0.0][..]));
+        mdp.validate().unwrap();
+        assert_eq!(mdp.successors(0, 0), (&[0u32, 1][..], &[1.0f64, 0.0][..]));
 
         // Misaligned probability buffer, name table and initial state fail.
-        assert!(CsrMdp::from_raw_parts(
+        assert!(Mdp::from_raw_parts(
             Arc::clone(&layout),
             vec![1.0],
             vec!["a".to_string()],
@@ -917,7 +593,7 @@ mod tests {
             0
         )
         .is_err());
-        assert!(CsrMdp::from_raw_parts(
+        assert!(Mdp::from_raw_parts(
             Arc::clone(&layout),
             vec![1.0, 0.0, 1.0],
             vec!["a".to_string()],
@@ -925,7 +601,7 @@ mod tests {
             0
         )
         .is_err());
-        assert!(CsrMdp::from_raw_parts(
+        assert!(Mdp::from_raw_parts(
             Arc::clone(&layout),
             vec![1.0, 0.0, 1.0],
             vec!["a".to_string()],
@@ -933,7 +609,7 @@ mod tests {
             0
         )
         .is_err());
-        assert!(CsrMdp::from_raw_parts(
+        assert!(Mdp::from_raw_parts(
             layout,
             vec![1.0, 0.0, 1.0],
             vec!["a".to_string()],
@@ -952,8 +628,8 @@ mod tests {
         b.add_action("b", &[(0, 1.0)]).unwrap();
         let mut mdp = b.finish(0).unwrap();
         let new_probs = [0.5, 0.5, 1.0];
-        mdp.csr_mut().reweight_in_place(|k| new_probs[k]);
-        assert_eq!(mdp.csr().probabilities(), &new_probs);
+        mdp.reweight_in_place(|k| new_probs[k]);
+        assert_eq!(mdp.probabilities(), &new_probs);
         mdp.validate().unwrap();
     }
 
@@ -965,7 +641,7 @@ mod tests {
         // State 0's only action keeps a masked (probability-0) edge to the
         // absorbing state 1; the induced chain must not contain that edge, so
         // state 0 is correctly classified as its own recurrent class.
-        let csr = CsrMdp::from_raw_parts(
+        let mdp = Mdp::from_raw_parts(
             layout,
             vec![1.0, 0.0, 1.0],
             vec!["a".to_string()],
@@ -974,7 +650,7 @@ mod tests {
         )
         .unwrap();
         let strategy = crate::PositionalStrategy::uniform_first_action(2);
-        let chain = csr.induced_chain(&strategy).unwrap();
+        let chain = mdp.induced_chain(&strategy).unwrap();
         assert_eq!(chain.successors(0), (&[0u32][..], &[1.0f64][..]));
         let scc = chain.classify();
         assert_eq!(scc.recurrent_classes().len(), 2);
@@ -1016,7 +692,7 @@ mod tests {
 
     #[test]
     fn usize_and_u32_raw_part_paths_are_bit_identical() {
-        use crate::{Mdp, RelativeValueIteration, TransitionRewards};
+        use crate::{RelativeValueIteration, TransitionRewards};
         use std::collections::BTreeSet;
         // Deterministic xorshift so the property test needs no RNG crate.
         let mut rng_state = 0x5ee9_b10c_dead_beef_u64;
@@ -1066,7 +742,7 @@ mod tests {
 
             let solve = |layout: CsrLayout| {
                 let num_pairs = layout.num_pairs();
-                let csr = CsrMdp::from_raw_parts(
+                let mdp = Mdp::from_raw_parts(
                     Arc::new(layout),
                     prob.clone(),
                     vec!["act".to_string()],
@@ -1074,7 +750,6 @@ mod tests {
                     0,
                 )
                 .unwrap();
-                let mdp = Mdp::from_csr(csr);
                 let rewards = TransitionRewards::from_fn(&mdp, |s, a, t| {
                     0.4 * s as f64 + 0.9 * a as f64 - 0.2 * t as f64
                 });

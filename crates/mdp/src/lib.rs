@@ -5,12 +5,12 @@
 //! with an off-the-shelf probabilistic model checker (Storm). This crate is
 //! the reproduction's replacement for that model checker. It provides:
 //!
-//! * [`Mdp`] / [`MdpBuilder`] — the finite MDP `(S, A, P, s₀)` of Section 2.3,
-//!   with validated probabilistic transition functions. Internally the model
-//!   is one flat compressed-sparse-row transition arena ([`CsrMdp`], built
-//!   incrementally via [`CsrMdpBuilder`]); rewards and induced Markov chains
-//!   share its index arrays, which is what makes the solver sweeps
-//!   cache-friendly slice walks instead of nested-`Vec` pointer chases.
+//! * [`Mdp`] — the finite MDP `(S, A, P, s₀)` of Section 2.3, stored as one
+//!   flat compressed-sparse-row transition arena and built state by state
+//!   with [`CsrMdpBuilder`], which validates every distribution. Rewards and
+//!   induced Markov chains share its index arrays ([`CsrLayout`]), which is
+//!   what makes the solver sweeps cache-friendly slice walks instead of
+//!   nested-`Vec` pointer chases.
 //! * [`TransitionRewards`] — reward functions `r : S × A × S → ℝ`, and the
 //!   linear combinations needed for the paper's `r_β = r_A − β(r_A + r_H)`.
 //! * [`PositionalStrategy`] — memoryless deterministic strategies, which are
@@ -30,17 +30,19 @@
 //! # Example
 //!
 //! ```
-//! use sm_mdp::{MdpBuilder, RelativeValueIteration, TransitionRewards};
+//! use sm_mdp::{CsrMdpBuilder, RelativeValueIteration, TransitionRewards};
 //!
 //! # fn main() -> Result<(), sm_mdp::MdpError> {
 //! // A two-state MDP: in state 0 the action `stay` earns 1 and loops,
 //! // the action `leave` earns 0 and moves to state 1, from which the only
 //! // action returns to 0 earning 0.5. Optimal mean payoff is 1 (keep staying).
-//! let mut builder = MdpBuilder::new(2);
-//! builder.add_action(0, "stay", vec![(0, 1.0)])?;
-//! builder.add_action(0, "leave", vec![(1, 1.0)])?;
-//! builder.add_action(1, "back", vec![(0, 1.0)])?;
-//! let mdp = builder.build(0)?;
+//! let mut builder = CsrMdpBuilder::new();
+//! builder.begin_state(); // state 0
+//! builder.add_action("stay", &[(0, 1.0)])?;
+//! builder.add_action("leave", &[(1, 1.0)])?;
+//! builder.begin_state(); // state 1
+//! builder.add_action("back", &[(0, 1.0)])?;
+//! let mdp = builder.finish(0)?;
 //! let rewards = TransitionRewards::from_fn(&mdp, |state, action, _target| {
 //!     match (state, mdp.action_name(state, action)) {
 //!         (0, "stay") => 1.0,
@@ -67,10 +69,10 @@ mod rewards;
 mod strategy;
 mod value_iteration;
 
-pub use csr::{CsrLayout, CsrMdp, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
+pub use csr::{CsrLayout, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
 pub use error::MdpError;
 pub use lp::LinearProgrammingSolver;
-pub use model::{ActionRef, Mdp, MdpBuilder};
+pub use model::Mdp;
 pub use policy_iteration::{PolicyEvaluation, PolicyIteration};
 pub use rewards::TransitionRewards;
 pub use strategy::PositionalStrategy;

@@ -58,8 +58,9 @@ impl LinearProgrammingSolver {
             for action in 0..mdp.num_actions(state) {
                 // g + h(s) − Σ P h(s') ≥ r̄(s,a)
                 let mut coeffs: Vec<(usize, f64)> = vec![(g, 1.0), (h[state], 1.0)];
-                for (t, p) in mdp.transitions(state, action) {
-                    coeffs.push((h[t], -p));
+                let (targets, probs) = mdp.successors(state, action);
+                for (&t, &p) in targets.iter().zip(probs) {
+                    coeffs.push((h[t as usize], -p));
                 }
                 let rhs = rewards.expected_reward(mdp, state, action);
                 lp.add_constraint(&coeffs, Comparison::GreaterEq, rhs)?;
@@ -101,14 +102,16 @@ impl LinearProgrammingSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MdpBuilder, PolicyIteration, RelativeValueIteration};
+    use crate::{CsrMdpBuilder, PolicyIteration, RelativeValueIteration};
 
     fn better_loop_mdp() -> (Mdp, TransitionRewards) {
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "stay", vec![(0, 1.0)]).unwrap();
-        b.add_action(0, "go", vec![(1, 1.0)]).unwrap();
-        b.add_action(1, "loop", vec![(1, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("stay", &[(0, 1.0)]).unwrap();
+        b.add_action("go", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("loop", &[(1, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 1 { 4.0 } else { 1.0 });
         (mdp, r)
     }
@@ -123,14 +126,16 @@ mod tests {
 
     #[test]
     fn lp_agrees_with_other_solvers_on_stochastic_model() {
-        let mut b = MdpBuilder::new(3);
-        b.add_action(0, "a0", vec![(0, 0.2), (1, 0.8)]).unwrap();
-        b.add_action(0, "a1", vec![(2, 1.0)]).unwrap();
-        b.add_action(1, "b0", vec![(0, 0.5), (2, 0.5)]).unwrap();
-        b.add_action(1, "b1", vec![(1, 0.9), (0, 0.1)]).unwrap();
-        b.add_action(2, "c0", vec![(0, 0.3), (1, 0.3), (2, 0.4)])
-            .unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a0", &[(0, 0.2), (1, 0.8)]).unwrap();
+        b.add_action("a1", &[(2, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("b0", &[(0, 0.5), (2, 0.5)]).unwrap();
+        b.add_action("b1", &[(1, 0.9), (0, 0.1)]).unwrap();
+        b.begin_state();
+        b.add_action("c0", &[(0, 0.3), (1, 0.3), (2, 0.4)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, t| {
             0.4 * s as f64 - 0.3 * a as f64 + 0.2 * t as f64
         });
@@ -148,9 +153,10 @@ mod tests {
 
     #[test]
     fn lp_handles_negative_rewards() {
-        let mut b = MdpBuilder::new(1);
-        b.add_action(0, "loop", vec![(0, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("loop", &[(0, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r = TransitionRewards::from_fn(&mdp, |_, _, _| -0.75);
         let (gain, _) = LinearProgrammingSolver::default().solve(&mdp, &r).unwrap();
         assert!((gain + 0.75).abs() < 1e-9);
@@ -159,9 +165,10 @@ mod tests {
     #[test]
     fn lp_rejects_mismatched_rewards() {
         let (mdp, _) = better_loop_mdp();
-        let mut other = MdpBuilder::new(1);
-        other.add_action(0, "x", vec![(0, 1.0)]).unwrap();
-        let other = other.build(0).unwrap();
+        let mut other = CsrMdpBuilder::new();
+        other.begin_state();
+        other.add_action("x", &[(0, 1.0)]).unwrap();
+        let other = other.finish(0).unwrap();
         let wrong = TransitionRewards::zeros(&other);
         assert!(LinearProgrammingSolver::default()
             .solve(&mdp, &wrong)

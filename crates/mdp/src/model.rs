@@ -1,66 +1,134 @@
-//! The MDP model `(S, A, P, s₀)` and its builders.
+//! The MDP model `(S, A, P, s₀)`: one flat compressed-sparse-row arena.
 //!
-//! Since the CSR-arena refactor, [`Mdp`] is a thin façade over
-//! [`crate::CsrMdp`]: all transition data lives in one flat compressed-
-//! sparse-row arena (see [`crate::csr`]) and every accessor below delegates
-//! to it. Code that wants raw slice access for hot loops goes through
-//! [`Mdp::csr`].
+//! All transition data lives in the arena described in [`crate::csr`]; the
+//! accessors below read its slices directly, so solvers, rewards and induced
+//! Markov chains all walk the same layout.
 
-use crate::{CsrMdp, CsrMdpBuilder, MdpError, PositionalStrategy};
+use crate::{CsrLayout, MdpError, PositionalStrategy, PROBABILITY_TOLERANCE};
 use sm_markov::MarkovChain;
+use std::sync::Arc;
 
-/// A reference to an action available in a particular state: the pair of a
-/// state index and the index of the action within that state's action list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ActionRef {
-    /// The state in which the action is available.
-    pub state: usize,
-    /// Index of the action within the state's list of available actions.
-    pub action: usize,
-}
-
-/// A finite-state Markov decision process.
+/// A finite-state Markov decision process `(S, A, P, s₀)`, stored as one flat
+/// CSR transition arena: index arrays in a shared [`CsrLayout`],
+/// probabilities in a single `Vec<f64>` aligned with `col`, and action names
+/// interned into a deduplicated table.
 ///
 /// States are `0..num_states()`. Every state has one or more named actions;
-/// each action carries a validated probability distribution over successors.
-/// Rewards are *not* stored in the model — they are supplied separately as
-/// [`crate::TransitionRewards`], which is what lets the selfish-mining
-/// analysis reuse one model for the whole `r_β` family. Internally all
-/// transitions live in a single flat CSR arena ([`CsrMdp`]); reward buffers
-/// share the arena's index arrays, so solvers, rewards and induced Markov
-/// chains all read the same layout.
+/// each action carries a probability distribution over successors. Rewards
+/// are *not* stored in the model — they are supplied separately as
+/// [`crate::TransitionRewards`], whose buffers share the arena's index
+/// arrays, which is what lets the selfish-mining analysis reuse one model for
+/// the whole `r_β` family. Build one with the streaming
+/// [`crate::CsrMdpBuilder`] or, from already-assembled arrays, with
+/// [`Mdp::from_raw_parts`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mdp {
-    csr: CsrMdp,
+    layout: Arc<CsrLayout>,
+    /// Transition probability per arena slot, aligned with `layout.col()`.
+    prob: Vec<f64>,
+    /// Interned action-name table.
+    names: Vec<String>,
+    /// Per-pair index into `names`.
+    name_of_pair: Vec<u32>,
+    initial_state: usize,
 }
 
 impl Mdp {
-    /// Wraps a finished CSR arena. Used by the builders.
-    pub(crate) fn from_csr(csr: CsrMdp) -> Self {
-        Mdp { csr }
+    /// Assembles an arena from an already-validated layout plus the aligned
+    /// probability buffer and interned action-name table.
+    ///
+    /// Every arena is assembled here: [`crate::CsrMdpBuilder::finish`] hands
+    /// over its buffers, and parametric model families take the zero-rebuild
+    /// path — the layout (and the `Arc` it lives behind) is shared across
+    /// every instantiation, only the probability buffer is fresh. Shapes are
+    /// checked here; *distribution* validity (rows summing to 1) is the
+    /// caller's responsibility — run [`Mdp::validate`] when in doubt.
+    /// Zero-probability transitions are allowed: a parametric arena keeps
+    /// masked branches (e.g. `γ = 0` race outcomes) structurally and masks
+    /// them numerically.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MdpError::RewardShapeMismatch`] if `prob` or `name_of_pair`
+    /// are not aligned with the layout or reference missing names, and
+    /// [`MdpError::InvalidState`] for an out-of-range initial state.
+    pub fn from_raw_parts(
+        layout: Arc<CsrLayout>,
+        prob: Vec<f64>,
+        names: Vec<String>,
+        name_of_pair: Vec<u32>,
+        initial_state: usize,
+    ) -> Result<Mdp, MdpError> {
+        if prob.len() != layout.num_transitions() {
+            return Err(MdpError::RewardShapeMismatch {
+                detail: format!(
+                    "probability buffer has {} entries, arena has {} transitions",
+                    prob.len(),
+                    layout.num_transitions()
+                ),
+            });
+        }
+        if name_of_pair.len() != layout.num_pairs() {
+            return Err(MdpError::RewardShapeMismatch {
+                detail: format!(
+                    "name table covers {} pairs, arena has {}",
+                    name_of_pair.len(),
+                    layout.num_pairs()
+                ),
+            });
+        }
+        if let Some(&id) = name_of_pair.iter().find(|&&id| id as usize >= names.len()) {
+            return Err(MdpError::RewardShapeMismatch {
+                detail: format!(
+                    "pair references action name {id}, table has {} entries",
+                    names.len()
+                ),
+            });
+        }
+        if initial_state >= layout.num_states() {
+            return Err(MdpError::InvalidState {
+                state: initial_state,
+                num_states: layout.num_states(),
+            });
+        }
+        Ok(Mdp {
+            layout,
+            prob,
+            names,
+            name_of_pair,
+            initial_state,
+        })
     }
 
-    /// The underlying CSR transition arena.
-    pub fn csr(&self) -> &CsrMdp {
-        &self.csr
-    }
-
-    /// Mutable access to the underlying arena, for in-place reweighting of
-    /// the probability buffer ([`CsrMdp::reweight_in_place`]). The index
-    /// arrays are behind a shared [`std::sync::Arc`] and cannot be mutated
-    /// through this handle.
-    pub fn csr_mut(&mut self) -> &mut CsrMdp {
-        &mut self.csr
+    /// Rewrites every transition probability in place: `weight(k)` is the new
+    /// probability of arena transition `k` (the one targeting
+    /// `layout.col()[k]`).
+    ///
+    /// The layout, action names and reward alignments are untouched, which is
+    /// what lets a parametric model family re-instantiate an arena for new
+    /// parameter values in one linear pass with no rebuild. The caller is
+    /// responsible for keeping every per-pair distribution valid (summing to
+    /// 1); [`Mdp::validate`] checks that invariant.
+    pub fn reweight_in_place(&mut self, mut weight: impl FnMut(usize) -> f64) {
+        for (k, p) in self.prob.iter_mut().enumerate() {
+            *p = weight(k);
+        }
+        #[cfg(feature = "deep-checks")]
+        debug_assert!(
+            self.validate().is_ok(),
+            "deep-checks: reweighted arena fails validation: {:?}",
+            self.validate()
+        );
     }
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.csr.num_states()
+        self.layout.num_states()
     }
 
     /// The initial state `s₀`.
     pub fn initial_state(&self) -> usize {
-        self.csr.initial_state()
+        self.initial_state
     }
 
     /// Number of actions available in `state`.
@@ -69,17 +137,38 @@ impl Mdp {
     ///
     /// Panics if `state` is out of bounds.
     pub fn num_actions(&self, state: usize) -> usize {
-        self.csr.num_actions(state)
+        self.layout.num_actions(state)
     }
 
     /// Total number of state-action pairs.
-    pub fn num_state_action_pairs(&self) -> usize {
-        self.csr.num_pairs()
+    pub fn num_pairs(&self) -> usize {
+        self.layout.num_pairs()
     }
 
-    /// Total number of transitions (successor entries over all state-action pairs).
+    /// Total number of transitions.
     pub fn num_transitions(&self) -> usize {
-        self.csr.num_transitions()
+        self.layout.num_transitions()
+    }
+
+    /// The shared index arrays of the arena.
+    pub fn layout(&self) -> &CsrLayout {
+        &self.layout
+    }
+
+    /// A clone of the [`Arc`] holding the index arrays, for structures that
+    /// must stay aligned with this arena (reward buffers).
+    pub fn layout_arc(&self) -> Arc<CsrLayout> {
+        Arc::clone(&self.layout)
+    }
+
+    /// The flat probability buffer, aligned with [`CsrLayout::col`].
+    pub fn probabilities(&self) -> &[f64] {
+        &self.prob
+    }
+
+    /// The interned action-name table.
+    pub fn action_names(&self) -> &[String] {
+        &self.names
     }
 
     /// Name of the `action`-th action of `state`.
@@ -88,53 +177,81 @@ impl Mdp {
     ///
     /// Panics if the indices are out of bounds.
     pub fn action_name(&self, state: usize, action: usize) -> &str {
-        self.csr.action_name(state, action)
-    }
-
-    /// The transition distribution of the `action`-th action of `state`, as an
-    /// iterator of `(successor, probability)` pairs (sorted by successor).
-    ///
-    /// Hot loops should prefer [`Mdp::successors`], which exposes the
-    /// underlying arena slices directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn transitions(
-        &self,
-        state: usize,
-        action: usize,
-    ) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let (cols, probs) = self.csr.successors(state, action);
-        cols.iter().map(|&c| c as usize).zip(probs.iter().copied())
+        &self.names[self.name_of_pair[self.layout.pair_index(state, action)] as usize]
     }
 
     /// Successors of the `action`-th action of `state` as parallel slices of
-    /// (compact `u32`) targets and probabilities, straight out of the CSR
-    /// arena.
+    /// (compact `u32`) targets and probabilities.
     ///
     /// # Panics
     ///
     /// Panics if the indices are out of bounds.
     pub fn successors(&self, state: usize, action: usize) -> (&[u32], &[f64]) {
-        self.csr.successors(state, action)
-    }
-
-    /// Iterates over all state-action pairs of the model.
-    pub fn action_refs(&self) -> impl Iterator<Item = ActionRef> + '_ {
-        (0..self.num_states()).flat_map(move |state| {
-            (0..self.num_actions(state)).map(move |action| ActionRef { state, action })
-        })
+        let range = self
+            .layout
+            .transition_range(self.layout.pair_index(state, action));
+        (&self.layout.col()[range.clone()], &self.prob[range])
     }
 
     /// Finds the index of an action by name in the given state.
     pub fn find_action(&self, state: usize, name: &str) -> Option<usize> {
-        self.csr.find_action(state, name)
+        if state >= self.num_states() {
+            return None;
+        }
+        let pairs = self.layout.pair_range(state);
+        self.name_of_pair[pairs]
+            .iter()
+            .position(|&id| self.names[id as usize] == name)
     }
 
-    /// The Markov chain induced by a positional strategy, extracted directly
-    /// from the CSR arena (row slices are copied, never re-sorted or
-    /// re-validated entry by entry).
+    /// Checks basic sanity of the arena: a non-empty model, at least one
+    /// action per state, targets in bounds, and validated distributions.
+    ///
+    /// # Errors
+    ///
+    /// Returns the corresponding [`MdpError`] on the first violation found.
+    pub fn validate(&self) -> Result<(), MdpError> {
+        let n = self.num_states();
+        if n == 0 {
+            return Err(MdpError::EmptyModel);
+        }
+        for state in 0..n {
+            if self.num_actions(state) == 0 {
+                return Err(MdpError::NoActions { state });
+            }
+            for pair in self.layout.pair_range(state) {
+                let range = self.layout.transition_range(pair);
+                let cols = &self.layout.col()[range.clone()];
+                let probs = &self.prob[range];
+                let sum: f64 = probs.iter().sum();
+                if (sum - 1.0).abs() > PROBABILITY_TOLERANCE || probs.iter().any(|&p| p < 0.0) {
+                    return Err(MdpError::InvalidDistribution {
+                        state,
+                        action: self.names[self.name_of_pair[pair] as usize].clone(),
+                        sum,
+                    });
+                }
+                if let Some(&target) = cols.iter().find(|&&t| t as usize >= n) {
+                    return Err(MdpError::InvalidState {
+                        state: target as usize,
+                        num_states: n,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The Markov chain induced by a positional strategy, extracted by copying
+    /// the chosen row slices straight out of the arena (no per-row allocation,
+    /// no re-sorting: arena rows are already sorted by successor). The chain
+    /// constructor re-validates the assembled CSR arrays in one pass.
+    ///
+    /// Zero-probability transitions are dropped during the copy: arenas
+    /// streamed through [`crate::CsrMdpBuilder`] never contain them, but
+    /// parametric instantiations keep masked branches (e.g. `γ = 0` race
+    /// outcomes) structurally, and those must not register as edges of the
+    /// induced chain (they would corrupt its recurrence classification).
     ///
     /// # Errors
     ///
@@ -142,178 +259,97 @@ impl Mdp {
     /// that does not exist, or a shape error if the strategy does not cover
     /// every state.
     pub fn induced_chain(&self, strategy: &PositionalStrategy) -> Result<MarkovChain, MdpError> {
-        self.csr.induced_chain(strategy)
-    }
-
-    /// Checks basic sanity of the model: every state has at least one action
-    /// and every distribution sums to 1. Both builders already enforce these
-    /// invariants, so this never fails for models they produce; it remains as
-    /// a cheap debugging aid and a guard for any future construction path
-    /// (e.g. deserialization) that bypasses the builders.
-    pub fn validate(&self) -> Result<(), MdpError> {
-        self.csr.validate()
-    }
-
-    /// States reachable from the initial state under *some* strategy
-    /// (i.e. following any action), in breadth-first order.
-    pub fn reachable_states(&self) -> Vec<usize> {
-        self.csr.reachable_states()
-    }
-}
-
-impl From<CsrMdp> for Mdp {
-    /// Wraps an externally assembled arena (see [`CsrMdp::from_raw_parts`]).
-    fn from(csr: CsrMdp) -> Self {
-        Mdp { csr }
-    }
-}
-
-/// Incremental random-access builder for [`Mdp`].
-///
-/// Unlike [`CsrMdpBuilder`], which requires states to be appended in index
-/// order, this builder accepts actions for any existing state in any order
-/// (staging them per state) and flattens everything into the CSR arena in
-/// [`MdpBuilder::build`]. Use it for hand-written models and tests; use the
-/// streaming [`CsrMdpBuilder`] when the construction order already matches
-/// the state indexing (e.g. breadth-first exploration).
-///
-/// # Example
-///
-/// ```
-/// use sm_mdp::MdpBuilder;
-///
-/// # fn main() -> Result<(), sm_mdp::MdpError> {
-/// let mut builder = MdpBuilder::new(2);
-/// builder.add_action(0, "a", vec![(0, 0.5), (1, 0.5)])?;
-/// builder.add_action(1, "b", vec![(0, 1.0)])?;
-/// let mdp = builder.build(0)?;
-/// assert_eq!(mdp.num_states(), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MdpBuilder {
-    /// Per-state staged actions.
-    states: Vec<Vec<StagedAction>>,
-}
-
-/// One staged action: its name and raw `(target, probability)` transitions.
-type StagedAction = (String, Vec<(usize, f64)>);
-
-impl MdpBuilder {
-    /// Creates a builder for an MDP with `num_states` states and no actions.
-    pub fn new(num_states: usize) -> Self {
-        MdpBuilder {
-            states: vec![Vec::new(); num_states],
+        let n = self.num_states();
+        if strategy.num_states() != n {
+            return Err(MdpError::RewardShapeMismatch {
+                detail: format!(
+                    "strategy covers {} states, MDP has {}",
+                    strategy.num_states(),
+                    n
+                ),
+            });
         }
-    }
-
-    /// Number of states of the model under construction.
-    pub fn num_states(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Appends a fresh state and returns its index.
-    pub fn add_state(&mut self) -> usize {
-        self.states.push(Vec::new());
-        self.states.len() - 1
-    }
-
-    /// Adds an action to `state` with the given successor distribution, given
-    /// as `(target, probability)` pairs (duplicate targets are allowed and
-    /// summed). Returns the index of the new action within the state.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the state or a target is out of range, or if the
-    /// probabilities are invalid / do not sum to 1.
-    pub fn add_action(
-        &mut self,
-        state: usize,
-        name: impl Into<String>,
-        transitions: Vec<(usize, f64)>,
-    ) -> Result<usize, MdpError> {
-        let name = name.into();
-        let num_states = self.states.len();
-        if state >= num_states {
-            return Err(MdpError::InvalidState { state, num_states });
-        }
-        let mut sum = 0.0;
-        for &(target, p) in &transitions {
-            if target >= num_states {
-                return Err(MdpError::InvalidState {
-                    state: target,
-                    num_states,
-                });
-            }
-            if !p.is_finite() || p < 0.0 {
-                return Err(MdpError::InvalidDistribution {
+        let mut nnz = 0;
+        for state in 0..n {
+            let action = strategy.action(state);
+            if action >= self.num_actions(state) {
+                return Err(MdpError::InvalidAction {
                     state,
-                    action: name,
-                    sum: p,
+                    action,
+                    available: self.num_actions(state),
                 });
             }
-            sum += p;
+            nnz += self
+                .layout
+                .transition_range(self.layout.pair_index(state, action))
+                .len();
         }
-        if (sum - 1.0).abs() > crate::PROBABILITY_TOLERANCE {
-            return Err(MdpError::InvalidDistribution {
-                state,
-                action: name,
-                sum,
-            });
+        let mut row_ptr: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut col: Vec<u32> = Vec::with_capacity(nnz);
+        let mut prob = Vec::with_capacity(nnz);
+        row_ptr.push(0);
+        for state in 0..n {
+            let range = self
+                .layout
+                .transition_range(self.layout.pair_index(state, strategy.action(state)));
+            for (&target, &p) in self.layout.col()[range.clone()]
+                .iter()
+                .zip(&self.prob[range])
+            {
+                if p > 0.0 {
+                    col.push(target);
+                    prob.push(p);
+                }
+            }
+            // The chain's transition count is bounded by the arena's, which
+            // the compact layout already proved fits in u32.
+            row_ptr.push(col.len() as u32);
         }
-        self.states[state].push((name, transitions));
-        Ok(self.states[state].len() - 1)
+        Ok(MarkovChain::from_csr_parts_u32(row_ptr, col, prob)?)
     }
 
-    /// Finalises the model with the given initial state, flattening the
-    /// staged actions into the CSR arena.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the model is empty, the initial state is out of
-    /// range, or some state has no actions.
-    pub fn build(self, initial_state: usize) -> Result<Mdp, MdpError> {
-        if self.states.is_empty() {
-            return Err(MdpError::EmptyModel);
-        }
-        if initial_state >= self.states.len() {
-            return Err(MdpError::InvalidState {
-                state: initial_state,
-                num_states: self.states.len(),
-            });
-        }
-        if let Some(state) = self.states.iter().position(|a| a.is_empty()) {
-            return Err(MdpError::NoActions { state });
-        }
-        let pairs: usize = self.states.iter().map(|a| a.len()).sum();
-        let transitions: usize = self
-            .states
-            .iter()
-            .flat_map(|actions| actions.iter())
-            .map(|(_, t)| t.len())
-            .sum();
-        let mut arena = CsrMdpBuilder::with_capacity(self.states.len(), pairs, transitions);
-        for actions in &self.states {
-            arena.begin_state();
-            for (name, transitions) in actions {
-                arena.add_action(name, transitions)?;
+    /// States reachable from the initial state under *some* strategy, in
+    /// breadth-first order.
+    pub fn reachable_states(&self) -> Vec<usize> {
+        let n = self.num_states();
+        let mut seen = vec![false; n];
+        let mut order = Vec::new();
+        let mut queue = std::collections::VecDeque::new();
+        seen[self.initial_state] = true;
+        queue.push_back(self.initial_state);
+        while let Some(s) = queue.pop_front() {
+            order.push(s);
+            for pair in self.layout.pair_range(s) {
+                let range = self.layout.transition_range(pair);
+                for (&t, &p) in self.layout.col()[range.clone()]
+                    .iter()
+                    .zip(&self.prob[range])
+                {
+                    let t = t as usize;
+                    if p > 0.0 && !seen[t] {
+                        seen[t] = true;
+                        queue.push_back(t);
+                    }
+                }
             }
         }
-        arena.finish(initial_state)
+        order
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CsrMdpBuilder;
 
     fn two_state_mdp() -> Mdp {
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "stay", vec![(0, 1.0)]).unwrap();
-        b.add_action(0, "go", vec![(1, 1.0)]).unwrap();
-        b.add_action(1, "loop", vec![(0, 0.25), (1, 0.75)]).unwrap();
-        b.build(0).unwrap()
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("stay", &[(0, 1.0)]).unwrap();
+        b.add_action("go", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("loop", &[(0, 0.25), (1, 0.75)]).unwrap();
+        b.finish(0).unwrap()
     }
 
     #[test]
@@ -322,7 +358,7 @@ mod tests {
         assert_eq!(mdp.num_states(), 2);
         assert_eq!(mdp.num_actions(0), 2);
         assert_eq!(mdp.num_actions(1), 1);
-        assert_eq!(mdp.num_state_action_pairs(), 3);
+        assert_eq!(mdp.num_pairs(), 3);
         assert_eq!(mdp.num_transitions(), 4);
         assert_eq!(mdp.action_name(0, 1), "go");
         assert_eq!(mdp.find_action(1, "loop"), Some(0));
@@ -335,64 +371,78 @@ mod tests {
     #[test]
     fn internals_are_one_flat_csr_arena() {
         let mdp = two_state_mdp();
-        let csr = mdp.csr();
-        assert_eq!(csr.layout().row_ptr(), &[0, 2, 3]);
-        assert_eq!(csr.layout().action_ptr(), &[0, 1, 2, 4]);
-        assert_eq!(csr.layout().col(), &[0, 1, 0, 1]);
-        assert_eq!(csr.probabilities(), &[1.0, 1.0, 0.25, 0.75]);
-        assert_eq!(csr.layout().num_transitions(), mdp.num_transitions());
+        assert_eq!(mdp.layout().row_ptr(), &[0, 2, 3]);
+        assert_eq!(mdp.layout().action_ptr(), &[0, 1, 2, 4]);
+        assert_eq!(mdp.layout().col(), &[0, 1, 0, 1]);
+        assert_eq!(mdp.probabilities(), &[1.0, 1.0, 0.25, 0.75]);
+        assert_eq!(mdp.layout().num_transitions(), mdp.num_transitions());
     }
 
     #[test]
     fn builder_rejects_bad_distributions() {
-        let mut b = MdpBuilder::new(1);
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        for transitions in [
+            &[(0, 0.5)][..],
+            &[(0, f64::NAN)][..],
+            &[(0, f64::INFINITY)][..],
+            &[(0, 1.5), (0, -0.5)][..],
+        ] {
+            assert!(matches!(
+                b.add_action("bad", transitions),
+                Err(MdpError::InvalidDistribution { .. })
+            ));
+        }
+        // A rejected action leaves the builder untouched.
+        assert_eq!(b.num_pairs(), 0);
+        b.add_action("oob", &[(5, 1.0)]).unwrap();
         assert!(matches!(
-            b.add_action(0, "bad", vec![(0, 0.5)]),
-            Err(MdpError::InvalidDistribution { .. })
-        ));
-        assert!(matches!(
-            b.add_action(0, "nan", vec![(0, f64::NAN)]),
-            Err(MdpError::InvalidDistribution { .. })
-        ));
-        assert!(matches!(
-            b.add_action(0, "oob", vec![(5, 1.0)]),
-            Err(MdpError::InvalidState { .. })
-        ));
-        assert!(matches!(
-            b.add_action(3, "nostate", vec![(0, 1.0)]),
-            Err(MdpError::InvalidState { .. })
+            b.finish(0),
+            Err(MdpError::InvalidState { state: 5, .. })
         ));
     }
 
     #[test]
     fn builder_rejects_deadlocks_and_bad_initial_state() {
-        let b = MdpBuilder::new(1);
-        assert!(matches!(b.build(0), Err(MdpError::NoActions { state: 0 })));
+        // A deadlock in a middle state is named by its index.
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.begin_state();
+        b.add_action("c", &[(0, 1.0)]).unwrap();
+        assert!(matches!(b.finish(0), Err(MdpError::NoActions { state: 1 })));
 
-        let mut b = MdpBuilder::new(1);
-        b.add_action(0, "a", vec![(0, 1.0)]).unwrap();
-        assert!(matches!(b.build(3), Err(MdpError::InvalidState { .. })));
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(0, 1.0)]).unwrap();
+        assert!(matches!(b.finish(3), Err(MdpError::InvalidState { .. })));
 
-        let b = MdpBuilder::new(0);
-        assert!(matches!(b.build(0), Err(MdpError::EmptyModel)));
+        assert!(matches!(
+            CsrMdpBuilder::new().finish(0),
+            Err(MdpError::EmptyModel)
+        ));
     }
 
     #[test]
     fn duplicate_targets_are_merged() {
-        let mut b = MdpBuilder::new(1);
-        b.add_action(0, "a", vec![(0, 0.25), (0, 0.75)]).unwrap();
-        let mdp = b.build(0).unwrap();
-        assert_eq!(mdp.transitions(0, 0).collect::<Vec<_>>(), vec![(0, 1.0)]);
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(0, 0.25), (0, 0.75)]).unwrap();
+        let mdp = b.finish(0).unwrap();
+        assert_eq!(mdp.successors(0, 0), (&[0u32][..], &[1.0f64][..]));
     }
 
     #[test]
     fn transitions_and_successors_agree() {
+        // `successors` is a window onto the flat arena buffers.
         let mdp = two_state_mdp();
         let (cols, probs) = mdp.successors(1, 0);
-        let pairs: Vec<(usize, f64)> = mdp.transitions(1, 0).collect();
         assert_eq!(cols, &[0, 1]);
         assert_eq!(probs, &[0.25, 0.75]);
-        assert_eq!(pairs, vec![(0, 0.25), (1, 0.75)]);
+        let range = mdp.layout().transition_range(mdp.layout().pair_index(1, 0));
+        assert_eq!(cols, &mdp.layout().col()[range.clone()]);
+        assert_eq!(probs, &mdp.probabilities()[range]);
     }
 
     #[test]
@@ -422,55 +472,45 @@ mod tests {
 
     #[test]
     fn reachable_states_from_initial() {
-        let mut b = MdpBuilder::new(3);
-        b.add_action(0, "a", vec![(1, 1.0)]).unwrap();
-        b.add_action(1, "b", vec![(1, 1.0)]).unwrap();
-        b.add_action(2, "c", vec![(2, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("b", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("c", &[(2, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         assert_eq!(mdp.reachable_states(), vec![0, 1]);
     }
 
     #[test]
     fn add_state_extends_the_model() {
-        let mut b = MdpBuilder::new(1);
-        let s1 = b.add_state();
-        assert_eq!(s1, 1);
-        b.add_action(0, "a", vec![(1, 1.0)]).unwrap();
-        b.add_action(1, "b", vec![(0, 1.0)]).unwrap();
-        assert_eq!(b.build(0).unwrap().num_states(), 2);
-    }
-
-    #[test]
-    fn action_refs_enumerates_all_pairs() {
-        let mdp = two_state_mdp();
-        let refs: Vec<ActionRef> = mdp.action_refs().collect();
-        assert_eq!(refs.len(), 3);
-        assert_eq!(
-            refs[0],
-            ActionRef {
-                state: 0,
-                action: 0
-            }
-        );
-        assert_eq!(
-            refs[2],
-            ActionRef {
-                state: 1,
-                action: 0
-            }
-        );
+        // States are opened in index order; an action may point at a state
+        // that is only opened later.
+        let mut b = CsrMdpBuilder::new();
+        assert_eq!(b.begin_state(), 0);
+        b.add_action("a", &[(1, 1.0)]).unwrap();
+        assert_eq!(b.begin_state(), 1);
+        b.add_action("b", &[(0, 1.0)]).unwrap();
+        assert_eq!(b.num_states(), 2);
+        assert_eq!(b.finish(0).unwrap().num_states(), 2);
     }
 
     #[test]
     fn nested_and_streaming_builders_produce_identical_models() {
-        let nested = two_state_mdp();
-        let mut b = CsrMdpBuilder::new();
-        b.begin_state();
-        b.add_action("stay", &[(0, 1.0)]).unwrap();
-        b.add_action("go", &[(1, 1.0)]).unwrap();
-        b.begin_state();
-        b.add_action("loop", &[(0, 0.25), (1, 0.75)]).unwrap();
-        let streamed = b.finish(0).unwrap();
-        assert_eq!(nested, streamed);
+        // The raw-parts path (used by the parametric selfish-mining arena)
+        // and the streaming builder assemble the same arena from the same
+        // per-state action lists.
+        let layout =
+            CsrLayout::from_raw_parts(vec![0, 2, 3], vec![0, 1, 2, 4], vec![0, 1, 0, 1]).unwrap();
+        let assembled = Mdp::from_raw_parts(
+            Arc::new(layout),
+            vec![1.0, 1.0, 0.25, 0.75],
+            vec!["stay".to_string(), "go".to_string(), "loop".to_string()],
+            vec![0, 1, 2],
+            0,
+        )
+        .unwrap();
+        assert_eq!(assembled, two_state_mdp());
     }
 }

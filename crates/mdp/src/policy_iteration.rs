@@ -121,14 +121,16 @@ impl PolicyEvaluation {
 /// # Example
 ///
 /// ```
-/// use sm_mdp::{MdpBuilder, PolicyIteration, TransitionRewards};
+/// use sm_mdp::{CsrMdpBuilder, PolicyIteration, TransitionRewards};
 ///
 /// # fn main() -> Result<(), sm_mdp::MdpError> {
-/// let mut b = MdpBuilder::new(2);
-/// b.add_action(0, "stay", vec![(0, 1.0)])?;
-/// b.add_action(0, "go", vec![(1, 1.0)])?;
-/// b.add_action(1, "loop", vec![(1, 1.0)])?;
-/// let mdp = b.build(0)?;
+/// let mut b = CsrMdpBuilder::new();
+/// b.begin_state();
+/// b.add_action("stay", &[(0, 1.0)])?;
+/// b.add_action("go", &[(1, 1.0)])?;
+/// b.begin_state();
+/// b.add_action("loop", &[(1, 1.0)])?;
+/// let mdp = b.finish(0)?;
 /// let r = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 1 { 2.0 } else { 1.0 });
 /// let (gain, strategy) = PolicyIteration::default().solve(&mdp, &r)?;
 /// assert!((gain - 2.0).abs() < 1e-9);
@@ -271,18 +273,20 @@ impl PolicyIteration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LinearProgrammingSolver, MdpBuilder, RelativeValueIteration};
+    use crate::{CsrMdpBuilder, LinearProgrammingSolver, RelativeValueIteration};
 
     fn random_like_mdp() -> (Mdp, TransitionRewards) {
         // A small hand-built MDP with non-trivial stochastic structure.
-        let mut b = MdpBuilder::new(3);
-        b.add_action(0, "a0", vec![(0, 0.2), (1, 0.8)]).unwrap();
-        b.add_action(0, "a1", vec![(2, 1.0)]).unwrap();
-        b.add_action(1, "b0", vec![(0, 0.5), (2, 0.5)]).unwrap();
-        b.add_action(1, "b1", vec![(1, 0.9), (0, 0.1)]).unwrap();
-        b.add_action(2, "c0", vec![(0, 0.3), (1, 0.3), (2, 0.4)])
-            .unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a0", &[(0, 0.2), (1, 0.8)]).unwrap();
+        b.add_action("a1", &[(2, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("b0", &[(0, 0.5), (2, 0.5)]).unwrap();
+        b.add_action("b1", &[(1, 0.9), (0, 0.1)]).unwrap();
+        b.begin_state();
+        b.add_action("c0", &[(0, 0.3), (1, 0.3), (2, 0.4)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, t| {
             (s as f64) * 0.5 + (a as f64) * 0.25 + (t as f64) * 0.1
         });
@@ -290,13 +294,16 @@ mod tests {
     }
 
     fn mixed_reward_mdp() -> (Mdp, TransitionRewards) {
-        let mut b = MdpBuilder::new(3);
-        b.add_action(0, "a0", vec![(1, 0.6), (2, 0.4)]).unwrap();
-        b.add_action(0, "a1", vec![(0, 0.5), (2, 0.5)]).unwrap();
-        b.add_action(1, "b0", vec![(0, 1.0)]).unwrap();
-        b.add_action(1, "b1", vec![(2, 1.0)]).unwrap();
-        b.add_action(2, "c0", vec![(0, 0.5), (1, 0.5)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a0", &[(1, 0.6), (2, 0.4)]).unwrap();
+        b.add_action("a1", &[(0, 0.5), (2, 0.5)]).unwrap();
+        b.begin_state();
+        b.add_action("b0", &[(0, 1.0)]).unwrap();
+        b.add_action("b1", &[(2, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("c0", &[(0, 0.5), (1, 0.5)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, t| {
             0.3 * s as f64 + 0.7 * a as f64 - 0.1 * t as f64
         });
@@ -340,10 +347,12 @@ mod tests {
 
     #[test]
     fn evaluation_matches_stationary_average() {
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "a", vec![(0, 0.7), (1, 0.3)]).unwrap();
-        b.add_action(1, "b", vec![(0, 0.6), (1, 0.4)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(0, 0.7), (1, 0.3)]).unwrap();
+        b.begin_state();
+        b.add_action("b", &[(0, 0.6), (1, 0.4)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 0 { 3.0 } else { 0.0 });
         let sigma = PositionalStrategy::uniform_first_action(2);
         let eval = PolicyEvaluation::evaluate(&mdp, &rewards, &sigma).unwrap();
@@ -360,8 +369,9 @@ mod tests {
         let r_sigma = rewards.strategy_rewards(&mdp, &sigma).unwrap();
         for (s, &r_s) in r_sigma.iter().enumerate() {
             let mut rhs = r_s - eval.gain[s];
-            for (t, p) in mdp.transitions(s, sigma.action(s)) {
-                rhs += p * eval.bias[t];
+            let (targets, probs) = mdp.successors(s, sigma.action(s));
+            for (&t, &p) in targets.iter().zip(probs) {
+                rhs += p * eval.bias[t as usize];
             }
             assert!(
                 (eval.bias[s] - rhs).abs() < 1e-9,
@@ -374,11 +384,13 @@ mod tests {
     fn policy_iteration_finds_better_loop_despite_multichain_start() {
         // The initial all-zeros strategy induces two disjoint recurrent
         // classes ({0} and {1}); multichain evaluation must handle this.
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "stay", vec![(0, 1.0)]).unwrap();
-        b.add_action(0, "go", vec![(1, 1.0)]).unwrap();
-        b.add_action(1, "loop", vec![(1, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("stay", &[(0, 1.0)]).unwrap();
+        b.add_action("go", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("loop", &[(1, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 1 { 5.0 } else { 1.0 });
         let (gain, sigma) = PolicyIteration::default().solve(&mdp, &r).unwrap();
         assert!((gain - 5.0).abs() < 1e-10);
@@ -401,10 +413,10 @@ mod tests {
 
     #[test]
     fn empty_action_range_fails_loudly() {
-        use crate::csr::{CsrLayout, CsrMdp};
+        use crate::CsrLayout;
         use std::sync::Arc;
         let layout = CsrLayout::from_raw_parts(vec![0, 1, 1], vec![0, 1], vec![0]).unwrap();
-        let csr = CsrMdp::from_raw_parts(
+        let mdp = Mdp::from_raw_parts(
             Arc::new(layout),
             vec![1.0],
             vec!["loop".to_string()],
@@ -412,7 +424,6 @@ mod tests {
             0,
         )
         .unwrap();
-        let mdp = crate::Mdp::from(csr);
         let rewards = TransitionRewards::zeros(&mdp);
         assert!(matches!(
             PolicyIteration::default().solve(&mdp, &rewards),
@@ -423,9 +434,10 @@ mod tests {
     #[test]
     fn rejects_mismatched_rewards() {
         let (mdp, _) = random_like_mdp();
-        let mut other = MdpBuilder::new(1);
-        other.add_action(0, "x", vec![(0, 1.0)]).unwrap();
-        let other = other.build(0).unwrap();
+        let mut other = CsrMdpBuilder::new();
+        other.begin_state();
+        other.add_action("x", &[(0, 1.0)]).unwrap();
+        let other = other.finish(0).unwrap();
         let wrong = TransitionRewards::zeros(&other);
         assert!(PolicyIteration::default().solve(&mdp, &wrong).is_err());
         let sigma = PositionalStrategy::uniform_first_action(3);

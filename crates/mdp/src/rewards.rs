@@ -7,7 +7,7 @@ use std::sync::Arc;
 /// flat buffer** aligned with the CSR transition arena of a particular
 /// [`Mdp`]: entry `k` of the buffer is the reward of arena transition `k`
 /// (the one with successor `layout.col()[k]` and probability
-/// `mdp.csr().probabilities()[k]`). The index arrays themselves are shared
+/// `mdp.probabilities()[k]`). The index arrays themselves are shared
 /// with the MDP via [`Arc`], so alignment checks are pointer comparisons and
 /// the `r_β` affine combinations are straight slice zips.
 ///
@@ -28,7 +28,7 @@ impl TransitionRewards {
     /// Builds rewards by evaluating `f(state, action, successor)` on every
     /// transition of the MDP.
     pub fn from_fn(mdp: &Mdp, mut f: impl FnMut(usize, usize, usize) -> f64) -> Self {
-        let layout = mdp.csr().layout_arc();
+        let layout = mdp.layout_arc();
         let mut values = Vec::with_capacity(layout.num_transitions());
         for state in 0..layout.num_states() {
             for (action, pair) in layout.pair_range(state).enumerate() {
@@ -42,7 +42,7 @@ impl TransitionRewards {
 
     /// Builds an all-zero reward structure for the given MDP.
     pub fn zeros(mdp: &Mdp) -> Self {
-        let layout = mdp.csr().layout_arc();
+        let layout = mdp.layout_arc();
         let values = vec![0.0; layout.num_transitions()];
         TransitionRewards { layout, values }
     }
@@ -56,7 +56,7 @@ impl TransitionRewards {
     /// Returns [`MdpError::RewardShapeMismatch`] if `values.len()` differs
     /// from the MDP's transition count.
     pub fn from_transition_values(mdp: &Mdp, values: Vec<f64>) -> Result<Self, MdpError> {
-        let layout = mdp.csr().layout_arc();
+        let layout = mdp.layout_arc();
         if values.len() != layout.num_transitions() {
             return Err(MdpError::RewardShapeMismatch {
                 detail: format!(
@@ -79,7 +79,7 @@ impl TransitionRewards {
     /// Returns [`MdpError::RewardShapeMismatch`] if `per_pair.len()` differs
     /// from the MDP's state-action pair count.
     pub fn from_pair_values(mdp: &Mdp, per_pair: &[f64]) -> Result<Self, MdpError> {
-        let layout = mdp.csr().layout_arc();
+        let layout = mdp.layout_arc();
         if per_pair.len() != layout.num_pairs() {
             return Err(MdpError::RewardShapeMismatch {
                 detail: format!(
@@ -141,7 +141,7 @@ impl TransitionRewards {
     /// Panics if the indices are out of bounds or the reward structure does
     /// not match the MDP.
     pub fn expected_reward(&self, mdp: &Mdp, state: usize, action: usize) -> f64 {
-        let (_, probs) = mdp.csr().successors(state, action);
+        let (_, probs) = mdp.successors(state, action);
         let range = self
             .layout
             .transition_range(self.layout.pair_index(state, action));
@@ -162,10 +162,9 @@ impl TransitionRewards {
     /// Panics if the reward structure does not match the MDP (callers check
     /// [`TransitionRewards::matches`] first).
     pub fn expected_per_pair(&self, mdp: &Mdp) -> Vec<f64> {
-        let csr = mdp.csr();
-        let action_ptr = csr.layout().action_ptr();
-        let prob = csr.probabilities();
-        let mut expected = vec![0.0; csr.num_pairs()];
+        let action_ptr = mdp.layout().action_ptr();
+        let prob = mdp.probabilities();
+        let mut expected = vec![0.0; mdp.num_pairs()];
         for (pair, slot) in expected.iter_mut().enumerate() {
             let range = action_ptr[pair] as usize..action_ptr[pair + 1] as usize;
             *slot = prob[range.clone()]
@@ -264,7 +263,7 @@ impl TransitionRewards {
     /// layout by pointer, making this check O(1); otherwise the index arrays
     /// are compared structurally.
     pub fn matches(&self, mdp: &Mdp) -> bool {
-        Arc::ptr_eq(&self.layout, &mdp.csr().layout_arc()) || *self.layout == *mdp.csr().layout()
+        Arc::ptr_eq(&self.layout, &mdp.layout_arc()) || *self.layout == *mdp.layout()
     }
 
     /// Largest absolute reward value, used by solvers to bound value ranges.
@@ -282,14 +281,16 @@ impl TransitionRewards {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MdpBuilder;
+    use crate::CsrMdpBuilder;
 
     fn mdp() -> Mdp {
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "a", vec![(0, 0.5), (1, 0.5)]).unwrap();
-        b.add_action(0, "b", vec![(1, 1.0)]).unwrap();
-        b.add_action(1, "c", vec![(0, 1.0)]).unwrap();
-        b.build(0).unwrap()
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(0, 0.5), (1, 0.5)]).unwrap();
+        b.add_action("b", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("c", &[(0, 1.0)]).unwrap();
+        b.finish(0).unwrap()
     }
 
     #[test]
@@ -352,9 +353,10 @@ mod tests {
     #[test]
     fn shape_mismatch_is_detected() {
         let mdp = mdp();
-        let mut other_builder = MdpBuilder::new(1);
-        other_builder.add_action(0, "x", vec![(0, 1.0)]).unwrap();
-        let other = other_builder.build(0).unwrap();
+        let mut other_builder = CsrMdpBuilder::new();
+        other_builder.begin_state();
+        other_builder.add_action("x", &[(0, 1.0)]).unwrap();
+        let other = other_builder.finish(0).unwrap();
         let ra = TransitionRewards::zeros(&mdp);
         let rb = TransitionRewards::zeros(&other);
         assert!(ra.affine_combination(&rb, 1.0, 1.0).is_err());

@@ -22,12 +22,13 @@ use std::sync::{Mutex, PoisonError, RwLock};
 /// # Example
 ///
 /// ```
-/// use sm_mdp::{MdpBuilder, RelativeValueIteration, TransitionRewards};
+/// use sm_mdp::{CsrMdpBuilder, RelativeValueIteration, TransitionRewards};
 ///
 /// # fn main() -> Result<(), sm_mdp::MdpError> {
-/// let mut b = MdpBuilder::new(1);
-/// b.add_action(0, "loop", vec![(0, 1.0)])?;
-/// let mdp = b.build(0)?;
+/// let mut b = CsrMdpBuilder::new();
+/// b.begin_state();
+/// b.add_action("loop", &[(0, 1.0)])?;
+/// let mdp = b.finish(0)?;
 /// let rewards = TransitionRewards::from_fn(&mdp, |_, _, _| 2.5);
 /// let result = RelativeValueIteration::default().solve(&mdp, &rewards)?;
 /// assert!((result.gain - 2.5).abs() < 1e-9);
@@ -294,7 +295,7 @@ impl RelativeValueIteration {
 
         // A state with an empty action range would silently leave its Bellman
         // value at -inf and poison the whole bias vector; fail loudly instead.
-        let row_ptr = mdp.csr().layout().row_ptr();
+        let row_ptr = mdp.layout().row_ptr();
         if let Some(state) = (0..n).find(|&s| row_ptr[s + 1] == row_ptr[s]) {
             return Err(MdpError::NoActions { state });
         }
@@ -304,7 +305,7 @@ impl RelativeValueIteration {
             Some(bias) => bias.to_vec(),
             None => vec![0.0; n],
         };
-        let transitions = mdp.csr().layout().col().len();
+        let transitions = mdp.num_transitions();
         let threads = mass_capped_threads(self.parallelism.thread_count(), transitions);
         if threads > 1 {
             self.sweep_parallel(mdp, &expected, h, threads)
@@ -333,12 +334,11 @@ impl RelativeValueIteration {
         h: &[f64],
         margin: f64,
     ) -> (PositionalStrategy, bool) {
-        let csr = mdp.csr();
-        let layout = csr.layout();
+        let layout = mdp.layout();
         let row_ptr = layout.row_ptr();
         let action_ptr = layout.action_ptr();
         let col = layout.col();
-        let prob = csr.probabilities();
+        let prob = mdp.probabilities();
         let tau = self.laziness;
         let cutoff_gap = Self::STRATEGY_TIE_TOLERANCE * self.epsilon;
         let n = mdp.num_states();
@@ -389,12 +389,11 @@ impl RelativeValueIteration {
         // (row_ptr, action_ptr, col, prob) plus the precomputed per-pair
         // expected rewards, so the inner loop only touches probabilities and
         // the bias vector.
-        let csr = mdp.csr();
-        let layout = csr.layout();
+        let layout = mdp.layout();
         let row_ptr = layout.row_ptr();
         let action_ptr = layout.action_ptr();
         let col = layout.col();
-        let prob = csr.probabilities();
+        let prob = mdp.probabilities();
 
         let mut next = vec![0.0; n];
         let mut best_action = vec![0usize; n];
@@ -511,12 +510,11 @@ impl RelativeValueIteration {
     ) -> Result<ValueIterationOutcome, MdpError> {
         let n = mdp.num_states();
         let tau = self.laziness;
-        let csr = mdp.csr();
-        let layout = csr.layout();
+        let layout = mdp.layout();
         let row_ptr = layout.row_ptr();
         let action_ptr = layout.action_ptr();
         let col = layout.col();
-        let prob = csr.probabilities();
+        let prob = mdp.probabilities();
         let reference = mdp.initial_state();
 
         // Per-state sweep cost is its transition count: cumulative mass at
@@ -707,7 +705,7 @@ impl RelativeValueIteration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MdpBuilder;
+    use crate::CsrMdpBuilder;
 
     fn solve(mdp: &Mdp, rewards: &TransitionRewards) -> ValueIterationOutcome {
         RelativeValueIteration::with_epsilon(1e-9)
@@ -717,9 +715,10 @@ mod tests {
 
     #[test]
     fn single_state_gain_is_reward() {
-        let mut b = MdpBuilder::new(1);
-        b.add_action(0, "loop", vec![(0, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("loop", &[(0, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r = TransitionRewards::from_fn(&mdp, |_, _, _| -1.25);
         let out = solve(&mdp, &r);
         assert!((out.gain + 1.25).abs() < 1e-8);
@@ -730,11 +729,13 @@ mod tests {
     fn chooses_the_better_loop() {
         // State 0 can stay (reward 1) or go to state 1 (reward 0) where the
         // chain loops with reward 3. Optimal gain is 3.
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "stay", vec![(0, 1.0)]).unwrap();
-        b.add_action(0, "go", vec![(1, 1.0)]).unwrap();
-        b.add_action(1, "loop", vec![(1, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("stay", &[(0, 1.0)]).unwrap();
+        b.add_action("go", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("loop", &[(1, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r = TransitionRewards::from_fn(&mdp, |s, a, _| match (s, a) {
             (0, 0) => 1.0,
             (0, 1) => 0.0,
@@ -753,10 +754,12 @@ mod tests {
     #[test]
     fn periodic_chain_converges_thanks_to_laziness() {
         // A deterministic 2-cycle alternating rewards 0 and 1: gain 0.5.
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "a", vec![(1, 1.0)]).unwrap();
-        b.add_action(1, "b", vec![(0, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("b", &[(0, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r = TransitionRewards::from_fn(&mdp, |s, _, _| s as f64);
         let out = solve(&mdp, &r);
         assert!((out.gain - 0.5).abs() < 1e-7);
@@ -768,10 +771,12 @@ mod tests {
         // from 1 return to 0 w.p. 1 earning 0. Stationary distribution is
         // (0.8, 0.2); expected reward in state 0 is 0.75*2 = 1.5, so the gain
         // is 0.8 * 1.5 = 1.2.
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "a", vec![(0, 0.75), (1, 0.25)]).unwrap();
-        b.add_action(1, "b", vec![(0, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(0, 0.75), (1, 0.25)]).unwrap();
+        b.begin_state();
+        b.add_action("b", &[(0, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r =
             TransitionRewards::from_fn(&mdp, |s, _, t| if s == 0 && t == 0 { 2.0 } else { 0.0 });
         let out = solve(&mdp, &r);
@@ -780,9 +785,10 @@ mod tests {
 
     #[test]
     fn rejects_invalid_parameters_and_shapes() {
-        let mut b = MdpBuilder::new(1);
-        b.add_action(0, "loop", vec![(0, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("loop", &[(0, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r = TransitionRewards::zeros(&mdp);
 
         let bad_eps = RelativeValueIteration {
@@ -809,10 +815,12 @@ mod tests {
             })
         ));
 
-        let mut other = MdpBuilder::new(2);
-        other.add_action(0, "x", vec![(1, 1.0)]).unwrap();
-        other.add_action(1, "y", vec![(0, 1.0)]).unwrap();
-        let other = other.build(0).unwrap();
+        let mut other = CsrMdpBuilder::new();
+        other.begin_state();
+        other.add_action("x", &[(1, 1.0)]).unwrap();
+        other.begin_state();
+        other.add_action("y", &[(0, 1.0)]).unwrap();
+        let other = other.finish(0).unwrap();
         let wrong = TransitionRewards::zeros(&other);
         assert!(matches!(
             RelativeValueIteration::default().solve(&mdp, &wrong),
@@ -822,12 +830,12 @@ mod tests {
 
     #[test]
     fn empty_action_range_fails_loudly() {
-        use crate::csr::{CsrLayout, CsrMdp};
+        use crate::CsrLayout;
         use std::sync::Arc;
         // State 1 has no actions — only constructible through the raw-parts
-        // path (the builders reject it); the solver must not propagate -inf.
+        // path (the builder rejects it); the solver must not propagate -inf.
         let layout = CsrLayout::from_raw_parts(vec![0, 1, 1], vec![0, 1], vec![0]).unwrap();
-        let csr = CsrMdp::from_raw_parts(
+        let mdp = Mdp::from_raw_parts(
             Arc::new(layout),
             vec![1.0],
             vec!["loop".to_string()],
@@ -835,7 +843,6 @@ mod tests {
             0,
         )
         .unwrap();
-        let mdp = crate::Mdp::from(csr);
         let rewards = TransitionRewards::zeros(&mdp);
         assert!(matches!(
             RelativeValueIteration::default().solve(&mdp, &rewards),
@@ -845,10 +852,12 @@ mod tests {
 
     #[test]
     fn warm_start_validates_and_matches_cold_result() {
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "a", vec![(0, 0.75), (1, 0.25)]).unwrap();
-        b.add_action(1, "b", vec![(0, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(0, 0.75), (1, 0.25)]).unwrap();
+        b.begin_state();
+        b.add_action("b", &[(0, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r =
             TransitionRewards::from_fn(&mdp, |s, _, t| if s == 0 && t == 0 { 2.0 } else { 0.0 });
         let solver = RelativeValueIteration::with_epsilon(1e-9);
@@ -872,13 +881,16 @@ mod tests {
     fn interleaved_evaluation_sweeps_match_plain_value_iteration() {
         // Modified policy iteration (evaluation sweeps interleaved) and plain
         // RVI must certify the same gain and strategy.
-        let mut b = MdpBuilder::new(3);
-        b.add_action(0, "a0", vec![(1, 0.6), (2, 0.4)]).unwrap();
-        b.add_action(0, "a1", vec![(0, 0.5), (2, 0.5)]).unwrap();
-        b.add_action(1, "b0", vec![(0, 1.0)]).unwrap();
-        b.add_action(1, "b1", vec![(2, 1.0)]).unwrap();
-        b.add_action(2, "c0", vec![(0, 0.5), (1, 0.5)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a0", &[(1, 0.6), (2, 0.4)]).unwrap();
+        b.add_action("a1", &[(0, 0.5), (2, 0.5)]).unwrap();
+        b.begin_state();
+        b.add_action("b0", &[(0, 1.0)]).unwrap();
+        b.add_action("b1", &[(2, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("c0", &[(0, 0.5), (1, 0.5)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r = TransitionRewards::from_fn(&mdp, |s, a, t| {
             0.3 * s as f64 + 0.7 * a as f64 - 0.1 * t as f64
         });
@@ -903,10 +915,12 @@ mod tests {
 
     #[test]
     fn iteration_budget_is_respected() {
-        let mut b = MdpBuilder::new(2);
-        b.add_action(0, "a", vec![(1, 1.0)]).unwrap();
-        b.add_action(1, "b", vec![(0, 1.0)]).unwrap();
-        let mdp = b.build(0).unwrap();
+        let mut b = CsrMdpBuilder::new();
+        b.begin_state();
+        b.add_action("a", &[(1, 1.0)]).unwrap();
+        b.begin_state();
+        b.add_action("b", &[(0, 1.0)]).unwrap();
+        let mdp = b.finish(0).unwrap();
         let r = TransitionRewards::from_fn(&mdp, |s, _, _| s as f64);
         let solver = RelativeValueIteration {
             epsilon: 1e-14,

@@ -36,7 +36,7 @@
 //! there were fewer jobs than threads to begin with — the left-over
 //! threads are granted to the running jobs, which forward them to the
 //! row-block parallel Bellman and chain sweeps inside every solve
-//! ([`sm_conformance::run_budgeted_jobs`]). The historical pool spawned
+//! ([`sm_scheduler::run_budgeted_jobs`]). The historical pool spawned
 //! `min(workers, jobs)` threads and idled the rest on short queues. Every
 //! solver is bit-identical for any thread count, so the schedule shape is
 //! invisible in the results.

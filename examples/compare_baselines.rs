@@ -10,7 +10,7 @@
 use selfish_mining::baselines::{
     eyal_sirer_relative_revenue, honest_relative_revenue, SingleTreeAttack,
 };
-use selfish_mining::{AnalysisProcedure, AttackParams, SelfishMiningModel};
+use selfish_mining::{AnalysisProcedure, ParametricModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -36,8 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for (depth, forks) in [(1usize, 1usize), (2, 1), (2, 2)] {
-        let params = AttackParams::new(p, gamma, depth, forks, 4)?;
-        let model = SelfishMiningModel::build(&params)?;
+        let model = ParametricModel::build(depth, forks, 4)?.instantiate(p, gamma)?;
         let result = AnalysisProcedure::with_epsilon(1e-3).solve_dinkelbach(&model)?;
         println!(
             "{:<32} {:>10.4}",

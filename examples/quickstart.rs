@@ -7,21 +7,20 @@
 //! ```
 
 use selfish_mining::baselines::{honest_relative_revenue, SingleTreeAttack};
-use selfish_mining::{AnalysisProcedure, AttackParams, SelfishMiningModel};
+use selfish_mining::{AnalysisProcedure, ParametricModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The smallest configuration in which the paper's attack beats both
     // baselines: depth d = 2, forking number f = 1, maximal fork length l = 4.
     let p = 0.3;
     let gamma = 0.5;
-    let params = AttackParams::new(p, gamma, 2, 1, 4)?;
 
     println!("building the selfish-mining MDP for p={p}, gamma={gamma}, d=2, f=1, l=4 ...");
-    let model = SelfishMiningModel::build(&params)?;
+    let model = ParametricModel::build(2, 1, 4)?.instantiate(p, gamma)?;
     println!(
         "  {} reachable states, {} state-action pairs",
         model.num_states(),
-        model.mdp().num_state_action_pairs()
+        model.mdp().num_pairs()
     );
 
     println!("running Algorithm 1 (binary search over beta, epsilon = 1e-3) ...");

@@ -6,7 +6,7 @@
 
 use selfish_mining::baselines::honest_relative_revenue;
 use selfish_mining::{
-    available_actions, AnalysisProcedure, AttackParams, SelfishMiningModel, StrategyExport,
+    available_actions, AnalysisProcedure, AttackParams, ParametricModel, StrategyExport,
 };
 use sm_chain::{HonestStrategy, SimulationConfig, Simulator, UnknownViewPolicy};
 
@@ -40,8 +40,10 @@ fn simulator_reproduces_honest_share() {
 fn simulator_matches_mdp_value_for_optimal_strategy() {
     let p = 0.3;
     let gamma = 0.5;
-    let params = AttackParams::new(p, gamma, 2, 1, 4).unwrap();
-    let model = SelfishMiningModel::build(&params).unwrap();
+    let model = ParametricModel::build(2, 1, 4)
+        .unwrap()
+        .instantiate(p, gamma)
+        .unwrap();
     let result = AnalysisProcedure::with_epsilon(1e-3)
         .solve_dinkelbach(&model)
         .unwrap();
@@ -88,7 +90,10 @@ fn simulator_matches_mdp_value_for_optimal_strategy() {
 #[test]
 fn model_action_lists_match_transition_function() {
     let params = AttackParams::new(0.25, 0.75, 2, 2, 3).unwrap();
-    let model = SelfishMiningModel::build(&params).unwrap();
+    let model = ParametricModel::build(2, 2, 3)
+        .unwrap()
+        .instantiate(params.p, params.gamma)
+        .unwrap();
     for state_index in 0..model.num_states() {
         let expected = available_actions(&params, model.state(state_index));
         assert_eq!(model.actions_of(state_index), expected.as_slice());
@@ -97,7 +102,7 @@ fn model_action_lists_match_transition_function() {
 }
 
 // ---------------------------------------------------------------------------
-// Representation equivalence: legacy nested builder path vs. the CSR arena.
+// Representation equivalence: raw-parts assembly vs. the streaming builder.
 // ---------------------------------------------------------------------------
 
 /// Raw per-state action lists describing a small MDP: `(name, transitions)`.
@@ -131,17 +136,44 @@ fn random_model_description(rng: &mut StdRng) -> ModelDescription {
     states
 }
 
-/// Builds the description through the legacy random-access `MdpBuilder`.
+/// Flattens the nested description by hand into CSR arrays and assembles
+/// them through the raw-parts path (the one the parametric arena uses).
+/// Duplicate successors are merged in the streaming builder's order: sorted
+/// by target with the same `sort_unstable_by_key` call, then summed.
 fn build_nested(description: &ModelDescription) -> sm_mdp::Mdp {
-    let mut builder = sm_mdp::MdpBuilder::new(description.len());
-    for (state, actions) in description.iter().enumerate() {
+    let (mut row_ptr, mut action_ptr) = (vec![0], vec![0]);
+    let (mut col, mut prob) = (Vec::new(), Vec::new());
+    let (mut names, mut name_of_pair) = (Vec::<String>::new(), Vec::new());
+    for actions in description {
         for (name, transitions) in actions {
-            builder
-                .add_action(state, name.clone(), transitions.clone())
-                .unwrap();
+            let mut row: Vec<(u32, f64)> = transitions
+                .iter()
+                .map(|&(t, p)| (u32::try_from(t).unwrap(), p))
+                .collect();
+            row.sort_unstable_by_key(|&(t, _)| t);
+            let start = col.len();
+            for (target, p) in row {
+                if col.len() > start && col.last() == Some(&(target as usize)) {
+                    *prob.last_mut().unwrap() += p;
+                } else {
+                    col.push(target as usize);
+                    prob.push(p);
+                }
+            }
+            action_ptr.push(col.len());
+            let id = match names.iter().position(|n| n == name) {
+                Some(id) => id,
+                None => {
+                    names.push(name.clone());
+                    names.len() - 1
+                }
+            };
+            name_of_pair.push(u32::try_from(id).unwrap());
         }
+        row_ptr.push(action_ptr.len() - 1);
     }
-    builder.build(0).unwrap()
+    let layout = sm_mdp::CsrLayout::from_raw_parts(row_ptr, action_ptr, col).unwrap();
+    sm_mdp::Mdp::from_raw_parts(std::sync::Arc::new(layout), prob, names, name_of_pair, 0).unwrap()
 }
 
 /// Builds the same description by streaming it into the CSR arena builder.
@@ -156,7 +188,7 @@ fn build_arena(description: &ModelDescription) -> sm_mdp::Mdp {
     builder.finish(0).unwrap()
 }
 
-/// Property: on random small MDPs, the legacy nested builder path and the
+/// Property: on random small MDPs, the hand-flattened raw-parts path and the
 /// streaming CSR arena path produce *identical* models (same arena layout,
 /// probabilities and interned names), and VI, PI and LP each report the same
 /// optimal gain and the same strategy on both.
@@ -219,29 +251,34 @@ fn nested_and_csr_arena_builders_are_equivalent() {
     }
 }
 
-/// The model builder's streaming path and the identical-layout guarantee
-/// carry over to the real selfish-mining model: rebuilding the discovered
-/// MDP through the legacy builder reproduces the streamed arena exactly.
+/// The identical-layout guarantee carries over to the real selfish-mining
+/// model: replaying an instantiated parametric arena through the streaming
+/// builder, state by state, reproduces it exactly.
 #[test]
 fn selfish_mining_model_streams_into_identical_arena() {
-    let params = AttackParams::new(0.3, 0.5, 2, 1, 3).unwrap();
-    let model = SelfishMiningModel::build(&params).unwrap();
+    let model = ParametricModel::build(2, 1, 3)
+        .unwrap()
+        .instantiate(0.3, 0.5)
+        .unwrap();
     let mdp = model.mdp();
 
-    let mut rebuilt = sm_mdp::MdpBuilder::new(mdp.num_states());
+    let mut rebuilt = sm_mdp::CsrMdpBuilder::new();
     for state in 0..mdp.num_states() {
+        rebuilt.begin_state();
         for action in 0..mdp.num_actions(state) {
-            let transitions: Vec<(usize, f64)> = mdp.transitions(state, action).collect();
+            let (targets, probs) = mdp.successors(state, action);
+            let transitions: Vec<(usize, f64)> = targets
+                .iter()
+                .map(|&t| t as usize)
+                .zip(probs.iter().copied())
+                .collect();
             rebuilt
-                .add_action(state, mdp.action_name(state, action), transitions)
+                .add_action(mdp.action_name(state, action), &transitions)
                 .unwrap();
         }
     }
-    let rebuilt = rebuilt.build(mdp.initial_state()).unwrap();
+    let rebuilt = rebuilt.finish(mdp.initial_state()).unwrap();
     assert_eq!(mdp, &rebuilt);
-    assert_eq!(
-        mdp.csr().layout().row_ptr(),
-        rebuilt.csr().layout().row_ptr()
-    );
-    assert_eq!(mdp.csr().layout().col(), rebuilt.csr().layout().col());
+    assert_eq!(mdp.layout().row_ptr(), rebuilt.layout().row_ptr());
+    assert_eq!(mdp.layout().col(), rebuilt.layout().col());
 }

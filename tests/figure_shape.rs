@@ -3,11 +3,13 @@
 //! API: model construction, Algorithm 1, and both baselines.
 
 use selfish_mining::baselines::{honest_relative_revenue, SingleTreeAttack};
-use selfish_mining::{AnalysisProcedure, AttackParams, SelfishMiningModel};
+use selfish_mining::{AnalysisProcedure, ParametricModel};
 
 fn attack_revenue(p: f64, gamma: f64, depth: usize, forks: usize) -> f64 {
-    let params = AttackParams::new(p, gamma, depth, forks, 4).unwrap();
-    let model = SelfishMiningModel::build(&params).unwrap();
+    let model = ParametricModel::build(depth, forks, 4)
+        .unwrap()
+        .instantiate(p, gamma)
+        .unwrap();
     AnalysisProcedure::with_epsilon(1e-3)
         .solve_dinkelbach(&model)
         .unwrap()

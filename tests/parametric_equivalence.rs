@@ -1,59 +1,159 @@
-//! Equivalence of the parameterized transition arena and the direct model
-//! builder: `ParametricModel::instantiate(p, γ)` must reproduce
-//! `SelfishMiningModel::build` **bit for bit** (states, CSR arrays,
-//! probabilities, rewards, VI/PI gains and strategies) for interior
-//! parameters, and must agree on every solver-level result for the masked
-//! edge cases `γ ∈ {0, 1}` and `p ∈ {0, 1}`, where the direct builder prunes
+//! Equivalence of the parameterized transition arena and an independent,
+//! test-local construction of the same MDP: a direct breadth-first search
+//! over the concrete transition function `successors_in`, streamed into
+//! `CsrMdpBuilder`. `ParametricModel::instantiate(p, γ)` must reproduce that
+//! pruned arena **bit for bit** (states, CSR arrays, probabilities, rewards,
+//! VI/PI gains and strategies) for interior parameters and every attack
+//! scenario, and must agree on every solver-level result for the masked
+//! edge cases `γ ∈ {0, 1}` and `p ∈ {0, 1}`, where the direct search prunes
 //! zero-probability branches while the parametric arena keeps them
 //! structurally.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selfish_mining::{AnalysisProcedure, AttackParams, ParametricModel, SelfishMiningModel};
-use sm_mdp::{PolicyIteration, RelativeValueIteration};
+use selfish_mining::{
+    available_actions_in, successors_in, AnalysisProcedure, AttackParams, AttackScenario,
+    ParametricModel, SelfishMiningModel, SmAction, SmState,
+};
+use sm_mdp::{
+    CsrMdpBuilder, Mdp, PolicyIteration, PositionalStrategy, RelativeValueIteration,
+    TransitionRewards,
+};
+use std::collections::HashMap;
 
 /// The `(d, f, l)` topologies swept by the equivalence properties.
 const TOPOLOGIES: [(usize, usize, usize); 4] = [(1, 1, 2), (2, 1, 3), (2, 2, 3), (1, 2, 4)];
 
-fn fresh(p: f64, gamma: f64, d: usize, f: usize, l: usize) -> SelfishMiningModel {
-    let params = AttackParams::new(p, gamma, d, f, l).unwrap();
-    SelfishMiningModel::build(&params).unwrap()
+/// The selfish-mining MDP built by a direct BFS at concrete parameters: the
+/// test oracle the parametric arena is pinned against.
+struct Pruned {
+    states: Vec<SmState>,
+    actions: Vec<Vec<SmAction>>,
+    mdp: Mdp,
+    adversary: TransitionRewards,
+    honest: TransitionRewards,
+}
+
+impl Pruned {
+    /// Explores the states reachable from the initial state under the
+    /// concrete transition function of `scenario` (which drops
+    /// zero-probability outcomes). States are expanded in discovery order,
+    /// every action streams straight into the CSR builder, and the expected
+    /// per-action block counts accumulate over the outcomes in the order
+    /// `successors_in` lists them.
+    fn build(scenario: AttackScenario, p: f64, gamma: f64, d: usize, f: usize, l: usize) -> Self {
+        let params = AttackParams::new(p, gamma, d, f, l).unwrap();
+        let initial = SmState::initial(&params);
+        let mut index_of = HashMap::from([(initial.clone(), 0)]);
+        let mut states = vec![initial];
+        let mut actions = Vec::new();
+        let mut builder = CsrMdpBuilder::new();
+        let (mut adversary, mut honest) = (Vec::new(), Vec::new());
+        while actions.len() < states.len() {
+            builder.begin_state();
+            let state = states[actions.len()].clone();
+            let state_actions = available_actions_in(&scenario, &params, &state);
+            for action in &state_actions {
+                let mut entries = Vec::new();
+                let (mut adv, mut hon) = (0.0, 0.0);
+                for out in successors_in(&scenario, &params, &state, action).unwrap() {
+                    let target = *index_of.entry(out.state.clone()).or_insert_with(|| {
+                        states.push(out.state);
+                        states.len() - 1
+                    });
+                    entries.push((target, out.probability));
+                    adv += out.probability * f64::from(out.rewards.adversary);
+                    hon += out.probability * f64::from(out.rewards.honest);
+                }
+                builder.add_action(&action.name(), &entries).unwrap();
+                adversary.push(adv);
+                honest.push(hon);
+            }
+            actions.push(state_actions);
+        }
+        let mdp = builder.finish(0).unwrap();
+        Pruned {
+            adversary: TransitionRewards::from_pair_values(&mdp, &adversary).unwrap(),
+            honest: TransitionRewards::from_pair_values(&mdp, &honest).unwrap(),
+            states,
+            actions,
+            mdp,
+        }
+    }
+
+    /// `r_β = r_A − β · (r_A + r_H)`, formed exactly as
+    /// `SelfishMiningModel::beta_rewards` does.
+    fn beta_rewards(&self, beta: f64) -> TransitionRewards {
+        let total = self.adversary.sum(&self.honest).unwrap();
+        self.adversary
+            .affine_combination(&total, 1.0, -beta)
+            .unwrap()
+    }
+
+    /// Exact relative revenue `g_A / (g_A + g_H)` of a positional strategy.
+    fn revenue(&self, strategy: &PositionalStrategy) -> f64 {
+        let chain = self.mdp.induced_chain(strategy).unwrap();
+        let r_adv = self
+            .adversary
+            .strategy_rewards(&self.mdp, strategy)
+            .unwrap();
+        let r_hon = self.honest.strategy_rewards(&self.mdp, strategy).unwrap();
+        let gains = sm_markov::iterative_gains(&chain, &[&r_adv, &r_hon], 1e-9, 5_000_000).unwrap();
+        gains[0] / (gains[0] + gains[1])
+    }
+
+    /// A short Dinkelbach iteration: `β ← ERRev(σ_β)` from `β = 0` until the
+    /// revenue stops improving by `ε / 10`, then the last strategy's revenue.
+    fn dinkelbach_revenue(&self, epsilon: f64) -> f64 {
+        let vi = RelativeValueIteration::with_epsilon(epsilon * 1e-2);
+        let mut beta = 0.0;
+        for _ in 0..100 {
+            let solve = vi.solve(&self.mdp, &self.beta_rewards(beta)).unwrap();
+            let revenue = self.revenue(&solve.strategy);
+            if revenue - beta < epsilon * 0.1 {
+                return revenue;
+            }
+            beta = revenue;
+        }
+        panic!("test-local Dinkelbach iteration did not converge");
+    }
 }
 
 /// Full structural comparison: states, action lists, the entire CSR arena
 /// (index arrays, probabilities, interned names) and both reward buffers.
-fn assert_bit_identical(instantiated: &SelfishMiningModel, built: &SelfishMiningModel) {
-    assert_eq!(instantiated.num_states(), built.num_states());
-    for s in 0..built.num_states() {
-        assert_eq!(instantiated.state(s), built.state(s));
-        assert_eq!(instantiated.actions_of(s), built.actions_of(s));
+fn assert_bit_identical(instantiated: &SelfishMiningModel, pruned: &Pruned) {
+    assert_eq!(instantiated.num_states(), pruned.states.len());
+    for (s, state) in pruned.states.iter().enumerate() {
+        assert_eq!(instantiated.state(s), state);
+        assert_eq!(instantiated.actions_of(s), pruned.actions[s].as_slice());
     }
-    assert_eq!(instantiated.mdp(), built.mdp());
+    assert_eq!(instantiated.mdp(), &pruned.mdp);
     assert_eq!(
         instantiated.adversary_rewards().values(),
-        built.adversary_rewards().values()
+        pruned.adversary.values()
     );
     assert_eq!(
         instantiated.honest_rewards().values(),
-        built.honest_rewards().values()
+        pruned.honest.values()
     );
-    assert_eq!(instantiated.params(), built.params());
 }
 
 /// Identical inputs make the deterministic solvers produce identical outputs;
 /// assert exactly that (no tolerances) for VI and PI at a non-trivial β.
-fn assert_identical_solver_results(a: &SelfishMiningModel, b: &SelfishMiningModel) {
+fn assert_identical_solver_results(instantiated: &SelfishMiningModel, pruned: &Pruned) {
     let beta = 0.35;
-    let ra = a.beta_rewards(beta).unwrap();
-    let rb = b.beta_rewards(beta).unwrap();
+    let ra = instantiated.beta_rewards(beta).unwrap();
+    let rb = pruned.beta_rewards(beta);
     let vi = RelativeValueIteration::with_epsilon(1e-7);
-    let va = vi.solve(a.mdp(), &ra).unwrap();
-    let vb = vi.solve(b.mdp(), &rb).unwrap();
+    let va = vi.solve(instantiated.mdp(), &ra).unwrap();
+    let vb = vi.solve(&pruned.mdp, &rb).unwrap();
     assert_eq!(va.gain, vb.gain, "VI gains must be bit-identical");
     assert_eq!(va.strategy, vb.strategy, "VI strategies must be identical");
     assert_eq!(va.iterations, vb.iterations);
-    let (pa, sa) = PolicyIteration::default().solve(a.mdp(), &ra).unwrap();
-    let (pb, sb) = PolicyIteration::default().solve(b.mdp(), &rb).unwrap();
+    let (pa, sa) = PolicyIteration::default()
+        .solve(instantiated.mdp(), &ra)
+        .unwrap();
+    let (pb, sb) = PolicyIteration::default().solve(&pruned.mdp, &rb).unwrap();
     assert_eq!(pa, pb, "PI gains must be bit-identical");
     assert_eq!(sa, sb, "PI strategies must be identical");
 }
@@ -61,17 +161,22 @@ fn assert_identical_solver_results(a: &SelfishMiningModel, b: &SelfishMiningMode
 #[test]
 fn interior_instantiation_is_bit_for_bit_identical() {
     let mut rng = StdRng::seed_from_u64(0x9A7A_11E1);
-    for &(d, f, l) in &TOPOLOGIES {
-        let family = ParametricModel::build(d, f, l).unwrap();
-        for case in 0..4 {
-            // Strictly interior (p, γ): the direct builder prunes nothing.
-            let p = 0.05 + rng.gen_range(0.0..0.85);
-            let gamma = 0.05 + rng.gen_range(0.0..0.9);
-            let instantiated = family.instantiate(p, gamma).unwrap();
-            let built = fresh(p, gamma, d, f, l);
-            assert_bit_identical(&instantiated, &built);
-            if case == 0 {
-                assert_identical_solver_results(&instantiated, &built);
+    for scenario in AttackScenario::default_family() {
+        for &(d, f, l) in &TOPOLOGIES {
+            let family = ParametricModel::build_scenario(scenario, d, f, l).unwrap();
+            for case in 0..4 {
+                // Strictly interior (p, γ): the direct search prunes nothing.
+                let p = 0.05 + rng.gen_range(0.0..0.85);
+                let gamma = 0.05 + rng.gen_range(0.0..0.9);
+                let instantiated = family.instantiate(p, gamma).unwrap();
+                assert_eq!(instantiated.scenario(), scenario);
+                let pruned = Pruned::build(scenario, p, gamma, d, f, l);
+                assert_bit_identical(&instantiated, &pruned);
+                // Identical arenas make the solvers agree for every scenario;
+                // the (costly) policy-iteration check runs on the optimal one.
+                if case == 0 && scenario == AttackScenario::Optimal {
+                    assert_identical_solver_results(&instantiated, &pruned);
+                }
             }
         }
     }
@@ -79,7 +184,7 @@ fn interior_instantiation_is_bit_for_bit_identical() {
 
 #[test]
 fn masked_edges_agree_with_the_pruned_builder_on_gains() {
-    // At the parameter-square edges the direct builder prunes masked
+    // At the parameter-square edges the direct search prunes masked
     // branches (smaller state space), so structural equality is impossible;
     // the certified solver results must still coincide.
     let edge_cases = [
@@ -96,8 +201,8 @@ fn masked_edges_agree_with_the_pruned_builder_on_gains() {
         for &(p, gamma) in &edge_cases {
             let instantiated = family.instantiate(p, gamma).unwrap();
             instantiated.mdp().validate().unwrap();
-            let built = fresh(p, gamma, d, f, l);
-            assert!(instantiated.num_states() >= built.num_states());
+            let pruned = Pruned::build(AttackScenario::Optimal, p, gamma, d, f, l);
+            assert!(instantiated.num_states() >= pruned.states.len());
             for beta in [0.0, 0.35] {
                 let vi = RelativeValueIteration::with_epsilon(vi_epsilon);
                 let ga = vi
@@ -108,7 +213,7 @@ fn masked_edges_agree_with_the_pruned_builder_on_gains() {
                     .unwrap()
                     .gain;
                 let gb = vi
-                    .solve(built.mdp(), &built.beta_rewards(beta).unwrap())
+                    .solve(&pruned.mdp, &pruned.beta_rewards(beta))
                     .unwrap()
                     .gain;
                 assert!(
@@ -123,22 +228,23 @@ fn masked_edges_agree_with_the_pruned_builder_on_gains() {
 
 #[test]
 fn masked_edges_agree_on_the_full_analysis() {
-    // End-to-end check through Algorithm 1's Dinkelbach variant, exercising
-    // the induced chains (with structurally-kept zero-probability entries)
-    // and the revenue evaluation on both representations.
+    // End-to-end check: Algorithm 1's Dinkelbach variant on the masked
+    // arena (exercising the induced chains with structurally-kept
+    // zero-probability entries and the revenue evaluation) against a
+    // test-local Dinkelbach iteration on the pruned arena.
     let epsilon = 2e-3;
     let family = ParametricModel::build(2, 1, 3).unwrap();
     for &(p, gamma) in &[(0.0, 0.5), (0.3, 0.0), (0.3, 1.0)] {
         let instantiated = family.instantiate(p, gamma).unwrap();
-        let built = fresh(p, gamma, 2, 1, 3);
-        let procedure = AnalysisProcedure::with_epsilon(epsilon);
-        let a = procedure.solve_dinkelbach(&instantiated).unwrap();
-        let b = procedure.solve_dinkelbach(&built).unwrap();
+        let pruned = Pruned::build(AttackScenario::Optimal, p, gamma, 2, 1, 3);
+        let a = AnalysisProcedure::with_epsilon(epsilon)
+            .solve_dinkelbach(&instantiated)
+            .unwrap()
+            .strategy_revenue;
+        let b = pruned.dinkelbach_revenue(epsilon);
         assert!(
-            (a.strategy_revenue - b.strategy_revenue).abs() < 2.0 * epsilon,
-            "(p={p},γ={gamma}): masked revenue {} vs pruned revenue {}",
-            a.strategy_revenue,
-            b.strategy_revenue
+            (a - b).abs() < 2.0 * epsilon,
+            "(p={p},γ={gamma}): masked revenue {a} vs pruned revenue {b}"
         );
     }
 }

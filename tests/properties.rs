@@ -9,10 +9,15 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selfish_mining::{available_actions, successors, AttackParams, SelfishMiningModel};
-use sm_mdp::{
-    LinearProgrammingSolver, MdpBuilder, PolicyIteration, RelativeValueIteration, TransitionRewards,
+use selfish_mining::{
+    available_actions, successors, AttackParams, Outcome, ParametricModel, SelfishMiningModel,
+    SmState,
 };
+use sm_mdp::{
+    CsrMdpBuilder, LinearProgrammingSolver, PolicyIteration, RelativeValueIteration,
+    TransitionRewards,
+};
+use std::collections::HashMap;
 
 /// A varied grid of small attack parameter sets (the shim for the former
 /// proptest generator; 24 cases like the original configuration).
@@ -36,12 +41,20 @@ fn attack_params_grid() -> Vec<AttackParams> {
     cases
 }
 
+/// The model at `params`: the parametric arena of its topology, instantiated.
+fn build(params: &AttackParams) -> SelfishMiningModel {
+    ParametricModel::build(params.depth, params.forks_per_block, params.max_fork_length)
+        .unwrap()
+        .instantiate(params.p, params.gamma)
+        .unwrap()
+}
+
 /// Every action of every reachable state has a transition distribution
 /// summing to 1 with consistent successor states.
 #[test]
 fn transition_distributions_are_stochastic() {
     for params in attack_params_grid() {
-        let model = SelfishMiningModel::build(&params).unwrap();
+        let model = build(&params);
         for index in 0..model.num_states() {
             let state = model.state(index);
             for action in available_actions(&params, state) {
@@ -69,7 +82,7 @@ fn optimal_mean_payoff_is_monotone_in_beta() {
         let p = rng.gen_range(0.05..0.45);
         let gamma = rng.gen_range(0.0..1.0);
         let params = AttackParams::new(p, gamma, 2, 1, 3).unwrap();
-        let model = SelfishMiningModel::build(&params).unwrap();
+        let model = build(&params);
         let solver = RelativeValueIteration::with_epsilon(1e-7);
         let mut previous = f64::INFINITY;
         for beta in [0.0, 0.25, 0.5, 0.75, 1.0] {
@@ -89,7 +102,7 @@ fn optimal_mean_payoff_is_monotone_in_beta() {
 #[test]
 fn expected_relative_revenue_is_well_formed() {
     for params in attack_params_grid() {
-        let model = SelfishMiningModel::build(&params).unwrap();
+        let model = build(&params);
         let always_mine = sm_mdp::PositionalStrategy::uniform_first_action(model.num_states());
         let revenue = model.expected_relative_revenue(&always_mine).unwrap();
         assert!(
@@ -99,35 +112,77 @@ fn expected_relative_revenue_is_well_formed() {
     }
 }
 
-/// Across the whole random parameter grid, instantiating the parametric
-/// arena reproduces the direct builder: identical arena (bit for bit) for
-/// interior parameters, and a validating superset topology at the masked
-/// edges.
+/// Across the whole random parameter grid and every masked edge of the
+/// parameter square, each row of the instantiated parametric arena, with its
+/// zero-probability slots dropped, is the transition function's row merged
+/// by target — bit for bit — and carries the row's expected block counts.
 #[test]
 fn parametric_instantiation_matches_fresh_build_on_the_grid() {
-    for params in attack_params_grid() {
-        let fresh = SelfishMiningModel::build(&params).unwrap();
-        let family = selfish_mining::ParametricModel::build(
-            params.depth,
-            params.forks_per_block,
-            params.max_fork_length,
-        )
-        .unwrap();
-        let instantiated = family.instantiate(params.p, params.gamma).unwrap();
-        instantiated.mdp().validate().unwrap();
-        let interior = params.p > 0.0 && params.p < 1.0 && params.gamma > 0.0 && params.gamma < 1.0;
-        if interior {
-            assert_eq!(instantiated.mdp(), fresh.mdp(), "params {params:?}");
-            assert_eq!(
-                instantiated.adversary_rewards().values(),
-                fresh.adversary_rewards().values()
-            );
-            assert_eq!(
-                instantiated.honest_rewards().values(),
-                fresh.honest_rewards().values()
-            );
-        } else {
-            assert!(instantiated.num_states() >= fresh.num_states());
+    let mut cases = attack_params_grid();
+    for (d, f, l) in [(1, 1, 2), (2, 1, 3), (2, 2, 3)] {
+        for (p, gamma) in [(0.0, 0.5), (0.3, 0.0), (0.3, 1.0), (1.0, 0.5), (0.0, 0.0)] {
+            cases.push(AttackParams::new(p, gamma, d, f, l).unwrap());
+        }
+    }
+    for params in cases {
+        let model = build(&params);
+        let mdp = model.mdp();
+        mdp.validate().unwrap();
+        let index_of: HashMap<&SmState, usize> = (0..model.num_states())
+            .map(|s| (model.state(s), s))
+            .collect();
+        for s in 0..model.num_states() {
+            let state = model.state(s);
+            let actions = available_actions(&params, state);
+            assert_eq!(model.actions_of(s), actions.as_slice(), "{params:?}");
+            for (a, action) in actions.iter().enumerate() {
+                // Outcomes merged by target: successor-sorted (stable, so
+                // duplicates keep their discovery order) and summed.
+                let outcomes = successors(&params, state, action).unwrap();
+                let mut row: Vec<(u32, f64)> = outcomes
+                    .iter()
+                    .map(|o| (index_of[&o.state] as u32, o.probability))
+                    .collect();
+                row.sort_by_key(|&(target, _)| target);
+                let mut merged: Vec<(u32, f64)> = Vec::new();
+                for (target, p) in row {
+                    match merged.last_mut() {
+                        Some(last) if last.0 == target => last.1 += p,
+                        _ => merged.push((target, p)),
+                    }
+                }
+                let (cols, probs) = mdp.successors(s, a);
+                let kept: Vec<(u32, f64)> = cols
+                    .iter()
+                    .copied()
+                    .zip(probs.iter().copied())
+                    .filter(|&(_, p)| p != 0.0)
+                    .collect();
+                let bits = |row: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                    row.iter().map(|&(t, p)| (t, p.to_bits())).collect()
+                };
+                assert_eq!(bits(&kept), bits(&merged), "{params:?} state {s} {action}");
+
+                let expected = |count: fn(&Outcome) -> u32| -> f64 {
+                    outcomes
+                        .iter()
+                        .fold(0.0, |acc, o| acc + o.probability * f64::from(count(o)))
+                };
+                let adversary = expected(|o| o.rewards.adversary);
+                let honest = expected(|o| o.rewards.honest);
+                for k in 0..cols.len() {
+                    assert_eq!(
+                        model.adversary_rewards().reward(s, a, k).to_bits(),
+                        adversary.to_bits(),
+                        "{params:?} state {s} {action}"
+                    );
+                    assert_eq!(
+                        model.honest_rewards().reward(s, a, k).to_bits(),
+                        honest.to_bits(),
+                        "{params:?} state {s} {action}"
+                    );
+                }
+            }
         }
     }
 }
@@ -141,20 +196,17 @@ fn mean_payoff_solvers_agree_on_random_mdps() {
         // transitions derived from the generated parameters.
         let split = rng.gen_range(0.1..0.9);
         let seed_rewards: Vec<f64> = (0..6).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut builder = MdpBuilder::new(3);
+        let mut builder = CsrMdpBuilder::new();
         for state in 0..3usize {
+            builder.begin_state();
             builder
-                .add_action(state, "next", vec![((state + 1) % 3, 1.0)])
+                .add_action("next", &[((state + 1) % 3, 1.0)])
                 .unwrap();
             builder
-                .add_action(
-                    state,
-                    "split",
-                    vec![(state, split), ((state + 2) % 3, 1.0 - split)],
-                )
+                .add_action("split", &[(state, split), ((state + 2) % 3, 1.0 - split)])
                 .unwrap();
         }
-        let mdp = builder.build(0).unwrap();
+        let mdp = builder.finish(0).unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, _| seed_rewards[s * 2 + a]);
         let vi = RelativeValueIteration::with_epsilon(1e-9)
             .solve(&mdp, &rewards)

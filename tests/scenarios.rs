@@ -3,10 +3,7 @@
 //! end-to-end conformance of scenario strategies in the simulator.
 
 use selfish_mining::experiments::attack_curve;
-use selfish_mining::{
-    AnalysisConfig, AttackParams, AttackScenario, ParametricModel, SelfishMiningModel,
-    StrategyExport,
-};
+use selfish_mining::{AnalysisConfig, AttackScenario, ParametricModel, StrategyExport};
 use selfish_mining_repro::conformance::{certify_point, ConformanceSettings};
 
 /// Slack absorbing solver float noise when comparing two certified brackets.
@@ -112,8 +109,8 @@ fn honest_mining_certifies_the_proportional_share() {
 /// state ever holds more than one private block, and the model stays tiny.
 #[test]
 fn honest_mining_state_space_is_degenerate() {
-    let params = AttackParams::new(0.3, 0.5, 3, 2, 4).unwrap();
-    let model = SelfishMiningModel::build_scenario(&params, AttackScenario::HonestMining).unwrap();
+    let depth = 3;
+    let model = ParametricModel::build_scenario(AttackScenario::HonestMining, depth, 2, 4).unwrap();
     for s in 0..model.num_states() {
         assert!(
             model.state(s).total_private_blocks() <= 1,
@@ -122,20 +119,19 @@ fn honest_mining_state_space_is_degenerate() {
         );
     }
     // 2^(d-1) owner vectors × the three phases bound the honest chain.
-    assert!(model.num_states() <= 3 * (1 << (params.depth - 1)));
+    assert!(model.num_states() <= 3 * (1 << (depth - 1)));
 }
 
 /// Every stubborn scenario's reachable states embed into the optimal
 /// scenario's reachable set (restriction never invents states).
 #[test]
 fn stubborn_reachable_states_embed_into_the_optimal_space() {
-    let params = AttackParams::new(0.3, 0.5, 2, 2, 3).unwrap();
-    let optimal = SelfishMiningModel::build(&params).unwrap();
+    let optimal = ParametricModel::build(2, 2, 3).unwrap();
     let optimal_states: std::collections::HashSet<_> = (0..optimal.num_states())
         .map(|s| optimal.state(s).clone())
         .collect();
     for scenario in stubborn_scenarios() {
-        let restricted = SelfishMiningModel::build_scenario(&params, scenario).unwrap();
+        let restricted = ParametricModel::build_scenario(scenario, 2, 2, 3).unwrap();
         for s in 0..restricted.num_states() {
             assert!(
                 optimal_states.contains(restricted.state(s)),

@@ -14,7 +14,7 @@
 //! depth (partial releases, re-anchored remainders, invalid requests), under
 //! both mining regimes.
 
-use selfish_mining::{AnalysisProcedure, AttackParams, SelfishMiningModel, StrategyExport};
+use selfish_mining::{AnalysisProcedure, ParametricModel, StrategyExport};
 use sm_chain::{
     AdversaryAction, AdversaryStrategy, AdversaryView, ConsensusBackend, MinerClass, MiningRegime,
     SimulationConfig, Simulator, TableStrategy, UnknownViewPolicy,
@@ -24,8 +24,10 @@ use sm_conformance::{estimate_revenue, EstimatorConfig};
 /// The ε-optimal (d = 2, f = 1, l = 4) strategy at p = 0.3, γ = 0.5, exported
 /// to a simulator table — the strategy the `conformance-d2f1` witness runs.
 fn d2f1_table() -> TableStrategy {
-    let params = AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap();
-    let model = SelfishMiningModel::build(&params).unwrap();
+    let model = ParametricModel::build(2, 1, 4)
+        .unwrap()
+        .instantiate(0.3, 0.5)
+        .unwrap();
     let result = AnalysisProcedure::with_epsilon(1e-3)
         .solve_dinkelbach(&model)
         .unwrap();
