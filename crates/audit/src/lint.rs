@@ -3,10 +3,11 @@
 //! The codebase enforces several rules only by convention: solver paths
 //! must not iterate hash containers (iteration order would leak into
 //! results), library code must not panic on recoverable conditions, index
-//! casts must be checked, and `unsafe` blocks need a `SAFETY:` argument.
-//! This module makes the conventions checkable: a comment/string-stripping
-//! scanner plus five textual rules and a committed allowlist that turns
-//! every pre-existing justified site into an explicit, reviewable line.
+//! casts must be checked, `unsafe` blocks need a `SAFETY:` argument, and
+//! library results must not depend on the clock. This module makes the
+//! conventions checkable: a comment/string-stripping scanner plus six
+//! textual rules and a committed allowlist that turns every pre-existing
+//! justified site into an explicit, reviewable line.
 //!
 //! The scanner is deliberately lexical (no type information): it
 //! over-approximates, and the allowlist file — see `lint_allowlist.txt` and
@@ -20,6 +21,8 @@
 //!   casts outside test code.
 //! * `unsafe-no-safety` — an `unsafe` token with no `SAFETY:` comment within
 //!   the three preceding lines.
+//! * `wall-clock` — the `Instant` or `SystemTime` clock types outside test
+//!   code: timing belongs to the benchmark harnesses, not to the library.
 //!
 //! Code under `#[cfg(test)]` is skipped entirely (unit tests may unwrap).
 
@@ -28,12 +31,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The rule identifiers, in report order.
-pub const RULES: [&str; 5] = [
+pub const RULES: [&str; 6] = [
     "hash-iter",
     "panic-site",
     "direct-index",
     "unchecked-cast",
     "unsafe-no-safety",
+    "wall-clock",
 ];
 
 /// One lint finding.
@@ -483,6 +487,9 @@ pub fn lint_source(source: &str, path: &str) -> Vec<Finding> {
                 push("unsafe-no-safety");
             }
         }
+        if whole_word(line, "Instant") || whole_word(line, "SystemTime") {
+            push("wall-clock");
+        }
     }
     findings
 }
@@ -662,6 +669,26 @@ mod tests {
         assert!(rules_of(bare).contains(&"unsafe-no-safety"));
         // `unsafe_code` in a forbid attribute is not the `unsafe` keyword.
         assert!(!rules_of("#![forbid(unsafe_code)]\n").contains(&"unsafe-no-safety"));
+    }
+
+    #[test]
+    fn flags_clock_types_outside_tests_only() {
+        assert_eq!(
+            rules_of("use std::time::{Duration, Instant};"),
+            vec!["wall-clock"]
+        );
+        assert_eq!(
+            rules_of("fn f() { let t = std::time::SystemTime::now(); }"),
+            vec!["wall-clock"]
+        );
+        assert!(rules_of("use std::time::Duration;").is_empty());
+        // Identifiers that merely contain the word, comments and strings.
+        assert!(rules_of("fn f(instant_ms: u64, t: InstantLike) {}").is_empty());
+        assert!(rules_of("// Instant::now() belongs to the harness\nfn f() {}").is_empty());
+        assert!(rules_of("fn f() -> &'static str { \"SystemTime\" }").is_empty());
+        let in_test =
+            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::time::Instant::now(); }\n}\n";
+        assert!(rules_of(in_test).is_empty());
     }
 
     #[test]

@@ -7,10 +7,11 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selfish_mining::baselines::SingleTreeAttack;
 use selfish_mining::experiments::{coarse_p_grid, PAPER_GAMMA_GRID};
 use selfish_mining::{
-    available_actions, successors, AnalysisConfig, AnalysisProcedure, AttackParams,
-    ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
+    available_actions, successors_in, AnalysisConfig, AnalysisProcedure, AttackParams,
+    AttackScenario, ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
 };
-use sm_mdp::{LinearProgrammingSolver, PolicyIteration, RelativeValueIteration};
+use sm_mdp::RelativeValueIteration;
+use sm_oracle::{LinearProgrammingSolver, PolicyIteration};
 use sm_sweep::SweepConfig;
 use std::collections::{HashMap, VecDeque};
 
@@ -63,7 +64,7 @@ fn legacy_nested_build(params: &AttackParams) -> (LegacyMdp, Vec<Vec<f64>>, Vec<
         let state_actions = available_actions(params, &state);
         let mut per_action = Vec::with_capacity(state_actions.len());
         for action in &state_actions {
-            let outs = successors(params, &state, action).unwrap();
+            let outs = successors_in(&AttackScenario::Optimal, params, &state, action).unwrap();
             let mut entries = Vec::with_capacity(outs.len());
             for out in outs {
                 let target = match index_of.get(&out.state) {
@@ -358,7 +359,7 @@ fn bench_model_construction(c: &mut Criterion) {
 /// before/after sweep benchmark: a cold Dinkelbach iteration from `β = 0`
 /// with pure (non-interleaved) relative value iteration at the seed's inner
 /// precision `10⁻⁶`, the exact revenue evaluated as two *separate*
-/// `iterative_gain` passes over the induced chain, and the historical
+/// `iterative_gains` passes over the induced chain, and the historical
 /// `finalize` that re-solved the MDP at `β_low`. Kept self-contained in this
 /// bench so the comparison measures the pipeline this PR replaced, not
 /// today's (already accelerated) shared components in disguise.
@@ -378,8 +379,12 @@ fn seed_dinkelbach_revenue(model: &SelfishMiningModel, epsilon: f64) -> f64 {
             .honest_rewards()
             .strategy_rewards(model.mdp(), strategy)
             .unwrap();
-        let adv = sm_markov::iterative_gain(&chain, &r_adv, 1e-9, 5_000_000).unwrap();
-        let hon = sm_markov::iterative_gain(&chain, &r_hon, 1e-9, 5_000_000).unwrap();
+        let gain = |rewards: &[f64]| {
+            sm_markov::iterative_gains(&chain, &[rewards], None, SolverParallelism::serial())
+                .unwrap()
+                .0[0]
+        };
+        let (adv, hon) = (gain(&r_adv), gain(&r_hon));
         adv / (adv + hon)
     };
     let mut beta = 0.0;

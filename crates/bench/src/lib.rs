@@ -28,6 +28,7 @@ use selfish_mining::experiments::{
 use selfish_mining::SelfishMiningError;
 use sm_sweep::SweepConfig;
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// Environment variable that unlocks the expensive configurations.
 pub const EXPENSIVE_ENV: &str = "SM_BENCH_EXPENSIVE";
@@ -58,7 +59,8 @@ pub fn p_grid() -> Vec<f64> {
 }
 
 /// Runs the Table 1 measurement (runtimes of the analysis per attack
-/// configuration at `γ = 0.5`) and returns the rows.
+/// configuration at `γ = 0.5`) and returns the rows, each with
+/// [`Table1Row::seconds`] set to the wall-clock time of its call.
 ///
 /// # Errors
 ///
@@ -66,10 +68,21 @@ pub fn p_grid() -> Vec<f64> {
 pub fn table1(epsilon: f64) -> Result<Vec<Table1Row>, SelfishMiningError> {
     let mut rows = Vec::new();
     for (depth, forks) in attack_grid() {
-        rows.push(table1_row(0.3, 0.5, depth, forks, 4, epsilon)?);
+        rows.push(timed(|| table1_row(0.3, 0.5, depth, forks, 4, epsilon))?);
     }
-    rows.push(table1_single_tree_row(0.3, 0.5, 4, 5)?);
+    rows.push(timed(|| table1_single_tree_row(0.3, 0.5, 4, 5))?);
     Ok(rows)
+}
+
+/// Computes one Table 1 row and records the wall-clock time of the call in
+/// its `seconds` field.
+fn timed(
+    row: impl FnOnce() -> Result<Table1Row, SelfishMiningError>,
+) -> Result<Table1Row, SelfishMiningError> {
+    let start = Instant::now();
+    let mut row = row()?;
+    row.seconds = start.elapsed().as_secs_f64();
+    Ok(row)
 }
 
 /// Renders Table 1 rows as an aligned text table mirroring the paper's layout.

@@ -20,7 +20,7 @@
 //! paper bounds the baseline's model (`l = 4`, `f = 5` in Table 1).
 
 use crate::SelfishMiningError;
-use sm_markov::{iterative_gains, MarkovChain};
+use sm_markov::{iterative_gains, MarkovChain, SolverParallelism};
 use std::collections::HashMap;
 
 /// Configuration of the single-tree attack.
@@ -222,11 +222,11 @@ impl SingleTreeAttack {
         // The chain can reach several thousand states for the paper's tree
         // width; fused iterative sweeps (one pass for both reward functions)
         // keep the evaluation cheap.
-        let gains = iterative_gains(
+        let (gains, _) = iterative_gains(
             &chain,
             &[&adversary_reward, &honest_reward],
-            1e-9,
-            5_000_000,
+            None,
+            SolverParallelism::serial(),
         )?;
         let (a, h) = (gains[0], gains[1]);
         if a + h <= 0.0 {

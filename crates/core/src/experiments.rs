@@ -12,7 +12,6 @@ use crate::{
     SelfishMiningModel,
 };
 use sm_mdp::{PositionalStrategy, SolverParallelism};
-use std::time::{Duration, Instant};
 
 /// The `(d, f)` grid evaluated in the paper (with `l = 4` throughout).
 pub const PAPER_ATTACK_GRID: [(usize, usize); 5] = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2)];
@@ -466,17 +465,21 @@ pub struct Table1Row {
     pub forks: usize,
     /// Number of states of the constructed model.
     pub num_states: usize,
-    /// Wall-clock time of model construction plus analysis, in seconds.
+    /// Wall-clock time of model construction plus analysis, in seconds. The
+    /// library does not read clocks: [`table1_row`] and
+    /// [`table1_single_tree_row`] leave this at 0 and the caller that times
+    /// the call (`sm_bench::table1`) fills it in.
     pub seconds: f64,
     /// The expected relative revenue obtained (not reported in the paper's
     /// table but useful for cross-checking).
     pub revenue: f64,
 }
 
-/// Measures one Table 1 row for our attack at `(d, f)` with the given
-/// parameters. The model is constructed through the production path —
-/// parametric arena plus instantiation — so the timing reflects the stack
-/// the sweep engine runs on.
+/// Computes one Table 1 row for our attack at `(d, f)` with the given
+/// parameters (`seconds` left at 0 for the caller to time). The model is
+/// constructed through the production path — parametric arena plus
+/// instantiation — so a timing of this call reflects the stack the sweep
+/// engine runs on.
 ///
 /// # Errors
 ///
@@ -489,22 +492,21 @@ pub fn table1_row(
     max_fork_length: usize,
     epsilon: f64,
 ) -> Result<Table1Row, SelfishMiningError> {
-    let start = Instant::now();
     let family = ParametricModel::build(depth, forks, max_fork_length)?;
     let model = family.instantiate(p, gamma)?;
     let result = AnalysisProcedure::with_epsilon(epsilon).solve(&model)?;
-    let elapsed: Duration = start.elapsed();
     Ok(Table1Row {
         attack: "our attack".to_string(),
         depth,
         forks,
         num_states: model.num_states(),
-        seconds: elapsed.as_secs_f64(),
+        seconds: 0.0,
         revenue: result.strategy_revenue,
     })
 }
 
-/// Measures the single-tree baseline row of Table 1.
+/// Computes the single-tree baseline row of Table 1 (`seconds` left at 0 for
+/// the caller to time).
 ///
 /// # Errors
 ///
@@ -515,7 +517,6 @@ pub fn table1_single_tree_row(
     max_depth: usize,
     max_width: usize,
 ) -> Result<Table1Row, SelfishMiningError> {
-    let start = Instant::now();
     let result = SingleTreeAttack {
         p,
         gamma,
@@ -523,13 +524,12 @@ pub fn table1_single_tree_row(
         max_width,
     }
     .analyse()?;
-    let elapsed = start.elapsed();
     Ok(Table1Row {
         attack: "single-tree selfish mining".to_string(),
         depth: max_depth,
         forks: max_width,
         num_states: result.num_states,
-        seconds: elapsed.as_secs_f64(),
+        seconds: 0.0,
         revenue: result.relative_revenue,
     })
 }
@@ -573,7 +573,7 @@ mod tests {
     fn table1_rows_record_positive_times_and_states() {
         let row = table1_row(0.3, 0.5, 1, 1, 4, 1e-2).unwrap();
         assert!(row.num_states > 0);
-        assert!(row.seconds >= 0.0);
+        assert_eq!(row.seconds, 0.0, "timing is the caller's job");
         assert!((0.0..1.0).contains(&row.revenue));
         let tree = table1_single_tree_row(0.3, 0.5, 4, 5).unwrap();
         assert!(tree.num_states > 0);

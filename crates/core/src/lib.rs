@@ -8,7 +8,7 @@
 //!
 //! * [`AttackParams`] — the system-model and attack parameters
 //!   `(p, γ, d, f, l)` of Section 3.2.
-//! * [`SmState`], [`SmAction`], [`available_actions`], [`successors`] — the
+//! * [`SmState`], [`SmAction`], [`available_actions`], [`successors_in`] — the
 //!   structured state space, action space and probabilistic transition
 //!   function of the selfish-mining MDP.
 //! * [`ParametricModel`] — reachable-state exploration of a `(d, f, l)`
@@ -81,6 +81,6 @@ pub use sm_chain::{ChallengeVisibility, ConsensusBackend};
 // sweeps, `sm-mdp` value iteration, the analysis procedure here).
 pub use sm_mdp::SolverParallelism;
 pub use transition::{
-    available_actions, available_actions_in, successors, successors_in, symbolic_successors,
-    symbolic_successors_in, BlockRewards, Outcome, ProbTerm, SymbolicOutcome,
+    available_actions, available_actions_in, successors_in, symbolic_successors_in, BlockRewards,
+    Outcome, ProbTerm, SymbolicOutcome,
 };

@@ -151,7 +151,7 @@ impl SelfishMiningModel {
     /// engine; any seed is *valid* (mis-shaped ones are simply ignored), it
     /// only affects the sweep count. The chain sweeps run in row blocks
     /// over `parallelism` threads
-    /// ([`sm_markov::iterative_gains_seeded_with`]): the returned revenue and
+    /// ([`sm_markov::iterative_gains`]): the returned revenue and
     /// bias vectors are bit-identical for any thread count, the knob only
     /// trades wall-clock time for cores.
     ///
@@ -169,14 +169,8 @@ impl SelfishMiningModel {
             .adversary_rewards
             .strategy_rewards(&self.mdp, strategy)?;
         let r_hon = self.honest_rewards.strategy_rewards(&self.mdp, strategy)?;
-        let (gains, bias) = sm_markov::iterative_gains_seeded_with(
-            &chain,
-            &[&r_adv, &r_hon],
-            1e-9,
-            5_000_000,
-            seed,
-            parallelism,
-        )?;
+        let (gains, bias) =
+            sm_markov::iterative_gains(&chain, &[&r_adv, &r_hon], seed, parallelism)?;
         let (adv, hon) = (gains[0], gains[1]);
         if adv + hon <= 0.0 {
             // Blocks are finalized with positive rate under every strategy

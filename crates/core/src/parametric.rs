@@ -7,7 +7,7 @@
 //! only scale transition probabilities and, through them, the expected
 //! per-action block counts. [`ParametricModel`] exploits that: the
 //! breadth-first exploration runs once over the *symbolic* transition
-//! function ([`crate::symbolic_successors`]) and records, per arena
+//! function ([`crate::symbolic_successors_in`]) and records, per arena
 //! transition, a small list of [`ProbTerm`] atoms;
 //! [`ParametricModel::instantiate`] then evaluates the atoms at concrete
 //! `(p, γ)` and fills the probability and reward buffers with no hashing and

@@ -174,31 +174,17 @@ pub fn available_actions_in(
     scenario.admissible_actions(params, state)
 }
 
-/// Applies `action` in `state` and returns all probabilistic outcomes with
-/// positive probability at the parameters' `(p, γ)`.
+/// Applies `action` in `state` under an attack scenario and returns all
+/// probabilistic outcomes with positive probability at the parameters'
+/// `(p, γ)`.
 ///
-/// This is the numeric view of [`symbolic_successors`]: the symbolic terms
-/// are evaluated at `(params.p, params.gamma)` and masked (zero-probability)
-/// branches are dropped, exactly as the pre-parametric transition function
-/// did.
-///
-/// # Errors
-///
-/// Returns [`SelfishMiningError::UnavailableAction`] if the action is not
-/// available in the state (e.g. a release in a `Mining`-phase state or a
-/// release longer than the fork).
-pub fn successors(
-    params: &AttackParams,
-    state: &SmState,
-    action: &SmAction,
-) -> Result<Vec<Outcome>, SelfishMiningError> {
-    successors_in(&AttackScenario::Optimal, params, state, action)
-}
-
-/// [`successors`] under an attack scenario: the scenario's transition filter
+/// This is the numeric view of [`symbolic_successors_in`]: the symbolic
+/// terms are evaluated at `(params.p, params.gamma)` and masked
+/// (zero-probability) branches are dropped. The scenario's transition filter
 /// applies (for [`AttackScenario::HonestMining`] the mining split runs over
 /// the tip positions only) and actions the scenario does not admit are
-/// rejected.
+/// rejected; [`AttackScenario::Optimal`] admits every action of
+/// [`available_actions`].
 ///
 /// # Errors
 ///
@@ -224,29 +210,15 @@ pub fn successors_in(
         .collect())
 }
 
-/// Applies `action` in `state` and returns all *parametric* outcomes: the
-/// full branch structure of the transition function, with probabilities as
-/// symbolic [`ProbTerm`]s over `(p, γ)`.
+/// Applies `action` in `state` under an attack scenario and returns all
+/// *parametric* outcomes: the full branch structure of the transition
+/// function, with probabilities as symbolic [`ProbTerm`]s over `(p, γ)`.
 ///
-/// Unlike [`successors`], the result depends only on the structural
+/// Unlike [`successors_in`], the result depends only on the structural
 /// parameters `(d, f, l)` — `params.p` and `params.gamma` are never read —
 /// and zero-probability branches (the adversary split at `p = 0`, the race
 /// branches at `γ ∈ {0, 1}`) are kept. This is the exploration primitive of
-/// [`crate::ParametricModel`].
-///
-/// # Errors
-///
-/// Same as [`successors`].
-pub fn symbolic_successors(
-    params: &AttackParams,
-    state: &SmState,
-    action: &SmAction,
-) -> Result<Vec<SymbolicOutcome>, SelfishMiningError> {
-    symbolic_successors_in(&AttackScenario::Optimal, params, state, action)
-}
-
-/// [`symbolic_successors`] under an attack scenario: the exploration
-/// primitive of the per-scenario [`crate::ParametricModel`] arenas. The only
+/// the per-scenario [`crate::ParametricModel`] arenas. The only
 /// scenario-dependent branch structure is the `mine` split, whose slot set
 /// (and therefore `σ`) is filtered through
 /// [`AttackScenario::admits_mining_depth`]; every other action's outcomes
@@ -588,7 +560,7 @@ mod tests {
     fn mining_outcomes_split_between_parties() {
         let p = params(0.3, 0.5, 2, 1, 4);
         let s = SmState::initial(&p);
-        let outs = successors(&p, &s, &SmAction::Mine).unwrap();
+        let outs = successors_in(&AttackScenario::Optimal, &p, &s, &SmAction::Mine).unwrap();
         // Two depths with empty slots + one honest outcome.
         assert_eq!(outs.len(), 3);
         probabilities_sum_to_one(&outs);
@@ -615,7 +587,7 @@ mod tests {
         let p = params(0.5, 0.5, 1, 1, 2);
         let mut s = SmState::initial(&p);
         *s.fork_length_mut(&p, 1, 1) = 2;
-        let outs = successors(&p, &s, &SmAction::Mine).unwrap();
+        let outs = successors_in(&AttackScenario::Optimal, &p, &s, &SmAction::Mine).unwrap();
         probabilities_sum_to_one(&outs);
         for o in &outs {
             assert!(o.state.fork_length(&p, 1, 1) <= 2);
@@ -630,7 +602,7 @@ mod tests {
         s.owners = vec![Owner::Adversary, Owner::Adversary];
         *s.fork_length_mut(&p, 1, 1) = 2;
         *s.fork_length_mut(&p, 3, 1) = 1;
-        let outs = successors(&p, &s, &SmAction::Mine).unwrap();
+        let outs = successors_in(&AttackScenario::Optimal, &p, &s, &SmAction::Mine).unwrap();
         assert_eq!(outs.len(), 1);
         let out = &outs[0];
         // The block at depth d−1 = 2 (adversary) crossed the boundary.
@@ -656,7 +628,7 @@ mod tests {
         let mut s = SmState::initial(&p);
         s.phase = Phase::HonestFound;
         *s.fork_length_mut(&p, 1, 1) = 1;
-        let outs = successors(&p, &s, &SmAction::Mine).unwrap();
+        let outs = successors_in(&AttackScenario::Optimal, &p, &s, &SmAction::Mine).unwrap();
         assert_eq!(
             outs[0].rewards,
             BlockRewards {
@@ -682,7 +654,7 @@ mod tests {
             length: 1,
         };
         assert!(available_actions(&p, &s).contains(&action));
-        let outs = successors(&p, &s, &action).unwrap();
+        let outs = successors_in(&AttackScenario::Optimal, &p, &s, &action).unwrap();
         assert_eq!(outs.len(), 2);
         probabilities_sum_to_one(&outs);
         let accept = outs.iter().find(|o| o.probability == 0.25).unwrap();
@@ -719,7 +691,7 @@ mod tests {
             fork: 1,
             length: 3,
         };
-        let outs = successors(&p, &s, &action).unwrap();
+        let outs = successors_in(&AttackScenario::Optimal, &p, &s, &action).unwrap();
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].probability, 1.0);
         // delta = 3 − 1 = 2. New adversary blocks at depths 1..3: those at
@@ -758,7 +730,7 @@ mod tests {
             length: 2,
         };
         assert!(available_actions(&p, &s).contains(&action));
-        let outs = successors(&p, &s, &action).unwrap();
+        let outs = successors_in(&AttackScenario::Optimal, &p, &s, &action).unwrap();
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].probability, 1.0);
     }
@@ -778,7 +750,7 @@ mod tests {
             fork: 1,
             length: 2,
         };
-        let outs = successors(&p, &s, &action).unwrap();
+        let outs = successors_in(&AttackScenario::Optimal, &p, &s, &action).unwrap();
         let next = &outs[0].state;
         assert_eq!(next.fork_length(&p, 1, 1), 2, "remainder fork");
         // delta = 2: the old depth-1 root would move to depth 3 > d, so the
@@ -813,7 +785,7 @@ mod tests {
             fork: 1,
             length: 2,
         };
-        let outs = successors(&p, &s, &action).unwrap();
+        let outs = successors_in(&AttackScenario::Optimal, &p, &s, &action).unwrap();
         let next = &outs[0].state;
         // Old depth-2 root moves to depth 3: sibling fork (2,2) survives there,
         // and the released slot restarts empty.
@@ -851,7 +823,8 @@ mod tests {
                                 phase,
                             };
                             for action in available_actions(&p, &s) {
-                                let outs = successors(&p, &s, &action).unwrap();
+                                let outs = successors_in(&AttackScenario::Optimal, &p, &s, &action)
+                                    .unwrap();
                                 probabilities_sum_to_one(&outs);
                                 for o in &outs {
                                     assert!(o.state.is_consistent(&p));
@@ -868,7 +841,7 @@ mod tests {
     fn symbolic_outcomes_evaluate_to_the_numeric_transition_function() {
         // Across a parameter sweep including the masked edges, evaluating the
         // symbolic outcomes and dropping zero-probability branches must
-        // reproduce `successors` exactly (same order, same bits).
+        // reproduce `successors_in` exactly (same order, same bits).
         let cases = [
             (0.3, 0.5),
             (0.0, 0.5),
@@ -888,8 +861,11 @@ mod tests {
                             phase,
                         };
                         for action in available_actions(&p, &s) {
-                            let numeric = successors(&p, &s, &action).unwrap();
-                            let symbolic = symbolic_successors(&p, &s, &action).unwrap();
+                            let numeric =
+                                successors_in(&AttackScenario::Optimal, &p, &s, &action).unwrap();
+                            let symbolic =
+                                symbolic_successors_in(&AttackScenario::Optimal, &p, &s, &action)
+                                    .unwrap();
                             let evaluated: Vec<Outcome> = symbolic
                                 .iter()
                                 .filter_map(|o| {
@@ -922,24 +898,32 @@ mod tests {
             fork: 1,
             length: 1,
         };
-        let symbolic = symbolic_successors(&p, &s, &action).unwrap();
+        let symbolic = symbolic_successors_in(&AttackScenario::Optimal, &p, &s, &action).unwrap();
         assert_eq!(symbolic.len(), 2);
         assert_eq!(symbolic[0].term, ProbTerm::Gamma);
         assert_eq!(symbolic[1].term, ProbTerm::OneMinusGamma);
-        assert_eq!(successors(&p, &s, &action).unwrap().len(), 1);
+        assert_eq!(
+            successors_in(&AttackScenario::Optimal, &p, &s, &action)
+                .unwrap()
+                .len(),
+            1
+        );
 
         // p = 0 masks the adversary split of the mine action.
         let p0 = params(0.0, 0.5, 1, 1, 4);
         let mut s0 = SmState::initial(&p0);
         *s0.fork_length_mut(&p0, 1, 1) = 1;
-        let symbolic = symbolic_successors(&p0, &s0, &SmAction::Mine).unwrap();
+        let symbolic =
+            symbolic_successors_in(&AttackScenario::Optimal, &p0, &s0, &SmAction::Mine).unwrap();
         assert!(symbolic
             .iter()
             .any(|o| matches!(o.term, ProbTerm::AdversaryShare { .. })));
-        assert!(successors(&p0, &s0, &SmAction::Mine)
-            .unwrap()
-            .iter()
-            .all(|o| o.state.phase == Phase::HonestFound));
+        assert!(
+            successors_in(&AttackScenario::Optimal, &p0, &s0, &SmAction::Mine)
+                .unwrap()
+                .iter()
+                .all(|o| o.state.phase == Phase::HonestFound)
+        );
     }
 
     #[test]
@@ -949,7 +933,7 @@ mod tests {
         *s.fork_length_mut(&p, 1, 1) = 2;
         for &(pv, gamma) in &[(0.0, 0.0), (1.0, 1.0), (0.3, 0.7), (1.0, 0.0)] {
             for action in available_actions(&p, &s) {
-                let total: f64 = symbolic_successors(&p, &s, &action)
+                let total: f64 = symbolic_successors_in(&AttackScenario::Optimal, &p, &s, &action)
                     .unwrap()
                     .iter()
                     .map(|o| o.term.eval(pv, gamma))
@@ -968,10 +952,10 @@ mod tests {
             fork: 1,
             length: 1,
         };
-        assert!(successors(&p, &s, &release).is_err());
+        assert!(successors_in(&AttackScenario::Optimal, &p, &s, &release).is_err());
         let mut s2 = s.clone();
         s2.phase = Phase::AdversaryFound;
         // Fork is empty: length 1 exceeds it.
-        assert!(successors(&p, &s2, &release).is_err());
+        assert!(successors_in(&AttackScenario::Optimal, &p, &s2, &release).is_err());
     }
 }

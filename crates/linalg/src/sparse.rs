@@ -12,7 +12,7 @@
 //! ([`LinalgError::IndexOverflow`]) — a topology that genuinely exceeds
 //! `u32::MAX` fails loudly instead of wrapping.
 
-use crate::{DenseMatrix, LinalgError};
+use crate::LinalgError;
 
 /// The largest index or entry count the compact CSR storage can hold.
 pub const COMPACT_INDEX_LIMIT: usize = u32::MAX as usize;
@@ -249,21 +249,6 @@ impl CsrMatrix {
         (self.row_ptr, self.col_idx, self.values)
     }
 
-    /// Builds the CSR representation of a dense matrix, dropping zeros.
-    pub fn from_dense(dense: &DenseMatrix) -> Self {
-        let mut triplets = Vec::new();
-        for i in 0..dense.rows() {
-            for j in 0..dense.cols() {
-                let v = dense.get(i, j);
-                if v != 0.0 {
-                    triplets.push(Triplet::new(i, j, v));
-                }
-            }
-        }
-        CsrMatrix::from_triplets(dense.rows(), dense.cols(), &triplets)
-            .expect("dense matrix indices are always in bounds")
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -277,14 +262,6 @@ impl CsrMatrix {
     /// Number of explicitly stored non-zero entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Resident bytes of the index and value arrays (the quantity the compact
-    /// `u32` storage halves relative to `usize` indices).
-    pub fn resident_bytes(&self) -> usize {
-        self.row_ptr.len() * std::mem::size_of::<u32>()
-            + self.col_idx.len() * std::mem::size_of::<u32>()
-            + self.values.len() * std::mem::size_of::<f64>()
     }
 
     /// Returns the entry at `(row, col)` (zero if not stored).
@@ -380,16 +357,6 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Converts to a dense matrix. Intended for small matrices (tests,
-    /// policy-evaluation systems), not for full MDP transition relations.
-    pub fn to_dense(&self) -> DenseMatrix {
-        let mut dense = DenseMatrix::zeros(self.rows, self.cols);
-        for t in self.iter() {
-            dense.set(t.row, t.col, t.value);
-        }
-        dense
-    }
-
     /// Checks whether the matrix is row-stochastic: all entries non-negative
     /// and every row sums to 1 within `tol`.
     pub fn is_row_stochastic(&self, tol: f64) -> bool {
@@ -403,6 +370,14 @@ impl CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Row-major dense copy of `m`, the reference the products are checked
+    /// against.
+    fn dense(m: &CsrMatrix) -> Vec<Vec<f64>> {
+        (0..m.rows())
+            .map(|i| (0..m.cols()).map(|j| m.get(i, j)).collect())
+            .collect()
+    }
 
     fn sample() -> CsrMatrix {
         CsrMatrix::from_triplets(
@@ -454,8 +429,11 @@ mod tests {
         let m = sample();
         let x = vec![1.0, 2.0, 3.0];
         let sparse = m.matvec(&x).unwrap();
-        let dense = m.to_dense().matvec(&x).unwrap();
-        assert_eq!(sparse, dense);
+        let reference: Vec<f64> = dense(&m)
+            .iter()
+            .map(|row| row.iter().zip(&x).map(|(a, b)| a * b).sum())
+            .collect();
+        assert_eq!(sparse, reference);
     }
 
     #[test]
@@ -463,8 +441,11 @@ mod tests {
         let m = sample();
         let x = vec![0.2, 0.3, 0.5];
         let sparse = m.transpose_matvec(&x).unwrap();
-        let dense = m.to_dense().transpose().matvec(&x).unwrap();
-        for (a, b) in sparse.iter().zip(&dense) {
+        let rows = dense(&m);
+        let reference: Vec<f64> = (0..m.cols())
+            .map(|j| rows.iter().zip(&x).map(|(row, xi)| row[j] * xi).sum())
+            .collect();
+        for (a, b) in sparse.iter().zip(&reference) {
             assert!((a - b).abs() < 1e-15);
         }
     }
@@ -484,13 +465,6 @@ mod tests {
             CsrMatrix::from_triplets(1, 2, &[Triplet::new(0, 0, 0.4), Triplet::new(0, 1, 0.4)])
                 .unwrap();
         assert!(!bad.is_row_stochastic(1e-12));
-    }
-
-    #[test]
-    fn dense_roundtrip_preserves_entries() {
-        let m = sample();
-        let roundtrip = CsrMatrix::from_dense(&m.to_dense());
-        assert_eq!(m, roundtrip);
     }
 
     #[test]

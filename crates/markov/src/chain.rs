@@ -1,9 +1,6 @@
 //! The [`MarkovChain`] type: a validated row-stochastic transition structure.
 
-use crate::{
-    HittingAnalysis, MarkovError, StationaryDistribution, StationaryMethod,
-    StronglyConnectedComponents, STOCHASTIC_TOLERANCE,
-};
+use crate::{MarkovError, STOCHASTIC_TOLERANCE};
 use sm_linalg::{CsrMatrix, Triplet};
 
 /// A finite, discrete-time Markov chain stored as a sparse transition matrix.
@@ -22,7 +19,7 @@ use sm_linalg::{CsrMatrix, Triplet};
 ///     vec![(0, 0.5), (1, 0.5)],
 /// ])?;
 /// assert_eq!(chain.num_states(), 2);
-/// assert!(chain.is_irreducible());
+/// assert_eq!(chain.probability(1, 0), 0.5);
 /// # Ok(())
 /// # }
 /// ```
@@ -73,18 +70,32 @@ impl MarkovChain {
         Ok(MarkovChain { transitions })
     }
 
-    /// Builds a chain directly from a sparse matrix, validating stochasticity.
+    /// Builds a chain directly from raw compact CSR arrays (`row_ptr`, `u32`
+    /// column indices, probabilities), validating both the CSR invariants and
+    /// row stochasticity.
+    ///
+    /// This is the allocation-light path used when a chain is extracted from
+    /// an already-CSR source — in particular the flat transition arena of
+    /// `sm-mdp`, whose strategy-induced chains are row-slice copies of the
+    /// arena and arrive here without any per-row staging or index widening.
     ///
     /// # Errors
     ///
-    /// Returns [`MarkovError::InvalidDistribution`] if some row does not sum
-    /// to 1 or has negative entries, or [`MarkovError::EmptyChain`] for a 0x0
-    /// matrix.
-    pub fn from_matrix(transitions: CsrMatrix) -> Result<Self, MarkovError> {
-        if transitions.rows() == 0 {
+    /// Propagates CSR shape errors from the sparse constructor and returns
+    /// [`MarkovError::InvalidDistribution`] if some row does not sum to 1 or
+    /// has negative entries, or [`MarkovError::EmptyChain`] for an empty
+    /// chain.
+    pub fn from_csr_parts_u32(
+        row_ptr: Vec<u32>,
+        col_idx: Vec<u32>,
+        probabilities: Vec<f64>,
+    ) -> Result<Self, MarkovError> {
+        let n = row_ptr.len().saturating_sub(1);
+        let transitions = CsrMatrix::from_raw_parts_u32(n, n, row_ptr, col_idx, probabilities)?;
+        if n == 0 {
             return Err(MarkovError::EmptyChain);
         }
-        for state in 0..transitions.rows() {
+        for state in 0..n {
             let (_, vals) = transitions.row(state);
             let sum: f64 = vals.iter().sum();
             if (sum - 1.0).abs() > STOCHASTIC_TOLERANCE || vals.iter().any(|&v| v < 0.0) {
@@ -92,52 +103,6 @@ impl MarkovChain {
             }
         }
         Ok(MarkovChain { transitions })
-    }
-
-    /// Builds a chain directly from raw CSR arrays (`row_ptr`, column
-    /// indices, probabilities), validating both the CSR invariants and row
-    /// stochasticity.
-    ///
-    /// This is the allocation-light path used when a chain is extracted from
-    /// an already-CSR source — in particular the flat transition arena of
-    /// `sm-mdp`, whose strategy-induced chains are row-slice copies of the
-    /// arena and arrive here without any per-row staging.
-    ///
-    /// # Errors
-    ///
-    /// Propagates CSR shape errors from the sparse constructor and returns
-    /// [`MarkovError::InvalidDistribution`] / [`MarkovError::EmptyChain`]
-    /// like [`MarkovChain::from_matrix`].
-    pub fn from_csr_parts(
-        row_ptr: Vec<usize>,
-        col_idx: Vec<usize>,
-        probabilities: Vec<f64>,
-    ) -> Result<Self, MarkovError> {
-        let n = row_ptr.len().saturating_sub(1);
-        let matrix = CsrMatrix::from_raw_parts(n, n, row_ptr, col_idx, probabilities)?;
-        Self::from_matrix(matrix)
-    }
-
-    /// [`MarkovChain::from_csr_parts`] over the compact `u32` index arrays the
-    /// flat MDP arena stores natively — no widening round-trip.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MarkovChain::from_csr_parts`].
-    pub fn from_csr_parts_u32(
-        row_ptr: Vec<u32>,
-        col_idx: Vec<u32>,
-        probabilities: Vec<f64>,
-    ) -> Result<Self, MarkovError> {
-        let n = row_ptr.len().saturating_sub(1);
-        let matrix = CsrMatrix::from_raw_parts_u32(n, n, row_ptr, col_idx, probabilities)?;
-        Self::from_matrix(matrix)
-    }
-
-    /// Consumes the chain and returns the underlying sparse transition
-    /// matrix, the inverse of [`MarkovChain::from_matrix`].
-    pub fn into_matrix(self) -> CsrMatrix {
-        self.transitions
     }
 
     /// Number of states.
@@ -167,50 +132,6 @@ impl MarkovChain {
     /// Borrow of the underlying sparse transition matrix.
     pub fn matrix(&self) -> &CsrMatrix {
         &self.transitions
-    }
-
-    /// One step of the distribution evolution: `mu' = mu · P`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `distribution.len()` differs from the state count.
-    pub fn step_distribution(&self, distribution: &[f64]) -> Result<Vec<f64>, MarkovError> {
-        Ok(self.transitions.transpose_matvec(distribution)?)
-    }
-
-    /// SCC decomposition and state classification for this chain.
-    pub fn classify(&self) -> StronglyConnectedComponents {
-        StronglyConnectedComponents::of_chain(self)
-    }
-
-    /// Whether the chain consists of a single closed communicating class.
-    pub fn is_irreducible(&self) -> bool {
-        let scc = self.classify();
-        scc.num_components() == 1
-    }
-
-    /// Whether every state belongs to some recurrent class that is reachable
-    /// from every state (unichain condition: exactly one recurrent class).
-    pub fn is_unichain(&self) -> bool {
-        self.classify().recurrent_classes().len() == 1
-    }
-
-    /// Stationary distribution of an irreducible chain (or, more generally, a
-    /// unichain — transient states receive probability 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MarkovError::NotIrreducible`] if the chain has more than one
-    /// recurrent class, and propagates numerical errors from the solver.
-    pub fn stationary_distribution(&self) -> Result<Vec<f64>, MarkovError> {
-        let solver = StationaryDistribution::new(StationaryMethod::LinearSolve);
-        solver.unichain_distribution(self)
-    }
-
-    /// Hitting analysis (hitting probabilities / expected hitting times) for a
-    /// target set of states.
-    pub fn hitting_analysis(&self, targets: &[usize]) -> Result<HittingAnalysis, MarkovError> {
-        HittingAnalysis::new(self, targets)
     }
 }
 
@@ -249,59 +170,37 @@ mod tests {
     }
 
     #[test]
-    fn step_distribution_preserves_mass() {
-        let chain =
-            MarkovChain::from_rows(vec![vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]])
-                .unwrap();
-        let mu = chain.step_distribution(&[0.5, 0.5]).unwrap();
-        assert!((mu.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((mu[0] - 0.65).abs() < 1e-12);
-    }
-
-    #[test]
-    fn irreducibility_detection() {
-        let irreducible = MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
-        assert!(irreducible.is_irreducible());
-
-        let absorbing =
-            MarkovChain::from_rows(vec![vec![(0, 0.5), (1, 0.5)], vec![(1, 1.0)]]).unwrap();
-        assert!(!absorbing.is_irreducible());
-        assert!(absorbing.is_unichain());
-    }
-
-    #[test]
-    fn from_matrix_validates() {
-        let good = CsrMatrix::from_triplets(1, 1, &[Triplet::new(0, 0, 1.0)]).unwrap();
-        assert!(MarkovChain::from_matrix(good).is_ok());
-        let bad = CsrMatrix::from_triplets(1, 1, &[Triplet::new(0, 0, 0.7)]).unwrap();
-        assert!(MarkovChain::from_matrix(bad).is_err());
-    }
-
-    #[test]
     fn from_csr_parts_matches_from_rows() {
         let via_rows =
             MarkovChain::from_rows(vec![vec![(0, 0.5), (1, 0.5)], vec![(0, 1.0)]]).unwrap();
         let via_parts =
-            MarkovChain::from_csr_parts(vec![0, 2, 3], vec![0, 1, 0], vec![0.5, 0.5, 1.0]).unwrap();
-        assert_eq!(via_rows, via_parts);
-        let via_u32 =
             MarkovChain::from_csr_parts_u32(vec![0, 2, 3], vec![0, 1, 0], vec![0.5, 0.5, 1.0])
                 .unwrap();
-        assert_eq!(via_rows, via_u32);
-        let matrix = via_parts.into_matrix();
-        assert_eq!(matrix.nnz(), 3);
+        assert_eq!(via_rows, via_parts);
+        assert_eq!(via_parts.matrix().nnz(), 3);
     }
 
     #[test]
     fn from_csr_parts_validates() {
         // Row does not sum to 1.
         assert!(matches!(
-            MarkovChain::from_csr_parts(vec![0, 1], vec![0], vec![0.7]),
+            MarkovChain::from_csr_parts_u32(vec![0, 1], vec![0], vec![0.7]),
+            Err(MarkovError::InvalidDistribution { .. })
+        ));
+        // Negative entries are rejected even when the row sums to 1.
+        assert!(matches!(
+            MarkovChain::from_csr_parts_u32(vec![0, 2, 3], vec![0, 1, 1], vec![-0.5, 1.5, 1.0]),
             Err(MarkovError::InvalidDistribution { .. })
         ));
         // Empty chain.
-        assert!(MarkovChain::from_csr_parts(vec![0], vec![], vec![]).is_err());
+        assert_eq!(
+            MarkovChain::from_csr_parts_u32(vec![0], vec![], vec![]).unwrap_err(),
+            MarkovError::EmptyChain
+        );
         // Malformed CSR shape surfaces as a linalg-backed error.
-        assert!(MarkovChain::from_csr_parts(vec![1, 0], vec![0], vec![1.0]).is_err());
+        assert!(matches!(
+            MarkovChain::from_csr_parts_u32(vec![1, 0], vec![0], vec![1.0]),
+            Err(MarkovError::Linalg(_))
+        ));
     }
 }

@@ -32,8 +32,9 @@ pub enum MarkovError {
     },
     /// The chain has no states.
     EmptyChain,
-    /// The requested operation needs an irreducible (single recurrent class,
-    /// no transient states) chain but the chain is not irreducible.
+    /// The requested operation needs a chain with a single recurrent class
+    /// but the chain has several (raised by the exact stationary analysis of
+    /// the dev-only `sm-oracle` crate).
     NotIrreducible,
     /// An iterative method failed to converge within its iteration budget.
     ConvergenceFailure {

@@ -1,32 +1,38 @@
-//! Finite Markov chain analysis.
+//! Finite Markov chains and the evaluator of a fixed strategy's gains.
 //!
 //! A positional strategy in the selfish-mining MDP induces a finite Markov
 //! chain; the paper's Theorem 3.1 argues about the long-run behaviour of these
 //! induced chains (ergodicity, strong law of large numbers, long-run average
-//! rewards). This crate provides the corresponding machinery:
+//! rewards). The pipeline needs one thing from such a chain — the long-run
+//! average rewards that make up a strategy's revenue — and this crate
+//! provides it:
 //!
 //! * [`MarkovChain`] — a row-stochastic transition matrix with validation.
-//! * [`StronglyConnectedComponents`] — Tarjan SCC decomposition, recurrent
-//!   class and transient state identification.
-//! * [`StationaryDistribution`] — stationary distributions per recurrent
-//!   class, via direct linear solve or power iteration.
-//! * [`long_run_average_reward`] — the gain of a chain under a reward
-//!   function, the quantity that policy evaluation in `sm-mdp` needs.
-//! * [`HittingAnalysis`] — hitting probabilities and expected hitting times.
+//! * [`iterative_gains`] — the gains of a unichain under several reward
+//!   functions at once, by fused sparse sweeps that are bit-identical for any
+//!   thread count.
+//! * [`SolverParallelism`], [`mass_balanced_blocks`] and [`sweep_scope`] —
+//!   the deterministic row-block parallelism shared with the MDP solver of
+//!   `sm-mdp`.
+//!
+//! The exact chain analyses the tests check the sweeps against (SCC
+//! classification, stationary distributions, hitting analysis, the exact
+//! gain by dense solves) live in the dev-only `sm-oracle` crate.
 //!
 //! # Example
 //!
 //! ```
-//! use sm_markov::MarkovChain;
+//! use sm_markov::{iterative_gains, MarkovChain, SolverParallelism};
 //!
 //! # fn main() -> Result<(), sm_markov::MarkovError> {
-//! // A two-state chain that flips with probability 0.3 / 0.6.
+//! // A two-state chain that flips with probability 0.3 / 0.6: its
+//! // stationary distribution is (2/3, 1/3).
 //! let chain = MarkovChain::from_rows(vec![
 //!     vec![(0, 0.7), (1, 0.3)],
 //!     vec![(0, 0.6), (1, 0.4)],
 //! ])?;
-//! let pi = chain.stationary_distribution()?;
-//! assert!((pi[0] - 2.0 / 3.0).abs() < 1e-9);
+//! let (gains, _bias) = iterative_gains(&chain, &[&[1.0, 0.0]], None, SolverParallelism::serial())?;
+//! assert!((gains[0] - 2.0 / 3.0).abs() < 1e-8);
 //! # Ok(())
 //! # }
 //! ```
@@ -35,26 +41,17 @@
 #![warn(missing_docs)]
 
 mod chain;
-mod classify;
 mod error;
-mod hitting;
 mod parallel;
 mod reward;
-mod stationary;
 
 pub use chain::MarkovChain;
-pub use classify::{StateClass, StronglyConnectedComponents};
 pub use error::MarkovError;
-pub use hitting::HittingAnalysis;
 pub use parallel::{
     mass_balanced_blocks, mass_capped_threads, sweep_scope, BlockPool, SolverParallelism,
     MIN_BLOCK_MASS,
 };
-pub use reward::{
-    iterative_gain, iterative_gains, iterative_gains_seeded, iterative_gains_seeded_with,
-    long_run_average_reward, total_expected_reward_until_absorption,
-};
-pub use stationary::{StationaryDistribution, StationaryMethod};
+pub use reward::iterative_gains;
 
 /// Tolerance used when validating that rows are probability distributions.
 pub const STOCHASTIC_TOLERANCE: f64 = 1e-9;

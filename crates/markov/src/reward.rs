@@ -1,205 +1,39 @@
-//! Long-run average (gain) and transient reward computations.
+//! Long-run average (gain) evaluation of a unichain by fused sparse sweeps.
 
 use crate::parallel::{mass_balanced_blocks, mass_capped_threads, sweep_scope};
-use crate::{
-    MarkovChain, MarkovError, SolverParallelism, StateClass, StationaryDistribution,
-    StationaryMethod,
-};
-use sm_linalg::{solve_linear_system, DenseMatrix};
+use crate::{MarkovChain, MarkovError, SolverParallelism};
 use std::sync::{Mutex, PoisonError, RwLock};
 
-/// Long-run average reward (gain) of every state of a chain under a per-state
-/// reward vector.
-///
-/// For a state inside a recurrent class `R` the gain is `Σ_{s∈R} π_R(s) r(s)`
-/// where `π_R` is the stationary distribution of the class. For a transient
-/// state the gain is the absorption-probability-weighted average of the gains
-/// of the recurrent classes it can reach.
-///
-/// This is the exact quantity needed to evaluate a positional MDP strategy
-/// under the mean-payoff objective, so `sm-mdp`'s policy iteration delegates
-/// here.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::RewardDimensionMismatch`] if the reward vector does
-/// not match the number of states, and propagates solver failures.
-///
-/// # Example
-///
-/// ```
-/// use sm_markov::{long_run_average_reward, MarkovChain};
-///
-/// # fn main() -> Result<(), sm_markov::MarkovError> {
-/// let chain = MarkovChain::from_rows(vec![
-///     vec![(0, 0.5), (1, 0.5)],
-///     vec![(0, 0.5), (1, 0.5)],
-/// ])?;
-/// let gain = long_run_average_reward(&chain, &[1.0, 0.0])?;
-/// assert!((gain[0] - 0.5).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn long_run_average_reward(
-    chain: &MarkovChain,
-    rewards: &[f64],
-) -> Result<Vec<f64>, MarkovError> {
-    let n = chain.num_states();
-    if rewards.len() != n {
-        return Err(MarkovError::RewardDimensionMismatch {
-            expected: n,
-            actual: rewards.len(),
-        });
-    }
-    let scc = chain.classify();
-    let recurrent_classes = scc.recurrent_classes();
-    let solver = StationaryDistribution::new(StationaryMethod::LinearSolve);
+/// Span tolerance at which [`iterative_gains`] stops refining a gain: each
+/// returned gain is the midpoint of a certified interval narrower than this.
+const GAIN_EPSILON: f64 = 1e-9;
 
-    // Gain of each recurrent class.
-    let mut class_gain = Vec::with_capacity(recurrent_classes.len());
-    for class in &recurrent_classes {
-        let pi = solver.class_distribution(chain, class)?;
-        let gain: f64 = class.iter().zip(&pi).map(|(&s, &p)| p * rewards[s]).sum();
-        class_gain.push(gain);
-    }
+/// Sweep budget of [`iterative_gains`]; exhausting it means the chain is not
+/// unichain (state-dependent gains keep the span open forever).
+const GAIN_SWEEP_LIMIT: usize = 5_000_000;
 
-    let classes = scc.state_classes();
-    let mut gain = vec![0.0; n];
-    for (s, class) in classes.iter().enumerate() {
-        if let StateClass::Recurrent { class } = class {
-            gain[s] = class_gain[*class];
-        }
-    }
-
-    // Transient states: gain(s) = Σ_t P(s,t) gain(t), i.e. solve
-    // (I - P_TT) g_T = P_TR g_R over the transient block.
-    let transient = scc.transient_states();
-    if !transient.is_empty() {
-        let m = transient.len();
-        let mut local = vec![usize::MAX; n];
-        for (i, &s) in transient.iter().enumerate() {
-            local[s] = i;
-        }
-        let mut a = DenseMatrix::identity(m);
-        let mut b = vec![0.0; m];
-        for (i, &s) in transient.iter().enumerate() {
-            let (succ, probs) = chain.successors(s);
-            for (&t, &p) in succ.iter().zip(probs) {
-                let t = t as usize;
-                if local[t] == usize::MAX {
-                    b[i] += p * gain[t];
-                } else {
-                    let j = local[t];
-                    a.set(i, j, a.get(i, j) - p);
-                }
-            }
-        }
-        let g = solve_linear_system(&a, &b)?;
-        for (i, &s) in transient.iter().enumerate() {
-            gain[s] = g[i];
-        }
-    }
-    Ok(gain)
-}
-
-/// Long-run average reward (gain) of a *unichain* Markov chain, computed with
-/// sparse relative value iteration instead of the dense linear solves used by
-/// [`long_run_average_reward`].
+/// Long-run average rewards (gains) of a *unichain* Markov chain under
+/// several reward vectors at once, computed with sparse relative value
+/// iteration.
 ///
-/// This is the method of choice for large chains (tens of thousands of
-/// states), where assembling and factorising dense systems is prohibitive: a
-/// sweep touches every transition once, and the span of the per-sweep
-/// increments certifies the result to within `epsilon`.
-///
-/// # Errors
-///
-/// Returns [`MarkovError::RewardDimensionMismatch`] for a malformed reward
-/// vector and [`MarkovError::ConvergenceFailure`] if the span has not dropped
-/// below `epsilon` after `max_iterations` sweeps (e.g. because the chain is
-/// not unichain and therefore has no single gain).
-///
-/// # Example
-///
-/// ```
-/// use sm_markov::{iterative_gain, MarkovChain};
-///
-/// # fn main() -> Result<(), sm_markov::MarkovError> {
-/// let chain = MarkovChain::from_rows(vec![
-///     vec![(0, 0.5), (1, 0.5)],
-///     vec![(0, 0.5), (1, 0.5)],
-/// ])?;
-/// let gain = iterative_gain(&chain, &[1.0, 0.0], 1e-10, 100_000)?;
-/// assert!((gain - 0.5).abs() < 1e-8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn iterative_gain(
-    chain: &MarkovChain,
-    rewards: &[f64],
-    epsilon: f64,
-    max_iterations: usize,
-) -> Result<f64, MarkovError> {
-    let gains = iterative_gains(chain, &[rewards], epsilon, max_iterations)?;
-    Ok(gains[0])
-}
-
-/// [`iterative_gain`] over *several* reward vectors at once, sharing the
-/// chain sweeps: the transition arrays (the memory-bound part of a sweep) are
-/// walked once per iteration while one bias vector per reward function is
-/// updated in the same pass. Evaluating the selfish-mining revenue ratio
-/// `g_A / (g_A + g_H)` needs the gains of `r_A` and `r_H` under the *same*
-/// chain, which this computes at nearly the cost of one.
-///
-/// Each reward's own span certifies its gain to within `epsilon`; the sweep
+/// A sweep touches every transition once, so the method scales to chains of
+/// tens of thousands of states where dense linear solves are prohibitive.
+/// The reward functions share the sweeps: the transition arrays (the
+/// memory-bound part of a sweep) are walked once per iteration while one bias
+/// vector per reward function is updated in the same pass. Evaluating the
+/// selfish-mining revenue ratio `g_A / (g_A + g_H)` needs the gains of `r_A`
+/// and `r_H` under the *same* chain, which this computes at nearly the cost
+/// of one. Each reward's own span certifies its gain to within `1e-9`; the
 /// loop runs until every span has closed (gains whose span closed early stop
 /// being refined — their certified interval is frozen).
 ///
-/// # Errors
-///
-/// Same as [`iterative_gain`]; the dimension check applies to every reward
-/// vector.
-pub fn iterative_gains(
-    chain: &MarkovChain,
-    rewards: &[&[f64]],
-    epsilon: f64,
-    max_iterations: usize,
-) -> Result<Vec<f64>, MarkovError> {
-    iterative_gains_seeded(chain, rewards, epsilon, max_iterations, None).map(|(gains, _)| gains)
-}
-
-/// [`iterative_gains`] warm-started from previously converged bias vectors
-/// (one per reward function), returning the final bias vectors for the next
-/// call. Seeding with the bias of a *similar* chain — e.g. the one induced at
-/// the previous point of a parameter sweep — cuts the sweep count; any finite
-/// seed is valid (the per-sweep span sandwich certifies the gain regardless
-/// of the starting bias) and seeds of the wrong shape are ignored.
-///
-/// # Errors
-///
-/// Same as [`iterative_gains`].
-pub fn iterative_gains_seeded(
-    chain: &MarkovChain,
-    rewards: &[&[f64]],
-    epsilon: f64,
-    max_iterations: usize,
-    seed: Option<&[Vec<f64>]>,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), MarkovError> {
-    iterative_gains_seeded_with(
-        chain,
-        rewards,
-        epsilon,
-        max_iterations,
-        seed,
-        SolverParallelism::serial(),
-    )
-}
-
-/// The lazy (aperiodicity) transformation parameter of the fused gain sweeps:
-/// `P' = (1 − τ)·I + τ·P` has the same stationary distribution and gain,
-/// with guaranteed convergence of the span on periodic chains.
-const GAIN_SWEEP_LAZINESS: f64 = 0.9;
-
-/// [`iterative_gains_seeded`] with row-block parallel chain sweeps.
+/// `seed` warm-starts the sweeps from previously converged bias vectors (one
+/// per reward function), and the final bias vectors are returned for the
+/// next call. Seeding with the bias of a *similar* chain — e.g. the one
+/// induced at the previous point of a parameter sweep — cuts the sweep
+/// count; any finite seed is valid (the per-sweep span sandwich certifies the
+/// gain regardless of the starting bias) and seeds of the wrong shape are
+/// ignored.
 ///
 /// The state range is partitioned into contiguous blocks balanced by
 /// transition mass ([`mass_balanced_blocks`]); each sweep fans the blocks
@@ -213,14 +47,58 @@ const GAIN_SWEEP_LAZINESS: f64 = 0.9;
 ///
 /// # Errors
 ///
-/// Same as [`iterative_gains`].
-pub fn iterative_gains_seeded_with(
+/// Returns [`MarkovError::RewardDimensionMismatch`] if a reward vector does
+/// not match the number of states and [`MarkovError::ConvergenceFailure`] if
+/// some span is still open after 5,000,000 sweeps (e.g. because the chain is
+/// not unichain and therefore has no single gain).
+///
+/// # Example
+///
+/// ```
+/// use sm_markov::{iterative_gains, MarkovChain, SolverParallelism};
+///
+/// # fn main() -> Result<(), sm_markov::MarkovError> {
+/// let chain = MarkovChain::from_rows(vec![
+///     vec![(0, 0.5), (1, 0.5)],
+///     vec![(0, 0.5), (1, 0.5)],
+/// ])?;
+/// let (gains, _bias) =
+///     iterative_gains(&chain, &[&[1.0, 0.0], &[0.0, 2.0]], None, SolverParallelism::serial())?;
+/// assert!((gains[0] - 0.5).abs() < 1e-8);
+/// assert!((gains[1] - 1.0).abs() < 1e-8);
+/// # Ok(())
+/// # }
+/// ```
+pub fn iterative_gains(
     chain: &MarkovChain,
     rewards: &[&[f64]],
-    epsilon: f64,
-    max_iterations: usize,
     seed: Option<&[Vec<f64>]>,
     parallelism: SolverParallelism,
+) -> Result<(Vec<f64>, Vec<Vec<f64>>), MarkovError> {
+    gain_sweeps(
+        chain,
+        rewards,
+        seed,
+        parallelism,
+        GAIN_EPSILON,
+        GAIN_SWEEP_LIMIT,
+    )
+}
+
+/// The lazy (aperiodicity) transformation parameter of the fused gain sweeps:
+/// `P' = (1 − τ)·I + τ·P` has the same stationary distribution and gain,
+/// with guaranteed convergence of the span on periodic chains.
+const GAIN_SWEEP_LAZINESS: f64 = 0.9;
+
+/// [`iterative_gains`] with an explicit span tolerance and sweep budget — the
+/// seam that lets the unit tests exhaust a small budget.
+fn gain_sweeps(
+    chain: &MarkovChain,
+    rewards: &[&[f64]],
+    seed: Option<&[Vec<f64>]>,
+    parallelism: SolverParallelism,
+    epsilon: f64,
+    max_iterations: usize,
 ) -> Result<(Vec<f64>, Vec<Vec<f64>>), MarkovError> {
     let n = chain.num_states();
     for reward in rewards {
@@ -254,7 +132,7 @@ pub fn iterative_gains_seeded_with(
     }
 }
 
-/// The historical single-threaded sweep loop of [`iterative_gains_seeded`].
+/// The single-threaded sweep loop of [`iterative_gains`].
 fn gain_sweeps_serial(
     chain: &MarkovChain,
     rewards: &[&[f64]],
@@ -315,8 +193,7 @@ fn gain_sweeps_serial(
 }
 
 /// Row-block parallel variant of [`gain_sweeps_serial`]: same arithmetic per
-/// state, same fold order, bit-identical results (see
-/// [`iterative_gains_seeded_with`]).
+/// state, same fold order, bit-identical results (see [`iterative_gains`]).
 fn gain_sweeps_parallel(
     chain: &MarkovChain,
     rewards: &[&[f64]],
@@ -443,92 +320,20 @@ fn gain_sweeps_parallel(
     ))
 }
 
-/// Total expected reward accumulated before absorption into a target set,
-/// starting from each state. Rewards are collected in every non-target state
-/// visited (including the start), targets collect nothing.
-///
-/// States that do not reach the target set with probability 1 get
-/// `f64::INFINITY` (the accumulated reward need not converge there).
-///
-/// # Errors
-///
-/// Returns [`MarkovError::RewardDimensionMismatch`] on a malformed reward
-/// vector, [`MarkovError::EmptyChain`] for an empty target set, and
-/// propagates solver failures.
-pub fn total_expected_reward_until_absorption(
-    chain: &MarkovChain,
-    rewards: &[f64],
-    targets: &[usize],
-) -> Result<Vec<f64>, MarkovError> {
-    let n = chain.num_states();
-    if rewards.len() != n {
-        return Err(MarkovError::RewardDimensionMismatch {
-            expected: n,
-            actual: rewards.len(),
-        });
-    }
-    let hitting = chain.hitting_analysis(targets)?;
-    let mut is_target = vec![false; n];
-    for &t in targets {
-        is_target[t] = true;
-    }
-    let certain: Vec<usize> = (0..n)
-        .filter(|&s| !is_target[s] && hitting.probability(s) > 1.0 - 1e-9)
-        .collect();
-    let mut local = vec![usize::MAX; n];
-    for (i, &s) in certain.iter().enumerate() {
-        local[s] = i;
-    }
-    let mut out = vec![f64::INFINITY; n];
-    for &t in targets {
-        out[t] = 0.0;
-    }
-    if certain.is_empty() {
-        return Ok(out);
-    }
-    let m = certain.len();
-    let mut a = DenseMatrix::identity(m);
-    let mut b = vec![0.0; m];
-    for (i, &s) in certain.iter().enumerate() {
-        b[i] = rewards[s];
-        let (succ, probs) = chain.successors(s);
-        for (&t, &p) in succ.iter().zip(probs) {
-            let t = t as usize;
-            if is_target[t] {
-                continue;
-            }
-            let j = local[t];
-            if j != usize::MAX {
-                a.set(i, j, a.get(i, j) - p);
-            }
-        }
-    }
-    let x = solve_linear_system(&a, &b)?;
-    for (i, &s) in certain.iter().enumerate() {
-        out[s] = x[i];
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn iterative_gain_matches_exact_gain() {
-        let chain =
-            MarkovChain::from_rows(vec![vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]])
-                .unwrap();
-        let rewards = [3.0, 0.0];
-        let exact = long_run_average_reward(&chain, &rewards).unwrap()[0];
-        let iterative = iterative_gain(&chain, &rewards, 1e-10, 200_000).unwrap();
-        assert!((exact - iterative).abs() < 1e-8);
+    fn serial_gains(chain: &MarkovChain, rewards: &[&[f64]]) -> Vec<f64> {
+        iterative_gains(chain, rewards, None, SolverParallelism::serial())
+            .unwrap()
+            .0
     }
 
     #[test]
     fn iterative_gain_handles_periodic_chains() {
         let chain = MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
-        let gain = iterative_gain(&chain, &[1.0, 0.0], 1e-10, 200_000).unwrap();
+        let gain = serial_gains(&chain, &[&[1.0, 0.0]])[0];
         assert!((gain - 0.5).abs() < 1e-8);
     }
 
@@ -542,13 +347,13 @@ mod tests {
         .unwrap();
         let r1 = [3.0, 0.0, 1.0];
         let r2 = [0.0, 2.0, 0.5];
-        let fused = iterative_gains(&chain, &[&r1, &r2], 1e-10, 200_000).unwrap();
-        let g1 = iterative_gain(&chain, &r1, 1e-10, 200_000).unwrap();
-        let g2 = iterative_gain(&chain, &r2, 1e-10, 200_000).unwrap();
+        let fused = serial_gains(&chain, &[&r1, &r2]);
+        let g1 = serial_gains(&chain, &[&r1])[0];
+        let g2 = serial_gains(&chain, &[&r2])[0];
         assert!((fused[0] - g1).abs() < 1e-9);
         assert!((fused[1] - g2).abs() < 1e-9);
-        assert!(iterative_gains(&chain, &[], 1e-10, 10).unwrap().is_empty());
-        assert!(iterative_gains(&chain, &[&r1[..2]], 1e-10, 10).is_err());
+        assert!(serial_gains(&chain, &[]).is_empty());
+        assert!(iterative_gains(&chain, &[&r1[..2]], None, SolverParallelism::serial()).is_err());
     }
 
     #[test]
@@ -557,13 +362,13 @@ mod tests {
             MarkovChain::from_rows(vec![vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]])
                 .unwrap();
         let r = [3.0, 0.0];
-        let (cold, bias) = iterative_gains_seeded(&chain, &[&r], 1e-10, 200_000, None).unwrap();
-        let (warm, _) = iterative_gains_seeded(&chain, &[&r], 1e-10, 200_000, Some(&bias)).unwrap();
+        let serial = SolverParallelism::serial();
+        let (cold, bias) = iterative_gains(&chain, &[&r], None, serial).unwrap();
+        let (warm, _) = iterative_gains(&chain, &[&r], Some(&bias), serial).unwrap();
         assert!((cold[0] - warm[0]).abs() < 1e-9);
         // A mis-shaped seed is ignored rather than rejected.
         let bad_seed = vec![vec![0.0; 7]];
-        let (ignored, _) =
-            iterative_gains_seeded(&chain, &[&r], 1e-10, 200_000, Some(&bad_seed)).unwrap();
+        let (ignored, _) = iterative_gains(&chain, &[&r], Some(&bad_seed), serial).unwrap();
         assert!((ignored[0] - cold[0]).abs() < 1e-9);
     }
 
@@ -571,83 +376,21 @@ mod tests {
     fn iterative_gain_validates_inputs_and_budget() {
         let chain = MarkovChain::from_rows(vec![vec![(0, 1.0)]]).unwrap();
         assert!(matches!(
-            iterative_gain(&chain, &[1.0, 2.0], 1e-8, 100),
+            iterative_gains(&chain, &[&[1.0, 2.0]], None, SolverParallelism::serial()),
             Err(MarkovError::RewardDimensionMismatch { .. })
         ));
         // A multichain has state-dependent gains, so the span never closes.
         let multichain = MarkovChain::from_rows(vec![vec![(0, 1.0)], vec![(1, 1.0)]]).unwrap();
         assert!(matches!(
-            iterative_gain(&multichain, &[0.0, 1.0], 1e-12, 50),
-            Err(MarkovError::ConvergenceFailure { .. })
+            gain_sweeps(
+                &multichain,
+                &[&[0.0, 1.0]],
+                None,
+                SolverParallelism::serial(),
+                1e-12,
+                50
+            ),
+            Err(MarkovError::ConvergenceFailure { iterations: 50, .. })
         ));
-    }
-
-    #[test]
-    fn gain_of_irreducible_chain_is_stationary_average() {
-        let chain =
-            MarkovChain::from_rows(vec![vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]])
-                .unwrap();
-        // Stationary distribution is (2/3, 1/3).
-        let gain = long_run_average_reward(&chain, &[3.0, 0.0]).unwrap();
-        assert!((gain[0] - 2.0).abs() < 1e-9);
-        assert!((gain[1] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn gain_distinguishes_multiple_recurrent_classes() {
-        // 0 splits evenly to two absorbing states with rewards 0 and 10.
-        let chain = MarkovChain::from_rows(vec![
-            vec![(1, 0.5), (2, 0.5)],
-            vec![(1, 1.0)],
-            vec![(2, 1.0)],
-        ])
-        .unwrap();
-        let gain = long_run_average_reward(&chain, &[0.0, 0.0, 10.0]).unwrap();
-        assert!((gain[1] - 0.0).abs() < 1e-12);
-        assert!((gain[2] - 10.0).abs() < 1e-12);
-        assert!((gain[0] - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rejects_wrong_reward_length() {
-        let chain = MarkovChain::from_rows(vec![vec![(0, 1.0)]]).unwrap();
-        assert!(matches!(
-            long_run_average_reward(&chain, &[1.0, 2.0]),
-            Err(MarkovError::RewardDimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn absorption_reward_counts_visits() {
-        // 0 -> 1 -> 2(absorbing), reward 1 per non-target state visited.
-        let chain =
-            MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(2, 1.0)], vec![(2, 1.0)]]).unwrap();
-        let total = total_expected_reward_until_absorption(&chain, &[1.0, 1.0, 0.0], &[2]).unwrap();
-        assert!((total[0] - 2.0).abs() < 1e-10);
-        assert!((total[1] - 1.0).abs() < 1e-10);
-        assert_eq!(total[2], 0.0);
-    }
-
-    #[test]
-    fn absorption_reward_infinite_when_absorption_uncertain() {
-        // State 0 can fall into absorbing state 1 (never reaching target 2).
-        let chain = MarkovChain::from_rows(vec![
-            vec![(1, 0.5), (2, 0.5)],
-            vec![(1, 1.0)],
-            vec![(2, 1.0)],
-        ])
-        .unwrap();
-        let total = total_expected_reward_until_absorption(&chain, &[1.0, 1.0, 0.0], &[2]).unwrap();
-        assert!(total[0].is_infinite());
-    }
-
-    #[test]
-    fn geometric_absorption_reward() {
-        // Collect reward 2 per step, absorb with probability 1/4 each step:
-        // expected total reward 2 * 4 = 8.
-        let chain =
-            MarkovChain::from_rows(vec![vec![(0, 0.75), (1, 0.25)], vec![(1, 1.0)]]).unwrap();
-        let total = total_expected_reward_until_absorption(&chain, &[2.0, 0.0], &[1]).unwrap();
-        assert!((total[0] - 8.0).abs() < 1e-9);
     }
 }

@@ -634,29 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn induced_chain_drops_masked_zero_probability_entries() {
-        let layout = Arc::new(
-            CsrLayout::from_raw_parts(vec![0, 1, 2], vec![0, 2, 3], vec![0, 1, 1]).unwrap(),
-        );
-        // State 0's only action keeps a masked (probability-0) edge to the
-        // absorbing state 1; the induced chain must not contain that edge, so
-        // state 0 is correctly classified as its own recurrent class.
-        let mdp = Mdp::from_raw_parts(
-            layout,
-            vec![1.0, 0.0, 1.0],
-            vec!["a".to_string()],
-            vec![0, 0],
-            0,
-        )
-        .unwrap();
-        let strategy = crate::PositionalStrategy::uniform_first_action(2);
-        let chain = mdp.induced_chain(&strategy).unwrap();
-        assert_eq!(chain.successors(0), (&[0u32][..], &[1.0f64][..]));
-        let scc = chain.classify();
-        assert_eq!(scc.recurrent_classes().len(), 2);
-    }
-
-    #[test]
     fn with_capacity_matches_default_semantics() {
         let mut b = CsrMdpBuilder::with_capacity(2, 3, 4);
         b.begin_state();

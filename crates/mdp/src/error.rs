@@ -78,7 +78,8 @@ pub enum MdpError {
     },
     /// An underlying Markov-chain computation failed.
     Markov(MarkovError),
-    /// An underlying linear-algebra computation failed.
+    /// An underlying linear-algebra computation failed (raised by the exact
+    /// dense LU and simplex solvers of the dev-only `sm-oracle` crate).
     Linalg(LinalgError),
 }
 

@@ -15,17 +15,15 @@
 //!   linear combinations needed for the paper's `r_β = r_A − β(r_A + r_H)`.
 //! * [`PositionalStrategy`] — memoryless deterministic strategies, which are
 //!   sufficient for mean-payoff optimality (Puterman, Thm. 9.1.8).
-//! * Solvers for the *maximal mean payoff*:
-//!   [`RelativeValueIteration`] (sparse, scales to the large selfish-mining
-//!   models), [`PolicyIteration`] (Howard's algorithm, exact via linear
-//!   solves) and [`LinearProgrammingSolver`] (gain LP over the `sm-linalg`
-//!   simplex). Value iteration runs one sweep schedule — full Jacobi Bellman
-//!   sweeps interleaved with Jacobi policy-evaluation sweeps — serially or
-//!   over deterministic row blocks ([`SolverParallelism`]), and is the one
-//!   the analysis pipeline calls: its [`ValueIterationOutcome`] carries
+//! * [`RelativeValueIteration`] — the solver for the *maximal mean payoff*
+//!   (sparse, scales to the large selfish-mining models). It runs one sweep
+//!   schedule — full Jacobi Bellman sweeps interleaved with Jacobi
+//!   policy-evaluation sweeps — serially or over deterministic row blocks
+//!   ([`SolverParallelism`]); its [`ValueIterationOutcome`] carries
 //!   certified lower/upper bounds on the optimal gain, an optimal (up to the
-//!   requested precision) strategy and the final bias vector. Policy
-//!   iteration and the LP are exact oracles the tests cross-check it against.
+//!   requested precision) strategy and the final bias vector. The exact
+//!   solvers the tests cross-check it against (Howard policy iteration and
+//!   the gain LP) live in the dev-only `sm-oracle` crate.
 //!
 //! # Example
 //!
@@ -62,18 +60,14 @@
 
 pub mod csr;
 mod error;
-mod lp;
 mod model;
-mod policy_iteration;
 mod rewards;
 mod strategy;
 mod value_iteration;
 
 pub use csr::{CsrLayout, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
 pub use error::MdpError;
-pub use lp::LinearProgrammingSolver;
 pub use model::Mdp;
-pub use policy_iteration::{PolicyEvaluation, PolicyIteration};
 pub use rewards::TransitionRewards;
 pub use strategy::PositionalStrategy;
 pub use value_iteration::{RelativeValueIteration, ValueIterationOutcome};

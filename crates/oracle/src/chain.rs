@@ -1,0 +1,110 @@
+//! Exact structural and stationary analysis of a `sm_markov::MarkovChain`.
+
+use crate::{HittingAnalysis, StronglyConnectedComponents};
+use sm_markov::{MarkovChain, MarkovError};
+
+/// The exact analyses of a chain, as methods on `sm_markov::MarkovChain`.
+///
+/// # Example
+///
+/// ```
+/// use sm_markov::MarkovChain;
+/// use sm_oracle::ChainAnalysis;
+///
+/// # fn main() -> Result<(), sm_markov::MarkovError> {
+/// let chain = MarkovChain::from_rows(vec![
+///     vec![(1, 1.0)],
+///     vec![(0, 0.5), (1, 0.5)],
+/// ])?;
+/// assert!(chain.is_irreducible());
+/// let pi = chain.stationary_distribution()?;
+/// assert!((pi[0] - 1.0 / 3.0).abs() < 1e-9);
+/// # Ok(())
+/// # }
+/// ```
+pub trait ChainAnalysis {
+    /// SCC decomposition and state classification for this chain.
+    fn classify(&self) -> StronglyConnectedComponents;
+
+    /// Whether the chain consists of a single closed communicating class.
+    fn is_irreducible(&self) -> bool {
+        self.classify().num_components() == 1
+    }
+
+    /// Whether the chain has exactly one recurrent class (unichain
+    /// condition; transient states are allowed).
+    fn is_unichain(&self) -> bool {
+        self.classify().recurrent_classes().len() == 1
+    }
+
+    /// Stationary distribution of a unichain over the full state space
+    /// (transient states receive probability 0), by direct linear solve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MarkovError::NotIrreducible`] if the chain has more than one
+    /// recurrent class, and propagates numerical errors from the solver.
+    fn stationary_distribution(&self) -> Result<Vec<f64>, MarkovError>;
+
+    /// Hitting probabilities and expected hitting times of a target set.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`HittingAnalysis::new`].
+    fn hitting_analysis(&self, targets: &[usize]) -> Result<HittingAnalysis, MarkovError>;
+}
+
+impl ChainAnalysis for MarkovChain {
+    fn classify(&self) -> StronglyConnectedComponents {
+        StronglyConnectedComponents::of_chain(self)
+    }
+
+    fn stationary_distribution(&self) -> Result<Vec<f64>, MarkovError> {
+        crate::stationary::unichain_distribution(self)
+    }
+
+    fn hitting_analysis(&self, targets: &[usize]) -> Result<HittingAnalysis, MarkovError> {
+        HittingAnalysis::new(self, targets)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sm_mdp::{CsrLayout, Mdp, PositionalStrategy};
+    use std::sync::Arc;
+
+    #[test]
+    fn irreducibility_detection() {
+        let irreducible = MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
+        assert!(irreducible.is_irreducible());
+
+        let absorbing =
+            MarkovChain::from_rows(vec![vec![(0, 0.5), (1, 0.5)], vec![(1, 1.0)]]).unwrap();
+        assert!(!absorbing.is_irreducible());
+        assert!(absorbing.is_unichain());
+    }
+
+    #[test]
+    fn induced_chain_drops_masked_zero_probability_entries() {
+        let layout = Arc::new(
+            CsrLayout::from_raw_parts(vec![0, 1, 2], vec![0, 2, 3], vec![0, 1, 1]).unwrap(),
+        );
+        // State 0's only action keeps a masked (probability-0) edge to the
+        // absorbing state 1; the induced chain must not contain that edge, so
+        // state 0 is correctly classified as its own recurrent class.
+        let mdp = Mdp::from_raw_parts(
+            layout,
+            vec![1.0, 0.0, 1.0],
+            vec!["a".to_string()],
+            vec![0, 0],
+            0,
+        )
+        .unwrap();
+        let strategy = PositionalStrategy::uniform_first_action(2);
+        let chain = mdp.induced_chain(&strategy).unwrap();
+        assert_eq!(chain.successors(0), (&[0u32][..], &[1.0f64][..]));
+        let scc = chain.classify();
+        assert_eq!(scc.recurrent_classes().len(), 2);
+    }
+}

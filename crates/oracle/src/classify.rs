@@ -1,11 +1,13 @@
 //! Strongly connected components and state classification.
 //!
 //! The classification of states into recurrent and transient is what lets the
-//! mean-payoff solvers in `sm-mdp` decide whether a chain induced by a
-//! strategy is unichain (the case relevant to the selfish-mining MDP, whose
-//! every strategy induces an ergodic chain — see the proof of Theorem 3.1).
+//! exact gain computation ([`crate::long_run_average_reward`]) and Howard
+//! policy iteration handle chains induced by arbitrary strategies, including
+//! multichain ones (the selfish-mining MDP's reasonable strategies induce a
+//! single recurrent class — see the proof of Theorem 3.1 — but policy
+//! iteration may pass through others).
 
-use crate::MarkovChain;
+use sm_markov::MarkovChain;
 
 /// Classification of a single state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,6 +203,7 @@ impl Tarjan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChainAnalysis;
 
     fn chain(rows: Vec<Vec<(usize, f64)>>) -> MarkovChain {
         MarkovChain::from_rows(rows).unwrap()

@@ -1,6 +1,7 @@
 //! Row-major dense matrices.
 
-use crate::{LinalgError, DEFAULT_TOLERANCE};
+use crate::DEFAULT_TOLERANCE;
+use sm_linalg::LinalgError;
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -9,13 +10,14 @@ use std::ops::{Add, Mul, Sub};
 /// The matrix is intentionally simple: storage is a single `Vec<f64>` and all
 /// operations are `O(rows * cols)` or `O(rows * cols * inner)` loops. The MDPs
 /// produced by the selfish-mining model have sparse transition structure and
-/// are handled by [`crate::CsrMatrix`]; the dense type is used for the small
-/// dense systems arising in policy evaluation and the simplex tableau.
+/// are handled by `sm_linalg::CsrMatrix`; the dense type is used for the
+/// small dense systems of the exact stationary, hitting and policy
+/// evaluation solves.
 ///
 /// # Example
 ///
 /// ```
-/// use sm_linalg::DenseMatrix;
+/// use sm_oracle::DenseMatrix;
 ///
 /// # fn main() -> Result<(), sm_linalg::LinalgError> {
 /// let identity = DenseMatrix::identity(3);
@@ -142,16 +144,6 @@ impl DenseMatrix {
         &self.data[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Returns a mutable view of row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of bounds.
-    pub fn row_mut(&mut self, row: usize) -> &mut [f64] {
-        assert!(row < self.rows, "row index out of bounds");
-        &mut self.data[row * self.cols..(row + 1) * self.cols]
-    }
-
     /// Returns the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -251,11 +243,6 @@ impl DenseMatrix {
             let row = self.row(i);
             row.iter().all(|&v| v >= -tol) && (row.iter().sum::<f64>() - 1.0).abs() <= tol
         })
-    }
-
-    /// Maximum absolute entry of the matrix.
-    pub fn max_abs(&self) -> f64 {
-        crate::infinity_norm(&self.data)
     }
 
     /// Returns `true` if the two matrices differ by at most

@@ -1,11 +1,10 @@
 //! Hitting probabilities and expected hitting times.
 //!
-//! Used for transient analysis of baseline attacks (e.g. the probability that
-//! a private fork ever catches up with the public chain) and for the
-//! multichain gain computation in `sm-mdp`.
+//! Transient analysis of a chain: for example the probability that a private
+//! fork ever catches up with the public chain, and how long that takes.
 
-use crate::{MarkovChain, MarkovError};
-use sm_linalg::{solve_linear_system, DenseMatrix};
+use crate::{solve_linear_system, DenseMatrix};
+use sm_markov::{MarkovChain, MarkovError};
 
 /// Hitting analysis of a target set `T` in a Markov chain: for every state the
 /// probability of ever reaching `T` and, where that probability is 1, the
@@ -198,6 +197,7 @@ fn backward_reachable(chain: &MarkovChain, is_target: &[bool]) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChainAnalysis;
 
     #[test]
     fn gambler_ruin_probabilities() {

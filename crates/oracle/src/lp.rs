@@ -8,14 +8,13 @@
 //!            h(s₀) = 0,   g and h free
 //! ```
 //!
-//! This module builds that LP over the `sm-linalg` two-phase simplex and
-//! extracts a greedy optimal strategy from the optimal bias vector. The LP
-//! route is cubic-ish in practice and only used for small models — it exists
-//! as an *independent* solver to cross-validate value and policy iteration,
-//! and to exercise the simplex substrate on real workloads.
+//! This module builds that LP over the crate's two-phase simplex and extracts
+//! a greedy optimal strategy from the optimal bias vector. The LP route is
+//! cubic-ish in practice and only used for small models — it exists as an
+//! *independent* solver to cross-validate value and policy iteration.
 
-use crate::{Mdp, MdpError, PositionalStrategy, TransitionRewards};
-use sm_linalg::{Comparison, LinearProgram, LpStatus, ObjectiveSense, SimplexSolver};
+use crate::{Comparison, LinearProgram, LpStatus, ObjectiveSense, SimplexSolver};
+use sm_mdp::{Mdp, MdpError, PositionalStrategy, TransitionRewards};
 
 /// Mean-payoff optimisation via linear programming.
 #[derive(Debug, Clone, Default)]
@@ -102,7 +101,8 @@ impl LinearProgrammingSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CsrMdpBuilder, PolicyIteration, RelativeValueIteration};
+    use crate::PolicyIteration;
+    use sm_mdp::{CsrMdpBuilder, RelativeValueIteration};
 
     fn better_loop_mdp() -> (Mdp, TransitionRewards) {
         let mut b = CsrMdpBuilder::new();

@@ -1,17 +1,19 @@
 //! LU decomposition with partial pivoting and linear-system solving.
 //!
-//! Policy evaluation in mean-payoff MDPs (the gain/bias equations used by
-//! Howard policy iteration in `sm-mdp`) reduces to solving moderate-size dense
-//! linear systems; this module provides the factorisation used for that.
+//! Policy evaluation in mean-payoff MDPs (the gain/bias equations of
+//! [`crate::PolicyIteration`]) and the exact stationary and hitting analyses
+//! reduce to solving moderate-size dense linear systems; this module provides
+//! the factorisation used for that.
 
-use crate::{DenseMatrix, LinalgError};
+use crate::DenseMatrix;
+use sm_linalg::LinalgError;
 
 /// An LU factorisation `P·A = L·U` of a square matrix with partial pivoting.
 ///
 /// # Example
 ///
 /// ```
-/// use sm_linalg::{DenseMatrix, LuDecomposition};
+/// use sm_oracle::{DenseMatrix, LuDecomposition};
 ///
 /// # fn main() -> Result<(), sm_linalg::LinalgError> {
 /// let a = DenseMatrix::from_rows(&[vec![4.0, 3.0], vec![6.0, 3.0]])?;
@@ -28,8 +30,6 @@ pub struct LuDecomposition {
     lu: DenseMatrix,
     /// Row permutation applied to the input matrix.
     perm: Vec<usize>,
-    /// Sign of the permutation, used for the determinant.
-    perm_sign: f64,
 }
 
 /// Pivot entries smaller than this in absolute value are treated as zero.
@@ -53,7 +53,6 @@ impl LuDecomposition {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
 
         for col in 0..n {
             // Find the pivot row: largest absolute value in this column at or
@@ -73,7 +72,6 @@ impl LuDecomposition {
             if pivot_row != col {
                 swap_rows(&mut lu, pivot_row, col);
                 perm.swap(pivot_row, col);
-                perm_sign = -perm_sign;
             }
             let pivot = lu.get(col, col);
             for row in (col + 1)..n {
@@ -85,11 +83,7 @@ impl LuDecomposition {
                 }
             }
         }
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(LuDecomposition { lu, perm })
     }
 
     /// Dimension of the factorised matrix.
@@ -128,35 +122,6 @@ impl LuDecomposition {
             x[i] = acc / self.lu.get(i, i);
         }
         Ok(x)
-    }
-
-    /// Determinant of the factorised matrix.
-    pub fn determinant(&self) -> f64 {
-        let mut det = self.perm_sign;
-        for i in 0..self.dim() {
-            det *= self.lu.get(i, i);
-        }
-        det
-    }
-
-    /// Computes the inverse matrix by solving against the identity columns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`LuDecomposition::solve`].
-    pub fn inverse(&self) -> Result<DenseMatrix, LinalgError> {
-        let n = self.dim();
-        let mut inv = DenseMatrix::zeros(n, n);
-        let mut unit = vec![0.0; n];
-        for col in 0..n {
-            unit[col] = 1.0;
-            let x = self.solve(&unit)?;
-            for (row, &value) in x.iter().enumerate() {
-                inv.set(row, col, value);
-            }
-            unit[col] = 0.0;
-        }
-        Ok(inv)
     }
 }
 
@@ -219,38 +184,6 @@ mod tests {
             LuDecomposition::new(&a),
             Err(LinalgError::NotSquare { rows: 2, cols: 3 })
         ));
-    }
-
-    #[test]
-    fn determinant_of_triangular_matrix_is_product_of_diagonal() {
-        let a = DenseMatrix::from_rows(&[
-            vec![2.0, 1.0, 0.0],
-            vec![0.0, 3.0, 1.0],
-            vec![0.0, 0.0, 4.0],
-        ])
-        .unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.determinant() - 24.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn determinant_accounts_for_permutation_sign() {
-        let a = DenseMatrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
-        let lu = LuDecomposition::new(&a).unwrap();
-        assert!((lu.determinant() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_times_matrix_is_identity() {
-        let a = DenseMatrix::from_rows(&[
-            vec![4.0, 7.0, 2.0],
-            vec![3.0, 6.0, 1.0],
-            vec![2.0, 5.0, 3.0],
-        ])
-        .unwrap();
-        let inv = LuDecomposition::new(&a).unwrap().inverse().unwrap();
-        let prod = a.multiply(&inv).unwrap();
-        assert!(prod.approx_eq(&DenseMatrix::identity(3)));
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! class.
 //!
 //! It is used as a high-precision cross-check of
-//! [`crate::RelativeValueIteration`] on small and medium models, mirroring how
-//! the paper can switch Storm engines.
+//! `sm_mdp::RelativeValueIteration` on small and medium models, mirroring
+//! how the paper can switch Storm engines.
 
-use crate::{Mdp, MdpError, PositionalStrategy, TransitionRewards};
-use sm_linalg::{solve_linear_system, DenseMatrix};
-use sm_markov::{long_run_average_reward, StateClass};
+use crate::{long_run_average_reward, solve_linear_system, ChainAnalysis, DenseMatrix, StateClass};
+use sm_mdp::{Mdp, MdpError, PositionalStrategy, TransitionRewards};
 
 /// Exact evaluation of a positional strategy under the mean-payoff objective:
 /// per-state gain and a bias vector (normalised to 0 at one reference state
@@ -121,7 +120,8 @@ impl PolicyEvaluation {
 /// # Example
 ///
 /// ```
-/// use sm_mdp::{CsrMdpBuilder, PolicyIteration, TransitionRewards};
+/// use sm_mdp::{CsrMdpBuilder, TransitionRewards};
+/// use sm_oracle::PolicyIteration;
 ///
 /// # fn main() -> Result<(), sm_mdp::MdpError> {
 /// let mut b = CsrMdpBuilder::new();
@@ -273,7 +273,8 @@ impl PolicyIteration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CsrMdpBuilder, LinearProgrammingSolver, RelativeValueIteration};
+    use crate::LinearProgrammingSolver;
+    use sm_mdp::{CsrMdpBuilder, RelativeValueIteration};
 
     fn random_like_mdp() -> (Mdp, TransitionRewards) {
         // A small hand-built MDP with non-trivial stochastic structure.
@@ -413,7 +414,7 @@ mod tests {
 
     #[test]
     fn empty_action_range_fails_loudly() {
-        use crate::CsrLayout;
+        use sm_mdp::CsrLayout;
         use std::sync::Arc;
         let layout = CsrLayout::from_raw_parts(vec![0, 1, 1], vec![0, 1], vec![0]).unwrap();
         let mdp = Mdp::from_raw_parts(

@@ -1,12 +1,12 @@
 //! A two-phase primal simplex solver for small dense linear programs.
 //!
-//! The LP route to mean-payoff optimisation in `sm-mdp` (used as an
-//! independent cross-check of value/policy iteration, mirroring how the paper
-//! relies on a model checker with multiple engines) produces LPs with a few
-//! thousand constraints at most, so a dense tableau implementation with
-//! Bland's anti-cycling rule is sufficient and easy to audit.
+//! The LP route to mean-payoff optimisation ([`crate::LinearProgrammingSolver`],
+//! an independent cross-check of value and policy iteration, mirroring how
+//! the paper relies on a model checker with multiple engines) produces LPs
+//! with a few thousand constraints at most, so a dense tableau implementation
+//! with Bland's anti-cycling rule is sufficient and easy to audit.
 
-use crate::LinalgError;
+use sm_linalg::LinalgError;
 
 /// Direction of optimisation for a [`LinearProgram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +72,7 @@ enum VariableKind {
 /// # Example
 ///
 /// ```
-/// use sm_linalg::{Comparison, LinearProgram, LpStatus, ObjectiveSense, SimplexSolver};
+/// use sm_oracle::{Comparison, LinearProgram, LpStatus, ObjectiveSense, SimplexSolver};
 ///
 /// # fn main() -> Result<(), sm_linalg::LinalgError> {
 /// // maximize 3x + 2y subject to x + y <= 4, x <= 2, x,y >= 0
@@ -130,11 +130,6 @@ impl LinearProgram {
     /// Number of constraints added so far.
     pub fn num_constraints(&self) -> usize {
         self.constraints.len()
-    }
-
-    /// Optimisation sense of the program.
-    pub fn sense(&self) -> ObjectiveSense {
-        self.sense
     }
 
     /// Adds the constraint `sum coeff_i * x_i  <cmp>  rhs`.
@@ -196,14 +191,6 @@ impl Default for SimplexSolver {
 }
 
 impl SimplexSolver {
-    /// Creates a solver with a custom iteration budget.
-    pub fn with_max_iterations(max_iterations: usize) -> Self {
-        SimplexSolver {
-            max_iterations,
-            ..SimplexSolver::default()
-        }
-    }
-
     /// Solves the given linear program.
     ///
     /// Infeasibility and unboundedness are reported through

@@ -1,8 +1,7 @@
 //! Free functions on `&[f64]` vectors.
 //!
-//! These are deliberately simple, allocation-free helpers; the solver loops in
-//! `sm-mdp` call them on every sweep so they are written for clarity and easy
-//! auto-vectorisation rather than generality.
+//! Deliberately simple, allocation-free helpers for the dense matrix and the
+//! simplex tableau, written for clarity rather than generality.
 
 /// Dot product of two equal-length slices.
 ///
@@ -13,23 +12,11 @@
 /// # Example
 ///
 /// ```
-/// assert_eq!(sm_linalg::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
+/// assert_eq!(sm_oracle::dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
 /// ```
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Computes `y += alpha * x` in place.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
 }
 
 /// Scales a vector in place by `alpha`.
@@ -44,16 +31,6 @@ pub fn infinity_norm(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |acc, v| acc.max(v.abs()))
 }
 
-/// Sum of absolute entries (L1 norm).
-pub fn l1_norm(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
-/// Euclidean (L2) norm.
-pub fn l2_norm(x: &[f64]) -> f64 {
-    x.iter().map(|v| v * v).sum::<f64>().sqrt()
-}
-
 /// Maximum absolute component-wise difference of two equal-length slices.
 ///
 /// # Panics
@@ -66,21 +43,6 @@ pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0, |acc, (x, y)| acc.max((x - y).abs()))
 }
 
-/// Span seminorm `max(x) - min(x)`, the convergence measure used by relative
-/// value iteration for mean-payoff objectives. Returns 0 for the empty vector.
-pub fn span_seminorm(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in x {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    hi - lo
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,13 +50,6 @@ mod tests {
     #[test]
     fn dot_of_orthogonal_vectors_is_zero() {
         assert_eq!(dot(&[1.0, 0.0], &[0.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut y = vec![1.0, 1.0, 1.0];
-        axpy(2.0, &[1.0, 2.0, 3.0], &mut y);
-        assert_eq!(y, vec![3.0, 5.0, 7.0]);
     }
 
     #[test]
@@ -108,24 +63,12 @@ mod tests {
     fn norms_agree_on_simple_vectors() {
         let x = [3.0, -4.0];
         assert_eq!(infinity_norm(&x), 4.0);
-        assert_eq!(l1_norm(&x), 7.0);
-        assert!((l2_norm(&x) - 5.0).abs() < 1e-15);
+        assert_eq!(infinity_norm(&[-1.0, 0.5]), 1.0);
     }
 
     #[test]
     fn norms_of_empty_vector_are_zero() {
         assert_eq!(infinity_norm(&[]), 0.0);
-        assert_eq!(l1_norm(&[]), 0.0);
-        assert_eq!(l2_norm(&[]), 0.0);
-        assert_eq!(span_seminorm(&[]), 0.0);
-    }
-
-    #[test]
-    fn span_seminorm_ignores_constant_shift() {
-        let x = [1.0, 5.0, 3.0];
-        let shifted = [101.0, 105.0, 103.0];
-        assert_eq!(span_seminorm(&x), span_seminorm(&shifted));
-        assert_eq!(span_seminorm(&x), 4.0);
     }
 
     #[test]

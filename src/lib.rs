@@ -4,10 +4,11 @@
 //! This crate re-exports the workspace members under one roof so that the
 //! examples and integration tests can depend on a single package:
 //!
-//! * [`linalg`] — dense/sparse linear algebra, LU and a simplex LP solver.
-//! * [`markov`] — Markov-chain analysis (SCCs, stationary distributions,
-//!   long-run averages, hitting analysis).
-//! * [`mdp`] — finite MDPs and mean-payoff solvers.
+//! * [`linalg`] — sparse (CSR) matrices.
+//! * [`markov`] — Markov chains and the fused iterative evaluation of their
+//!   long-run average rewards.
+//! * [`mdp`] — finite MDPs and the relative-value-iteration mean-payoff
+//!   solver.
 //! * [`proofs`] — simulated efficient proof systems (PoW, PoStake, PoSpace,
 //!   VDF, PoST) and the `(p, k)`-mining abstraction.
 //! * [`chain`] — the discrete-time longest-chain blockchain simulator.
@@ -29,6 +30,10 @@
 //!   parametric arenas, memoized certified solves and a JSONL front end.
 //! * [`audit`] — the independent static-analysis layer: certificate
 //!   re-verification, arena invariant checks and the source lint.
+//!
+//! The exact reference solvers the integration tests cross-check against
+//! (dense LU, simplex LP, policy iteration, stationary and hitting analysis)
+//! are the dev-only `sm-oracle` crate, deliberately not re-exported here.
 //!
 //! See `README.md` for a quickstart, `ARCHITECTURE.md` for the workspace
 //! map and cross-cutting contracts, and `EXPERIMENTS.md` for the

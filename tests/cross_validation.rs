@@ -194,10 +194,8 @@ fn build_arena(description: &ModelDescription) -> sm_mdp::Mdp {
 /// optimal gain and the same strategy on both.
 #[test]
 fn nested_and_csr_arena_builders_are_equivalent() {
-    use sm_mdp::{
-        LinearProgrammingSolver, Mdp, PolicyIteration, PositionalStrategy, RelativeValueIteration,
-        TransitionRewards,
-    };
+    use sm_mdp::{Mdp, PositionalStrategy, RelativeValueIteration, TransitionRewards};
+    use sm_oracle::{LinearProgrammingSolver, PolicyIteration};
 
     /// Optimal gain and strategy by value iteration, policy iteration and
     /// the LP, in that order.
@@ -281,4 +279,49 @@ fn selfish_mining_model_streams_into_identical_arena() {
     assert_eq!(mdp, &rebuilt);
     assert_eq!(mdp.layout().row_ptr(), rebuilt.layout().row_ptr());
     assert_eq!(mdp.layout().col(), rebuilt.layout().col());
+}
+
+/// The production evaluator of a fixed strategy's revenue (the fused
+/// iterative gain sweeps behind `SelfishMiningModel::expected_relative_revenue`)
+/// agrees with the exact dense evaluation of the oracle on real
+/// selfish-mining chains: the d = 2, f = 1, l = 4 arena of every default
+/// scenario, under the certified strategy at γ = 0.5. The induced chains
+/// have transient states, which the small hand-built chains of the unit
+/// tests do not exercise.
+#[test]
+fn iterative_revenue_matches_exact_gains_on_selfish_mining_chains() {
+    use selfish_mining::experiments::attack_curve;
+    use selfish_mining::{AnalysisConfig, AttackScenario};
+    use sm_mdp::TransitionRewards;
+    use sm_oracle::{long_run_average_reward, ChainAnalysis};
+
+    let mut chains_with_transient_states = 0;
+    for scenario in AttackScenario::default_family() {
+        let family = ParametricModel::build_scenario(scenario, 2, 1, 4).unwrap();
+        let config = AnalysisConfig::with_epsilon(1e-3);
+        for solve in attack_curve(&family, 0.5, &[0.1, 0.3], false, config).unwrap() {
+            let model = family.instantiate(solve.p, solve.gamma).unwrap();
+            let strategy = &solve.strategy;
+            let iterative = model.expected_relative_revenue(strategy).unwrap();
+
+            let chain = model.mdp().induced_chain(strategy).unwrap();
+            let initial = model.mdp().initial_state();
+            let exact_gain = |rewards: &TransitionRewards| {
+                let per_state = rewards.strategy_rewards(model.mdp(), strategy).unwrap();
+                long_run_average_reward(&chain, &per_state).unwrap()[initial]
+            };
+            let adversary = exact_gain(model.adversary_rewards());
+            let honest = exact_gain(model.honest_rewards());
+            let exact = adversary / (adversary + honest);
+            assert!(
+                (iterative - exact).abs() < 1e-8,
+                "{scenario:?} p={}: iterative {iterative} vs exact {exact}",
+                solve.p
+            );
+            if !chain.classify().transient_states().is_empty() {
+                chains_with_transient_states += 1;
+            }
+        }
+    }
+    assert!(chains_with_transient_states > 0);
 }

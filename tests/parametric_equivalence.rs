@@ -16,9 +16,10 @@ use selfish_mining::{
     ParametricModel, SelfishMiningModel, SmAction, SmState,
 };
 use sm_mdp::{
-    CsrMdpBuilder, Mdp, PolicyIteration, PositionalStrategy, RelativeValueIteration,
+    CsrMdpBuilder, Mdp, PositionalStrategy, RelativeValueIteration, SolverParallelism,
     TransitionRewards,
 };
+use sm_oracle::PolicyIteration;
 use std::collections::HashMap;
 
 /// The `(d, f, l)` topologies swept by the equivalence properties.
@@ -98,7 +99,13 @@ impl Pruned {
             .strategy_rewards(&self.mdp, strategy)
             .unwrap();
         let r_hon = self.honest.strategy_rewards(&self.mdp, strategy).unwrap();
-        let gains = sm_markov::iterative_gains(&chain, &[&r_adv, &r_hon], 1e-9, 5_000_000).unwrap();
+        let (gains, _) = sm_markov::iterative_gains(
+            &chain,
+            &[&r_adv, &r_hon],
+            None,
+            SolverParallelism::serial(),
+        )
+        .unwrap();
         gains[0] / (gains[0] + gains[1])
     }
 

@@ -10,13 +10,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfish_mining::{
-    available_actions, successors, AttackParams, Outcome, ParametricModel, SelfishMiningModel,
-    SmState,
+    available_actions, successors_in, AttackParams, AttackScenario, Outcome, ParametricModel,
+    SelfishMiningModel, SmState,
 };
-use sm_mdp::{
-    CsrMdpBuilder, LinearProgrammingSolver, PolicyIteration, RelativeValueIteration,
-    TransitionRewards,
-};
+use sm_mdp::{CsrMdpBuilder, RelativeValueIteration, TransitionRewards};
+use sm_oracle::{LinearProgrammingSolver, PolicyIteration};
 use std::collections::HashMap;
 
 /// A varied grid of small attack parameter sets (the shim for the former
@@ -58,7 +56,8 @@ fn transition_distributions_are_stochastic() {
         for index in 0..model.num_states() {
             let state = model.state(index);
             for action in available_actions(&params, state) {
-                let outcomes = successors(&params, state, &action).unwrap();
+                let outcomes =
+                    successors_in(&AttackScenario::Optimal, &params, state, &action).unwrap();
                 let total: f64 = outcomes.iter().map(|o| o.probability).sum();
                 assert!(
                     (total - 1.0).abs() < 1e-9,
@@ -138,7 +137,8 @@ fn parametric_instantiation_matches_fresh_build_on_the_grid() {
             for (a, action) in actions.iter().enumerate() {
                 // Outcomes merged by target: successor-sorted (stable, so
                 // duplicates keep their discovery order) and summed.
-                let outcomes = successors(&params, state, action).unwrap();
+                let outcomes =
+                    successors_in(&AttackScenario::Optimal, &params, state, action).unwrap();
                 let mut row: Vec<(u32, f64)> = outcomes
                     .iter()
                     .map(|o| (index_of[&o.state] as u32, o.probability))
