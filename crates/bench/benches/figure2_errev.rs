@@ -4,30 +4,31 @@
 //!
 //! The measured quantity is the full pipeline behind one plotted point: model
 //! construction, the binary-search / Dinkelbach analysis for our attack, and
-//! both baselines. Use `cargo run -p sm-bench --bin figure2` to print the
-//! actual curves.
+//! both baselines, run by the sweep engine on one thread. Use
+//! `cargo run -p sm-bench --bin figure2` to print the actual curves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use selfish_mining::experiments::Figure2Sweep;
+use sm_sweep::SweepConfig;
 
 fn bench_figure2_points(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure2/point_p0.3");
     group.sample_size(10);
-    let sweep = Figure2Sweep {
+    let sweep = SweepConfig {
         attack_grid: if sm_bench::expensive_enabled() {
             vec![(1, 1), (2, 1), (2, 2), (3, 2)]
         } else {
             vec![(1, 1), (2, 1)]
         },
         epsilon: 1e-3,
-        ..Figure2Sweep::default()
+        workers: 1,
+        ..SweepConfig::default()
     };
     for gamma in sm_bench::gamma_grid() {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("gamma{gamma}")),
             &gamma,
             |b, &gamma| {
-                b.iter(|| sweep.point(0.3, gamma).unwrap());
+                b.iter(|| sweep.run(&[gamma], &[0.3]).unwrap());
             },
         );
     }

@@ -4,9 +4,9 @@
 //! revenues stream into a Welford mean/variance accumulator that feeds a CLT
 //! confidence interval. A sequential stopping rule runs batches of replicas
 //! until the interval half-width drops below the tolerance or the replica
-//! budget is exhausted. The replica fan-out reuses the `sm-sweep` worker-pool
-//! pattern (a [`std::thread::scope`] pool draining an atomic index), and the
-//! result is **bit-identical for any worker count**: replica `i`'s seeds are
+//! budget is exhausted. The replica fan-out runs on the workspace's one job
+//! loop ([`sm_scheduler::run_budgeted_jobs`], a [`std::thread::scope`] pool
+//! draining an atomic index), and the result is **bit-identical for any worker count**: replica `i`'s seeds are
 //! a pure function of the master seed and `i`, and the accumulator always
 //! folds the per-replica results in replica order.
 //!
@@ -17,7 +17,7 @@
 use crate::ConformanceError;
 use selfish_mining::SelfishMiningError;
 use sm_chain::{AdversaryStrategy, ConsensusBackend, SimulationConfig, Simulator};
-use sm_scheduler::{effective_workers, run_indexed_jobs};
+use sm_scheduler::{resolve_budget, run_budgeted_jobs};
 
 /// Configuration of the Monte-Carlo estimator.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,11 +112,6 @@ impl EstimatorConfig {
             });
         }
         Ok(())
-    }
-
-    /// The effective worker count for a round of `replicas` replicas.
-    fn worker_count(&self, replicas: usize) -> usize {
-        effective_workers(self.workers, replicas)
     }
 }
 
@@ -275,7 +270,7 @@ fn run_round<S>(
 where
     S: AdversaryStrategy + Clone + Send + Sync,
 {
-    run_indexed_jobs(config.worker_count(count), count, |offset| {
+    run_budgeted_jobs(resolve_budget(config.workers), count, |offset, _| {
         run_replica(config, strategy, backend, first + offset)
     })
 }

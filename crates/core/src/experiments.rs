@@ -6,7 +6,7 @@
 //! into printed tables/series and Criterion benchmarks, and `EXPERIMENTS.md`
 //! records the measured outputs next to the paper's reported values.
 
-use crate::baselines::{honest_relative_revenue, SingleTreeAttack};
+use crate::baselines::SingleTreeAttack;
 use crate::{
     AnalysisConfig, AnalysisProcedure, DinkelbachWarmStart, ParametricModel, SelfishMiningError,
     SelfishMiningModel,
@@ -26,107 +26,14 @@ pub struct Figure2Point {
     pub p: f64,
     /// Switching probability `γ`.
     pub gamma: f64,
-    /// Expected relative revenue of our attack for each `(d, f)` in
-    /// [`Figure2Sweep::attack_grid`], in the same order.
+    /// Expected relative revenue of our attack for each `(d, f)` of the
+    /// sweep's attack grid (`sm_sweep::SweepConfig::attack_grid`), in the
+    /// same order.
     pub attack_revenue: Vec<f64>,
     /// Expected relative revenue of the honest baseline (= `p`).
     pub honest_revenue: f64,
     /// Expected relative revenue of the single-tree baseline.
     pub single_tree_revenue: f64,
-}
-
-/// Configuration of a Figure 2 sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Figure2Sweep {
-    /// The `(d, f)` configurations of our attack to evaluate.
-    pub attack_grid: Vec<(usize, usize)>,
-    /// Maximal private fork length `l`.
-    pub max_fork_length: usize,
-    /// Precision `ε` of the analysis.
-    pub epsilon: f64,
-    /// Single-tree baseline tree width.
-    pub single_tree_width: usize,
-    /// Single-tree baseline tree depth.
-    pub single_tree_depth: usize,
-}
-
-impl Default for Figure2Sweep {
-    fn default() -> Self {
-        Figure2Sweep {
-            attack_grid: vec![(1, 1), (2, 1), (2, 2)],
-            max_fork_length: 4,
-            epsilon: 1e-3,
-            single_tree_width: 5,
-            single_tree_depth: 4,
-        }
-    }
-}
-
-impl Figure2Sweep {
-    /// The full grid used by the paper. The `(3, 2)` and `(4, 2)`
-    /// configurations are expensive (minutes to hours); prefer
-    /// [`Figure2Sweep::default`] for interactive use.
-    pub fn paper_grid() -> Self {
-        Figure2Sweep {
-            attack_grid: PAPER_ATTACK_GRID.to_vec(),
-            ..Figure2Sweep::default()
-        }
-    }
-
-    /// Computes one Figure 2 point: our attack on every `(d, f)` of the grid
-    /// plus both baselines, at the given `p` and `γ`. Implemented as a
-    /// one-point [`Figure2Sweep::curve`], so it runs on the parametric arena
-    /// like the full sweep.
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction and solver errors.
-    pub fn point(&self, p: f64, gamma: f64) -> Result<Figure2Point, SelfishMiningError> {
-        let mut points = self.curve(gamma, &[p])?;
-        Ok(points.pop().expect("curve over one p yields one point"))
-    }
-
-    /// Computes a whole curve (one Figure 2 panel) for the given `γ` over the
-    /// given values of `p`.
-    ///
-    /// Each `(d, f)` configuration of the grid builds its
-    /// [`ParametricModel`] **once** and re-instantiates it per `p` in place;
-    /// consecutive points warm-start each other through
-    /// [`attack_curve`]. For the paper's ascending `p` grids this is several
-    /// times faster than the historical rebuild-per-point path (see
-    /// `EXPERIMENTS.md` for measurements).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model-construction and solver errors.
-    pub fn curve(&self, gamma: f64, ps: &[f64]) -> Result<Vec<Figure2Point>, SelfishMiningError> {
-        let mut attack: Vec<Vec<f64>> = Vec::with_capacity(self.attack_grid.len());
-        for &(depth, forks) in &self.attack_grid {
-            let family = ParametricModel::build(depth, forks, self.max_fork_length)?;
-            let config = AnalysisConfig::with_epsilon(self.epsilon);
-            let solves = attack_curve(&family, gamma, ps, true, config)?;
-            attack.push(solves.into_iter().map(|s| s.strategy_revenue).collect());
-        }
-        ps.iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                let single_tree = SingleTreeAttack {
-                    p,
-                    gamma,
-                    max_depth: self.single_tree_depth,
-                    max_width: self.single_tree_width,
-                }
-                .analyse()?;
-                Ok(Figure2Point {
-                    p,
-                    gamma,
-                    attack_revenue: attack.iter().map(|curve| curve[i]).collect(),
-                    honest_revenue: honest_relative_revenue(p)?,
-                    single_tree_revenue: single_tree.relative_revenue,
-                })
-            })
-            .collect()
-    }
 }
 
 /// One certified point of an attack curve: the ε-certificate on `ERRev*`
@@ -537,37 +444,6 @@ pub fn table1_single_tree_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn figure2_point_orders_attack_above_baselines_for_d2() {
-        let sweep = Figure2Sweep {
-            attack_grid: vec![(2, 1)],
-            epsilon: 5e-3,
-            ..Figure2Sweep::default()
-        };
-        let point = sweep.point(0.3, 0.5).unwrap();
-        assert_eq!(point.attack_revenue.len(), 1);
-        assert!(
-            point.attack_revenue[0] >= point.honest_revenue - 5e-3,
-            "attack {} vs honest {}",
-            point.attack_revenue[0],
-            point.honest_revenue
-        );
-        assert!((0.0..1.0).contains(&point.single_tree_revenue));
-    }
-
-    #[test]
-    fn curve_is_monotone_in_p_for_small_config() {
-        let sweep = Figure2Sweep {
-            attack_grid: vec![(1, 1)],
-            epsilon: 1e-2,
-            ..Figure2Sweep::default()
-        };
-        let curve = sweep.curve(0.5, &[0.0, 0.15, 0.3]).unwrap();
-        assert_eq!(curve.len(), 3);
-        assert!(curve[0].attack_revenue[0] <= curve[1].attack_revenue[0] + 1e-2);
-        assert!(curve[1].attack_revenue[0] <= curve[2].attack_revenue[0] + 1e-2);
-    }
 
     #[test]
     fn table1_rows_record_positive_times_and_states() {

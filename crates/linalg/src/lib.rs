@@ -26,8 +26,9 @@
 //!     Triplet::new(0, 1, 1.0),
 //!     Triplet::new(1, 1, 3.0),
 //! ])?;
-//! assert_eq!(m.matvec(&[1.0, 1.0])?, vec![3.0, 3.0]);
-//! assert!(!m.is_row_stochastic(1e-12));
+//! assert_eq!(m.nnz(), 3);
+//! assert_eq!(m.get(0, 1), 1.0);
+//! assert_eq!(m.row(1), (&[1u32][..], &[3.0][..]));
 //! # Ok(())
 //! # }
 //! ```

@@ -19,7 +19,7 @@ use sm_linalg::{CsrMatrix, Triplet};
 ///     vec![(0, 0.5), (1, 0.5)],
 /// ])?;
 /// assert_eq!(chain.num_states(), 2);
-/// assert_eq!(chain.probability(1, 0), 0.5);
+/// assert_eq!(chain.successors(1), (&[0u32, 1][..], &[0.5, 0.5][..]));
 /// # Ok(())
 /// # }
 /// ```
@@ -110,15 +110,6 @@ impl MarkovChain {
         self.transitions.rows()
     }
 
-    /// Transition probability from `from` to `to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either state index is out of bounds.
-    pub fn probability(&self, from: usize, to: usize) -> f64 {
-        self.transitions.get(from, to)
-    }
-
     /// Successors of a state as parallel slices of (compact `u32`) targets
     /// and probabilities.
     ///
@@ -166,7 +157,7 @@ mod tests {
     #[test]
     fn accepts_duplicate_targets_that_sum_to_one() {
         let chain = MarkovChain::from_rows(vec![vec![(0, 0.25), (0, 0.75)]]).unwrap();
-        assert_eq!(chain.probability(0, 0), 1.0);
+        assert_eq!(chain.successors(0), (&[0u32][..], &[1.0][..]));
     }
 
     #[test]

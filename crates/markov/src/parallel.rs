@@ -6,10 +6,12 @@
 //! every state's new value is a pure function of the previous iterate, so a
 //! sweep can be cut into contiguous state blocks and the blocks computed
 //! concurrently without changing a single bit of the result — each state
-//! runs exactly the arithmetic it runs serially, in the same order, against
-//! the same read-only snapshot of the previous iterate. Per-sweep statistics
-//! (span, max-diff, reference values) are reduced *per block* and folded in
-//! block order, so even the reductions are independent of the thread count.
+//! runs the same row kernel, in the same order, against the same read-only
+//! snapshot of the previous iterate. Per-sweep statistics (span, reference
+//! values) are reduced *per block* and folded in block order, so even the
+//! reductions are independent of the thread count. Each solver has one
+//! sweep loop over its blocks: a serial solve is the one-block case, run
+//! inline by a zero-worker [`sweep_scope`].
 //! Jacobi is the only sweep schedule: in-place (Gauss-Seidel-ordered)
 //! schedules measured slower on every arena size and would not parallelise
 //! without making results depend on the block layout.
@@ -17,7 +19,7 @@
 //! Three pieces live here:
 //!
 //! * [`SolverParallelism`] — the knob every solver exposes: serial (the
-//!   default), an explicit thread count, or auto-detection.
+//!   default, one block), an explicit thread count, or auto-detection.
 //! * [`mass_balanced_blocks`] — partitions the state range into contiguous
 //!   blocks whose boundaries are derived from the *cumulative transition
 //!   mass* (a `row_ptr`-shaped array), not naive state counts: a sweep's cost
@@ -28,10 +30,11 @@
 //! * [`sweep_scope`] — a scoped thread pool that keeps one worker per extra
 //!   block alive across *all* sweeps of a solve (spawning per sweep would
 //!   dominate the sub-millisecond sweeps of medium arenas), exchanging only a
-//!   small job token per round. Workers communicate through channels; buffer
-//!   hand-over is the caller's business (the solvers keep the shared iterate
-//!   behind a [`std::sync::RwLock`] and per-block scratch behind one
-//!   uncontended [`std::sync::Mutex`] each).
+//!   small job token per round; with one block it spawns nothing. Workers
+//!   communicate through channels; buffer hand-over is the caller's business
+//!   (the solvers keep the shared iterate behind a [`std::sync::RwLock`] and
+//!   per-block scratch and span statistics behind one uncontended
+//!   [`std::sync::Mutex`] each).
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -40,8 +43,9 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 ///
 /// The *results* of every solver in this workspace are bit-identical for any
 /// thread count (see the module docs); this knob only trades wall-clock time
-/// for cores. The default is [`SolverParallelism::serial`], which runs the
-/// historical single-threaded sweeps with zero synchronisation overhead.
+/// for cores. The default is [`SolverParallelism::serial`]: one row block,
+/// swept inline by the calling thread through the same loop a parallel solve
+/// runs, with no worker threads.
 ///
 /// # Example
 ///
@@ -59,7 +63,8 @@ pub struct SolverParallelism {
 }
 
 impl SolverParallelism {
-    /// Single-threaded sweeps (the default): no pool, no synchronisation.
+    /// Single-threaded sweeps (the default): one row block, no worker
+    /// threads.
     pub const fn serial() -> Self {
         SolverParallelism { threads: 1 }
     }
@@ -73,11 +78,6 @@ impl SolverParallelism {
     /// [`SolverParallelism::auto`].
     pub const fn threads(n: usize) -> Self {
         SolverParallelism { threads: n }
-    }
-
-    /// Whether this configuration is the serial one.
-    pub const fn is_serial(self) -> bool {
-        self.threads == 1
     }
 
     /// The resolved thread count: the configured value, or the machine's
@@ -103,7 +103,7 @@ impl Default for SolverParallelism {
 /// worker. Solvers cap their thread count at
 /// `1 + total_mass / MIN_BLOCK_MASS`, so small models (where one sweep costs
 /// microseconds and a round of pool synchronisation would dominate) silently
-/// run serially no matter what the knob says. Results are unaffected either
+/// run as one block no matter what the knob says. Results are unaffected either
 /// way — the cap is a pure wall-clock heuristic.
 pub const MIN_BLOCK_MASS: usize = 2048;
 
@@ -223,8 +223,9 @@ impl<J: Clone, R> BlockPool<'_, J, R> {
 /// `run_block(block_index, &job)` is the per-round work item; it typically
 /// captures the CSR slices read-only, the shared iterate behind a `RwLock`
 /// and its block's scratch buffers behind a `Mutex`. With `extra_workers ==
-/// 0` no threads are spawned and rounds run entirely inline, which keeps a
-/// single code path for any pool size.
+/// 0` no threads are spawned and rounds run entirely inline: this is how
+/// the solvers run serially, so their sweep loop is the same for any pool
+/// size.
 pub fn sweep_scope<J, R, T>(
     extra_workers: usize,
     run_block: impl Fn(usize, &J) -> R + Sync,
@@ -278,8 +279,7 @@ mod tests {
 
     #[test]
     fn parallelism_resolves_thread_counts() {
-        assert!(SolverParallelism::serial().is_serial());
-        assert!(!SolverParallelism::threads(2).is_serial());
+        assert_eq!(SolverParallelism::serial().thread_count(), 1);
         assert_eq!(SolverParallelism::default(), SolverParallelism::serial());
         assert_eq!(SolverParallelism::threads(0), SolverParallelism::auto());
         assert_eq!(SolverParallelism::threads(7).thread_count(), 7);

@@ -2,7 +2,8 @@
 
 use crate::parallel::{mass_balanced_blocks, mass_capped_threads, sweep_scope};
 use crate::{MarkovChain, MarkovError, SolverParallelism};
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Span tolerance at which [`iterative_gains`] stops refining a gain: each
 /// returned gain is the midpoint of a certified interval narrower than this.
@@ -39,11 +40,12 @@ const GAIN_SWEEP_LIMIT: usize = 5_000_000;
 /// transition mass ([`mass_balanced_blocks`]); each sweep fans the blocks
 /// over a scoped pool, every block writing a disjoint slice of the next
 /// iterate, and the per-reward span statistics are reduced per block and
-/// folded in block order. Each state runs exactly the serial arithmetic, so
-/// gains, bias vectors and sweep counts are **bit-identical for any thread
-/// count** — [`SolverParallelism`] only trades wall-clock time for cores.
-/// Small chains (by [`crate::MIN_BLOCK_MASS`]) run serially regardless of
-/// the knob.
+/// folded in block order. Each state runs the same row kernel whatever the
+/// partition, so gains, bias vectors and sweep counts are **bit-identical
+/// for any thread count** — [`SolverParallelism`] only trades wall-clock
+/// time for cores. A serial evaluation is the one-block case of the same
+/// loop, run inline; small chains (by [`crate::MIN_BLOCK_MASS`]) get one
+/// block regardless of the knob.
 ///
 /// # Errors
 ///
@@ -125,181 +127,81 @@ fn gain_sweeps(
         _ => vec![vec![0.0; n]; k],
     };
     let threads = mass_capped_threads(parallelism.thread_count(), chain.matrix().nnz());
-    if threads > 1 {
-        gain_sweeps_parallel(chain, rewards, epsilon, max_iterations, h, threads)
-    } else {
-        gain_sweeps_serial(chain, rewards, epsilon, max_iterations, h)
-    }
-}
-
-/// The single-threaded sweep loop of [`iterative_gains`].
-fn gain_sweeps_serial(
-    chain: &MarkovChain,
-    rewards: &[&[f64]],
-    epsilon: f64,
-    max_iterations: usize,
-    mut h: Vec<Vec<f64>>,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), MarkovError> {
-    let n = chain.num_states();
-    let k = rewards.len();
-    let tau = GAIN_SWEEP_LAZINESS;
-    let mut next = vec![vec![0.0; n]; k];
-    let mut gain = vec![f64::NAN; k];
-    let mut open = vec![true; k];
-    for _ in 0..max_iterations {
-        let mut min_delta = vec![f64::INFINITY; k];
-        let mut max_delta = vec![f64::NEG_INFINITY; k];
+    let blocks = if threads > 1 {
+        let mut cumulative = Vec::with_capacity(n + 1);
+        cumulative.push(0usize);
         for s in 0..n {
-            let (targets, probs) = chain.successors(s);
-            for r in 0..k {
-                if !open[r] {
-                    continue;
-                }
-                let h_r = &h[r];
-                let mut value = rewards[r][s] + (1.0 - tau) * h_r[s];
-                for (&t, &p) in targets.iter().zip(probs) {
-                    value += tau * p * h_r[t as usize];
-                }
-                let delta = value - h_r[s];
-                min_delta[r] = min_delta[r].min(delta);
-                max_delta[r] = max_delta[r].max(delta);
-                next[r][s] = value;
-            }
+            cumulative.push(cumulative[s] + chain.successors(s).0.len());
         }
-        let mut any_open = false;
-        for r in 0..k {
-            if !open[r] {
-                continue;
-            }
-            let offset = next[r][0];
-            for s in 0..n {
-                h[r][s] = next[r][s] - offset;
-            }
-            if max_delta[r] - min_delta[r] < epsilon {
-                gain[r] = 0.5 * (min_delta[r] + max_delta[r]);
-                open[r] = false;
-            } else {
-                any_open = true;
-            }
-        }
-        if !any_open {
-            return Ok((gain, h));
-        }
-    }
-    Err(MarkovError::ConvergenceFailure {
-        method: "iterative gain",
-        iterations: max_iterations,
-    })
-}
-
-/// Row-block parallel variant of [`gain_sweeps_serial`]: same arithmetic per
-/// state, same fold order, bit-identical results (see [`iterative_gains`]).
-fn gain_sweeps_parallel(
-    chain: &MarkovChain,
-    rewards: &[&[f64]],
-    epsilon: f64,
-    max_iterations: usize,
-    h: Vec<Vec<f64>>,
-    threads: usize,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), MarkovError> {
-    let n = chain.num_states();
-    let k = rewards.len();
-    let tau = GAIN_SWEEP_LAZINESS;
-    let mut cumulative = Vec::with_capacity(n + 1);
-    cumulative.push(0usize);
-    for s in 0..n {
-        cumulative.push(cumulative[s] + chain.successors(s).0.len());
-    }
-    let blocks = mass_balanced_blocks(&cumulative, threads);
-    if blocks.len() <= 1 {
-        return gain_sweeps_serial(chain, rewards, epsilon, max_iterations, h);
-    }
-    let h = RwLock::new(h);
-    // Per-block scratch: one next-iterate slice per reward function, locked
-    // only by its own block's worker (and by the driver between rounds).
-    let chunks: Vec<Mutex<Vec<Vec<f64>>>> = blocks
+        mass_balanced_blocks(&cumulative, threads)
+    } else {
+        // One block, the serial evaluation: no cumulative-mass pass.
+        std::iter::once(0..n).collect()
+    };
+    let iterate = RwLock::new(Iterate {
+        h,
+        open: vec![true; k],
+    });
+    // Per-block scratch: one next-iterate slice and one span statistic per
+    // reward function, locked only by its own block's worker (and by the
+    // driver between rounds).
+    let chunks: Vec<Mutex<GainChunk>> = blocks
         .iter()
-        .map(|range| Mutex::new(vec![vec![0.0; range.len()]; k]))
+        .map(|range| {
+            Mutex::new(GainChunk {
+                next: vec![vec![0.0; range.len()]; k],
+                span: vec![(f64::INFINITY, f64::NEG_INFINITY); k],
+            })
+        })
         .collect();
 
-    // One round = one fused sweep over all open reward functions; the job
-    // token carries the open mask, the result the per-reward span statistics.
-    let run_block = |block: usize, open: &Vec<bool>| -> Vec<(f64, f64)> {
-        let range = blocks[block].clone();
-        // Lock poisoning only means another block's worker panicked; the
-        // buffers hold plain numeric data written in disjoint slices, so
-        // recovery is sound — the originating panic still propagates through
-        // the sweep scope's join.
-        let h_read = h.read().unwrap_or_else(PoisonError::into_inner);
-        let mut chunk = chunks[block].lock().unwrap_or_else(PoisonError::into_inner);
-        let mut stats = vec![(f64::INFINITY, f64::NEG_INFINITY); k];
-        for s in range.clone() {
-            let (targets, probs) = chain.successors(s);
-            for r in 0..k {
-                if !open[r] {
-                    continue;
-                }
-                let h_r = &h_read[r];
-                let mut value = rewards[r][s] + (1.0 - tau) * h_r[s];
-                for (&t, &p) in targets.iter().zip(probs) {
-                    value += tau * p * h_r[t as usize];
-                }
-                let delta = value - h_r[s];
-                stats[r].0 = stats[r].0.min(delta);
-                stats[r].1 = stats[r].1.max(delta);
-                chunk[r][s - range.start] = value;
-            }
-        }
-        stats
+    // One round = one fused sweep over all open reward functions of every
+    // block (block 0 inline, the others on the pool; a serial evaluation is
+    // the one-block case and spawns nothing).
+    let run_block = |block: usize, _: &()| {
+        let iterate = read(&iterate);
+        let mut chunk = lock(&chunks[block]);
+        let GainChunk { next, span } = &mut *chunk;
+        gain_rows(chain, rewards, &iterate, blocks[block].clone(), next, span);
     };
 
     let gains = sweep_scope(blocks.len() - 1, run_block, |pool| {
+        // Per-solve fold buffers, reused by every sweep.
         let mut gain = vec![f64::NAN; k];
-        let mut open = vec![true; k];
+        let mut offsets = vec![0.0; k];
+        let mut span = vec![(f64::INFINITY, f64::NEG_INFINITY); k];
         for _ in 0..max_iterations {
-            let round = pool.round(open.clone());
-            // Fold the span statistics in block order.
-            let mut min_delta = vec![f64::INFINITY; k];
-            let mut max_delta = vec![f64::NEG_INFINITY; k];
-            for stats in &round {
-                for r in 0..k {
-                    if open[r] {
-                        min_delta[r] = min_delta[r].min(stats[r].0);
-                        max_delta[r] = max_delta[r].max(stats[r].1);
-                    }
-                }
-            }
-            // Renormalise each open bias so state 0 stays at 0 (state 0 is
-            // always in block 0), exactly like the serial update.
-            let mut h_write = h.write().unwrap_or_else(PoisonError::into_inner);
-            let mut offsets = vec![0.0; k];
-            {
-                let chunk0 = chunks[0].lock().unwrap_or_else(PoisonError::into_inner);
-                for r in 0..k {
-                    if open[r] {
-                        offsets[r] = chunk0[r][0];
-                    }
-                }
-            }
+            pool.round(());
+            let mut iterate = write(&iterate);
+            let Iterate { h, open } = &mut *iterate;
+            // Renormalise each open bias so state 0 stays at 0, folding the
+            // span statistics in block order; block 0, which holds state 0,
+            // comes first and sets the offsets.
+            span.fill((f64::INFINITY, f64::NEG_INFINITY));
             for (range, chunk) in blocks.iter().zip(&chunks) {
-                let chunk = chunk.lock().unwrap_or_else(PoisonError::into_inner);
+                let chunk = lock(chunk);
                 for r in 0..k {
                     if !open[r] {
                         continue;
                     }
-                    for (i, &value) in chunk[r].iter().enumerate() {
-                        h_write[r][range.start + i] = value - offsets[r];
+                    if range.start == 0 {
+                        offsets[r] = chunk.next[r][0];
+                    }
+                    span[r].0 = span[r].0.min(chunk.span[r].0);
+                    span[r].1 = span[r].1.max(chunk.span[r].1);
+                    for (h_s, &value) in h[r][range.clone()].iter_mut().zip(&chunk.next[r]) {
+                        *h_s = value - offsets[r];
                     }
                 }
             }
-            drop(h_write);
             let mut any_open = false;
             for r in 0..k {
                 if !open[r] {
                     continue;
                 }
-                if max_delta[r] - min_delta[r] < epsilon {
-                    gain[r] = 0.5 * (min_delta[r] + max_delta[r]);
+                let (min_delta, max_delta) = span[r];
+                if max_delta - min_delta < epsilon {
+                    gain[r] = 0.5 * (min_delta + max_delta);
                     open[r] = false;
                 } else {
                     any_open = true;
@@ -314,10 +216,70 @@ fn gain_sweeps_parallel(
             iterations: max_iterations,
         })
     })?;
-    Ok((
-        gains,
-        h.into_inner().unwrap_or_else(PoisonError::into_inner),
-    ))
+    let iterate = iterate.into_inner().unwrap_or_else(PoisonError::into_inner);
+    Ok((gains, iterate.h))
+}
+
+/// The shared state of the gain sweeps: one bias vector per reward function
+/// and the mask of rewards whose span is still open (closed ones are frozen).
+struct Iterate {
+    h: Vec<Vec<f64>>,
+    open: Vec<bool>,
+}
+
+/// One row block's scratch: its slice of the next iterate and its span
+/// statistics `(min Δ, max Δ)`, one of each per reward function.
+struct GainChunk {
+    next: Vec<Vec<f64>>,
+    span: Vec<(f64, f64)>,
+}
+
+/// One fused evaluation sweep of the states `rows` for every open reward
+/// function: writes the new values of reward `r` to `next[r]` (indexed from
+/// `rows.start`) and that block's `(min Δ, max Δ)` to `span[r]`.
+fn gain_rows(
+    chain: &MarkovChain,
+    rewards: &[&[f64]],
+    iterate: &Iterate,
+    rows: Range<usize>,
+    next: &mut [Vec<f64>],
+    span: &mut [(f64, f64)],
+) {
+    let Iterate { h, open } = iterate;
+    let tau = GAIN_SWEEP_LAZINESS;
+    span.fill((f64::INFINITY, f64::NEG_INFINITY));
+    for (i, s) in rows.enumerate() {
+        let (targets, probs) = chain.successors(s);
+        for r in 0..rewards.len() {
+            if !open[r] {
+                continue;
+            }
+            let h_r = &h[r];
+            let mut value = rewards[r][s] + (1.0 - tau) * h_r[s];
+            for (&t, &p) in targets.iter().zip(probs) {
+                value += tau * p * h_r[t as usize];
+            }
+            let delta = value - h_r[s];
+            span[r].0 = span[r].0.min(delta);
+            span[r].1 = span[r].1.max(delta);
+            next[r][i] = value;
+        }
+    }
+}
+
+// Lock poisoning only means another block's worker panicked; the buffers
+// hold plain numeric data written in disjoint slices, so recovery is sound —
+// the originating panic still propagates through the sweep scope's join.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@
 //! * [`RelativeValueIteration`] — the solver for the *maximal mean payoff*
 //!   (sparse, scales to the large selfish-mining models). It runs one sweep
 //!   schedule — full Jacobi Bellman sweeps interleaved with Jacobi
-//!   policy-evaluation sweeps — serially or over deterministic row blocks
-//!   ([`SolverParallelism`]); its [`ValueIterationOutcome`] carries
+//!   policy-evaluation sweeps — in one loop over deterministic row blocks
+//!   ([`SolverParallelism`]; a serial solve is the one-block case); its [`ValueIterationOutcome`] carries
 //!   certified lower/upper bounds on the optimal gain, an optimal (up to the
 //!   requested precision) strategy and the final bias vector. The exact
 //!   solvers the tests cross-check it against (Howard policy iteration and

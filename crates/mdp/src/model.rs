@@ -166,11 +166,6 @@ impl Mdp {
         &self.prob
     }
 
-    /// The interned action-name table.
-    pub fn action_names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Name of the `action`-th action of `state`.
     ///
     /// # Panics
@@ -307,34 +302,6 @@ impl Mdp {
         }
         Ok(MarkovChain::from_csr_parts_u32(row_ptr, col, prob)?)
     }
-
-    /// States reachable from the initial state under *some* strategy, in
-    /// breadth-first order.
-    pub fn reachable_states(&self) -> Vec<usize> {
-        let n = self.num_states();
-        let mut seen = vec![false; n];
-        let mut order = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        seen[self.initial_state] = true;
-        queue.push_back(self.initial_state);
-        while let Some(s) = queue.pop_front() {
-            order.push(s);
-            for pair in self.layout.pair_range(s) {
-                let range = self.layout.transition_range(pair);
-                for (&t, &p) in self.layout.col()[range.clone()]
-                    .iter()
-                    .zip(&self.prob[range])
-                {
-                    let t = t as usize;
-                    if p > 0.0 && !seen[t] {
-                        seen[t] = true;
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-        order
-    }
 }
 
 #[cfg(test)]
@@ -450,12 +417,12 @@ mod tests {
         let mdp = two_state_mdp();
         let stay = PositionalStrategy::new(vec![0, 0]);
         let chain = mdp.induced_chain(&stay).unwrap();
-        assert_eq!(chain.probability(0, 0), 1.0);
+        assert_eq!(chain.matrix().get(0, 0), 1.0);
 
         let go = PositionalStrategy::new(vec![1, 0]);
         let chain = mdp.induced_chain(&go).unwrap();
-        assert_eq!(chain.probability(0, 1), 1.0);
-        assert_eq!(chain.probability(1, 0), 0.25);
+        assert_eq!(chain.matrix().get(0, 1), 1.0);
+        assert_eq!(chain.matrix().get(1, 0), 0.25);
     }
 
     #[test]
@@ -468,19 +435,6 @@ mod tests {
         ));
         let bad_len = PositionalStrategy::new(vec![0]);
         assert!(mdp.induced_chain(&bad_len).is_err());
-    }
-
-    #[test]
-    fn reachable_states_from_initial() {
-        let mut b = CsrMdpBuilder::new();
-        b.begin_state();
-        b.add_action("a", &[(1, 1.0)]).unwrap();
-        b.begin_state();
-        b.add_action("b", &[(1, 1.0)]).unwrap();
-        b.begin_state();
-        b.add_action("c", &[(2, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
-        assert_eq!(mdp.reachable_states(), vec![0, 1]);
     }
 
     #[test]

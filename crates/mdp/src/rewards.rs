@@ -121,18 +121,6 @@ impl TransitionRewards {
         self.values[range][transition_index]
     }
 
-    /// Mutable access to a single transition reward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds.
-    pub fn reward_mut(&mut self, state: usize, action: usize, transition_index: usize) -> &mut f64 {
-        let range = self
-            .layout
-            .transition_range(self.layout.pair_index(state, action));
-        &mut self.values[range][transition_index]
-    }
-
     /// Expected one-step reward of taking `action` in `state`:
     /// `Σ_{s'} P(s'|s,a) · r(s,a,s')`.
     ///
@@ -266,13 +254,6 @@ impl TransitionRewards {
         Arc::ptr_eq(&self.layout, &mdp.layout_arc()) || *self.layout == *mdp.layout()
     }
 
-    /// Largest absolute reward value, used by solvers to bound value ranges.
-    pub fn max_abs(&self) -> f64 {
-        self.values
-            .iter()
-            .fold(0.0, |acc: f64, &v| acc.max(v.abs()))
-    }
-
     fn same_layout(&self, other: &TransitionRewards) -> bool {
         Arc::ptr_eq(&self.layout, &other.layout) || *self.layout == *other.layout
     }
@@ -338,16 +319,6 @@ mod tests {
         assert!((r_beta.reward(0, 1, 0) - 0.5).abs() < 1e-15);
         // On a transition to state 0: 1 - 0.25 * (1 + 0) = 0.75
         assert!((r_beta.reward(0, 0, 0) - 0.75).abs() < 1e-15);
-    }
-
-    #[test]
-    fn zeros_and_max_abs() {
-        let mdp = mdp();
-        let z = TransitionRewards::zeros(&mdp);
-        assert_eq!(z.max_abs(), 0.0);
-        let mut r = z.clone();
-        *r.reward_mut(1, 0, 0) = -3.5;
-        assert_eq!(r.max_abs(), 3.5);
     }
 
     #[test]

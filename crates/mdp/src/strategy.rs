@@ -1,6 +1,5 @@
 //! Positional (memoryless deterministic) strategies.
 
-use crate::MdpError;
 use std::fmt;
 
 /// A positional strategy: one action index per state.
@@ -66,30 +65,9 @@ impl PositionalStrategy {
     ///
     /// # Panics
     ///
-    /// Panics if `state` is out of bounds; use
-    /// [`PositionalStrategy::try_set_action`] for untrusted indices.
+    /// Panics if `state` is out of bounds.
     pub fn set_action(&mut self, state: usize, action: usize) {
         self.choices[state] = action;
-    }
-
-    /// Replaces the action chosen in `state`, rejecting out-of-bounds states
-    /// with a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MdpError::InvalidState`] if the strategy does not cover
-    /// `state`.
-    pub fn try_set_action(&mut self, state: usize, action: usize) -> Result<(), MdpError> {
-        match self.choices.get_mut(state) {
-            Some(slot) => {
-                *slot = action;
-                Ok(())
-            }
-            None => Err(MdpError::InvalidState {
-                state,
-                num_states: self.choices.len(),
-            }),
-        }
     }
 
     /// The underlying per-state action indices.
@@ -181,14 +159,7 @@ mod tests {
         let mut sigma = PositionalStrategy::uniform_first_action(2);
         assert_eq!(sigma.get(1), Some(0));
         assert_eq!(sigma.get(2), None);
-        sigma.try_set_action(1, 7).unwrap();
-        assert_eq!(sigma.action(1), 7);
-        assert!(matches!(
-            sigma.try_set_action(2, 0),
-            Err(MdpError::InvalidState {
-                state: 2,
-                num_states: 2
-            })
-        ));
+        sigma.set_action(1, 7);
+        assert_eq!(sigma.get(1), Some(7));
     }
 }

@@ -6,7 +6,8 @@
 
 use crate::{Mdp, MdpError, PositionalStrategy, TransitionRewards};
 use sm_markov::{mass_balanced_blocks, mass_capped_threads, sweep_scope, SolverParallelism};
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::ops::Range;
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Relative value iteration (RVI) with the standard aperiodicity ("lazy")
 /// transformation, for unichain MDPs under the *maximal* mean-payoff
@@ -55,13 +56,14 @@ pub struct RelativeValueIteration {
     /// never weakens the returned interval. `0` recovers plain relative
     /// value iteration.
     pub evaluation_sweeps: usize,
-    /// Intra-solve parallelism: how many threads each sweep may fan its
-    /// row blocks over. Results (gain bounds, strategy, bias, sweep counts)
-    /// are **bit-identical for any setting** — every state runs exactly the
-    /// serial arithmetic against the same previous iterate and the span
+    /// Intra-solve parallelism: how many row blocks each sweep is cut into,
+    /// one thread per block. Results (gain bounds, strategy, bias, sweep
+    /// counts) are **bit-identical for any setting** — every state runs the
+    /// same row kernel against the same previous iterate and the span
     /// statistics are folded in block order — so this knob only trades
-    /// wall-clock time for cores. Models below the
-    /// [`sm_markov::MIN_BLOCK_MASS`] transition threshold run serially
+    /// wall-clock time for cores. A serial solve is the one-block case of
+    /// the same sweep loop, run inline; models below the
+    /// [`sm_markov::MIN_BLOCK_MASS`] transition threshold get one block
     /// regardless.
     pub parallelism: SolverParallelism,
 }
@@ -99,14 +101,14 @@ pub struct ValueIterationOutcome {
     pub iterations: usize,
 }
 
-/// Book-keeping of the borderline-tie refinement phase shared by the serial
-/// and parallel sweep loops: once a solve has converged but its canonical
-/// extraction (see [`RelativeValueIteration::STRATEGY_TIE_TOLERANCE`]) is
-/// borderline (see [`RelativeValueIteration::STRATEGY_TIE_GUARD`]), the loop
-/// keeps sweeping with a halved span target per round until the guard band
-/// clears or the refinement budget — twice the sweeps the solve needed to
-/// converge — runs out. The first converged outcome is kept as a fallback so
-/// a solve that hits `max_iterations` mid-refinement still returns its
+/// Book-keeping of the borderline-tie refinement phase: once a solve has
+/// converged but its canonical extraction (see
+/// [`RelativeValueIteration::STRATEGY_TIE_TOLERANCE`]) is borderline (see
+/// [`RelativeValueIteration::STRATEGY_TIE_GUARD`]), the loop keeps sweeping
+/// with a halved span target per round until the guard band clears or the
+/// refinement budget — twice the sweeps the solve needed to converge — runs
+/// out. The most recent converged result and its bias are kept as a fallback
+/// so a solve that hits `max_iterations` mid-refinement still returns its
 /// certified result instead of a convergence failure.
 struct TieRefinement {
     /// Residual-span target of the next refinement round (`∞` until the
@@ -115,8 +117,12 @@ struct TieRefinement {
     /// Sweep count at which refinement gives up (`usize::MAX` until the
     /// first borderline extraction).
     deadline: usize,
-    /// Most recent converged outcome, returned if the sweep budget runs out.
+    /// Most recent converged result (its bias left empty), returned if the
+    /// sweep budget runs out.
     fallback: Option<ValueIterationOutcome>,
+    /// The bias `fallback` was certified at; allocated on the first
+    /// borderline extraction and reused by later rounds.
+    fallback_bias: Vec<f64>,
 }
 
 impl TieRefinement {
@@ -125,6 +131,7 @@ impl TieRefinement {
             target: f64::INFINITY,
             deadline: usize::MAX,
             fallback: None,
+            fallback_bias: Vec::new(),
         }
     }
 
@@ -134,15 +141,118 @@ impl TieRefinement {
         sweeps >= self.deadline || sweeps >= max_iterations
     }
 
-    /// Records a borderline converged outcome and tightens the span target
+    /// Records a borderline converged result and tightens the span target
     /// for the next round.
-    fn continue_past(&mut self, outcome: ValueIterationOutcome, span: f64, sweeps: usize) {
+    fn continue_past(&mut self, converged: ValueIterationOutcome, bias: &[f64], span: f64) {
         if self.deadline == usize::MAX {
-            self.deadline = sweeps.saturating_mul(2);
+            self.deadline = converged.iterations.saturating_mul(2);
         }
         self.target = 0.5 * span;
-        self.fallback = Some(outcome);
+        self.fallback_bias.clear();
+        self.fallback_bias.extend_from_slice(bias);
+        self.fallback = Some(converged);
     }
+}
+
+/// The read-only inputs of one sweep: the flat CSR arena (`row_ptr`,
+/// `action_ptr`, `col`, `prob`), the per-pair expected rewards and the
+/// laziness τ. The row kernels destructure it into plain slices.
+#[derive(Clone, Copy)]
+struct Arena<'a> {
+    row_ptr: &'a [u32],
+    action_ptr: &'a [u32],
+    col: &'a [u32],
+    prob: &'a [f64],
+    expected: &'a [f64],
+    tau: f64,
+}
+
+/// Full Bellman sweep of the states `first..first + next.len()` against the
+/// previous iterate `h`: writes each state's maximal action value to `next`
+/// and the index of the first maximising action to `best`, and returns the
+/// block's `(min Δ, max Δ)` with `Δ(s) = next(s) − h(s)`.
+fn bellman_rows(
+    arena: Arena<'_>,
+    h: &[f64],
+    first: usize,
+    next: &mut [f64],
+    best: &mut [usize],
+) -> (f64, f64) {
+    let Arena {
+        row_ptr,
+        action_ptr,
+        col,
+        prob,
+        expected,
+        tau,
+    } = arena;
+    let mut min_delta = f64::INFINITY;
+    let mut max_delta = f64::NEG_INFINITY;
+    for (i, (next_s, best_s)) in next.iter_mut().zip(best.iter_mut()).enumerate() {
+        let s = first + i;
+        let mut best_value = f64::NEG_INFINITY;
+        let mut best_a = 0;
+        let pair_start = row_ptr[s] as usize;
+        let lazy = (1.0 - tau) * h[s];
+        for pair in pair_start..row_ptr[s + 1] as usize {
+            let mut acc = 0.0;
+            for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
+                acc += prob[k] * h[col[k] as usize];
+            }
+            let value = expected[pair] + tau * acc + lazy;
+            if value > best_value {
+                best_value = value;
+                best_a = pair - pair_start;
+            }
+        }
+        *next_s = best_value;
+        *best_s = best_a;
+        let delta = best_value - h[s];
+        min_delta = min_delta.min(delta);
+        max_delta = max_delta.max(delta);
+    }
+    (min_delta, max_delta)
+}
+
+/// Policy-restricted evaluation sweep of the states
+/// `first..first + next.len()`: only the action `best` holds for each state
+/// is swept, against the previous iterate `h`.
+fn evaluation_rows(arena: Arena<'_>, h: &[f64], first: usize, best: &[usize], next: &mut [f64]) {
+    let Arena {
+        row_ptr,
+        action_ptr,
+        col,
+        prob,
+        expected,
+        tau,
+    } = arena;
+    for (i, (next_s, &a)) in next.iter_mut().zip(best).enumerate() {
+        let s = first + i;
+        let pair = row_ptr[s] as usize + a;
+        let mut acc = 0.0;
+        for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
+            acc += prob[k] * h[col[k] as usize];
+        }
+        *next_s = expected[pair] + tau * acc + (1.0 - tau) * h[s];
+    }
+}
+
+/// One row block's scratch: its slice of the next iterate, its greedy
+/// actions from the last Bellman sweep and that sweep's span statistics.
+struct Chunk {
+    next: Vec<f64>,
+    best: Vec<usize>,
+    span: (f64, f64),
+}
+
+#[derive(Clone, Copy)]
+enum SweepKind {
+    /// Full Bellman sweep: maximise over all actions, refresh the greedy
+    /// strategy, record span statistics.
+    Bellman,
+    /// Policy-restricted evaluation sweep over the block's own last greedy
+    /// actions.
+    Evaluation,
 }
 
 impl RelativeValueIteration {
@@ -305,13 +415,31 @@ impl RelativeValueIteration {
             Some(bias) => bias.to_vec(),
             None => vec![0.0; n],
         };
-        let transitions = mdp.num_transitions();
-        let threads = mass_capped_threads(self.parallelism.thread_count(), transitions);
-        if threads > 1 {
-            self.sweep_parallel(mdp, &expected, h, threads)
+        let layout = mdp.layout();
+        let arena = Arena {
+            row_ptr,
+            action_ptr: layout.action_ptr(),
+            col: layout.col(),
+            prob: mdp.probabilities(),
+            expected: &expected,
+            tau: self.laziness,
+        };
+        let threads = mass_capped_threads(self.parallelism.thread_count(), mdp.num_transitions());
+        let blocks = if threads > 1 {
+            // Per-state sweep cost is its transition count: cumulative mass
+            // at state s is the arena offset of its first transition.
+            let cumulative: Vec<usize> = (0..=n)
+                .map(|s| arena.action_ptr[row_ptr[s] as usize] as usize)
+                .collect();
+            mass_balanced_blocks(&cumulative, threads)
         } else {
-            self.sweep_serial(mdp, &expected, h)
-        }
+            // One block, the serial solve: no cumulative-mass pass.
+            std::iter::once(0..n).collect()
+        };
+        let h = RwLock::new(h);
+        let mut outcome = self.sweep(arena, mdp.initial_state(), &blocks, &h)?;
+        outcome.bias = h.into_inner().unwrap_or_else(PoisonError::into_inner);
+        Ok(outcome)
     }
 
     /// Canonical greedy extraction from a converged bias vector: for every
@@ -329,34 +457,24 @@ impl RelativeValueIteration {
     /// holds — see [`Self::STRATEGY_TIE_GUARD`].
     fn canonical_strategy(
         &self,
-        mdp: &Mdp,
-        expected: &[f64],
+        arena: Arena<'_>,
         h: &[f64],
         margin: f64,
     ) -> (PositionalStrategy, bool) {
-        let layout = mdp.layout();
-        let row_ptr = layout.row_ptr();
-        let action_ptr = layout.action_ptr();
-        let col = layout.col();
-        let prob = mdp.probabilities();
-        let tau = self.laziness;
         let cutoff_gap = Self::STRATEGY_TIE_TOLERANCE * self.epsilon;
-        let n = mdp.num_states();
-        let mut choices = vec![0usize; n];
+        let mut choices = vec![0usize; h.len()];
         let mut borderline = false;
         // Per-state action values, buffered so the arena is swept once.
         let mut values: Vec<f64> = Vec::new();
         for (s, choice) in choices.iter_mut().enumerate() {
-            let pair_start = row_ptr[s] as usize;
-            let pair_end = row_ptr[s + 1] as usize;
             values.clear();
             let mut best = f64::NEG_INFINITY;
-            for pair in pair_start..pair_end {
+            for pair in arena.row_ptr[s] as usize..arena.row_ptr[s + 1] as usize {
                 let mut acc = 0.0;
-                for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
-                    acc += prob[k] * h[col[k] as usize];
+                for k in arena.action_ptr[pair] as usize..arena.action_ptr[pair + 1] as usize {
+                    acc += arena.prob[k] * h[arena.col[k] as usize];
                 }
-                let value = expected[pair] + tau * acc;
+                let value = arena.expected[pair] + arena.tau * acc;
                 values.push(value);
                 best = best.max(value);
             }
@@ -375,331 +493,144 @@ impl RelativeValueIteration {
         (PositionalStrategy::new(choices), borderline)
     }
 
-    /// The historical single-threaded sweep loop.
-    fn sweep_serial(
+    /// The sweep loop. The state range is cut into the contiguous row
+    /// `blocks` (one block `0..n` for a serial solve); every sweep runs each
+    /// block's row kernel against the shared previous iterate `h` — block 0
+    /// inline, the others on a scoped pool kept alive across all sweeps of
+    /// the solve, none when there is one block — and each block writes a
+    /// disjoint slice of the next iterate. The renormalisation then shifts
+    /// every block's slice into `h` and folds the span statistics in block
+    /// order. Each state runs the same arithmetic against the same previous
+    /// iterate whatever the partition, so the outcome — gain bounds,
+    /// strategy, bias and sweep count — is bit-identical for any thread
+    /// count. The returned outcome's bias is left empty: on success `h`
+    /// holds the bias the result was certified at, for the caller to move in.
+    fn sweep(
         &self,
-        mdp: &Mdp,
-        expected: &[f64],
-        mut h: Vec<f64>,
+        arena: Arena<'_>,
+        reference: usize,
+        blocks: &[Range<usize>],
+        h: &RwLock<Vec<f64>>,
     ) -> Result<ValueIterationOutcome, MdpError> {
-        let n = mdp.num_states();
-        let tau = self.laziness;
-
-        // The whole sweep runs over the flat CSR arena: four shared slices
-        // (row_ptr, action_ptr, col, prob) plus the precomputed per-pair
-        // expected rewards, so the inner loop only touches probabilities and
-        // the bias vector.
-        let layout = mdp.layout();
-        let row_ptr = layout.row_ptr();
-        let action_ptr = layout.action_ptr();
-        let col = layout.col();
-        let prob = mdp.probabilities();
-
-        let mut next = vec![0.0; n];
-        let mut best_action = vec![0usize; n];
-        let reference = mdp.initial_state();
-        let mut sweeps = 0usize;
-        let mut refine = TieRefinement::new();
-
-        while sweeps < self.max_iterations {
-            // Full Bellman sweep: refreshes the greedy strategy and yields
-            // the certified `min Δ ≤ g* ≤ max Δ` sandwich (valid for the
-            // current h no matter how it was produced).
-            sweeps += 1;
-            let mut min_delta = f64::INFINITY;
-            let mut max_delta = f64::NEG_INFINITY;
-            for s in 0..n {
-                let mut best = f64::NEG_INFINITY;
-                let mut best_a = 0;
-                let pair_start = row_ptr[s] as usize;
-                let lazy = (1.0 - tau) * h[s];
-                for pair in pair_start..row_ptr[s + 1] as usize {
-                    let mut acc = 0.0;
-                    for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
-                        acc += prob[k] * h[col[k] as usize];
-                    }
-                    let value = expected[pair] + tau * acc + lazy;
-                    if value > best {
-                        best = value;
-                        best_a = pair - pair_start;
-                    }
-                }
-                next[s] = best;
-                best_action[s] = best_a;
-                let delta = best - h[s];
-                min_delta = min_delta.min(delta);
-                max_delta = max_delta.max(delta);
-            }
-            // Relative step: renormalise so the reference state stays at 0.
-            let offset = next[reference];
-            for s in 0..n {
-                h[s] = next[s] - offset;
-            }
-            if max_delta - min_delta < self.epsilon.min(refine.target) {
-                let span = max_delta - min_delta;
-                let (strategy, borderline) =
-                    self.canonical_strategy(mdp, expected, &h, Self::STRATEGY_TIE_GUARD * span);
-                if !borderline || refine.exhausted(sweeps, self.max_iterations) {
-                    return Ok(ValueIterationOutcome {
-                        gain: 0.5 * (min_delta + max_delta),
-                        gain_lower: min_delta,
-                        gain_upper: max_delta,
-                        strategy,
-                        bias: h,
-                        iterations: sweeps,
-                    });
-                }
-                // The clone only happens on the rare borderline path.
-                let outcome = ValueIterationOutcome {
-                    gain: 0.5 * (min_delta + max_delta),
-                    gain_lower: min_delta,
-                    gain_upper: max_delta,
-                    strategy,
-                    bias: h.clone(),
-                    iterations: sweeps,
-                };
-                refine.continue_past(outcome, span, sweeps);
-            }
-
-            // Policy-restricted evaluation sweeps: hold the greedy strategy
-            // fixed and sweep only its transitions — a fraction of the full
-            // sweep's cost with the same per-sweep contraction of the bias.
-            for _ in 0..self.evaluation_sweeps {
-                if sweeps >= self.max_iterations {
-                    break;
-                }
-                sweeps += 1;
-                for s in 0..n {
-                    let pair = row_ptr[s] as usize + best_action[s];
-                    let mut acc = 0.0;
-                    for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
-                        acc += prob[k] * h[col[k] as usize];
-                    }
-                    next[s] = expected[pair] + tau * acc + (1.0 - tau) * h[s];
-                }
-                let offset = next[reference];
-                for s in 0..n {
-                    h[s] = next[s] - offset;
-                }
-            }
-        }
-        if let Some(outcome) = refine.fallback {
-            return Ok(outcome);
-        }
-        Err(MdpError::ConvergenceFailure {
-            method: "relative value iteration",
-            iterations: self.max_iterations,
-        })
-    }
-
-    /// Row-block parallel sweep loop: the state range is partitioned into
-    /// contiguous blocks balanced by transition mass, every sweep fans the
-    /// blocks over a scoped pool (kept alive across all sweeps of the
-    /// solve), each block writes a disjoint slice of the next iterate, and
-    /// the span statistics are reduced per block and folded in block order.
-    /// Each state runs exactly the serial arithmetic against the same
-    /// previous iterate, so the outcome — gain bounds, strategy, bias and
-    /// sweep count — is bit-identical to [`RelativeValueIteration::sweep_serial`]
-    /// for any thread count.
-    fn sweep_parallel(
-        &self,
-        mdp: &Mdp,
-        expected: &[f64],
-        h: Vec<f64>,
-        threads: usize,
-    ) -> Result<ValueIterationOutcome, MdpError> {
-        let n = mdp.num_states();
-        let tau = self.laziness;
-        let layout = mdp.layout();
-        let row_ptr = layout.row_ptr();
-        let action_ptr = layout.action_ptr();
-        let col = layout.col();
-        let prob = mdp.probabilities();
-        let reference = mdp.initial_state();
-
-        // Per-state sweep cost is its transition count: cumulative mass at
-        // state s is the arena offset of its first transition.
-        let cumulative: Vec<usize> = (0..=n)
-            .map(|s| action_ptr[row_ptr[s] as usize] as usize)
-            .collect();
-        let blocks = mass_balanced_blocks(&cumulative, threads);
-        if blocks.len() <= 1 {
-            return self.sweep_serial(mdp, expected, h);
-        }
-
-        struct Chunk {
-            next: Vec<f64>,
-            best: Vec<usize>,
-        }
-        struct BlockStats {
-            min_delta: f64,
-            max_delta: f64,
-            /// The new value of the reference state, reported by the one
-            /// block that contains it.
-            reference: Option<f64>,
-        }
-        #[derive(Clone, Copy)]
-        enum SweepKind {
-            /// Full Bellman sweep: maximise over all actions, refresh the
-            /// greedy strategy, report span statistics.
-            Bellman,
-            /// Policy-restricted evaluation sweep over the block's own last
-            /// greedy actions.
-            Evaluation,
-        }
-
-        let h = RwLock::new(h);
+        // The blocks partition `0..n` and `reference < n`, so exactly one
+        // block holds the reference state; a missing one is a broken
+        // partition and surfaces as a typed error instead of a panic.
+        let reference_block = blocks
+            .iter()
+            .position(|range| range.contains(&reference))
+            .ok_or(MdpError::InvariantViolation {
+                detail: "no sweep block contains the reference state",
+            })?;
+        let reference_offset = reference - blocks[reference_block].start;
         let chunks: Vec<Mutex<Chunk>> = blocks
             .iter()
             .map(|range| {
                 Mutex::new(Chunk {
                     next: vec![0.0; range.len()],
                     best: vec![0usize; range.len()],
+                    span: (f64::INFINITY, f64::NEG_INFINITY),
                 })
             })
             .collect();
 
-        let run_block = |block: usize, kind: &SweepKind| -> BlockStats {
-            let range = blocks[block].clone();
-            // Lock poisoning only means another block's worker panicked; the
-            // buffers hold plain numeric data written in disjoint slices, so
-            // recovery is sound — the originating panic still propagates
-            // through the sweep scope's join.
-            let h_read = h.read().unwrap_or_else(PoisonError::into_inner);
-            let h_read = &h_read[..];
-            let mut chunk = chunks[block].lock().unwrap_or_else(PoisonError::into_inner);
-            let chunk = &mut *chunk;
-            let mut stats = BlockStats {
-                min_delta: f64::INFINITY,
-                max_delta: f64::NEG_INFINITY,
-                reference: None,
-            };
+        let run_block = |block: usize, kind: &SweepKind| {
+            let first = blocks[block].start;
+            let h = read(h);
+            let mut chunk = lock(&chunks[block]);
+            let Chunk { next, best, span } = &mut *chunk;
             match kind {
-                SweepKind::Bellman => {
-                    for s in range.clone() {
-                        let mut best = f64::NEG_INFINITY;
-                        let mut best_a = 0;
-                        let pair_start = row_ptr[s] as usize;
-                        let lazy = (1.0 - tau) * h_read[s];
-                        for pair in pair_start..row_ptr[s + 1] as usize {
-                            let mut acc = 0.0;
-                            for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
-                                acc += prob[k] * h_read[col[k] as usize];
-                            }
-                            let value = expected[pair] + tau * acc + lazy;
-                            if value > best {
-                                best = value;
-                                best_a = pair - pair_start;
-                            }
-                        }
-                        chunk.next[s - range.start] = best;
-                        chunk.best[s - range.start] = best_a;
-                        let delta = best - h_read[s];
-                        stats.min_delta = stats.min_delta.min(delta);
-                        stats.max_delta = stats.max_delta.max(delta);
-                        if s == reference {
-                            stats.reference = Some(best);
-                        }
-                    }
-                }
-                SweepKind::Evaluation => {
-                    for s in range.clone() {
-                        let pair = row_ptr[s] as usize + chunk.best[s - range.start];
-                        let mut acc = 0.0;
-                        for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
-                            acc += prob[k] * h_read[col[k] as usize];
-                        }
-                        let value = expected[pair] + tau * acc + (1.0 - tau) * h_read[s];
-                        chunk.next[s - range.start] = value;
-                        if s == reference {
-                            stats.reference = Some(value);
-                        }
-                    }
-                }
+                SweepKind::Bellman => *span = bellman_rows(arena, &h, first, next, best),
+                SweepKind::Evaluation => evaluation_rows(arena, &h, first, best, next),
             }
-            stats
         };
-
-        // Renormalise exactly like the serial relative step: every state of
-        // the new iterate shifted so the reference state stays at 0.
-        let apply_renormalised = |offset: f64| {
-            let mut h_write = h.write().unwrap_or_else(PoisonError::into_inner);
+        // Relative step: every state of the new iterate shifted so the
+        // reference state stays at 0. Returns the span statistics of the
+        // last Bellman sweep folded in block order.
+        let renormalise = || -> (f64, f64) {
+            let offset = lock(&chunks[reference_block]).next[reference_offset];
+            let mut h = write(h);
+            let mut min_delta = f64::INFINITY;
+            let mut max_delta = f64::NEG_INFINITY;
             for (range, chunk) in blocks.iter().zip(&chunks) {
-                let chunk = chunk.lock().unwrap_or_else(PoisonError::into_inner);
-                for (i, &value) in chunk.next.iter().enumerate() {
-                    h_write[range.start + i] = value - offset;
+                let chunk = lock(chunk);
+                min_delta = min_delta.min(chunk.span.0);
+                max_delta = max_delta.max(chunk.span.1);
+                for (h_s, &value) in h[range.clone()].iter_mut().zip(&chunk.next) {
+                    *h_s = value - offset;
                 }
             }
-        };
-        // The blocks partition `0..n` and `reference < n`, so exactly one
-        // block reports the reference value; a missing report is a broken
-        // partition and surfaces as a typed error instead of a panic.
-        let reference_offset = |round: &[BlockStats]| -> Result<f64, MdpError> {
-            round
-                .iter()
-                .find_map(|stats| stats.reference)
-                .ok_or(MdpError::InvariantViolation {
-                    detail: "no sweep block contains the reference state",
-                })
+            (min_delta, max_delta)
         };
 
         sweep_scope(blocks.len() - 1, run_block, |pool| {
             let mut sweeps = 0usize;
             let mut refine = TieRefinement::new();
             while sweeps < self.max_iterations {
+                // Full Bellman sweep: refreshes the greedy strategy and
+                // yields the certified `min Δ ≤ g* ≤ max Δ` sandwich (valid
+                // for the current h no matter how it was produced).
                 sweeps += 1;
-                let round = pool.round(SweepKind::Bellman);
-                let mut min_delta = f64::INFINITY;
-                let mut max_delta = f64::NEG_INFINITY;
-                for stats in &round {
-                    min_delta = min_delta.min(stats.min_delta);
-                    max_delta = max_delta.max(stats.max_delta);
-                }
-                apply_renormalised(reference_offset(&round)?);
-                if max_delta - min_delta < self.epsilon.min(refine.target) {
-                    let span = max_delta - min_delta;
-                    let bias = h.read().unwrap_or_else(PoisonError::into_inner).clone();
-                    // The canonical extraction runs serially over the final
-                    // bias — a per-state pure function of `bias`, so it (and
-                    // the borderline check plus any refinement rounds it
-                    // triggers) is trivially identical to the serial path's.
-                    let (strategy, borderline) = self.canonical_strategy(
-                        mdp,
-                        expected,
-                        &bias,
-                        Self::STRATEGY_TIE_GUARD * span,
-                    );
-                    let outcome = ValueIterationOutcome {
+                pool.round(SweepKind::Bellman);
+                let (min_delta, max_delta) = renormalise();
+                let span = max_delta - min_delta;
+                if span < self.epsilon.min(refine.target) {
+                    let h = read(h);
+                    let (strategy, borderline) =
+                        self.canonical_strategy(arena, &h, Self::STRATEGY_TIE_GUARD * span);
+                    let converged = ValueIterationOutcome {
                         gain: 0.5 * (min_delta + max_delta),
                         gain_lower: min_delta,
                         gain_upper: max_delta,
                         strategy,
-                        bias,
+                        bias: Vec::new(),
                         iterations: sweeps,
                     };
                     if !borderline || refine.exhausted(sweeps, self.max_iterations) {
-                        return Ok(outcome);
+                        return Ok(converged);
                     }
-                    refine.continue_past(outcome, span, sweeps);
+                    refine.continue_past(converged, &h, span);
                 }
+
+                // Policy-restricted evaluation sweeps: hold the greedy
+                // strategy fixed and sweep only its transitions — a fraction
+                // of the full sweep's cost with the same per-sweep
+                // contraction of the bias.
                 for _ in 0..self.evaluation_sweeps {
                     if sweeps >= self.max_iterations {
                         break;
                     }
                     sweeps += 1;
-                    let round = pool.round(SweepKind::Evaluation);
-                    apply_renormalised(reference_offset(&round)?);
+                    pool.round(SweepKind::Evaluation);
+                    renormalise();
                 }
             }
-            if let Some(outcome) = refine.fallback {
-                return Ok(outcome);
+            match refine.fallback {
+                Some(converged) => {
+                    std::mem::swap(&mut *write(h), &mut refine.fallback_bias);
+                    Ok(converged)
+                }
+                None => Err(MdpError::ConvergenceFailure {
+                    method: "relative value iteration",
+                    iterations: self.max_iterations,
+                }),
             }
-            Err(MdpError::ConvergenceFailure {
-                method: "relative value iteration",
-                iterations: self.max_iterations,
-            })
         })
     }
+}
+
+// Lock poisoning only means another block's worker panicked; the buffers
+// hold plain numeric data written in disjoint slices, so recovery is sound —
+// the originating panic still propagates through the sweep scope's join.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -911,6 +842,93 @@ mod tests {
         assert!((plain.gain - interleaved.gain).abs() < 1e-9);
         assert_eq!(plain.strategy, interleaved.strategy);
         assert!(interleaved.gain_lower <= interleaved.gain_upper);
+    }
+
+    /// A unichain of `n` states whose two actions share their successors
+    /// (state 0 with probability 0.1, else the next state) and differ in
+    /// reward by `gap`; the rewards vary per state so the bias is not flat.
+    fn twin_action_mdp(n: usize, gap: f64) -> (Mdp, TransitionRewards) {
+        let mut b = CsrMdpBuilder::new();
+        for s in 0..n {
+            let successors = [(0, 0.1), ((s + 1) % n, 0.9)];
+            b.begin_state();
+            b.add_action("high", &successors).unwrap();
+            b.add_action("low", &successors).unwrap();
+        }
+        let mdp = b.finish(0).unwrap();
+        let rewards = TransitionRewards::from_fn(&mdp, |s, a, _| {
+            0.25 * (s % 5) as f64 - if a == 1 { gap } else { 0.0 }
+        });
+        (mdp, rewards)
+    }
+
+    fn assert_same_outcome(a: &ValueIterationOutcome, b: &ValueIterationOutcome) {
+        assert_eq!(a.gain_lower.to_bits(), b.gain_lower.to_bits());
+        assert_eq!(a.gain_upper.to_bits(), b.gain_upper.to_bits());
+        assert_eq!(a.gain.to_bits(), b.gain.to_bits());
+        assert_eq!(a.strategy, b.strategy);
+        assert_eq!(a.iterations, b.iterations);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.bias), bits(&b.bias));
+    }
+
+    #[test]
+    fn borderline_ties_refine_through_the_single_sweep_driver() {
+        // A power-of-two ε keeps the reward gaps exact, so the action gap
+        // sits on the tie cutoff up to rounding and every extraction stays
+        // borderline until the refinement budget runs out.
+        let epsilon = 2f64.powi(-20);
+        let cutoff = RelativeValueIteration::STRATEGY_TIE_TOLERANCE * epsilon;
+        let n = 1600;
+        let (tied_mdp, tied) = twin_action_mdp(n, cutoff);
+        let (clear_mdp, clear) = twin_action_mdp(n, 2.0 * cutoff);
+        assert!(tied_mdp.num_transitions() > 3 * sm_markov::MIN_BLOCK_MASS);
+        let solver = |threads: usize, max_iterations: usize| RelativeValueIteration {
+            epsilon,
+            max_iterations,
+            parallelism: SolverParallelism::threads(threads),
+            ..Default::default()
+        };
+        let budget = 10_000;
+
+        // The lower action never wins a Bellman maximum, so both models
+        // sweep identical iterates; the clear gap is not borderline and
+        // returns at the first convergence.
+        let first = solver(1, budget).solve(&clear_mdp, &clear).unwrap();
+        // The tied model keeps refining until its budget of twice the
+        // first convergence's sweeps is spent, and returns at the first
+        // Bellman sweep past it (one Bellman plus `evaluation_sweeps`
+        // evaluation sweeps per round).
+        let refined = solver(1, budget).solve(&tied_mdp, &tied).unwrap();
+        let deadline = 2 * first.iterations;
+        let round = 1 + solver(1, budget).evaluation_sweeps;
+        assert!(
+            (deadline..deadline + round).contains(&refined.iterations),
+            "refinement must end at its budget: first convergence at {}, returned at {}",
+            first.iterations,
+            refined.iterations
+        );
+        assert!(refined.gain_upper - refined.gain_lower < first.gain_upper - first.gain_lower);
+
+        // Cut off one sweep after the first convergence, the solve returns
+        // the converged result it kept as a fallback.
+        let cut_budget = first.iterations + 1;
+        let cut = solver(1, cut_budget).solve(&tied_mdp, &tied).unwrap();
+        assert_eq!(cut.iterations, first.iterations);
+        assert_eq!(cut.gain_lower.to_bits(), first.gain_lower.to_bits());
+        assert_eq!(cut.gain_upper.to_bits(), first.gain_upper.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&cut.bias), bits(&first.bias));
+
+        // Four row blocks reproduce both outcomes bit for bit.
+        assert_same_outcome(
+            &refined,
+            &solver(4, budget).solve(&tied_mdp, &tied).unwrap(),
+        );
+        assert_same_outcome(
+            &cut,
+            &solver(4, cut_budget).solve(&tied_mdp, &tied).unwrap(),
+        );
     }
 
     #[test]

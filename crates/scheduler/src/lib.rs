@@ -3,21 +3,22 @@
 //! Three subsystems fan deterministic, independent work items over scoped
 //! worker pools: the Monte-Carlo estimator (replicas), the sweep engine
 //! (curve jobs, conformance jobs) and the certified-analysis query service
-//! (daemon query batches). They all share the two primitives in this crate —
+//! (daemon query batches). They all share the one job loop of this crate —
 //! historically a private module of `sm-conformance`, promoted to its own
 //! crate so the batch and serving paths run the exact same scheduler:
 //!
-//! * [`run_indexed_jobs`] — workers drain an atomic index and results are
-//!   collected **in job order**, so the output is identical for any worker
-//!   count; only wall-clock time changes.
-//! * [`run_budgeted_jobs`] — adds *nested budgeting* on top: the caller
-//!   hands over one global thread budget, outer jobs are preferred while the
-//!   queue is deep, and as the queue drains the left-over budget is granted
-//!   to the running jobs as an intra-job thread allowance (which the sweep
-//!   engine and the query service forward to the solvers' intra-solve
-//!   parallelism). This fixes the historical short-queue behaviour where a
-//!   2-job sweep on an 8-thread budget spawned 2 workers and left 6 cores
-//!   idle.
+//! * [`run_budgeted_jobs`] — workers drain an atomic index and results are
+//!   collected **in job order**, so the output is identical for any budget;
+//!   only wall-clock time changes. A budget of one runs the jobs inline.
+//!   The budget is *nested*: outer jobs are preferred while the queue is
+//!   deep, and as the queue drains the left-over budget is granted to the
+//!   running jobs as an intra-job thread allowance (which the sweep engine
+//!   and the query service forward to the solvers' intra-solve
+//!   parallelism; the Monte-Carlo estimator ignores it). This fixes the
+//!   historical short-queue behaviour where a 2-job sweep on an 8-thread
+//!   budget spawned 2 workers and left 6 cores idle.
+//! * [`resolve_budget`] — the "0 = auto" rule that turns a configured
+//!   worker count into a budget.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,69 +27,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-/// Resolves a configured worker count against a job count: `0` means
-/// [`std::thread::available_parallelism`], and the result is clamped to
-/// `[1, jobs]` so no idle threads are spawned.
-pub fn effective_workers(configured: usize, jobs: usize) -> usize {
-    let configured = if configured == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        configured
-    };
-    configured.clamp(1, jobs.max(1))
-}
-
-/// Runs jobs `0..count` and returns their results in job order, fanning them
-/// over `workers` scoped threads (clamped to `[1, count]`; a single worker
-/// runs inline without spawning).
-///
-/// # Panics
-///
-/// Propagates panics from `job` (a panicking job poisons its slot and the
-/// collection phase re-panics).
-pub fn run_indexed_jobs<T, F>(workers: usize, count: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.clamp(1, count.max(1));
-    if workers <= 1 {
-        return (0..count).map(job).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= count {
-                    break;
-                }
-                let outcome = job(index);
-                *slots[index].lock().expect("job slot poisoned") = Some(outcome);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("job slot poisoned")
-                .expect("worker pool completed every job")
-        })
-        .collect()
-}
-
 /// Resolves a configured thread budget: `0` means
 /// [`std::thread::available_parallelism`], anything else is taken as-is (at
 /// least 1); the resolution convention is
 /// [`selfish_mining::SolverParallelism`]'s, so the budget and the
-/// intra-solve knob can never disagree on what "auto" means. Unlike
-/// [`effective_workers`] the budget is **not** clamped to the job count —
-/// budget beyond the number of jobs is handed to the jobs themselves as
-/// intra-job allowance by [`run_budgeted_jobs`].
+/// intra-solve knob can never disagree on what "auto" means. The budget is
+/// **not** clamped to the job count — budget beyond the number of jobs is
+/// handed to the jobs themselves as intra-job allowance by
+/// [`run_budgeted_jobs`].
 pub fn resolve_budget(configured: usize) -> usize {
     selfish_mining::SolverParallelism::threads(configured).thread_count()
 }
@@ -96,7 +42,8 @@ pub fn resolve_budget(configured: usize) -> usize {
 /// Runs jobs `0..count` over a nested thread budget and returns their
 /// results in job order.
 ///
-/// At most `min(budget, count)` outer workers drain the job queue; each job
+/// At most `min(budget, count)` outer workers drain the job queue (a single
+/// worker runs the jobs inline, without spawning); each job
 /// additionally receives an **intra-job thread allowance** `a ≥ 1` (the
 /// second closure argument) such that the outer workers and the allowances
 /// together stay within `budget`:
@@ -118,11 +65,12 @@ pub fn resolve_budget(configured: usize) -> usize {
 /// The *scheduling* depends on timing, but the allowance is invisible in the
 /// output by construction — every solver in this workspace is bit-identical
 /// for any intra-solve thread count — so the returned vector is identical
-/// for any budget, like [`run_indexed_jobs`].
+/// for any budget.
 ///
 /// # Panics
 ///
-/// Propagates panics from `job` like [`run_indexed_jobs`].
+/// Propagates panics from `job` (a panicking job poisons its slot and the
+/// collection phase re-panics).
 pub fn run_budgeted_jobs<T, F>(budget: usize, count: usize, job: F) -> Vec<T>
 where
     T: Send,
@@ -243,28 +191,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_come_back_in_job_order_for_any_worker_count() {
-        let reference: Vec<usize> = (0..37).map(|i| i * i).collect();
-        for workers in [0, 1, 2, 8, 64] {
-            assert_eq!(
-                run_indexed_jobs(workers, 37, |i| i * i),
-                reference,
-                "workers = {workers}"
-            );
-        }
-    }
-
-    #[test]
     fn empty_job_lists_are_fine() {
-        assert_eq!(run_indexed_jobs(4, 0, |i| i), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn effective_workers_resolves_and_clamps() {
-        assert!(effective_workers(0, 100) >= 1);
-        assert_eq!(effective_workers(8, 3), 3);
-        assert_eq!(effective_workers(2, 100), 2);
-        assert_eq!(effective_workers(5, 0), 1);
+        for budget in [1, 4] {
+            assert_eq!(run_budgeted_jobs(budget, 0, |i, _| i), Vec::<usize>::new());
+        }
     }
 
     #[test]
@@ -284,7 +214,6 @@ mod tests {
                 "budget = {budget}"
             );
         }
-        assert_eq!(run_budgeted_jobs(4, 0, |i, _| i), Vec::<usize>::new());
     }
 
     #[test]

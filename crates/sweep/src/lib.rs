@@ -86,8 +86,8 @@ pub struct SweepConfig {
 }
 
 impl Default for SweepConfig {
-    /// Mirrors `Figure2Sweep::default()`: the affordable `(d, f)` prefix,
-    /// `l = 4`, `ε = 10⁻³`, warm starts on, automatic worker count.
+    /// The affordable `(d, f)` prefix of the paper's grid, `l = 4`,
+    /// `ε = 10⁻³`, warm starts on, automatic worker count.
     fn default() -> Self {
         SweepConfig {
             attack_grid: vec![(1, 1), (2, 1), (2, 2)],
@@ -371,7 +371,6 @@ impl SweepConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfish_mining::experiments::Figure2Sweep;
 
     fn small_config(workers: usize) -> SweepConfig {
         SweepConfig {
@@ -390,33 +389,6 @@ mod tests {
         let four = small_config(4).run(&gammas, &ps).unwrap();
         assert_eq!(one.len(), gammas.len() * ps.len());
         assert_eq!(one, four, "curve jobs are independent and deterministic");
-    }
-
-    #[test]
-    fn engine_agrees_with_sequential_driver() {
-        let config = small_config(2);
-        let gammas = [0.5];
-        let ps = [0.15, 0.3];
-        let engine = config.run(&gammas, &ps).unwrap();
-        let sweep = Figure2Sweep {
-            attack_grid: config.attack_grid.clone(),
-            epsilon: config.epsilon,
-            ..Figure2Sweep::default()
-        };
-        let sequential = sweep.curve(0.5, &ps).unwrap();
-        for (e, s) in engine.iter().zip(&sequential) {
-            assert_eq!(e.p, s.p);
-            assert_eq!(e.gamma, s.gamma);
-            assert_eq!(e.honest_revenue, s.honest_revenue);
-            assert_eq!(e.single_tree_revenue, s.single_tree_revenue);
-            for (a, b) in e.attack_revenue.iter().zip(&s.attack_revenue) {
-                assert!(
-                    (a - b).abs() < 1e-12,
-                    "engine {a} vs sequential {b} at p = {}",
-                    e.p
-                );
-            }
-        }
     }
 
     #[test]
