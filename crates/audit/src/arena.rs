@@ -1,11 +1,11 @@
 //! Whole-arena invariant analysis: statically proves an `Mdp` arena, its
-//! reward buffers, a `ParametricModel`'s term tables, or a scenario
+//! reward tables, a `ParametricModel`'s term tables, or a scenario
 //! restriction well-formed — without solving anything. Each function returns
 //! the list of violations it found (empty = pass), each naming the exact
 //! location.
 
 use selfish_mining::{ParametricModel, SelfishMiningModel, SmState};
-use sm_mdp::{Mdp, TransitionRewards, PROBABILITY_TOLERANCE};
+use sm_mdp::{Mdp, PROBABILITY_TOLERANCE};
 use std::collections::{HashMap, HashSet};
 
 /// Checks the CSR arena invariants of one instantiated MDP:
@@ -123,37 +123,30 @@ pub fn audit_mdp(mdp: &Mdp) -> Vec<String> {
     violations
 }
 
-/// Checks one reward buffer against an arena: the shape matches the layout
-/// and every entry is finite and non-negative (block counts scaled by
-/// probabilities can never be negative in this model). `label` prefixes the
+/// Checks one per-pair reward table against an arena: one entry per
+/// state-action pair, every entry finite and non-negative (expected block
+/// counts can never be negative in this model). `label` prefixes the
 /// violations (`"adversary"` / `"honest"`).
-pub fn audit_rewards(mdp: &Mdp, rewards: &TransitionRewards, label: &str) -> Vec<String> {
+pub fn audit_rewards(mdp: &Mdp, rewards: &[f64], label: &str) -> Vec<String> {
     let mut violations = Vec::new();
-    if !rewards.matches(mdp) {
-        violations.push(format!("{label}: reward layout does not match the arena"));
-        return violations;
-    }
-    let values = rewards.values();
-    if values.len() != mdp.num_transitions() {
+    if rewards.len() != mdp.num_pairs() {
         violations.push(format!(
-            "{label}: {} reward entries for {} transitions",
-            values.len(),
-            mdp.num_transitions()
+            "{label}: {} reward entries for {} pairs",
+            rewards.len(),
+            mdp.num_pairs()
         ));
         return violations;
     }
-    for (index, &value) in values.iter().enumerate() {
+    for (pair, &value) in rewards.iter().enumerate() {
         if !value.is_finite() || value < 0.0 {
-            violations.push(format!(
-                "{label}: invalid reward {value} at transition {index}"
-            ));
+            violations.push(format!("{label}: invalid reward {value} at pair {pair}"));
         }
     }
     violations
 }
 
 /// Checks a full instantiated selfish-mining model: the arena invariants
-/// ([`audit_mdp`]), both reward buffers ([`audit_rewards`]) and the
+/// ([`audit_mdp`]), both reward tables ([`audit_rewards`]) and the
 /// state/action table consistency (one state record and one action list of
 /// the right length per arena row).
 pub fn audit_model(model: &SelfishMiningModel) -> Vec<String> {

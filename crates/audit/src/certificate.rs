@@ -33,7 +33,6 @@ use crate::artifact::CertificateArtifact;
 use crate::fingerprint::model_fingerprint;
 use crate::report::{AuditReport, Obligation, ObligationOutcome};
 use selfish_mining::SelfishMiningModel;
-use sm_mdp::Mdp;
 
 /// Configuration of the certificate audit.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,13 +87,29 @@ pub fn derive_tolerances(epsilon: f64, r_total_max: f64, config: &AuditConfig) -
     }
 }
 
+/// Expected `(r_A, r_H)` one-step rewards `(e_A, e_H)` of arena pair `pair`.
+fn expected_counts(model: &SelfishMiningModel, pair: usize) -> (f64, f64) {
+    let mdp = model.mdp();
+    (
+        mdp.expected_pair_reward(pair, model.adversary_rewards()[pair]),
+        mdp.expected_pair_reward(pair, model.honest_rewards()[pair]),
+    )
+}
+
+/// Expected `r_β` one-step reward `e_β = e_A − β (e_A + e_H)` of `pair`.
+fn expected_at(model: &SelfishMiningModel, pair: usize, beta: f64) -> f64 {
+    let (a, h) = expected_counts(model, pair);
+    a - beta * (a + h)
+}
+
 /// Min/max residual of one full (max-over-actions) lazy Bellman pass:
 /// `Δ(s) = max_a [ e_β(s, a) + τ Σ_t P(t | s, a) h(t) + (1 − τ) h(s) ] − h(s)`.
 ///
 /// This replicates the producer's sweep arithmetic (same lazy operator,
 /// same per-pair expected rewards) in ~25 lines; residuals are invariant
 /// under adding a constant to `h`, so no renormalisation is needed.
-fn bellman_residuals(mdp: &Mdp, expected: &[f64], h: &[f64], tau: f64) -> (f64, f64) {
+fn bellman_residuals(model: &SelfishMiningModel, beta: f64, h: &[f64], tau: f64) -> (f64, f64) {
+    let mdp = model.mdp();
     let layout = mdp.layout();
     let row_ptr = layout.row_ptr();
     let action_ptr = layout.action_ptr();
@@ -111,7 +126,7 @@ fn bellman_residuals(mdp: &Mdp, expected: &[f64], h: &[f64], tau: f64) -> (f64, 
             for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
                 acc += prob[k] * h[col[k] as usize];
             }
-            let value = expected[pair] + tau * acc + lazy;
+            let value = expected_at(model, pair, beta) + tau * acc + lazy;
             best = best.max(value);
         }
         let delta = best - h_s;
@@ -125,12 +140,13 @@ fn bellman_residuals(mdp: &Mdp, expected: &[f64], h: &[f64], tau: f64) -> (f64, 
 /// [`bellman_residuals`], but each state contributes only its chosen
 /// action's value — the residuals of the Markov chain the strategy induces.
 fn chain_residuals(
-    mdp: &Mdp,
-    expected: &[f64],
+    model: &SelfishMiningModel,
+    beta: f64,
     h: &[f64],
     tau: f64,
     strategy: &[u32],
 ) -> (f64, f64) {
+    let mdp = model.mdp();
     let layout = mdp.layout();
     let row_ptr = layout.row_ptr();
     let action_ptr = layout.action_ptr();
@@ -145,7 +161,7 @@ fn chain_residuals(
         for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
             acc += prob[k] * h[col[k] as usize];
         }
-        let delta = expected[pair] + tau * acc + (1.0 - tau) * h_s - h_s;
+        let delta = expected_at(model, pair, beta) + tau * acc + (1.0 - tau) * h_s - h_s;
         min_delta = min_delta.min(delta);
         max_delta = max_delta.max(delta);
     }
@@ -155,7 +171,7 @@ fn chain_residuals(
 /// Audits one certificate against the arena it claims to certify, checking
 /// every [`Obligation`] and returning the typed verdict. The checking path
 /// reads only the artifact and the arena (layout, probabilities, reward
-/// buffers) — none of the solver machinery.
+/// tables) — none of the solver machinery.
 ///
 /// The caller re-instantiates the model from the artifact's coordinates
 /// (`ParametricModel::build(depth, f, l)` + `instantiate(p, γ)`); the
@@ -287,27 +303,17 @@ pub fn audit_certificate(
         return AuditReport { outcomes };
     }
 
-    // Per-pair expected rewards of both objectives — the only precomputation
-    // the passes share. `e_β = e_A − β (e_A + e_H)` per pair.
-    let expected_adv = model.adversary_rewards().expected_per_pair(mdp);
-    let expected_hon = model.honest_rewards().expected_per_pair(mdp);
-    let r_total_max = expected_adv
-        .iter()
-        .zip(&expected_hon)
-        .fold(0.0_f64, |acc, (&a, &h)| acc.max(a + h));
+    // Per-pair expected rewards of both objectives are formed where each
+    // pass reads them, so no pass allocates.
+    let r_total_max = (0..mdp.num_pairs()).fold(0.0_f64, |acc, pair| {
+        let (a, h) = expected_counts(model, pair);
+        acc.max(a + h)
+    });
     let tolerances = derive_tolerances(artifact.epsilon, r_total_max, config);
     let tau = config.laziness;
-    let expected_at = |beta: f64| -> Vec<f64> {
-        expected_adv
-            .iter()
-            .zip(&expected_hon)
-            .map(|(&a, &h)| a - beta * (a + h))
-            .collect()
-    };
 
     // Pass A, at β_low: span of the witness + the lower bound.
-    let (low_min, low_max) =
-        bellman_residuals(mdp, &expected_at(artifact.beta_low), &artifact.bias, tau);
+    let (low_min, low_max) = bellman_residuals(model, artifact.beta_low, &artifact.bias, tau);
     let span = low_max - low_min;
     record(
         Obligation::BiasResidualSpan,
@@ -324,7 +330,7 @@ pub fn audit_certificate(
     );
 
     // Pass B, at β_up: the upper bound.
-    let (_, up_max) = bellman_residuals(mdp, &expected_at(artifact.beta_up), &artifact.bias, tau);
+    let (_, up_max) = bellman_residuals(model, artifact.beta_up, &artifact.bias, tau);
     record(
         Obligation::UpperBound,
         up_max <= tolerances.bound,
@@ -339,8 +345,8 @@ pub fn audit_certificate(
     // residuals straddle zero would be weaker: a foreign strategy's wide
     // residual interval straddles zero without certifying anything.
     let (chain_min, chain_max) = chain_residuals(
-        mdp,
-        &expected_at(artifact.strategy_revenue),
+        model,
+        artifact.strategy_revenue,
         &artifact.bias,
         tau,
         &artifact.strategy,

@@ -1,11 +1,11 @@
 //! Model fingerprinting: a 64-bit FNV-1a digest over everything the
 //! certificate audit's arithmetic reads — the CSR layout, the probability
-//! buffer, both reward buffers and the initial state. Two models with the
+//! buffer, both reward tables and the initial state. Two models with the
 //! same fingerprint present bit-identical inputs to the Bellman-residual
 //! passes, so a certificate carries the fingerprint of the arena it was
 //! solved on and the auditor refuses to check it against any other arena.
 
-use sm_mdp::{Mdp, TransitionRewards};
+use sm_mdp::Mdp;
 
 /// FNV-1a offset basis (64-bit).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -69,15 +69,18 @@ impl Fnv1a {
     }
 }
 
-/// Fingerprints an arena together with its adversarial and honest reward
-/// buffers: section lengths first (so no concatenation of two sections can
-/// collide with a different split), then the three layout arrays, the
-/// probability buffer, both reward buffers and the initial state.
-pub fn model_fingerprint(
-    mdp: &Mdp,
-    adversary: &TransitionRewards,
-    honest: &TransitionRewards,
-) -> u64 {
+/// Fingerprints an arena together with its per-pair adversarial and honest
+/// reward tables: section lengths first (so no concatenation of two
+/// sections can collide with a different split), then the three layout
+/// arrays, the probability buffer, both reward sections and the initial
+/// state.
+///
+/// A reward section is one `f64` per arena transition: each pair's value is
+/// streamed once per transition of that pair, the per-transition layout the
+/// `sm-audit/v1` fingerprint has always covered. Entries beyond the arena's
+/// pairs are streamed once each, so a mis-shaped table never digests like a
+/// well-shaped one.
+pub fn model_fingerprint(mdp: &Mdp, adversary: &[f64], honest: &[f64]) -> u64 {
     let layout = mdp.layout();
     let mut hash = Fnv1a::new();
     hash.write_u64(mdp.num_states() as u64);
@@ -88,8 +91,18 @@ pub fn model_fingerprint(
     hash.write_u32_slice(layout.action_ptr());
     hash.write_u32_slice(layout.col());
     hash.write_f64_slice(mdp.probabilities());
-    hash.write_f64_slice(adversary.values());
-    hash.write_f64_slice(honest.values());
+    for rewards in [adversary, honest] {
+        for (pair, &value) in rewards.iter().enumerate() {
+            let repeats = if pair < layout.num_pairs() {
+                layout.transition_range(pair).len()
+            } else {
+                1
+            };
+            for _ in 0..repeats {
+                hash.write_f64_slice(&[value]);
+            }
+        }
+    }
     hash.finish()
 }
 
@@ -108,6 +121,24 @@ mod tests {
         assert_eq!(digest(""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(digest("a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(digest("foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn model_fingerprint_of_the_d2f1_arena_is_pinned() {
+        // The `sm-audit/v1` digest of the d = 2, f = 1, l = 4 arena at
+        // (p, γ) = (0.3, 0.5), as computed when the model still stored its
+        // rewards per transition: the per-pair tables must stream the same
+        // bytes.
+        let model = selfish_mining::ParametricModel::build(2, 1, 4)
+            .unwrap()
+            .instantiate(0.3, 0.5)
+            .unwrap();
+        let digest = model_fingerprint(
+            model.mdp(),
+            model.adversary_rewards(),
+            model.honest_rewards(),
+        );
+        assert_eq!(digest, 0x942c_5d21_2271_1762);
     }
 
     #[test]

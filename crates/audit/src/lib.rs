@@ -10,7 +10,7 @@
 //!    for *any* finite bias vector; see [`certificate`] for the argument.
 //! 2. **Arena invariant analysis** ([`audit_model`], [`audit_parametric`],
 //!    [`audit_scenario_restriction`]): proves CSR layouts, probability
-//!    mass, reward buffers, symbolic term tables and scenario action-subset
+//!    mass, reward tables, symbolic term tables and scenario action-subset
 //!    relations well-formed without solving anything.
 //! 3. **Source lint** ([`lint`] and the `lint_source` binary): a
 //!    dependency-free scan of the workspace for determinism and panic

@@ -11,7 +11,7 @@ use selfish_mining::{
     AttackScenario, ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
 };
 use sm_mdp::RelativeValueIteration;
-use sm_oracle::{LinearProgrammingSolver, PolicyIteration};
+use sm_oracle::{LinearProgrammingSolver, PolicyIteration, TransitionRewards};
 use sm_sweep::SweepConfig;
 use std::collections::{HashMap, VecDeque};
 
@@ -216,7 +216,7 @@ fn bench_construction_plus_vi(c: &mut Criterion) {
             |b, params| {
                 b.iter(|| {
                     let model = build(params);
-                    let rewards = model.beta_rewards(beta).unwrap();
+                    let rewards = model.beta_rewards(beta);
                     RelativeValueIteration::with_epsilon(1e-6)
                         .solve(model.mdp(), &rewards)
                         .unwrap()
@@ -230,20 +230,28 @@ fn bench_construction_plus_vi(c: &mut Criterion) {
 
 fn bench_mean_payoff_methods(c: &mut Criterion) {
     let model = model();
-    let rewards = model.beta_rewards(0.35).unwrap();
+    let rewards = model.beta_rewards(0.35);
     let mut group = c.benchmark_group("solver/mean_payoff_d2_f1");
     let mdp = model.mdp();
+    // The exact oracles take per-transition rewards: `r_β` replicated over
+    // each pair's transitions.
+    let oracle_rewards = TransitionRewards::from_pair_values(mdp, &rewards).unwrap();
     group.bench_function("value_iteration", |b| {
         let solver = RelativeValueIteration::with_epsilon(1e-6);
         b.iter(|| solver.solve(mdp, &rewards).unwrap().gain);
     });
     group.bench_function("policy_iteration", |b| {
-        b.iter(|| PolicyIteration::default().solve(mdp, &rewards).unwrap().0);
+        b.iter(|| {
+            PolicyIteration::default()
+                .solve(mdp, &oracle_rewards)
+                .unwrap()
+                .0
+        });
     });
     group.bench_function("linear_programming", |b| {
         b.iter(|| {
             LinearProgrammingSolver::default()
-                .solve(mdp, &rewards)
+                .solve(mdp, &oracle_rewards)
                 .unwrap()
                 .0
         });
@@ -321,7 +329,7 @@ fn bench_d4f3_thread_scaling(c: &mut Criterion) {
     // solver's default 12M-state limit (~3.0M states / 22.9M transitions).
     let family = ParametricModel::build(4, 3, 2).unwrap();
     let model = family.instantiate(0.3, 0.5).unwrap();
-    let rewards = model.beta_rewards(0.35).unwrap();
+    let rewards = model.beta_rewards(0.35);
     let mut group = c.benchmark_group("solver/intra_parallel_d4_f3");
     group.sample_size(2);
     for threads in [1usize, 2, 4, 8] {
@@ -371,14 +379,7 @@ fn seed_dinkelbach_revenue(model: &SelfishMiningModel, epsilon: f64) -> f64 {
     };
     let seed_revenue = |strategy: &sm_mdp::PositionalStrategy| -> f64 {
         let chain = model.mdp().induced_chain(strategy).unwrap();
-        let r_adv = model
-            .adversary_rewards()
-            .strategy_rewards(model.mdp(), strategy)
-            .unwrap();
-        let r_hon = model
-            .honest_rewards()
-            .strategy_rewards(model.mdp(), strategy)
-            .unwrap();
+        let (r_adv, r_hon) = model.strategy_rewards(strategy).unwrap();
         let gain = |rewards: &[f64]| {
             sm_markov::iterative_gains(&chain, &[rewards], None, SolverParallelism::serial())
                 .unwrap()
@@ -389,13 +390,13 @@ fn seed_dinkelbach_revenue(model: &SelfishMiningModel, epsilon: f64) -> f64 {
     };
     let mut beta = 0.0;
     for _ in 0..200 {
-        let rewards = model.beta_rewards(beta).unwrap();
+        let rewards = model.beta_rewards(beta);
         let result = solver.solve(model.mdp(), &rewards).unwrap();
         let revenue = seed_revenue(&result.strategy);
         if (revenue - beta).abs() < epsilon || result.gain.abs() <= 1e-9 {
             // The seed's finalize: one more full solve at β_low plus one more
             // revenue evaluation.
-            let rewards = model.beta_rewards(revenue.min(1.0)).unwrap();
+            let rewards = model.beta_rewards(revenue.min(1.0));
             let finalized = solver.solve(model.mdp(), &rewards).unwrap();
             return seed_revenue(&finalized.strategy);
         }

@@ -15,7 +15,7 @@
 use crate::{SelfishMiningError, SelfishMiningModel};
 use sm_mdp::{
     Mdp, MdpError, PositionalStrategy, RelativeValueIteration, SolverParallelism,
-    TransitionRewards, ValueIterationOutcome,
+    ValueIterationOutcome,
 };
 
 /// Iteration cap of the Dinkelbach-style acceleration. Each iteration
@@ -181,8 +181,7 @@ impl AnalysisProcedure {
 
         while beta_up - beta_low >= self.config.epsilon {
             let beta = 0.5 * (beta_low + beta_up);
-            let rewards = model.beta_rewards(beta)?;
-            let result = self.inner_solve(model.mdp(), &rewards, &[])?;
+            let result = self.inner_solve(model.mdp(), &model.beta_rewards(beta), &[])?;
             steps.push(SolveStep {
                 beta,
                 mean_payoff: result.gain,
@@ -268,8 +267,8 @@ impl AnalysisProcedure {
         let mut beta = warm.map(|w| w.beta.clamp(0.0, 1.0)).unwrap_or(0.0);
         let mut steps = Vec::new();
         for _ in 0..DINKELBACH_ITERATION_LIMIT {
-            let rewards = model.beta_rewards(beta)?;
-            let result = self.inner_solve(model.mdp(), &rewards, &bias)?;
+            // The per-pair r_β expectation lives only for the inner solve.
+            let result = self.inner_solve(model.mdp(), &model.beta_rewards(beta), &bias)?;
             bias = result.bias;
             steps.push(SolveStep {
                 beta,
@@ -320,7 +319,7 @@ impl AnalysisProcedure {
     fn inner_solve(
         &self,
         mdp: &Mdp,
-        rewards: &TransitionRewards,
+        rewards: &[f64],
         seed: &[f64],
     ) -> Result<ValueIterationOutcome, MdpError> {
         // A couple of orders of magnitude tighter than ε: inner-solver noise
@@ -361,8 +360,8 @@ impl AnalysisProcedure {
             None => {
                 // Only reachable when no bisection step ever moved the lower
                 // end (e.g. ε ≥ 1): solve once at β_low for the strategy.
-                let rewards = model.beta_rewards(beta_low)?;
-                self.inner_solve(model.mdp(), &rewards, &[])?.strategy
+                self.inner_solve(model.mdp(), &model.beta_rewards(beta_low), &[])?
+                    .strategy
             }
         };
         let strategy_revenue = match strategy_revenue {

@@ -6,12 +6,19 @@
 //! * an [`sm_mdp::Mdp`] whose states are indices into the reachable state
 //!   list of the family's breadth-first exploration,
 //! * the two base reward structures `r_A` (adversarial blocks finalized) and
-//!   `r_H` (honest blocks finalized) of Section 3.3, stored as expected
-//!   per-action rewards in flat buffers aligned with the same arena, which is
-//!   all the mean-payoff machinery needs.
+//!   `r_H` (honest blocks finalized) of Section 3.3, stored once per
+//!   state-action pair as the pair's expected block count, indexed by arena
+//!   pair offset.
+//!
+//! Every consumer — the relative-value-iteration sweeps, the revenue
+//! evaluation on induced chains and the certificate audit — reads a pair's
+//! reward only through its expectation `Σ_{s'} P(s'|s,a) · r` over the
+//! pair's successors ([`sm_mdp::Mdp::expected_pair_reward`]), which is
+//! formed on the fly from the per-pair value; no per-transition reward
+//! buffer is ever built.
 
 use crate::{AttackParams, AttackScenario, SelfishMiningError, SmAction, SmState};
-use sm_mdp::{Mdp, PositionalStrategy, TransitionRewards};
+use sm_mdp::{Mdp, MdpError, PositionalStrategy};
 use std::sync::Arc;
 
 /// The selfish-mining MDP at concrete parameters together with its reward
@@ -31,8 +38,10 @@ pub struct SelfishMiningModel {
     pub(crate) mdp: Mdp,
     pub(crate) states: Arc<Vec<SmState>>,
     pub(crate) actions: Arc<Vec<Vec<SmAction>>>,
-    pub(crate) adversary_rewards: TransitionRewards,
-    pub(crate) honest_rewards: TransitionRewards,
+    /// `r_A`: expected adversarial blocks finalized, one entry per pair.
+    pub(crate) adversary_rewards: Vec<f64>,
+    /// `r_H`: expected honest blocks finalized, one entry per pair.
+    pub(crate) honest_rewards: Vec<f64>,
 }
 
 impl SelfishMiningModel {
@@ -95,29 +104,91 @@ impl SelfishMiningModel {
         &self.actions
     }
 
-    /// Reward structure `r_A`: expected number of adversary blocks finalized
-    /// per state-action pair.
-    pub fn adversary_rewards(&self) -> &TransitionRewards {
+    /// Reward structure `r_A`: expected number of adversary blocks finalized,
+    /// one entry per state-action pair in arena pair order.
+    pub fn adversary_rewards(&self) -> &[f64] {
         &self.adversary_rewards
     }
 
-    /// Reward structure `r_H`: expected number of honest blocks finalized per
-    /// state-action pair.
-    pub fn honest_rewards(&self) -> &TransitionRewards {
+    /// Reward structure `r_H`: expected number of honest blocks finalized,
+    /// one entry per state-action pair in arena pair order.
+    pub fn honest_rewards(&self) -> &[f64] {
         &self.honest_rewards
     }
 
-    /// The reward structure `r_β = r_A − β · (r_A + r_H)` of Section 3.3.
+    /// Bytes this instantiation holds on its own, counted by length: the
+    /// probability buffer and both per-pair reward tables. The layout, the
+    /// action-name table and the state and action tables are shared with the
+    /// family and every other instantiation of it, so they are not counted.
+    pub fn resident_bytes(&self) -> usize {
+        let f64_bytes = std::mem::size_of::<f64>();
+        f64_bytes
+            * (self.mdp.probabilities().len()
+                + self.adversary_rewards.len()
+                + self.honest_rewards.len())
+    }
+
+    /// The expected one-step reward of `r_β = r_A − β · (r_A + r_H)`
+    /// (Section 3.3) for every state-action pair, in arena pair order — the
+    /// reward input of one inner mean-payoff solve.
+    ///
+    /// Each pair's `r_β` value is formed as `1·a + (−β)·(1·a + 1·h)` and
+    /// weighted by the pair's successor probabilities
+    /// ([`Mdp::expected_pair_reward`]), the f64 operations of forming `r_β`
+    /// transition by transition and taking its expectation, so the result
+    /// is bit-identical to that per-transition construction.
+    pub fn beta_rewards(&self, beta: f64) -> Vec<f64> {
+        self.adversary_rewards
+            .iter()
+            .zip(&self.honest_rewards)
+            .enumerate()
+            .map(|(pair, (&a, &h))| {
+                let value = 1.0 * a + (-beta) * (1.0 * a + 1.0 * h);
+                self.mdp.expected_pair_reward(pair, value)
+            })
+            .collect()
+    }
+
+    /// Per-state expected `(r_A, r_H)` rewards of the Markov chain a
+    /// positional strategy induces: each state's entry is the expectation
+    /// of its chosen pair.
     ///
     /// # Errors
     ///
-    /// Propagates shape errors (which cannot occur for structures built by
-    /// this model).
-    pub fn beta_rewards(&self, beta: f64) -> Result<TransitionRewards, SelfishMiningError> {
-        let total = self.adversary_rewards.sum(&self.honest_rewards)?;
-        Ok(self
-            .adversary_rewards
-            .affine_combination(&total, 1.0, -beta)?)
+    /// Returns a shape error if the strategy does not cover every state and
+    /// [`MdpError::InvalidAction`] if it selects a non-existent action.
+    pub fn strategy_rewards(
+        &self,
+        strategy: &PositionalStrategy,
+    ) -> Result<(Vec<f64>, Vec<f64>), SelfishMiningError> {
+        let n = self.mdp.num_states();
+        if strategy.num_states() != n {
+            return Err(MdpError::RewardShapeMismatch {
+                detail: format!(
+                    "strategy covers {} states, MDP has {n}",
+                    strategy.num_states()
+                ),
+            }
+            .into());
+        }
+        let (mdp, layout) = (&self.mdp, self.mdp.layout());
+        let mut adversary = Vec::with_capacity(n);
+        let mut honest = Vec::with_capacity(n);
+        for state in 0..n {
+            let (action, available) = (strategy.action(state), layout.num_actions(state));
+            if action >= available {
+                return Err(MdpError::InvalidAction {
+                    state,
+                    action,
+                    available,
+                }
+                .into());
+            }
+            let pair = layout.pair_index(state, action);
+            adversary.push(mdp.expected_pair_reward(pair, self.adversary_rewards[pair]));
+            honest.push(mdp.expected_pair_reward(pair, self.honest_rewards[pair]));
+        }
+        Ok((adversary, honest))
     }
 
     /// The expected relative revenue of a *fixed* positional strategy,
@@ -165,10 +236,7 @@ impl SelfishMiningModel {
         parallelism: sm_mdp::SolverParallelism,
     ) -> Result<(f64, Vec<Vec<f64>>), SelfishMiningError> {
         let chain = self.mdp.induced_chain(strategy)?;
-        let r_adv = self
-            .adversary_rewards
-            .strategy_rewards(&self.mdp, strategy)?;
-        let r_hon = self.honest_rewards.strategy_rewards(&self.mdp, strategy)?;
+        let (r_adv, r_hon) = self.strategy_rewards(strategy)?;
         let (gains, bias) =
             sm_markov::iterative_gains(&chain, &[&r_adv, &r_hon], seed, parallelism)?;
         let (adv, hon) = (gains[0], gains[1]);
@@ -262,13 +330,13 @@ mod tests {
     fn rewards_are_nonnegative_and_bounded_by_l() {
         let model = build(0.3, 0.5, 2, 2, 3);
         let mdp = model.mdp();
-        for s in 0..mdp.num_states() {
-            for a in 0..mdp.num_actions(s) {
-                let adv = model.adversary_rewards().expected_reward(mdp, s, a);
-                let hon = model.honest_rewards().expected_reward(mdp, s, a);
-                assert!(adv >= 0.0 && hon >= 0.0);
-                assert!(adv + hon <= model.params().max_fork_length as f64 + 1.0);
-            }
+        assert_eq!(model.adversary_rewards().len(), mdp.num_pairs());
+        assert_eq!(model.honest_rewards().len(), mdp.num_pairs());
+        for pair in 0..mdp.num_pairs() {
+            let adv = mdp.expected_pair_reward(pair, model.adversary_rewards()[pair]);
+            let hon = mdp.expected_pair_reward(pair, model.honest_rewards()[pair]);
+            assert!(adv >= 0.0 && hon >= 0.0);
+            assert!(adv + hon <= model.params().max_fork_length as f64 + 1.0);
         }
     }
 
@@ -276,16 +344,52 @@ mod tests {
     fn beta_rewards_interpolate_between_extremes() {
         let model = build(0.3, 0.5, 1, 1, 2);
         let mdp = model.mdp();
-        let r0 = model.beta_rewards(0.0).unwrap();
-        let r1 = model.beta_rewards(1.0).unwrap();
-        for s in 0..mdp.num_states() {
-            for a in 0..mdp.num_actions(s) {
-                let adv = model.adversary_rewards().expected_reward(mdp, s, a);
-                let hon = model.honest_rewards().expected_reward(mdp, s, a);
-                assert!((r0.expected_reward(mdp, s, a) - adv).abs() < 1e-12);
-                assert!((r1.expected_reward(mdp, s, a) + hon).abs() < 1e-12);
-            }
+        let r0 = model.beta_rewards(0.0);
+        let r1 = model.beta_rewards(1.0);
+        assert_eq!(r0.len(), mdp.num_pairs());
+        for pair in 0..mdp.num_pairs() {
+            let adv = mdp.expected_pair_reward(pair, model.adversary_rewards()[pair]);
+            let hon = mdp.expected_pair_reward(pair, model.honest_rewards()[pair]);
+            assert!((r0[pair] - adv).abs() < 1e-12);
+            assert!((r1[pair] + hon).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn strategy_rewards_follow_the_chosen_pairs() {
+        let model = build(0.3, 0.5, 1, 1, 2);
+        let mdp = model.mdp();
+        let mut strategy = PositionalStrategy::uniform_first_action(model.num_states());
+        let last = model.num_states() - 1;
+        strategy.set_action(last, mdp.num_actions(last) - 1);
+        let (adversary, honest) = model.strategy_rewards(&strategy).unwrap();
+        for s in 0..model.num_states() {
+            let pair = mdp.layout().pair_index(s, strategy.action(s));
+            let expected = |rewards: &[f64]| mdp.expected_pair_reward(pair, rewards[pair]);
+            assert_eq!(
+                adversary[s].to_bits(),
+                expected(model.adversary_rewards()).to_bits()
+            );
+            assert_eq!(
+                honest[s].to_bits(),
+                expected(model.honest_rewards()).to_bits()
+            );
+        }
+        strategy.set_action(0, 99);
+        assert!(model.strategy_rewards(&strategy).is_err());
+        let short = PositionalStrategy::uniform_first_action(last);
+        assert!(model.strategy_rewards(&short).is_err());
+    }
+
+    #[test]
+    fn resident_bytes_count_probabilities_and_both_pair_tables() {
+        // d = 2, f = 1, l = 4: 148 states, 468 pairs, 636 transitions — one
+        // probability per transition and two rewards per pair, 8 bytes each.
+        let model = build(0.3, 0.5, 2, 1, 4);
+        assert_eq!(model.num_states(), 148);
+        assert_eq!(model.mdp().num_pairs(), 468);
+        assert_eq!(model.mdp().num_transitions(), 636);
+        assert_eq!(model.resident_bytes(), 8 * (636 + 2 * 468));
     }
 
     #[test]

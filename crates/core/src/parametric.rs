@@ -10,8 +10,8 @@
 //! function ([`crate::symbolic_successors_in`]) and records, per arena
 //! transition, a small list of [`ProbTerm`] atoms;
 //! [`ParametricModel::instantiate`] then evaluates the atoms at concrete
-//! `(p, γ)` and fills the probability and reward buffers with no hashing and
-//! no BFS. Re-instantiating an existing model in place
+//! `(p, γ)` and fills the probability buffer and the per-pair reward tables
+//! with no hashing and no BFS. Re-instantiating an existing model in place
 //! ([`ParametricModel::instantiate_into`]) performs zero allocations beyond
 //! the buffers already held by the model.
 //!
@@ -32,7 +32,7 @@ use crate::{
     available_actions_in, symbolic_successors_in, AttackParams, AttackScenario, ProbTerm,
     SelfishMiningError, SelfishMiningModel, SmAction, SmState,
 };
-use sm_mdp::{CsrLayout, Mdp, TransitionRewards};
+use sm_mdp::{CsrLayout, Mdp};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -94,8 +94,10 @@ pub struct ParametricModel {
     states: Arc<Vec<SmState>>,
     actions: Arc<Vec<Vec<SmAction>>>,
     layout: Arc<CsrLayout>,
-    names: Vec<String>,
-    name_of_pair: Vec<u32>,
+    /// Interned action names, shared with every instantiated arena.
+    names: Arc<[String]>,
+    /// Per-pair index into `names`, shared like `names`.
+    name_of_pair: Arc<[u32]>,
     /// Per arena transition, the range of its probability atoms in
     /// `prob_atoms` (duplicate successors of one action merge into one slot
     /// whose probability is the sum of the merged atoms). Length
@@ -296,8 +298,8 @@ impl ParametricModel {
             states: Arc::new(states),
             actions: Arc::new(actions),
             layout: Arc::new(layout),
-            names,
-            name_of_pair,
+            names: names.into(),
+            name_of_pair: name_of_pair.into(),
             prob_atom_ptr,
             prob_atoms,
             reward_ptr,
@@ -371,8 +373,9 @@ impl ParametricModel {
         &self.actions
     }
 
-    /// Instantiates the family at `(p, gamma)`: one linear pass filling fresh
-    /// probability and reward buffers over the shared skeleton.
+    /// Instantiates the family at `(p, gamma)`: one linear pass filling a
+    /// fresh probability buffer and the two per-pair reward tables over the
+    /// shared skeleton (layout and action names are shared, not copied).
     ///
     /// # Errors
     ///
@@ -398,22 +401,13 @@ impl ParametricModel {
         let mdp = Mdp::from_raw_parts(
             Arc::clone(&self.layout),
             prob,
-            self.names.clone(),
-            self.name_of_pair.clone(),
+            Arc::clone(&self.names),
+            Arc::clone(&self.name_of_pair),
             0,
         )?;
-
-        let transitions = self.layout.num_transitions();
-        let mut adversary = Vec::with_capacity(transitions);
-        let mut honest = Vec::with_capacity(transitions);
-        for pair in 0..self.layout.num_pairs() {
-            let (adv, hon) = self.pair_rewards(pair, &term_values);
-            let len = self.layout.transition_range(pair).len();
-            adversary.resize(adversary.len() + len, adv);
-            honest.resize(honest.len() + len, hon);
-        }
-        let adversary_rewards = TransitionRewards::from_transition_values(&mdp, adversary)?;
-        let honest_rewards = TransitionRewards::from_transition_values(&mdp, honest)?;
+        let (adversary_rewards, honest_rewards) = (0..self.layout.num_pairs())
+            .map(|pair| self.pair_rewards(pair, &term_values))
+            .unzip();
 
         Ok(SelfishMiningModel {
             params,
@@ -427,12 +421,11 @@ impl ParametricModel {
     }
 
     /// Re-instantiates an existing model of this family at new `(p, gamma)`
-    /// values *in place*: the probability and reward buffers are rewritten
-    /// through [`sm_mdp::Mdp::reweight_in_place`] and
-    /// [`sm_mdp::TransitionRewards::values_mut`] with no hashing, no BFS and
-    /// no allocation beyond one term-value table the size of the (tiny)
-    /// interned term pool. This is the per-worker hot path of the sweep
-    /// engine.
+    /// values *in place*: the probability buffer is rewritten through
+    /// [`sm_mdp::Mdp::reweight_in_place`] and the per-pair reward tables are
+    /// refilled, with no hashing, no BFS and no allocation beyond one
+    /// term-value table the size of the (tiny) interned term pool. This is
+    /// the per-worker hot path of the sweep engine.
     ///
     /// # Errors
     ///
@@ -465,32 +458,26 @@ impl ParametricModel {
         model
             .mdp
             .reweight_in_place(|slot| self.slot_probability(slot, &term_values));
-        // Per-pair expected block counts, replicated over each pair's
-        // transition range exactly like the fresh construction does; one
-        // atom walk per pair fills both reward buffers.
-        let adversary = model.adversary_rewards.values_mut();
-        let honest = model.honest_rewards.values_mut();
-        for pair in 0..self.layout.num_pairs() {
-            let (adv, hon) = self.pair_rewards(pair, &term_values);
-            let range = self.layout.transition_range(pair);
-            adversary[range.clone()].fill(adv);
-            honest[range].fill(hon);
+        // Per-pair expected block counts, exactly as the fresh construction
+        // computes them; one atom walk per pair fills both reward tables.
+        for (pair, (adversary, honest)) in model
+            .adversary_rewards
+            .iter_mut()
+            .zip(&mut model.honest_rewards)
+            .enumerate()
+        {
+            (*adversary, *honest) = self.pair_rewards(pair, &term_values);
         }
         // `reweight_in_place` already re-validated the arena under
-        // deep-checks; this additionally covers the reward buffers.
+        // deep-checks; this additionally covers the reward tables.
         #[cfg(feature = "deep-checks")]
         debug_assert!(
             model
                 .adversary_rewards
-                .values()
                 .iter()
-                .all(|r| r.is_finite() && *r >= 0.0)
-                && model
-                    .honest_rewards
-                    .values()
-                    .iter()
-                    .all(|r| r.is_finite() && *r >= 0.0),
-            "deep-checks: re-instantiation produced an invalid reward buffer"
+                .chain(&model.honest_rewards)
+                .all(|r| r.is_finite() && *r >= 0.0),
+            "deep-checks: re-instantiation produced an invalid reward table"
         );
         Ok(())
     }
@@ -628,8 +615,7 @@ mod tests {
     /// A direct breadth-first search over the concrete transition function
     /// at `params`: states in discovery order, each action streamed into
     /// [`CsrMdpBuilder`], and the per-action expected block counts summed in
-    /// the order [`successors_in`] lists the outcomes. Returns the model
-    /// with its rewards wrapped as [`TransitionRewards`].
+    /// the order [`successors_in`] lists the outcomes.
     fn direct_build(scenario: AttackScenario, params: &AttackParams) -> SelfishMiningModel {
         let initial = SmState::initial(params);
         let mut index_of = HashMap::from([(initial.clone(), 0)]);
@@ -663,15 +649,15 @@ mod tests {
         SelfishMiningModel {
             params: *params,
             scenario,
-            adversary_rewards: TransitionRewards::from_pair_values(&mdp, &adversary).unwrap(),
-            honest_rewards: TransitionRewards::from_pair_values(&mdp, &honest).unwrap(),
+            adversary_rewards: adversary,
+            honest_rewards: honest,
             mdp,
             states: Arc::new(states),
             actions: Arc::new(actions),
         }
     }
 
-    /// States, action lists, the whole arena and both reward buffers match.
+    /// States, action lists, the whole arena and both reward tables match.
     fn assert_same_model(inst: &SelfishMiningModel, fresh: &SelfishMiningModel) {
         assert_eq!(inst.num_states(), fresh.num_states());
         for s in 0..fresh.num_states() {
@@ -679,14 +665,8 @@ mod tests {
             assert_eq!(inst.actions_of(s), fresh.actions_of(s));
         }
         assert_eq!(inst.mdp(), fresh.mdp());
-        assert_eq!(
-            inst.adversary_rewards().values(),
-            fresh.adversary_rewards().values()
-        );
-        assert_eq!(
-            inst.honest_rewards().values(),
-            fresh.honest_rewards().values()
-        );
+        assert_eq!(inst.adversary_rewards(), fresh.adversary_rewards());
+        assert_eq!(inst.honest_rewards(), fresh.honest_rewards());
         assert_eq!(inst.params(), fresh.params());
         assert_eq!(inst.scenario(), fresh.scenario());
     }
@@ -722,14 +702,8 @@ mod tests {
             family.instantiate_into(&mut reused, p, gamma).unwrap();
             let direct = family.instantiate(p, gamma).unwrap();
             assert_eq!(reused.mdp(), direct.mdp());
-            assert_eq!(
-                reused.adversary_rewards().values(),
-                direct.adversary_rewards().values()
-            );
-            assert_eq!(
-                reused.honest_rewards().values(),
-                direct.honest_rewards().values()
-            );
+            assert_eq!(reused.adversary_rewards(), direct.adversary_rewards());
+            assert_eq!(reused.honest_rewards(), direct.honest_rewards());
             assert_eq!(reused.params(), direct.params());
         }
     }

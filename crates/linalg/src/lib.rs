@@ -27,7 +27,7 @@
 //!     Triplet::new(1, 1, 3.0),
 //! ])?;
 //! assert_eq!(m.nnz(), 3);
-//! assert_eq!(m.get(0, 1), 1.0);
+//! assert_eq!(m.row(0), (&[0u32, 1][..], &[2.0, 1.0][..]));
 //! assert_eq!(m.row(1), (&[1u32][..], &[3.0][..]));
 //! # Ok(())
 //! # }
@@ -40,4 +40,4 @@ mod error;
 mod sparse;
 
 pub use error::LinalgError;
-pub use sparse::{CsrMatrix, Triplet, COMPACT_INDEX_LIMIT};
+pub use sparse::{CsrMatrix, Triplet};

@@ -15,7 +15,7 @@
 use crate::LinalgError;
 
 /// The largest index or entry count the compact CSR storage can hold.
-pub const COMPACT_INDEX_LIMIT: usize = u32::MAX as usize;
+const COMPACT_INDEX_LIMIT: usize = u32::MAX as usize;
 
 /// Checked `usize` → `u32` conversion for compact sparse storage.
 #[inline]
@@ -65,7 +65,6 @@ impl Triplet {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
-    cols: usize,
     /// Row pointer array of length `rows + 1`.
     row_ptr: Vec<u32>,
     /// Column indices, sorted within each row.
@@ -136,7 +135,6 @@ impl CsrMatrix {
         }
         Ok(CsrMatrix {
             rows,
-            cols,
             row_ptr,
             col_idx,
             values,
@@ -206,7 +204,6 @@ impl CsrMatrix {
         }
         Ok(CsrMatrix {
             rows,
-            cols,
             row_ptr,
             col_idx,
             values,
@@ -218,32 +215,9 @@ impl CsrMatrix {
         self.rows
     }
 
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Number of explicitly stored non-zero entries.
     pub fn nnz(&self) -> usize {
         self.values.len()
-    }
-
-    /// Returns the entry at `(row, col)` (zero if not stored).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.rows && col < self.cols, "index out of bounds");
-        let (cols, vals) = self.row(row);
-        // Stored columns always fit u32; a wider query column is not stored.
-        let Ok(col) = u32::try_from(col) else {
-            return 0.0;
-        };
-        match cols.binary_search(&col) {
-            Ok(pos) => vals[pos],
-            Err(_) => 0.0,
-        }
     }
 
     /// Returns the column indices and values of row `row`.
@@ -292,8 +266,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(m.nnz(), 1);
-        assert_eq!(m.get(0, 0), 1.0);
-        assert_eq!(m.get(0, 1), 0.0);
+        assert_eq!(m.row(0), (&[0u32][..], &[1.0][..]));
     }
 
     #[test]
@@ -360,8 +333,8 @@ mod tests {
         ));
         // A well-formed empty row is fine.
         let m = CsrMatrix::from_raw_parts_u32(2, 2, vec![0, 0, 1], vec![1], vec![2.0]).unwrap();
-        assert_eq!(m.get(0, 1), 0.0);
-        assert_eq!(m.get(1, 1), 2.0);
+        assert_eq!(m.row(0), (&[][..], &[][..]));
+        assert_eq!(m.row(1), (&[1u32][..], &[2.0][..]));
     }
 
     #[test]

@@ -9,12 +9,13 @@
 //! * `col[k]` / `prob[k]` — successor state and probability of transition `k`.
 //!
 //! The index arrays live in a shared [`CsrLayout`] (behind an [`Arc`]) so that
-//! reward structures ([`crate::TransitionRewards`]) can be stored as flat
-//! per-transition buffers aligned with the very same offsets, and so that
-//! strategy-induced Markov chains can be extracted by copying already-sorted
-//! row slices with no per-row staging or re-sorting. (The chain constructor
-//! in `sm-markov` still runs its own one-pass validation of the copied CSR
-//! arrays — crate boundaries keep that invariant checked, not assumed.)
+//! every `(p, γ)` instantiation of a parametric family reuses one skeleton,
+//! and so that strategy-induced Markov chains can be extracted by copying
+//! already-sorted row slices with no per-row staging or re-sorting. (The
+//! chain constructor in `sm-markov` still runs its own one-pass validation
+//! of the copied CSR arrays — crate boundaries keep that invariant checked,
+//! not assumed.) Rewards are per state-action pair, indexed by the same pair
+//! offsets `action_ptr` is.
 //!
 //! Action names are interned into a deduplicated string table: the
 //! selfish-mining model reuses a handful of names (`mine`,
@@ -43,8 +44,8 @@ pub(crate) fn compact_indices(values: Vec<usize>) -> Result<Vec<u32>, MdpError> 
     values.into_iter().map(compact_index).collect()
 }
 
-/// The index arrays of the CSR transition arena, shared between the MDP and
-/// every reward structure aligned with it.
+/// The index arrays of the CSR transition arena, shared between every MDP
+/// instantiated over the same skeleton.
 ///
 /// All three arrays store compact `u32` entries: the selfish-mining arenas
 /// this workspace targets stay well under `u32::MAX` states and transitions
@@ -90,7 +91,7 @@ impl CsrLayout {
     }
 
     /// Successor state of every transition (compact `u32` indices), aligned
-    /// with the probability and reward buffers.
+    /// with the probability buffer.
     pub fn col(&self) -> &[u32] {
         &self.col
     }
@@ -668,7 +669,7 @@ mod tests {
 
     #[test]
     fn usize_and_u32_raw_part_paths_are_bit_identical() {
-        use crate::{RelativeValueIteration, TransitionRewards};
+        use crate::RelativeValueIteration;
         use std::collections::BTreeSet;
         // Deterministic xorshift so the property test needs no RNG crate.
         let mut rng_state = 0x5ee9_b10c_dead_beef_u64;
@@ -726,9 +727,17 @@ mod tests {
                     0,
                 )
                 .unwrap();
-                let rewards = TransitionRewards::from_fn(&mdp, |s, a, t| {
-                    0.4 * s as f64 + 0.9 * a as f64 - 0.2 * t as f64
-                });
+                // Per-pair expected rewards of `r(s, a, t) = 0.4 s + 0.9 a − 0.2 t`.
+                let rewards: Vec<f64> = (0..mdp.num_states())
+                    .flat_map(|s| (0..mdp.num_actions(s)).map(move |a| (s, a)))
+                    .map(|(s, a)| {
+                        let (cols, probs) = mdp.successors(s, a);
+                        cols.iter()
+                            .zip(probs)
+                            .map(|(&t, &p)| p * (0.4 * s as f64 + 0.9 * a as f64 - 0.2 * t as f64))
+                            .sum()
+                    })
+                    .collect();
                 RelativeValueIteration::with_epsilon(1e-7)
                     .solve(&mdp, &rewards)
                     .unwrap()

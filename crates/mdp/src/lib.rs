@@ -7,12 +7,13 @@
 //!
 //! * [`Mdp`] — the finite MDP `(S, A, P, s₀)` of Section 2.3, stored as one
 //!   flat compressed-sparse-row transition arena and built state by state
-//!   with [`CsrMdpBuilder`], which validates every distribution. Rewards and
-//!   induced Markov chains share its index arrays ([`CsrLayout`]), which is
-//!   what makes the solver sweeps cache-friendly slice walks instead of
-//!   nested-`Vec` pointer chases.
-//! * [`TransitionRewards`] — reward functions `r : S × A × S → ℝ`, and the
-//!   linear combinations needed for the paper's `r_β = r_A − β(r_A + r_H)`.
+//!   with [`CsrMdpBuilder`], which validates every distribution. Every
+//!   instantiation of one skeleton shares its index arrays ([`CsrLayout`])
+//!   and action names, and the solver sweeps are cache-friendly slice walks
+//!   over them instead of nested-`Vec` pointer chases. Rewards are one
+//!   expected value per state-action pair, indexed by arena pair offset
+//!   (the paper's `r_β = r_A − β(r_A + r_H)` is formed per pair by the
+//!   caller).
 //! * [`PositionalStrategy`] — memoryless deterministic strategies, which are
 //!   sufficient for mean-payoff optimality (Puterman, Thm. 9.1.8).
 //! * [`RelativeValueIteration`] — the solver for the *maximal mean payoff*
@@ -28,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use sm_mdp::{CsrMdpBuilder, RelativeValueIteration, TransitionRewards};
+//! use sm_mdp::{CsrMdpBuilder, RelativeValueIteration};
 //!
 //! # fn main() -> Result<(), sm_mdp::MdpError> {
 //! // A two-state MDP: in state 0 the action `stay` earns 1 and loops,
@@ -41,13 +42,9 @@
 //! builder.begin_state(); // state 1
 //! builder.add_action("back", &[(0, 1.0)])?;
 //! let mdp = builder.finish(0)?;
-//! let rewards = TransitionRewards::from_fn(&mdp, |state, action, _target| {
-//!     match (state, mdp.action_name(state, action)) {
-//!         (0, "stay") => 1.0,
-//!         (1, _) => 0.5,
-//!         _ => 0.0,
-//!     }
-//! });
+//! // One expected reward per state-action pair, in arena order:
+//! // (0, stay), (0, leave), (1, back).
+//! let rewards = [1.0, 0.0, 0.5];
 //! let result = RelativeValueIteration::with_epsilon(1e-7).solve(&mdp, &rewards)?;
 //! assert!(result.gain_lower <= 1.0 && 1.0 <= result.gain_upper);
 //! assert!((result.gain - 1.0).abs() < 1e-6);
@@ -61,14 +58,12 @@
 pub mod csr;
 mod error;
 mod model;
-mod rewards;
 mod strategy;
 mod value_iteration;
 
 pub use csr::{CsrLayout, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
 pub use error::MdpError;
 pub use model::Mdp;
-pub use rewards::TransitionRewards;
 pub use strategy::PositionalStrategy;
 pub use value_iteration::{RelativeValueIteration, ValueIterationOutcome};
 

@@ -15,21 +15,20 @@ use std::sync::Arc;
 ///
 /// States are `0..num_states()`. Every state has one or more named actions;
 /// each action carries a probability distribution over successors. Rewards
-/// are *not* stored in the model — they are supplied separately as
-/// [`crate::TransitionRewards`], whose buffers share the arena's index
-/// arrays, which is what lets the selfish-mining analysis reuse one model for
-/// the whole `r_β` family. Build one with the streaming
-/// [`crate::CsrMdpBuilder`] or, from already-assembled arrays, with
-/// [`Mdp::from_raw_parts`].
+/// are *not* stored in the model — the solver takes one expected reward per
+/// state-action pair, indexed like the arena's pairs, which is what lets the
+/// selfish-mining analysis reuse one model for the whole `r_β` family. Build
+/// one with the streaming [`crate::CsrMdpBuilder`] or, from
+/// already-assembled arrays, with [`Mdp::from_raw_parts`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mdp {
     layout: Arc<CsrLayout>,
     /// Transition probability per arena slot, aligned with `layout.col()`.
     prob: Vec<f64>,
-    /// Interned action-name table.
-    names: Vec<String>,
-    /// Per-pair index into `names`.
-    name_of_pair: Vec<u32>,
+    /// Interned action-name table, shared by every arena over the layout.
+    names: Arc<[String]>,
+    /// Per-pair index into `names`, shared like `names`.
+    name_of_pair: Arc<[u32]>,
     initial_state: usize,
 }
 
@@ -39,8 +38,9 @@ impl Mdp {
     ///
     /// Every arena is assembled here: [`crate::CsrMdpBuilder::finish`] hands
     /// over its buffers, and parametric model families take the zero-rebuild
-    /// path — the layout (and the `Arc` it lives behind) is shared across
-    /// every instantiation, only the probability buffer is fresh. Shapes are
+    /// path — the layout and the name table (and the `Arc`s they live
+    /// behind) are shared across every instantiation, only the probability
+    /// buffer is fresh. Shapes are
     /// checked here; *distribution* validity (rows summing to 1) is the
     /// caller's responsibility — run [`Mdp::validate`] when in doubt.
     /// Zero-probability transitions are allowed: a parametric arena keeps
@@ -55,10 +55,11 @@ impl Mdp {
     pub fn from_raw_parts(
         layout: Arc<CsrLayout>,
         prob: Vec<f64>,
-        names: Vec<String>,
-        name_of_pair: Vec<u32>,
+        names: impl Into<Arc<[String]>>,
+        name_of_pair: impl Into<Arc<[u32]>>,
         initial_state: usize,
     ) -> Result<Mdp, MdpError> {
+        let (names, name_of_pair) = (names.into(), name_of_pair.into());
         if prob.len() != layout.num_transitions() {
             return Err(MdpError::RewardShapeMismatch {
                 detail: format!(
@@ -104,7 +105,7 @@ impl Mdp {
     /// probability of arena transition `k` (the one targeting
     /// `layout.col()[k]`).
     ///
-    /// The layout, action names and reward alignments are untouched, which is
+    /// The layout and action names are untouched, which is
     /// what lets a parametric model family re-instantiate an arena for new
     /// parameter values in one linear pass with no rebuild. The caller is
     /// responsible for keeping every per-pair distribution valid (summing to
@@ -156,7 +157,7 @@ impl Mdp {
     }
 
     /// A clone of the [`Arc`] holding the index arrays, for structures that
-    /// must stay aligned with this arena (reward buffers).
+    /// must stay aligned with this arena.
     pub fn layout_arc(&self) -> Arc<CsrLayout> {
         Arc::clone(&self.layout)
     }
@@ -164,6 +165,23 @@ impl Mdp {
     /// The flat probability buffer, aligned with [`CsrLayout::col`].
     pub fn probabilities(&self) -> &[f64] {
         &self.prob
+    }
+
+    /// Expected one-step reward `Σ_{s'} P(s' | pair) · value` of arena pair
+    /// `pair` when every one of its transitions earns `value`, summed over
+    /// the pair's successors in arena order. This is how a per-pair reward
+    /// table becomes the per-pair expectation the solver sweeps read; the
+    /// probabilities need not sum to exactly 1, so the result is not always
+    /// `value` bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pair` is out of bounds.
+    pub fn expected_pair_reward(&self, pair: usize, value: f64) -> f64 {
+        self.prob[self.layout.transition_range(pair)]
+            .iter()
+            .map(|&p| p * value)
+            .sum()
     }
 
     /// Name of the `action`-th action of `state`.
@@ -417,12 +435,20 @@ mod tests {
         let mdp = two_state_mdp();
         let stay = PositionalStrategy::new(vec![0, 0]);
         let chain = mdp.induced_chain(&stay).unwrap();
-        assert_eq!(chain.matrix().get(0, 0), 1.0);
+        assert_eq!(chain.successors(0), (&[0u32][..], &[1.0][..]));
 
         let go = PositionalStrategy::new(vec![1, 0]);
         let chain = mdp.induced_chain(&go).unwrap();
-        assert_eq!(chain.matrix().get(0, 1), 1.0);
-        assert_eq!(chain.matrix().get(1, 0), 0.25);
+        assert_eq!(chain.successors(0), (&[1u32][..], &[1.0][..]));
+        assert_eq!(chain.successors(1), (&[0u32, 1][..], &[0.25, 0.75][..]));
+    }
+
+    #[test]
+    fn expected_pair_reward_weights_the_pair_value_by_probability() {
+        let mdp = two_state_mdp();
+        let pair = mdp.layout().pair_index(1, 0);
+        assert_eq!(mdp.expected_pair_reward(pair, 2.0), 0.25 * 2.0 + 0.75 * 2.0);
+        assert_eq!(mdp.expected_pair_reward(0, -1.5), -1.5);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! transition a constant number of times per sweep, so it scales to the large
 //! state spaces produced by the selfish-mining model at higher attack depths.
 
-use crate::{Mdp, MdpError, PositionalStrategy, TransitionRewards};
+use crate::{Mdp, MdpError, PositionalStrategy};
 use sm_markov::{mass_balanced_blocks, mass_capped_threads, sweep_scope, SolverParallelism};
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -23,15 +23,15 @@ use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockW
 /// # Example
 ///
 /// ```
-/// use sm_mdp::{CsrMdpBuilder, RelativeValueIteration, TransitionRewards};
+/// use sm_mdp::{CsrMdpBuilder, RelativeValueIteration};
 ///
 /// # fn main() -> Result<(), sm_mdp::MdpError> {
 /// let mut b = CsrMdpBuilder::new();
 /// b.begin_state();
 /// b.add_action("loop", &[(0, 1.0)])?;
 /// let mdp = b.finish(0)?;
-/// let rewards = TransitionRewards::from_fn(&mdp, |_, _, _| 2.5);
-/// let result = RelativeValueIteration::default().solve(&mdp, &rewards)?;
+/// // One expected reward per state-action pair.
+/// let result = RelativeValueIteration::default().solve(&mdp, &[2.5])?;
 /// assert!((result.gain - 2.5).abs() < 1e-9);
 /// # Ok(())
 /// # }
@@ -107,9 +107,11 @@ pub struct ValueIterationOutcome {
 /// [`RelativeValueIteration::STRATEGY_TIE_GUARD`]), the loop keeps sweeping
 /// with a halved span target per round until the guard band clears or the
 /// refinement budget — twice the sweeps the solve needed to converge — runs
-/// out. The most recent converged result and its bias are kept as a fallback
-/// so a solve that hits `max_iterations` mid-refinement still returns its
-/// certified result instead of a convergence failure.
+/// out. The most recent converged result and its bias are kept as a fallback:
+/// a refinement round still open at the budget (its halved target may lie
+/// below the span the sweeps can reach in floating point) or cut by
+/// `max_iterations` returns that certified result instead of sweeping on or
+/// failing to converge.
 struct TieRefinement {
     /// Residual-span target of the next refinement round (`∞` until the
     /// first borderline extraction).
@@ -139,6 +141,12 @@ impl TieRefinement {
     /// must be exported as-is.
     fn exhausted(&self, sweeps: usize, max_iterations: usize) -> bool {
         sweeps >= self.deadline || sweeps >= max_iterations
+    }
+
+    /// Whether an open refinement round has run past the budget, so the
+    /// solve must stop and return the fallback.
+    fn overdue(&self, sweeps: usize) -> bool {
+        self.fallback.is_some() && sweeps >= self.deadline
     }
 
     /// Records a borderline converged result and tightens the span target
@@ -320,22 +328,19 @@ impl RelativeValueIteration {
         self
     }
 
-    /// Runs the iteration on `mdp` with rewards `rewards`, starting from the
-    /// all-zero bias vector.
+    /// Runs the iteration on `mdp` with the expected one-step reward of every
+    /// state-action pair, `expected[pair] = Σ_{s'} P(s'|s,a) · r(s,a,s')`
+    /// indexed by arena pair offset, starting from the all-zero bias vector.
     ///
     /// # Errors
     ///
-    /// Returns [`MdpError::RewardShapeMismatch`] if the reward structure does
-    /// not match the model, [`MdpError::InvalidParameter`] for a bad `epsilon`
+    /// Returns [`MdpError::RewardShapeMismatch`] if `expected` does not have
+    /// one entry per pair, [`MdpError::InvalidParameter`] for a bad `epsilon`
     /// or `laziness`, [`MdpError::NoActions`] if some state has an empty
     /// action range, and [`MdpError::ConvergenceFailure`] if the iteration
     /// budget is exhausted before the requested precision is reached.
-    pub fn solve(
-        &self,
-        mdp: &Mdp,
-        rewards: &TransitionRewards,
-    ) -> Result<ValueIterationOutcome, MdpError> {
-        self.solve_inner(mdp, rewards, None)
+    pub fn solve(&self, mdp: &Mdp, expected: &[f64]) -> Result<ValueIterationOutcome, MdpError> {
+        self.solve_inner(mdp, expected, None)
     }
 
     /// Runs the iteration warm-started from a previous bias vector.
@@ -357,7 +362,7 @@ impl RelativeValueIteration {
     pub fn solve_from(
         &self,
         mdp: &Mdp,
-        rewards: &TransitionRewards,
+        expected: &[f64],
         initial_bias: &[f64],
     ) -> Result<ValueIterationOutcome, MdpError> {
         if initial_bias.len() != mdp.num_states() {
@@ -375,13 +380,13 @@ impl RelativeValueIteration {
                 constraint: "must contain only finite values",
             });
         }
-        self.solve_inner(mdp, rewards, Some(initial_bias))
+        self.solve_inner(mdp, expected, Some(initial_bias))
     }
 
     fn solve_inner(
         &self,
         mdp: &Mdp,
-        rewards: &TransitionRewards,
+        expected: &[f64],
         initial_bias: Option<&[f64]>,
     ) -> Result<ValueIterationOutcome, MdpError> {
         if self.epsilon.is_nan() || self.epsilon <= 0.0 {
@@ -396,9 +401,13 @@ impl RelativeValueIteration {
                 constraint: "must lie in (0, 1]",
             });
         }
-        if !rewards.matches(mdp) {
+        if expected.len() != mdp.num_pairs() {
             return Err(MdpError::RewardShapeMismatch {
-                detail: "rewards do not match MDP shape".to_string(),
+                detail: format!(
+                    "{} expected rewards for {} state-action pairs",
+                    expected.len(),
+                    mdp.num_pairs()
+                ),
             });
         }
         let n = mdp.num_states();
@@ -410,7 +419,6 @@ impl RelativeValueIteration {
             return Err(MdpError::NoActions { state });
         }
 
-        let expected = rewards.expected_per_pair(mdp);
         let h = match initial_bias {
             Some(bias) => bias.to_vec(),
             None => vec![0.0; n],
@@ -421,7 +429,7 @@ impl RelativeValueIteration {
             action_ptr: layout.action_ptr(),
             col: layout.col(),
             prob: mdp.probabilities(),
-            expected: &expected,
+            expected,
             tau: self.laziness,
         };
         let threads = mass_capped_threads(self.parallelism.thread_count(), mdp.num_transitions());
@@ -589,6 +597,8 @@ impl RelativeValueIteration {
                         return Ok(converged);
                     }
                     refine.continue_past(converged, &h, span);
+                } else if refine.overdue(sweeps) {
+                    break;
                 }
 
                 // Policy-restricted evaluation sweeps: hold the greedy
@@ -638,7 +648,22 @@ mod tests {
     use super::*;
     use crate::CsrMdpBuilder;
 
-    fn solve(mdp: &Mdp, rewards: &TransitionRewards) -> ValueIterationOutcome {
+    /// Per-pair expected rewards `Σ_k P_k · r(s, a, t_k)` of a per-transition
+    /// reward function, summed over each pair's successors in arena order.
+    fn expected(mdp: &Mdp, r: impl Fn(usize, usize, usize) -> f64) -> Vec<f64> {
+        (0..mdp.num_states())
+            .flat_map(|s| (0..mdp.num_actions(s)).map(move |a| (s, a)))
+            .map(|(s, a)| {
+                let (cols, probs) = mdp.successors(s, a);
+                cols.iter()
+                    .zip(probs)
+                    .map(|(&t, &p)| p * r(s, a, t as usize))
+                    .sum()
+            })
+            .collect()
+    }
+
+    fn solve(mdp: &Mdp, rewards: &[f64]) -> ValueIterationOutcome {
         RelativeValueIteration::with_epsilon(1e-9)
             .solve(mdp, rewards)
             .unwrap()
@@ -650,7 +675,7 @@ mod tests {
         b.begin_state();
         b.add_action("loop", &[(0, 1.0)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        let r = TransitionRewards::from_fn(&mdp, |_, _, _| -1.25);
+        let r = expected(&mdp, |_, _, _| -1.25);
         let out = solve(&mdp, &r);
         assert!((out.gain + 1.25).abs() < 1e-8);
         assert!(out.gain_lower <= out.gain && out.gain <= out.gain_upper);
@@ -667,7 +692,7 @@ mod tests {
         b.begin_state();
         b.add_action("loop", &[(1, 1.0)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        let r = TransitionRewards::from_fn(&mdp, |s, a, _| match (s, a) {
+        let r = expected(&mdp, |s, a, _| match (s, a) {
             (0, 0) => 1.0,
             (0, 1) => 0.0,
             (1, 0) => 3.0,
@@ -691,7 +716,7 @@ mod tests {
         b.begin_state();
         b.add_action("b", &[(0, 1.0)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        let r = TransitionRewards::from_fn(&mdp, |s, _, _| s as f64);
+        let r = expected(&mdp, |s, _, _| s as f64);
         let out = solve(&mdp, &r);
         assert!((out.gain - 0.5).abs() < 1e-7);
     }
@@ -708,8 +733,7 @@ mod tests {
         b.begin_state();
         b.add_action("b", &[(0, 1.0)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        let r =
-            TransitionRewards::from_fn(&mdp, |s, _, t| if s == 0 && t == 0 { 2.0 } else { 0.0 });
+        let r = expected(&mdp, |s, _, t| if s == 0 && t == 0 { 2.0 } else { 0.0 });
         let out = solve(&mdp, &r);
         assert!((out.gain - 1.2).abs() < 1e-7, "gain {}", out.gain);
     }
@@ -720,7 +744,7 @@ mod tests {
         b.begin_state();
         b.add_action("loop", &[(0, 1.0)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        let r = TransitionRewards::zeros(&mdp);
+        let r = vec![0.0; mdp.num_pairs()];
 
         let bad_eps = RelativeValueIteration {
             epsilon: 0.0,
@@ -752,7 +776,7 @@ mod tests {
         other.begin_state();
         other.add_action("y", &[(0, 1.0)]).unwrap();
         let other = other.finish(0).unwrap();
-        let wrong = TransitionRewards::zeros(&other);
+        let wrong = vec![0.0; other.num_pairs()];
         assert!(matches!(
             RelativeValueIteration::default().solve(&mdp, &wrong),
             Err(MdpError::RewardShapeMismatch { .. })
@@ -774,7 +798,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let rewards = TransitionRewards::zeros(&mdp);
+        let rewards = vec![0.0; mdp.num_pairs()];
         assert!(matches!(
             RelativeValueIteration::default().solve(&mdp, &rewards),
             Err(MdpError::NoActions { state: 1 })
@@ -789,8 +813,7 @@ mod tests {
         b.begin_state();
         b.add_action("b", &[(0, 1.0)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        let r =
-            TransitionRewards::from_fn(&mdp, |s, _, t| if s == 0 && t == 0 { 2.0 } else { 0.0 });
+        let r = expected(&mdp, |s, _, t| if s == 0 && t == 0 { 2.0 } else { 0.0 });
         let solver = RelativeValueIteration::with_epsilon(1e-9);
         let cold = solver.solve(&mdp, &r).unwrap();
         let warm = solver.solve_from(&mdp, &r, &cold.bias).unwrap();
@@ -822,7 +845,7 @@ mod tests {
         b.begin_state();
         b.add_action("c0", &[(0, 0.5), (1, 0.5)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        let r = TransitionRewards::from_fn(&mdp, |s, a, t| {
+        let r = expected(&mdp, |s, a, t| {
             0.3 * s as f64 + 0.7 * a as f64 - 0.1 * t as f64
         });
         let plain = RelativeValueIteration {
@@ -845,18 +868,18 @@ mod tests {
     }
 
     /// A unichain of `n` states whose two actions share their successors
-    /// (state 0 with probability 0.1, else the next state) and differ in
+    /// (state 0 with probability `reset`, else the next state) and differ in
     /// reward by `gap`; the rewards vary per state so the bias is not flat.
-    fn twin_action_mdp(n: usize, gap: f64) -> (Mdp, TransitionRewards) {
+    fn twin_action_mdp(n: usize, gap: f64, reset: f64) -> (Mdp, Vec<f64>) {
         let mut b = CsrMdpBuilder::new();
         for s in 0..n {
-            let successors = [(0, 0.1), ((s + 1) % n, 0.9)];
+            let successors = [(0, reset), ((s + 1) % n, 1.0 - reset)];
             b.begin_state();
             b.add_action("high", &successors).unwrap();
             b.add_action("low", &successors).unwrap();
         }
         let mdp = b.finish(0).unwrap();
-        let rewards = TransitionRewards::from_fn(&mdp, |s, a, _| {
+        let rewards = expected(&mdp, |s, a, _| {
             0.25 * (s % 5) as f64 - if a == 1 { gap } else { 0.0 }
         });
         (mdp, rewards)
@@ -880,8 +903,8 @@ mod tests {
         let epsilon = 2f64.powi(-20);
         let cutoff = RelativeValueIteration::STRATEGY_TIE_TOLERANCE * epsilon;
         let n = 1600;
-        let (tied_mdp, tied) = twin_action_mdp(n, cutoff);
-        let (clear_mdp, clear) = twin_action_mdp(n, 2.0 * cutoff);
+        let (tied_mdp, tied) = twin_action_mdp(n, cutoff, 0.1);
+        let (clear_mdp, clear) = twin_action_mdp(n, 2.0 * cutoff, 0.1);
         assert!(tied_mdp.num_transitions() > 3 * sm_markov::MIN_BLOCK_MASS);
         let solver = |threads: usize, max_iterations: usize| RelativeValueIteration {
             epsilon,
@@ -932,6 +955,62 @@ mod tests {
     }
 
     #[test]
+    fn refinement_below_the_floating_point_floor_stops_at_its_deadline() {
+        // With reset probability ½ the iterate contracts to the
+        // floating-point floor within a few rounds, so the halved span
+        // target of a late refinement round is out of reach: the solve must
+        // return its fallback at the first Bellman sweep past the deadline
+        // instead of sweeping on to `max_iterations`.
+        let epsilon = 2f64.powi(-20);
+        let cutoff = RelativeValueIteration::STRATEGY_TIE_TOLERANCE * epsilon;
+        let n = 1600;
+        let (tied_mdp, tied) = twin_action_mdp(n, cutoff, 0.5);
+        let (clear_mdp, clear) = twin_action_mdp(n, 2.0 * cutoff, 0.5);
+        let solver = |threads: usize, max_iterations: usize| RelativeValueIteration {
+            epsilon,
+            max_iterations,
+            parallelism: SolverParallelism::threads(threads),
+            ..Default::default()
+        };
+        let first = solver(1, 10_000).solve(&clear_mdp, &clear).unwrap();
+        let deadline = 2 * first.iterations;
+        let bound = deadline + solver(1, 0).evaluation_sweeps + 1;
+
+        // Held to the bound, the solve can only return a result it has
+        // converged to before the deadline.
+        let bounded = solver(1, bound).solve(&tied_mdp, &tied).unwrap();
+        assert!(
+            bounded.iterations < deadline,
+            "expected the fallback of an unfinished round, got a result certified at sweep {} \
+             (deadline {deadline})",
+            bounded.iterations
+        );
+        for threads in [1, 4] {
+            // An unlimited budget returns the same fallback just as soon; a
+            // solve that kept sweeping would never answer.
+            let (unlimited, mdp, rewards) =
+                (solver(threads, usize::MAX), tied_mdp.clone(), tied.clone());
+            let (sender, receiver) = std::sync::mpsc::channel();
+            let solve = std::thread::spawn(move || {
+                let outcome = unlimited.solve(&mdp, &rewards);
+                let _ = sender.send(());
+                outcome
+            });
+            let waited = receiver.recv_timeout(std::time::Duration::from_secs(120));
+            assert!(
+                !matches!(waited, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+                "refinement kept sweeping past its deadline"
+            );
+            let unbounded = solve.join().expect("unbounded solve panicked").unwrap();
+            assert_same_outcome(&bounded, &unbounded);
+            assert_same_outcome(
+                &bounded,
+                &solver(threads, bound).solve(&tied_mdp, &tied).unwrap(),
+            );
+        }
+    }
+
+    #[test]
     fn iteration_budget_is_respected() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
@@ -939,7 +1018,7 @@ mod tests {
         b.begin_state();
         b.add_action("b", &[(0, 1.0)]).unwrap();
         let mdp = b.finish(0).unwrap();
-        let r = TransitionRewards::from_fn(&mdp, |s, _, _| s as f64);
+        let r = expected(&mdp, |s, _, _| s as f64);
         let solver = RelativeValueIteration {
             epsilon: 1e-14,
             max_iterations: 2,

@@ -20,6 +20,9 @@
 //!   [`ChainAnalysis`] methods on `sm_markov::MarkovChain`.
 //! * [`DenseMatrix`] / [`LuDecomposition`] — the dense substrate of all of
 //!   the above.
+//! * [`TransitionRewards`] — per-transition rewards `r(s, a, s')`, the input
+//!   of the exact solvers above (the production solver takes one expected
+//!   reward per state-action pair instead).
 //!
 //! The crate is a development dependency only: no library or binary of the
 //! workspace links it, so nothing here can change what the pipeline
@@ -58,6 +61,7 @@ mod lp;
 mod lu;
 mod policy_iteration;
 mod reward;
+mod rewards;
 mod simplex;
 mod stationary;
 mod vector;
@@ -70,6 +74,7 @@ pub use lp::LinearProgrammingSolver;
 pub use lu::{solve_linear_system, LuDecomposition};
 pub use policy_iteration::{PolicyEvaluation, PolicyIteration};
 pub use reward::long_run_average_reward;
+pub use rewards::TransitionRewards;
 pub use simplex::{Comparison, LinearProgram, LpSolution, LpStatus, ObjectiveSense, SimplexSolver};
 pub use vector::{dot, infinity_norm, max_abs_diff, scale};
 

@@ -13,8 +13,10 @@
 //! cubic-ish in practice and only used for small models — it exists as an
 //! *independent* solver to cross-validate value and policy iteration.
 
-use crate::{Comparison, LinearProgram, LpStatus, ObjectiveSense, SimplexSolver};
-use sm_mdp::{Mdp, MdpError, PositionalStrategy, TransitionRewards};
+use crate::{
+    Comparison, LinearProgram, LpStatus, ObjectiveSense, SimplexSolver, TransitionRewards,
+};
+use sm_mdp::{Mdp, MdpError, PositionalStrategy};
 
 /// Mean-payoff optimisation via linear programming.
 #[derive(Debug, Clone, Default)]
@@ -144,7 +146,7 @@ mod tests {
             .unwrap();
         let (pi_gain, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
         let vi_gain = RelativeValueIteration::with_epsilon(1e-10)
-            .solve(&mdp, &rewards)
+            .solve(&mdp, &rewards.expected_per_pair(&mdp))
             .unwrap()
             .gain;
         assert!((lp_gain - pi_gain).abs() < 1e-6, "{lp_gain} vs {pi_gain}");

@@ -13,8 +13,11 @@
 //! `sm_mdp::RelativeValueIteration` on small and medium models, mirroring
 //! how the paper can switch Storm engines.
 
-use crate::{long_run_average_reward, solve_linear_system, ChainAnalysis, DenseMatrix, StateClass};
-use sm_mdp::{Mdp, MdpError, PositionalStrategy, TransitionRewards};
+use crate::{
+    long_run_average_reward, solve_linear_system, ChainAnalysis, DenseMatrix, StateClass,
+    TransitionRewards,
+};
+use sm_mdp::{Mdp, MdpError, PositionalStrategy};
 
 /// Exact evaluation of a positional strategy under the mean-payoff objective:
 /// per-state gain and a bias vector (normalised to 0 at one reference state
@@ -120,7 +123,8 @@ impl PolicyEvaluation {
 /// # Example
 ///
 /// ```
-/// use sm_mdp::{CsrMdpBuilder, TransitionRewards};
+/// use sm_mdp::CsrMdpBuilder;
+/// use sm_oracle::TransitionRewards;
 /// use sm_oracle::PolicyIteration;
 ///
 /// # fn main() -> Result<(), sm_mdp::MdpError> {
@@ -315,7 +319,7 @@ mod tests {
     fn all_methods_agree() {
         let (mdp, rewards) = mixed_reward_mdp();
         let vi = RelativeValueIteration::with_epsilon(1e-9)
-            .solve(&mdp, &rewards)
+            .solve(&mdp, &rewards.expected_per_pair(&mdp))
             .unwrap();
         let (pi_gain, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
         let (lp_gain, _) = LinearProgrammingSolver::default()
@@ -331,7 +335,7 @@ mod tests {
         let (mdp, rewards) = mixed_reward_mdp();
         let (exact, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
         let vi = RelativeValueIteration::with_epsilon(1e-4)
-            .solve(&mdp, &rewards)
+            .solve(&mdp, &rewards.expected_per_pair(&mdp))
             .unwrap();
         assert!(vi.gain_lower <= exact + 1e-9);
         assert!(exact <= vi.gain_upper + 1e-9);
@@ -403,7 +407,7 @@ mod tests {
         let (mdp, rewards) = random_like_mdp();
         let (pi_gain, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
         let vi = RelativeValueIteration::with_epsilon(1e-10)
-            .solve(&mdp, &rewards)
+            .solve(&mdp, &rewards.expected_per_pair(&mdp))
             .unwrap();
         assert!(
             (pi_gain - vi.gain).abs() < 1e-6,

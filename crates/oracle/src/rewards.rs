@@ -1,6 +1,12 @@
-//! Reward functions `r : S × A × S → ℝ` aligned with an MDP's transitions.
+//! Per-transition reward functions `r : S × A × S → ℝ` aligned with an
+//! MDP's transitions.
+//!
+//! The production stack keeps rewards per state-action pair (the solver
+//! takes one expected reward per pair); the exact oracles here — the gain
+//! LP, policy iteration and the pruned selfish-mining oracle of the
+//! integration tests — still reason about per-successor rewards.
 
-use crate::{CsrLayout, Mdp, MdpError, PositionalStrategy};
+use sm_mdp::{CsrLayout, Mdp, MdpError, PositionalStrategy};
 use std::sync::Arc;
 
 /// A reward function over state-action-successor triples, stored as **one
@@ -15,7 +21,9 @@ use std::sync::Arc;
 /// adversarial finalized blocks and `r_H` counting honest finalized blocks)
 /// and, inside the binary search of Algorithm 1, the combination
 /// `r_β = r_A − β · (r_A + r_H)`. [`TransitionRewards::affine_combination`]
-/// builds exactly that without touching the model again.
+/// builds exactly that per transition, and
+/// [`TransitionRewards::expected_per_pair`] reduces it to the per-pair input
+/// `sm_mdp::RelativeValueIteration` takes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransitionRewards {
     /// The arena index arrays this buffer is aligned with.
@@ -48,8 +56,7 @@ impl TransitionRewards {
     }
 
     /// Wraps an already-flat per-transition buffer (aligned with the arena in
-    /// construction order). This is the zero-copy path used by model builders
-    /// that stream rewards alongside transitions.
+    /// construction order).
     ///
     /// # Errors
     ///
@@ -71,8 +78,9 @@ impl TransitionRewards {
 
     /// Builds rewards that are constant per state-action pair: transition `k`
     /// of pair `i` gets `per_pair[i]`. Since `Σ_{s'} P(s'|s,a) = 1`, the
-    /// expected one-step reward of the pair equals `per_pair[i]`, which is how
-    /// the selfish-mining model supplies expected block counts.
+    /// expected one-step reward of the pair equals `per_pair[i]` — the
+    /// per-transition replica of the selfish-mining model's per-pair
+    /// expected block counts.
     ///
     /// # Errors
     ///
@@ -99,14 +107,6 @@ impl TransitionRewards {
     /// The flat per-transition reward buffer, aligned with the arena.
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Mutable access to the flat per-transition reward buffer, for callers
-    /// that refill rewards in place (parametric re-instantiation). The
-    /// buffer's length and its alignment with the arena are fixed; the values
-    /// themselves carry no invariant.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
     }
 
     /// The reward of the `transition_index`-th successor of `(state, action)`.
@@ -142,8 +142,7 @@ impl TransitionRewards {
 
     /// Expected one-step reward of *every* state-action pair, as one flat
     /// buffer indexed by arena pair offset: `out[pair] = Σ_{s'} P(s'|s,a) ·
-    /// r(s,a,s')`. This is the precompute shared by the value-iteration
-    /// sweeps, which afterwards only touch probabilities and value vectors.
+    /// r(s,a,s')` — the reward input of `sm_mdp::RelativeValueIteration`.
     ///
     /// # Panics
     ///
@@ -262,7 +261,7 @@ impl TransitionRewards {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CsrMdpBuilder;
+    use sm_mdp::CsrMdpBuilder;
 
     fn mdp() -> Mdp {
         let mut b = CsrMdpBuilder::new();

@@ -1,7 +1,9 @@
 //! Arena memory report: resident bytes of the compact CSR skeleton and the
 //! interned symbolic term tables per `(d, f, scenario)` topology, next to
 //! what the same tables would occupy in the pre-compaction representation
-//! (`usize` indices, un-interned per-transition terms).
+//! (`usize` indices, un-interned per-transition terms), and the bytes each
+//! `(p, γ)` instantiation adds on top of the shared family (its probability
+//! buffer and two per-pair reward tables).
 //!
 //! ```text
 //! cargo run --release --example arena_stats
@@ -30,8 +32,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!(
-        "{:<28} {:>9} {:>10} {:>12} {:>14} {:>14} {:>9}",
-        "topology", "states", "pairs", "transitions", "compact (B)", "before (B)", "saved"
+        "{:<28} {:>9} {:>10} {:>12} {:>14} {:>14} {:>9} {:>14}",
+        "topology",
+        "states",
+        "pairs",
+        "transitions",
+        "compact (B)",
+        "before (B)",
+        "saved",
+        "per model (B)"
     );
     for (scenario, d, f, l) in configs {
         let family = ParametricModel::build_scenario(scenario, d, f, l)?;
@@ -48,10 +57,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let layout_before = 8 * (states + 1 + pairs + 1 + transitions);
         let before = layout_before + family.term_table_bytes_uncompressed();
         let saved = 100.0 * (1.0 - compact as f64 / before as f64);
+        let per_model = family.instantiate(0.3, 0.5)?.resident_bytes();
 
         println!(
             "{name:<28} {states:>9} {pairs:>10} {transitions:>12} {compact:>14} {before:>14} \
-             {saved:>8.1}%"
+             {saved:>8.1}% {per_model:>14}"
         );
         println!(
             "  distinct terms: {}, distinct outcomes: {}",

@@ -194,14 +194,14 @@ fn build_arena(description: &ModelDescription) -> sm_mdp::Mdp {
 /// optimal gain and the same strategy on both.
 #[test]
 fn nested_and_csr_arena_builders_are_equivalent() {
-    use sm_mdp::{Mdp, PositionalStrategy, RelativeValueIteration, TransitionRewards};
-    use sm_oracle::{LinearProgrammingSolver, PolicyIteration};
+    use sm_mdp::{Mdp, PositionalStrategy, RelativeValueIteration};
+    use sm_oracle::{LinearProgrammingSolver, PolicyIteration, TransitionRewards};
 
     /// Optimal gain and strategy by value iteration, policy iteration and
     /// the LP, in that order.
     fn solve_all(mdp: &Mdp, rewards: &TransitionRewards) -> [(f64, PositionalStrategy); 3] {
         let vi = RelativeValueIteration::with_epsilon(1e-9)
-            .solve(mdp, rewards)
+            .solve(mdp, &rewards.expected_per_pair(mdp))
             .unwrap();
         [
             (vi.gain, vi.strategy),
@@ -292,7 +292,6 @@ fn selfish_mining_model_streams_into_identical_arena() {
 fn iterative_revenue_matches_exact_gains_on_selfish_mining_chains() {
     use selfish_mining::experiments::attack_curve;
     use selfish_mining::{AnalysisConfig, AttackScenario};
-    use sm_mdp::TransitionRewards;
     use sm_oracle::{long_run_average_reward, ChainAnalysis};
 
     let mut chains_with_transient_states = 0;
@@ -306,12 +305,10 @@ fn iterative_revenue_matches_exact_gains_on_selfish_mining_chains() {
 
             let chain = model.mdp().induced_chain(strategy).unwrap();
             let initial = model.mdp().initial_state();
-            let exact_gain = |rewards: &TransitionRewards| {
-                let per_state = rewards.strategy_rewards(model.mdp(), strategy).unwrap();
-                long_run_average_reward(&chain, &per_state).unwrap()[initial]
-            };
-            let adversary = exact_gain(model.adversary_rewards());
-            let honest = exact_gain(model.honest_rewards());
+            let exact_gain =
+                |per_state: &[f64]| long_run_average_reward(&chain, per_state).unwrap()[initial];
+            let (adversary, honest) = model.strategy_rewards(strategy).unwrap();
+            let (adversary, honest) = (exact_gain(&adversary), exact_gain(&honest));
             let exact = adversary / (adversary + honest);
             assert!(
                 (iterative - exact).abs() < 1e-8,

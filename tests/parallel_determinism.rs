@@ -53,7 +53,7 @@ fn relative_value_iteration_is_bit_identical_across_thread_counts() {
     let family = ParametricModel::build(2, 2, 4).unwrap();
     for &(p, gamma) in &seeded_grid(3) {
         let model = family.instantiate(p, gamma).unwrap();
-        let rewards = model.beta_rewards(0.35).unwrap();
+        let rewards = model.beta_rewards(0.35);
         let reference = RelativeValueIteration::with_epsilon(1e-6)
             .solve(model.mdp(), &rewards)
             .unwrap();
@@ -85,12 +85,12 @@ fn relative_value_iteration_is_bit_identical_across_thread_counts() {
 fn warm_started_rvi_is_bit_identical_across_thread_counts() {
     let family = ParametricModel::build(2, 2, 4).unwrap();
     let model = family.instantiate(0.3, 0.5).unwrap();
-    let rewards = model.beta_rewards(0.3).unwrap();
+    let rewards = model.beta_rewards(0.3);
     let cold = RelativeValueIteration::with_epsilon(1e-5)
         .solve(model.mdp(), &rewards)
         .unwrap();
     // Warm-start from the cold bias under a shifted reward, serial vs pool.
-    let shifted = model.beta_rewards(0.32).unwrap();
+    let shifted = model.beta_rewards(0.32);
     let reference = RelativeValueIteration::with_epsilon(1e-6)
         .solve_from(model.mdp(), &shifted, &cold.bias)
         .unwrap();
@@ -113,7 +113,7 @@ fn fused_chain_gains_are_bit_identical_across_thread_counts() {
     let family = ParametricModel::build(2, 2, 4).unwrap();
     for &(p, gamma) in &seeded_grid(2) {
         let model = family.instantiate(p, gamma).unwrap();
-        let rewards = model.beta_rewards(0.35).unwrap();
+        let rewards = model.beta_rewards(0.35);
         let strategy = RelativeValueIteration::with_epsilon(1e-5)
             .solve(model.mdp(), &rewards)
             .unwrap()
@@ -214,7 +214,7 @@ fn large_instance_smoke_d3_f2_is_pinned_and_deterministic() {
     assert_eq!(family.num_states(), 133_299, "d=3,f=2,l=4 state count");
     let model = family.instantiate(0.3, 0.5).unwrap();
     assert_eq!(model.num_states(), 133_299);
-    let rewards = model.beta_rewards(0.45).unwrap();
+    let rewards = model.beta_rewards(0.45);
     // The production solver at the analysis' default precision: ~130 full
     // and evaluation sweeps over 1.25M transitions hammer the pool.
     let solver = RelativeValueIteration::with_epsilon(1e-3);

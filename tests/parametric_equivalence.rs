@@ -8,6 +8,11 @@
 //! edge cases `γ ∈ {0, 1}` and `p ∈ {0, 1}`, where the direct search prunes
 //! zero-probability branches while the parametric arena keeps them
 //! structurally.
+//!
+//! The oracle keeps its rewards per transition (`sm_oracle::TransitionRewards`)
+//! and forms `r_β` transition by transition, the construction the model's
+//! per-pair rewards replace; the model's `r_β` expectations and induced-chain
+//! rewards must reproduce that path bit for bit.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,11 +20,8 @@ use selfish_mining::{
     available_actions_in, successors_in, AnalysisProcedure, AttackParams, AttackScenario,
     ParametricModel, SelfishMiningModel, SmAction, SmState,
 };
-use sm_mdp::{
-    CsrMdpBuilder, Mdp, PositionalStrategy, RelativeValueIteration, SolverParallelism,
-    TransitionRewards,
-};
-use sm_oracle::PolicyIteration;
+use sm_mdp::{CsrMdpBuilder, Mdp, PositionalStrategy, RelativeValueIteration, SolverParallelism};
+use sm_oracle::{PolicyIteration, TransitionRewards};
 use std::collections::HashMap;
 
 /// The `(d, f, l)` topologies swept by the equivalence properties.
@@ -82,13 +84,9 @@ impl Pruned {
         }
     }
 
-    /// `r_β = r_A − β · (r_A + r_H)`, formed exactly as
-    /// `SelfishMiningModel::beta_rewards` does.
+    /// `r_β = r_A − β · (r_A + r_H)`, formed per transition.
     fn beta_rewards(&self, beta: f64) -> TransitionRewards {
-        let total = self.adversary.sum(&self.honest).unwrap();
-        self.adversary
-            .affine_combination(&total, 1.0, -beta)
-            .unwrap()
+        per_transition_beta_rewards(&self.adversary, &self.honest, beta)
     }
 
     /// Exact relative revenue `g_A / (g_A + g_H)` of a positional strategy.
@@ -115,7 +113,8 @@ impl Pruned {
         let vi = RelativeValueIteration::with_epsilon(epsilon * 1e-2);
         let mut beta = 0.0;
         for _ in 0..100 {
-            let solve = vi.solve(&self.mdp, &self.beta_rewards(beta)).unwrap();
+            let rewards = self.beta_rewards(beta).expected_per_pair(&self.mdp);
+            let solve = vi.solve(&self.mdp, &rewards).unwrap();
             let revenue = self.revenue(&solve.strategy);
             if revenue - beta < epsilon * 0.1 {
                 return revenue;
@@ -126,8 +125,34 @@ impl Pruned {
     }
 }
 
+/// `r_β = r_A − β · (r_A + r_H)` formed transition by transition: the sum,
+/// then the affine combination.
+fn per_transition_beta_rewards(
+    adversary: &TransitionRewards,
+    honest: &TransitionRewards,
+    beta: f64,
+) -> TransitionRewards {
+    let total = adversary.sum(honest).unwrap();
+    adversary.affine_combination(&total, 1.0, -beta).unwrap()
+}
+
+/// The model's per-pair reward tables replicated over each pair's
+/// transitions: the per-transition buffers an instantiation used to hold.
+fn per_transition_rewards(model: &SelfishMiningModel) -> (TransitionRewards, TransitionRewards) {
+    let mdp = model.mdp();
+    (
+        TransitionRewards::from_pair_values(mdp, model.adversary_rewards()).unwrap(),
+        TransitionRewards::from_pair_values(mdp, model.honest_rewards()).unwrap(),
+    )
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
 /// Full structural comparison: states, action lists, the entire CSR arena
-/// (index arrays, probabilities, interned names) and both reward buffers.
+/// (index arrays, probabilities, interned names) and both reward tables —
+/// every oracle transition's reward equals its pair's stored value.
 fn assert_bit_identical(instantiated: &SelfishMiningModel, pruned: &Pruned) {
     assert_eq!(instantiated.num_states(), pruned.states.len());
     for (s, state) in pruned.states.iter().enumerate() {
@@ -135,28 +160,37 @@ fn assert_bit_identical(instantiated: &SelfishMiningModel, pruned: &Pruned) {
         assert_eq!(instantiated.actions_of(s), pruned.actions[s].as_slice());
     }
     assert_eq!(instantiated.mdp(), &pruned.mdp);
-    assert_eq!(
-        instantiated.adversary_rewards().values(),
-        pruned.adversary.values()
-    );
-    assert_eq!(
-        instantiated.honest_rewards().values(),
-        pruned.honest.values()
-    );
+    let layout = pruned.mdp.layout();
+    for (per_pair, oracle) in [
+        (instantiated.adversary_rewards(), &pruned.adversary),
+        (instantiated.honest_rewards(), &pruned.honest),
+    ] {
+        assert_eq!(per_pair.len(), layout.num_pairs());
+        for (pair, value) in per_pair.iter().enumerate() {
+            for &reward in &oracle.values()[layout.transition_range(pair)] {
+                assert_eq!(reward.to_bits(), value.to_bits(), "pair {pair}");
+            }
+        }
+    }
 }
 
 /// Identical inputs make the deterministic solvers produce identical outputs;
 /// assert exactly that (no tolerances) for VI and PI at a non-trivial β.
 fn assert_identical_solver_results(instantiated: &SelfishMiningModel, pruned: &Pruned) {
     let beta = 0.35;
-    let ra = instantiated.beta_rewards(beta).unwrap();
     let rb = pruned.beta_rewards(beta);
     let vi = RelativeValueIteration::with_epsilon(1e-7);
-    let va = vi.solve(instantiated.mdp(), &ra).unwrap();
-    let vb = vi.solve(&pruned.mdp, &rb).unwrap();
+    let va = vi
+        .solve(instantiated.mdp(), &instantiated.beta_rewards(beta))
+        .unwrap();
+    let vb = vi
+        .solve(&pruned.mdp, &rb.expected_per_pair(&pruned.mdp))
+        .unwrap();
     assert_eq!(va.gain, vb.gain, "VI gains must be bit-identical");
     assert_eq!(va.strategy, vb.strategy, "VI strategies must be identical");
     assert_eq!(va.iterations, vb.iterations);
+    let (adversary, honest) = per_transition_rewards(instantiated);
+    let ra = per_transition_beta_rewards(&adversary, &honest, beta);
     let (pa, sa) = PolicyIteration::default()
         .solve(instantiated.mdp(), &ra)
         .unwrap();
@@ -189,6 +223,79 @@ fn interior_instantiation_is_bit_for_bit_identical() {
     }
 }
 
+/// The model's per-pair `r_β` expectations and induced-chain rewards are
+/// the per-transition path's, bit for bit: against the pruned oracle at an
+/// interior point for several β, and against the per-transition replicas of
+/// the instantiated arena itself at `γ = 0` (masked race branches leave
+/// `p == 0` slots) and at `p = 0`, where the pruned arena has a different
+/// shape.
+#[test]
+fn per_pair_rewards_reproduce_the_per_transition_path() {
+    let family = ParametricModel::build(2, 1, 3).unwrap();
+    let assert_same_path = |model: &SelfishMiningModel,
+                            adversary: &TransitionRewards,
+                            honest: &TransitionRewards,
+                            beta: f64,
+                            context: &str| {
+        let mdp = model.mdp();
+        let oracle = per_transition_beta_rewards(adversary, honest, beta);
+        assert_eq!(
+            bits(&model.beta_rewards(beta)),
+            bits(&oracle.expected_per_pair(mdp)),
+            "{context}: e_β at β = {beta}"
+        );
+        // The chain rewards of the strategy optimal at β, and of always-mine.
+        let optimal = RelativeValueIteration::with_epsilon(1e-7)
+            .solve(mdp, &model.beta_rewards(beta))
+            .unwrap()
+            .strategy;
+        for strategy in [
+            optimal,
+            PositionalStrategy::uniform_first_action(model.num_states()),
+        ] {
+            let (adv, hon) = model.strategy_rewards(&strategy).unwrap();
+            assert_eq!(
+                bits(&adv),
+                bits(&adversary.strategy_rewards(mdp, &strategy).unwrap()),
+                "{context}: adversary chain rewards at β = {beta}"
+            );
+            assert_eq!(
+                bits(&hon),
+                bits(&honest.strategy_rewards(mdp, &strategy).unwrap()),
+                "{context}: honest chain rewards at β = {beta}"
+            );
+        }
+    };
+
+    let interior = family.instantiate(0.3, 0.5).unwrap();
+    let pruned = Pruned::build(AttackScenario::Optimal, 0.3, 0.5, 2, 1, 3);
+    assert_bit_identical(&interior, &pruned);
+    for beta in [0.0, 0.25, 0.5, 1.0] {
+        assert_same_path(
+            &interior,
+            &pruned.adversary,
+            &pruned.honest,
+            beta,
+            "interior",
+        );
+    }
+
+    for (p, gamma) in [(0.3, 0.0), (0.0, 0.5)] {
+        let masked = family.instantiate(p, gamma).unwrap();
+        assert!(masked.mdp().probabilities().contains(&0.0));
+        let (adversary, honest) = per_transition_rewards(&masked);
+        for beta in [0.0, 0.35, 1.0] {
+            assert_same_path(
+                &masked,
+                &adversary,
+                &honest,
+                beta,
+                &format!("(p={p},γ={gamma})"),
+            );
+        }
+    }
+}
+
 #[test]
 fn masked_edges_agree_with_the_pruned_builder_on_gains() {
     // At the parameter-square edges the direct search prunes masked
@@ -213,14 +320,14 @@ fn masked_edges_agree_with_the_pruned_builder_on_gains() {
             for beta in [0.0, 0.35] {
                 let vi = RelativeValueIteration::with_epsilon(vi_epsilon);
                 let ga = vi
-                    .solve(
-                        instantiated.mdp(),
-                        &instantiated.beta_rewards(beta).unwrap(),
-                    )
+                    .solve(instantiated.mdp(), &instantiated.beta_rewards(beta))
                     .unwrap()
                     .gain;
                 let gb = vi
-                    .solve(&pruned.mdp, &pruned.beta_rewards(beta))
+                    .solve(
+                        &pruned.mdp,
+                        &pruned.beta_rewards(beta).expected_per_pair(&pruned.mdp),
+                    )
                     .unwrap()
                     .gain;
                 assert!(
@@ -276,13 +383,10 @@ fn in_place_reinstantiation_follows_a_seeded_parameter_walk() {
             let direct = family.instantiate(p, gamma).unwrap();
             assert_eq!(reused.mdp(), direct.mdp(), "step {step} (p={p},γ={gamma})");
             assert_eq!(
-                reused.adversary_rewards().values(),
-                direct.adversary_rewards().values()
+                bits(reused.adversary_rewards()),
+                bits(direct.adversary_rewards())
             );
-            assert_eq!(
-                reused.honest_rewards().values(),
-                direct.honest_rewards().values()
-            );
+            assert_eq!(bits(reused.honest_rewards()), bits(direct.honest_rewards()));
         }
     }
 }
@@ -295,11 +399,11 @@ fn warm_started_vi_agrees_with_cold_and_reconverges_fast() {
     let vi = RelativeValueIteration::with_epsilon(1e-7);
 
     let near = family.instantiate(0.25, gamma).unwrap();
-    let near_rewards = near.beta_rewards(beta).unwrap();
+    let near_rewards = near.beta_rewards(beta);
     let seed = vi.solve(near.mdp(), &near_rewards).unwrap();
 
     let target = family.instantiate(0.30, gamma).unwrap();
-    let target_rewards = target.beta_rewards(beta).unwrap();
+    let target_rewards = target.beta_rewards(beta);
     let cold = vi.solve(target.mdp(), &target_rewards).unwrap();
     let warm = vi
         .solve_from(target.mdp(), &target_rewards, &seed.bias)

@@ -13,8 +13,8 @@ use selfish_mining::{
     available_actions, successors_in, AttackParams, AttackScenario, Outcome, ParametricModel,
     SelfishMiningModel, SmState,
 };
-use sm_mdp::{CsrMdpBuilder, RelativeValueIteration, TransitionRewards};
-use sm_oracle::{LinearProgrammingSolver, PolicyIteration};
+use sm_mdp::{CsrMdpBuilder, RelativeValueIteration};
+use sm_oracle::{LinearProgrammingSolver, PolicyIteration, TransitionRewards};
 use std::collections::HashMap;
 
 /// A varied grid of small attack parameter sets (the shim for the former
@@ -85,7 +85,7 @@ fn optimal_mean_payoff_is_monotone_in_beta() {
         let solver = RelativeValueIteration::with_epsilon(1e-7);
         let mut previous = f64::INFINITY;
         for beta in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let rewards = model.beta_rewards(beta).unwrap();
+            let rewards = model.beta_rewards(beta);
             let gain = solver.solve(model.mdp(), &rewards).unwrap().gain;
             assert!(
                 gain <= previous + 1e-5,
@@ -170,18 +170,17 @@ fn parametric_instantiation_matches_fresh_build_on_the_grid() {
                 };
                 let adversary = expected(|o| o.rewards.adversary);
                 let honest = expected(|o| o.rewards.honest);
-                for k in 0..cols.len() {
-                    assert_eq!(
-                        model.adversary_rewards().reward(s, a, k).to_bits(),
-                        adversary.to_bits(),
-                        "{params:?} state {s} {action}"
-                    );
-                    assert_eq!(
-                        model.honest_rewards().reward(s, a, k).to_bits(),
-                        honest.to_bits(),
-                        "{params:?} state {s} {action}"
-                    );
-                }
+                let pair = mdp.layout().pair_index(s, a);
+                assert_eq!(
+                    model.adversary_rewards()[pair].to_bits(),
+                    adversary.to_bits(),
+                    "{params:?} state {s} {action}"
+                );
+                assert_eq!(
+                    model.honest_rewards()[pair].to_bits(),
+                    honest.to_bits(),
+                    "{params:?} state {s} {action}"
+                );
             }
         }
     }
@@ -209,7 +208,7 @@ fn mean_payoff_solvers_agree_on_random_mdps() {
         let mdp = builder.finish(0).unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, _| seed_rewards[s * 2 + a]);
         let vi = RelativeValueIteration::with_epsilon(1e-9)
-            .solve(&mdp, &rewards)
+            .solve(&mdp, &rewards.expected_per_pair(&mdp))
             .unwrap()
             .gain;
         let (pi, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
