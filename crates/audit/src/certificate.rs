@@ -103,12 +103,19 @@ fn expected_at(model: &SelfishMiningModel, pair: usize, beta: f64) -> f64 {
 }
 
 /// Min/max residual of one full (max-over-actions) lazy Bellman pass:
-/// `Δ(s) = max_a [ e_β(s, a) + τ Σ_t P(t | s, a) h(t) + (1 − τ) h(s) ] − h(s)`.
+/// `Δ(s) = max_a [ e_β(s, a) + τ Σ_t P(t | s, a) h(t) + (1 − τ) h(s) ] − h(s)`,
+/// plus the largest per-pair expected total reward `e_A + e_H` the pass
+/// read (floored at 0), which the tolerances scale with.
 ///
 /// This replicates the producer's sweep arithmetic (same lazy operator,
 /// same per-pair expected rewards) in ~25 lines; residuals are invariant
 /// under adding a constant to `h`, so no renormalisation is needed.
-fn bellman_residuals(model: &SelfishMiningModel, beta: f64, h: &[f64], tau: f64) -> (f64, f64) {
+fn bellman_residuals(
+    model: &SelfishMiningModel,
+    beta: f64,
+    h: &[f64],
+    tau: f64,
+) -> (f64, f64, f64) {
     let mdp = model.mdp();
     let layout = mdp.layout();
     let row_ptr = layout.row_ptr();
@@ -117,6 +124,7 @@ fn bellman_residuals(model: &SelfishMiningModel, beta: f64, h: &[f64], tau: f64)
     let prob = mdp.probabilities();
     let mut min_delta = f64::INFINITY;
     let mut max_delta = f64::NEG_INFINITY;
+    let mut r_total_max = 0.0_f64;
     for s in 0..mdp.num_states() {
         let h_s = h[s];
         let lazy = (1.0 - tau) * h_s;
@@ -126,14 +134,16 @@ fn bellman_residuals(model: &SelfishMiningModel, beta: f64, h: &[f64], tau: f64)
             for k in action_ptr[pair] as usize..action_ptr[pair + 1] as usize {
                 acc += prob[k] * h[col[k] as usize];
             }
-            let value = expected_at(model, pair, beta) + tau * acc + lazy;
+            let (e_a, e_h) = expected_counts(model, pair);
+            r_total_max = r_total_max.max(e_a + e_h);
+            let value = e_a - beta * (e_a + e_h) + tau * acc + lazy;
             best = best.max(value);
         }
         let delta = best - h_s;
         min_delta = min_delta.min(delta);
         max_delta = max_delta.max(delta);
     }
-    (min_delta, max_delta)
+    (min_delta, max_delta, r_total_max)
 }
 
 /// Min/max residual of one policy-restricted lazy pass: as
@@ -304,16 +314,14 @@ pub fn audit_certificate(
     }
 
     // Per-pair expected rewards of both objectives are formed where each
-    // pass reads them, so no pass allocates.
-    let r_total_max = (0..mdp.num_pairs()).fold(0.0_f64, |acc, pair| {
-        let (a, h) = expected_counts(model, pair);
-        acc.max(a + h)
-    });
-    let tolerances = derive_tolerances(artifact.epsilon, r_total_max, config);
+    // pass reads them, so no pass allocates. Pass A, at β_low, also folds
+    // the reward magnitude the tolerances are derived from.
     let tau = config.laziness;
+    let (low_min, low_max, r_total_max) =
+        bellman_residuals(model, artifact.beta_low, &artifact.bias, tau);
+    let tolerances = derive_tolerances(artifact.epsilon, r_total_max, config);
 
-    // Pass A, at β_low: span of the witness + the lower bound.
-    let (low_min, low_max) = bellman_residuals(model, artifact.beta_low, &artifact.bias, tau);
+    // Pass A's verdicts: span of the witness + the lower bound.
     let span = low_max - low_min;
     record(
         Obligation::BiasResidualSpan,
@@ -330,7 +338,7 @@ pub fn audit_certificate(
     );
 
     // Pass B, at β_up: the upper bound.
-    let (_, up_max) = bellman_residuals(model, artifact.beta_up, &artifact.bias, tau);
+    let (_, up_max, _) = bellman_residuals(model, artifact.beta_up, &artifact.bias, tau);
     record(
         Obligation::UpperBound,
         up_max <= tolerances.bound,

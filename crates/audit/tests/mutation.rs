@@ -17,14 +17,8 @@ fn family() -> ParametricModel {
 }
 
 fn certified(family: &ParametricModel, gamma: f64, ps: &[f64]) -> Vec<CertifiedSolve> {
-    attack_curve(
-        family,
-        gamma,
-        ps,
-        true,
-        AnalysisConfig::with_epsilon(EPSILON),
-    )
-    .expect("certified curve solves")
+    attack_curve(family, gamma, ps, AnalysisConfig::with_epsilon(EPSILON))
+        .expect("certified curve solves")
 }
 
 fn artifact_for(

@@ -8,7 +8,7 @@
 //! `cargo run -p sm-bench --bin figure2` to print the actual curves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sm_sweep::SweepConfig;
+use sm_grid::SweepConfig;
 
 fn bench_figure2_points(c: &mut Criterion) {
     let mut group = c.benchmark_group("figure2/point_p0.3");

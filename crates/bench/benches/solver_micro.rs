@@ -10,9 +10,9 @@ use selfish_mining::{
     available_actions, successors_in, AnalysisConfig, AnalysisProcedure, AttackParams,
     AttackScenario, ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
 };
+use sm_grid::SweepConfig;
 use sm_mdp::RelativeValueIteration;
 use sm_oracle::{LinearProgrammingSolver, PolicyIteration, TransitionRewards};
-use sm_sweep::SweepConfig;
 use std::collections::{HashMap, VecDeque};
 
 /// Builds the model at `params`: the parametric BFS over the `(d, f, l)`
@@ -413,10 +413,10 @@ fn seed_dinkelbach_revenue(model: &SelfishMiningModel, epsilon: f64) -> f64 {
 /// * `per_point_rebuild` — the pipeline this PR replaced: a full
 ///   breadth-first model construction plus the seed's cold Dinkelbach
 ///   analysis ([`seed_dinkelbach_revenue`]) for every single grid point.
-/// * `parametric_warm_engine` — the `sm-sweep` engine: one parametric arena
-///   per `(d, f)` shared across the grid, in-place `(p, γ)` re-instantiation
-///   per point, and warm-started solves along each `p` curve, fanned out
-///   over the worker pool.
+/// * `parametric_warm_engine` — the sweep engine (`sm_grid::SweepConfig`):
+///   one parametric arena per `(d, f)` shared across the grid, in-place
+///   `(p, γ)` re-instantiation per point, and warm-started solves along each
+///   `p` curve, fanned out over the worker pool.
 ///
 /// Measured numbers are recorded in CHANGES.md / EXPERIMENTS.md.
 fn bench_figure2_coarse_sweep(c: &mut Criterion) {
@@ -487,7 +487,6 @@ fn bench_certificate_audit(c: &mut Criterion) {
             &family,
             0.5,
             &[0.3],
-            false,
             AnalysisConfig::with_epsilon(1e-3),
         )
         .unwrap();

@@ -8,9 +8,9 @@
 //!   an aligned text table.
 //! * [`figure2`] / [`figure2_panels`] — compute the expected-relative-revenue
 //!   curves of Figure 2 (one panel per switching probability γ) through the
-//!   parallel `sm-sweep` engine (one parametric arena per `(d, f)`,
-//!   warm-started solves along each `p` curve) and render them as aligned
-//!   series, one row per adversarial resource value `p`.
+//!   parallel sweep engine (`sm_grid::SweepConfig`: one parametric arena per
+//!   `(d, f)`, warm-started solves along each `p` curve) and render them as
+//!   aligned series, one row per adversarial resource value `p`.
 //!
 //! Expensive configurations (`d = 3, f = 2` and `d = 4, f = 2`) are gated
 //! behind the `SM_BENCH_EXPENSIVE` environment variable so that the default
@@ -26,7 +26,7 @@ use selfish_mining::experiments::{
     PAPER_ATTACK_GRID, PAPER_GAMMA_GRID,
 };
 use selfish_mining::SelfishMiningError;
-use sm_sweep::SweepConfig;
+use sm_grid::SweepConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -127,9 +127,10 @@ pub fn figure2(gamma: f64, epsilon: f64) -> Result<Figure2Panel, SelfishMiningEr
 }
 
 /// Computes and renders every requested Figure 2 panel in **one** run of the
-/// parallel sweep engine (`sm-sweep`): each `(d, f)` parametric arena is
-/// built once for all panels and the `(d, f) × γ` curve jobs are fanned out
-/// over the worker pool with warm-started solves along each `p` curve.
+/// parallel sweep engine (`sm_grid::SweepConfig`): each `(d, f)` parametric
+/// arena is built once for all panels and the `(d, f) × γ` curve jobs are
+/// fanned out over the worker pool with warm-started solves along each `p`
+/// curve.
 ///
 /// # Errors
 ///

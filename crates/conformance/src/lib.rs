@@ -14,7 +14,10 @@
 //!    stopping rule, bit-identical for any worker count —
 //! 3. and compares that confidence interval against the certified
 //!    `[β_low, β_up]` revenue bracket of the solve
-//!    ([`ConformancePoint`], [`ConformanceReport`]).
+//!    ([`ConformancePoint`], [`ConformanceReport`]), and across the
+//!    scenario family checks restriction dominance and the honest anchor
+//!    ([`ConformanceReport::dominance_violations`],
+//!    [`ConformanceReport::honest_anchor_violations`]).
 //!
 //! Replicas can draw block arrivals from any [`ConsensusBackend`]
 //! realisation of the arrival lottery — the ideal Bernoulli draw or the
@@ -23,8 +26,9 @@
 //! realisations of the arrival law against each other *and* against the
 //! solver.
 //!
-//! The `sm-sweep` crate drives this machinery across whole `(p, γ)` grids;
-//! `examples/conformance.rs` runs the coarse Figure-2 grid end to end.
+//! The `sm-grid` crate drives this machinery across whole grids with
+//! durable, resumable per-point artifacts; `examples/grid.rs` runs the
+//! coarse Figure-2 grid and the scenario matrix end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +37,7 @@ mod estimator;
 mod report;
 
 pub use estimator::{estimate_revenue, Estimate, EstimatorConfig};
-pub use report::{ConformancePoint, ConformanceReport};
+pub use report::{ConformancePoint, ConformanceReport, DominanceViolation};
 
 use selfish_mining::experiments::CertifiedSolve;
 use selfish_mining::{AttackScenario, SelfishMiningError, StrategyExport};
@@ -321,14 +325,8 @@ mod tests {
     #[test]
     fn certify_point_witnesses_a_small_solve() {
         let family = ParametricModel::build(2, 1, 4).unwrap();
-        let solves = attack_curve(
-            &family,
-            0.5,
-            &[0.3],
-            true,
-            AnalysisConfig::with_epsilon(5e-3),
-        )
-        .unwrap();
+        let solves =
+            attack_curve(&family, 0.5, &[0.3], AnalysisConfig::with_epsilon(5e-3)).unwrap();
         let settings = ConformanceSettings {
             steps: 30_000,
             max_replicas: 24,
@@ -404,14 +402,8 @@ mod tests {
     #[test]
     fn invalid_slacks_are_rejected() {
         let family = ParametricModel::build(1, 1, 2).unwrap();
-        let solves = attack_curve(
-            &family,
-            0.5,
-            &[0.2],
-            true,
-            AnalysisConfig::with_epsilon(1e-2),
-        )
-        .unwrap();
+        let solves =
+            attack_curve(&family, 0.5, &[0.2], AnalysisConfig::with_epsilon(1e-2)).unwrap();
         let export = StrategyExport::from_family(&family);
         for (name, settings) in [
             (
@@ -439,14 +431,8 @@ mod tests {
     #[test]
     fn empty_backend_list_is_rejected() {
         let family = ParametricModel::build(1, 1, 2).unwrap();
-        let solves = attack_curve(
-            &family,
-            0.5,
-            &[0.2],
-            true,
-            AnalysisConfig::with_epsilon(1e-2),
-        )
-        .unwrap();
+        let solves =
+            attack_curve(&family, 0.5, &[0.2], AnalysisConfig::with_epsilon(1e-2)).unwrap();
         let settings = ConformanceSettings {
             backends: vec![],
             ..ConformanceSettings::default()
@@ -465,14 +451,8 @@ mod tests {
         // A cheap-backend slice of the matrix: the same solved point
         // conforms under the stake lottery and the VDF beacon too.
         let family = ParametricModel::build(1, 1, 2).unwrap();
-        let solves = attack_curve(
-            &family,
-            0.5,
-            &[0.25],
-            true,
-            AnalysisConfig::with_epsilon(5e-3),
-        )
-        .unwrap();
+        let solves =
+            attack_curve(&family, 0.5, &[0.25], AnalysisConfig::with_epsilon(5e-3)).unwrap();
         let settings = ConformanceSettings {
             steps: 20_000,
             max_replicas: 24,

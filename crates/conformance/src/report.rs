@@ -2,6 +2,7 @@
 //! interval against the solver's ε-certificate, and the aggregate verdict.
 
 use crate::Estimate;
+use selfish_mining::AttackScenario;
 use std::fmt::Write as _;
 
 /// One `(d, f, p, γ)` grid point of a conformance run: the solver's
@@ -97,6 +98,17 @@ impl ConformancePoint {
     }
 }
 
+/// A restricted-scenario point that breaks restriction dominance
+/// ([`ConformanceReport::dominance_violations`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DominanceViolation<'a> {
+    /// The restricted-scenario point.
+    pub point: &'a ConformancePoint,
+    /// The optimal-scenario point at the same `(d, f, p, γ)`; `None` when
+    /// the report holds no such reference, which is a violation in itself.
+    pub optimal: Option<&'a ConformancePoint>,
+}
+
 /// The full grid's conformance verdict: one [`ConformancePoint`] per solved
 /// `(d, f, p, γ)` point.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -131,6 +143,55 @@ impl ConformanceReport {
     /// The points whose confidence interval misses the certificate.
     pub fn violations(&self) -> Vec<&ConformancePoint> {
         self.points.iter().filter(|p| !p.conforms()).collect()
+    }
+
+    /// Restriction-dominance violations. Every stubborn scenario is a
+    /// sub-MDP of the optimal one, so at the same `(d, f, p, γ)` its
+    /// certified lower bound can never exceed the optimal scenario's
+    /// certified upper bound plus `slack` (which absorbs solver float
+    /// noise). A restricted point without an optimal point at its
+    /// coordinates is reported with `optimal: None`. Optimal and
+    /// honest-mining points are not checked here; the latter have their own
+    /// anchor ([`ConformanceReport::honest_anchor_violations`]).
+    pub fn dominance_violations(&self, slack: f64) -> Vec<DominanceViolation<'_>> {
+        let optimal_label = AttackScenario::Optimal.label();
+        let honest_label = AttackScenario::HonestMining.label();
+        let coordinates = |point: &ConformancePoint| {
+            (
+                point.depth,
+                point.forks,
+                point.p.to_bits(),
+                point.gamma.to_bits(),
+            )
+        };
+        self.points
+            .iter()
+            .filter(|point| point.scenario != optimal_label && point.scenario != honest_label)
+            .filter_map(|point| {
+                let optimal = self.points.iter().find(|optimal| {
+                    optimal.scenario == optimal_label && coordinates(optimal) == coordinates(point)
+                });
+                match optimal {
+                    Some(optimal) if point.certified_lower <= optimal.certified_upper + slack => {
+                        None
+                    }
+                    _ => Some(DominanceViolation { point, optimal }),
+                }
+            })
+            .collect()
+    }
+
+    /// Honest-anchor violations: honest-mining points whose certified
+    /// strategy revenue lies more than `epsilon` away from the proportional
+    /// share `p`.
+    pub fn honest_anchor_violations(&self, epsilon: f64) -> Vec<&ConformancePoint> {
+        let honest_label = AttackScenario::HonestMining.label();
+        self.points
+            .iter()
+            .filter(|point| {
+                point.scenario == honest_label && (point.strategy_revenue - point.p).abs() > epsilon
+            })
+            .collect()
     }
 
     /// Largest CI-to-certificate gap across the grid (0 when everything
@@ -316,6 +377,82 @@ mod tests {
                 "worst_gap/conforms disagree at mean {mean}"
             );
         }
+    }
+
+    fn scenario_point(
+        scenario: &str,
+        p: f64,
+        bracket: (f64, f64),
+        revenue: f64,
+    ) -> ConformancePoint {
+        ConformancePoint {
+            scenario: scenario.to_string(),
+            p,
+            certified_lower: bracket.0,
+            certified_upper: bracket.1,
+            strategy_revenue: revenue,
+            ..point(0.335)
+        }
+    }
+
+    /// Optimal, lead-stubborn and honest-mining points at p = 0.3 and 0.2.
+    fn scenario_report() -> ConformanceReport {
+        ConformanceReport {
+            points: vec![
+                scenario_point("optimal", 0.3, (0.33, 0.34), 0.335),
+                scenario_point("lead-stubborn", 0.3, (0.32, 0.33), 0.325),
+                scenario_point("honest-mining", 0.3, (0.2995, 0.3005), 0.3),
+                scenario_point("optimal", 0.2, (0.2, 0.21), 0.205),
+                scenario_point("lead-stubborn", 0.2, (0.2, 0.2), 0.2),
+                scenario_point("honest-mining", 0.2, (0.1995, 0.2005), 0.2),
+            ],
+        }
+    }
+
+    #[test]
+    fn clean_scenario_report_has_no_structural_violations() {
+        let report = scenario_report();
+        assert!(report.dominance_violations(1e-9).is_empty());
+        assert!(report.honest_anchor_violations(1e-3).is_empty());
+    }
+
+    #[test]
+    fn dominance_violation_names_the_point_and_its_optimal_reference() {
+        let mut report = scenario_report();
+        report.points[1].certified_lower = 0.34 + 1e-6;
+        let violations = report.dominance_violations(1e-9);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].point, &report.points[1]);
+        assert_eq!(violations[0].optimal, Some(&report.points[0]));
+        // The slack absorbs an excess below it.
+        assert!(report.dominance_violations(1e-5).is_empty());
+    }
+
+    #[test]
+    fn missing_optimal_reference_is_a_dominance_violation() {
+        let mut report = scenario_report();
+        // Move the p = 0.2 optimal point to other coordinates.
+        report.points[3].gamma = 0.25;
+        let violations = report.dominance_violations(1e-9);
+        assert_eq!(violations.len(), 1);
+        assert_eq!(violations[0].point, &report.points[4]);
+        assert_eq!(violations[0].optimal, None);
+        // Honest-mining points need no optimal reference.
+        report
+            .points
+            .retain(|point| point.scenario == "honest-mining");
+        assert!(report.dominance_violations(1e-9).is_empty());
+    }
+
+    #[test]
+    fn honest_anchor_violation_is_an_honest_point_away_from_p() {
+        let mut report = scenario_report();
+        report.points[5].strategy_revenue = 0.2 + 2e-3;
+        // A restricted point far from p is not an anchor violation.
+        report.points[1].strategy_revenue = 0.5;
+        let violations = report.honest_anchor_violations(1e-3);
+        assert_eq!(violations, vec![&report.points[5]]);
+        assert!(report.honest_anchor_violations(5e-3).is_empty());
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct AnalysisConfig {
     /// over. Results are **bit-identical for any setting** (the sweeps are
     /// Jacobi iterations over disjoint row blocks with block-ordered
     /// statistic folds); the knob only trades wall-clock time for cores.
-    /// Defaults to serial — the `sm-sweep` engine raises it per job from its
+    /// Defaults to serial — the `sm-grid` sweeps raise it per job from their
     /// global thread budget.
     pub parallelism: SolverParallelism,
 }

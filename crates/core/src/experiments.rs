@@ -27,7 +27,7 @@ pub struct Figure2Point {
     /// Switching probability `γ`.
     pub gamma: f64,
     /// Expected relative revenue of our attack for each `(d, f)` of the
-    /// sweep's attack grid (`sm_sweep::SweepConfig::attack_grid`), in the
+    /// sweep's attack grid (`sm_grid::SweepConfig::attack_grid`), in the
     /// same order.
     pub attack_revenue: Vec<f64>,
     /// Expected relative revenue of the honest baseline (= `p`).
@@ -75,20 +75,20 @@ pub struct CertifiedSolve {
 /// only the revenues take [`CertifiedSolve::strategy_revenue`]).
 ///
 /// The family is instantiated once and refilled in place per point
-/// ([`ParametricModel::instantiate_into`]); with `warm_start` set, each
-/// point's Dinkelbach iteration is seeded with a `β` *extrapolated* from the
-/// two previous points of the curve (falling back to the neighbour's value
-/// for the second point) and with the neighbour's final bias vector for its
-/// first relative-value-iteration solve. A good seed collapses the analysis
+/// ([`ParametricModel::instantiate_into`]), and each point's Dinkelbach
+/// iteration is seeded with a `β` *extrapolated* from the two previous
+/// points of the curve (falling back to the neighbour's value for the
+/// second point) and with the neighbour's final bias vector for its first
+/// relative-value-iteration solve. A good seed collapses the analysis
 /// to a single inner solve plus one revenue evaluation per grid point; a bad
 /// seed merely costs extra iterations — over- and undershoots alike preserve
 /// the `ε` guarantee (see [`DinkelbachWarmStart`]).
 ///
 /// `config` sets `ε` and the intra-solve thread allowance; certified β
 /// bounds, strategies, revenues and bias witnesses are bit-identical for
-/// any thread count. This is the sequential building block the `sm-sweep`
-/// worker pool parallelizes across `(d, f) × γ` jobs, and a thin loop over
-/// [`CurveTracker::advance`].
+/// any thread count. This is the sequential building block the `sm-grid`
+/// Figure 2 sweep parallelizes across `(d, f) × γ` jobs, and a thin loop
+/// over a warm [`CurveTracker::advance`].
 ///
 /// # Errors
 ///
@@ -97,10 +97,9 @@ pub fn attack_curve(
     family: &ParametricModel,
     gamma: f64,
     ps: &[f64],
-    warm_start: bool,
     config: AnalysisConfig,
 ) -> Result<Vec<CertifiedSolve>, SelfishMiningError> {
-    let mut tracker = CurveTracker::new(family, gamma, warm_start, config);
+    let mut tracker = CurveTracker::new(family, gamma, true, config);
     ps.iter().map(|&p| tracker.advance(p)).collect()
 }
 
@@ -163,8 +162,8 @@ pub struct CurveTracker<'a> {
 impl<'a> CurveTracker<'a> {
     /// Opens a tracker over `family` at switching probability `gamma`,
     /// certifying every point at `config.epsilon`. `warm_start = false`
-    /// solves every point cold (the sweep engine's ablation knob) while
-    /// still reusing the arena.
+    /// solves every point cold while still reusing the arena (the
+    /// reference the warm chain is tested against).
     pub fn new(
         family: &'a ParametricModel,
         gamma: f64,
@@ -462,7 +461,7 @@ mod tests {
         let ps = [0.1, 0.2, 0.3];
         let epsilon = 5e-3;
         let config = AnalysisConfig::with_epsilon(epsilon);
-        let solves = attack_curve(&family, 0.5, &ps, true, config).unwrap();
+        let solves = attack_curve(&family, 0.5, &ps, config).unwrap();
         assert_eq!(solves.len(), ps.len());
         for (solve, &p) in solves.iter().zip(&ps) {
             assert_eq!(solve.p, p);
@@ -507,7 +506,7 @@ mod tests {
         // Probing from identical chain state is reproducible bit for bit.
         assert_eq!(plain.probe(0.25).unwrap(), probed.probe(0.25).unwrap());
         // And the curve entry point is exactly a fold over advance.
-        let wrapped = attack_curve(&family, 0.5, &[0.1, 0.2, 0.3], true, config).unwrap();
+        let wrapped = attack_curve(&family, 0.5, &[0.1, 0.2, 0.3], config).unwrap();
         assert_eq!(wrapped, plain_solves);
     }
 

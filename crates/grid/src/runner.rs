@@ -9,8 +9,8 @@
 //! file under the final name); failed shards are retried in place with
 //! exponential backoff ([`sm_scheduler::run_with_retry`]). When a scan finds
 //! every point durable, the artifacts are folded **in canonical point
-//! order** into one [`ConformanceReport`] — byte-identical to the
-//! uninterrupted single-process pass.
+//! order** into one [`ConformanceReport`] — byte-identical for any schedule,
+//! crash or retry history.
 
 use crate::artifact::{artifact_file_name, PointArtifact};
 use crate::fault::{FaultKind, GridFaultPlan};
@@ -163,7 +163,7 @@ impl GridScan {
 /// the report never does.
 #[derive(Debug)]
 pub struct GridOutcome {
-    /// The merged report, byte-identical to the single-process pass.
+    /// The merged report, byte-identical for any schedule.
     pub report: ConformanceReport,
     /// Points that were already durable and verified before this run.
     pub reused: usize,
@@ -430,7 +430,7 @@ fn run_shard_attempt(
     })?;
     let config = AnalysisConfig::with_epsilon(spec.sweep.epsilon)
         .with_parallelism(SolverParallelism::threads(allowance));
-    let mut tracker = CurveTracker::new(family, gamma, spec.sweep.warm_start, config);
+    let mut tracker = CurveTracker::new(family, gamma, true, config);
     let export = StrategyExport::from_family(family);
     let mut written = 0;
     for p_index in 0..=last_target {
@@ -438,7 +438,7 @@ fn run_shard_attempt(
             what: "shard target fell outside the p grid",
         })?;
         // Advancing through *every* prefix point — not just the targets —
-        // is what reproduces the single-process warm chain bit for bit.
+        // is what reproduces the uninterrupted warm chain bit for bit.
         let solve = tracker.advance(p)?;
         if shard.targets.binary_search(&p_index).is_err() {
             continue;

@@ -3,25 +3,25 @@
 //! point enumeration and the config digest that content-addresses its
 //! artifacts.
 
+use crate::SweepConfig;
 use selfish_mining::{AttackScenario, SelfishMiningError};
 use sm_audit::Fnv1a;
 use sm_conformance::{ConformanceError, ConformanceSettings};
-use sm_sweep::SweepConfig;
 use std::error::Error;
 use std::fmt;
 
 /// The full definition of one conformance/certification grid: the sweep
-/// config (attack grid, scenarios, `l`, `ε`, warm starts), the `γ` and `p`
-/// grids and the Monte-Carlo witness settings. Two specs with the same
+/// config (attack grid, scenarios, `l`, `ε`), the `γ` and `p` grids and
+/// the Monte-Carlo witness settings. Two specs with the same
 /// [`GridSpec::digest`] define byte-identical grids, so their artifacts are
 /// interchangeable; artifacts from any *other* digest are invisible to a
 /// resume scan (the digest is part of every artifact's file name and
 /// payload).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
-    /// The sweep configuration: attack grid, scenarios, `l`, `ε`,
-    /// warm-start knob. Its `workers` field is ignored here —
-    /// [`crate::GridOptions::workers`] owns the thread budget.
+    /// The sweep configuration: attack grid, scenarios, `l`, `ε`. Its
+    /// `workers` field is ignored here — [`crate::GridOptions::workers`]
+    /// owns the thread budget.
     pub sweep: SweepConfig,
     /// Switching probabilities `γ`, outermost grid axis (input order).
     pub gammas: Vec<f64>,
@@ -34,10 +34,9 @@ pub struct GridSpec {
 }
 
 /// Canonical coordinates of one grid point, recovered from its global
-/// index: the report of [`sm_sweep::SweepConfig::run_conformance`] lists
-/// points by `γ` (input order), then `(d, f)` (grid order), then scenario
-/// (config order), then `p` (input order), and `sm-grid` enumerates them
-/// identically.
+/// index: the merged report lists points by `γ` (input order), then
+/// `(d, f)` (grid order), then scenario (config order), then `p` (input
+/// order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointCoordinates {
     /// Index into [`GridSpec::gammas`].
@@ -106,16 +105,15 @@ impl GridSpec {
         })
     }
 
-    /// Rejects an invalid spec up front, with the *same* checks (and the
-    /// same error values) as [`sm_sweep::SweepConfig::run_conformance`]:
-    /// `ε` finite and positive, every `γ`/`p` in `[0, 1]`, at least one
+    /// Rejects an invalid spec up front: `ε` finite and positive, every
+    /// `γ`/`p` in `[0, 1]` ([`SweepConfig::validate_grid`]), at least one
     /// scenario and at least one consensus backend. Validating here keeps a
     /// dead-on-arrival spec from scattering half a grid of artifacts before
     /// the first real error surfaces.
     ///
     /// # Errors
     ///
-    /// [`GridError::Conformance`] wrapping the pass's own rejection.
+    /// [`GridError::Conformance`] wrapping the rejection.
     pub fn validate(&self) -> Result<(), GridError> {
         self.sweep
             .validate_grid(&self.gammas, &self.ps)
@@ -136,14 +134,14 @@ impl GridSpec {
     }
 
     /// FNV-1a digest over every field that determines a point's certified
-    /// bits: the attack grid, scenario labels, `l`, `ε`, the warm-start
-    /// knob, both grid axes (values *and* order — the warm chain depends on
-    /// the `p` prefix) and the full estimator settings including the
-    /// backend matrix. Schedule-only knobs (`SweepConfig::workers`, the
-    /// single-tree baseline fields, `ConformanceSettings::workers`) are
-    /// excluded: they are invisible in the results by the workspace's
-    /// determinism contract, and hashing them would needlessly orphan
-    /// artifacts across pool shapes.
+    /// bits: the attack grid, scenario labels, `l`, `ε`, both grid axes
+    /// (values *and* order — the warm chain depends on the `p` prefix) and
+    /// the full estimator settings including the backend matrix.
+    /// Schedule-only knobs (`SweepConfig::workers`, the single-tree baseline
+    /// fields, `ConformanceSettings::workers`) are excluded: they are
+    /// invisible in the results by the workspace's determinism contract,
+    /// and hashing them would needlessly orphan artifacts across pool
+    /// shapes.
     pub fn digest(&self) -> u64 {
         let mut hasher = Fnv1a::new();
         hasher.write_bytes(crate::GRID_SCHEMA.as_bytes());
@@ -158,7 +156,9 @@ impl GridSpec {
         }
         hash_usize(&mut hasher, self.sweep.max_fork_length);
         hasher.write_u64(self.sweep.epsilon.to_bits());
-        hasher.write_u64(u64::from(self.sweep.warm_start));
+        // Slot of the retired warm-start flag (always on), kept so artifact
+        // names and fingerprints stay stable across that change.
+        hasher.write_u64(1);
         hash_f64s(&mut hasher, &self.gammas);
         hash_f64s(&mut hasher, &self.ps);
         hash_usize(&mut hasher, self.settings.steps);
@@ -347,9 +347,6 @@ mod tests {
         let mut rebackended = spec();
         rebackended.settings.backends = vec![ConsensusBackend::Vdf];
         assert_ne!(digest, rebackended.digest());
-        let mut cold = spec();
-        cold.sweep.warm_start = false;
-        assert_ne!(digest, cold.digest());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Persistent certified-analysis query service.
 //!
-//! The batch pipeline (`sm-sweep`) answers *grids*; this crate answers
+//! The batch pipeline (`sm-grid`) answers *grids*; this crate answers
 //! *questions*: "what is the certified `ERRev` interval for
 //! `(scenario, backend, d, f, l, p, γ, ε)`?" — repeatedly, across the
 //! lifetime of a process, with each answer riding the caches the previous

@@ -140,7 +140,6 @@ fn reduced_grid_certificates() -> Result<usize, String> {
             &family,
             gamma,
             &[0.1, 0.2, 0.3],
-            true,
             AnalysisConfig::with_epsilon(EPSILON),
         )
         .map_err(|err| format!("gamma {gamma}: solve failed: {err}"))?;
@@ -170,14 +169,8 @@ fn d3f2_cost_ratio() -> Result<f64, String> {
     let family =
         ParametricModel::build(3, 2, 4).map_err(|err| format!("family failed to build: {err}"))?;
     let solve_start = Instant::now();
-    let solves = attack_curve(
-        &family,
-        0.5,
-        &[0.3],
-        false,
-        AnalysisConfig::with_epsilon(EPSILON),
-    )
-    .map_err(|err| format!("solve failed: {err}"))?;
+    let solves = attack_curve(&family, 0.5, &[0.3], AnalysisConfig::with_epsilon(EPSILON))
+        .map_err(|err| format!("solve failed: {err}"))?;
     let solve_time = solve_start.elapsed();
     let solve = solves.into_iter().next().ok_or("no solve returned")?;
     let model = family

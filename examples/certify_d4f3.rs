@@ -79,8 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         epsilon,
         bias: result.bias,
     };
+    // Each copy of the 3.0M-entry bias and strategy is dropped as soon as
+    // the next one exists: solve → artifact → JSON → parsed artifact.
     let artifact = CertificateArtifact::from_certified(&solve, &model)?;
-    let artifact = CertificateArtifact::from_json(&artifact.to_json())?;
+    drop(solve);
+    let json = artifact.to_json();
+    drop(artifact);
+    let artifact = CertificateArtifact::from_json(&json)?;
+    drop(json);
     let report = audit_certificate(&artifact, &model, &AuditConfig::default());
     println!(
         "audit   digest {:016x}: {} in {:.1?}",

@@ -1,10 +1,10 @@
 //! Parameter sweep: how the optimal expected relative revenue changes with the
 //! adversarial resource `p` and the switching probability `γ` — a scaled-down,
 //! quickly-running version of the paper's Figure 2, driven by the parallel
-//! sweep engine (`sm-sweep`): one parametric arena per `(d, f)` configuration,
-//! curve jobs fanned out over a worker pool, and warm-started solves along
-//! each `p` curve. CI runs this example on every push to exercise the
-//! parallel path end to end.
+//! sweep engine (`sm_grid::SweepConfig`): one parametric arena per `(d, f)`
+//! configuration, curve jobs fanned out over a worker pool, and
+//! warm-started solves along each `p` curve. CI runs this example on every
+//! push to exercise the parallel path end to end.
 //!
 //! ```text
 //! cargo run --release --example parameter_sweep
@@ -17,7 +17,7 @@
 
 use selfish_mining::experiments::coarse_p_grid;
 use selfish_mining_repro::cli::thread_budget;
-use selfish_mining_repro::sweep::SweepConfig;
+use selfish_mining_repro::grid::SweepConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workers = thread_budget(std::env::args().skip(1))?.unwrap_or(0);

@@ -19,13 +19,13 @@
 //!   certification.
 //! * [`scheduler`] — the shared nested-budget job scheduler (outer fan-out
 //!   plus intra-solve thread allowances) used by the conformance estimator,
-//!   the sweep engine and the query service.
-//! * [`sweep`] — the parallel `(p, γ)` sweep engine over the parametric
-//!   transition arena (worker pool + warm-started solves).
-//! * [`grid`] — the fault-tolerant sharded grid orchestrator: idempotent
-//!   point-jobs with durable `sm-grid/v1` artifacts, bounded retry +
-//!   backoff, checkpoint/resume and a deterministic merge byte-identical
-//!   to the single-process conformance pass.
+//!   the grid runner, the sweep engine and the query service.
+//! * [`grid`] — the conformance grid and its one runner, a fault-tolerant
+//!   sharded orchestrator: idempotent point-jobs with durable `sm-grid/v1`
+//!   artifacts, bounded retry + backoff, checkpoint/resume and a
+//!   deterministic merge; plus the parallel `(p, γ)` Figure 2 sweep over
+//!   the parametric transition arena (`grid::SweepConfig`: worker pool +
+//!   warm-started solves).
 //! * [`service`] — the persistent certified-analysis query service: cached
 //!   parametric arenas, memoized certified solves and a JSONL front end.
 //! * [`audit`] — the independent static-analysis layer: certificate
@@ -52,7 +52,6 @@ pub use sm_mdp as mdp;
 pub use sm_proofs as proofs;
 pub use sm_scheduler as scheduler;
 pub use sm_service as service;
-pub use sm_sweep as sweep;
 
 pub use selfish_mining;
 
@@ -61,7 +60,7 @@ pub mod cli {
     /// Extracts a `--threads N` / `--threads=N` flag from command-line
     /// arguments: the global thread budget for the sweep engine's nested
     /// scheduler (outer curve jobs plus intra-solve threads — see
-    /// `sm_sweep::SweepConfig::workers`). Returns `None` when the flag is
+    /// `sm_grid::SweepConfig::workers`). Returns `None` when the flag is
     /// absent (callers default to `0`, i.e. auto-detection), so CI and
     /// local runs can pin the pool shape explicitly:
     ///
@@ -113,8 +112,8 @@ pub mod cli {
     /// default_family`) or a comma-separated list of backend labels:
     ///
     /// ```text
-    /// cargo run --release --example conformance -- reduced --backends all
-    /// cargo run --release --example scenarios -- --backends bernoulli,postake,vdf
+    /// cargo run --release --example grid -- reduced --backends all
+    /// cargo run --release --example grid -- scenarios --backends bernoulli,postake,vdf
     /// ```
     ///
     /// Returns `None` when the flag is absent (callers keep the settings

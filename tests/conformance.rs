@@ -1,13 +1,13 @@
 //! Integration tests of the statistical-conformance subsystem: the parallel
 //! Monte-Carlo estimator, the strategy export, and the solver-vs-simulator
-//! certification driven through the sweep engine.
+//! certification driven through the grid runner.
 
 use selfish_mining::baselines::honest_relative_revenue;
 use selfish_mining::experiments::attack_curve;
 use selfish_mining::{AnalysisConfig, ConsensusBackend, ParametricModel, StrategyExport};
 use sm_chain::{HonestStrategy, SimulationConfig, UnknownViewPolicy};
 use sm_conformance::{certify_point, estimate_revenue, ConformanceSettings, EstimatorConfig};
-use sm_sweep::SweepConfig;
+use sm_grid::{run_grid, GridOptions, GridSpec, SweepConfig};
 
 fn estimator_config(p: f64, gamma: f64, steps: usize, seed: u64) -> EstimatorConfig {
     EstimatorConfig {
@@ -103,18 +103,11 @@ fn estimator_reports_are_bit_identical_for_1_2_and_8_workers() {
 /// The full certification path — certified solve, strategy export,
 /// Monte-Carlo witness under every configured backend — agrees with the solver's
 /// ε-certificate, and the report is bit-identical for any worker count of
-/// both pools (sweep jobs and estimator replicas).
+/// both pools (grid jobs and estimator replicas).
 #[test]
 fn certified_point_conforms_and_certification_is_deterministic() {
     let family = ParametricModel::build(2, 1, 4).unwrap();
-    let solves = attack_curve(
-        &family,
-        0.5,
-        &[0.3],
-        true,
-        AnalysisConfig::with_epsilon(5e-3),
-    )
-    .unwrap();
+    let solves = attack_curve(&family, 0.5, &[0.3], AnalysisConfig::with_epsilon(5e-3)).unwrap();
     // The family-skeleton export and the instantiated-model export are the
     // same translation; certify through the former, assert against the
     // latter.
@@ -139,26 +132,35 @@ fn certified_point_conforms_and_certification_is_deterministic() {
     assert!(point.strategy_revenue >= point.certified_lower - 1e-12);
     assert!(point.strategy_revenue <= point.certified_upper + 1e-12);
 
-    // One sweep-driven certification, twice with different pool shapes.
-    let run = |sweep_workers: usize, estimator_workers: usize| {
-        SweepConfig {
-            attack_grid: vec![(2, 1)],
-            epsilon: 1e-2,
-            workers: sweep_workers,
-            ..SweepConfig::default()
-        }
-        .run_conformance(
-            &[0.5],
-            &[0.2, 0.3],
-            &ConformanceSettings {
+    // One grid-driven certification, twice with different pool shapes, each
+    // in a fresh artifact directory.
+    let run = |grid_workers: usize, estimator_workers: usize| {
+        let spec = GridSpec {
+            sweep: SweepConfig {
+                attack_grid: vec![(2, 1)],
+                epsilon: 1e-2,
+                ..SweepConfig::default()
+            },
+            gammas: vec![0.5],
+            ps: vec![0.2, 0.3],
+            settings: ConformanceSettings {
                 steps: 10_000,
                 max_replicas: 12,
                 tolerance: 8e-3,
                 workers: estimator_workers,
                 ..ConformanceSettings::default()
             },
-        )
-        .unwrap()
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "sm-conformance-test-{}-{grid_workers}-{estimator_workers}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut options = GridOptions::new(&dir);
+        options.workers = grid_workers;
+        let report = run_grid(&spec, &options).unwrap().report;
+        std::fs::remove_dir_all(&dir).unwrap();
+        report
     };
     let a = run(1, 1);
     let b = run(3, 8);

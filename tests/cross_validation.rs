@@ -290,15 +290,17 @@ fn selfish_mining_model_streams_into_identical_arena() {
 /// tests do not exercise.
 #[test]
 fn iterative_revenue_matches_exact_gains_on_selfish_mining_chains() {
-    use selfish_mining::experiments::attack_curve;
+    use selfish_mining::experiments::CurveTracker;
     use selfish_mining::{AnalysisConfig, AttackScenario};
     use sm_oracle::{long_run_average_reward, ChainAnalysis};
 
     let mut chains_with_transient_states = 0;
     for scenario in AttackScenario::default_family() {
         let family = ParametricModel::build_scenario(scenario, 2, 1, 4).unwrap();
-        let config = AnalysisConfig::with_epsilon(1e-3);
-        for solve in attack_curve(&family, 0.5, &[0.1, 0.3], false, config).unwrap() {
+        // Cold solves: each point certified without the warm carry.
+        let mut curve = CurveTracker::new(&family, 0.5, false, AnalysisConfig::with_epsilon(1e-3));
+        for p in [0.1, 0.3] {
+            let solve = curve.advance(p).unwrap();
             let model = family.instantiate(solve.p, solve.gamma).unwrap();
             let strategy = &solve.strategy;
             let iterative = model.expected_relative_revenue(strategy).unwrap();

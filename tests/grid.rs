@@ -1,17 +1,17 @@
 //! Crash/resume determinism of the sharded grid orchestrator: a run killed
 //! or poisoned mid-shard and resumed — across worker counts and shard sizes
-//! — must merge a report `f64::to_bits`-identical to the uninterrupted
-//! single-process pass, and a corrupted artifact must be detected by
+//! — must merge a report `f64::to_bits`-identical to an uninterrupted
+//! in-memory reference pass, and a corrupted artifact must be detected by
 //! fingerprint and re-scheduled, never merged.
 
-use selfish_mining::AttackScenario;
-use selfish_mining_repro::conformance::ConformanceReport;
+use selfish_mining::experiments::attack_curve;
+use selfish_mining::{AnalysisConfig, AttackScenario, StrategyExport};
+use selfish_mining_repro::conformance::{certify_point, ConformanceReport, ConformanceSettings};
 use selfish_mining_repro::grid::{
     merge_grid, run_grid, scan_grid, FaultKind, GridError, GridFault, GridFaultPlan, GridOptions,
-    GridSpec,
+    GridSpec, SweepConfig,
 };
 use selfish_mining_repro::scheduler::RetryPolicy;
-use selfish_mining_repro::sweep::{ConformanceSettings, SweepConfig};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -37,11 +37,29 @@ fn spec() -> GridSpec {
     }
 }
 
-/// The uninterrupted single-process reference for [`spec`].
+/// The uninterrupted in-memory reference for `spec`: every `(γ, family)`
+/// curve solved warm in one go and each point witnessed by the Monte-Carlo
+/// estimator, in report order — `γ` outer, then the canonical
+/// `(d, f) × scenario` family, then `p`.
 fn reference(spec: &GridSpec) -> ConformanceReport {
-    spec.sweep
-        .run_conformance(&spec.gammas, &spec.ps, &spec.settings)
-        .expect("reference conformance pass")
+    let families = spec
+        .sweep
+        .build_scenario_families()
+        .expect("families build");
+    let config = AnalysisConfig::with_epsilon(spec.sweep.epsilon);
+    let mut points = Vec::new();
+    for &gamma in &spec.gammas {
+        for family in &families {
+            let export = StrategyExport::from_family(family);
+            let solves =
+                attack_curve(family, gamma, &spec.ps, config.clone()).expect("curve solves");
+            for solve in &solves {
+                points
+                    .push(certify_point(&export, solve, &spec.settings).expect("point certifies"));
+            }
+        }
+    }
+    ConformanceReport { points }
 }
 
 /// A fresh artifact directory under the system temp dir.
@@ -113,6 +131,13 @@ fn assert_bitwise_equal(merged: &ConformanceReport, reference: &ConformanceRepor
             );
         }
     }
+}
+
+#[test]
+fn spec_digest_is_pinned() {
+    // The digest names and fingerprints every durable artifact: moving it
+    // orphans the artifact directories of earlier runs of the same grid.
+    assert_eq!(spec().digest(), 0x618a_35e2_211a_03f7);
 }
 
 #[test]

@@ -149,8 +149,7 @@ fn certified_attack_curves_are_bit_identical_across_thread_counts() {
     // curve: certificates, strategies and revenues must not see the pool.
     let family = ParametricModel::build(2, 2, 4).unwrap();
     let ps = [0.15, 0.25, 0.35];
-    let reference =
-        attack_curve(&family, 0.5, &ps, true, AnalysisConfig::with_epsilon(1e-3)).unwrap();
+    let reference = attack_curve(&family, 0.5, &ps, AnalysisConfig::with_epsilon(1e-3)).unwrap();
     // Absolute pins of the serial curve: `to_bits` of β_low, β_up and the
     // strategy's revenue, and the strategy digest, per point.
     let pins: [(u64, u64, u64, u64); 3] = [
@@ -194,7 +193,6 @@ fn certified_attack_curves_are_bit_identical_across_thread_counts() {
             &family,
             0.5,
             &ps,
-            true,
             AnalysisConfig::with_epsilon(1e-3)
                 .with_parallelism(SolverParallelism::threads(threads)),
         )

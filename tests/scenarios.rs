@@ -36,20 +36,13 @@ fn stubborn_certified_gains_are_dominated_by_the_optimal_scenario() {
             &optimal_family,
             gamma,
             &ps,
-            true,
             AnalysisConfig::with_epsilon(epsilon),
         )
         .unwrap();
         for family in &stubborn_families {
             assert!(family.scenario().is_action_restriction());
-            let restricted = attack_curve(
-                family,
-                gamma,
-                &ps,
-                true,
-                AnalysisConfig::with_epsilon(epsilon),
-            )
-            .unwrap();
+            let restricted =
+                attack_curve(family, gamma, &ps, AnalysisConfig::with_epsilon(epsilon)).unwrap();
             for (r, o) in restricted.iter().zip(&optimal) {
                 assert_eq!(r.p, o.p);
                 assert_eq!(r.scenario, family.scenario());
@@ -83,14 +76,8 @@ fn honest_mining_certifies_the_proportional_share() {
         let family =
             ParametricModel::build_scenario(AttackScenario::HonestMining, depth, forks, 3).unwrap();
         for &gamma in &gammas {
-            let solves = attack_curve(
-                &family,
-                gamma,
-                &ps,
-                true,
-                AnalysisConfig::with_epsilon(epsilon),
-            )
-            .unwrap();
+            let solves =
+                attack_curve(&family, gamma, &ps, AnalysisConfig::with_epsilon(epsilon)).unwrap();
             for solve in &solves {
                 assert!(
                     (solve.strategy_revenue - solve.p).abs() <= epsilon,
@@ -148,14 +135,7 @@ fn stubborn_reachable_states_embed_into_the_optimal_space() {
 #[test]
 fn honest_mining_conforms_in_the_simulator() {
     let family = ParametricModel::build_scenario(AttackScenario::HonestMining, 2, 1, 4).unwrap();
-    let solves = attack_curve(
-        &family,
-        0.5,
-        &[0.3],
-        true,
-        AnalysisConfig::with_epsilon(2e-3),
-    )
-    .unwrap();
+    let solves = attack_curve(&family, 0.5, &[0.3], AnalysisConfig::with_epsilon(2e-3)).unwrap();
     let settings = ConformanceSettings {
         steps: 30_000,
         max_replicas: 24,
@@ -182,14 +162,7 @@ fn honest_mining_conforms_in_the_simulator() {
 #[test]
 fn lead_stubborn_conforms_in_the_simulator() {
     let family = ParametricModel::build_scenario(AttackScenario::LeadStubborn, 2, 1, 4).unwrap();
-    let solves = attack_curve(
-        &family,
-        0.5,
-        &[0.35],
-        true,
-        AnalysisConfig::with_epsilon(5e-3),
-    )
-    .unwrap();
+    let solves = attack_curve(&family, 0.5, &[0.35], AnalysisConfig::with_epsilon(5e-3)).unwrap();
     let settings = ConformanceSettings {
         steps: 30_000,
         max_replicas: 24,
