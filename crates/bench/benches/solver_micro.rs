@@ -381,7 +381,7 @@ fn seed_dinkelbach_revenue(model: &SelfishMiningModel, epsilon: f64) -> f64 {
         let chain = model.mdp().induced_chain(strategy).unwrap();
         let (r_adv, r_hon) = model.strategy_rewards(strategy).unwrap();
         let gain = |rewards: &[f64]| {
-            sm_markov::iterative_gains(&chain, &[rewards], None, SolverParallelism::serial())
+            sm_mdp::iterative_gains(&chain, &[rewards], None, SolverParallelism::serial())
                 .unwrap()
                 .0[0]
         };

@@ -10,17 +10,19 @@
 //! original attack.
 //!
 //! Because the strategy is *fixed*, the attack induces a finite Markov chain
-//! rather than an MDP. Its expected relative revenue is computed exactly from
-//! the chain's stationary distribution, using the same `(p, k)`-mining system
-//! model as the main attack: the adversary's chance of finding the next proof
-//! grows with the number of tree positions it mines on.
+//! rather than an MDP: it is built as a one-action MDP and evaluated as the
+//! chain its only strategy induces. Its expected relative revenue is the
+//! ratio of the chain's long-run average rewards, using the same
+//! `(p, k)`-mining system model as the main attack: the adversary's chance
+//! of finding the next proof grows with the number of tree positions it
+//! mines on.
 //!
 //! The tree shape is tracked as the number of nodes per depth, capped at the
 //! maximal width `f` per depth and the maximal depth `l`, mirroring how the
 //! paper bounds the baseline's model (`l = 4`, `f = 5` in Table 1).
 
 use crate::SelfishMiningError;
-use sm_markov::{iterative_gains, MarkovChain, SolverParallelism};
+use sm_mdp::{iterative_gains, CsrMdpBuilder, PositionalStrategy, SolverParallelism};
 use std::collections::HashMap;
 
 /// Configuration of the single-tree attack.
@@ -107,7 +109,7 @@ impl SingleTreeAttack {
     /// # Errors
     ///
     /// Returns [`SelfishMiningError::InvalidParameter`] for out-of-range
-    /// parameters and propagates Markov-chain solver errors.
+    /// parameters and propagates chain construction and evaluation errors.
     pub fn analyse(&self) -> Result<SingleTreeResult, SelfishMiningError> {
         self.validate()?;
         let p = self.p;
@@ -122,8 +124,9 @@ impl SingleTreeAttack {
         states.push(initial);
         queue.push(0);
 
-        // Per-state transition rows and expected per-step rewards.
-        let mut rows: Vec<Vec<(usize, f64)>> = Vec::new();
+        // The chain as a one-action MDP, streamed row by row in discovery
+        // order, plus the expected per-step rewards of every state.
+        let mut builder = CsrMdpBuilder::new();
         let mut adversary_reward: Vec<f64> = Vec::new();
         let mut honest_reward: Vec<f64> = Vec::new();
 
@@ -212,13 +215,17 @@ impl SingleTreeAttack {
                 }
             }
 
-            debug_assert_eq!(rows.len(), state_index);
-            rows.push(row);
+            debug_assert_eq!(builder.num_states(), state_index);
+            builder.begin_state();
+            builder.add_action("tree", &row)?;
             adversary_reward.push(adv);
             honest_reward.push(hon);
         }
 
-        let chain = MarkovChain::from_rows(rows)?;
+        let num_states = builder.num_states();
+        let chain = builder
+            .finish(0)?
+            .induced_chain(&PositionalStrategy::uniform_first_action(num_states))?;
         // The chain can reach several thousand states for the paper's tree
         // width; fused iterative sweeps (one pass for both reward functions)
         // keep the evaluation cheap.
@@ -337,6 +344,28 @@ mod tests {
         let result = attack.analyse().unwrap();
         assert!(result.num_states > 10);
         assert!((0.0..1.0).contains(&result.relative_revenue));
+    }
+
+    #[test]
+    fn paper_configuration_is_pinned_bit_for_bit() {
+        // Every row of the chain has distinct targets, so any builder that
+        // sorts by target and drops zero probabilities stores the same
+        // arrays, and the fused sweeps return the same bits.
+        for (p, gamma, revenue_bits) in [
+            (0.3, 0.5, 0x3fd4_1207_5f5e_7384_u64),
+            (0.1, 0.0, 0x3f97_504f_48a6_5f3b),
+            (0.45, 1.0, 0x3fe3_eae4_8e0e_b5b3),
+        ] {
+            let result = SingleTreeAttack::paper_configuration(p, gamma)
+                .analyse()
+                .unwrap();
+            assert_eq!(
+                result.relative_revenue.to_bits(),
+                revenue_bits,
+                "p = {p}, gamma = {gamma}"
+            );
+            assert_eq!(result.num_states, 2156, "p = {p}, gamma = {gamma}");
+        }
     }
 
     #[test]

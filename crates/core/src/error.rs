@@ -1,7 +1,6 @@
 //! Error type for the selfish-mining model and analysis.
 
 use sm_chain::ChainError;
-use sm_markov::MarkovError;
 use sm_mdp::MdpError;
 use std::error::Error;
 use std::fmt;
@@ -46,10 +45,8 @@ pub enum SelfishMiningError {
         /// Number of iterations performed.
         iterations: usize,
     },
-    /// An underlying MDP computation failed.
+    /// An underlying MDP or induced-chain computation failed.
     Mdp(MdpError),
-    /// An underlying Markov-chain computation failed.
-    Markov(MarkovError),
 }
 
 impl fmt::Display for SelfishMiningError {
@@ -73,7 +70,6 @@ impl fmt::Display for SelfishMiningError {
                 write!(f, "{method} did not converge after {iterations} iterations")
             }
             SelfishMiningError::Mdp(err) => write!(f, "MDP error: {err}"),
-            SelfishMiningError::Markov(err) => write!(f, "markov error: {err}"),
         }
     }
 }
@@ -82,7 +78,6 @@ impl Error for SelfishMiningError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SelfishMiningError::Mdp(err) => Some(err),
-            SelfishMiningError::Markov(err) => Some(err),
             _ => None,
         }
     }
@@ -91,12 +86,6 @@ impl Error for SelfishMiningError {
 impl From<MdpError> for SelfishMiningError {
     fn from(err: MdpError) -> Self {
         SelfishMiningError::Mdp(err)
-    }
-}
-
-impl From<MarkovError> for SelfishMiningError {
-    fn from(err: MarkovError) -> Self {
-        SelfishMiningError::Markov(err)
     }
 }
 
@@ -140,8 +129,6 @@ mod tests {
     #[test]
     fn conversions_set_source() {
         let err: SelfishMiningError = MdpError::EmptyModel.into();
-        assert!(Error::source(&err).is_some());
-        let err: SelfishMiningError = MarkovError::EmptyChain.into();
         assert!(Error::source(&err).is_some());
     }
 

@@ -77,8 +77,8 @@ pub use state::{Owner, Phase, SmState};
 // scenario axis.
 pub use sm_chain::{ChallengeVisibility, ConsensusBackend};
 
-// Intra-solve parallelism, shared across the solver stack (`sm-markov` chain
-// sweeps, `sm-mdp` value iteration, the analysis procedure here).
+// Intra-solve parallelism, shared across the solver stack (`sm-mdp` value
+// iteration and chain sweeps, the analysis procedure here).
 pub use sm_mdp::SolverParallelism;
 pub use transition::{
     available_actions, available_actions_in, successors_in, symbolic_successors_in, BlockRewards,

@@ -196,7 +196,7 @@ impl SelfishMiningModel {
     /// `ERRev(σ) = g_A(σ) / (g_A(σ) + g_H(σ))`.
     ///
     /// The gains are evaluated with sparse iterative sweeps — one fused pass
-    /// for both reward functions ([`sm_markov::iterative_gains`]) — so that
+    /// for both reward functions ([`sm_mdp::iterative_gains`]) — so that
     /// the evaluation scales to the larger attack configurations, where dense
     /// policy evaluation would be prohibitive.
     ///
@@ -222,7 +222,7 @@ impl SelfishMiningModel {
     /// engine; any seed is *valid* (mis-shaped ones are simply ignored), it
     /// only affects the sweep count. The chain sweeps run in row blocks
     /// over `parallelism` threads
-    /// ([`sm_markov::iterative_gains`]): the returned revenue and
+    /// ([`sm_mdp::iterative_gains`]): the returned revenue and
     /// bias vectors are bit-identical for any thread count, the knob only
     /// trades wall-clock time for cores.
     ///
@@ -237,8 +237,7 @@ impl SelfishMiningModel {
     ) -> Result<(f64, Vec<Vec<f64>>), SelfishMiningError> {
         let chain = self.mdp.induced_chain(strategy)?;
         let (r_adv, r_hon) = self.strategy_rewards(strategy)?;
-        let (gains, bias) =
-            sm_markov::iterative_gains(&chain, &[&r_adv, &r_hon], seed, parallelism)?;
+        let (gains, bias) = sm_mdp::iterative_gains(&chain, &[&r_adv, &r_hon], seed, parallelism)?;
         let (adv, hon) = (gains[0], gains[1]);
         if adv + hon <= 0.0 {
             // Blocks are finalized with positive rate under every strategy

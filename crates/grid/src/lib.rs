@@ -40,15 +40,15 @@
 //! the jobs idempotent *and* mergeable byte for byte.
 //!
 //! ```
+//! use selfish_mining::AttackScenario;
 //! use sm_conformance::ConformanceSettings;
-//! use sm_grid::{run_grid, GridOptions, GridSpec, SweepConfig};
+//! use sm_grid::{run_grid, GridOptions, GridSpec};
 //!
 //! let spec = GridSpec {
-//!     sweep: SweepConfig {
-//!         attack_grid: vec![(1, 1)],
-//!         epsilon: 1e-2,
-//!         ..SweepConfig::default()
-//!     },
+//!     attack_grid: vec![(1, 1)],
+//!     scenarios: vec![AttackScenario::Optimal],
+//!     max_fork_length: 4,
+//!     epsilon: 1e-2,
 //!     gammas: vec![0.5],
 //!     ps: vec![0.2],
 //!     settings: ConformanceSettings {
@@ -225,9 +225,18 @@ mod tests {
         }
     }
 
-    fn spec(sweep: SweepConfig, gammas: &[f64], ps: &[f64]) -> GridSpec {
+    fn spec(
+        attack_grid: &[(usize, usize)],
+        scenarios: &[AttackScenario],
+        epsilon: f64,
+        gammas: &[f64],
+        ps: &[f64],
+    ) -> GridSpec {
         GridSpec {
-            sweep,
+            attack_grid: attack_grid.to_vec(),
+            scenarios: scenarios.to_vec(),
+            max_fork_length: 4,
+            epsilon,
             gammas: gammas.to_vec(),
             ps: ps.to_vec(),
             settings: small_conformance_settings(),
@@ -240,10 +249,9 @@ mod tests {
         // must win because validation runs first, before the artifact
         // directory is even created.
         let nan_p = spec(
-            SweepConfig {
-                attack_grid: vec![(0, 1)],
-                ..SweepConfig::default()
-            },
+            &[(0, 1)],
+            &[AttackScenario::Optimal],
+            1e-3,
             &[0.5],
             &[f64::NAN],
         );
@@ -256,10 +264,9 @@ mod tests {
         }
         assert!(!dir.exists(), "a rejected spec must not touch the disk");
         let nan_epsilon = spec(
-            SweepConfig {
-                epsilon: f64::NAN,
-                ..SweepConfig::default()
-            },
+            &[(1, 1), (2, 1), (2, 2)],
+            &[AttackScenario::Optimal],
+            f64::NAN,
             &[0.5],
             &[0.1],
         );
@@ -276,12 +283,14 @@ mod tests {
 
     #[test]
     fn conformance_pass_certifies_a_small_grid() {
-        let sweep = SweepConfig {
-            attack_grid: vec![(2, 1)],
-            epsilon: 5e-3,
-            ..SweepConfig::default()
-        };
-        let report = run_fresh(&spec(sweep, &[0.5], &[0.15, 0.3]), 2).unwrap();
+        let spec = spec(
+            &[(2, 1)],
+            &[AttackScenario::Optimal],
+            5e-3,
+            &[0.5],
+            &[0.15, 0.3],
+        );
+        let report = run_fresh(&spec, 2).unwrap();
         assert_eq!(report.len(), 2);
         assert_eq!(report.points[0].p, 0.15);
         assert_eq!(report.points[1].p, 0.3);
@@ -300,12 +309,13 @@ mod tests {
         // must match the 2-thread (one thread per job) and fully serial
         // schedules bit for bit — the surplus flows into the solves
         // without being allowed to show up in the report.
-        let sweep = SweepConfig {
-            attack_grid: vec![(2, 1)],
-            epsilon: 5e-3,
-            ..SweepConfig::default()
-        };
-        let spec = spec(sweep, &[0.0, 0.5], &[0.15, 0.3]);
+        let spec = spec(
+            &[(2, 1)],
+            &[AttackScenario::Optimal],
+            5e-3,
+            &[0.0, 0.5],
+            &[0.15, 0.3],
+        );
         let eight = run_fresh(&spec, 8).unwrap();
         assert_eq!(eight.len(), 4);
         assert_eq!(
@@ -324,11 +334,10 @@ mod tests {
     fn conformance_report_is_deterministic_across_worker_counts() {
         let report = |grid_workers: usize, estimator_workers: usize| {
             let spec = GridSpec {
-                sweep: SweepConfig {
-                    attack_grid: vec![(1, 1), (2, 1)],
-                    epsilon: 1e-2,
-                    ..SweepConfig::default()
-                },
+                attack_grid: vec![(1, 1), (2, 1)],
+                scenarios: vec![AttackScenario::Optimal],
+                max_fork_length: 4,
+                epsilon: 1e-2,
                 gammas: vec![0.0, 1.0],
                 ps: vec![0.1, 0.3],
                 settings: ConformanceSettings {
@@ -352,17 +361,12 @@ mod tests {
 
     #[test]
     fn scenario_conformance_pass_orders_and_certifies_the_family() {
-        let sweep = SweepConfig {
-            attack_grid: vec![(2, 1)],
-            scenarios: vec![
-                AttackScenario::Optimal,
-                AttackScenario::LeadStubborn,
-                AttackScenario::HonestMining,
-            ],
-            epsilon: 5e-3,
-            ..SweepConfig::default()
-        };
-        let spec = spec(sweep, &[0.5], &[0.3]);
+        let scenarios = [
+            AttackScenario::Optimal,
+            AttackScenario::LeadStubborn,
+            AttackScenario::HonestMining,
+        ];
+        let spec = spec(&[(2, 1)], &scenarios, 5e-3, &[0.5], &[0.3]);
         let report = run_fresh(&spec, 2).unwrap();
         assert_eq!(report.len(), 3);
         assert_eq!(report.points[0].scenario, "optimal");
@@ -411,12 +415,10 @@ mod tests {
         };
         let run = |grid_workers: usize, estimator_workers: usize| {
             let spec = GridSpec {
-                sweep: SweepConfig {
-                    attack_grid: vec![(2, 1)],
-                    scenarios: vec![AttackScenario::Optimal, AttackScenario::HonestMining],
-                    epsilon: 1e-2,
-                    ..SweepConfig::default()
-                },
+                attack_grid: vec![(2, 1)],
+                scenarios: vec![AttackScenario::Optimal, AttackScenario::HonestMining],
+                max_fork_length: 4,
+                epsilon: 1e-2,
                 gammas: vec![0.5],
                 ps: vec![0.1, 0.3],
                 settings: ConformanceSettings {
@@ -443,11 +445,8 @@ mod tests {
 
     #[test]
     fn conformance_pass_with_empty_p_grid_is_empty() {
-        let sweep = SweepConfig {
-            attack_grid: vec![(1, 1)],
-            ..SweepConfig::default()
-        };
-        let report = run_fresh(&spec(sweep, &[0.5], &[]), 1).unwrap();
+        let spec = spec(&[(1, 1)], &[AttackScenario::Optimal], 1e-3, &[0.5], &[]);
+        let report = run_fresh(&spec, 1).unwrap();
         assert!(report.is_empty());
         assert!(report.all_conform());
     }

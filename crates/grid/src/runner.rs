@@ -218,7 +218,7 @@ pub fn scan_grid(spec: &GridSpec, dir: &Path) -> Result<GridScan, GridError> {
                         && point.scenario == coordinates.scenario.label()
                         && point.depth == coordinates.depth
                         && point.forks == coordinates.forks
-                        && point.max_fork_length == spec.sweep.max_fork_length
+                        && point.max_fork_length == spec.max_fork_length
                         && point.estimates.len() == spec.settings.backends.len()
                         && point
                             .estimates
@@ -284,7 +284,7 @@ pub fn run_grid(spec: &GridSpec, options: &GridOptions) -> Result<GridOutcome, G
         message: error.to_string(),
     })?;
     let digest = spec.digest();
-    let families = spec.sweep.build_scenario_families()?;
+    let families = spec.build_scenario_families()?;
     let budget = resolve_budget(options.workers);
 
     let mut reused = None;
@@ -428,7 +428,7 @@ fn run_shard_attempt(
     let last_target = *shard.targets.last().ok_or(GridError::Internal {
         what: "a shard must carry at least one target",
     })?;
-    let config = AnalysisConfig::with_epsilon(spec.sweep.epsilon)
+    let config = AnalysisConfig::with_epsilon(spec.epsilon)
         .with_parallelism(SolverParallelism::threads(allowance));
     let mut tracker = CurveTracker::new(family, gamma, true, config);
     let export = StrategyExport::from_family(family);

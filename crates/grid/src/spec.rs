@@ -1,28 +1,34 @@
 //! The grid specification: everything that *defines* the conformance grid —
-//! sweep config, `γ`/`p` grids and estimator settings — plus the canonical
-//! point enumeration and the config digest that content-addresses its
-//! artifacts.
+//! attack grid, scenarios, `l`, `ε`, `γ`/`p` grids and estimator settings —
+//! plus the canonical point enumeration and the config digest that
+//! content-addresses its artifacts.
 
-use crate::SweepConfig;
-use selfish_mining::{AttackScenario, SelfishMiningError};
+use crate::sweep::validate_grid;
+use selfish_mining::{AttackScenario, ParametricModel, SelfishMiningError};
 use sm_audit::Fnv1a;
 use sm_conformance::{ConformanceError, ConformanceSettings};
 use std::error::Error;
 use std::fmt;
 
-/// The full definition of one conformance/certification grid: the sweep
-/// config (attack grid, scenarios, `l`, `ε`), the `γ` and `p` grids and
-/// the Monte-Carlo witness settings. Two specs with the same
+/// The full definition of one conformance/certification grid: the attack
+/// grid, scenarios, `l` and `ε`, the `γ` and `p` grids and the Monte-Carlo
+/// witness settings. Every field determines the certified bits; the thread
+/// budget is [`crate::GridOptions::workers`]. Two specs with the same
 /// [`GridSpec::digest`] define byte-identical grids, so their artifacts are
 /// interchangeable; artifacts from any *other* digest are invisible to a
 /// resume scan (the digest is part of every artifact's file name and
 /// payload).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridSpec {
-    /// The sweep configuration: attack grid, scenarios, `l`, `ε`. Its
-    /// `workers` field is ignored here — [`crate::GridOptions::workers`]
-    /// owns the thread budget.
-    pub sweep: SweepConfig,
+    /// The `(d, f)` attack configurations, outer family axis (grid order).
+    pub attack_grid: Vec<(usize, usize)>,
+    /// The attack scenarios certified per `(d, f)` configuration, inner
+    /// family axis (in this order).
+    pub scenarios: Vec<AttackScenario>,
+    /// Maximal private fork length `l`.
+    pub max_fork_length: usize,
+    /// Precision `ε` of the per-point certificates.
+    pub epsilon: f64,
     /// Switching probabilities `γ`, outermost grid axis (input order).
     pub gammas: Vec<f64>,
     /// Adversarial shares `p`, innermost grid axis (input order). Within a
@@ -62,7 +68,7 @@ pub struct PointCoordinates {
 impl GridSpec {
     /// Number of `(d, f) × scenario` families, the canonical family axis.
     pub fn num_families(&self) -> usize {
-        self.sweep.attack_grid.len() * self.sweep.scenarios.len()
+        self.attack_grid.len() * self.scenarios.len()
     }
 
     /// Number of `(γ, family)` curves — the warm-start unit of work.
@@ -78,7 +84,7 @@ impl GridSpec {
     /// Recovers the canonical coordinates of global point `index`, or
     /// `None` when the index is out of range (or the `p` grid is empty).
     pub fn coordinates(&self, index: usize) -> Option<PointCoordinates> {
-        let scenarios = self.sweep.scenarios.len();
+        let scenarios = self.scenarios.len();
         if self.ps.is_empty() || scenarios == 0 {
             return None;
         }
@@ -90,8 +96,8 @@ impl GridSpec {
         }
         let gamma_index = curve / families;
         let family_index = curve % families;
-        let &(depth, forks) = self.sweep.attack_grid.get(family_index / scenarios)?;
-        let &scenario = self.sweep.scenarios.get(family_index % scenarios)?;
+        let &(depth, forks) = self.attack_grid.get(family_index / scenarios)?;
+        let &scenario = self.scenarios.get(family_index % scenarios)?;
         Some(PointCoordinates {
             gamma_index,
             family_index,
@@ -105,8 +111,27 @@ impl GridSpec {
         })
     }
 
+    /// Builds one parametric family per `(d, f) × scenario`, in the canonical
+    /// family order: `(d, f)` outer (grid order), scenario inner. Per-point
+    /// coordinates ([`GridSpec::coordinates`]) are derived from the same
+    /// indices.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first model-construction error.
+    pub fn build_scenario_families(&self) -> Result<Vec<ParametricModel>, SelfishMiningError> {
+        self.attack_grid
+            .iter()
+            .flat_map(|&(depth, forks)| {
+                self.scenarios.iter().map(move |&scenario| {
+                    ParametricModel::build_scenario(scenario, depth, forks, self.max_fork_length)
+                })
+            })
+            .collect()
+    }
+
     /// Rejects an invalid spec up front: `ε` finite and positive, every
-    /// `γ`/`p` in `[0, 1]` ([`SweepConfig::validate_grid`]), at least one
+    /// `γ`/`p` in `[0, 1]` (the checks the Figure 2 sweep runs), at least one
     /// scenario and at least one consensus backend. Validating here keeps a
     /// dead-on-arrival spec from scattering half a grid of artifacts before
     /// the first real error surfaces.
@@ -115,10 +140,8 @@ impl GridSpec {
     ///
     /// [`GridError::Conformance`] wrapping the rejection.
     pub fn validate(&self) -> Result<(), GridError> {
-        self.sweep
-            .validate_grid(&self.gammas, &self.ps)
-            .map_err(ConformanceError::Analysis)?;
-        if self.sweep.scenarios.is_empty() {
+        validate_grid(self.epsilon, &self.gammas, &self.ps).map_err(ConformanceError::Analysis)?;
+        if self.scenarios.is_empty() {
             return Err(GridError::Conformance(ConformanceError::InvalidConfig {
                 name: "scenarios",
                 constraint: "must name at least one attack scenario",
@@ -137,25 +160,24 @@ impl GridSpec {
     /// bits: the attack grid, scenario labels, `l`, `ε`, both grid axes
     /// (values *and* order — the warm chain depends on the `p` prefix) and
     /// the full estimator settings including the backend matrix.
-    /// Schedule-only knobs (`SweepConfig::workers`, the single-tree baseline
-    /// fields, `ConformanceSettings::workers`) are excluded: they are
+    /// The schedule-only `ConformanceSettings::workers` is excluded: it is
     /// invisible in the results by the workspace's determinism contract,
-    /// and hashing them would needlessly orphan artifacts across pool
+    /// and hashing it would needlessly orphan artifacts across pool
     /// shapes.
     pub fn digest(&self) -> u64 {
         let mut hasher = Fnv1a::new();
         hasher.write_bytes(crate::GRID_SCHEMA.as_bytes());
-        hash_usize(&mut hasher, self.sweep.attack_grid.len());
-        for &(depth, forks) in &self.sweep.attack_grid {
+        hash_usize(&mut hasher, self.attack_grid.len());
+        for &(depth, forks) in &self.attack_grid {
             hash_usize(&mut hasher, depth);
             hash_usize(&mut hasher, forks);
         }
-        hash_usize(&mut hasher, self.sweep.scenarios.len());
-        for scenario in &self.sweep.scenarios {
+        hash_usize(&mut hasher, self.scenarios.len());
+        for scenario in &self.scenarios {
             hash_str(&mut hasher, &scenario.label());
         }
-        hash_usize(&mut hasher, self.sweep.max_fork_length);
-        hasher.write_u64(self.sweep.epsilon.to_bits());
+        hash_usize(&mut hasher, self.max_fork_length);
+        hasher.write_u64(self.epsilon.to_bits());
         // Slot of the retired warm-start flag (always on), kept so artifact
         // names and fingerprints stay stable across that change.
         hasher.write_u64(1);
@@ -287,11 +309,10 @@ mod tests {
 
     fn spec() -> GridSpec {
         GridSpec {
-            sweep: SweepConfig {
-                attack_grid: vec![(1, 1), (2, 1)],
-                scenarios: vec![AttackScenario::Optimal, AttackScenario::HonestMining],
-                ..SweepConfig::default()
-            },
+            attack_grid: vec![(1, 1), (2, 1)],
+            scenarios: vec![AttackScenario::Optimal, AttackScenario::HonestMining],
+            max_fork_length: 4,
+            epsilon: 1e-3,
             gammas: vec![0.0, 0.5],
             ps: vec![0.1, 0.2, 0.3],
             settings: ConformanceSettings::default(),
@@ -331,9 +352,8 @@ mod tests {
         let digest = base.digest();
         assert_eq!(digest, spec().digest(), "digest must be deterministic");
 
-        // Schedule-only knobs do not orphan artifacts.
+        // The schedule-only estimator pool does not orphan artifacts.
         let mut pooled = spec();
-        pooled.sweep.workers = 7;
         pooled.settings.workers = 3;
         assert_eq!(digest, pooled.digest());
 
@@ -360,7 +380,7 @@ mod tests {
             )))
         ));
         let mut no_scenarios = spec();
-        no_scenarios.sweep.scenarios.clear();
+        no_scenarios.scenarios.clear();
         assert!(matches!(
             no_scenarios.validate(),
             Err(GridError::Conformance(ConformanceError::InvalidConfig {

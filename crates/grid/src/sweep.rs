@@ -1,9 +1,9 @@
-//! The grid definition shared by both entry points of this crate, and the
-//! Figure 2 revenue sweep.
+//! The Figure 2 revenue sweep.
 //!
 //! The paper's Figure 2 evaluates a dense grid — 31 values of `p` × 5 values
-//! of `γ` × 5 attack configurations. Both entry points exploit the parametric
-//! structure of that grid instead of rebuilding a model per point:
+//! of `γ` × 5 attack configurations. This sweep and the conformance grid
+//! ([`crate::run_grid`]) both exploit the parametric structure of that grid
+//! instead of rebuilding a model per point:
 //!
 //! * per `(d, f)` configuration (and, for the conformance grid, per attack
 //!   scenario), **one** [`ParametricModel`] is built and shared (read-only)
@@ -38,22 +38,17 @@
 use selfish_mining::baselines::{honest_relative_revenue, SingleTreeAttack};
 use selfish_mining::experiments::{attack_curve, Figure2Point};
 use selfish_mining::{
-    validate_epsilon, validate_share, AnalysisConfig, AttackScenario, ParametricModel,
-    SelfishMiningError, SolverParallelism,
+    validate_epsilon, validate_share, AnalysisConfig, ParametricModel, SelfishMiningError,
+    SolverParallelism,
 };
 use sm_scheduler::{resolve_budget, run_budgeted_jobs};
 
-/// Configuration of a grid sweep.
+/// Configuration of the Figure 2 revenue sweep, which evaluates the optimal
+/// attack scenario at every grid point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// The `(d, f)` attack configurations to evaluate at every grid point.
     pub attack_grid: Vec<(usize, usize)>,
-    /// The attack scenarios the *conformance* grid certifies per `(d, f)`
-    /// configuration ([`crate::run_grid`] fans `(scenario, d, f) × γ`
-    /// curves over the pool). The revenue sweep [`SweepConfig::run`]
-    /// regenerates the paper's Figure 2 and always evaluates the optimal
-    /// scenario, ignoring this field.
-    pub scenarios: Vec<AttackScenario>,
     /// Maximal private fork length `l`.
     pub max_fork_length: usize,
     /// Precision `ε` of the per-point analysis.
@@ -74,7 +69,6 @@ impl Default for SweepConfig {
     fn default() -> Self {
         SweepConfig {
             attack_grid: vec![(1, 1), (2, 1), (2, 2)],
-            scenarios: vec![AttackScenario::Optimal],
             max_fork_length: 4,
             epsilon: 1e-3,
             workers: 0,
@@ -116,7 +110,7 @@ impl SweepConfig {
     /// then propagates the first model-construction or solver error any job
     /// hits.
     pub fn run(&self, gammas: &[f64], ps: &[f64]) -> Result<Vec<Figure2Point>, SelfishMiningError> {
-        self.validate_grid(gammas, ps)?;
+        validate_grid(self.epsilon, gammas, ps)?;
         // Build each (d, f) family once, up front; jobs share them read-only.
         let families = self
             .attack_grid
@@ -165,48 +159,6 @@ impl SweepConfig {
         Ok(points)
     }
 
-    /// Validates the sweep precision and the whole `(γ, p)` grid before any
-    /// arena is built: a single `NaN` grid value would otherwise ride
-    /// through model instantiation into the Dinkelbach iteration, where it
-    /// surfaces (at best) as a confusing non-convergence error after real
-    /// work was spent. The same helpers back the query service's request
-    /// validation and the grid spec check, so batch, daemon and sharded
-    /// entry points reject bad inputs identically.
-    ///
-    /// # Errors
-    ///
-    /// [`SelfishMiningError::InvalidParameter`] naming the offending field.
-    pub fn validate_grid(&self, gammas: &[f64], ps: &[f64]) -> Result<(), SelfishMiningError> {
-        validate_epsilon(self.epsilon)?;
-        for &gamma in gammas {
-            validate_share("gamma", gamma)?;
-        }
-        for &p in ps {
-            validate_share("p", p)?;
-        }
-        Ok(())
-    }
-
-    /// Builds one parametric family per `(d, f) × scenario` of the
-    /// conformance grid, in output order: `(d, f)` outer (grid order),
-    /// scenario inner ([`SweepConfig::scenarios`] order). This enumeration
-    /// *is* the canonical family axis of [`crate::GridSpec`]: per-point
-    /// coordinates are re-derived from the same indices.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first model-construction error.
-    pub fn build_scenario_families(&self) -> Result<Vec<ParametricModel>, SelfishMiningError> {
-        self.attack_grid
-            .iter()
-            .flat_map(|&(depth, forks)| {
-                self.scenarios.iter().map(move |&scenario| {
-                    ParametricModel::build_scenario(scenario, depth, forks, self.max_fork_length)
-                })
-            })
-            .collect()
-    }
-
     /// Runs one curve job to completion on the calling worker thread, with
     /// `parallelism` threads granted to the job's own solver sweeps.
     fn run_job(
@@ -238,4 +190,30 @@ impl SweepConfig {
                 .collect(),
         }
     }
+}
+
+/// Validates the sweep precision and the whole `(γ, p)` grid before any
+/// arena is built: a single `NaN` grid value would otherwise ride through
+/// model instantiation into the Dinkelbach iteration, where it surfaces (at
+/// best) as a confusing non-convergence error after real work was spent.
+/// The same helpers back the query service's request validation, so the
+/// Figure 2 sweep, the conformance grid and the daemon reject bad inputs
+/// identically.
+///
+/// # Errors
+///
+/// [`SelfishMiningError::InvalidParameter`] naming the offending field.
+pub(crate) fn validate_grid(
+    epsilon: f64,
+    gammas: &[f64],
+    ps: &[f64],
+) -> Result<(), SelfishMiningError> {
+    validate_epsilon(epsilon)?;
+    for &gamma in gammas {
+        validate_share("gamma", gamma)?;
+    }
+    for &p in ps {
+        validate_share("p", p)?;
+    }
+    Ok(())
 }

@@ -11,11 +11,10 @@
 //! The index arrays live in a shared [`CsrLayout`] (behind an [`Arc`]) so that
 //! every `(p, γ)` instantiation of a parametric family reuses one skeleton,
 //! and so that strategy-induced Markov chains can be extracted by copying
-//! already-sorted row slices with no per-row staging or re-sorting. (The
-//! chain constructor in `sm-markov` still runs its own one-pass validation
-//! of the copied CSR arrays — crate boundaries keep that invariant checked,
-//! not assumed.) Rewards are per state-action pair, indexed by the same pair
-//! offsets `action_ptr` is.
+//! already-sorted row slices with no per-row staging or re-sorting (the
+//! chain constructor still validates the copied arrays in one pass).
+//! Rewards are per state-action pair, indexed by the same pair offsets
+//! `action_ptr` is.
 //!
 //! Action names are interned into a deduplicated string table: the
 //! selfish-mining model reuses a handful of names (`mine`,

@@ -1,11 +1,10 @@
 //! Error type for MDP construction and solving.
 
-use sm_linalg::LinalgError;
-use sm_markov::MarkovError;
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while building or solving an MDP.
+/// Errors produced while building or solving an MDP, or while extracting
+/// and evaluating the Markov chain one of its strategies induces.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MdpError {
     /// A state index is out of range.
@@ -76,11 +75,6 @@ pub enum MdpError {
         /// Description of the violated invariant.
         detail: &'static str,
     },
-    /// An underlying Markov-chain computation failed.
-    Markov(MarkovError),
-    /// An underlying linear-algebra computation failed (raised by the exact
-    /// dense LU and simplex solvers of the dev-only `sm-oracle` crate).
-    Linalg(LinalgError),
 }
 
 impl fmt::Display for MdpError {
@@ -119,33 +113,11 @@ impl fmt::Display for MdpError {
             MdpError::InvariantViolation { detail } => {
                 write!(f, "internal invariant violated: {detail}")
             }
-            MdpError::Markov(err) => write!(f, "markov error: {err}"),
-            MdpError::Linalg(err) => write!(f, "linear algebra error: {err}"),
         }
     }
 }
 
-impl Error for MdpError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            MdpError::Markov(err) => Some(err),
-            MdpError::Linalg(err) => Some(err),
-            _ => None,
-        }
-    }
-}
-
-impl From<MarkovError> for MdpError {
-    fn from(err: MarkovError) -> Self {
-        MdpError::Markov(err)
-    }
-}
-
-impl From<LinalgError> for MdpError {
-    fn from(err: LinalgError) -> Self {
-        MdpError::Linalg(err)
-    }
-}
+impl Error for MdpError {}
 
 #[cfg(test)]
 mod tests {
@@ -170,14 +142,6 @@ mod tests {
         };
         let s = err.to_string();
         assert!(s.contains("5000000000") && s.contains(&u32::MAX.to_string()));
-    }
-
-    #[test]
-    fn conversions_preserve_source() {
-        let err: MdpError = MarkovError::EmptyChain.into();
-        assert!(Error::source(&err).is_some());
-        let err: MdpError = LinalgError::SingularMatrix.into();
-        assert!(Error::source(&err).is_some());
     }
 
     #[test]

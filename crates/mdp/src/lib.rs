@@ -20,11 +20,21 @@
 //!   (sparse, scales to the large selfish-mining models). It runs one sweep
 //!   schedule — full Jacobi Bellman sweeps interleaved with Jacobi
 //!   policy-evaluation sweeps — in one loop over deterministic row blocks
-//!   ([`SolverParallelism`]; a serial solve is the one-block case); its [`ValueIterationOutcome`] carries
-//!   certified lower/upper bounds on the optimal gain, an optimal (up to the
-//!   requested precision) strategy and the final bias vector. The exact
-//!   solvers the tests cross-check it against (Howard policy iteration and
-//!   the gain LP) live in the dev-only `sm-oracle` crate.
+//!   ([`SolverParallelism`]; a serial solve is the one-block case); its
+//!   [`ValueIterationOutcome`] carries certified lower/upper bounds on the
+//!   optimal gain, an optimal (up to the requested precision) strategy and
+//!   the final bias vector.
+//! * [`MarkovChain`] — the chain a positional strategy induces
+//!   ([`Mdp::induced_chain`]; §2.3 and Theorem 3.1 of the paper argue about
+//!   these chains), and [`iterative_gains`], the long-run average rewards of
+//!   a unichain under several reward vectors at once by fused sparse sweeps
+//!   over the same row blocks. A strategy's revenue `g_A / (g_A + g_H)` is
+//!   two of these gains.
+//!
+//! Every iterative result is bit-identical for any thread count. The exact
+//! solvers the tests cross-check these against (Howard policy iteration, the
+//! gain LP, stationary and hitting analysis of chains) live in the dev-only
+//! `sm-oracle` crate.
 //!
 //! # Example
 //!
@@ -55,21 +65,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod chain;
 pub mod csr;
 mod error;
 mod model;
+mod parallel;
+mod reward;
 mod strategy;
 mod value_iteration;
 
+pub use chain::MarkovChain;
 pub use csr::{CsrLayout, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
 pub use error::MdpError;
 pub use model::Mdp;
+pub use parallel::SolverParallelism;
+pub use reward::iterative_gains;
 pub use strategy::PositionalStrategy;
 pub use value_iteration::{RelativeValueIteration, ValueIterationOutcome};
 
-// Intra-solve parallelism, shared with the chain-evaluation sweeps:
-// re-exported so solver users configure everything from one crate.
-pub use sm_markov::SolverParallelism;
-
-/// Tolerance used when validating transition probability distributions.
+/// Tolerance used when validating transition probability distributions,
+/// of the MDP's actions and of the chains its strategies induce.
 pub const PROBABILITY_TOLERANCE: f64 = 1e-9;

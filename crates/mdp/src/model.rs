@@ -4,8 +4,7 @@
 //! accessors below read its slices directly, so solvers, rewards and induced
 //! Markov chains all walk the same layout.
 
-use crate::{CsrLayout, MdpError, PositionalStrategy, PROBABILITY_TOLERANCE};
-use sm_markov::MarkovChain;
+use crate::{CsrLayout, MarkovChain, MdpError, PositionalStrategy, PROBABILITY_TOLERANCE};
 use std::sync::Arc;
 
 /// A finite-state Markov decision process `(S, A, P, s₀)`, stored as one flat
@@ -269,8 +268,11 @@ impl Mdp {
     /// # Errors
     ///
     /// Returns [`MdpError::InvalidAction`] if the strategy selects an action
-    /// that does not exist, or a shape error if the strategy does not cover
-    /// every state.
+    /// that does not exist, a shape error if the strategy does not cover
+    /// every state, and [`MdpError::InvalidDistribution`] (naming the chosen
+    /// action) if a chosen row is not a probability distribution — possible
+    /// for arenas from [`Mdp::from_raw_parts`] or [`Mdp::reweight_in_place`],
+    /// which do not validate distributions.
     pub fn induced_chain(&self, strategy: &PositionalStrategy) -> Result<MarkovChain, MdpError> {
         let n = self.num_states();
         if strategy.num_states() != n {
@@ -318,7 +320,9 @@ impl Mdp {
             // the compact layout already proved fits in u32.
             row_ptr.push(col.len() as u32);
         }
-        Ok(MarkovChain::from_csr_parts_u32(row_ptr, col, prob)?)
+        MarkovChain::from_csr_parts(row_ptr, col, prob, |state| {
+            self.action_name(state, strategy.action(state)).to_string()
+        })
     }
 }
 
@@ -461,6 +465,22 @@ mod tests {
         ));
         let bad_len = PositionalStrategy::new(vec![0]);
         assert!(mdp.induced_chain(&bad_len).is_err());
+        // Raw parts are not validated; the chain names the chosen action
+        // whose row does not sum to 1.
+        let halved = Mdp::from_raw_parts(
+            mdp.layout_arc(),
+            vec![1.0, 0.5, 0.25, 0.75],
+            vec!["stay".to_string(), "go".to_string(), "loop".to_string()],
+            vec![0, 1, 2],
+            0,
+        )
+        .unwrap();
+        let go = PositionalStrategy::new(vec![1, 0]);
+        assert!(matches!(
+            halved.induced_chain(&go),
+            Err(MdpError::InvalidDistribution { state: 0, action, sum })
+                if action == "go" && sum == 0.5
+        ));
     }
 
     #[test]

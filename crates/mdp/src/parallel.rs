@@ -16,7 +16,7 @@
 //! schedules measured slower on every arena size and would not parallelise
 //! without making results depend on the block layout.
 //!
-//! Three pieces live here:
+//! Three pieces live here; only the knob is public:
 //!
 //! * [`SolverParallelism`] — the knob every solver exposes: serial (the
 //!   default, one block), an explicit thread count, or auto-detection.
@@ -38,6 +38,7 @@
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How many worker threads a single solve may use for its sweeps.
 ///
@@ -50,7 +51,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 /// # Example
 ///
 /// ```
-/// use sm_markov::SolverParallelism;
+/// use sm_mdp::SolverParallelism;
 ///
 /// assert_eq!(SolverParallelism::serial().thread_count(), 1);
 /// assert_eq!(SolverParallelism::threads(4).thread_count(), 4);
@@ -105,11 +106,11 @@ impl Default for SolverParallelism {
 /// microseconds and a round of pool synchronisation would dominate) silently
 /// run as one block no matter what the knob says. Results are unaffected either
 /// way — the cap is a pure wall-clock heuristic.
-pub const MIN_BLOCK_MASS: usize = 2048;
+pub(crate) const MIN_BLOCK_MASS: usize = 2048;
 
 /// Caps a requested thread count by the available transition mass: at most
 /// one thread per [`MIN_BLOCK_MASS`] transitions (and at least one thread).
-pub fn mass_capped_threads(requested: usize, total_mass: usize) -> usize {
+pub(crate) fn mass_capped_threads(requested: usize, total_mass: usize) -> usize {
     requested.clamp(1, 1 + total_mass / MIN_BLOCK_MASS)
 }
 
@@ -133,18 +134,7 @@ pub fn mass_capped_threads(requested: usize, total_mass: usize) -> usize {
 /// # Panics
 ///
 /// Panics if `cumulative_mass` is empty (no state count to partition).
-///
-/// # Example
-///
-/// ```
-/// use sm_markov::mass_balanced_blocks;
-///
-/// // Four states; the last state carries half of the total mass.
-/// let cum = [0usize, 2, 4, 6, 12];
-/// let blocks = mass_balanced_blocks(&cum, 2);
-/// assert_eq!(blocks, vec![0..3, 3..4]);
-/// ```
-pub fn mass_balanced_blocks(cumulative_mass: &[usize], blocks: usize) -> Vec<Range<usize>> {
+pub(crate) fn mass_balanced_blocks(cumulative_mass: &[usize], blocks: usize) -> Vec<Range<usize>> {
     assert!(
         !cumulative_mass.is_empty(),
         "cumulative mass must have n + 1 entries"
@@ -179,7 +169,7 @@ pub fn mass_balanced_blocks(cumulative_mass: &[usize], blocks: usize) -> Vec<Ran
 
 /// Handle to a running block-sweep pool: lets the solve's driver loop run
 /// synchronised rounds over all blocks. Created by [`sweep_scope`].
-pub struct BlockPool<'pool, J, R> {
+pub(crate) struct BlockPool<'pool, J, R> {
     job_senders: Vec<Sender<J>>,
     result_receivers: Vec<Receiver<R>>,
     run_block: &'pool (dyn Fn(usize, &J) -> R + Sync),
@@ -226,7 +216,7 @@ impl<J: Clone, R> BlockPool<'_, J, R> {
 /// 0` no threads are spawned and rounds run entirely inline: this is how
 /// the solvers run serially, so their sweep loop is the same for any pool
 /// size.
-pub fn sweep_scope<J, R, T>(
+pub(crate) fn sweep_scope<J, R, T>(
     extra_workers: usize,
     run_block: impl Fn(usize, &J) -> R + Sync,
     driver: impl FnOnce(&BlockPool<'_, J, R>) -> T,
@@ -270,6 +260,21 @@ where
         };
         driver(&pool)
     })
+}
+
+// Lock poisoning only means another block's worker panicked; the buffers
+// hold plain numeric data written in disjoint slices, so recovery is sound —
+// the originating panic still propagates through the sweep scope's join.
+pub(crate) fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -321,6 +326,8 @@ mod tests {
         }
         let blocks = mass_balanced_blocks(&cum, 2);
         assert_eq!(blocks, vec![0..9, 9..10]);
+        // Four states; the last one carries half of the total mass.
+        assert_eq!(mass_balanced_blocks(&[0, 2, 4, 6, 12], 2), vec![0..3, 3..4]);
     }
 
     #[test]

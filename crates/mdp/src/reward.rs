@@ -1,9 +1,11 @@
 //! Long-run average (gain) evaluation of a unichain by fused sparse sweeps.
 
-use crate::parallel::{mass_balanced_blocks, mass_capped_threads, sweep_scope};
-use crate::{MarkovChain, MarkovError, SolverParallelism};
+use crate::parallel::{
+    lock, mass_balanced_blocks, mass_capped_threads, read, sweep_scope, write, SolverParallelism,
+};
+use crate::{MarkovChain, MdpError};
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Span tolerance at which [`iterative_gains`] stops refining a gain: each
 /// returned gain is the midpoint of a certified interval narrower than this.
@@ -37,33 +39,38 @@ const GAIN_SWEEP_LIMIT: usize = 5_000_000;
 /// ignored.
 ///
 /// The state range is partitioned into contiguous blocks balanced by
-/// transition mass ([`mass_balanced_blocks`]); each sweep fans the blocks
-/// over a scoped pool, every block writing a disjoint slice of the next
-/// iterate, and the per-reward span statistics are reduced per block and
-/// folded in block order. Each state runs the same row kernel whatever the
-/// partition, so gains, bias vectors and sweep counts are **bit-identical
-/// for any thread count** — [`SolverParallelism`] only trades wall-clock
-/// time for cores. A serial evaluation is the one-block case of the same
-/// loop, run inline; small chains (by [`crate::MIN_BLOCK_MASS`]) get one
+/// transition mass; each sweep fans the blocks over a scoped pool, every
+/// block writing a disjoint slice of the next iterate, and the per-reward
+/// span statistics are reduced per block and folded in block order. Each
+/// state runs the same row kernel whatever the partition, so gains, bias
+/// vectors and sweep counts are **bit-identical for any thread count** —
+/// [`SolverParallelism`] only trades wall-clock time for cores. A serial
+/// evaluation is the one-block case of the same loop, run inline; a chain
+/// gets at most one block per 2,048 transitions, so small chains run as one
 /// block regardless of the knob.
 ///
 /// # Errors
 ///
-/// Returns [`MarkovError::RewardDimensionMismatch`] if a reward vector does
-/// not match the number of states and [`MarkovError::ConvergenceFailure`] if
+/// Returns [`MdpError::RewardShapeMismatch`] if a reward vector does
+/// not match the number of states and [`MdpError::ConvergenceFailure`] if
 /// some span is still open after 5,000,000 sweeps (e.g. because the chain is
 /// not unichain and therefore has no single gain).
 ///
 /// # Example
 ///
 /// ```
-/// use sm_markov::{iterative_gains, MarkovChain, SolverParallelism};
+/// use sm_mdp::{iterative_gains, CsrMdpBuilder, PositionalStrategy, SolverParallelism};
 ///
-/// # fn main() -> Result<(), sm_markov::MarkovError> {
-/// let chain = MarkovChain::from_rows(vec![
-///     vec![(0, 0.5), (1, 0.5)],
-///     vec![(0, 0.5), (1, 0.5)],
-/// ])?;
+/// # fn main() -> Result<(), sm_mdp::MdpError> {
+/// // A one-action MDP is a Markov chain: here both states move to either
+/// // state with probability 1/2.
+/// let mut builder = CsrMdpBuilder::new();
+/// for _ in 0..2 {
+///     builder.begin_state();
+///     builder.add_action("step", &[(0, 0.5), (1, 0.5)])?;
+/// }
+/// let mdp = builder.finish(0)?;
+/// let chain = mdp.induced_chain(&PositionalStrategy::uniform_first_action(2))?;
 /// let (gains, _bias) =
 ///     iterative_gains(&chain, &[&[1.0, 0.0], &[0.0, 2.0]], None, SolverParallelism::serial())?;
 /// assert!((gains[0] - 0.5).abs() < 1e-8);
@@ -76,7 +83,7 @@ pub fn iterative_gains(
     rewards: &[&[f64]],
     seed: Option<&[Vec<f64>]>,
     parallelism: SolverParallelism,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), MarkovError> {
+) -> Result<(Vec<f64>, Vec<Vec<f64>>), MdpError> {
     gain_sweeps(
         chain,
         rewards,
@@ -101,13 +108,15 @@ fn gain_sweeps(
     parallelism: SolverParallelism,
     epsilon: f64,
     max_iterations: usize,
-) -> Result<(Vec<f64>, Vec<Vec<f64>>), MarkovError> {
+) -> Result<(Vec<f64>, Vec<Vec<f64>>), MdpError> {
     let n = chain.num_states();
     for reward in rewards {
         if reward.len() != n {
-            return Err(MarkovError::RewardDimensionMismatch {
-                expected: n,
-                actual: reward.len(),
+            return Err(MdpError::RewardShapeMismatch {
+                detail: format!(
+                    "reward vector has {} entries, chain has {n} states",
+                    reward.len()
+                ),
             });
         }
     }
@@ -126,7 +135,7 @@ fn gain_sweeps(
         }
         _ => vec![vec![0.0; n]; k],
     };
-    let threads = mass_capped_threads(parallelism.thread_count(), chain.matrix().nnz());
+    let threads = mass_capped_threads(parallelism.thread_count(), chain.num_transitions());
     let blocks = if threads > 1 {
         let mut cumulative = Vec::with_capacity(n + 1);
         cumulative.push(0usize);
@@ -211,7 +220,7 @@ fn gain_sweeps(
                 return Ok(gain);
             }
         }
-        Err(MarkovError::ConvergenceFailure {
+        Err(MdpError::ConvergenceFailure {
             method: "iterative gain",
             iterations: max_iterations,
         })
@@ -267,24 +276,10 @@ fn gain_rows(
     }
 }
 
-// Lock poisoning only means another block's worker panicked; the buffers
-// hold plain numeric data written in disjoint slices, so recovery is sound —
-// the originating panic still propagates through the sweep scope's join.
-fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::tests::chain_from_rows;
 
     fn serial_gains(chain: &MarkovChain, rewards: &[&[f64]]) -> Vec<f64> {
         iterative_gains(chain, rewards, None, SolverParallelism::serial())
@@ -294,19 +289,18 @@ mod tests {
 
     #[test]
     fn iterative_gain_handles_periodic_chains() {
-        let chain = MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
+        let chain = chain_from_rows(&[vec![(1, 1.0)], vec![(0, 1.0)]]);
         let gain = serial_gains(&chain, &[&[1.0, 0.0]])[0];
         assert!((gain - 0.5).abs() < 1e-8);
     }
 
     #[test]
     fn fused_gains_match_separate_evaluations() {
-        let chain = MarkovChain::from_rows(vec![
+        let chain = chain_from_rows(&[
             vec![(0, 0.2), (1, 0.5), (2, 0.3)],
             vec![(0, 0.6), (2, 0.4)],
             vec![(1, 1.0)],
-        ])
-        .unwrap();
+        ]);
         let r1 = [3.0, 0.0, 1.0];
         let r2 = [0.0, 2.0, 0.5];
         let fused = serial_gains(&chain, &[&r1, &r2]);
@@ -320,9 +314,7 @@ mod tests {
 
     #[test]
     fn seeded_gains_reuse_converged_bias() {
-        let chain =
-            MarkovChain::from_rows(vec![vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]])
-                .unwrap();
+        let chain = chain_from_rows(&[vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]]);
         let r = [3.0, 0.0];
         let serial = SolverParallelism::serial();
         let (cold, bias) = iterative_gains(&chain, &[&r], None, serial).unwrap();
@@ -336,13 +328,13 @@ mod tests {
 
     #[test]
     fn iterative_gain_validates_inputs_and_budget() {
-        let chain = MarkovChain::from_rows(vec![vec![(0, 1.0)]]).unwrap();
+        let chain = chain_from_rows(&[vec![(0, 1.0)]]);
         assert!(matches!(
             iterative_gains(&chain, &[&[1.0, 2.0]], None, SolverParallelism::serial()),
-            Err(MarkovError::RewardDimensionMismatch { .. })
+            Err(MdpError::RewardShapeMismatch { .. })
         ));
         // A multichain has state-dependent gains, so the span never closes.
-        let multichain = MarkovChain::from_rows(vec![vec![(0, 1.0)], vec![(1, 1.0)]]).unwrap();
+        let multichain = chain_from_rows(&[vec![(0, 1.0)], vec![(1, 1.0)]]);
         assert!(matches!(
             gain_sweeps(
                 &multichain,
@@ -352,7 +344,7 @@ mod tests {
                 1e-12,
                 50
             ),
-            Err(MarkovError::ConvergenceFailure { iterations: 50, .. })
+            Err(MdpError::ConvergenceFailure { iterations: 50, .. })
         ));
     }
 }

@@ -4,10 +4,12 @@
 //! transition a constant number of times per sweep, so it scales to the large
 //! state spaces produced by the selfish-mining model at higher attack depths.
 
+use crate::parallel::{
+    lock, mass_balanced_blocks, mass_capped_threads, read, sweep_scope, write, SolverParallelism,
+};
 use crate::{Mdp, MdpError, PositionalStrategy};
-use sm_markov::{mass_balanced_blocks, mass_capped_threads, sweep_scope, SolverParallelism};
 use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, PoisonError, RwLock};
 
 /// Relative value iteration (RVI) with the standard aperiodicity ("lazy")
 /// transformation, for unichain MDPs under the *maximal* mean-payoff
@@ -62,9 +64,8 @@ pub struct RelativeValueIteration {
     /// same row kernel against the same previous iterate and the span
     /// statistics are folded in block order — so this knob only trades
     /// wall-clock time for cores. A serial solve is the one-block case of
-    /// the same sweep loop, run inline; models below the
-    /// [`sm_markov::MIN_BLOCK_MASS`] transition threshold get one block
-    /// regardless.
+    /// the same sweep loop, run inline; a model gets at most one block per
+    /// 2,048 transitions, so small models run as one block regardless.
     pub parallelism: SolverParallelism,
 }
 
@@ -628,21 +629,6 @@ impl RelativeValueIteration {
     }
 }
 
-// Lock poisoning only means another block's worker panicked; the buffers
-// hold plain numeric data written in disjoint slices, so recovery is sound —
-// the originating panic still propagates through the sweep scope's join.
-fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    lock.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    lock.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,7 +891,7 @@ mod tests {
         let n = 1600;
         let (tied_mdp, tied) = twin_action_mdp(n, cutoff, 0.1);
         let (clear_mdp, clear) = twin_action_mdp(n, 2.0 * cutoff, 0.1);
-        assert!(tied_mdp.num_transitions() > 3 * sm_markov::MIN_BLOCK_MASS);
+        assert!(tied_mdp.num_transitions() > 3 * crate::parallel::MIN_BLOCK_MASS);
         let solver = |threads: usize, max_iterations: usize| RelativeValueIteration {
             epsilon,
             max_iterations,

@@ -1,18 +1,38 @@
-//! Exact structural and stationary analysis of a `sm_markov::MarkovChain`.
+//! Exact structural and stationary analysis of a `sm_mdp::MarkovChain`, and
+//! the helper that builds test chains.
 
-use crate::{HittingAnalysis, StronglyConnectedComponents};
-use sm_markov::{MarkovChain, MarkovError};
+use crate::{HittingAnalysis, OracleError, StronglyConnectedComponents};
+use sm_mdp::{CsrMdpBuilder, MarkovChain, MdpError, PositionalStrategy};
 
-/// The exact analyses of a chain, as methods on `sm_markov::MarkovChain`.
+/// The chain whose state `s` moves along `rows[s]` (`(target, probability)`
+/// pairs), built the way every production chain is built: as a one-action
+/// MDP streamed through [`CsrMdpBuilder`] (duplicate targets summed, zero
+/// probabilities dropped, successors sorted) and the chain its only strategy
+/// induces.
+///
+/// # Errors
+///
+/// The builder's [`MdpError`] for an empty chain, an out-of-range target or
+/// a row that is not a probability distribution.
+pub fn chain_from_rows(rows: &[Vec<(usize, f64)>]) -> Result<MarkovChain, MdpError> {
+    let mut builder = CsrMdpBuilder::new();
+    for row in rows {
+        builder.begin_state();
+        builder.add_action("step", row)?;
+    }
+    let strategy = PositionalStrategy::uniform_first_action(rows.len());
+    builder.finish(0)?.induced_chain(&strategy)
+}
+
+/// The exact analyses of a chain, as methods on `sm_mdp::MarkovChain`.
 ///
 /// # Example
 ///
 /// ```
-/// use sm_markov::MarkovChain;
-/// use sm_oracle::ChainAnalysis;
+/// use sm_oracle::{chain_from_rows, ChainAnalysis};
 ///
-/// # fn main() -> Result<(), sm_markov::MarkovError> {
-/// let chain = MarkovChain::from_rows(vec![
+/// # fn main() -> Result<(), sm_oracle::OracleError> {
+/// let chain = chain_from_rows(&[
 ///     vec![(1, 1.0)],
 ///     vec![(0, 0.5), (1, 0.5)],
 /// ])?;
@@ -42,16 +62,16 @@ pub trait ChainAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns [`MarkovError::NotIrreducible`] if the chain has more than one
+    /// Returns [`OracleError::NotIrreducible`] if the chain has more than one
     /// recurrent class, and propagates numerical errors from the solver.
-    fn stationary_distribution(&self) -> Result<Vec<f64>, MarkovError>;
+    fn stationary_distribution(&self) -> Result<Vec<f64>, OracleError>;
 
     /// Hitting probabilities and expected hitting times of a target set.
     ///
     /// # Errors
     ///
     /// Same as [`HittingAnalysis::new`].
-    fn hitting_analysis(&self, targets: &[usize]) -> Result<HittingAnalysis, MarkovError>;
+    fn hitting_analysis(&self, targets: &[usize]) -> Result<HittingAnalysis, OracleError>;
 }
 
 impl ChainAnalysis for MarkovChain {
@@ -59,11 +79,11 @@ impl ChainAnalysis for MarkovChain {
         StronglyConnectedComponents::of_chain(self)
     }
 
-    fn stationary_distribution(&self) -> Result<Vec<f64>, MarkovError> {
+    fn stationary_distribution(&self) -> Result<Vec<f64>, OracleError> {
         crate::stationary::unichain_distribution(self)
     }
 
-    fn hitting_analysis(&self, targets: &[usize]) -> Result<HittingAnalysis, MarkovError> {
+    fn hitting_analysis(&self, targets: &[usize]) -> Result<HittingAnalysis, OracleError> {
         HittingAnalysis::new(self, targets)
     }
 }
@@ -71,16 +91,15 @@ impl ChainAnalysis for MarkovChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_mdp::{CsrLayout, Mdp, PositionalStrategy};
+    use sm_mdp::{CsrLayout, Mdp};
     use std::sync::Arc;
 
     #[test]
     fn irreducibility_detection() {
-        let irreducible = MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
+        let irreducible = chain_from_rows(&[vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
         assert!(irreducible.is_irreducible());
 
-        let absorbing =
-            MarkovChain::from_rows(vec![vec![(0, 0.5), (1, 0.5)], vec![(1, 1.0)]]).unwrap();
+        let absorbing = chain_from_rows(&[vec![(0, 0.5), (1, 0.5)], vec![(1, 1.0)]]).unwrap();
         assert!(!absorbing.is_irreducible());
         assert!(absorbing.is_unichain());
     }

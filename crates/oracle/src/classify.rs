@@ -7,7 +7,7 @@
 //! single recurrent class — see the proof of Theorem 3.1 — but policy
 //! iteration may pass through others).
 
-use sm_markov::MarkovChain;
+use sm_mdp::MarkovChain;
 
 /// Classification of a single state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,7 +206,7 @@ mod tests {
     use crate::ChainAnalysis;
 
     fn chain(rows: Vec<Vec<(usize, f64)>>) -> MarkovChain {
-        MarkovChain::from_rows(rows).unwrap()
+        crate::chain_from_rows(&rows).unwrap()
     }
 
     #[test]

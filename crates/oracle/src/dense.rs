@@ -1,7 +1,6 @@
 //! Row-major dense matrices.
 
-use crate::DEFAULT_TOLERANCE;
-use sm_linalg::LinalgError;
+use crate::{LinalgError, DEFAULT_TOLERANCE};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -10,7 +9,7 @@ use std::ops::{Add, Mul, Sub};
 /// The matrix is intentionally simple: storage is a single `Vec<f64>` and all
 /// operations are `O(rows * cols)` or `O(rows * cols * inner)` loops. The MDPs
 /// produced by the selfish-mining model have sparse transition structure and
-/// are handled by `sm_linalg::CsrMatrix`; the dense type is used for the
+/// are handled by the CSR arrays of `sm_mdp`; the dense type is used for the
 /// small dense systems of the exact stationary, hitting and policy
 /// evaluation solves.
 ///
@@ -19,7 +18,7 @@ use std::ops::{Add, Mul, Sub};
 /// ```
 /// use sm_oracle::DenseMatrix;
 ///
-/// # fn main() -> Result<(), sm_linalg::LinalgError> {
+/// # fn main() -> Result<(), sm_oracle::LinalgError> {
 /// let identity = DenseMatrix::identity(3);
 /// let m = DenseMatrix::from_rows(&[
 ///     vec![1.0, 2.0, 3.0],

@@ -1,9 +1,12 @@
-//! Error type shared by all numerical routines in this crate.
+//! The error types of the exact oracles: [`LinalgError`] for the dense
+//! linear algebra and the simplex, and [`OracleError`] for the analyses
+//! built on them.
 
+use sm_mdp::MdpError;
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by linear-algebra routines.
+/// Errors produced by the dense linear-algebra routines and the simplex.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinalgError {
     /// A matrix was expected to be square but is not.
@@ -98,6 +101,53 @@ impl fmt::Display for LinalgError {
 
 impl Error for LinalgError {}
 
+/// Errors of the exact chain and MDP analyses: the production [`MdpError`]
+/// of the model, strategy or rewards they were given, a failed dense solve,
+/// or the one oracle-only case, a stationary distribution asked of a chain
+/// with several recurrent classes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum OracleError {
+    /// The chain has more than one recurrent class, so it has no unique
+    /// stationary distribution.
+    NotIrreducible,
+    /// A dense linear solve or the simplex failed.
+    Linalg(LinalgError),
+    /// The model, strategy, rewards or another input was rejected.
+    Mdp(MdpError),
+}
+
+impl fmt::Display for OracleError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OracleError::NotIrreducible => write!(f, "chain is not irreducible"),
+            OracleError::Linalg(err) => write!(f, "linear algebra error: {err}"),
+            OracleError::Mdp(err) => write!(f, "MDP error: {err}"),
+        }
+    }
+}
+
+impl Error for OracleError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            OracleError::NotIrreducible => None,
+            OracleError::Linalg(err) => Some(err),
+            OracleError::Mdp(err) => Some(err),
+        }
+    }
+}
+
+impl From<LinalgError> for OracleError {
+    fn from(err: LinalgError) -> Self {
+        OracleError::Linalg(err)
+    }
+}
+
+impl From<MdpError> for OracleError {
+    fn from(err: MdpError) -> Self {
+        OracleError::Mdp(err)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,8 +196,36 @@ mod tests {
     }
 
     #[test]
+    fn displays_contain_key_information() {
+        assert!(OracleError::NotIrreducible
+            .to_string()
+            .contains("not irreducible"));
+        let err = OracleError::Mdp(MdpError::ConvergenceFailure {
+            method: "stationary linear solve",
+            iterations: 1,
+        });
+        assert!(err.to_string().contains("stationary linear solve"));
+    }
+
+    #[test]
+    fn wraps_linalg_errors_with_source() {
+        let err: OracleError = LinalgError::SingularMatrix.into();
+        assert_eq!(err, OracleError::Linalg(LinalgError::SingularMatrix));
+        assert!(Error::source(&err).is_some());
+        assert!(err.to_string().contains("singular"));
+    }
+
+    #[test]
+    fn conversions_preserve_source() {
+        let err: OracleError = MdpError::EmptyModel.into();
+        assert!(Error::source(&err).is_some());
+        assert!(Error::source(&OracleError::NotIrreducible).is_none());
+    }
+
+    #[test]
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<LinalgError>();
+        assert_send_sync::<OracleError>();
     }
 }

@@ -3,8 +3,8 @@
 //! Transient analysis of a chain: for example the probability that a private
 //! fork ever catches up with the public chain, and how long that takes.
 
-use crate::{solve_linear_system, DenseMatrix};
-use sm_markov::{MarkovChain, MarkovError};
+use crate::{solve_linear_system, DenseMatrix, OracleError};
+use sm_mdp::{MarkovChain, MdpError};
 
 /// Hitting analysis of a target set `T` in a Markov chain: for every state the
 /// probability of ever reaching `T` and, where that probability is 1, the
@@ -21,22 +21,26 @@ impl HittingAnalysis {
     ///
     /// # Errors
     ///
-    /// Returns [`MarkovError::EmptyChain`] if `targets` is empty, an
-    /// out-of-range error if a target does not exist, and propagates
+    /// Returns [`MdpError::InvalidParameter`] if `targets` is empty,
+    /// [`MdpError::InvalidState`] if a target does not exist, and propagates
     /// linear-solver failures.
-    pub fn new(chain: &MarkovChain, targets: &[usize]) -> Result<Self, MarkovError> {
+    pub fn new(chain: &MarkovChain, targets: &[usize]) -> Result<Self, OracleError> {
         let n = chain.num_states();
         if targets.is_empty() {
-            return Err(MarkovError::EmptyChain);
+            return Err(MdpError::InvalidParameter {
+                name: "targets",
+                constraint: "must name at least one state",
+            }
+            .into());
         }
         let mut is_target = vec![false; n];
         for &t in targets {
             if t >= n {
-                return Err(MarkovError::InvalidTargetState {
-                    from: t,
-                    to: t,
+                return Err(MdpError::InvalidState {
+                    state: t,
                     num_states: n,
-                });
+                }
+                .into());
             }
             is_target[t] = true;
         }
@@ -196,14 +200,13 @@ fn backward_reachable(chain: &MarkovChain, is_target: &[bool]) -> Vec<bool> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::ChainAnalysis;
+    use crate::{chain_from_rows, ChainAnalysis};
 
     #[test]
     fn gambler_ruin_probabilities() {
         // States 0..=4, absorbing at 0 and 4, fair coin in between.
         // Probability of hitting 4 from i is i/4.
-        let chain = MarkovChain::from_rows(vec![
+        let chain = chain_from_rows(&[
             vec![(0, 1.0)],
             vec![(0, 0.5), (2, 0.5)],
             vec![(1, 0.5), (3, 0.5)],
@@ -226,8 +229,7 @@ mod tests {
     #[test]
     fn expected_time_on_simple_walk() {
         // 0 -> 1 -> 2 deterministic; expected time from 0 to reach 2 is 2.
-        let chain =
-            MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(2, 1.0)], vec![(2, 1.0)]]).unwrap();
+        let chain = chain_from_rows(&[vec![(1, 1.0)], vec![(2, 1.0)], vec![(2, 1.0)]]).unwrap();
         let hit = chain.hitting_analysis(&[2]).unwrap();
         assert!((hit.expected_time(0) - 2.0).abs() < 1e-10);
         assert!((hit.expected_time(1) - 1.0).abs() < 1e-10);
@@ -238,22 +240,21 @@ mod tests {
     fn geometric_expected_time() {
         // Stay with probability 0.75, move to the target with 0.25:
         // expected hitting time 4.
-        let chain =
-            MarkovChain::from_rows(vec![vec![(0, 0.75), (1, 0.25)], vec![(1, 1.0)]]).unwrap();
+        let chain = chain_from_rows(&[vec![(0, 0.75), (1, 0.25)], vec![(1, 1.0)]]).unwrap();
         let hit = chain.hitting_analysis(&[1]).unwrap();
         assert!((hit.expected_time(0) - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn rejects_empty_or_invalid_targets() {
-        let chain = MarkovChain::from_rows(vec![vec![(0, 1.0)]]).unwrap();
+        let chain = chain_from_rows(&[vec![(0, 1.0)]]).unwrap();
         assert!(chain.hitting_analysis(&[]).is_err());
         assert!(chain.hitting_analysis(&[5]).is_err());
     }
 
     #[test]
     fn all_states_targets_yields_trivial_analysis() {
-        let chain = MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
+        let chain = chain_from_rows(&[vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
         let hit = chain.hitting_analysis(&[0, 1]).unwrap();
         assert_eq!(hit.probabilities(), &[1.0, 1.0]);
         assert_eq!(hit.expected_times(), &[0.0, 0.0]);

@@ -4,7 +4,7 @@
 //! The analysis pipeline runs one mean-payoff solver (relative value
 //! iteration, `sm_mdp::RelativeValueIteration`) and one evaluator for the
 //! revenue of a fixed strategy (the fused gain sweeps,
-//! `sm_markov::iterative_gains`). Both are iterative and certify their
+//! `sm_mdp::iterative_gains`). Both are iterative and certify their
 //! results only up to a tolerance. This crate holds the *exact* methods the
 //! tests and benches compare them against:
 //!
@@ -17,7 +17,9 @@
 //!   ([`ChainAnalysis::stationary_distribution`]) and absorption into them
 //!   from transient states.
 //! * [`StronglyConnectedComponents`], [`HittingAnalysis`] and the
-//!   [`ChainAnalysis`] methods on `sm_markov::MarkovChain`.
+//!   [`ChainAnalysis`] methods on `sm_mdp::MarkovChain`; test chains are
+//!   built by [`chain_from_rows`], through the same `CsrMdpBuilder` and
+//!   `Mdp::induced_chain` path every production chain takes.
 //! * [`DenseMatrix`] / [`LuDecomposition`] — the dense substrate of all of
 //!   the above.
 //! * [`TransitionRewards`] — per-transition rewards `r(s, a, s')`, the input
@@ -26,19 +28,18 @@
 //!
 //! The crate is a development dependency only: no library or binary of the
 //! workspace links it, so nothing here can change what the pipeline
-//! computes. Its solvers report failures through the production error types
-//! (`sm_linalg::LinalgError`, `sm_markov::MarkovError`,
-//! `sm_mdp::MdpError`).
+//! computes. The dense solvers report [`LinalgError`]; the analyses built on
+//! them report [`OracleError`], which wraps it, the production
+//! `sm_mdp::MdpError` and the oracle-only [`OracleError::NotIrreducible`].
 //!
 //! # Example
 //!
 //! ```
-//! use sm_markov::MarkovChain;
-//! use sm_oracle::{long_run_average_reward, ChainAnalysis};
+//! use sm_oracle::{chain_from_rows, long_run_average_reward, ChainAnalysis};
 //!
-//! # fn main() -> Result<(), sm_markov::MarkovError> {
+//! # fn main() -> Result<(), sm_oracle::OracleError> {
 //! // A two-state chain that flips with probability 0.3 / 0.6.
-//! let chain = MarkovChain::from_rows(vec![
+//! let chain = chain_from_rows(&[
 //!     vec![(0, 0.7), (1, 0.3)],
 //!     vec![(0, 0.6), (1, 0.4)],
 //! ])?;
@@ -56,6 +57,7 @@
 mod chain;
 mod classify;
 mod dense;
+mod error;
 mod hitting;
 mod lp;
 mod lu;
@@ -66,9 +68,10 @@ mod simplex;
 mod stationary;
 mod vector;
 
-pub use chain::ChainAnalysis;
+pub use chain::{chain_from_rows, ChainAnalysis};
 pub use classify::{StateClass, StronglyConnectedComponents};
 pub use dense::DenseMatrix;
+pub use error::{LinalgError, OracleError};
 pub use hitting::HittingAnalysis;
 pub use lp::LinearProgrammingSolver;
 pub use lu::{solve_linear_system, LuDecomposition};

@@ -14,7 +14,8 @@
 //! *independent* solver to cross-validate value and policy iteration.
 
 use crate::{
-    Comparison, LinearProgram, LpStatus, ObjectiveSense, SimplexSolver, TransitionRewards,
+    Comparison, LinearProgram, LpStatus, ObjectiveSense, OracleError, SimplexSolver,
+    TransitionRewards,
 };
 use sm_mdp::{Mdp, MdpError, PositionalStrategy};
 
@@ -39,11 +40,12 @@ impl LinearProgrammingSolver {
         &self,
         mdp: &Mdp,
         rewards: &TransitionRewards,
-    ) -> Result<(f64, PositionalStrategy), MdpError> {
+    ) -> Result<(f64, PositionalStrategy), OracleError> {
         if !rewards.matches(mdp) {
             return Err(MdpError::RewardShapeMismatch {
                 detail: "rewards do not match MDP shape".to_string(),
-            });
+            }
+            .into());
         }
         let n = mdp.num_states();
         let reference = mdp.initial_state();
@@ -73,7 +75,8 @@ impl LinearProgrammingSolver {
             return Err(MdpError::ConvergenceFailure {
                 method: "mean-payoff linear program",
                 iterations: 0,
-            });
+            }
+            .into());
         }
         let gain = solution.values[g];
         let bias: Vec<f64> = h.iter().map(|&idx| solution.values[idx]).collect();

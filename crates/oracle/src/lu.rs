@@ -5,8 +5,7 @@
 //! reduce to solving moderate-size dense linear systems; this module provides
 //! the factorisation used for that.
 
-use crate::DenseMatrix;
-use sm_linalg::LinalgError;
+use crate::{DenseMatrix, LinalgError};
 
 /// An LU factorisation `P·A = L·U` of a square matrix with partial pivoting.
 ///
@@ -15,7 +14,7 @@ use sm_linalg::LinalgError;
 /// ```
 /// use sm_oracle::{DenseMatrix, LuDecomposition};
 ///
-/// # fn main() -> Result<(), sm_linalg::LinalgError> {
+/// # fn main() -> Result<(), sm_oracle::LinalgError> {
 /// let a = DenseMatrix::from_rows(&[vec![4.0, 3.0], vec![6.0, 3.0]])?;
 /// let lu = LuDecomposition::new(&a)?;
 /// let x = lu.solve(&[10.0, 12.0])?;

@@ -14,8 +14,8 @@
 //! how the paper can switch Storm engines.
 
 use crate::{
-    long_run_average_reward, solve_linear_system, ChainAnalysis, DenseMatrix, StateClass,
-    TransitionRewards,
+    long_run_average_reward, solve_linear_system, ChainAnalysis, DenseMatrix, OracleError,
+    StateClass, TransitionRewards,
 };
 use sm_mdp::{Mdp, MdpError, PositionalStrategy};
 
@@ -47,7 +47,7 @@ impl PolicyEvaluation {
         mdp: &Mdp,
         rewards: &TransitionRewards,
         strategy: &PositionalStrategy,
-    ) -> Result<Self, MdpError> {
+    ) -> Result<Self, OracleError> {
         let n = mdp.num_states();
         let r_sigma = rewards.strategy_rewards(mdp, strategy)?;
         let chain = mdp.induced_chain(strategy)?;
@@ -127,7 +127,7 @@ impl PolicyEvaluation {
 /// use sm_oracle::TransitionRewards;
 /// use sm_oracle::PolicyIteration;
 ///
-/// # fn main() -> Result<(), sm_mdp::MdpError> {
+/// # fn main() -> Result<(), sm_oracle::OracleError> {
 /// let mut b = CsrMdpBuilder::new();
 /// b.begin_state();
 /// b.add_action("stay", &[(0, 1.0)])?;
@@ -173,7 +173,7 @@ impl PolicyIteration {
         &self,
         mdp: &Mdp,
         rewards: &TransitionRewards,
-    ) -> Result<(f64, PositionalStrategy), MdpError> {
+    ) -> Result<(f64, PositionalStrategy), OracleError> {
         let (eval, strategy) = self.solve_with_evaluation(mdp, rewards)?;
         Ok((eval.gain_at(mdp.initial_state()), strategy))
     }
@@ -188,18 +188,19 @@ impl PolicyIteration {
         &self,
         mdp: &Mdp,
         rewards: &TransitionRewards,
-    ) -> Result<(PolicyEvaluation, PositionalStrategy), MdpError> {
+    ) -> Result<(PolicyEvaluation, PositionalStrategy), OracleError> {
         if !rewards.matches(mdp) {
             return Err(MdpError::RewardShapeMismatch {
                 detail: "rewards do not match MDP shape".to_string(),
-            });
+            }
+            .into());
         }
         let n = mdp.num_states();
         // Mirror the value-iteration guard: a state with an empty action range
         // has no policy to iterate on and must fail loudly, not via a later
         // panic or a NaN evaluation.
         if let Some(state) = (0..n).find(|&s| mdp.num_actions(s) == 0) {
-            return Err(MdpError::NoActions { state });
+            return Err(MdpError::NoActions { state }.into());
         }
         let tol = self.improvement_tolerance;
         let mut strategy = PositionalStrategy::uniform_first_action(n);
@@ -270,7 +271,8 @@ impl PolicyIteration {
         Err(MdpError::ConvergenceFailure {
             method: "policy iteration",
             iterations: self.max_iterations,
-        })
+        }
+        .into())
     }
 }
 
@@ -432,7 +434,7 @@ mod tests {
         let rewards = TransitionRewards::zeros(&mdp);
         assert!(matches!(
             PolicyIteration::default().solve(&mdp, &rewards),
-            Err(MdpError::NoActions { state: 1 })
+            Err(OracleError::Mdp(MdpError::NoActions { state: 1 }))
         ));
     }
 

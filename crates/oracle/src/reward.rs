@@ -1,8 +1,8 @@
 //! Exact long-run average (gain) of a Markov chain under a reward vector.
 
 use crate::stationary::class_distribution;
-use crate::{solve_linear_system, ChainAnalysis, DenseMatrix, StateClass};
-use sm_markov::{MarkovChain, MarkovError};
+use crate::{solve_linear_system, ChainAnalysis, DenseMatrix, OracleError, StateClass};
+use sm_mdp::{MarkovChain, MdpError};
 
 /// Long-run average reward (gain) of every state of a chain under a per-state
 /// reward vector.
@@ -15,21 +15,20 @@ use sm_markov::{MarkovChain, MarkovError};
 /// This is the exact quantity needed to evaluate a positional MDP strategy
 /// under the mean-payoff objective: [`crate::PolicyEvaluation`] delegates
 /// here, and the tests hold the production evaluator
-/// (`sm_markov::iterative_gains`) against it.
+/// (`sm_mdp::iterative_gains`) against it.
 ///
 /// # Errors
 ///
-/// Returns [`MarkovError::RewardDimensionMismatch`] if the reward vector does
-/// not match the number of states, and propagates solver failures.
+/// Returns [`MdpError::RewardShapeMismatch`] if the reward vector does not
+/// match the number of states, and propagates solver failures.
 ///
 /// # Example
 ///
 /// ```
-/// use sm_markov::MarkovChain;
-/// use sm_oracle::long_run_average_reward;
+/// use sm_oracle::{chain_from_rows, long_run_average_reward};
 ///
-/// # fn main() -> Result<(), sm_markov::MarkovError> {
-/// let chain = MarkovChain::from_rows(vec![
+/// # fn main() -> Result<(), sm_oracle::OracleError> {
+/// let chain = chain_from_rows(&[
 ///     vec![(0, 0.5), (1, 0.5)],
 ///     vec![(0, 0.5), (1, 0.5)],
 /// ])?;
@@ -41,13 +40,16 @@ use sm_markov::{MarkovChain, MarkovError};
 pub fn long_run_average_reward(
     chain: &MarkovChain,
     rewards: &[f64],
-) -> Result<Vec<f64>, MarkovError> {
+) -> Result<Vec<f64>, OracleError> {
     let n = chain.num_states();
     if rewards.len() != n {
-        return Err(MarkovError::RewardDimensionMismatch {
-            expected: n,
-            actual: rewards.len(),
-        });
+        return Err(MdpError::RewardShapeMismatch {
+            detail: format!(
+                "reward vector has {} entries, chain has {n} states",
+                rewards.len()
+            ),
+        }
+        .into());
     }
     let scc = chain.classify();
     let recurrent_classes = scc.recurrent_classes();
@@ -102,13 +104,12 @@ pub fn long_run_average_reward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_markov::{iterative_gains, SolverParallelism};
+    use crate::chain_from_rows;
+    use sm_mdp::{iterative_gains, SolverParallelism};
 
     #[test]
     fn iterative_gain_matches_exact_gain() {
-        let chain =
-            MarkovChain::from_rows(vec![vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]])
-                .unwrap();
+        let chain = chain_from_rows(&[vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]]).unwrap();
         let rewards = [3.0, 0.0];
         let exact = long_run_average_reward(&chain, &rewards).unwrap()[0];
         let (iterative, _) =
@@ -118,9 +119,7 @@ mod tests {
 
     #[test]
     fn gain_of_irreducible_chain_is_stationary_average() {
-        let chain =
-            MarkovChain::from_rows(vec![vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]])
-                .unwrap();
+        let chain = chain_from_rows(&[vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]]).unwrap();
         // Stationary distribution is (2/3, 1/3).
         let gain = long_run_average_reward(&chain, &[3.0, 0.0]).unwrap();
         assert!((gain[0] - 2.0).abs() < 1e-9);
@@ -130,12 +129,8 @@ mod tests {
     #[test]
     fn gain_distinguishes_multiple_recurrent_classes() {
         // 0 splits evenly to two absorbing states with rewards 0 and 10.
-        let chain = MarkovChain::from_rows(vec![
-            vec![(1, 0.5), (2, 0.5)],
-            vec![(1, 1.0)],
-            vec![(2, 1.0)],
-        ])
-        .unwrap();
+        let chain =
+            chain_from_rows(&[vec![(1, 0.5), (2, 0.5)], vec![(1, 1.0)], vec![(2, 1.0)]]).unwrap();
         let gain = long_run_average_reward(&chain, &[0.0, 0.0, 10.0]).unwrap();
         assert!((gain[1] - 0.0).abs() < 1e-12);
         assert!((gain[2] - 10.0).abs() < 1e-12);
@@ -144,10 +139,10 @@ mod tests {
 
     #[test]
     fn rejects_wrong_reward_length() {
-        let chain = MarkovChain::from_rows(vec![vec![(0, 1.0)]]).unwrap();
+        let chain = chain_from_rows(&[vec![(0, 1.0)]]).unwrap();
         assert!(matches!(
             long_run_average_reward(&chain, &[1.0, 2.0]),
-            Err(MarkovError::RewardDimensionMismatch { .. })
+            Err(OracleError::Mdp(MdpError::RewardShapeMismatch { .. }))
         ));
     }
 }

@@ -6,7 +6,7 @@
 //! with a few thousand constraints at most, so a dense tableau implementation
 //! with Bland's anti-cycling rule is sufficient and easy to audit.
 
-use sm_linalg::LinalgError;
+use crate::LinalgError;
 
 /// Direction of optimisation for a [`LinearProgram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +74,7 @@ enum VariableKind {
 /// ```
 /// use sm_oracle::{Comparison, LinearProgram, LpStatus, ObjectiveSense, SimplexSolver};
 ///
-/// # fn main() -> Result<(), sm_linalg::LinalgError> {
+/// # fn main() -> Result<(), sm_oracle::LinalgError> {
 /// // maximize 3x + 2y subject to x + y <= 4, x <= 2, x,y >= 0
 /// let mut lp = LinearProgram::new(ObjectiveSense::Maximize);
 /// let x = lp.add_variable(3.0);

@@ -1,7 +1,7 @@
 //! Stationary distributions of finite Markov chains, by direct linear solve.
 
-use crate::{solve_linear_system, ChainAnalysis, DenseMatrix};
-use sm_markov::{MarkovChain, MarkovError};
+use crate::{solve_linear_system, ChainAnalysis, DenseMatrix, OracleError};
+use sm_mdp::{MarkovChain, MdpError};
 
 /// Stationary distribution of a unichain (single recurrent class) over the
 /// *full* state space: transient states get probability 0. Periodic classes
@@ -10,13 +10,13 @@ use sm_markov::{MarkovChain, MarkovError};
 ///
 /// # Errors
 ///
-/// Returns [`MarkovError::NotIrreducible`] if the chain has more than one
+/// Returns [`OracleError::NotIrreducible`] if the chain has more than one
 /// recurrent class, and propagates solver failures.
-pub(crate) fn unichain_distribution(chain: &MarkovChain) -> Result<Vec<f64>, MarkovError> {
+pub(crate) fn unichain_distribution(chain: &MarkovChain) -> Result<Vec<f64>, OracleError> {
     let scc = chain.classify();
     let recurrent = scc.recurrent_classes();
     if recurrent.len() != 1 {
-        return Err(MarkovError::NotIrreducible);
+        return Err(OracleError::NotIrreducible);
     }
     let class = recurrent[0];
     let class_pi = class_distribution(chain, class)?;
@@ -37,15 +37,19 @@ pub(crate) fn unichain_distribution(chain: &MarkovChain) -> Result<Vec<f64>, Mar
 ///
 /// # Errors
 ///
-/// Returns [`MarkovError::InvalidTargetState`] if a transition leaves the
-/// class and propagates linear-algebra errors.
+/// Returns [`MdpError::InvalidParameter`] if the class is empty or a
+/// transition leaves it, and propagates linear-algebra errors.
 pub(crate) fn class_distribution(
     chain: &MarkovChain,
     class_states: &[usize],
-) -> Result<Vec<f64>, MarkovError> {
+) -> Result<Vec<f64>, OracleError> {
+    let not_a_class = MdpError::InvalidParameter {
+        name: "class_states",
+        constraint: "must be a non-empty closed class",
+    };
     let m = class_states.len();
     if m == 0 {
-        return Err(MarkovError::EmptyChain);
+        return Err(not_a_class.into());
     }
     // Local index of every class state.
     let mut local = vec![usize::MAX; chain.num_states()];
@@ -59,11 +63,7 @@ pub(crate) fn class_distribution(
         let mut row = Vec::with_capacity(targets.len());
         for (&t, &p) in targets.iter().zip(probs) {
             if local[t as usize] == usize::MAX {
-                return Err(MarkovError::InvalidTargetState {
-                    from: s,
-                    to: t as usize,
-                    num_states: chain.num_states(),
-                });
+                return Err(not_a_class.into());
             }
             row.push((local[t as usize], p));
         }
@@ -74,7 +74,7 @@ pub(crate) fn class_distribution(
 
 /// Direct solve: unknowns π, equations `π P = π` with the last equation
 /// replaced by the normalisation `Σ π = 1`.
-fn solve_direct(rows: &[Vec<(usize, f64)>]) -> Result<Vec<f64>, MarkovError> {
+fn solve_direct(rows: &[Vec<(usize, f64)>]) -> Result<Vec<f64>, OracleError> {
     let m = rows.len();
     // Build (P^T - I) as a dense matrix.
     let mut a = DenseMatrix::zeros(m, m);
@@ -101,10 +101,11 @@ fn solve_direct(rows: &[Vec<(usize, f64)>]) -> Result<Vec<f64>, MarkovError> {
     }
     let sum: f64 = pi.iter().sum();
     if sum <= 0.0 {
-        return Err(MarkovError::ConvergenceFailure {
+        return Err(MdpError::ConvergenceFailure {
             method: "stationary linear solve",
             iterations: 1,
-        });
+        }
+        .into());
     }
     for p in pi.iter_mut() {
         *p /= sum;
@@ -115,9 +116,10 @@ fn solve_direct(rows: &[Vec<(usize, f64)>]) -> Result<Vec<f64>, MarkovError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain_from_rows;
 
     fn two_state() -> MarkovChain {
-        MarkovChain::from_rows(vec![vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]]).unwrap()
+        chain_from_rows(&[vec![(0, 0.7), (1, 0.3)], vec![(0, 0.6), (1, 0.4)]]).unwrap()
     }
 
     #[test]
@@ -131,7 +133,7 @@ mod tests {
     fn periodic_chain_has_uniform_stationary_distribution() {
         // A deterministic 2-cycle has period 2 (power iteration on it would
         // oscillate); the direct solve returns the uniform distribution.
-        let chain = MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
+        let chain = chain_from_rows(&[vec![(1, 1.0)], vec![(0, 1.0)]]).unwrap();
         let pi = unichain_distribution(&chain).unwrap();
         assert!((pi[0] - 0.5).abs() < 1e-8);
         assert!((pi[1] - 0.5).abs() < 1e-8);
@@ -139,7 +141,7 @@ mod tests {
 
     #[test]
     fn transient_states_receive_zero_probability() {
-        let chain = MarkovChain::from_rows(vec![
+        let chain = chain_from_rows(&[
             vec![(1, 0.5), (2, 0.5)],
             vec![(1, 0.2), (2, 0.8)],
             vec![(1, 0.7), (2, 0.3)],
@@ -152,27 +154,29 @@ mod tests {
 
     #[test]
     fn multichain_is_rejected() {
-        let chain = MarkovChain::from_rows(vec![
-            vec![(1, 0.5), (2, 0.5)],
-            vec![(1, 1.0)],
-            vec![(2, 1.0)],
-        ])
-        .unwrap();
+        let chain =
+            chain_from_rows(&[vec![(1, 0.5), (2, 0.5)], vec![(1, 1.0)], vec![(2, 1.0)]]).unwrap();
         let err = unichain_distribution(&chain).unwrap_err();
-        assert_eq!(err, MarkovError::NotIrreducible);
+        assert_eq!(err, OracleError::NotIrreducible);
     }
 
     #[test]
     fn class_distribution_rejects_open_sets() {
-        let chain = MarkovChain::from_rows(vec![vec![(1, 1.0)], vec![(1, 1.0)]]).unwrap();
+        let chain = chain_from_rows(&[vec![(1, 1.0)], vec![(1, 1.0)]]).unwrap();
         // {0} is not closed: it leaks to 1.
         let err = class_distribution(&chain, &[0]).unwrap_err();
-        assert!(matches!(err, MarkovError::InvalidTargetState { .. }));
+        assert!(matches!(
+            err,
+            OracleError::Mdp(MdpError::InvalidParameter {
+                name: "class_states",
+                ..
+            })
+        ));
     }
 
     #[test]
     fn stationary_is_fixed_point_of_step() {
-        let chain = MarkovChain::from_rows(vec![
+        let chain = chain_from_rows(&[
             vec![(0, 0.2), (1, 0.5), (2, 0.3)],
             vec![(0, 0.4), (1, 0.1), (2, 0.5)],
             vec![(0, 0.3), (1, 0.3), (2, 0.4)],

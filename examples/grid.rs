@@ -42,7 +42,7 @@ use selfish_mining::AttackScenario;
 use selfish_mining_repro::cli::{backend_matrix, thread_budget};
 use selfish_mining_repro::conformance::ConformanceSettings;
 use selfish_mining_repro::grid::{
-    run_grid, FaultKind, GridFault, GridFaultPlan, GridOptions, GridSpec, SweepConfig, GRID_SCHEMA,
+    run_grid, FaultKind, GridFault, GridFaultPlan, GridOptions, GridSpec, GRID_SCHEMA,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -189,13 +189,10 @@ fn main() -> ExitCode {
         settings.backends = backends;
     }
     let spec = GridSpec {
-        sweep: SweepConfig {
-            attack_grid,
-            scenarios: scenarios.clone(),
-            epsilon,
-            workers,
-            ..SweepConfig::default()
-        },
+        attack_grid,
+        scenarios,
+        max_fork_length: 4,
+        epsilon,
         gammas,
         ps,
         settings,
@@ -237,12 +234,12 @@ fn main() -> ExitCode {
 
     println!(
         "grid orchestrator [{mode}]: {} scenarios x {} gamma panels x {} p values x {} backends = {} points, grid {:?}, epsilon {epsilon}",
-        scenarios.len(),
+        spec.scenarios.len(),
         spec.gammas.len(),
         spec.ps.len(),
         spec.settings.backends.len(),
         spec.num_points(),
-        spec.sweep.attack_grid,
+        spec.attack_grid,
     );
     println!("artifact directory: {}", dir.display());
     let outcome = match run_grid(&spec, &options) {

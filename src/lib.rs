@@ -4,11 +4,9 @@
 //! This crate re-exports the workspace members under one roof so that the
 //! examples and integration tests can depend on a single package:
 //!
-//! * [`linalg`] — sparse (CSR) matrices.
-//! * [`markov`] — Markov chains and the fused iterative evaluation of their
-//!   long-run average rewards.
-//! * [`mdp`] — finite MDPs and the relative-value-iteration mean-payoff
-//!   solver.
+//! * [`mdp`] — finite MDPs, the relative-value-iteration mean-payoff
+//!   solver, and the Markov chains positional strategies induce with the
+//!   fused iterative evaluation of their long-run average rewards.
 //! * [`proofs`] — simulated efficient proof systems (PoW, PoStake, PoSpace,
 //!   VDF, PoST) and the `(p, k)`-mining abstraction.
 //! * [`chain`] — the discrete-time longest-chain blockchain simulator.
@@ -46,8 +44,6 @@ pub use sm_audit as audit;
 pub use sm_chain as chain;
 pub use sm_conformance as conformance;
 pub use sm_grid as grid;
-pub use sm_linalg as linalg;
-pub use sm_markov as markov;
 pub use sm_mdp as mdp;
 pub use sm_proofs as proofs;
 pub use sm_scheduler as scheduler;

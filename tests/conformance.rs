@@ -4,10 +4,12 @@
 
 use selfish_mining::baselines::honest_relative_revenue;
 use selfish_mining::experiments::attack_curve;
-use selfish_mining::{AnalysisConfig, ConsensusBackend, ParametricModel, StrategyExport};
+use selfish_mining::{
+    AnalysisConfig, AttackScenario, ConsensusBackend, ParametricModel, StrategyExport,
+};
 use sm_chain::{HonestStrategy, SimulationConfig, UnknownViewPolicy};
 use sm_conformance::{certify_point, estimate_revenue, ConformanceSettings, EstimatorConfig};
-use sm_grid::{run_grid, GridOptions, GridSpec, SweepConfig};
+use sm_grid::{run_grid, GridOptions, GridSpec};
 
 fn estimator_config(p: f64, gamma: f64, steps: usize, seed: u64) -> EstimatorConfig {
     EstimatorConfig {
@@ -136,11 +138,10 @@ fn certified_point_conforms_and_certification_is_deterministic() {
     // in a fresh artifact directory.
     let run = |grid_workers: usize, estimator_workers: usize| {
         let spec = GridSpec {
-            sweep: SweepConfig {
-                attack_grid: vec![(2, 1)],
-                epsilon: 1e-2,
-                ..SweepConfig::default()
-            },
+            attack_grid: vec![(2, 1)],
+            scenarios: vec![AttackScenario::Optimal],
+            max_fork_length: 4,
+            epsilon: 1e-2,
             gammas: vec![0.5],
             ps: vec![0.2, 0.3],
             settings: ConformanceSettings {

@@ -9,7 +9,7 @@ use selfish_mining::{AnalysisConfig, AttackScenario, StrategyExport};
 use selfish_mining_repro::conformance::{certify_point, ConformanceReport, ConformanceSettings};
 use selfish_mining_repro::grid::{
     merge_grid, run_grid, scan_grid, FaultKind, GridError, GridFault, GridFaultPlan, GridOptions,
-    GridSpec, SweepConfig,
+    GridSpec,
 };
 use selfish_mining_repro::scheduler::RetryPolicy;
 use std::path::PathBuf;
@@ -19,13 +19,10 @@ use std::time::Duration;
 /// (2, 1)) × 2 γ × 3 p = 12 points, full replica budget per point.
 fn spec() -> GridSpec {
     GridSpec {
-        sweep: SweepConfig {
-            attack_grid: vec![(2, 1)],
-            scenarios: vec![AttackScenario::Optimal, AttackScenario::HonestMining],
-            epsilon: 1e-2,
-            workers: 1,
-            ..SweepConfig::default()
-        },
+        attack_grid: vec![(2, 1)],
+        scenarios: vec![AttackScenario::Optimal, AttackScenario::HonestMining],
+        max_fork_length: 4,
+        epsilon: 1e-2,
         gammas: vec![0.0, 0.5],
         ps: vec![0.1, 0.2, 0.3],
         settings: ConformanceSettings {
@@ -42,11 +39,8 @@ fn spec() -> GridSpec {
 /// estimator, in report order — `γ` outer, then the canonical
 /// `(d, f) × scenario` family, then `p`.
 fn reference(spec: &GridSpec) -> ConformanceReport {
-    let families = spec
-        .sweep
-        .build_scenario_families()
-        .expect("families build");
-    let config = AnalysisConfig::with_epsilon(spec.sweep.epsilon);
+    let families = spec.build_scenario_families().expect("families build");
+    let config = AnalysisConfig::with_epsilon(spec.epsilon);
     let mut points = Vec::new();
     for &gamma in &spec.gammas {
         for family in &families {
@@ -287,7 +281,7 @@ fn artifacts_of_a_different_spec_are_invisible_to_resume() {
     spec_b.settings.master_seed ^= 0xFFFF;
     // Shrink to one curve to keep the double run cheap.
     let shrink = |mut s: GridSpec| {
-        s.sweep.scenarios = vec![AttackScenario::HonestMining];
+        s.scenarios = vec![AttackScenario::HonestMining];
         s.gammas = vec![0.5];
         s.ps = vec![0.1, 0.2];
         s

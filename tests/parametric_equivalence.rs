@@ -97,13 +97,9 @@ impl Pruned {
             .strategy_rewards(&self.mdp, strategy)
             .unwrap();
         let r_hon = self.honest.strategy_rewards(&self.mdp, strategy).unwrap();
-        let (gains, _) = sm_markov::iterative_gains(
-            &chain,
-            &[&r_adv, &r_hon],
-            None,
-            SolverParallelism::serial(),
-        )
-        .unwrap();
+        let (gains, _) =
+            sm_mdp::iterative_gains(&chain, &[&r_adv, &r_hon], None, SolverParallelism::serial())
+                .unwrap();
         gains[0] / (gains[0] + gains[1])
     }
 
