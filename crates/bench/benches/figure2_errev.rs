@@ -3,7 +3,7 @@
 //! adversarial resource p = 0.3.
 //!
 //! The measured quantity is the full pipeline behind one plotted point: model
-//! construction, the binary-search / Dinkelbach analysis for our attack, and
+//! construction, the Dinkelbach analysis for our attack, and
 //! both baselines, run by the sweep engine on one thread. Use
 //! `cargo run -p sm-bench --bin figure2` to print the actual curves.
 

@@ -1,14 +1,14 @@
 //! Micro-benchmarks of the solver substrate: mean-payoff solvers on the
 //! selfish-mining MDP and the building blocks they rest on. These are ablation
 //! benches for the design choices discussed in DESIGN.md (value iteration vs
-//! policy iteration vs LP; bisection vs Dinkelbach search).
+//! policy iteration vs LP).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selfish_mining::baselines::SingleTreeAttack;
-use selfish_mining::experiments::{coarse_p_grid, PAPER_GAMMA_GRID};
+use selfish_mining::experiments::{coarse_p_grid, CurveTracker, PAPER_GAMMA_GRID};
 use selfish_mining::{
-    available_actions, successors_in, AnalysisConfig, AnalysisProcedure, AttackParams,
-    AttackScenario, ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
+    available_actions, successors_in, AnalysisConfig, AttackParams, AttackScenario,
+    ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
 };
 use sm_grid::SweepConfig;
 use sm_mdp::RelativeValueIteration;
@@ -259,25 +259,21 @@ fn bench_mean_payoff_methods(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_search_strategies(c: &mut Criterion) {
-    let model = model();
+/// A cold tracker (`warm_start = false`) over a pre-instantiated arena: every
+/// `advance` refills the arena in place and runs one full cold Dinkelbach
+/// analysis.
+fn cold_tracker(family: &ParametricModel, config: AnalysisConfig) -> CurveTracker<'_> {
+    let arena = family.instantiate(0.3, 0.5).unwrap();
+    CurveTracker::new(family, 0.5, false, config).with_arena(Some(arena))
+}
+
+fn bench_dinkelbach(c: &mut Criterion) {
+    let family = ParametricModel::build(2, 1, 4).unwrap();
+    let mut tracker = cold_tracker(&family, AnalysisConfig::with_epsilon(1e-3));
     let mut group = c.benchmark_group("solver/search_d2_f1");
     group.sample_size(10);
-    group.bench_function("bisection", |b| {
-        b.iter(|| {
-            AnalysisProcedure::with_epsilon(1e-3)
-                .solve(&model)
-                .unwrap()
-                .expected_relative_revenue
-        });
-    });
     group.bench_function("dinkelbach", |b| {
-        b.iter(|| {
-            AnalysisProcedure::with_epsilon(1e-3)
-                .solve_dinkelbach(&model)
-                .unwrap()
-                .strategy_revenue
-        });
+        b.iter(|| tracker.advance(0.3).unwrap().strategy_revenue);
     });
     group.finish();
 }
@@ -297,7 +293,6 @@ fn bench_intra_parallel_scaling(c: &mut Criterion) {
     }
     for (depth, forks) in configs {
         let family = ParametricModel::build(depth, forks, 4).unwrap();
-        let model = family.instantiate(0.3, 0.5).unwrap();
         let mut group = c.benchmark_group(format!("solver/intra_parallel_d{depth}_f{forks}"));
         group.sample_size(5);
         for threads in [1usize, 2, 4, 8] {
@@ -305,11 +300,12 @@ fn bench_intra_parallel_scaling(c: &mut Criterion) {
                 BenchmarkId::new("threads", threads),
                 &threads,
                 |b, &threads| {
-                    let procedure = AnalysisProcedure::new(
+                    let mut tracker = cold_tracker(
+                        &family,
                         AnalysisConfig::with_epsilon(1e-3)
                             .with_parallelism(SolverParallelism::threads(threads)),
                     );
-                    b.iter(|| procedure.solve_dinkelbach(&model).unwrap().strategy_revenue);
+                    b.iter(|| tracker.advance(0.3).unwrap().strategy_revenue);
                 },
             );
         }
@@ -587,10 +583,10 @@ fn bench_chain_replica(c: &mut Criterion) {
     use selfish_mining::{ConsensusBackend, StrategyExport};
     use sm_chain::{SimulationConfig, Simulator, UnknownViewPolicy};
 
-    let model = model();
-    let solved = AnalysisProcedure::with_epsilon(1e-3)
-        .solve_dinkelbach(&model)
-        .unwrap();
+    let family = ParametricModel::build(2, 1, 4).unwrap();
+    let mut tracker = CurveTracker::new(&family, 0.5, true, AnalysisConfig::with_epsilon(1e-3));
+    let solved = tracker.advance(0.3).unwrap();
+    let model = tracker.into_arena().unwrap();
     let table = StrategyExport::new(&model)
         .table(&solved.strategy, UnknownViewPolicy::Wait)
         .unwrap();
@@ -625,7 +621,7 @@ criterion_group!(
     bench_backend_draw,
     bench_chain_replica,
     bench_mean_payoff_methods,
-    bench_search_strategies,
+    bench_dinkelbach,
     bench_model_construction,
     bench_construction_plus_vi,
     bench_intra_parallel_scaling,

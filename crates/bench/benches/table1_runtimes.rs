@@ -1,5 +1,6 @@
 //! Criterion bench regenerating Table 1: wall-clock time of the full analysis
-//! (model construction + Algorithm 1) per attack configuration at γ = 0.5.
+//! (model construction + certified analysis, the `table1` binary's
+//! [`table1_row`] path) per attack configuration at γ = 0.5.
 //!
 //! The absolute numbers are not expected to match the paper's Storm-based
 //! runtimes; the reproduced shape is the order-of-magnitude growth with the
@@ -7,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use selfish_mining::baselines::SingleTreeAttack;
-use selfish_mining::{AnalysisProcedure, ParametricModel};
+use selfish_mining::experiments::table1_row;
 
 fn bench_our_attack(c: &mut Criterion) {
     let mut group = c.benchmark_group("table1/our_attack");
@@ -22,16 +23,7 @@ fn bench_our_attack(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("d{depth}_f{forks}")),
             &(depth, forks),
             |b, &(depth, forks)| {
-                b.iter(|| {
-                    let model = ParametricModel::build(depth, forks, 4)
-                        .unwrap()
-                        .instantiate(0.3, 0.5)
-                        .unwrap();
-                    AnalysisProcedure::with_epsilon(1e-3)
-                        .solve_dinkelbach(&model)
-                        .unwrap()
-                        .strategy_revenue
-                });
+                b.iter(|| table1_row(0.3, 0.5, depth, forks, 4, 1e-3).unwrap().revenue);
             },
         );
     }

@@ -6,12 +6,10 @@
 //! into printed tables/series and Criterion benchmarks, and `EXPERIMENTS.md`
 //! records the measured outputs next to the paper's reported values.
 
+use crate::analysis::{dinkelbach, DinkelbachWarmStart};
 use crate::baselines::SingleTreeAttack;
-use crate::{
-    AnalysisConfig, AnalysisProcedure, DinkelbachWarmStart, ParametricModel, SelfishMiningError,
-    SelfishMiningModel,
-};
-use sm_mdp::{PositionalStrategy, SolverParallelism};
+use crate::{AnalysisConfig, ParametricModel, SelfishMiningError, SelfishMiningModel, SolveStep};
+use sm_mdp::PositionalStrategy;
 
 /// The `(d, f)` grid evaluated in the paper (with `l = 4` throughout).
 pub const PAPER_ATTACK_GRID: [(usize, usize); 5] = [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2)];
@@ -67,6 +65,9 @@ pub struct CertifiedSolve {
     /// Bellman-residual passes against to re-validate `[β_low, β_up]`
     /// without re-running the solver.
     pub bias: Vec<f64>,
+    /// One entry per inner mean-payoff solve of the Dinkelbach iteration
+    /// that certified the point, in order.
+    pub steps: Vec<SolveStep>,
 }
 
 /// Solves one attack curve — the certified `ERRev` of a single `(d, f, l)`
@@ -82,7 +83,7 @@ pub struct CertifiedSolve {
 /// relative-value-iteration solve. A good seed collapses the analysis
 /// to a single inner solve plus one revenue evaluation per grid point; a bad
 /// seed merely costs extra iterations — over- and undershoots alike preserve
-/// the `ε` guarantee (see [`DinkelbachWarmStart`]).
+/// the `ε` guarantee.
 ///
 /// `config` sets `ε` and the intra-solve thread allowance; certified β
 /// bounds, strategies, revenues and bias witnesses are bit-identical for
@@ -112,9 +113,14 @@ pub fn attack_curve(
 /// requests instead, so a cached curve keeps warm-starting new points for as
 /// long as it stays resident. The certificate produced for a point is a pure
 /// function of the family, `γ`, the analysis config and the sequence of
-/// `advance`d points before it — never of thread counts ([`CurveTracker::
-/// set_parallelism`]) — which is what lets a caching layer replay the same
-/// canonical sequence and answer bit-identically in any cache state.
+/// `advance`d points before it — never of thread counts
+/// ([`AnalysisConfig::parallelism`]) — which is what lets a caching layer
+/// replay the same canonical sequence and answer bit-identically in any
+/// cache state.
+///
+/// Every point is certified by Dinkelbach's ratio iteration over the
+/// mean-payoff family `r_β` (see the crate docs); a tracker advanced once
+/// is the one-point analysis.
 ///
 /// ```
 /// use selfish_mining::experiments::CurveTracker;
@@ -181,32 +187,16 @@ impl<'a> CurveTracker<'a> {
         }
     }
 
-    /// The curve's switching probability.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
-    }
-
-    /// The last `advance`d `p`, if any — a caching layer uses this as the
-    /// curve's warm frontier.
-    pub fn frontier(&self) -> Option<f64> {
-        self.history.last().map(|&(p, _)| p)
-    }
-
-    /// Re-targets the intra-solve thread allowance for subsequent solves.
-    /// Certificates are bit-identical for any setting, so a scheduler may
-    /// re-shape this freely between calls (e.g. per-request allowances).
-    pub fn set_parallelism(&mut self, parallelism: SolverParallelism) {
-        self.config = self.config.clone().with_parallelism(parallelism);
-    }
-
     /// Solves the point `p` warm from the tracker's state and advances the
     /// state (carry, extrapolation history) past it — the sweep engine's
     /// per-curve schedule.
     ///
     /// # Errors
     ///
-    /// Propagates instantiation and solver errors; the tracker state is
-    /// unchanged on error.
+    /// Returns [`SelfishMiningError::InvalidParameter`] for a non-positive
+    /// `ε` and [`SelfishMiningError::ConvergenceFailure`] if the iteration
+    /// cap is exhausted, and propagates instantiation and solver errors;
+    /// the tracker state is unchanged on error.
     pub fn advance(&mut self, p: f64) -> Result<CertifiedSolve, SelfishMiningError> {
         let (solve, carry) = self.solve(p)?;
         self.warm = if self.warm_start { Some(carry) } else { None };
@@ -281,29 +271,11 @@ impl<'a> CurveTracker<'a> {
             }
             None => self.model.insert(self.family.instantiate(p, self.gamma)?),
         };
-        let mut seeded;
-        let warm = match self.warm.as_ref() {
-            Some(w) => {
-                seeded = w.clone();
-                seeded.beta = extrapolate_beta(p, &self.history);
-                Some(&seeded)
-            }
-            None => None,
-        };
-        let procedure = AnalysisProcedure::new(self.config.clone());
-        let (result, carry) = procedure.solve_dinkelbach_warm(instance, warm)?;
-        let solve = CertifiedSolve {
-            scenario: self.family.scenario(),
-            p,
-            gamma: self.gamma,
-            beta_low: result.beta_low,
-            beta_up: result.beta_up,
-            strategy_revenue: result.strategy_revenue,
-            strategy: result.strategy,
-            epsilon: self.config.epsilon,
-            bias: result.bias,
-        };
-        Ok((solve, carry))
+        let warm = self.warm.clone().map(|mut seeded| {
+            seeded.beta = extrapolate_beta(p, &self.history);
+            seeded
+        });
+        dinkelbach(instance, &self.config, warm)
     }
 }
 
@@ -315,13 +287,6 @@ impl<'a> CurveTracker<'a> {
 pub struct CurveCarry {
     warm: Option<DinkelbachWarmStart>,
     history: Vec<(f64, f64)>,
-}
-
-impl CurveCarry {
-    /// The chain position's last certified `p`, if the carry is warm.
-    pub fn frontier(&self) -> Option<f64> {
-        self.history.last().map(|&(p, _)| p)
-    }
 }
 
 /// Extrapolation of the revenue curve to seed the next point's Dinkelbach
@@ -399,15 +364,15 @@ pub fn table1_row(
     epsilon: f64,
 ) -> Result<Table1Row, SelfishMiningError> {
     let family = ParametricModel::build(depth, forks, max_fork_length)?;
-    let model = family.instantiate(p, gamma)?;
-    let result = AnalysisProcedure::with_epsilon(epsilon).solve(&model)?;
+    let solve = CurveTracker::new(&family, gamma, true, AnalysisConfig::with_epsilon(epsilon))
+        .advance(p)?;
     Ok(Table1Row {
         attack: "our attack".to_string(),
         depth,
         forks,
-        num_states: model.num_states(),
+        num_states: family.num_states(),
         seconds: 0.0,
-        revenue: result.strategy_revenue,
+        revenue: solve.strategy_revenue,
     })
 }
 
@@ -502,7 +467,6 @@ mod tests {
             assert!(after.beta_up - after.beta_low <= 5e-3 + 1e-12);
         }
         assert_eq!(plain_solves, probed_solves);
-        assert_eq!(plain.frontier(), Some(0.3));
         // Probing from identical chain state is reproducible bit for bit.
         assert_eq!(plain.probe(0.25).unwrap(), probed.probe(0.25).unwrap());
         // And the curve entry point is exactly a fold over advance.

@@ -31,13 +31,16 @@ use sm_mdp::PositionalStrategy;
 /// # Example
 ///
 /// ```
-/// use selfish_mining::{AnalysisProcedure, ParametricModel, StrategyExport};
+/// use selfish_mining::experiments::CurveTracker;
+/// use selfish_mining::{AnalysisConfig, ParametricModel, StrategyExport};
 /// use sm_chain::UnknownViewPolicy;
 ///
 /// # fn main() -> Result<(), selfish_mining::SelfishMiningError> {
-/// let model = ParametricModel::build(2, 1, 4)?.instantiate(0.3, 0.5)?;
-/// let result = AnalysisProcedure::with_epsilon(1e-2).solve_dinkelbach(&model)?;
-/// let table = StrategyExport::new(&model).table(&result.strategy, UnknownViewPolicy::Wait)?;
+/// let family = ParametricModel::build(2, 1, 4)?;
+/// let mut tracker = CurveTracker::new(&family, 0.5, true, AnalysisConfig::with_epsilon(1e-2));
+/// let solve = tracker.advance(0.3)?;
+/// let model = tracker.into_arena().expect("advance instantiated the arena");
+/// let table = StrategyExport::new(&model).table(&solve.strategy, UnknownViewPolicy::Wait)?;
 /// assert!(!table.is_empty());
 /// # Ok(())
 /// # }
@@ -217,7 +220,8 @@ impl<'a> StrategyExport<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AnalysisProcedure, ParametricModel};
+    use crate::experiments::CurveTracker;
+    use crate::{AnalysisConfig, ParametricModel};
 
     fn model() -> SelfishMiningModel {
         ParametricModel::build(2, 1, 3)
@@ -273,12 +277,12 @@ mod tests {
 
     #[test]
     fn optimal_export_contains_releases() {
-        let model = model();
-        let result = AnalysisProcedure::with_epsilon(1e-2)
-            .solve_dinkelbach(&model)
-            .unwrap();
+        let family = ParametricModel::build(2, 1, 3).unwrap();
+        let mut tracker = CurveTracker::new(&family, 0.5, true, AnalysisConfig::with_epsilon(1e-2));
+        let solve = tracker.advance(0.3).unwrap();
+        let model = tracker.into_arena().unwrap();
         let table = StrategyExport::new(&model)
-            .table_named(&result.strategy, UnknownViewPolicy::Panic, "optimal")
+            .table_named(&solve.strategy, UnknownViewPolicy::Panic, "optimal")
             .unwrap();
         assert_eq!(sm_chain::AdversaryStrategy::name(&table), "optimal");
         assert_eq!(table.policy(), UnknownViewPolicy::Panic);

@@ -15,10 +15,13 @@
 //!   topology, once; [`ParametricModel::instantiate`] turns it into a
 //!   [`SelfishMiningModel`], the finite MDP at concrete `(p, γ)` together
 //!   with the reward structures `r_A` and `r_H` of Section 3.3.
-//! * [`AnalysisProcedure`] — Algorithm 1: an `ε`-tight lower bound on the
-//!   optimal expected relative revenue plus an `ε`-optimal strategy, computed
-//!   by binary search over the mean-payoff reward family `r_β` (and a
-//!   Dinkelbach-accelerated variant).
+//! * [`experiments::CurveTracker`] — the certified analysis of Section 3.3:
+//!   an `ε`-tight lower bound on the optimal expected relative revenue plus
+//!   an `ε`-optimal strategy, one [`experiments::CertifiedSolve`] per point,
+//!   computed by Dinkelbach's ratio iteration over the mean-payoff reward
+//!   family `r_β` (the paper's Algorithm 1 bisects the same family; both
+//!   reach the same `ε`-bracket). Consecutive points of a curve warm-start
+//!   from each other; [`experiments::attack_curve`] folds a whole curve.
 //! * [`AttackScenario`] — pluggable restricted-action attack scenarios
 //!   (the stubborn-mining family plus an honest sanity scenario) carried
 //!   end-to-end through the solve → export → simulate → certify pipeline.
@@ -31,14 +34,17 @@
 //! # Quickstart
 //!
 //! ```
-//! use selfish_mining::{AnalysisProcedure, ParametricModel};
+//! use selfish_mining::experiments::CurveTracker;
+//! use selfish_mining::{AnalysisConfig, ParametricModel};
 //!
 //! # fn main() -> Result<(), selfish_mining::SelfishMiningError> {
 //! // d = 2, f = 1, l = 4 — the smallest configuration in which the attack
 //! // beats both baselines in the paper — at p = 0.3, γ = 0.5.
-//! let model = ParametricModel::build(2, 1, 4)?.instantiate(0.3, 0.5)?;
-//! let result = AnalysisProcedure::with_epsilon(1e-2).solve(&model)?;
-//! assert!(result.strategy_revenue >= 0.3); // at least the honest share
+//! let family = ParametricModel::build(2, 1, 4)?;
+//! let config = AnalysisConfig::with_epsilon(1e-2);
+//! let solve = CurveTracker::new(&family, 0.5, true, config).advance(0.3)?;
+//! assert!(solve.beta_low <= solve.strategy_revenue && solve.strategy_revenue <= solve.beta_up);
+//! assert!(solve.strategy_revenue >= 0.3); // at least the honest share
 //! # Ok(())
 //! # }
 //! ```
@@ -60,9 +66,7 @@ mod state;
 mod transition;
 
 pub use action::SmAction;
-pub use analysis::{
-    AnalysisConfig, AnalysisProcedure, AnalysisResult, DinkelbachWarmStart, SolveStep,
-};
+pub use analysis::{AnalysisConfig, SolveStep};
 pub use error::SelfishMiningError;
 pub use export::StrategyExport;
 pub use model::SelfishMiningModel;

@@ -17,7 +17,7 @@
 //!   Dinkelbach iteration starts from the neighbouring point's certified
 //!   `β_low`, and each inner relative-value-iteration solve is seeded with
 //!   the bias vector of its predecessor
-//!   ([`selfish_mining::AnalysisProcedure::solve_dinkelbach_warm`]).
+//!   ([`selfish_mining::experiments::CurveTracker`]).
 //!
 //! Curve jobs are deterministic and independent, so the result is identical
 //! for any worker count — only wall-clock time changes.
@@ -99,8 +99,8 @@ impl SweepConfig {
     /// points; a misfitting seed (e.g. on a non-monotone `p` grid) merely
     /// costs extra inner iterations — over- and undershoots alike preserve
     /// the `ε` guarantee (see
-    /// [`selfish_mining::DinkelbachWarmStart`]) — so any grid is *correct*,
-    /// smooth ascending grids are merely fastest.
+    /// [`selfish_mining::experiments::attack_curve`]) — so any grid is
+    /// *correct*, smooth ascending grids are merely fastest.
     ///
     /// # Errors
     ///

@@ -62,13 +62,13 @@ impl MarkovChain {
     ) -> Result<Self, MdpError> {
         if row_ptr.first() != Some(&0) {
             return Err(MdpError::InvariantViolation {
-                detail: "chain row_ptr must be non-empty and start at 0",
+                detail: "chain row_ptr must be non-empty and start at 0".to_string(),
             });
         }
         let n = row_ptr.len() - 1;
         if col.len() != prob.len() || row_ptr[n] as usize != col.len() {
             return Err(MdpError::InvariantViolation {
-                detail: "chain entry count differs from the end of row_ptr",
+                detail: "chain entry count differs from the end of row_ptr".to_string(),
             });
         }
         if n == 0 {
@@ -83,7 +83,7 @@ impl MarkovChain {
             let (start, end) = (row_ptr[state] as usize, row_ptr[state + 1] as usize);
             if start > end || end > col.len() {
                 return Err(MdpError::InvariantViolation {
-                    detail: "chain row_ptr must be non-decreasing",
+                    detail: "chain row_ptr must be non-decreasing".to_string(),
                 });
             }
             for k in start..end {
@@ -95,7 +95,7 @@ impl MarkovChain {
                 }
                 if k > start && col[k] <= col[k - 1] {
                     return Err(MdpError::InvariantViolation {
-                        detail: "unsorted or duplicate successor within a chain row",
+                        detail: "unsorted or duplicate successor within a chain row".to_string(),
                     });
                 }
                 if !prob[k].is_finite() || prob[k] < 0.0 {

@@ -157,7 +157,7 @@ impl CsrLayout {
     /// compact `u32` storage (checked *before* any structural validation, so
     /// oversized inputs fail with the typed error rather than a shape
     /// complaint), [`MdpError::InvalidState`] for an out-of-range successor
-    /// and [`MdpError::RewardShapeMismatch`] (with a description) for
+    /// and [`MdpError::InvariantViolation`] (with a description) for
     /// malformed pointer arrays.
     pub fn from_raw_parts(
         row_ptr: Vec<usize>,
@@ -178,14 +178,14 @@ impl CsrLayout {
     /// # Errors
     ///
     /// Returns [`MdpError::InvalidState`] for an out-of-range successor and
-    /// [`MdpError::RewardShapeMismatch`] (with a description) for malformed
+    /// [`MdpError::InvariantViolation`] (with a description) for malformed
     /// pointer arrays.
     pub fn from_raw_parts_u32(
         row_ptr: Vec<u32>,
         action_ptr: Vec<u32>,
         col: Vec<u32>,
     ) -> Result<CsrLayout, MdpError> {
-        let shape_error = |detail: String| MdpError::RewardShapeMismatch { detail };
+        let shape_error = |detail: String| MdpError::InvariantViolation { detail };
         if row_ptr.first() != Some(&0) || action_ptr.first() != Some(&0) {
             return Err(shape_error(
                 "CSR pointer arrays must be non-empty and start at 0".to_string(),
@@ -550,14 +550,20 @@ mod tests {
         assert_eq!(layout.num_states(), 2);
         assert_eq!(layout.num_pairs(), 2);
         assert_eq!(layout.num_transitions(), 2);
+        let invariant = |row_ptr: Vec<usize>, action_ptr: Vec<usize>, col: Vec<usize>| {
+            matches!(
+                CsrLayout::from_raw_parts(row_ptr, action_ptr, col),
+                Err(MdpError::InvariantViolation { .. })
+            )
+        };
         // Pointer arrays must start at 0...
-        assert!(CsrLayout::from_raw_parts(vec![1, 2], vec![0], vec![]).is_err());
-        assert!(CsrLayout::from_raw_parts(vec![], vec![0], vec![]).is_err());
+        assert!(invariant(vec![1, 2], vec![0], vec![]));
+        assert!(invariant(vec![], vec![0], vec![]));
         // ...be monotone...
-        assert!(CsrLayout::from_raw_parts(vec![0, 2, 1], vec![0, 1, 2], vec![0, 0]).is_err());
+        assert!(invariant(vec![0, 2, 1], vec![0, 1, 2], vec![0, 0]));
         // ...and end at the right totals.
-        assert!(CsrLayout::from_raw_parts(vec![0, 1], vec![0, 1, 2], vec![0, 0]).is_err());
-        assert!(CsrLayout::from_raw_parts(vec![0, 1], vec![0, 3], vec![0, 0]).is_err());
+        assert!(invariant(vec![0, 1], vec![0, 1, 2], vec![0, 0]));
+        assert!(invariant(vec![0, 1], vec![0, 3], vec![0, 0]));
         // Successors must be in range.
         assert!(matches!(
             CsrLayout::from_raw_parts(vec![0, 1], vec![0, 1], vec![5]),
@@ -583,39 +589,37 @@ mod tests {
         mdp.validate().unwrap();
         assert_eq!(mdp.successors(0, 0), (&[0u32, 1][..], &[1.0f64, 0.0][..]));
 
-        // Misaligned probability buffer, name table and initial state fail.
-        assert!(Mdp::from_raw_parts(
+        // Misaligned probability buffer and name table are layout defects; an
+        // out-of-range initial state is an invalid state.
+        let invariant = |result: Result<Mdp, MdpError>| {
+            matches!(result, Err(MdpError::InvariantViolation { .. }))
+        };
+        let names = || vec!["a".to_string()];
+        assert!(invariant(Mdp::from_raw_parts(
             Arc::clone(&layout),
             vec![1.0],
-            vec!["a".to_string()],
+            names(),
             vec![0, 0],
             0
-        )
-        .is_err());
-        assert!(Mdp::from_raw_parts(
+        )));
+        assert!(invariant(Mdp::from_raw_parts(
             Arc::clone(&layout),
             vec![1.0, 0.0, 1.0],
-            vec!["a".to_string()],
+            names(),
             vec![0],
             0
-        )
-        .is_err());
-        assert!(Mdp::from_raw_parts(
+        )));
+        assert!(invariant(Mdp::from_raw_parts(
             Arc::clone(&layout),
             vec![1.0, 0.0, 1.0],
-            vec!["a".to_string()],
+            names(),
             vec![0, 7],
             0
-        )
-        .is_err());
-        assert!(Mdp::from_raw_parts(
-            layout,
-            vec![1.0, 0.0, 1.0],
-            vec!["a".to_string()],
-            vec![0, 0],
-            9
-        )
-        .is_err());
+        )));
+        assert!(matches!(
+            Mdp::from_raw_parts(layout, vec![1.0, 0.0, 1.0], names(), vec![0, 0], 9),
+            Err(MdpError::InvalidState { state: 9, .. })
+        ));
     }
 
     #[test]

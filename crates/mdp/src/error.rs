@@ -68,12 +68,13 @@ pub enum MdpError {
         /// Description of the constraint that was violated.
         constraint: &'static str,
     },
-    /// An internal structural invariant was violated — a "cannot happen"
-    /// condition surfaced as a typed error instead of a panic, so library
-    /// callers can recover (or at least report) rather than unwind.
+    /// A structural invariant was violated: a malformed arena or chain
+    /// handed to a raw-parts constructor, or a "cannot happen" condition
+    /// surfaced as a typed error instead of a panic, so library callers can
+    /// recover (or at least report) rather than unwind.
     InvariantViolation {
         /// Description of the violated invariant.
-        detail: &'static str,
+        detail: String,
     },
 }
 
@@ -111,7 +112,7 @@ impl fmt::Display for MdpError {
                 write!(f, "parameter {name} violates constraint: {constraint}")
             }
             MdpError::InvariantViolation { detail } => {
-                write!(f, "internal invariant violated: {detail}")
+                write!(f, "structural invariant violated: {detail}")
             }
         }
     }

@@ -48,7 +48,7 @@ impl Mdp {
     ///
     /// # Errors
     ///
-    /// Returns [`MdpError::RewardShapeMismatch`] if `prob` or `name_of_pair`
+    /// Returns [`MdpError::InvariantViolation`] if `prob` or `name_of_pair`
     /// are not aligned with the layout or reference missing names, and
     /// [`MdpError::InvalidState`] for an out-of-range initial state.
     pub fn from_raw_parts(
@@ -60,7 +60,7 @@ impl Mdp {
     ) -> Result<Mdp, MdpError> {
         let (names, name_of_pair) = (names.into(), name_of_pair.into());
         if prob.len() != layout.num_transitions() {
-            return Err(MdpError::RewardShapeMismatch {
+            return Err(MdpError::InvariantViolation {
                 detail: format!(
                     "probability buffer has {} entries, arena has {} transitions",
                     prob.len(),
@@ -69,7 +69,7 @@ impl Mdp {
             });
         }
         if name_of_pair.len() != layout.num_pairs() {
-            return Err(MdpError::RewardShapeMismatch {
+            return Err(MdpError::InvariantViolation {
                 detail: format!(
                     "name table covers {} pairs, arena has {}",
                     name_of_pair.len(),
@@ -78,7 +78,7 @@ impl Mdp {
             });
         }
         if let Some(&id) = name_of_pair.iter().find(|&&id| id as usize >= names.len()) {
-            return Err(MdpError::RewardShapeMismatch {
+            return Err(MdpError::InvariantViolation {
                 detail: format!(
                     "pair references action name {id}, table has {} entries",
                     names.len()

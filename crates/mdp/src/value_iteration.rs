@@ -527,8 +527,8 @@ impl RelativeValueIteration {
         let reference_block = blocks
             .iter()
             .position(|range| range.contains(&reference))
-            .ok_or(MdpError::InvariantViolation {
-                detail: "no sweep block contains the reference state",
+            .ok_or_else(|| MdpError::InvariantViolation {
+                detail: "no sweep block contains the reference state".to_string(),
             })?;
         let reference_offset = reference - blocks[reference_block].start;
         let chunks: Vec<Mutex<Chunk>> = blocks

@@ -50,16 +50,6 @@ pub enum LinalgError {
         /// Description of where the invalid value appeared.
         context: &'static str,
     },
-    /// An index or entry count does not fit the compact (`u32`) sparse
-    /// storage. Surfaced instead of silently wrapping when a caller hands a
-    /// topology with more than `u32::MAX` rows, columns or entries to the
-    /// checked `usize` build paths.
-    IndexOverflow {
-        /// The offending index or count.
-        value: usize,
-        /// The largest value the compact storage can represent.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -88,12 +78,6 @@ impl fmt::Display for LinalgError {
             }
             LinalgError::InvalidValue { context } => {
                 write!(f, "invalid value (NaN or infinity) in {context}")
-            }
-            LinalgError::IndexOverflow { value, limit } => {
-                write!(
-                    f,
-                    "index or count {value} exceeds the compact sparse-storage limit {limit}"
-                )
             }
         }
     }
@@ -178,13 +162,6 @@ mod tests {
                     context: "objective",
                 },
                 "objective",
-            ),
-            (
-                LinalgError::IndexOverflow {
-                    value: 5_000_000_000,
-                    limit: u32::MAX as usize,
-                },
-                "5000000000",
             ),
         ];
         for (err, needle) in cases {

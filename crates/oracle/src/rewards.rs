@@ -19,7 +19,7 @@ use std::sync::Arc;
 ///
 /// The selfish-mining analysis needs two base reward functions (`r_A` counting
 /// adversarial finalized blocks and `r_H` counting honest finalized blocks)
-/// and, inside the binary search of Algorithm 1, the combination
+/// and, inside every step of the `β` search, the combination
 /// `r_β = r_A − β · (r_A + r_H)`. [`TransitionRewards::affine_combination`]
 /// builds exactly that per transition, and
 /// [`TransitionRewards::expected_per_pair`] reduces it to the per-pair input

@@ -3,11 +3,11 @@
 //! The selfish-mining analysis of the PODC 2024 paper abstracts the underlying
 //! consensus primitive into `(p, k)`-mining: a miner holding a `p` fraction of
 //! the resource and able to work on `k` blocks at once finds the next proof
-//! with probability proportional to `p · k`. This crate provides that
-//! abstraction ([`MiningLottery`], [`ResourceAllocation`]) together with
+//! with probability proportional to `p · k`. This crate provides
 //! *simulated* concrete proof systems that exercise the same code paths the
 //! real systems would (challenge derivation, proof generation, verification)
-//! without any cryptographic hardness:
+//! without any cryptographic hardness; the `sm-chain` arrival sources build
+//! their `(p, k)`-mining lotteries on them:
 //!
 //! * [`pow::ProofOfWork`] — hashcash-style proof of work (the `(p, 1)` case).
 //! * [`postake::ProofOfStake`] — a stake lottery (the `(p, ∞)` case).
@@ -28,7 +28,6 @@
 
 pub mod challenge;
 mod hash;
-mod lottery;
 pub mod pospace;
 pub mod post;
 pub mod postake;
@@ -37,4 +36,3 @@ pub mod vdf;
 
 pub use challenge::{ChallengeSchedule, PredictableSchedule, UnpredictableSchedule};
 pub use hash::{hash_bytes, hash_concat, Digest, HashTag};
-pub use lottery::{MinerId, MiningLottery, ProofSystemKind, ResourceAllocation, WinnerKind};

@@ -9,7 +9,7 @@
 
 use crate::pospace::{ProofOfSpace, SpaceProof};
 use crate::vdf::{Vdf, VdfProof};
-use crate::{Digest, HashTag, ProofSystemKind};
+use crate::{Digest, HashTag};
 
 pub(crate) const POST: HashTag = HashTag::new(b"post");
 
@@ -47,15 +47,8 @@ impl ProofOfSpaceTime {
         }
     }
 
-    /// The `(p, k)` bound implied by this miner's hardware: it can extend at
-    /// most as many blocks concurrently as it has VDFs.
-    pub fn proof_system_kind(&self) -> ProofSystemKind {
-        ProofSystemKind::ProofOfSpaceTime {
-            vdfs: self.num_vdfs,
-        }
-    }
-
-    /// Number of VDF processors (the paper's `k`).
+    /// Number of VDF processors (the paper's `k`): the miner can extend at
+    /// most this many blocks concurrently.
     pub fn num_vdfs(&self) -> usize {
         self.num_vdfs
     }
@@ -123,10 +116,6 @@ mod tests {
         assert!(miner.prove(&challenge, 1).is_some());
         assert!(miner.prove(&challenge, 2).is_none());
         assert_eq!(miner.num_vdfs(), 2);
-        assert_eq!(
-            miner.proof_system_kind().max_parallel_blocks(),
-            miner.num_vdfs()
-        );
     }
 
     #[test]

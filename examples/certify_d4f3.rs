@@ -14,8 +14,8 @@
 //! precision (default `1e-3`); a value that does not parse as a number is an
 //! error.
 
-use selfish_mining::experiments::CertifiedSolve;
-use selfish_mining::{AnalysisConfig, AnalysisProcedure, ParametricModel, SolverParallelism};
+use selfish_mining::experiments::CurveTracker;
+use selfish_mining::{AnalysisConfig, ParametricModel, SolverParallelism};
 use sm_audit::{audit_certificate, AuditConfig, CertificateArtifact};
 use std::time::Instant;
 
@@ -46,39 +46,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let (p, gamma) = (0.35, 0.5);
     let stage = Instant::now();
-    let model = family.instantiate(p, gamma)?;
-    println!("instantiate p={p} gamma={gamma}: {:.1?}", stage.elapsed());
-
-    let stage = Instant::now();
-    let procedure = AnalysisProcedure::new(
-        AnalysisConfig::with_epsilon(epsilon).with_parallelism(SolverParallelism::threads(threads)),
-    );
-    let result = procedure.solve_dinkelbach(&model)?;
+    let config =
+        AnalysisConfig::with_epsilon(epsilon).with_parallelism(SolverParallelism::threads(threads));
+    let mut tracker = CurveTracker::new(&family, gamma, true, config);
+    let solve = tracker.advance(p)?;
+    // The arena the tracker instantiated for (p, γ) is the audit's model.
+    let model = tracker.into_arena().ok_or("the tracker holds no arena")?;
     println!(
-        "certify ({threads} threads): beta in [{:.6}, {:.6}] after {} solves, {:.1?}",
-        result.beta_low,
-        result.beta_up,
-        result.steps.len(),
+        "instantiate + certify p={p} gamma={gamma} ({threads} threads): \
+         beta in [{:.6}, {:.6}] after {} solves, {:.1?}",
+        solve.beta_low,
+        solve.beta_up,
+        solve.steps.len(),
         stage.elapsed()
     );
-    assert!(result.beta_up - result.beta_low <= epsilon + 1e-12);
+    assert!(solve.beta_up - solve.beta_low <= epsilon + 1e-12);
 
     // Package the solve as a certificate artifact, round-trip it through the
     // JSON form nightly CI archives, and re-validate it with the independent
     // auditor — three solver-free residual passes over the 22.9M-transition
     // arena, a few percent of one solve's wall-clock time.
     let stage = Instant::now();
-    let solve = CertifiedSolve {
-        scenario: family.scenario(),
-        p,
-        gamma,
-        beta_low: result.beta_low,
-        beta_up: result.beta_up,
-        strategy_revenue: result.strategy_revenue,
-        strategy: result.strategy,
-        epsilon,
-        bias: result.bias,
-    };
     // Each copy of the 3.0M-entry bias and strategy is dropped as soon as
     // the next one exists: solve → artifact → JSON → parsed artifact.
     let artifact = CertificateArtifact::from_certified(&solve, &model)?;

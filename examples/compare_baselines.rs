@@ -10,7 +10,8 @@
 use selfish_mining::baselines::{
     eyal_sirer_relative_revenue, honest_relative_revenue, SingleTreeAttack,
 };
-use selfish_mining::{AnalysisProcedure, ParametricModel};
+use selfish_mining::experiments::CurveTracker;
+use selfish_mining::{AnalysisConfig, ParametricModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -36,8 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for (depth, forks) in [(1usize, 1usize), (2, 1), (2, 2)] {
-        let model = ParametricModel::build(depth, forks, 4)?.instantiate(p, gamma)?;
-        let result = AnalysisProcedure::with_epsilon(1e-3).solve_dinkelbach(&model)?;
+        let family = ParametricModel::build(depth, forks, 4)?;
+        let result = CurveTracker::new(&family, gamma, true, AnalysisConfig::with_epsilon(1e-3))
+            .advance(p)?;
         println!(
             "{:<32} {:>10.4}",
             format!("our attack (d={depth}, f={forks}, l=4)"),

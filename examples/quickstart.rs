@@ -1,13 +1,15 @@
-//! Quickstart: build the selfish-mining MDP for one configuration, run the
-//! formal analysis (Algorithm 1) and print the ε-tight lower bound on the
-//! optimal expected relative revenue together with the strategy's exact value.
+//! Quickstart: build the selfish-mining MDP for one configuration, certify
+//! one point with the analysis of Section 3.3 and print the ε-tight lower
+//! bound on the optimal expected relative revenue together with the
+//! strategy's exact value.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
 use selfish_mining::baselines::{honest_relative_revenue, SingleTreeAttack};
-use selfish_mining::{AnalysisProcedure, ParametricModel};
+use selfish_mining::experiments::CurveTracker;
+use selfish_mining::{AnalysisConfig, ParametricModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The smallest configuration in which the paper's attack beats both
@@ -16,19 +18,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gamma = 0.5;
 
     println!("building the selfish-mining MDP for p={p}, gamma={gamma}, d=2, f=1, l=4 ...");
-    let model = ParametricModel::build(2, 1, 4)?.instantiate(p, gamma)?;
+    let family = ParametricModel::build(2, 1, 4)?;
     println!(
         "  {} reachable states, {} state-action pairs",
-        model.num_states(),
-        model.mdp().num_pairs()
+        family.num_states(),
+        family.num_pairs()
     );
 
-    println!("running Algorithm 1 (binary search over beta, epsilon = 1e-3) ...");
-    let analysis = AnalysisProcedure::with_epsilon(1e-3);
-    let result = analysis.solve(&model)?;
+    println!("certifying ERRev* (Dinkelbach iteration over beta, epsilon = 1e-3) ...");
+    let mut tracker = CurveTracker::new(&family, gamma, true, AnalysisConfig::with_epsilon(1e-3));
+    let result = tracker.advance(p)?;
+    let model = tracker
+        .into_arena()
+        .ok_or("the tracker instantiated no arena")?;
     println!(
-        "  epsilon-tight lower bound on ERRev*: {:.4} (bracket [{:.4}, {:.4}], {} inner solves)",
-        result.expected_relative_revenue,
+        "  epsilon-tight lower bound on ERRev*: {:.4} (bracket upper end {:.4}, {} inner solves)",
         result.beta_low,
         result.beta_up,
         result.steps.len()

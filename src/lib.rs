@@ -10,8 +10,8 @@
 //! * [`proofs`] — simulated efficient proof systems (PoW, PoStake, PoSpace,
 //!   VDF, PoST) and the `(p, k)`-mining abstraction.
 //! * [`chain`] — the discrete-time longest-chain blockchain simulator.
-//! * [`selfish_mining`] — the paper's selfish-mining MDP, the Algorithm 1
-//!   analysis procedure and the baselines.
+//! * [`selfish_mining`] — the paper's selfish-mining MDP, the certified
+//!   analysis (`experiments::CurveTracker`) and the baselines.
 //! * [`conformance`] — statistical conformance: parallel Monte-Carlo
 //!   estimation of exported strategies and solver-vs-simulator
 //!   certification.

@@ -5,8 +5,9 @@
 //! encode the same system model.
 
 use selfish_mining::baselines::honest_relative_revenue;
+use selfish_mining::experiments::CurveTracker;
 use selfish_mining::{
-    available_actions, AnalysisProcedure, AttackParams, ParametricModel, StrategyExport,
+    available_actions, AnalysisConfig, AttackParams, ParametricModel, StrategyExport,
 };
 use sm_chain::{HonestStrategy, SimulationConfig, Simulator, UnknownViewPolicy};
 
@@ -40,13 +41,10 @@ fn simulator_reproduces_honest_share() {
 fn simulator_matches_mdp_value_for_optimal_strategy() {
     let p = 0.3;
     let gamma = 0.5;
-    let model = ParametricModel::build(2, 1, 4)
-        .unwrap()
-        .instantiate(p, gamma)
-        .unwrap();
-    let result = AnalysisProcedure::with_epsilon(1e-3)
-        .solve_dinkelbach(&model)
-        .unwrap();
+    let family = ParametricModel::build(2, 1, 4).unwrap();
+    let mut tracker = CurveTracker::new(&family, gamma, true, AnalysisConfig::with_epsilon(1e-3));
+    let result = tracker.advance(p).unwrap();
+    let model = tracker.into_arena().unwrap();
 
     // The export is the production API the conformance subsystem uses; the
     // strict policy certifies that the MDP covers every view the simulator
@@ -290,8 +288,7 @@ fn selfish_mining_model_streams_into_identical_arena() {
 /// tests do not exercise.
 #[test]
 fn iterative_revenue_matches_exact_gains_on_selfish_mining_chains() {
-    use selfish_mining::experiments::CurveTracker;
-    use selfish_mining::{AnalysisConfig, AttackScenario};
+    use selfish_mining::AttackScenario;
     use sm_oracle::{long_run_average_reward, ChainAnalysis};
 
     let mut chains_with_transient_states = 0;

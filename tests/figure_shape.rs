@@ -1,17 +1,15 @@
 //! Integration tests asserting the *shape* of the paper's experimental
 //! findings (Section 4 / Figure 2), computed end-to-end through the public
-//! API: model construction, Algorithm 1, and both baselines.
+//! API: model construction, the certified analysis, and both baselines.
 
 use selfish_mining::baselines::{honest_relative_revenue, SingleTreeAttack};
-use selfish_mining::{AnalysisProcedure, ParametricModel};
+use selfish_mining::experiments::CurveTracker;
+use selfish_mining::{AnalysisConfig, ParametricModel};
 
 fn attack_revenue(p: f64, gamma: f64, depth: usize, forks: usize) -> f64 {
-    let model = ParametricModel::build(depth, forks, 4)
-        .unwrap()
-        .instantiate(p, gamma)
-        .unwrap();
-    AnalysisProcedure::with_epsilon(1e-3)
-        .solve_dinkelbach(&model)
+    let family = ParametricModel::build(depth, forks, 4).unwrap();
+    CurveTracker::new(&family, gamma, true, AnalysisConfig::with_epsilon(1e-3))
+        .advance(p)
         .unwrap()
         .strategy_revenue
 }

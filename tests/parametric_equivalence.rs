@@ -16,8 +16,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use selfish_mining::experiments::CurveTracker;
 use selfish_mining::{
-    available_actions_in, successors_in, AnalysisProcedure, AttackParams, AttackScenario,
+    available_actions_in, successors_in, AnalysisConfig, AttackParams, AttackScenario,
     ParametricModel, SelfishMiningModel, SmAction, SmState,
 };
 use sm_mdp::{CsrMdpBuilder, Mdp, PositionalStrategy, RelativeValueIteration, SolverParallelism};
@@ -338,17 +339,16 @@ fn masked_edges_agree_with_the_pruned_builder_on_gains() {
 
 #[test]
 fn masked_edges_agree_on_the_full_analysis() {
-    // End-to-end check: Algorithm 1's Dinkelbach variant on the masked
-    // arena (exercising the induced chains with structurally-kept
-    // zero-probability entries and the revenue evaluation) against a
-    // test-local Dinkelbach iteration on the pruned arena.
+    // End-to-end check: the certified analysis on the masked arena
+    // (exercising the induced chains with structurally-kept zero-probability
+    // entries and the revenue evaluation) against a test-local Dinkelbach
+    // iteration on the pruned arena.
     let epsilon = 2e-3;
     let family = ParametricModel::build(2, 1, 3).unwrap();
     for &(p, gamma) in &[(0.0, 0.5), (0.3, 0.0), (0.3, 1.0)] {
-        let instantiated = family.instantiate(p, gamma).unwrap();
         let pruned = Pruned::build(AttackScenario::Optimal, p, gamma, 2, 1, 3);
-        let a = AnalysisProcedure::with_epsilon(epsilon)
-            .solve_dinkelbach(&instantiated)
+        let a = CurveTracker::new(&family, gamma, true, AnalysisConfig::with_epsilon(epsilon))
+            .advance(p)
             .unwrap()
             .strategy_revenue;
         let b = pruned.dinkelbach_revenue(epsilon);

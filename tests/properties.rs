@@ -73,7 +73,7 @@ fn transition_distributions_are_stochastic() {
 }
 
 /// The optimal mean payoff MP*_beta is monotonically non-increasing in
-/// beta (the monotonicity that makes Algorithm 1's binary search sound).
+/// beta (the monotonicity that makes the search over beta sound).
 #[test]
 fn optimal_mean_payoff_is_monotone_in_beta() {
     let mut rng = StdRng::seed_from_u64(7);

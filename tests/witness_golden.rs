@@ -14,7 +14,8 @@
 //! depth (partial releases, re-anchored remainders, invalid requests), under
 //! both mining regimes.
 
-use selfish_mining::{AnalysisProcedure, ParametricModel, StrategyExport};
+use selfish_mining::experiments::CurveTracker;
+use selfish_mining::{AnalysisConfig, ParametricModel, StrategyExport};
 use sm_chain::{
     AdversaryAction, AdversaryStrategy, AdversaryView, ConsensusBackend, MinerClass, MiningRegime,
     SimulationConfig, Simulator, TableStrategy, UnknownViewPolicy,
@@ -24,13 +25,10 @@ use sm_conformance::{estimate_revenue, EstimatorConfig};
 /// The ε-optimal (d = 2, f = 1, l = 4) strategy at p = 0.3, γ = 0.5, exported
 /// to a simulator table — the strategy the `conformance-d2f1` witness runs.
 fn d2f1_table() -> TableStrategy {
-    let model = ParametricModel::build(2, 1, 4)
-        .unwrap()
-        .instantiate(0.3, 0.5)
-        .unwrap();
-    let result = AnalysisProcedure::with_epsilon(1e-3)
-        .solve_dinkelbach(&model)
-        .unwrap();
+    let family = ParametricModel::build(2, 1, 4).unwrap();
+    let mut tracker = CurveTracker::new(&family, 0.5, true, AnalysisConfig::with_epsilon(1e-3));
+    let result = tracker.advance(0.3).unwrap();
+    let model = tracker.into_arena().unwrap();
     StrategyExport::new(&model)
         .table(&result.strategy, UnknownViewPolicy::Wait)
         .unwrap()
