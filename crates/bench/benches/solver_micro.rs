@@ -1,19 +1,17 @@
-//! Micro-benchmarks of the solver substrate: mean-payoff solvers on the
-//! selfish-mining MDP and the building blocks they rest on. These are ablation
-//! benches for the design choices discussed in DESIGN.md (value iteration vs
-//! policy iteration vs LP).
+//! Micro-benchmarks of the production pipeline, one group per stage a grid
+//! point travels through: model construction, the relative-value-iteration
+//! solve, Dinkelbach's search, the Figure 2 sweep engine, the certificate
+//! audit, the query service, the consensus backends' arrival draws and the
+//! chain simulator. Every benchmark times code the pipeline runs; the
+//! `bench_check` gate compares their medians with `bench/baseline.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use selfish_mining::baselines::SingleTreeAttack;
 use selfish_mining::experiments::{coarse_p_grid, CurveTracker, PAPER_GAMMA_GRID};
 use selfish_mining::{
-    available_actions, successors_in, AnalysisConfig, AttackParams, AttackScenario,
-    ParametricModel, SelfishMiningModel, SmState, SolverParallelism,
+    AnalysisConfig, AttackParams, ParametricModel, SelfishMiningModel, SolverParallelism,
 };
 use sm_grid::SweepConfig;
 use sm_mdp::RelativeValueIteration;
-use sm_oracle::{LinearProgrammingSolver, PolicyIteration, TransitionRewards};
-use std::collections::{HashMap, VecDeque};
 
 /// Builds the model at `params`: the parametric BFS over the `(d, f, l)`
 /// topology plus one instantiation at `(p, γ)`.
@@ -24,192 +22,15 @@ fn build(params: &AttackParams) -> SelfishMiningModel {
         .unwrap()
 }
 
-fn model() -> SelfishMiningModel {
-    build(&AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap())
-}
-
-/// The seed's pre-CSR MDP representation, reproduced verbatim for the
-/// before/after benchmark: one heap-allocated `Vec<(usize, f64)>` transition
-/// list per named action, nested per state — the layout the flat arena
-/// replaced. Kept self-contained in this bench so the comparison measures the
-/// *actual* old representation, not today's builders in disguise.
-struct LegacyAction {
-    #[allow(dead_code)]
-    name: String,
-    transitions: Vec<(usize, f64)>,
-}
-
-struct LegacyMdp {
-    states: Vec<Vec<LegacyAction>>,
-}
-
-/// The seed's construction pipeline: BFS staging every outcome into nested
-/// `Vec<Vec<Vec<…>>>` buffers, then a second pass assembling the nested-`Vec`
-/// model and per-action expected rewards. Today's parametric build writes the
-/// flat CSR arena directly instead.
-#[allow(clippy::type_complexity)]
-fn legacy_nested_build(params: &AttackParams) -> (LegacyMdp, Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let initial = SmState::initial(params);
-    let mut index_of: HashMap<SmState, usize> = HashMap::new();
-    let mut states: Vec<SmState> = Vec::new();
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    index_of.insert(initial.clone(), 0);
-    states.push(initial);
-    queue.push_back(0);
-
-    let mut actions_per_state: Vec<Vec<String>> = Vec::new();
-    let mut outcomes: Vec<Vec<Vec<(usize, f64, f64, f64)>>> = Vec::new();
-    while let Some(index) = queue.pop_front() {
-        let state = states[index].clone();
-        let state_actions = available_actions(params, &state);
-        let mut per_action = Vec::with_capacity(state_actions.len());
-        for action in &state_actions {
-            let outs = successors_in(&AttackScenario::Optimal, params, &state, action).unwrap();
-            let mut entries = Vec::with_capacity(outs.len());
-            for out in outs {
-                let target = match index_of.get(&out.state) {
-                    Some(&existing) => existing,
-                    None => {
-                        let new_index = states.len();
-                        index_of.insert(out.state.clone(), new_index);
-                        states.push(out.state);
-                        queue.push_back(new_index);
-                        new_index
-                    }
-                };
-                entries.push((
-                    target,
-                    out.probability,
-                    f64::from(out.rewards.adversary),
-                    f64::from(out.rewards.honest),
-                ));
-            }
-            per_action.push(entries);
-        }
-        actions_per_state.push(state_actions.iter().map(|a| a.name()).collect());
-        outcomes.push(per_action);
-    }
-
-    let num_states = states.len();
-    let mut model_states: Vec<Vec<LegacyAction>> = Vec::with_capacity(num_states);
-    let mut expected_adv: Vec<Vec<f64>> = Vec::with_capacity(num_states);
-    let mut expected_hon: Vec<Vec<f64>> = Vec::with_capacity(num_states);
-    for state_index in 0..num_states {
-        let mut actions = Vec::new();
-        let mut adv_row = Vec::new();
-        let mut hon_row = Vec::new();
-        for (name, entries) in actions_per_state[state_index]
-            .iter()
-            .zip(&outcomes[state_index])
-        {
-            // Sort-and-merge duplicate targets, as the seed's nested builder did.
-            let mut transitions: Vec<(usize, f64)> =
-                entries.iter().map(|&(t, p, _, _)| (t, p)).collect();
-            transitions.sort_by_key(|&(t, _)| t);
-            let mut merged: Vec<(usize, f64)> = Vec::with_capacity(transitions.len());
-            for (target, p) in transitions {
-                match merged.last_mut() {
-                    Some(last) if last.0 == target => last.1 += p,
-                    _ => merged.push((target, p)),
-                }
-            }
-            actions.push(LegacyAction {
-                name: name.clone(),
-                transitions: merged,
-            });
-            adv_row.push(entries.iter().map(|&(_, p, a, _)| p * a).sum());
-            hon_row.push(entries.iter().map(|&(_, p, _, h)| p * h).sum());
-        }
-        model_states.push(actions);
-        expected_adv.push(adv_row);
-        expected_hon.push(hon_row);
-    }
-    (
-        LegacyMdp {
-            states: model_states,
-        },
-        expected_adv,
-        expected_hon,
-    )
-}
-
-/// The seed's relative-value-iteration inner loop, verbatim over the nested
-/// representation: per-state action `Vec`s, per-action transition `Vec`s,
-/// pointer-chasing through both on every sweep.
-fn legacy_rvi(mdp: &LegacyMdp, expected: &[Vec<f64>], epsilon: f64) -> f64 {
-    let n = mdp.states.len();
-    let tau = 0.95;
-    let mut h = vec![0.0; n];
-    let mut next = vec![0.0; n];
-    let mut best_action = vec![0usize; n];
-    let reference = 0;
-    for _ in 1..=2_000_000usize {
-        let mut min_delta = f64::INFINITY;
-        let mut max_delta = f64::NEG_INFINITY;
-        for s in 0..n {
-            let mut best = f64::NEG_INFINITY;
-            let mut best_a = 0;
-            for (a, action) in mdp.states[s].iter().enumerate() {
-                let mut value = expected[s][a];
-                for &(t, p) in &action.transitions {
-                    value += p * h[t] * tau;
-                }
-                value += (1.0 - tau) * h[s];
-                if value > best {
-                    best = value;
-                    best_a = a;
-                }
-            }
-            next[s] = best;
-            best_action[s] = best_a;
-            let delta = best - h[s];
-            min_delta = min_delta.min(delta);
-            max_delta = max_delta.max(delta);
-        }
-        let offset = next[reference];
-        for s in 0..n {
-            h[s] = next[s] - offset;
-        }
-        if max_delta - min_delta < epsilon {
-            // Keep the strategy bookkeeping observable so the optimizer
-            // cannot elide it (the real solver returns the strategy too).
-            criterion::black_box(&best_action);
-            return 0.5 * (min_delta + max_delta);
-        }
-    }
-    panic!("legacy RVI failed to converge");
-}
-
-/// Before/after of the tentpole refactor: model construction plus one
-/// relative-value-iteration solve of `r_β = r_A − β(r_A + r_H)`, through the
-/// seed's nested-`Vec` pipeline (staging copy, nested model, pointer-chasing
-/// sweep) vs. today's streamed flat CSR arena.
+/// Model construction plus one relative-value-iteration solve of
+/// `r_β = r_A − β(r_A + r_H)`: the parametric build streams the flat CSR
+/// arena, one instantiation fills it, and the solver sweeps it.
 fn bench_construction_plus_vi(c: &mut Criterion) {
     let mut group = c.benchmark_group("csr/build_plus_vi");
     group.sample_size(10);
     let beta = 0.35;
     for (depth, forks) in [(2usize, 1usize), (2, 2)] {
         let params = AttackParams::new(0.3, 0.5, depth, forks, 4).unwrap();
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("nested_legacy_d{depth}_f{forks}")),
-            &params,
-            |b, params| {
-                b.iter(|| {
-                    let (mdp, adv, hon) = legacy_nested_build(params);
-                    let expected_beta: Vec<Vec<f64>> = adv
-                        .iter()
-                        .zip(&hon)
-                        .map(|(ar, hr)| {
-                            ar.iter()
-                                .zip(hr)
-                                .map(|(&a, &h)| a - beta * (a + h))
-                                .collect()
-                        })
-                        .collect();
-                    legacy_rvi(&mdp, &expected_beta, 1e-6)
-                });
-            },
-        );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("csr_stream_d{depth}_f{forks}")),
             &params,
@@ -229,32 +50,13 @@ fn bench_construction_plus_vi(c: &mut Criterion) {
 }
 
 fn bench_mean_payoff_methods(c: &mut Criterion) {
-    let model = model();
+    let model = build(&AttackParams::new(0.3, 0.5, 2, 1, 4).unwrap());
     let rewards = model.beta_rewards(0.35);
     let mut group = c.benchmark_group("solver/mean_payoff_d2_f1");
     let mdp = model.mdp();
-    // The exact oracles take per-transition rewards: `r_β` replicated over
-    // each pair's transitions.
-    let oracle_rewards = TransitionRewards::from_pair_values(mdp, &rewards).unwrap();
     group.bench_function("value_iteration", |b| {
         let solver = RelativeValueIteration::with_epsilon(1e-6);
         b.iter(|| solver.solve(mdp, &rewards).unwrap().gain);
-    });
-    group.bench_function("policy_iteration", |b| {
-        b.iter(|| {
-            PolicyIteration::default()
-                .solve(mdp, &oracle_rewards)
-                .unwrap()
-                .0
-        });
-    });
-    group.bench_function("linear_programming", |b| {
-        b.iter(|| {
-            LinearProgrammingSolver::default()
-                .solve(mdp, &oracle_rewards)
-                .unwrap()
-                .0
-        });
     });
     group.finish();
 }
@@ -359,92 +161,18 @@ fn bench_model_construction(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seed's per-point analysis pipeline, reproduced verbatim for the
-/// before/after sweep benchmark: a cold Dinkelbach iteration from `β = 0`
-/// with pure (non-interleaved) relative value iteration at the seed's inner
-/// precision `10⁻⁶`, the exact revenue evaluated as two *separate*
-/// `iterative_gains` passes over the induced chain, and the historical
-/// `finalize` that re-solved the MDP at `β_low`. Kept self-contained in this
-/// bench so the comparison measures the pipeline this PR replaced, not
-/// today's (already accelerated) shared components in disguise.
-fn seed_dinkelbach_revenue(model: &SelfishMiningModel, epsilon: f64) -> f64 {
-    let solver = RelativeValueIteration {
-        epsilon: 1e-6,
-        evaluation_sweeps: 0,
-        ..Default::default()
-    };
-    let seed_revenue = |strategy: &sm_mdp::PositionalStrategy| -> f64 {
-        let chain = model.mdp().induced_chain(strategy).unwrap();
-        let (r_adv, r_hon) = model.strategy_rewards(strategy).unwrap();
-        let gain = |rewards: &[f64]| {
-            sm_mdp::iterative_gains(&chain, &[rewards], None, SolverParallelism::serial())
-                .unwrap()
-                .0[0]
-        };
-        let (adv, hon) = (gain(&r_adv), gain(&r_hon));
-        adv / (adv + hon)
-    };
-    let mut beta = 0.0;
-    for _ in 0..200 {
-        let rewards = model.beta_rewards(beta);
-        let result = solver.solve(model.mdp(), &rewards).unwrap();
-        let revenue = seed_revenue(&result.strategy);
-        if (revenue - beta).abs() < epsilon || result.gain.abs() <= 1e-9 {
-            // The seed's finalize: one more full solve at β_low plus one more
-            // revenue evaluation.
-            let rewards = model.beta_rewards(revenue.min(1.0));
-            let finalized = solver.solve(model.mdp(), &rewards).unwrap();
-            return seed_revenue(&finalized.strategy);
-        }
-        beta = revenue;
-    }
-    panic!("seed dinkelbach failed to converge");
-}
-
-/// Before/after of the parameterized-arena tentpole on the acceptance
-/// workload: the full Figure-2 coarse sweep (`coarse_p_grid` ×
-/// `PAPER_GAMMA_GRID` × the default attack grid, single-tree baseline
-/// included).
-///
-/// * `per_point_rebuild` — the pipeline this PR replaced: a full
-///   breadth-first model construction plus the seed's cold Dinkelbach
-///   analysis ([`seed_dinkelbach_revenue`]) for every single grid point.
-/// * `parametric_warm_engine` — the sweep engine (`sm_grid::SweepConfig`):
-///   one parametric arena per `(d, f)` shared across the grid, in-place
-///   `(p, γ)` re-instantiation per point, and warm-started solves along each
-///   `p` curve, fanned out over the worker pool.
-///
-/// Measured numbers are recorded in CHANGES.md / EXPERIMENTS.md.
+/// The full Figure-2 coarse sweep (`coarse_p_grid` × `PAPER_GAMMA_GRID` ×
+/// the default attack grid, single-tree baseline included) through the
+/// sweep engine (`sm_grid::SweepConfig`): one parametric arena per `(d, f)`
+/// shared across the grid, in-place `(p, γ)` re-instantiation per point,
+/// and warm-started solves along each `p` curve, fanned out over the worker
+/// pool.
 fn bench_figure2_coarse_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep/figure2_coarse");
     group.sample_size(2);
     let attack_grid = [(1usize, 1usize), (2, 1), (2, 2)];
     let epsilon = 1e-3;
     let ps = coarse_p_grid();
-
-    group.bench_function("per_point_rebuild", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for &gamma in &PAPER_GAMMA_GRID {
-                for &p in &ps {
-                    for &(depth, forks) in &attack_grid {
-                        let params = AttackParams::new(p, gamma, depth, forks, 4).unwrap();
-                        acc += seed_dinkelbach_revenue(&build(&params), epsilon);
-                    }
-                    let single_tree = SingleTreeAttack {
-                        p,
-                        gamma,
-                        max_depth: 4,
-                        max_width: 5,
-                    }
-                    .analyse()
-                    .unwrap();
-                    acc += single_tree.relative_revenue;
-                }
-            }
-            acc
-        });
-    });
 
     group.bench_function("parametric_warm_engine", |b| {
         let config = SweepConfig {

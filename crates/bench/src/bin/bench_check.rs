@@ -2,9 +2,9 @@
 //!
 //! Compares the current `SM_BENCH_JSON` report(s) against the committed
 //! baseline and exits non-zero when any benchmark's median wall-clock time
-//! (or any recorded memory footprint) regressed beyond the threshold
-//! (default: 25%), or when a baseline entry is missing from the current
-//! report (catching silent renames):
+//! (or any recorded memory footprint) regressed by more than 25%, or when a
+//! baseline entry is missing from the current report (catching silent
+//! renames):
 //!
 //! ```text
 //! cargo run -p sm-bench --bin bench_check -- \
@@ -26,46 +26,34 @@
 use sm_bench::report::{compare_reports, merge_reports, parse_report};
 use std::process::ExitCode;
 
+/// The gate's regression budget: a median (or footprint) above
+/// `THRESHOLD ×` its baseline fails.
+const THRESHOLD: f64 = 1.25;
+
+/// The noise floor: benchmarks whose baseline median sits below 1 ms are
+/// compared and reported but cannot fail the gate, since microsecond-scale
+/// entries jitter past any reasonable threshold on shared CI runners.
+/// Memory footprints have no noise floor — byte counts are deterministic.
+const MIN_MEDIAN_NS: u128 = 1_000_000;
+
 struct Args {
     current: Vec<String>,
     baseline: String,
-    threshold: f64,
-    min_median_ms: f64,
     write_baseline: bool,
 }
 
 const USAGE: &str = "usage: bench_check --current <report.json> [--current <more.json> ...] \
-                     --baseline <baseline.json> \
-                     [--threshold <ratio, default 1.25>] \
-                     [--min-median-ms <noise floor, default 1.0>] [--write-baseline]";
+                     --baseline <baseline.json> [--write-baseline]";
 
 fn parse_args() -> Result<Args, String> {
     let mut current = Vec::new();
     let mut baseline = None;
-    let mut threshold = 1.25f64;
-    let mut min_median_ms = 1.0f64;
     let mut write_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--current" => current.push(args.next().ok_or("--current needs a path")?),
             "--baseline" => baseline = Some(args.next().ok_or("--baseline needs a path")?),
-            "--threshold" => {
-                let value = args.next().ok_or("--threshold needs a ratio")?;
-                threshold = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| t.is_finite() && *t >= 1.0)
-                    .ok_or(format!("invalid threshold {value:?} (must be >= 1.0)"))?;
-            }
-            "--min-median-ms" => {
-                let value = args.next().ok_or("--min-median-ms needs a duration")?;
-                min_median_ms = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|floor| floor.is_finite() && *floor >= 0.0)
-                    .ok_or(format!("invalid noise floor {value:?} (must be >= 0)"))?;
-            }
             "--write-baseline" => write_baseline = true,
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
@@ -76,8 +64,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args {
         current,
         baseline: baseline.ok_or(format!("missing --baseline\n{USAGE}"))?,
-        threshold,
-        min_median_ms,
         write_baseline,
     })
 }
@@ -120,12 +106,7 @@ fn run() -> Result<bool, String> {
     let baseline = parse_report(&baseline_text)
         .map_err(|e| format!("malformed baseline {}: {e}", args.baseline))?;
 
-    // Benchmarks whose baseline median sits below the noise floor are
-    // compared and reported but cannot fail the gate: microsecond-scale
-    // entries jitter past any reasonable threshold on shared CI runners.
-    // Memory footprints have no noise floor — byte counts are deterministic.
-    let min_median_ns = (args.min_median_ms * 1e6) as u128;
-    let comparison = compare_reports(&current, &baseline, args.threshold, min_median_ns);
+    let comparison = compare_reports(&current, &baseline, THRESHOLD, MIN_MEDIAN_NS);
     print!("{}", comparison.render());
     let regressions = comparison.regressions();
     let missing = comparison.missing();
@@ -133,7 +114,7 @@ fn run() -> Result<bool, String> {
         eprintln!(
             "PERF REGRESSION: {} entrie(s) exceeded {:.0}% of their baseline: {}",
             regressions.len(),
-            (args.threshold - 1.0) * 100.0,
+            (THRESHOLD - 1.0) * 100.0,
             regressions.join(", ")
         );
     }

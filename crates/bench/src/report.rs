@@ -1,49 +1,23 @@
 //! Machine-readable benchmark reports: parsing the `sm-bench/v2` JSON
-//! emitted by the criterion shim (`SM_BENCH_JSON`) — and, for committed
-//! baselines that predate the memory extension, the `sm-bench/v1` layout —
-//! and comparing a current report against a committed baseline for the CI
-//! perf-regression gate.
+//! emitted by the criterion shim (`SM_BENCH_JSON`) and comparing a current
+//! report against a committed baseline for the CI perf-regression gate.
 //!
 //! Documents are read through the workspace's one JSON parser,
-//! [`sm_audit::json`]; [`BenchReport::to_json`] keeps its own emitter so
-//! the committed baselines keep their layout.
+//! [`sm_audit::json`], and written through the shim's one emitter,
+//! [`criterion::render_report`], so a merged report written back as a
+//! baseline has exactly the layout the benches write.
 
+pub use criterion::{BenchRecord, MemRecord};
 use sm_audit::json::{parse_json, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One benchmark of a parsed report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchRecord {
-    /// Full `group/benchmark-id` path.
-    pub name: String,
-    /// Median wall-clock sample, nanoseconds.
-    pub median_ns: u128,
-    /// Mean wall-clock sample, nanoseconds.
-    pub mean_ns: u128,
-    /// Fastest wall-clock sample, nanoseconds.
-    pub min_ns: u128,
-    /// Number of timed samples.
-    pub samples: usize,
-}
-
-/// One recorded memory footprint of a parsed report (`sm-bench/v2`; `v1`
-/// reports parse with an empty list).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MemRecord {
-    /// Footprint name, e.g. `arena/d3-f2/layout_bytes`.
-    pub name: String,
-    /// Resident bytes.
-    pub bytes: u128,
-}
-
-/// A parsed `sm-bench/v1` or `sm-bench/v2` report.
+/// A parsed `sm-bench/v2` report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// The recorded benchmarks, in document order.
     pub benchmarks: Vec<BenchRecord>,
-    /// The recorded memory footprints, in document order (empty for `v1`
-    /// reports, which predate the extension).
+    /// The recorded memory footprints, in document order.
     pub mem_footprint: Vec<MemRecord>,
 }
 
@@ -65,47 +39,9 @@ impl BenchReport {
     }
 
     /// Renders the report in the `sm-bench/v2` layout the criterion shim
-    /// emits, so merged or normalised reports can be written back as
-    /// baselines.
+    /// emits, so merged reports can be written back as baselines.
     pub fn to_json(&self) -> String {
-        fn escape_into(out: &mut String, name: &str) {
-            for c in name.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => {
-                        let _ = write!(out, "\\u{:04x}", c as u32);
-                    }
-                    c => out.push(c),
-                }
-            }
-        }
-        let mut out = String::from("{\n  \"schema\": \"");
-        out.push_str(criterion::JSON_SCHEMA);
-        out.push_str("\",\n  \"benchmarks\": [");
-        for (index, bench) in self.benchmarks.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": \"");
-            escape_into(&mut out, &bench.name);
-            let _ = write!(
-                out,
-                "\", \"median_ns\": {}, \"mean_ns\": {}, \"min_ns\": {}, \"samples\": {}}}",
-                bench.median_ns, bench.mean_ns, bench.min_ns, bench.samples
-            );
-        }
-        out.push_str("\n  ],\n  \"mem_footprint\": [");
-        for (index, entry) in self.mem_footprint.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"name\": \"");
-            escape_into(&mut out, &entry.name);
-            let _ = write!(out, "\", \"bytes\": {}}}", entry.bytes);
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        criterion::render_report(&self.benchmarks, &self.mem_footprint)
     }
 }
 
@@ -148,12 +84,7 @@ pub fn merge_reports(reports: Vec<BenchReport>) -> Result<BenchReport, String> {
     Ok(merged)
 }
 
-/// Schemas [`parse_report`] accepts: the current `v2` layout and the `v1`
-/// layout still present in baselines committed before the `mem_footprint`
-/// extension.
-const ACCEPTED_SCHEMAS: [&str; 2] = ["sm-bench/v1", criterion::JSON_SCHEMA];
-
-/// Parses an `sm-bench/v1` or `sm-bench/v2` report document.
+/// Parses an `sm-bench/v2` report document.
 ///
 /// # Errors
 ///
@@ -164,9 +95,10 @@ pub fn parse_report(input: &str) -> Result<BenchReport, String> {
         .get("schema")
         .and_then(JsonValue::as_str)
         .ok_or("report is missing the \"schema\" field")?;
-    if !ACCEPTED_SCHEMAS.contains(&schema) {
+    if schema != criterion::JSON_SCHEMA {
         return Err(format!(
-            "unsupported report schema {schema:?} (expected one of {ACCEPTED_SCHEMAS:?})"
+            "unsupported report schema {schema:?} (expected {:?})",
+            criterion::JSON_SCHEMA
         ));
     }
     let benchmarks = match root.get("benchmarks") {
@@ -192,28 +124,25 @@ pub fn parse_report(input: &str) -> Result<BenchReport, String> {
             samples: field("samples")?,
         });
     }
-    // `mem_footprint` is optional (absent from v1 reports) but malformed
-    // entries are still rejected rather than dropped.
-    let mut mem = Vec::new();
-    match root.get("mem_footprint") {
-        None | Some(JsonValue::Null) => {}
-        Some(JsonValue::Array(items)) => {
-            for (index, item) in items.iter().enumerate() {
-                mem.push(MemRecord {
-                    name: item
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| format!("mem entry #{index} is missing \"name\""))?
-                        .to_string(),
-                    bytes: item
-                        .get("bytes")
-                        .and_then(JsonValue::as_usize)
-                        .ok_or_else(|| format!("mem entry #{index} is missing integer \"bytes\""))?
-                        as u128,
-                });
-            }
-        }
-        Some(_) => return Err("\"mem_footprint\" must be an array".to_string()),
+    // Malformed entries are rejected rather than dropped.
+    let items = match root.get("mem_footprint") {
+        Some(JsonValue::Array(items)) => items,
+        _ => return Err("report is missing the \"mem_footprint\" array".to_string()),
+    };
+    let mut mem = Vec::with_capacity(items.len());
+    for (index, item) in items.iter().enumerate() {
+        mem.push(MemRecord {
+            name: item
+                .get("name")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| format!("mem entry #{index} is missing \"name\""))?
+                .to_string(),
+            bytes: item
+                .get("bytes")
+                .and_then(JsonValue::as_usize)
+                .ok_or_else(|| format!("mem entry #{index} is missing integer \"bytes\""))?
+                as u128,
+        });
     }
     Ok(BenchReport {
         benchmarks: out,
@@ -252,8 +181,7 @@ pub struct Comparison {
     pub rows: Vec<(String, Option<u128>, Option<u128>, BenchVerdict)>,
     /// Per-memory-footprint verdicts, same shape with bytes instead of
     /// nanoseconds. Footprints are deterministic byte counts, so every row
-    /// is gated (no noise floor). Empty when neither report records memory
-    /// (e.g. a pre-`v2` baseline against a pre-`v2` report).
+    /// is gated (no noise floor). Empty when neither report records memory.
     pub mem_rows: Vec<(String, Option<u128>, Option<u128>, BenchVerdict)>,
     /// The regression threshold the comparison ran with.
     pub threshold: f64,
@@ -569,8 +497,11 @@ mod tests {
         assert!(parse_report("{\"schema\": \"other/v9\", \"benchmarks\": []}").is_err());
         assert!(parse_report("{\"benchmarks\": []}").is_err());
         assert!(
-            parse_report("{\"schema\": \"sm-bench/v1\", \"benchmarks\": [{\"name\": \"x\"}]}")
-                .is_err(),
+            parse_report(
+                "{\"schema\": \"sm-bench/v2\", \"benchmarks\": [{\"name\": \"x\"}], \
+                 \"mem_footprint\": []}"
+            )
+            .is_err(),
             "records must carry all duration fields"
         );
     }
@@ -620,17 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_reports_without_mem_footprint_still_parse() {
-        let parsed = parse_report(
-            "{\"schema\": \"sm-bench/v1\", \"benchmarks\": [{\"name\": \"x\", \
-             \"median_ns\": 7, \"mean_ns\": 7, \"min_ns\": 7, \"samples\": 3}]}",
-        )
-        .unwrap();
-        assert_eq!(parsed.benchmarks.len(), 1);
-        assert!(parsed.mem_footprint.is_empty());
-    }
-
-    #[test]
     fn v2_reports_carry_mem_footprints() {
         let parsed = parse_report(
             "{\"schema\": \"sm-bench/v2\", \"benchmarks\": [], \
@@ -651,6 +571,10 @@ mod tests {
             "{\"schema\": \"sm-bench/v2\", \"benchmarks\": [], \"mem_footprint\": 3}"
         )
         .is_err());
+        assert!(
+            parse_report("{\"schema\": \"sm-bench/v2\", \"benchmarks\": []}").is_err(),
+            "a v2 report always carries the mem_footprint array"
+        );
     }
 
     #[test]
@@ -697,8 +621,35 @@ mod tests {
             0,
         );
         assert!(ok.passes());
-        // A v1 baseline (no mem entries) never fails a v2 report's new ones.
+        // A baseline without mem entries never fails a report's new ones.
         let grandfathered = compare_reports(&mem_report(&[("arena/a", 5)]), &report(&[]), 1.25, 0);
         assert!(grandfathered.passes());
+    }
+
+    #[test]
+    fn committed_baselines_are_canonical() {
+        for (path, text) in [
+            (
+                "bench/baseline.json",
+                include_str!("../../../bench/baseline.json"),
+            ),
+            (
+                "bench/baseline-nightly.json",
+                include_str!("../../../bench/baseline-nightly.json"),
+            ),
+        ] {
+            let parsed = parse_report(text).unwrap_or_else(|e| panic!("{path}: {e}"));
+            // Names are unique: the keyed views drop no entry.
+            assert_eq!(parsed.by_name().len(), parsed.benchmarks.len(), "{path}");
+            assert_eq!(
+                parsed.mem_by_name().len(),
+                parsed.mem_footprint.len(),
+                "{path}"
+            );
+            assert!(
+                parsed.to_json() == text,
+                "{path} is not in the emitter's layout"
+            );
+        }
     }
 }

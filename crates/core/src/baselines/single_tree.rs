@@ -237,9 +237,9 @@ impl SingleTreeAttack {
         )?;
         let (a, h) = (gains[0], gains[1]);
         if a + h <= 0.0 {
-            return Err(SelfishMiningError::BracketingFailure {
-                beta_low: a,
-                beta_up: h,
+            return Err(SelfishMiningError::DegenerateRevenue {
+                adversary_gain: a,
+                honest_gain: h,
             });
         }
         Ok(SingleTreeResult {

@@ -29,13 +29,15 @@ pub enum SelfishMiningError {
         /// Debug rendering of the action.
         action: String,
     },
-    /// The binary search of Algorithm 1 failed to bracket the optimum, which
-    /// indicates an inconsistent solver result.
-    BracketingFailure {
-        /// The lower end of the bracket.
-        beta_low: f64,
-        /// The upper end of the bracket.
-        beta_up: f64,
+    /// A revenue evaluation found a non-positive total block rate
+    /// (`g_A + g_H ≤ 0`), so the relative revenue `g_A / (g_A + g_H)` is
+    /// undefined. Honest miners alone finalize blocks at a positive rate, so
+    /// this indicates a numerical problem in the chain evaluation.
+    DegenerateRevenue {
+        /// Long-run average adversarial block rate `g_A`.
+        adversary_gain: f64,
+        /// Long-run average honest block rate `g_H`.
+        honest_gain: f64,
     },
     /// An iterative analysis procedure exhausted its iteration budget before
     /// reaching the requested precision.
@@ -62,9 +64,13 @@ impl fmt::Display for SelfishMiningError {
             SelfishMiningError::UnavailableAction { state, action } => {
                 write!(f, "action {action} is not available in state {state}")
             }
-            SelfishMiningError::BracketingFailure { beta_low, beta_up } => write!(
+            SelfishMiningError::DegenerateRevenue {
+                adversary_gain,
+                honest_gain,
+            } => write!(
                 f,
-                "binary search failed to bracket the optimum (beta in [{beta_low}, {beta_up}])"
+                "relative revenue is undefined: adversary gain {adversary_gain} and honest \
+                 gain {honest_gain} sum to a non-positive block rate"
             ),
             SelfishMiningError::ConvergenceFailure { method, iterations } => {
                 write!(f, "{method} did not converge after {iterations} iterations")
@@ -124,6 +130,18 @@ mod tests {
         };
         let rendered = err.to_string();
         assert!(rendered.contains("dinkelbach") && rendered.contains("200"));
+    }
+
+    #[test]
+    fn degenerate_revenue_names_both_gains() {
+        let err = SelfishMiningError::DegenerateRevenue {
+            adversary_gain: 0.25,
+            honest_gain: -0.5,
+        };
+        let rendered = err.to_string();
+        assert!(rendered.contains("adversary gain 0.25"), "{rendered}");
+        assert!(rendered.contains("honest gain -0.5"), "{rendered}");
+        assert!(!rendered.contains("bracket"), "{rendered}");
     }
 
     #[test]

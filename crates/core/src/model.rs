@@ -243,9 +243,9 @@ impl SelfishMiningModel {
             // Blocks are finalized with positive rate under every strategy
             // (honest miners alone guarantee it), so this indicates a
             // numerical problem rather than a legitimate value.
-            return Err(SelfishMiningError::BracketingFailure {
-                beta_low: adv,
-                beta_up: hon,
+            return Err(SelfishMiningError::DegenerateRevenue {
+                adversary_gain: adv,
+                honest_gain: hon,
             });
         }
         Ok((adv / (adv + hon), bias))

@@ -430,8 +430,9 @@ impl ParametricModel {
     /// # Errors
     ///
     /// Returns [`SelfishMiningError::InvalidParameter`] for out-of-range
-    /// `p` / `gamma`, or a shape error if `model` was not produced by this
-    /// family (its arena must share this family's layout).
+    /// `p` / `gamma`, and for a `model` that was not produced by this family
+    /// (its arena must share this family's layout); the latter names the
+    /// parameter `"model"`.
     pub fn instantiate_into(
         &self,
         model: &mut SelfishMiningModel,
@@ -446,11 +447,10 @@ impl ParametricModel {
             self.max_fork_length,
         )?;
         if !Arc::ptr_eq(&model.mdp.layout_arc(), &self.layout) {
-            return Err(SelfishMiningError::Mdp(
-                sm_mdp::MdpError::RewardShapeMismatch {
-                    detail: "model was not instantiated from this parametric family".to_string(),
-                },
-            ));
+            return Err(SelfishMiningError::InvalidParameter {
+                name: "model",
+                constraint: "must be instantiated from this parametric family",
+            });
         }
         model.params = params;
         model.scenario = self.scenario;
@@ -711,9 +711,18 @@ mod tests {
     #[test]
     fn instantiate_into_rejects_foreign_models() {
         let family = ParametricModel::build(1, 1, 2).unwrap();
-        let other = ParametricModel::build(1, 1, 2).unwrap();
-        let mut model = other.instantiate(0.3, 0.5).unwrap();
-        assert!(family.instantiate_into(&mut model, 0.3, 0.5).is_err());
+        // A second family of the same topology and one of another topology:
+        // both are foreign, whatever their shape.
+        for other in [
+            ParametricModel::build(1, 1, 2).unwrap(),
+            ParametricModel::build(2, 1, 4).unwrap(),
+        ] {
+            let mut model = other.instantiate(0.3, 0.5).unwrap();
+            assert!(matches!(
+                family.instantiate_into(&mut model, 0.3, 0.5),
+                Err(SelfishMiningError::InvalidParameter { name: "model", .. })
+            ));
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! * `SM_BENCH_JSON=<path>` — after every benchmark, the accumulated
 //!   results are (re)written to `<path>` as a JSON report (see
-//!   [`json_report`] for the exact schema; `bench/README.md` documents it
+//!   [`render_report`] for the exact schema; `bench/README.md` documents it
 //!   next to the committed baseline). The file is rewritten incrementally,
 //!   so a partial report survives an aborted run. A *relative* path is
 //!   resolved against the workspace root, not the process working
@@ -39,33 +39,49 @@ use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
-/// One recorded benchmark, accumulated for the JSON report.
-#[derive(Debug, Clone)]
-struct RecordedBenchmark {
-    name: String,
-    median_ns: u128,
-    mean_ns: u128,
-    min_ns: u128,
-    samples: usize,
+/// One benchmark of a report: what the sampler records here and what the
+/// report parser reads back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BenchRecord {
+    /// Full `group/benchmark-id` path.
+    pub name: String,
+    /// Median wall-clock sample, nanoseconds.
+    pub median_ns: u128,
+    /// Mean wall-clock sample, nanoseconds.
+    pub mean_ns: u128,
+    /// Fastest wall-clock sample, nanoseconds.
+    pub min_ns: u128,
+    /// Number of timed samples.
+    pub samples: usize,
+}
+
+/// One memory footprint of a report.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MemRecord {
+    /// Footprint name, e.g. `arena/optimal-d3-f2-l4/layout_bytes`.
+    pub name: String,
+    /// Resident bytes.
+    pub bytes: u128,
 }
 
 /// Results recorded so far in this process (in execution order).
-static RECORDED: Mutex<Vec<RecordedBenchmark>> = Mutex::new(Vec::new());
-
-/// One recorded memory footprint, accumulated for the JSON report.
-#[derive(Debug, Clone)]
-struct RecordedMemory {
-    name: String,
-    bytes: u64,
-}
+static RECORDED: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
 
 /// Memory footprints recorded so far in this process (in execution order).
-static RECORDED_MEMORY: Mutex<Vec<RecordedMemory>> = Mutex::new(Vec::new());
+static RECORDED_MEMORY: Mutex<Vec<MemRecord>> = Mutex::new(Vec::new());
 
 /// The schema identifier embedded in every JSON report.
 pub const JSON_SCHEMA: &str = "sm-bench/v2";
 
-/// Renders the benchmarks recorded so far as the `sm-bench/v2` JSON report:
+/// Renders the benchmarks and memory footprints recorded so far in this
+/// process with [`render_report`]. This is what `SM_BENCH_JSON` writes.
+pub fn json_report() -> String {
+    let recorded = RECORDED.lock().expect("benchmark record poisoned");
+    let memory = RECORDED_MEMORY.lock().expect("memory record poisoned");
+    render_report(&recorded, &memory)
+}
+
+/// Renders benchmarks and memory footprints as the `sm-bench/v2` JSON report:
 ///
 /// ```json
 /// {
@@ -81,15 +97,13 @@ pub const JSON_SCHEMA: &str = "sm-bench/v2";
 ///
 /// Durations are integer nanoseconds; `name` is the full
 /// `group/benchmark-id` path; `mem_footprint` carries resident-byte counts
-/// recorded via [`record_memory`] (`v1` reports simply lack the array).
-/// This is also what `SM_BENCH_JSON` writes.
-pub fn json_report() -> String {
-    let recorded = RECORDED.lock().expect("benchmark record poisoned");
-    let memory = RECORDED_MEMORY.lock().expect("memory record poisoned");
+/// recorded via [`record_memory`]. One record per line, so the committed
+/// baselines diff line by line.
+pub fn render_report(benchmarks: &[BenchRecord], memory: &[MemRecord]) -> String {
     let mut out = String::from("{\n  \"schema\": \"");
     out.push_str(JSON_SCHEMA);
     out.push_str("\",\n  \"benchmarks\": [");
-    for (index, bench) in recorded.iter().enumerate() {
+    for (index, bench) in benchmarks.iter().enumerate() {
         if index > 0 {
             out.push(',');
         }
@@ -119,7 +133,7 @@ fn escape_into(out: &mut String, name: &str) {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
             c => out.push(c),
         }
     }
@@ -158,7 +172,7 @@ fn rewrite_report() {
 
 /// Records one benchmark result and, when `SM_BENCH_JSON` is set, rewrites
 /// the report file with everything recorded so far.
-fn record_benchmark(bench: RecordedBenchmark) {
+fn record_benchmark(bench: BenchRecord) {
     RECORDED
         .lock()
         .expect("benchmark record poisoned")
@@ -177,7 +191,10 @@ pub fn record_memory(name: impl Into<String>, bytes: u64) {
     RECORDED_MEMORY
         .lock()
         .expect("memory record poisoned")
-        .push(RecordedMemory { name, bytes });
+        .push(MemRecord {
+            name,
+            bytes: u128::from(bytes),
+        });
     rewrite_report();
 }
 
@@ -338,7 +355,7 @@ where
         human(min),
         samples.len()
     );
-    record_benchmark(RecordedBenchmark {
+    record_benchmark(BenchRecord {
         name: name.to_string(),
         median_ns: median.as_nanos(),
         mean_ns: mean.as_nanos(),

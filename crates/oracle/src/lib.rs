@@ -6,7 +6,7 @@
 //! revenue of a fixed strategy (the fused gain sweeps,
 //! `sm_mdp::iterative_gains`). Both are iterative and certify their
 //! results only up to a tolerance. This crate holds the *exact* methods the
-//! tests and benches compare them against:
+//! tests compare them against:
 //!
 //! * [`PolicyIteration`] / [`PolicyEvaluation`] — Howard's algorithm with
 //!   multichain gain/bias evaluation by dense linear solves.

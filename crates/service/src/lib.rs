@@ -695,36 +695,20 @@ impl Service {
         // their Arc and finish normally; a later request simply rebuilds —
         // with bit-identical answers, since answers are pure functions of
         // the rounded query.
-        while registry.curves.len() > self.config.max_curves {
-            let victim = registry
-                .curves
-                .iter()
-                .filter(|(key, _)| **key != resolved.key)
-                .min_by_key(|(_, entry)| entry.stamp)
-                .map(|(key, _)| key.clone());
-            match victim {
-                Some(key) => {
-                    registry.curves.remove(&key);
-                    StatsCells::bump(&self.stats.curve_evictions);
-                }
-                None => break,
-            }
-        }
-        while registry.arenas.len() > self.config.max_arenas {
-            let victim = registry
-                .arenas
-                .iter()
-                .filter(|(key, _)| *key != topology)
-                .min_by_key(|(_, entry)| entry.stamp)
-                .map(|(key, _)| key.clone());
-            match victim {
-                Some(key) => {
-                    registry.arenas.remove(&key);
-                    StatsCells::bump(&self.stats.arena_evictions);
-                }
-                None => break,
-            }
-        }
+        evict_lru(
+            &mut registry.curves,
+            self.config.max_curves,
+            &resolved.key,
+            |entry| entry.stamp,
+            &self.stats.curve_evictions,
+        );
+        evict_lru(
+            &mut registry.arenas,
+            self.config.max_arenas,
+            topology,
+            |entry| entry.stamp,
+            &self.stats.arena_evictions,
+        );
         (slot, curve)
     }
 
@@ -842,20 +826,38 @@ impl Service {
         state.memo_stamp += 1;
         let stamp = state.memo_stamp;
         state.memo.insert(p_units, MemoEntry { interval, stamp });
-        while state.memo.len() > self.config.max_memo_points {
-            let victim = state
-                .memo
-                .iter()
-                .filter(|(key, _)| **key != p_units)
-                .min_by_key(|(_, entry)| entry.stamp)
-                .map(|(key, _)| *key);
-            match victim {
-                Some(key) => {
-                    state.memo.remove(&key);
-                    StatsCells::bump(&self.stats.memo_evictions);
-                }
-                None => break,
+        evict_lru(
+            &mut state.memo,
+            self.config.max_memo_points,
+            &p_units,
+            |entry| entry.stamp,
+            &self.stats.memo_evictions,
+        );
+    }
+}
+
+/// Evicts least-recently-stamped entries until `map` holds at most `cap`,
+/// never the entry under `keep`, and bumps `evictions` once per entry
+/// removed.
+fn evict_lru<K: Ord + Clone, V>(
+    map: &mut BTreeMap<K, V>,
+    cap: usize,
+    keep: &K,
+    stamp: impl Fn(&V) -> u64,
+    evictions: &AtomicU64,
+) {
+    while map.len() > cap {
+        let victim = map
+            .iter()
+            .filter(|(key, _)| *key != keep)
+            .min_by_key(|(_, entry)| stamp(entry))
+            .map(|(key, _)| key.clone());
+        match victim {
+            Some(key) => {
+                map.remove(&key);
+                StatsCells::bump(evictions);
             }
+            None => break,
         }
     }
 }
