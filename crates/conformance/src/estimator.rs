@@ -1,14 +1,15 @@
-//! The batched parallel Monte-Carlo revenue estimator.
+//! The batched Monte-Carlo revenue estimator.
 //!
 //! Replicas are independent seeded [`Simulator`] runs; their relative
 //! revenues stream into a Welford mean/variance accumulator that feeds a CLT
 //! confidence interval. A sequential stopping rule runs batches of replicas
 //! until the interval half-width drops below the tolerance or the replica
-//! budget is exhausted. The replica fan-out runs on the workspace's one job
-//! loop ([`sm_scheduler::run_budgeted_jobs`], a [`std::thread::scope`] pool
-//! draining an atomic index), and the result is **bit-identical for any worker count**: replica `i`'s seeds are
-//! a pure function of the master seed and `i`, and the accumulator always
-//! folds the per-replica results in replica order.
+//! budget is exhausted. Replica `i`'s seeds are a pure function of the
+//! master seed and `i`, and the accumulator folds the per-replica results in
+//! replica order, so an estimate is a pure function of its config. The
+//! estimator starts no threads: parallelism belongs to the caller's job
+//! budget (the grid runner fans whole points out over
+//! [`selfish_mining::run_budgeted_jobs`]).
 //!
 //! Replicas draw block arrivals from any [`ConsensusBackend`] realisation:
 //! the ideal Bernoulli lottery or one of the proof-backed lotteries from
@@ -17,7 +18,6 @@
 use crate::ConformanceError;
 use selfish_mining::SelfishMiningError;
 use sm_chain::{AdversaryStrategy, ConsensusBackend, SimulationConfig, Simulator};
-use sm_scheduler::{resolve_budget, run_budgeted_jobs};
 
 /// Configuration of the Monte-Carlo estimator.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,9 +42,6 @@ pub struct EstimatorConfig {
     /// Hard replica budget; the estimate is flagged unconverged when the
     /// budget is exhausted before the tolerance is met.
     pub max_replicas: usize,
-    /// Worker threads; `0` uses [`std::thread::available_parallelism`]. The
-    /// estimate is bit-identical for every choice.
-    pub workers: usize,
 }
 
 impl Default for EstimatorConfig {
@@ -56,7 +53,6 @@ impl Default for EstimatorConfig {
             min_replicas: 4,
             batch: 4,
             max_replicas: 64,
-            workers: 0,
         }
     }
 }
@@ -103,13 +99,31 @@ impl EstimatorConfig {
                 constraint: "must not exceed max_replicas",
             });
         }
-        // Reject an invalid resource share up front with a typed error; the
-        // historical path let `Simulator::new` catch it with an assert.
-        if sm_chain::validate_share("p", self.simulation.p).is_err() {
-            return Err(ConformanceError::InvalidConfig {
-                name: "simulation.p",
-                constraint: "must lie in [0, 1]",
-            });
+        // Reject everything `Simulator::new` asserts on up front with a typed
+        // error, so a bad config never reaches a replica's panic.
+        let simulation = &self.simulation;
+        for (name, value) in [
+            ("simulation.p", simulation.p),
+            ("simulation.gamma", simulation.gamma),
+        ] {
+            if sm_chain::validate_share(name, value).is_err() {
+                return Err(ConformanceError::InvalidConfig {
+                    name,
+                    constraint: "must lie in [0, 1]",
+                });
+            }
+        }
+        for (name, value) in [
+            ("simulation.depth", simulation.depth),
+            ("simulation.forks_per_block", simulation.forks_per_block),
+            ("simulation.max_fork_length", simulation.max_fork_length),
+        ] {
+            if value == 0 {
+                return Err(ConformanceError::InvalidConfig {
+                    name,
+                    constraint: "must be positive",
+                });
+            }
         }
         Ok(())
     }
@@ -219,7 +233,7 @@ impl Welford {
 
 /// The two seeds of replica `index`: one for the simulation RNG, one for the
 /// arrival source. Pure in `(master, index)`, which is what makes the
-/// estimator deterministic for any worker count.
+/// estimator deterministic.
 fn replica_seeds(master: u64, index: usize) -> (u64, u64) {
     let base = crate::splitmix(master ^ crate::splitmix(2 * index as u64));
     (
@@ -258,49 +272,35 @@ where
     ))
 }
 
-/// Runs replicas `first..first + count` and returns their contributions in
-/// replica order, fanning them over the shared scoped worker pool.
-fn run_round<S>(
-    config: &EstimatorConfig,
-    strategy: &S,
-    backend: ConsensusBackend,
-    first: usize,
-    count: usize,
-) -> Vec<Result<(f64, u64), ConformanceError>>
-where
-    S: AdversaryStrategy + Clone + Send + Sync,
-{
-    run_budgeted_jobs(resolve_budget(config.workers), count, |offset, _| {
-        run_replica(config, strategy, backend, first + offset)
-    })
-}
-
 /// Estimates the expected relative revenue of `strategy` under the given
 /// backend's arrival realisation.
 ///
 /// Replicas run in batches of [`EstimatorConfig::batch`]; after each batch
 /// the CLT interval is recomputed and the run stops once its half-width
 /// reaches [`EstimatorConfig::tolerance`] (sequential stopping rule) or
-/// [`EstimatorConfig::max_replicas`] is exhausted. The returned estimate is
-/// **bit-identical for any** [`EstimatorConfig::workers`] **count** given the
-/// same master seed.
+/// [`EstimatorConfig::max_replicas`] is exhausted. Replicas run one after
+/// another in replica order, so the returned estimate is a pure function of
+/// the config and its master seed.
 ///
 /// # Errors
 ///
 /// Returns [`ConformanceError::InvalidConfig`] for non-finite or
 /// non-positive tolerances and z-scores, an empty batch, a replica budget
-/// below 2, a replica floor below 2 or above the budget, or an out-of-range
-/// resource share. (The historical code silently clamped an inconsistent
-/// `min_replicas` into range instead of rejecting the config.) Backend
-/// construction errors (e.g. a zero-VDF space-time budget) propagate as
-/// [`ConformanceError::Analysis`].
+/// below 2, a replica floor below 2 or above the budget, a resource share
+/// `simulation.p` or a propagation advantage `simulation.gamma` outside
+/// `[0, 1]` (NaN included), or a zero `simulation.depth`,
+/// `simulation.forks_per_block` or `simulation.max_fork_length` — every
+/// case [`Simulator::new`] would otherwise panic on. (The historical code
+/// silently clamped an inconsistent `min_replicas` into range instead of
+/// rejecting the config.) Backend construction errors (e.g. a zero-VDF
+/// space-time budget) propagate as [`ConformanceError::Analysis`].
 pub fn estimate_revenue<S>(
     config: &EstimatorConfig,
     strategy: &S,
     backend: ConsensusBackend,
 ) -> Result<Estimate, ConformanceError>
 where
-    S: AdversaryStrategy + Clone + Send + Sync,
+    S: AdversaryStrategy + Clone,
 {
     config.validate()?;
     let mut welford = Welford::default();
@@ -309,8 +309,8 @@ where
     let mut next_index = 0usize;
     while next_index < config.max_replicas {
         let round = config.batch.min(config.max_replicas - next_index);
-        for result in run_round(config, strategy, backend, next_index, round) {
-            let (revenue, misses) = result?;
+        for index in next_index..next_index + round {
+            let (revenue, misses) = run_replica(config, strategy, backend, index)?;
             welford.push(revenue);
             unknown_views += misses;
         }
@@ -372,38 +372,22 @@ mod tests {
     }
 
     #[test]
-    fn estimator_is_bit_identical_across_worker_counts() {
-        let base = EstimatorConfig {
-            // A tolerance no run meets forces the full budget, so every
-            // worker count runs the same replicas.
-            tolerance: 1e-12,
-            max_replicas: 10,
-            batch: 3,
-            ..config(0.25, 5_000, 77)
-        };
-        let reference = estimate_revenue(
+    fn an_unmet_tolerance_spends_the_budget_through_a_partial_last_batch() {
+        // A tolerance no run meets forces the full budget; with batches of 3
+        // the budget of 10 ends on a partial batch of one replica.
+        let estimate = estimate_revenue(
             &EstimatorConfig {
-                workers: 1,
-                ..base.clone()
+                tolerance: 1e-12,
+                max_replicas: 10,
+                batch: 3,
+                ..config(0.25, 5_000, 77)
             },
             &HonestStrategy,
             ConsensusBackend::PowLottery,
         )
         .unwrap();
-        for workers in [2, 5, 8] {
-            let estimate = estimate_revenue(
-                &EstimatorConfig {
-                    workers,
-                    ..base.clone()
-                },
-                &HonestStrategy,
-                ConsensusBackend::PowLottery,
-            )
-            .unwrap();
-            assert_eq!(reference, estimate, "workers = {workers}");
-        }
-        assert!(!reference.converged);
-        assert_eq!(reference.replicas, 10);
+        assert!(!estimate.converged);
+        assert_eq!(estimate.replicas, 10);
     }
 
     #[test]
@@ -559,6 +543,38 @@ mod tests {
                 })
             ));
         }
+        // The same holds for every other field Simulator::new asserts on: an
+        // out-of-range or NaN gamma and a zero structural parameter.
+        let rejects = |simulation: SimulationConfig, field: &str| {
+            let bad = EstimatorConfig {
+                simulation,
+                ..config(0.3, 100, 1)
+            };
+            let outcome = estimate_revenue(&bad, &HonestStrategy, ConsensusBackend::Bernoulli);
+            assert!(
+                matches!(outcome, Err(ConformanceError::InvalidConfig { name, .. }) if name == field),
+                "{field}: {outcome:?}"
+            );
+        };
+        let valid = config(0.3, 100, 1).simulation;
+        for gamma in [-0.1, 1.5, f64::NAN] {
+            rejects(SimulationConfig { gamma, ..valid }, "simulation.gamma");
+        }
+        rejects(SimulationConfig { depth: 0, ..valid }, "simulation.depth");
+        rejects(
+            SimulationConfig {
+                forks_per_block: 0,
+                ..valid
+            },
+            "simulation.forks_per_block",
+        );
+        rejects(
+            SimulationConfig {
+                max_fork_length: 0,
+                ..valid
+            },
+            "simulation.max_fork_length",
+        );
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //!
 //! 1. compiles the ε-optimal positional strategy into a simulator table
 //!    ([`selfish_mining::StrategyExport`]),
-//! 2. estimates the strategy's empirical relative revenue with a batched,
-//!    parallel Monte-Carlo estimator ([`estimate_revenue`]) — many seeded
-//!    [`sm_chain::Simulator`] replicas fanned over a scoped worker pool,
-//!    Welford statistics, a CLT confidence interval and a sequential
-//!    stopping rule, bit-identical for any worker count —
+//! 2. estimates the strategy's empirical relative revenue with a batched
+//!    Monte-Carlo estimator ([`estimate_revenue`]) — many seeded
+//!    [`sm_chain::Simulator`] replicas run in replica order, Welford
+//!    statistics, a CLT confidence interval and a sequential stopping rule —
 //! 3. and compares that confidence interval against the certified
 //!    `[β_low, β_up]` revenue bracket of the solve
 //!    ([`ConformancePoint`], [`ConformanceReport`]), and across the
@@ -105,9 +104,6 @@ pub struct ConformanceSettings {
     pub batch: usize,
     /// Hard per-point replica budget.
     pub max_replicas: usize,
-    /// Worker threads of the replica pool; `0` = available parallelism. The
-    /// estimates are bit-identical for every choice.
-    pub workers: usize,
     /// Master seed; per-point seeds mix in the point's coordinates so that
     /// no two grid points share a replica stream.
     pub master_seed: u64,
@@ -148,7 +144,6 @@ impl Default for ConformanceSettings {
             min_replicas: 4,
             batch: 4,
             max_replicas: 64,
-            workers: 1,
             master_seed: 0x5EED_C0DE,
             certificate_slack: 1e-6,
             statistical_slack: 2e-3,
@@ -219,7 +214,6 @@ impl ConformanceSettings {
             min_replicas: self.min_replicas,
             batch: self.batch,
             max_replicas: self.max_replicas,
-            workers: self.workers,
         }
     }
 }

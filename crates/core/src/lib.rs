@@ -81,9 +81,11 @@ pub use state::{Owner, Phase, SmState};
 // scenario axis.
 pub use sm_chain::{ChallengeVisibility, ConsensusBackend};
 
-// Intra-solve parallelism, shared across the solver stack (`sm-mdp` value
-// iteration and chain sweeps, the analysis procedure here).
-pub use sm_mdp::SolverParallelism;
+// The thread substrate, shared across the solver stack: the intra-solve
+// parallelism knob (`sm-mdp` value iteration and chain sweeps, the analysis
+// procedure here) and the nested-budget job loop of the sweep engine, the
+// grid runner and the query service.
+pub use sm_mdp::{run_budgeted_jobs, SolverParallelism};
 pub use transition::{
     available_actions, available_actions_in, successors_in, symbolic_successors_in, BlockRewards,
     Outcome, ProbTerm, SymbolicOutcome,

@@ -14,9 +14,9 @@
 //!   the point's canonical key — the grid-config digest plus the curve and
 //!   `p` indices — and carrying an FNV-1a fingerprint of its own payload;
 //! * a work-queue runner ([`run_grid`]) fans **shard jobs** (contiguous runs
-//!   of one curve's missing points) over the workspace scheduler
-//!   ([`sm_scheduler::run_budgeted_jobs`]) with bounded retry + exponential
-//!   backoff ([`sm_scheduler::RetryPolicy`]) and an optional fault-injection
+//!   of one curve's missing points) over the workspace's one job loop
+//!   ([`selfish_mining::run_budgeted_jobs`]) with bounded retry + exponential
+//!   backoff ([`RetryPolicy`]) and an optional fault-injection
 //!   hook ([`GridFaultPlan`]: kill/poison/delay selected jobs — for tests
 //!   and CI smoke runs, never production);
 //! * resume is the default: every run starts by scanning the artifact
@@ -85,13 +85,16 @@ mod sweep;
 
 pub use artifact::{artifact_file_name, PointArtifact, GRID_SCHEMA};
 pub use fault::{FaultKind, GridFault, GridFaultPlan};
-pub use runner::{merge_grid, run_grid, scan_grid, GridOptions, GridOutcome, GridScan, PointState};
+pub use runner::{
+    merge_grid, run_grid, scan_grid, GridOptions, GridOutcome, GridScan, PointState, RetryPolicy,
+};
 pub use spec::{GridError, GridSpec, PointCoordinates};
 pub use sweep::SweepConfig;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::run_with_retry;
     use selfish_mining::experiments::{CurveTracker, Figure2Point};
     use selfish_mining::{
         AnalysisConfig, AttackScenario, ConsensusBackend, ParametricModel, SelfishMiningError,
@@ -99,6 +102,7 @@ mod tests {
     use sm_conformance::{ConformanceError, ConformanceReport, ConformanceSettings};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn small_config(workers: usize) -> SweepConfig {
         SweepConfig {
@@ -332,7 +336,7 @@ mod tests {
 
     #[test]
     fn conformance_report_is_deterministic_across_worker_counts() {
-        let report = |grid_workers: usize, estimator_workers: usize| {
+        let report = |grid_workers: usize| {
             let spec = GridSpec {
                 attack_grid: vec![(1, 1), (2, 1)],
                 scenarios: vec![AttackScenario::Optimal],
@@ -344,18 +348,17 @@ mod tests {
                     steps: 5_000,
                     max_replicas: 8,
                     tolerance: 1e-2,
-                    workers: estimator_workers,
                     ..ConformanceSettings::default()
                 },
             };
             run_fresh(&spec, grid_workers).unwrap()
         };
-        let reference = report(1, 1);
+        let reference = report(1);
         assert_eq!(reference.len(), 8);
         assert_eq!(
             reference,
-            report(4, 2),
-            "grid/estimator pools must not affect the report"
+            report(4),
+            "the grid pool must not affect the report"
         );
     }
 
@@ -397,9 +400,8 @@ mod tests {
     #[test]
     fn mixed_backend_conformance_batch_is_bit_identical_across_worker_counts() {
         // The backend × scenario matrix under every pool shape the CI and
-        // the acceptance criteria exercise: grid workers 1/2/4/8 (with the
-        // estimator pool varied too) must produce byte-for-byte the same
-        // report. Cheap backends keep the matrix affordable; the space-time
+        // the acceptance criteria exercise: grid workers 1/2/4/8 must produce
+        // byte-for-byte the same report. Cheap backends keep the matrix affordable; the space-time
         // budget (vdfs = 1 < σ-capable depths) exercises the capped law.
         let settings = ConformanceSettings {
             steps: 4_000,
@@ -413,7 +415,7 @@ mod tests {
             ],
             ..ConformanceSettings::default()
         };
-        let run = |grid_workers: usize, estimator_workers: usize| {
+        let run = |grid_workers: usize| {
             let spec = GridSpec {
                 attack_grid: vec![(2, 1)],
                 scenarios: vec![AttackScenario::Optimal, AttackScenario::HonestMining],
@@ -421,24 +423,21 @@ mod tests {
                 epsilon: 1e-2,
                 gammas: vec![0.5],
                 ps: vec![0.1, 0.3],
-                settings: ConformanceSettings {
-                    workers: estimator_workers,
-                    ..settings.clone()
-                },
+                settings: settings.clone(),
             };
             run_fresh(&spec, grid_workers).unwrap()
         };
-        let reference = run(1, 1);
+        let reference = run(1);
         assert_eq!(reference.len(), 4);
         for point in &reference.points {
             assert_eq!(point.estimates.len(), 4);
             assert_eq!(point.estimates[1].backend, ConsensusBackend::PoStake);
         }
-        for (grid_workers, estimator_workers) in [(2, 2), (4, 1), (8, 4)] {
+        for grid_workers in [2, 4, 8] {
             assert_eq!(
                 reference,
-                run(grid_workers, estimator_workers),
-                "workers ({grid_workers}, {estimator_workers}) changed the report"
+                run(grid_workers),
+                "grid workers = {grid_workers} changed the report"
             );
         }
     }
@@ -449,5 +448,61 @@ mod tests {
         let report = run_fresh(&spec, 1).unwrap();
         assert!(report.is_empty());
         assert!(report.all_conform());
+    }
+
+    #[test]
+    fn retry_returns_first_success_and_reports_attempt_numbers() {
+        let policy = RetryPolicy {
+            max_attempts: 4,
+            backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
+        };
+        let mut seen = Vec::new();
+        let outcome: Result<usize, &str> = run_with_retry(&policy, |attempt| {
+            seen.push(attempt);
+            if attempt < 2 {
+                Err("transient")
+            } else {
+                Ok(attempt * 10)
+            }
+        });
+        assert_eq!(outcome, Ok(20));
+        assert_eq!(seen, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn retry_exhausts_the_budget_and_returns_the_last_error() {
+        let policy = RetryPolicy {
+            max_attempts: 3,
+            backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
+        };
+        let outcome: Result<(), String> =
+            run_with_retry(&policy, |attempt| Err(format!("attempt {attempt}")));
+        assert_eq!(outcome, Err("attempt 2".to_string()));
+        // A zero budget still runs the job once.
+        let zero = RetryPolicy {
+            max_attempts: 0,
+            ..policy
+        };
+        let mut calls = 0;
+        let _: Result<(), &str> = run_with_retry(&zero, |_| {
+            calls += 1;
+            Err("always")
+        });
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        let policy = RetryPolicy {
+            max_attempts: 8,
+            backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(35),
+        };
+        assert_eq!(policy.delay_before(1), Duration::from_millis(10));
+        assert_eq!(policy.delay_before(2), Duration::from_millis(20));
+        assert_eq!(policy.delay_before(3), Duration::from_millis(35));
+        assert_eq!(policy.delay_before(60), Duration::from_millis(35));
     }
 }

@@ -7,7 +7,7 @@
 //! curve's canonical warm-start prefix and writes one durable artifact per
 //! assigned point (tmp-file + rename, so a crash never leaves a half-written
 //! file under the final name); failed shards are retried in place with
-//! exponential backoff ([`sm_scheduler::run_with_retry`]). When a scan finds
+//! exponential backoff ([`RetryPolicy`]). When a scan finds
 //! every point durable, the artifacts are folded **in canonical point
 //! order** into one [`ConformanceReport`] — byte-identical for any schedule,
 //! crash or retry history.
@@ -16,10 +16,83 @@ use crate::artifact::{artifact_file_name, PointArtifact};
 use crate::fault::{FaultKind, GridFaultPlan};
 use crate::spec::{GridError, GridSpec};
 use selfish_mining::experiments::CurveTracker;
-use selfish_mining::{AnalysisConfig, ParametricModel, SolverParallelism, StrategyExport};
+use selfish_mining::{
+    run_budgeted_jobs, AnalysisConfig, ParametricModel, SolverParallelism, StrategyExport,
+};
 use sm_conformance::{certify_point, ConformanceReport};
-use sm_scheduler::{resolve_budget, run_budgeted_jobs, run_with_retry, RetryPolicy};
 use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+/// Bounded-retry policy with exponential backoff for the shard jobs of
+/// [`run_grid`]: attempt `k` (1-based) of a failed job is retried after
+/// `backoff · 2^(k−1)`, capped at [`RetryPolicy::max_backoff`], until
+/// [`RetryPolicy::max_attempts`] attempts have been spent.
+///
+/// The policy only shapes *when* work re-runs, never *what* it computes —
+/// every job in this workspace is deterministic, so a retried job returns
+/// the same bits as an uninterrupted one and the retry history is invisible
+/// in the results.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Total attempts a job may spend (first try included); at least 1 is
+    /// always spent.
+    pub max_attempts: usize,
+    /// Backoff before the first retry; doubled per subsequent retry.
+    pub backoff: Duration,
+    /// Upper bound on any single backoff sleep.
+    pub max_backoff: Duration,
+}
+
+impl Default for RetryPolicy {
+    /// Three attempts, 25 ms initial backoff, capped at one second — sized
+    /// for transient local failures (I/O hiccups, injected test faults), not
+    /// for waiting out a remote outage.
+    fn default() -> Self {
+        RetryPolicy {
+            max_attempts: 3,
+            backoff: Duration::from_millis(25),
+            max_backoff: Duration::from_secs(1),
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// The backoff slept before retry number `retry` (1-based):
+    /// `backoff · 2^(retry−1)`, saturating, capped at
+    /// [`RetryPolicy::max_backoff`].
+    pub fn delay_before(&self, retry: usize) -> Duration {
+        let exponent = u32::try_from(retry.saturating_sub(1)).unwrap_or(20).min(20);
+        let factor = 1_u32 << exponent;
+        self.backoff.saturating_mul(factor).min(self.max_backoff)
+    }
+}
+
+/// Runs `job` until it succeeds or the policy's attempt budget is spent,
+/// sleeping the policy's backoff between attempts; returns the first success
+/// or the *last* error. The closure receives the 0-based attempt number so
+/// fault-injection harnesses can fail specific attempts deterministically.
+pub(crate) fn run_with_retry<T, E, F>(policy: &RetryPolicy, mut job: F) -> Result<T, E>
+where
+    F: FnMut(usize) -> Result<T, E>,
+{
+    let attempts = policy.max_attempts.max(1);
+    let mut attempt = 0;
+    loop {
+        match job(attempt) {
+            Ok(value) => return Ok(value),
+            Err(error) => {
+                attempt += 1;
+                if attempt >= attempts {
+                    return Err(error);
+                }
+                let delay = policy.delay_before(attempt);
+                if !delay.is_zero() {
+                    std::thread::sleep(delay);
+                }
+            }
+        }
+    }
+}
 
 /// Orchestration knobs of one grid run — everything that shapes *how* the
 /// grid is computed without ever affecting *what* it computes: the merged
@@ -285,7 +358,7 @@ pub fn run_grid(spec: &GridSpec, options: &GridOptions) -> Result<GridOutcome, G
     })?;
     let digest = spec.digest();
     let families = spec.build_scenario_families()?;
-    let budget = resolve_budget(options.workers);
+    let budget = SolverParallelism::threads(options.workers);
 
     let mut reused = None;
     let mut produced = 0;
@@ -411,7 +484,7 @@ fn run_shard_attempt(
     options: &GridOptions,
     shard: &Shard,
     fault_clock: usize,
-    allowance: usize,
+    allowance: SolverParallelism,
 ) -> Result<usize, GridError> {
     let num_families = spec.num_families().max(1);
     let family = families
@@ -428,8 +501,7 @@ fn run_shard_attempt(
     let last_target = *shard.targets.last().ok_or(GridError::Internal {
         what: "a shard must carry at least one target",
     })?;
-    let config = AnalysisConfig::with_epsilon(spec.epsilon)
-        .with_parallelism(SolverParallelism::threads(allowance));
+    let config = AnalysisConfig::with_epsilon(spec.epsilon).with_parallelism(allowance);
     let mut tracker = CurveTracker::new(family, gamma, true, config);
     let export = StrategyExport::from_family(family);
     let mut written = 0;

@@ -160,10 +160,6 @@ impl GridSpec {
     /// bits: the attack grid, scenario labels, `l`, `ε`, both grid axes
     /// (values *and* order — the warm chain depends on the `p` prefix) and
     /// the full estimator settings including the backend matrix.
-    /// The schedule-only `ConformanceSettings::workers` is excluded: it is
-    /// invisible in the results by the workspace's determinism contract,
-    /// and hashing it would needlessly orphan artifacts across pool
-    /// shapes.
     pub fn digest(&self) -> u64 {
         let mut hasher = Fnv1a::new();
         hasher.write_bytes(crate::GRID_SCHEMA.as_bytes());
@@ -352,12 +348,7 @@ mod tests {
         let digest = base.digest();
         assert_eq!(digest, spec().digest(), "digest must be deterministic");
 
-        // The schedule-only estimator pool does not orphan artifacts.
-        let mut pooled = spec();
-        pooled.settings.workers = 3;
-        assert_eq!(digest, pooled.digest());
-
-        // Result-determining fields do.
+        // Result-determining fields change it.
         let mut reordered = spec();
         reordered.ps.reverse();
         assert_ne!(digest, reordered.digest(), "p order feeds the warm chain");

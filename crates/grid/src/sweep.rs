@@ -32,16 +32,15 @@
 //! there were fewer jobs than threads to begin with — the left-over
 //! threads are granted to the running jobs, which forward them to the
 //! row-block parallel Bellman and chain sweeps inside every solve
-//! ([`sm_scheduler::run_budgeted_jobs`]). Every solver is bit-identical for
+//! ([`selfish_mining::run_budgeted_jobs`]). Every solver is bit-identical for
 //! any thread count, so the schedule shape is invisible in the results.
 
 use selfish_mining::baselines::{honest_relative_revenue, SingleTreeAttack};
 use selfish_mining::experiments::{attack_curve, Figure2Point};
 use selfish_mining::{
-    validate_epsilon, validate_share, AnalysisConfig, ParametricModel, SelfishMiningError,
-    SolverParallelism,
+    run_budgeted_jobs, validate_epsilon, validate_share, AnalysisConfig, ParametricModel,
+    SelfishMiningError, SolverParallelism,
 };
-use sm_scheduler::{resolve_budget, run_budgeted_jobs};
 
 /// Configuration of the Figure 2 revenue sweep, which evaluates the optimal
 /// attack scenario at every grid point.
@@ -128,10 +127,9 @@ impl SweepConfig {
                     .chain(std::iter::once(CurveJob::Baseline { gamma }))
             })
             .collect();
-        let budget = resolve_budget(self.workers);
+        let budget = SolverParallelism::threads(self.workers);
         let curves = run_budgeted_jobs(budget, jobs.len(), |index, allowance| {
-            jobs.get(index)
-                .map(|job| self.run_job(job, ps, SolverParallelism::threads(allowance)))
+            jobs.get(index).map(|job| self.run_job(job, ps, allowance))
         })
         .into_iter()
         .flatten()

@@ -30,10 +30,15 @@
 //!   a unichain under several reward vectors at once by fused sparse sweeps
 //!   over the same row blocks. A strategy's revenue `g_A / (g_A + g_H)` is
 //!   two of these gains.
+//! * [`run_budgeted_jobs`] — the workspace's one job loop: independent
+//!   indexed jobs fanned over a nested [`SolverParallelism`] budget, results
+//!   in job order. The sweep engine, the grid runner and the query service
+//!   run on it, so the row-block sweeps and the job fan-out are the only
+//!   places library code starts threads.
 //!
 //! Every iterative result is bit-identical for any thread count. The exact
 //! solvers the tests cross-check these against (Howard policy iteration, the
-//! gain LP, stationary and hitting analysis of chains) live in the dev-only
+//! gain LP, stationary analysis of chains) live in the dev-only
 //! `sm-oracle` crate.
 //!
 //! # Example
@@ -78,7 +83,7 @@ pub use chain::MarkovChain;
 pub use csr::{CsrLayout, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
 pub use error::MdpError;
 pub use model::Mdp;
-pub use parallel::SolverParallelism;
+pub use parallel::{run_budgeted_jobs, SolverParallelism};
 pub use reward::iterative_gains;
 pub use strategy::PositionalStrategy;
 pub use value_iteration::{RelativeValueIteration, ValueIterationOutcome};
@@ -86,3 +91,81 @@ pub use value_iteration::{RelativeValueIteration, ValueIterationOutcome};
 /// Tolerance used when validating transition probability distributions,
 /// of the MDP's actions and of the chains its strategies induce.
 pub const PROBABILITY_TOLERANCE: f64 = 1e-9;
+
+/// The job loop's tests, run through the crate-root export its callers use.
+#[cfg(test)]
+mod tests {
+    use super::{run_budgeted_jobs, SolverParallelism};
+
+    #[test]
+    fn empty_job_lists_are_fine() {
+        for budget in [1, 4] {
+            assert_eq!(
+                run_budgeted_jobs(SolverParallelism::threads(budget), 0, |i, _| i),
+                Vec::<usize>::new()
+            );
+        }
+    }
+
+    #[test]
+    fn budgeted_jobs_return_in_order_for_any_budget() {
+        let reference: Vec<usize> = (0..23).map(|i| i * 3).collect();
+        for budget in [1, 2, 8, 64] {
+            let parallelism = SolverParallelism::threads(budget);
+            assert_eq!(
+                run_budgeted_jobs(parallelism, 23, |i, _allowance| i * 3),
+                reference,
+                "budget = {budget}"
+            );
+        }
+    }
+
+    #[test]
+    fn short_queue_allowances_split_the_whole_budget() {
+        // 2 jobs on an 8-thread budget: the first claim always sees both
+        // jobs unfinished and gets 8 / 2 = 4 threads (the historical pool
+        // gave it 1 and idled 6); the second gets 4 too when claimed
+        // concurrently, or the full 8 if the first job already retired.
+        let budget = SolverParallelism::threads(8);
+        let allowances = run_budgeted_jobs(budget, 2, |_i, allowance| allowance.thread_count());
+        assert_eq!(allowances[0], 4);
+        assert!(
+            allowances[1] == 4 || allowances[1] == 8,
+            "unexpected allowance {allowances:?}"
+        );
+        // 1 job gets everything.
+        assert_eq!(
+            run_budgeted_jobs(budget, 1, |_i, a| a),
+            vec![SolverParallelism::threads(8)]
+        );
+    }
+
+    #[test]
+    fn deep_queue_prefers_outer_jobs_and_drains_into_allowances() {
+        // With as many jobs as budget, every claim made while the queue is
+        // full sees allowance 1; as jobs finish, later claims may see more —
+        // but the combined in-flight allowance never exceeds the budget.
+        let budget = 4;
+        let allowances = run_budgeted_jobs(SolverParallelism::threads(budget), 16, |_i, a| {
+            a.thread_count()
+        });
+        assert!(allowances.iter().all(|&a| (1..=budget).contains(&a)));
+        assert!(
+            allowances.iter().filter(|&&a| a == 1).count() >= 16 - budget,
+            "most claims of a deep queue must prefer outer parallelism: {allowances:?}"
+        );
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_caller_at_any_budget() {
+        for budget in [1, 4] {
+            let outcome = std::panic::catch_unwind(|| {
+                run_budgeted_jobs(SolverParallelism::threads(budget), 6, |i, _| {
+                    assert_ne!(i, 3, "job 3 fails");
+                    i
+                })
+            });
+            assert!(outcome.is_err(), "budget = {budget}");
+        }
+    }
+}

@@ -1,5 +1,7 @@
-//! Deterministic intra-solve parallelism: mass-balanced row blocks and a
-//! scoped block-sweep pool.
+//! The workspace's one thread substrate: deterministic intra-solve
+//! parallelism (mass-balanced row blocks and a scoped block-sweep pool) and
+//! the job loop that fans independent indexed jobs over a nested thread
+//! budget. No other library module starts a thread.
 //!
 //! The solver hot loops of this workspace (relative value iteration and
 //! fused chain-gain evaluation) are all *Jacobi* sweeps over a CSR arena:
@@ -16,10 +18,15 @@
 //! schedules measured slower on every arena size and would not parallelise
 //! without making results depend on the block layout.
 //!
-//! Three pieces live here; only the knob is public:
+//! Four pieces live here; the knob and the job loop are public:
 //!
 //! * [`SolverParallelism`] — the knob every solver exposes: serial (the
-//!   default, one block), an explicit thread count, or auto-detection.
+//!   default, one block), an explicit thread count, or auto-detection. It is
+//!   also the unit of every thread budget, so "0 = auto" has one meaning.
+//! * [`run_budgeted_jobs`] — the job loop of the sweep engine, the grid
+//!   runner and the query service: independent indexed jobs drain an atomic
+//!   index over a nested budget and their results come back **in job
+//!   order**, so the output is identical for any budget.
 //! * [`mass_balanced_blocks`] — partitions the state range into contiguous
 //!   blocks whose boundaries are derived from the *cumulative transition
 //!   mass* (a `row_ptr`-shaped array), not naive state counts: a sweep's cost
@@ -37,6 +44,7 @@
 //!   [`std::sync::Mutex`] each).
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -98,6 +106,83 @@ impl Default for SolverParallelism {
     fn default() -> Self {
         SolverParallelism::serial()
     }
+}
+
+/// Runs jobs `0..count` over a nested thread budget and returns their
+/// results in job order.
+///
+/// At most `min(budget, count)` outer workers drain the job queue (a single
+/// worker runs the jobs inline, without spawning); each job
+/// additionally receives an **intra-job thread allowance** `a ≥ 1` (the
+/// second closure argument) such that the outer workers and the allowances
+/// together stay within `budget`:
+///
+/// * while the queue is deep (at least as many unfinished jobs as outer
+///   workers) every job gets `budget / outer` — outer parallelism is
+///   preferred because it has no synchronisation cost;
+/// * as the queue drains below the worker count, claims see fewer unfinished
+///   jobs and the allowance grows, up to the whole budget for the final job —
+///   the cores freed by retired workers are soaked up *inside* the remaining
+///   solves.
+///
+/// An allowance is computed once, at claim time, from the number of
+/// unfinished jobs; since a job claimed when `u` jobs were unfinished gets
+/// at most `budget / min(outer, u)` threads and at most `min(outer, u)` jobs
+/// run concurrently with it, the combined allowance stays within the budget
+/// (up to integer rounding in the caller's favour). The budget is **not**
+/// clamped to the job count: budget beyond the number of jobs is handed to
+/// the jobs themselves. An auto budget resolves to
+/// [`std::thread::available_parallelism`]; an allowance is always an
+/// explicit count.
+///
+/// The *scheduling* depends on timing, but the allowance is invisible in the
+/// output by construction — every solver in this workspace is bit-identical
+/// for any intra-solve thread count — so the returned vector is identical
+/// for any budget.
+///
+/// # Panics
+///
+/// Propagates panics from `job` (a panicking job poisons its slot and the
+/// collection phase re-panics).
+pub fn run_budgeted_jobs<T, F>(budget: SolverParallelism, count: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, SolverParallelism) -> T + Sync,
+{
+    let budget = budget.thread_count();
+    let outer = budget.clamp(1, count.max(1));
+    if outer <= 1 {
+        // Single outer lane: every job may use the whole budget.
+        let allowance = SolverParallelism::threads(budget);
+        return (0..count).map(|index| job(index, allowance)).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let finished = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|scope| {
+        for _ in 0..outer {
+            scope.spawn(|| loop {
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= count {
+                    break;
+                }
+                let unfinished = count - finished.load(Ordering::Relaxed).min(count);
+                let concurrent = outer.min(unfinished).max(1);
+                let allowance = (budget / concurrent).max(1);
+                let outcome = job(index, SolverParallelism::threads(allowance));
+                *slots[index].lock().expect("job slot poisoned") = Some(outcome);
+                finished.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .expect("job slot poisoned")
+                .expect("worker pool completed every job")
+        })
+        .collect()
 }
 
 /// Minimum transition mass a block must carry before it is worth a dedicated

@@ -1,7 +1,7 @@
 //! Exact structural and stationary analysis of a `sm_mdp::MarkovChain`, and
 //! the helper that builds test chains.
 
-use crate::{HittingAnalysis, OracleError, StronglyConnectedComponents};
+use crate::{OracleError, StronglyConnectedComponents};
 use sm_mdp::{CsrMdpBuilder, MarkovChain, MdpError, PositionalStrategy};
 
 /// The chain whose state `s` moves along `rows[s]` (`(target, probability)`
@@ -65,13 +65,6 @@ pub trait ChainAnalysis {
     /// Returns [`OracleError::NotIrreducible`] if the chain has more than one
     /// recurrent class, and propagates numerical errors from the solver.
     fn stationary_distribution(&self) -> Result<Vec<f64>, OracleError>;
-
-    /// Hitting probabilities and expected hitting times of a target set.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`HittingAnalysis::new`].
-    fn hitting_analysis(&self, targets: &[usize]) -> Result<HittingAnalysis, OracleError>;
 }
 
 impl ChainAnalysis for MarkovChain {
@@ -81,10 +74,6 @@ impl ChainAnalysis for MarkovChain {
 
     fn stationary_distribution(&self) -> Result<Vec<f64>, OracleError> {
         crate::stationary::unichain_distribution(self)
-    }
-
-    fn hitting_analysis(&self, targets: &[usize]) -> Result<HittingAnalysis, OracleError> {
-        HittingAnalysis::new(self, targets)
     }
 }
 

@@ -10,8 +10,8 @@ use std::ops::{Add, Mul, Sub};
 /// operations are `O(rows * cols)` or `O(rows * cols * inner)` loops. The MDPs
 /// produced by the selfish-mining model have sparse transition structure and
 /// are handled by the CSR arrays of `sm_mdp`; the dense type is used for the
-/// small dense systems of the exact stationary, hitting and policy
-/// evaluation solves.
+/// small dense systems of the exact stationary and policy evaluation
+/// solves.
 ///
 /// # Example
 ///

@@ -16,8 +16,8 @@
 //!   chain, from the stationary distributions of its recurrent classes
 //!   ([`ChainAnalysis::stationary_distribution`]) and absorption into them
 //!   from transient states.
-//! * [`StronglyConnectedComponents`], [`HittingAnalysis`] and the
-//!   [`ChainAnalysis`] methods on `sm_mdp::MarkovChain`; test chains are
+//! * [`StronglyConnectedComponents`] and the [`ChainAnalysis`] methods on
+//!   `sm_mdp::MarkovChain`; test chains are
 //!   built by [`chain_from_rows`], through the same `CsrMdpBuilder` and
 //!   `Mdp::induced_chain` path every production chain takes.
 //! * [`DenseMatrix`] / [`LuDecomposition`] — the dense substrate of all of
@@ -58,7 +58,6 @@ mod chain;
 mod classify;
 mod dense;
 mod error;
-mod hitting;
 mod lp;
 mod lu;
 mod policy_iteration;
@@ -72,7 +71,6 @@ pub use chain::{chain_from_rows, ChainAnalysis};
 pub use classify::{StateClass, StronglyConnectedComponents};
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, OracleError};
-pub use hitting::HittingAnalysis;
 pub use lp::LinearProgrammingSolver;
 pub use lu::{solve_linear_system, LuDecomposition};
 pub use policy_iteration::{PolicyEvaluation, PolicyIteration};

@@ -1,8 +1,8 @@
 //! LU decomposition with partial pivoting and linear-system solving.
 //!
 //! Policy evaluation in mean-payoff MDPs (the gain/bias equations of
-//! [`crate::PolicyIteration`]) and the exact stationary and hitting analyses
-//! reduce to solving moderate-size dense linear systems; this module provides
+//! [`crate::PolicyIteration`]) and the exact stationary analysis reduce to
+//! solving moderate-size dense linear systems; this module provides
 //! the factorisation used for that.
 
 use crate::{DenseMatrix, LinalgError};

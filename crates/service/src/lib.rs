@@ -42,11 +42,11 @@
 //! solves run under the affected curve's own lock. Concurrent requests for
 //! the same point therefore *coalesce*: the first locks the curve and
 //! solves, the rest block on the lock and find the memoized answer when
-//! they acquire it. Batches are admitted through the shared nested-budget
-//! scheduler ([`sm_scheduler::run_budgeted_jobs`]): queries fan out over
-//! the worker budget and surplus threads flow into the solvers' intra-solve
-//! parallelism ([`SolverParallelism`]), which never changes a single bit of
-//! the answers.
+//! they acquire it. Batches are admitted through the workspace's one
+//! nested-budget job loop ([`selfish_mining::run_budgeted_jobs`]): queries
+//! fan out over the worker budget and surplus threads flow into the solvers'
+//! intra-solve parallelism ([`SolverParallelism`]), which never changes a
+//! single bit of the answers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,11 +55,10 @@ pub mod jsonl;
 
 use selfish_mining::experiments::{CertifiedSolve, CurveCarry, CurveTracker};
 use selfish_mining::{
-    validate_epsilon, validate_share, AnalysisConfig, AttackParams, AttackScenario,
-    CertificateScope, ConsensusBackend, ParametricModel, SelfishMiningError, SelfishMiningModel,
-    SolverParallelism,
+    run_budgeted_jobs, validate_epsilon, validate_share, AnalysisConfig, AttackParams,
+    AttackScenario, CertificateScope, ConsensusBackend, ParametricModel, SelfishMiningError,
+    SelfishMiningModel, SolverParallelism,
 };
-use sm_scheduler::{resolve_budget, run_budgeted_jobs};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -519,10 +518,10 @@ impl Service {
     /// fan-out across queries, surplus threads granted to the individual
     /// solves. Results are in query order and bit-identical for any budget.
     pub fn answer_batch(&self, queries: &[Query]) -> Vec<Result<Answer, ServiceError>> {
-        let budget = resolve_budget(self.config.workers);
+        let budget = SolverParallelism::threads(self.config.workers);
         run_budgeted_jobs(budget, queries.len(), |index, allowance| {
             match queries.get(index) {
-                Some(query) => self.answer_with(query, SolverParallelism::threads(allowance)),
+                Some(query) => self.answer_with(query, allowance),
                 // Unreachable: the scheduler only hands out indices < len.
                 None => Err(ServiceError::Config {
                     name: "batch",
@@ -535,11 +534,7 @@ impl Service {
     /// [`Service::answer`] with an explicit intra-solve thread allowance —
     /// the entry point batch workers use. The allowance never affects the
     /// answer's bits.
-    ///
-    /// # Errors
-    ///
-    /// See [`Service::answer`].
-    pub fn answer_with(
+    fn answer_with(
         &self,
         query: &Query,
         parallelism: SolverParallelism,

@@ -6,18 +6,17 @@
 //!
 //! * [`mdp`] — finite MDPs, the relative-value-iteration mean-payoff
 //!   solver, and the Markov chains positional strategies induce with the
-//!   fused iterative evaluation of their long-run average rewards.
+//!   fused iterative evaluation of their long-run average rewards; also the
+//!   workspace's one thread substrate (`mdp::run_budgeted_jobs`, the
+//!   nested-budget job loop of the grid runner, the sweep engine and the
+//!   query service).
 //! * [`proofs`] — simulated efficient proof systems (PoW, PoStake, PoSpace,
 //!   VDF, PoST) and the `(p, k)`-mining abstraction.
 //! * [`chain`] — the discrete-time longest-chain blockchain simulator.
 //! * [`selfish_mining`] — the paper's selfish-mining MDP, the certified
 //!   analysis (`experiments::CurveTracker`) and the baselines.
-//! * [`conformance`] — statistical conformance: parallel Monte-Carlo
-//!   estimation of exported strategies and solver-vs-simulator
-//!   certification.
-//! * [`scheduler`] — the shared nested-budget job scheduler (outer fan-out
-//!   plus intra-solve thread allowances) used by the conformance estimator,
-//!   the grid runner, the sweep engine and the query service.
+//! * [`conformance`] — statistical conformance: Monte-Carlo estimation of
+//!   exported strategies and solver-vs-simulator certification.
 //! * [`grid`] — the conformance grid and its one runner, a fault-tolerant
 //!   sharded orchestrator: idempotent point-jobs with durable `sm-grid/v1`
 //!   artifacts, bounded retry + backoff, checkpoint/resume and a
@@ -30,8 +29,8 @@
 //!   re-verification, arena invariant checks and the source lint.
 //!
 //! The exact reference solvers the integration tests cross-check against
-//! (dense LU, simplex LP, policy iteration, stationary and hitting analysis)
-//! are the dev-only `sm-oracle` crate, deliberately not re-exported here.
+//! (dense LU, simplex LP, policy iteration, stationary analysis) are the
+//! dev-only `sm-oracle` crate, deliberately not re-exported here.
 //!
 //! See `README.md` for a quickstart, `ARCHITECTURE.md` for the workspace
 //! map and cross-cutting contracts, and `EXPERIMENTS.md` for the
@@ -46,7 +45,6 @@ pub use sm_conformance as conformance;
 pub use sm_grid as grid;
 pub use sm_mdp as mdp;
 pub use sm_proofs as proofs;
-pub use sm_scheduler as scheduler;
 pub use sm_service as service;
 
 pub use selfish_mining;

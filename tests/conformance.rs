@@ -1,4 +1,4 @@
-//! Integration tests of the statistical-conformance subsystem: the parallel
+//! Integration tests of the statistical-conformance subsystem: the
 //! Monte-Carlo estimator, the strategy export, and the solver-vs-simulator
 //! certification driven through the grid runner.
 
@@ -58,54 +58,10 @@ fn honest_simulation_matches_analytic_baseline_within_ci() {
     }
 }
 
-/// Determinism: the conformance estimator produces bit-identical estimates
-/// for 1, 2 and 8 workers on the same seed, for both historical backends —
-/// including the unconverged path where the full replica budget runs.
-#[test]
-fn estimator_reports_are_bit_identical_for_1_2_and_8_workers() {
-    let base = EstimatorConfig {
-        // A tolerance no run can meet pins the replica count to the budget,
-        // so every worker count does identical work.
-        tolerance: 1e-12,
-        max_replicas: 12,
-        batch: 5,
-        ..estimator_config(0.3, 0.5, 4_000, 0xD15EA5E)
-    };
-    for backend in [ConsensusBackend::Bernoulli, ConsensusBackend::PowLottery] {
-        let reference = estimate_revenue(
-            &EstimatorConfig {
-                workers: 1,
-                ..base.clone()
-            },
-            &HonestStrategy,
-            backend,
-        )
-        .unwrap();
-        for workers in [2, 8] {
-            let estimate = estimate_revenue(
-                &EstimatorConfig {
-                    workers,
-                    ..base.clone()
-                },
-                &HonestStrategy,
-                backend,
-            )
-            .unwrap();
-            assert_eq!(
-                reference,
-                estimate,
-                "{}: workers = {workers} must be bit-identical",
-                backend.label()
-            );
-        }
-        assert_eq!(reference.replicas, 12);
-    }
-}
-
 /// The full certification path — certified solve, strategy export,
 /// Monte-Carlo witness under every configured backend — agrees with the solver's
-/// ε-certificate, and the report is bit-identical for any worker count of
-/// both pools (grid jobs and estimator replicas).
+/// ε-certificate, and the report is bit-identical for any grid worker
+/// count.
 #[test]
 fn certified_point_conforms_and_certification_is_deterministic() {
     let family = ParametricModel::build(2, 1, 4).unwrap();
@@ -136,7 +92,7 @@ fn certified_point_conforms_and_certification_is_deterministic() {
 
     // One grid-driven certification, twice with different pool shapes, each
     // in a fresh artifact directory.
-    let run = |grid_workers: usize, estimator_workers: usize| {
+    let run = |grid_workers: usize| {
         let spec = GridSpec {
             attack_grid: vec![(2, 1)],
             scenarios: vec![AttackScenario::Optimal],
@@ -148,12 +104,11 @@ fn certified_point_conforms_and_certification_is_deterministic() {
                 steps: 10_000,
                 max_replicas: 12,
                 tolerance: 8e-3,
-                workers: estimator_workers,
                 ..ConformanceSettings::default()
             },
         };
         let dir = std::env::temp_dir().join(format!(
-            "sm-conformance-test-{}-{grid_workers}-{estimator_workers}",
+            "sm-conformance-test-{}-{grid_workers}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -163,8 +118,8 @@ fn certified_point_conforms_and_certification_is_deterministic() {
         std::fs::remove_dir_all(&dir).unwrap();
         report
     };
-    let a = run(1, 1);
-    let b = run(3, 8);
+    let a = run(1);
+    let b = run(3);
     assert_eq!(a, b, "conformance reports must not depend on worker counts");
     assert_eq!(a.len(), 2);
     assert!(a.all_conform(), "violations: {:?}", a.violations());

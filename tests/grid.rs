@@ -9,9 +9,8 @@ use selfish_mining::{AnalysisConfig, AttackScenario, StrategyExport};
 use selfish_mining_repro::conformance::{certify_point, ConformanceReport, ConformanceSettings};
 use selfish_mining_repro::grid::{
     merge_grid, run_grid, scan_grid, FaultKind, GridError, GridFault, GridFaultPlan, GridOptions,
-    GridSpec,
+    GridSpec, RetryPolicy,
 };
-use selfish_mining_repro::scheduler::RetryPolicy;
 use std::path::PathBuf;
 use std::time::Duration;
 

@@ -172,7 +172,6 @@ fn d2f1_estimate_mean_per_backend_is_pinned() {
         min_replicas: 4,
         batch: 4,
         max_replicas: 8,
-        workers: 1,
         ..EstimatorConfig::default()
     };
     let actual: Vec<(String, u64, usize)> = ConsensusBackend::default_family()
