@@ -34,14 +34,15 @@ use crate::fingerprint::model_fingerprint;
 use crate::report::{AuditReport, Obligation, ObligationOutcome};
 use selfish_mining::SelfishMiningModel;
 
-/// Configuration of the certificate audit.
+/// Laziness `τ` of the residual operator. The sandwich holds for any
+/// `τ ∈ (0, 1]`; matching the producer's relative-value-iteration laziness
+/// (0.95) keeps the audited residuals on the same scale the producer
+/// converged on, so the default tolerance stays tight.
+const LAZINESS: f64 = 0.95;
+
+/// Configuration of the certificate audit: the verifier's tolerance policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuditConfig {
-    /// Laziness `τ` of the residual operator. The sandwich holds for any
-    /// `τ ∈ (0, 1]`; matching the producer's relative-value-iteration
-    /// laziness (0.95) keeps the audited residuals on the same scale the
-    /// producer converged on, so the default tolerance stays tight.
-    pub laziness: f64,
     /// Multiplier on the derived residual tolerances. 1.0 audits at the
     /// tolerance the producer's `ε` justifies; raising it trades rejection
     /// power for slack, lowering it rejects honest certificates.
@@ -51,7 +52,6 @@ pub struct AuditConfig {
 impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
-            laziness: 0.95,
             tolerance_scale: 1.0,
         }
     }
@@ -316,7 +316,7 @@ pub fn audit_certificate(
     // Per-pair expected rewards of both objectives are formed where each
     // pass reads them, so no pass allocates. Pass A, at β_low, also folds
     // the reward magnitude the tolerances are derived from.
-    let tau = config.laziness;
+    let tau = LAZINESS;
     let (low_min, low_max, r_total_max) =
         bellman_residuals(model, artifact.beta_low, &artifact.bias, tau);
     let tolerances = derive_tolerances(artifact.epsilon, r_total_max, config);
@@ -387,7 +387,6 @@ mod tests {
             2.0,
             &AuditConfig {
                 tolerance_scale: 2.0,
-                ..AuditConfig::default()
             },
         );
         assert!((scaled.bound - 2.0 * t1.bound).abs() < 1e-15);

@@ -141,23 +141,6 @@ impl BlockTree {
         chain.reverse();
         chain
     }
-
-    /// Counts the blocks of each owner class on the chain from genesis to
-    /// `tip`, excluding genesis. Returns `(honest, adversary)`.
-    pub fn ownership_counts(&self, tip: BlockId) -> (u64, u64) {
-        let mut honest = 0;
-        let mut adversary = 0;
-        for block in self.chain_to(tip) {
-            if block == self.genesis() {
-                continue;
-            }
-            match self.owner(block) {
-                MinerClass::Honest => honest += 1,
-                MinerClass::Adversary => adversary += 1,
-            }
-        }
-        (honest, adversary)
-    }
 }
 
 #[cfg(test)]
@@ -207,6 +190,14 @@ mod tests {
         let c = tree.add_block(b, MinerClass::Adversary);
         let chain = tree.chain_to(c);
         assert_eq!(chain, vec![tree.genesis(), a, b, c]);
-        assert_eq!(tree.ownership_counts(c), (1, 2));
+        let owners: Vec<MinerClass> = chain[1..].iter().map(|&block| tree.owner(block)).collect();
+        assert_eq!(
+            owners,
+            [
+                MinerClass::Honest,
+                MinerClass::Adversary,
+                MinerClass::Adversary
+            ]
+        );
     }
 }

@@ -67,14 +67,6 @@ impl SimulationReport {
         }
         self.honest_blocks as f64 / total as f64
     }
-
-    /// Empirical block rate: stable blocks produced per simulated step.
-    pub fn blocks_per_step(&self) -> f64 {
-        if self.steps == 0 {
-            return 0.0;
-        }
-        self.total_blocks() as f64 / self.steps as f64
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +89,6 @@ mod tests {
         assert!((r.relative_revenue() - 0.3).abs() < 1e-12);
         assert!((r.chain_quality() - 0.7).abs() < 1e-12);
         assert_eq!(r.total_blocks(), 100);
-        assert!((r.blocks_per_step() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -105,7 +96,6 @@ mod tests {
         let r = report(0, 0);
         assert_eq!(r.relative_revenue(), 0.0);
         assert_eq!(r.chain_quality(), 1.0);
-        assert_eq!(r.blocks_per_step(), 0.0);
     }
 
     #[test]
@@ -116,15 +106,8 @@ mod tests {
             let r = SimulationReport::new("empty".into(), steps, 0, 0, 0);
             assert!(r.relative_revenue().is_finite());
             assert!(r.chain_quality().is_finite());
-            assert!(r.blocks_per_step().is_finite());
             assert_eq!(r.relative_revenue(), 0.0);
             assert_eq!(r.chain_quality(), 1.0);
         }
-    }
-
-    #[test]
-    fn zero_steps_is_handled() {
-        let r = SimulationReport::new("x".into(), 0, 1, 1, 2);
-        assert_eq!(r.blocks_per_step(), 0.0);
     }
 }

@@ -19,6 +19,11 @@ use crate::ConformanceError;
 use selfish_mining::SelfishMiningError;
 use sm_chain::{AdversaryStrategy, ConsensusBackend, SimulationConfig, Simulator};
 
+/// Normal quantile scaling every confidence interval (3.0 ≈ 99.7 %
+/// two-sided): the stopping rule ends a run once `Z_SCORE · σ̂ / √n ≤
+/// tolerance`, and the reported half-width is `Z_SCORE · σ̂ / √n`.
+pub const Z_SCORE: f64 = 3.0;
+
 /// Configuration of the Monte-Carlo estimator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EstimatorConfig {
@@ -28,10 +33,8 @@ pub struct EstimatorConfig {
     /// replica family.
     pub simulation: SimulationConfig,
     /// Target half-width of the confidence interval: the sequential stopping
-    /// rule ends the run once `z_score · σ̂ / √n ≤ tolerance`.
+    /// rule ends the run once `Z_SCORE · σ̂ / √n ≤ tolerance` ([`Z_SCORE`]).
     pub tolerance: f64,
-    /// Normal quantile scaling the interval (1.96 ≈ 95 %, 3.0 ≈ 99.7 %).
-    pub z_score: f64,
     /// Replicas to run before the stopping rule is first consulted (at least
     /// 2 are always run — the variance estimate needs them).
     pub min_replicas: usize,
@@ -49,7 +52,6 @@ impl Default for EstimatorConfig {
         EstimatorConfig {
             simulation: SimulationConfig::default(),
             tolerance: 4e-3,
-            z_score: 3.0,
             min_replicas: 4,
             batch: 4,
             max_replicas: 64,
@@ -62,12 +64,6 @@ impl EstimatorConfig {
         if !self.tolerance.is_finite() || self.tolerance <= 0.0 {
             return Err(ConformanceError::InvalidConfig {
                 name: "tolerance",
-                constraint: "must be finite and positive",
-            });
-        }
-        if !self.z_score.is_finite() || self.z_score <= 0.0 {
-            return Err(ConformanceError::InvalidConfig {
-                name: "z_score",
                 constraint: "must be finite and positive",
             });
         }
@@ -224,10 +220,10 @@ impl Welford {
         }
     }
 
-    /// CLT half-width `z · σ̂ / √n` of the accumulated sample — the one
-    /// expression both the stopping rule and the final estimate use.
-    fn half_width(&self, z_score: f64) -> f64 {
-        z_score * (self.variance() / self.count as f64).sqrt()
+    /// CLT half-width `Z_SCORE · σ̂ / √n` of the accumulated sample — the
+    /// one expression both the stopping rule and the final estimate use.
+    fn half_width(&self) -> f64 {
+        Z_SCORE * (self.variance() / self.count as f64).sqrt()
     }
 }
 
@@ -315,9 +311,7 @@ where
             unknown_views += misses;
         }
         next_index += round;
-        if welford.count >= config.min_replicas
-            && welford.half_width(config.z_score) <= config.tolerance
-        {
+        if welford.count >= config.min_replicas && welford.half_width() <= config.tolerance {
             converged = true;
             break;
         }
@@ -326,7 +320,7 @@ where
         backend,
         mean: welford.mean,
         variance: welford.variance(),
-        half_width: welford.half_width(config.z_score),
+        half_width: welford.half_width(),
         replicas: welford.count,
         steps_per_replica: config.simulation.steps,
         converged,
@@ -591,21 +585,6 @@ mod tests {
 
     #[test]
     fn non_finite_interval_parameters_are_rejected() {
-        // Regression: an infinite z_score used to pass validation (only NaN
-        // was caught) and produced an infinite, never-converging interval.
-        for z_score in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
-            let bad = EstimatorConfig {
-                z_score,
-                ..config(0.3, 100, 1)
-            };
-            assert!(matches!(
-                estimate_revenue(&bad, &HonestStrategy, ConsensusBackend::Bernoulli),
-                Err(ConformanceError::InvalidConfig {
-                    name: "z_score",
-                    ..
-                })
-            ));
-        }
         let bad_tol = EstimatorConfig {
             tolerance: f64::INFINITY,
             ..config(0.3, 100, 1)

@@ -35,7 +35,7 @@
 mod estimator;
 mod report;
 
-pub use estimator::{estimate_revenue, Estimate, EstimatorConfig};
+pub use estimator::{estimate_revenue, Estimate, EstimatorConfig, Z_SCORE};
 pub use report::{ConformancePoint, ConformanceReport, DominanceViolation};
 
 use selfish_mining::experiments::CertifiedSolve;
@@ -87,6 +87,26 @@ impl From<SelfishMiningError> for ConformanceError {
     }
 }
 
+/// Numerical slack widening the certificate in the conformance comparison.
+/// The solver certifies `[β_low, β_up]` only up to its inner precision (e.g.
+/// at `p = 0` it reports `β_low ≈ 2·10⁻¹⁰` where the simulation is exactly
+/// 0); the slack absorbs that floating-point noise without masking real
+/// disagreement.
+pub const CERTIFICATE_SLACK: f64 = 1e-6;
+
+/// Statistical slack widening the certificate in the conformance comparison,
+/// on top of [`CERTIFICATE_SLACK`]; half the default stopping tolerance.
+///
+/// The Dinkelbach solve certifies `β_low` as the *exact* revenue of the
+/// witnessed strategy, so the true value sits on the certificate's lower
+/// edge and the CI-overlap check is a one-sided test: with an exact variance
+/// the miss probability per point-source is `Φ(−z)`, and the finite-replica
+/// variance estimate inflates it further (the statistic is t-, not
+/// normally-distributed). This margin keeps a multi-hundred-check grid pass
+/// reliable without loosening what a real disagreement — typically ≫ the
+/// stopping tolerance — looks like.
+pub const STATISTICAL_SLACK: f64 = 2e-3;
+
 /// Grid-independent knobs of a conformance pass: everything the Monte-Carlo
 /// witness needs except the `(d, f, p, γ)` coordinates, which come from the
 /// solved grid point.
@@ -96,8 +116,6 @@ pub struct ConformanceSettings {
     pub steps: usize,
     /// Target half-width of the per-point confidence interval.
     pub tolerance: f64,
-    /// Normal quantile scaling the interval (3.0 ≈ 99.7 %).
-    pub z_score: f64,
     /// Replicas before the stopping rule is first consulted.
     pub min_replicas: usize,
     /// Replicas per stopping-rule round.
@@ -107,24 +125,6 @@ pub struct ConformanceSettings {
     /// Master seed; per-point seeds mix in the point's coordinates so that
     /// no two grid points share a replica stream.
     pub master_seed: u64,
-    /// Numerical slack widening the certificate in the conformance
-    /// comparison. The solver certifies `[β_low, β_up]` only up to its inner
-    /// precision (e.g. at `p = 0` it reports `β_low ≈ 2·10⁻¹⁰` where the
-    /// simulation is exactly 0); the slack absorbs that floating-point noise
-    /// without masking real disagreement.
-    pub certificate_slack: f64,
-    /// Statistical slack widening the certificate in the conformance
-    /// comparison, on top of [`ConformanceSettings::certificate_slack`].
-    ///
-    /// The Dinkelbach solve certifies `β_low` as the *exact* revenue of the
-    /// witnessed strategy, so the true value sits on the certificate's lower
-    /// edge and the CI-overlap check is a one-sided test: with an exact
-    /// variance the miss probability per point-source is `Φ(−z)`, and the
-    /// finite-replica variance estimate inflates it further (the statistic
-    /// is t-, not normally-distributed). This margin keeps a multi-hundred-
-    /// check grid pass reliable without loosening what a real disagreement —
-    /// typically ≫ the stopping tolerance — looks like.
-    pub statistical_slack: f64,
     /// The consensus backends to witness each point under.
     pub backends: Vec<ConsensusBackend>,
 }
@@ -140,13 +140,10 @@ impl Default for ConformanceSettings {
         ConformanceSettings {
             steps: 60_000,
             tolerance: 4e-3,
-            z_score: 3.0,
             min_replicas: 4,
             batch: 4,
             max_replicas: 64,
             master_seed: 0x5EED_C0DE,
-            certificate_slack: 1e-6,
-            statistical_slack: 2e-3,
             backends: vec![ConsensusBackend::Bernoulli, ConsensusBackend::PowLottery],
         }
     }
@@ -210,7 +207,6 @@ impl ConformanceSettings {
                 mining,
             },
             tolerance: self.tolerance,
-            z_score: self.z_score,
             min_replicas: self.min_replicas,
             batch: self.batch,
             max_replicas: self.max_replicas,
@@ -254,21 +250,6 @@ pub fn certify_point(
             constraint: "must name at least one consensus backend",
         });
     }
-    // The slacks widen the certificate; a negative one would silently
-    // *narrow* it and a non-finite one poisons every comparison, so both are
-    // config errors like the estimator's own numeric knobs.
-    if !settings.certificate_slack.is_finite() || settings.certificate_slack < 0.0 {
-        return Err(ConformanceError::InvalidConfig {
-            name: "certificate_slack",
-            constraint: "must be finite and non-negative",
-        });
-    }
-    if !settings.statistical_slack.is_finite() || settings.statistical_slack < 0.0 {
-        return Err(ConformanceError::InvalidConfig {
-            name: "statistical_slack",
-            constraint: "must be finite and non-negative",
-        });
-    }
     // Unknown views wait (and are counted in the report) rather than panic:
     // a replica is allowed to wander where the MDP prunes, and the report
     // surfaces how often that happened.
@@ -303,7 +284,7 @@ pub fn certify_point(
         gamma: solve.gamma,
         certified_lower: solve.beta_low,
         certified_upper: solve.beta_up,
-        slack: settings.certificate_slack + settings.statistical_slack,
+        slack: CERTIFICATE_SLACK + STATISTICAL_SLACK,
         strategy_revenue: solve.strategy_revenue,
         table_entries,
         estimates,
@@ -390,35 +371,6 @@ mod tests {
                 MiningRegime::AllSlots
             };
             assert_eq!(config.simulation.mining, expected, "{scenario}");
-        }
-    }
-
-    #[test]
-    fn invalid_slacks_are_rejected() {
-        let family = ParametricModel::build(1, 1, 2).unwrap();
-        let solves =
-            attack_curve(&family, 0.5, &[0.2], AnalysisConfig::with_epsilon(1e-2)).unwrap();
-        let export = StrategyExport::from_family(&family);
-        for (name, settings) in [
-            (
-                "certificate_slack",
-                ConformanceSettings {
-                    certificate_slack: f64::NAN,
-                    ..ConformanceSettings::default()
-                },
-            ),
-            (
-                "statistical_slack",
-                ConformanceSettings {
-                    statistical_slack: -1e-3,
-                    ..ConformanceSettings::default()
-                },
-            ),
-        ] {
-            match certify_point(&export, &solves[0], &settings) {
-                Err(ConformanceError::InvalidConfig { name: got, .. }) => assert_eq!(got, name),
-                other => panic!("{name}: expected InvalidConfig, got {other:?}"),
-            }
         }
     }
 

@@ -31,8 +31,7 @@ pub struct ConformancePoint {
     /// floating-point noise margin plus the statistical margin of the
     /// one-sided CI test (`β_low` is the witnessed strategy's exact revenue,
     /// so the true value sits on the certificate edge); see
-    /// `ConformanceSettings::certificate_slack` and
-    /// `ConformanceSettings::statistical_slack`.
+    /// [`crate::CERTIFICATE_SLACK`] and [`crate::STATISTICAL_SLACK`].
     pub slack: f64,
     /// Exact expected relative revenue of the exported strategy (lies inside
     /// the certificate).

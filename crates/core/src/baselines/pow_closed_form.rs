@@ -56,36 +56,6 @@ pub fn eyal_sirer_relative_revenue(p: f64, gamma: f64) -> Result<f64, SelfishMin
     Ok((numerator / denominator).max(0.0))
 }
 
-/// The smallest adversarial share at which the Eyal–Sirer strategy becomes
-/// strictly more profitable than honest mining, found by bisection on
-/// `R(p, γ) − p`.
-///
-/// # Errors
-///
-/// Returns [`SelfishMiningError::InvalidParameter`] if `gamma` lies outside
-/// `[0, 1]`.
-pub fn profitability_threshold(gamma: f64) -> Result<f64, SelfishMiningError> {
-    if !(0.0..=1.0).contains(&gamma) || !gamma.is_finite() {
-        return Err(SelfishMiningError::InvalidParameter {
-            name: "gamma",
-            constraint: "must lie in [0, 1]",
-        });
-    }
-    let advantage = |p: f64| eyal_sirer_relative_revenue(p, gamma).expect("p in range") - p;
-    let mut lo = 1e-6;
-    let mut hi = 0.5 - 1e-6;
-    // The advantage is negative at p → 0 and positive at p → 1/2 for every γ.
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if advantage(mid) > 0.0 {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Ok(0.5 * (lo + hi))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,12 +63,13 @@ mod tests {
     #[test]
     fn classic_thresholds_are_reproduced() {
         // γ = 0: threshold 1/3; γ = 1/2: threshold 1/4; γ = 1: threshold 0.
-        let t0 = profitability_threshold(0.0).unwrap();
-        assert!((t0 - 1.0 / 3.0).abs() < 1e-3, "threshold {t0}");
-        let t_half = profitability_threshold(0.5).unwrap();
-        assert!((t_half - 0.25).abs() < 1e-3, "threshold {t_half}");
-        let t1 = profitability_threshold(1.0).unwrap();
-        assert!(t1 < 1e-3, "threshold {t1}");
+        // Selfish mining loses just below a threshold and wins just above.
+        let advantage = |p: f64, gamma: f64| eyal_sirer_relative_revenue(p, gamma).unwrap() - p;
+        for (gamma, threshold) in [(0.0, 1.0 / 3.0), (0.5, 0.25)] {
+            assert!(advantage(threshold - 1e-3, gamma) < 0.0, "gamma {gamma}");
+            assert!(advantage(threshold + 1e-3, gamma) > 0.0, "gamma {gamma}");
+        }
+        assert!(advantage(1e-3, 1.0) > 0.0);
     }
 
     #[test]
@@ -121,6 +92,5 @@ mod tests {
         assert!(eyal_sirer_relative_revenue(1.0, 0.5).is_err());
         assert!(eyal_sirer_relative_revenue(-0.1, 0.5).is_err());
         assert!(eyal_sirer_relative_revenue(0.3, 1.5).is_err());
-        assert!(profitability_threshold(-1.0).is_err());
     }
 }

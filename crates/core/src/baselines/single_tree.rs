@@ -261,17 +261,14 @@ impl SingleTreeAttack {
                 constraint: "must lie in [0, 1]",
             });
         }
-        if self.max_depth == 0 {
-            return Err(SelfishMiningError::InvalidParameter {
-                name: "max_depth",
-                constraint: "must be at least 1",
-            });
-        }
-        if self.max_width == 0 {
-            return Err(SelfishMiningError::InvalidParameter {
-                name: "max_width",
-                constraint: "must be at least 1",
-            });
+        // Node counts and honest progress are stored as `u8`.
+        for (name, value) in [("max_depth", self.max_depth), ("max_width", self.max_width)] {
+            if value == 0 || value > usize::from(u8::MAX) {
+                return Err(SelfishMiningError::InvalidParameter {
+                    name,
+                    constraint: "must lie in 1..=255",
+                });
+            }
         }
         Ok(())
     }
@@ -402,5 +399,18 @@ mod tests {
         }
         .analyse()
         .is_err());
+        // A width or depth of 256 would overflow the `u8` node counts.
+        for (name, depth, width) in [("max_depth", 256, 5), ("max_width", 4, 256)] {
+            assert!(matches!(
+                SingleTreeAttack {
+                    p: 0.3,
+                    gamma: 0.5,
+                    max_depth: depth,
+                    max_width: width
+                }
+                .analyse(),
+                Err(SelfishMiningError::InvalidParameter { name: got, .. }) if got == name
+            ));
+        }
     }
 }

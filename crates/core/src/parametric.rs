@@ -32,7 +32,7 @@ use crate::{
     available_actions_in, symbolic_successors_in, AttackParams, AttackScenario, ProbTerm,
     SelfishMiningError, SelfishMiningModel, SmAction, SmState,
 };
-use sm_mdp::{CsrLayout, Mdp};
+use sm_mdp::{compact_index, CsrLayout, Mdp};
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -207,9 +207,9 @@ impl ParametricModel {
         // Discovery order and successor sorting are those of the direct BFS
         // oracle in `tests/parametric_equivalence.rs`, so that an interior
         // instantiation reproduces its arena bit for bit.
-        let mut row_ptr: Vec<usize> = vec![0];
-        let mut action_ptr: Vec<usize> = vec![0];
-        let mut col: Vec<usize> = Vec::new();
+        let mut row_ptr: Vec<u32> = vec![0];
+        let mut action_ptr: Vec<u32> = vec![0];
+        let mut col: Vec<u32> = Vec::new();
         let mut names: Vec<String> = Vec::new();
         let mut name_ids: HashMap<String, u32> = HashMap::new();
         let mut name_of_pair: Vec<u32> = Vec::new();
@@ -222,7 +222,7 @@ impl ParametricModel {
         let mut atom_pool: Vec<RewardAtom> = Vec::new();
         let mut atom_ids: HashMap<RewardAtom, u32> = HashMap::new();
         let mut actions: Vec<Vec<SmAction>> = Vec::new();
-        let mut scratch: Vec<(usize, u32)> = Vec::new();
+        let mut scratch: Vec<(u32, u32)> = Vec::new();
 
         while let Some(index) = queue.pop_front() {
             let state = states[index].clone();
@@ -254,7 +254,7 @@ impl ParametricModel {
                         honest: outcome.rewards.honest,
                     };
                     reward_atoms.push(intern(&mut atom_pool, &mut atom_ids, atom));
-                    scratch.push((target, term_id));
+                    scratch.push((compact_index(target)?, term_id));
                 }
                 reward_ptr.push(u32::try_from(reward_atoms.len()).expect("atom count fits u32"));
 
@@ -270,7 +270,7 @@ impl ParametricModel {
                     }
                     prob_atoms.push(term_id);
                 }
-                action_ptr.push(col.len());
+                action_ptr.push(compact_index(col.len())?);
 
                 let name = action.name();
                 let name_id = match name_ids.get(&name) {
@@ -285,7 +285,7 @@ impl ParametricModel {
                 name_of_pair.push(name_id);
             }
             actions.push(state_actions);
-            row_ptr.push(name_of_pair.len());
+            row_ptr.push(compact_index(name_of_pair.len())?);
         }
         prob_atom_ptr.push(u32::try_from(prob_atoms.len()).expect("atom count fits u32"));
 
@@ -731,6 +731,22 @@ mod tests {
         let family = ParametricModel::build(1, 1, 2).unwrap();
         assert!(family.instantiate(1.5, 0.5).is_err());
         assert!(family.instantiate(0.5, -0.1).is_err());
+    }
+
+    #[test]
+    fn a_fork_limit_beyond_a_byte_is_rejected() {
+        // Fork lengths are stored as `u8`: l = 256 used to cap every fork at
+        // 0 and build a different model without an error.
+        assert!(ParametricModel::build(1, 1, 255).is_ok());
+        for l in [256, 300] {
+            assert!(matches!(
+                ParametricModel::build(1, 1, l),
+                Err(SelfishMiningError::InvalidParameter {
+                    name: "max_fork_length",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

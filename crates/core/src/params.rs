@@ -72,7 +72,7 @@ pub struct AttackParams {
     pub depth: usize,
     /// Forking number `f ≥ 1` (private forks per main-chain block).
     pub forks_per_block: usize,
-    /// Maximal private fork length `l ≥ 1`.
+    /// Maximal private fork length `1 ≤ l ≤ 255`.
     pub max_fork_length: usize,
 }
 
@@ -121,10 +121,11 @@ impl AttackParams {
                 constraint: "must be at least 1",
             });
         }
-        if self.max_fork_length == 0 {
+        // Fork lengths are stored as `u8`: a larger `l` would wrap the cap.
+        if self.max_fork_length == 0 || self.max_fork_length > usize::from(u8::MAX) {
             return Err(SelfishMiningError::InvalidParameter {
                 name: "max_fork_length",
-                constraint: "must be at least 1",
+                constraint: "must lie in 1..=255",
             });
         }
         Ok(())

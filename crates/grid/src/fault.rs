@@ -74,19 +74,6 @@ impl GridFaultPlan {
         }
     }
 
-    /// Poisons every `stride`-th point's artifact (offset 0) on its first
-    /// `attempts` attempts.
-    pub fn poison_every(stride: usize, attempts: usize) -> Self {
-        GridFaultPlan {
-            faults: vec![GridFault {
-                kind: FaultKind::Poison,
-                stride,
-                offset: 0,
-                attempts,
-            }],
-        }
-    }
-
     /// The first rule matching `(point, attempt)`, if any.
     pub fn fault_for(&self, point: usize, attempt: usize) -> Option<&GridFault> {
         self.faults

@@ -181,13 +181,16 @@ impl GridSpec {
         hash_f64s(&mut hasher, &self.ps);
         hash_usize(&mut hasher, self.settings.steps);
         hasher.write_u64(self.settings.tolerance.to_bits());
-        hasher.write_u64(self.settings.z_score.to_bits());
+        // Slots of the retired `z_score`, `certificate_slack` and
+        // `statistical_slack` settings, now constants: their bits stay in
+        // place so artifact names and fingerprints stay stable.
+        hasher.write_u64(sm_conformance::Z_SCORE.to_bits());
         hash_usize(&mut hasher, self.settings.min_replicas);
         hash_usize(&mut hasher, self.settings.batch);
         hash_usize(&mut hasher, self.settings.max_replicas);
         hasher.write_u64(self.settings.master_seed);
-        hasher.write_u64(self.settings.certificate_slack.to_bits());
-        hasher.write_u64(self.settings.statistical_slack.to_bits());
+        hasher.write_u64(sm_conformance::CERTIFICATE_SLACK.to_bits());
+        hasher.write_u64(sm_conformance::STATISTICAL_SLACK.to_bits());
         hash_usize(&mut hasher, self.settings.backends.len());
         for backend in &self.settings.backends {
             hash_str(&mut hasher, &backend.label());

@@ -43,7 +43,9 @@ use selfish_mining::{
 };
 
 /// Configuration of the Figure 2 revenue sweep, which evaluates the optimal
-/// attack scenario at every grid point.
+/// attack scenario at every grid point next to the honest baseline and the
+/// paper's single-tree baseline
+/// ([`SingleTreeAttack::paper_configuration`]: depth 4, width 5).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// The `(d, f)` attack configurations to evaluate at every grid point.
@@ -56,10 +58,6 @@ pub struct SweepConfig {
     /// parallelism (see the module docs on nested budgeting); `0` uses
     /// [`std::thread::available_parallelism`].
     pub workers: usize,
-    /// Single-tree baseline tree depth.
-    pub single_tree_depth: usize,
-    /// Single-tree baseline tree width.
-    pub single_tree_width: usize,
 }
 
 impl Default for SweepConfig {
@@ -71,8 +69,6 @@ impl Default for SweepConfig {
             max_fork_length: 4,
             epsilon: 1e-3,
             workers: 0,
-            single_tree_depth: 4,
-            single_tree_width: 5,
         }
     }
 }
@@ -176,14 +172,9 @@ impl SweepConfig {
             CurveJob::Baseline { gamma } => ps
                 .iter()
                 .map(|&p| {
-                    SingleTreeAttack {
-                        p,
-                        gamma,
-                        max_depth: self.single_tree_depth,
-                        max_width: self.single_tree_width,
-                    }
-                    .analyse()
-                    .map(|result| result.relative_revenue)
+                    SingleTreeAttack::paper_configuration(p, gamma)
+                        .analyse()
+                        .map(|result| result.relative_revenue)
                 })
                 .collect(),
         }

@@ -30,17 +30,16 @@ use std::sync::Arc;
 pub const COMPACT_ARENA_LIMIT: usize = u32::MAX as usize;
 
 /// Checked `usize` → `u32` conversion for the compact arena build paths.
-pub(crate) fn compact_index(value: usize) -> Result<u32, MdpError> {
+///
+/// # Errors
+///
+/// Returns [`MdpError::IndexOverflow`] if `value` exceeds
+/// [`COMPACT_ARENA_LIMIT`].
+pub fn compact_index(value: usize) -> Result<u32, MdpError> {
     u32::try_from(value).map_err(|_| MdpError::IndexOverflow {
         value,
         limit: COMPACT_ARENA_LIMIT,
     })
-}
-
-/// [`compact_index`] over a whole vector, reusing no allocation (the widths
-/// differ) but failing on the first oversized entry.
-pub(crate) fn compact_indices(values: Vec<usize>) -> Result<Vec<u32>, MdpError> {
-    values.into_iter().map(compact_index).collect()
 }
 
 /// The index arrays of the CSR transition arena, shared between every MDP
@@ -50,8 +49,8 @@ pub(crate) fn compact_indices(values: Vec<usize>) -> Result<Vec<u32>, MdpError> 
 /// this workspace targets stay well under `u32::MAX` states and transitions
 /// (a d=4, f=3 topology has millions, not billions), and halving the index
 /// width halves the memory traffic of every solver sweep — the sweeps are
-/// memory-bound, so this is a direct throughput win. Build paths that start
-/// from `usize` arrays go through checked conversions and fail with
+/// memory-bound, so this is a direct throughput win. Build paths convert
+/// their `usize` indices through [`compact_index`] and fail with
 /// [`MdpError::IndexOverflow`] rather than wrapping.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CsrLayout {
@@ -149,38 +148,16 @@ impl CsrLayout {
     ///
     /// This is the construction path used by builders that assemble the index
     /// arrays themselves (e.g. the parametric selfish-mining arena, which
-    /// shares one layout across every `(p, γ)` instantiation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MdpError::IndexOverflow`] if any entry does not fit the
-    /// compact `u32` storage (checked *before* any structural validation, so
-    /// oversized inputs fail with the typed error rather than a shape
-    /// complaint), [`MdpError::InvalidState`] for an out-of-range successor
-    /// and [`MdpError::InvariantViolation`] (with a description) for
-    /// malformed pointer arrays.
-    pub fn from_raw_parts(
-        row_ptr: Vec<usize>,
-        action_ptr: Vec<usize>,
-        col: Vec<usize>,
-    ) -> Result<CsrLayout, MdpError> {
-        CsrLayout::from_raw_parts_u32(
-            compact_indices(row_ptr)?,
-            compact_indices(action_ptr)?,
-            compact_indices(col)?,
-        )
-    }
-
-    /// [`CsrLayout::from_raw_parts`] over already-compact `u32` arrays — the
-    /// native path for builders that assemble compact arrays directly (no
-    /// widening round-trip, no conversion pass).
+    /// shares one layout across every `(p, γ)` instantiation). Such builders
+    /// push compact entries as they go ([`compact_index`]), so no `usize`
+    /// copy of the arena is ever held.
     ///
     /// # Errors
     ///
     /// Returns [`MdpError::InvalidState`] for an out-of-range successor and
     /// [`MdpError::InvariantViolation`] (with a description) for malformed
     /// pointer arrays.
-    pub fn from_raw_parts_u32(
+    pub fn from_raw_parts(
         row_ptr: Vec<u32>,
         action_ptr: Vec<u32>,
         col: Vec<u32>,
@@ -550,7 +527,7 @@ mod tests {
         assert_eq!(layout.num_states(), 2);
         assert_eq!(layout.num_pairs(), 2);
         assert_eq!(layout.num_transitions(), 2);
-        let invariant = |row_ptr: Vec<usize>, action_ptr: Vec<usize>, col: Vec<usize>| {
+        let invariant = |row_ptr: Vec<u32>, action_ptr: Vec<u32>, col: Vec<u32>| {
             matches!(
                 CsrLayout::from_raw_parts(row_ptr, action_ptr, col),
                 Err(MdpError::InvariantViolation { .. })
@@ -652,10 +629,8 @@ mod tests {
     #[cfg(target_pointer_width = "64")]
     fn oversized_indices_fail_with_the_typed_overflow_error() {
         let too_big = u32::MAX as usize + 1;
-        // The conversion runs *before* structural validation, so the typed
-        // overflow error wins over the out-of-range-successor complaint —
-        // and the inputs stay tiny, no arena-sized allocation happens.
-        let err = CsrLayout::from_raw_parts(vec![0, 1], vec![0, 1], vec![too_big]).unwrap_err();
+        assert_eq!(compact_index(too_big - 1).unwrap(), u32::MAX);
+        let err = compact_index(too_big).unwrap_err();
         assert!(matches!(
             err,
             MdpError::IndexOverflow { value, limit }
@@ -668,95 +643,5 @@ mod tests {
         let err = b.add_action("big", &[(too_big, 1.0)]).unwrap_err();
         assert!(matches!(err, MdpError::IndexOverflow { .. }));
         assert_eq!(b.num_transitions(), 0);
-    }
-
-    #[test]
-    fn usize_and_u32_raw_part_paths_are_bit_identical() {
-        use crate::RelativeValueIteration;
-        use std::collections::BTreeSet;
-        // Deterministic xorshift so the property test needs no RNG crate.
-        let mut rng_state = 0x5ee9_b10c_dead_beef_u64;
-        let mut rng = move || {
-            rng_state ^= rng_state << 13;
-            rng_state ^= rng_state >> 7;
-            rng_state ^= rng_state << 17;
-            rng_state
-        };
-        for _case in 0..25 {
-            let num_states = 2 + (rng() % 6) as usize;
-            let mut row_ptr = vec![0usize];
-            let mut action_ptr = vec![0usize];
-            let mut col: Vec<usize> = Vec::new();
-            let mut prob: Vec<f64> = Vec::new();
-            for s in 0..num_states {
-                for _a in 0..1 + (rng() % 3) as usize {
-                    // Every action reaches the next state on the cycle, so
-                    // any strategy induces a unichain and RVI converges.
-                    let mut targets: BTreeSet<usize> = BTreeSet::new();
-                    targets.insert((s + 1) % num_states);
-                    for _ in 0..rng() % 3 {
-                        targets.insert((rng() % num_states as u64) as usize);
-                    }
-                    let weights: Vec<f64> =
-                        targets.iter().map(|_| 1.0 + (rng() % 8) as f64).collect();
-                    let total: f64 = weights.iter().sum();
-                    for (&t, &w) in targets.iter().zip(&weights) {
-                        col.push(t);
-                        prob.push(w / total);
-                    }
-                    action_ptr.push(col.len());
-                }
-                row_ptr.push(action_ptr.len() - 1);
-            }
-
-            let widened =
-                CsrLayout::from_raw_parts(row_ptr.clone(), action_ptr.clone(), col.clone())
-                    .unwrap();
-            let compact = CsrLayout::from_raw_parts_u32(
-                row_ptr.iter().map(|&v| v as u32).collect(),
-                action_ptr.iter().map(|&v| v as u32).collect(),
-                col.iter().map(|&v| v as u32).collect(),
-            )
-            .unwrap();
-            assert_eq!(widened, compact);
-
-            let solve = |layout: CsrLayout| {
-                let num_pairs = layout.num_pairs();
-                let mdp = Mdp::from_raw_parts(
-                    Arc::new(layout),
-                    prob.clone(),
-                    vec!["act".to_string()],
-                    vec![0; num_pairs],
-                    0,
-                )
-                .unwrap();
-                // Per-pair expected rewards of `r(s, a, t) = 0.4 s + 0.9 a − 0.2 t`.
-                let rewards: Vec<f64> = (0..mdp.num_states())
-                    .flat_map(|s| (0..mdp.num_actions(s)).map(move |a| (s, a)))
-                    .map(|(s, a)| {
-                        let (cols, probs) = mdp.successors(s, a);
-                        cols.iter()
-                            .zip(probs)
-                            .map(|(&t, &p)| p * (0.4 * s as f64 + 0.9 * a as f64 - 0.2 * t as f64))
-                            .sum()
-                    })
-                    .collect();
-                RelativeValueIteration::with_epsilon(1e-7)
-                    .solve(&mdp, &rewards)
-                    .unwrap()
-            };
-            let from_widened = solve(widened);
-            let from_compact = solve(compact);
-            assert_eq!(from_widened.gain.to_bits(), from_compact.gain.to_bits());
-            assert_eq!(
-                from_widened.gain_lower.to_bits(),
-                from_compact.gain_lower.to_bits()
-            );
-            assert_eq!(
-                from_widened.gain_upper.to_bits(),
-                from_compact.gain_upper.to_bits()
-            );
-            assert_eq!(from_widened.strategy, from_compact.strategy);
-        }
     }
 }

@@ -80,7 +80,7 @@ mod strategy;
 mod value_iteration;
 
 pub use chain::MarkovChain;
-pub use csr::{CsrLayout, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
+pub use csr::{compact_index, CsrLayout, CsrMdpBuilder, COMPACT_ARENA_LIMIT};
 pub use error::MdpError;
 pub use model::Mdp;
 pub use parallel::{run_budgeted_jobs, SolverParallelism};

@@ -74,24 +74,6 @@ impl PositionalStrategy {
     pub fn choices(&self) -> &[usize] {
         &self.choices
     }
-
-    /// Number of states at which two strategies differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the strategies cover a different number of states.
-    pub fn hamming_distance(&self, other: &PositionalStrategy) -> usize {
-        assert_eq!(
-            self.num_states(),
-            other.num_states(),
-            "strategies cover different state counts"
-        );
-        self.choices
-            .iter()
-            .zip(&other.choices)
-            .filter(|(a, b)| a != b)
-            .count()
-    }
 }
 
 impl fmt::Display for PositionalStrategy {
@@ -124,22 +106,6 @@ mod tests {
         sigma.set_action(1, 4);
         assert_eq!(sigma.action(1), 4);
         assert_eq!(sigma.num_states(), 3);
-    }
-
-    #[test]
-    fn hamming_distance_counts_differences() {
-        let a = PositionalStrategy::new(vec![0, 1, 2]);
-        let b = PositionalStrategy::new(vec![0, 2, 2]);
-        assert_eq!(a.hamming_distance(&b), 1);
-        assert_eq!(a.hamming_distance(&a), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "different state counts")]
-    fn hamming_distance_panics_on_mismatch() {
-        let a = PositionalStrategy::new(vec![0]);
-        let b = PositionalStrategy::new(vec![0, 1]);
-        let _ = a.hamming_distance(&b);
     }
 
     #[test]

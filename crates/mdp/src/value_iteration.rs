@@ -44,10 +44,9 @@ pub struct RelativeValueIteration {
     /// certified gain interval has width at most this value on termination.
     pub epsilon: f64,
     /// Maximum number of sweeps before giving up (full Bellman sweeps and
-    /// evaluation sweeps both count).
-    pub max_iterations: usize,
-    /// Laziness parameter τ of the aperiodicity transformation, in `(0, 1]`.
-    pub laziness: f64,
+    /// evaluation sweeps both count); 2,000,000. Private: unit tests shrink
+    /// it to drive budget exhaustion.
+    max_iterations: usize,
     /// Number of *policy-restricted evaluation sweeps* interleaved after each
     /// full Bellman sweep (modified policy iteration, Puterman §10.3): the
     /// greedy action of the last full sweep is held fixed and only its
@@ -55,9 +54,9 @@ pub struct RelativeValueIteration {
     /// action per state instead of all of them) while contracting the bias
     /// just as fast. Certified gain bounds are only ever taken from full
     /// Bellman sweeps — valid from any bias vector — so the interleaving
-    /// never weakens the returned interval. `0` recovers plain relative
-    /// value iteration.
-    pub evaluation_sweeps: usize,
+    /// never weakens the returned interval. 8; private, and `0` (plain
+    /// relative value iteration) is the unit tests' reference.
+    evaluation_sweeps: usize,
     /// Intra-solve parallelism: how many row blocks each sweep is cut into,
     /// one thread per block. Results (gain bounds, strategy, bias, sweep
     /// counts) are **bit-identical for any setting** — every state runs the
@@ -74,7 +73,6 @@ impl Default for RelativeValueIteration {
         RelativeValueIteration {
             epsilon: 1e-8,
             max_iterations: 2_000_000,
-            laziness: 0.95,
             evaluation_sweeps: 8,
             parallelism: SolverParallelism::serial(),
         }
@@ -265,6 +263,12 @@ enum SweepKind {
 }
 
 impl RelativeValueIteration {
+    /// Laziness τ of the aperiodicity transformation `P' = (1−τ)·I + τ·P`.
+    /// Any τ ∈ (0, 1) makes every chain aperiodic without changing gains or
+    /// optimal strategies; 0.95 keeps the transformed sweep close to the
+    /// plain one. `sm-audit` replays residuals at the same τ.
+    pub const LAZINESS: f64 = 0.95;
+
     /// Near-tie tolerance of the canonical strategy extraction, as a multiple
     /// of [`Self::epsilon`].
     ///
@@ -336,10 +340,10 @@ impl RelativeValueIteration {
     /// # Errors
     ///
     /// Returns [`MdpError::RewardShapeMismatch`] if `expected` does not have
-    /// one entry per pair, [`MdpError::InvalidParameter`] for a bad `epsilon`
-    /// or `laziness`, [`MdpError::NoActions`] if some state has an empty
-    /// action range, and [`MdpError::ConvergenceFailure`] if the iteration
-    /// budget is exhausted before the requested precision is reached.
+    /// one entry per pair, [`MdpError::InvalidParameter`] for a bad `epsilon`,
+    /// [`MdpError::NoActions`] if some state has an empty action range, and
+    /// [`MdpError::ConvergenceFailure`] if the iteration budget is exhausted
+    /// before the requested precision is reached.
     pub fn solve(&self, mdp: &Mdp, expected: &[f64]) -> Result<ValueIterationOutcome, MdpError> {
         self.solve_inner(mdp, expected, None)
     }
@@ -396,12 +400,6 @@ impl RelativeValueIteration {
                 constraint: "must be positive",
             });
         }
-        if !(self.laziness > 0.0 && self.laziness <= 1.0) {
-            return Err(MdpError::InvalidParameter {
-                name: "laziness",
-                constraint: "must lie in (0, 1]",
-            });
-        }
         if expected.len() != mdp.num_pairs() {
             return Err(MdpError::RewardShapeMismatch {
                 detail: format!(
@@ -431,7 +429,7 @@ impl RelativeValueIteration {
             col: layout.col(),
             prob: mdp.probabilities(),
             expected,
-            tau: self.laziness,
+            tau: Self::LAZINESS,
         };
         let threads = mass_capped_threads(self.parallelism.thread_count(), mdp.num_transitions());
         let blocks = if threads > 1 {
@@ -740,18 +738,6 @@ mod tests {
             bad_eps.solve(&mdp, &r),
             Err(MdpError::InvalidParameter {
                 name: "epsilon",
-                ..
-            })
-        ));
-
-        let bad_tau = RelativeValueIteration {
-            laziness: 1.5,
-            ..Default::default()
-        };
-        assert!(matches!(
-            bad_tau.solve(&mdp, &r),
-            Err(MdpError::InvalidParameter {
-                name: "laziness",
                 ..
             })
         ));

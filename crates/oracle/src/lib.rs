@@ -8,8 +8,8 @@
 //! results only up to a tolerance. This crate holds the *exact* methods the
 //! tests compare them against:
 //!
-//! * [`PolicyIteration`] / [`PolicyEvaluation`] — Howard's algorithm with
-//!   multichain gain/bias evaluation by dense linear solves.
+//! * [`PolicyIteration`] — Howard's algorithm with multichain gain/bias
+//!   evaluation by dense linear solves.
 //! * [`LinearProgrammingSolver`] — the gain LP over a two-phase simplex
 //!   ([`LinearProgram`] / [`SimplexSolver`]).
 //! * [`long_run_average_reward`] — the exact gain of every state of a Markov
@@ -20,8 +20,8 @@
 //!   `sm_mdp::MarkovChain`; test chains are
 //!   built by [`chain_from_rows`], through the same `CsrMdpBuilder` and
 //!   `Mdp::induced_chain` path every production chain takes.
-//! * [`DenseMatrix`] / [`LuDecomposition`] — the dense substrate of all of
-//!   the above.
+//! * [`DenseMatrix`] and an LU solver — the dense substrate of all of the
+//!   above.
 //! * [`TransitionRewards`] — per-transition rewards `r(s, a, s')`, the input
 //!   of the exact solvers above (the production solver takes one expected
 //!   reward per state-action pair instead).
@@ -72,8 +72,8 @@ pub use classify::{StateClass, StronglyConnectedComponents};
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, OracleError};
 pub use lp::LinearProgrammingSolver;
-pub use lu::{solve_linear_system, LuDecomposition};
-pub use policy_iteration::{PolicyEvaluation, PolicyIteration};
+use lu::solve_linear_system;
+pub use policy_iteration::PolicyIteration;
 pub use reward::long_run_average_reward;
 pub use rewards::TransitionRewards;
 pub use simplex::{Comparison, LinearProgram, LpSolution, LpStatus, ObjectiveSense, SimplexSolver};

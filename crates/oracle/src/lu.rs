@@ -8,21 +8,6 @@
 use crate::{DenseMatrix, LinalgError};
 
 /// An LU factorisation `P·A = L·U` of a square matrix with partial pivoting.
-///
-/// # Example
-///
-/// ```
-/// use sm_oracle::{DenseMatrix, LuDecomposition};
-///
-/// # fn main() -> Result<(), sm_oracle::LinalgError> {
-/// let a = DenseMatrix::from_rows(&[vec![4.0, 3.0], vec![6.0, 3.0]])?;
-/// let lu = LuDecomposition::new(&a)?;
-/// let x = lu.solve(&[10.0, 12.0])?;
-/// assert!((x[0] - 1.0).abs() < 1e-12);
-/// assert!((x[1] - 2.0).abs() < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
 #[derive(Debug, Clone)]
 pub struct LuDecomposition {
     /// Combined L (strictly lower, unit diagonal implicit) and U (upper) factors.

@@ -180,11 +180,7 @@ impl PolicyIteration {
 
     /// Like [`PolicyIteration::solve`] but also returns the full evaluation
     /// (per-state gains and biases) of the optimal strategy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PolicyIteration::solve`].
-    pub fn solve_with_evaluation(
+    fn solve_with_evaluation(
         &self,
         mdp: &Mdp,
         rewards: &TransitionRewards,

@@ -13,8 +13,8 @@ use sm_mdp::{MarkovChain, MdpError};
 /// of the recurrent classes it can reach.
 ///
 /// This is the exact quantity needed to evaluate a positional MDP strategy
-/// under the mean-payoff objective: [`crate::PolicyEvaluation`] delegates
-/// here, and the tests hold the production evaluator
+/// under the mean-payoff objective: policy iteration's evaluation step
+/// delegates here, and the tests hold the production evaluator
 /// (`sm_mdp::iterative_gains`) against it.
 ///
 /// # Errors

@@ -26,19 +26,6 @@ pub struct PowSolution {
 }
 
 impl ProofOfWork {
-    /// Creates a puzzle whose success probability per attempt is roughly
-    /// `difficulty⁻¹`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `difficulty` is zero.
-    pub fn with_difficulty(difficulty: u64) -> Self {
-        assert!(difficulty > 0, "difficulty must be positive");
-        ProofOfWork {
-            target: u64::MAX / difficulty,
-        }
-    }
-
     /// Evaluates one attempt for a given nonce.
     pub fn attempt(&self, challenge: &Digest, miner: u64, nonce: u64) -> Option<PowSolution> {
         let digest = POW.hash(&[&challenge.0, &miner.to_be_bytes(), &nonce.to_be_bytes()]);
@@ -64,9 +51,17 @@ mod tests {
     use super::*;
     use crate::hash_bytes;
 
+    /// A puzzle whose success probability per attempt is about
+    /// `difficulty⁻¹`.
+    fn puzzle(difficulty: u64) -> ProofOfWork {
+        ProofOfWork {
+            target: u64::MAX / difficulty,
+        }
+    }
+
     #[test]
     fn easy_puzzles_are_solved_and_verify() {
-        let pow = ProofOfWork::with_difficulty(4);
+        let pow = puzzle(4);
         let challenge = hash_bytes(b"tip");
         let solution = pow.mine(&challenge, 1, 1000).expect("easy puzzle");
         assert!(pow.verify(&challenge, 1, &solution));
@@ -77,8 +72,8 @@ mod tests {
     #[test]
     fn harder_puzzles_need_more_attempts_on_average() {
         let challenge = hash_bytes(b"tip");
-        let easy = ProofOfWork::with_difficulty(2);
-        let hard = ProofOfWork::with_difficulty(64);
+        let easy = puzzle(2);
+        let hard = puzzle(64);
         let count = |pow: &ProofOfWork| {
             (0..2000u64)
                 .filter(|&nonce| pow.attempt(&challenge, 9, nonce).is_some())
@@ -89,7 +84,7 @@ mod tests {
 
     #[test]
     fn success_rate_tracks_difficulty() {
-        let pow = ProofOfWork::with_difficulty(10);
+        let pow = puzzle(10);
         let challenge = hash_bytes(b"rate");
         let trials = 20_000u64;
         let successes = (0..trials)
@@ -97,11 +92,5 @@ mod tests {
             .count();
         let rate = successes as f64 / trials as f64;
         assert!((rate - 0.1).abs() < 0.02, "rate {rate}");
-    }
-
-    #[test]
-    #[should_panic(expected = "difficulty must be positive")]
-    fn zero_difficulty_is_rejected() {
-        let _ = ProofOfWork::with_difficulty(0);
     }
 }

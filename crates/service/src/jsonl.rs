@@ -319,6 +319,19 @@ mod tests {
     }
 
     #[test]
+    fn a_fork_limit_beyond_a_byte_is_an_error_line_and_the_loop_continues() {
+        let service = service();
+        let lines = serve_lines(
+            &service,
+            b"{\"p\":0.3,\"d\":1,\"f\":1,\"l\":256}\n{\"op\":\"stats\"}\n",
+        );
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert!(lines[0].contains("\"status\":\"error\"") && lines[0].contains("max_fork_length"));
+        assert!(lines[1].contains("\"op\":\"stats\""));
+        assert_eq!(service.stats().arena_builds, 0);
+    }
+
+    #[test]
     fn query_parsing_reports_field_level_problems() {
         let service = service();
         for (line, needle) in [

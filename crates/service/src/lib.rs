@@ -14,13 +14,13 @@
 //! * **Curve cache** — per `(topology, backend, γ, ε)` a *canonical anchor
 //!   lattice*:
 //!   the chain of warm-started certified solves at `p = 0, Δ, 2Δ, …`
-//!   ([`ServiceConfig::anchor_step`]), advanced lazily up to each query and
+//!   ([`ANCHOR_STEP`]), advanced lazily up to each query and
 //!   snapshotted per anchor
 //!   ([`selfish_mining::experiments::CurveTracker`]). An off-lattice `p` is
 //!   answered by a warm *probe* from the last anchor at or below it, which
 //!   leaves the chain untouched.
 //! * **Answer memo** — certified intervals keyed by the rounded `p`
-//!   ([`ServiceConfig::share_quantum`]), so repeats — including concurrent
+//!   ([`SHARE_QUANTUM`]), so repeats — including concurrent
 //!   duplicates that queued behind the first solver — are served without
 //!   solving.
 //!
@@ -65,19 +65,22 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
-/// Configuration of a [`Service`].
+/// Lattice step `Δ` of the canonical warm-start chain in `p`. Smaller
+/// steps would give warmer probes at the cost of more chain solves on first
+/// touch of a region.
+pub const ANCHOR_STEP: f64 = 0.05;
+
+/// Rounding quantum for `p` and `γ`: queries are snapped to the nearest
+/// multiple before anything is looked up or solved, so any two queries
+/// within half a quantum of each other are the *same* query.
+pub const SHARE_QUANTUM: f64 = 1e-6;
+
+/// Rounding quantum for `ε`.
+pub const EPSILON_QUANTUM: f64 = 1e-9;
+
+/// Configuration of a [`Service`]: its cache caps and thread budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
-    /// Lattice step `Δ` of the canonical warm-start chain in `p`. Smaller
-    /// steps give warmer probes at the cost of more chain solves on first
-    /// touch of a region.
-    pub anchor_step: f64,
-    /// Rounding quantum for `p` and `γ`: queries are snapped to the nearest
-    /// multiple before anything is looked up or solved, so any two queries
-    /// within half a quantum of each other are the *same* query.
-    pub share_quantum: f64,
-    /// Rounding quantum for `ε`.
-    pub epsilon_quantum: f64,
     /// Maximal number of cached topology arenas; least-recently-used
     /// entries beyond the cap are evicted.
     pub max_arenas: usize,
@@ -93,13 +96,10 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// `Δ = 0.05`, share quantum `10⁻⁶`, `ε` quantum `10⁻⁹`, 8 arenas,
-    /// 32 curves, 4096 memoized answers per curve, automatic worker count.
+    /// 8 arenas, 32 curves, 4096 memoized answers per curve, automatic
+    /// worker count.
     fn default() -> Self {
         ServiceConfig {
-            anchor_step: 0.05,
-            share_quantum: 1e-6,
-            epsilon_quantum: 1e-9,
             max_arenas: 8,
             max_curves: 32,
             max_memo_points: 4096,
@@ -109,35 +109,8 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Validates the configuration and derives the lattice step in share
-    /// quanta.
-    fn anchor_quanta(&self) -> Result<u64, ServiceError> {
-        let positive = |name: &'static str, value: f64| {
-            if value.is_finite() && value > 0.0 {
-                Ok(())
-            } else {
-                Err(ServiceError::Config {
-                    name,
-                    constraint: "must be finite and strictly positive",
-                })
-            }
-        };
-        positive("anchor_step", self.anchor_step)?;
-        positive("share_quantum", self.share_quantum)?;
-        positive("epsilon_quantum", self.epsilon_quantum)?;
-        if self.anchor_step > 1.0 {
-            return Err(ServiceError::Config {
-                name: "anchor_step",
-                constraint: "must not exceed 1",
-            });
-        }
-        let quanta = (self.anchor_step / self.share_quantum).round();
-        if quanta < 1.0 {
-            return Err(ServiceError::Config {
-                name: "anchor_step",
-                constraint: "must be at least one share quantum",
-            });
-        }
+    /// Rejects a zero cache cap.
+    fn validate(&self) -> Result<(), ServiceError> {
         for (name, value) in [
             ("max_arenas", self.max_arenas),
             ("max_curves", self.max_curves),
@@ -150,7 +123,7 @@ impl ServiceConfig {
                 });
             }
         }
-        Ok(quanta as u64)
+        Ok(())
     }
 }
 
@@ -168,7 +141,7 @@ pub struct Query {
     pub depth: usize,
     /// Forking number `f ≥ 1`.
     pub forks_per_block: usize,
-    /// Maximal private fork length `l ≥ 1`.
+    /// Maximal private fork length `1 ≤ l ≤ 255`.
     pub max_fork_length: usize,
     /// Adversarial resource share `p ∈ [0, 1]`.
     pub p: f64,
@@ -198,7 +171,7 @@ impl Default for Query {
 
 /// A certified `ERRev` interval — the payload of an [`Answer`]. The
 /// coordinates are the *rounded* ones actually solved (see
-/// [`ServiceConfig::share_quantum`]).
+/// [`SHARE_QUANTUM`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CertifiedInterval {
     /// Scenario the interval certifies.
@@ -441,6 +414,8 @@ struct Resolved {
 /// the cache architecture and the determinism contract.
 pub struct Service {
     config: ServiceConfig,
+    /// [`ANCHOR_STEP`] in share quanta: canonical anchor `i` sits at
+    /// `p_units = i · anchor_quanta`.
     anchor_quanta: u64,
     registry: Mutex<Registry>,
     stats: StatsCells,
@@ -455,13 +430,12 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::Config`] for non-positive quanta or step, a
-    /// step above 1 or below one quantum, or zero cache caps.
+    /// Returns [`ServiceError::Config`] for a zero cache cap.
     pub fn new(config: ServiceConfig) -> Result<Self, ServiceError> {
-        let anchor_quanta = config.anchor_quanta()?;
+        config.validate()?;
         Ok(Service {
             config,
-            anchor_quanta,
+            anchor_quanta: (ANCHOR_STEP / SHARE_QUANTUM).round() as u64,
             registry: Mutex::new(Registry::default()),
             stats: StatsCells::default(),
         })
@@ -598,9 +572,9 @@ impl Service {
         validate_share("p", query.p)?;
         validate_share("gamma", query.gamma)?;
         validate_epsilon(query.epsilon)?;
-        let p_units = quantize(query.p, self.config.share_quantum);
-        let gamma_units = quantize(query.gamma, self.config.share_quantum);
-        let epsilon_units = quantize(query.epsilon, self.config.epsilon_quantum);
+        let p_units = quantize(query.p, SHARE_QUANTUM);
+        let gamma_units = quantize(query.gamma, SHARE_QUANTUM);
+        let epsilon_units = quantize(query.epsilon, EPSILON_QUANTUM);
         if epsilon_units == 0 {
             return Err(ServiceError::Analysis(
                 SelfishMiningError::InvalidParameter {
@@ -609,10 +583,11 @@ impl Service {
                 },
             ));
         }
-        let p = dequantize(p_units, self.config.share_quantum).clamp(0.0, 1.0);
-        let gamma = dequantize(gamma_units, self.config.share_quantum).clamp(0.0, 1.0);
-        let epsilon = dequantize(epsilon_units, self.config.epsilon_quantum);
-        // Structural validation (d, f, l ≥ 1) through the shared params type.
+        let p = dequantize(p_units, SHARE_QUANTUM).clamp(0.0, 1.0);
+        let gamma = dequantize(gamma_units, SHARE_QUANTUM).clamp(0.0, 1.0);
+        let epsilon = dequantize(epsilon_units, EPSILON_QUANTUM);
+        // Structural validation (d, f ≥ 1, 1 ≤ l ≤ 255) through the shared
+        // params type.
         AttackParams::new(
             p,
             gamma,
@@ -812,7 +787,7 @@ impl Service {
 
     /// The `p` value of canonical anchor `index`.
     fn anchor_p(&self, index: u64) -> f64 {
-        dequantize(index * self.anchor_quanta, self.config.share_quantum).clamp(0.0, 1.0)
+        dequantize(index * self.anchor_quanta, SHARE_QUANTUM).clamp(0.0, 1.0)
     }
 
     /// Inserts an answer into the curve's memo, LRU-evicting over the cap
@@ -904,27 +879,6 @@ mod tests {
                 Err(ServiceError::Config { .. })
             ));
         };
-        bad(ServiceConfig {
-            anchor_step: 0.0,
-            ..ServiceConfig::default()
-        });
-        bad(ServiceConfig {
-            anchor_step: f64::NAN,
-            ..ServiceConfig::default()
-        });
-        bad(ServiceConfig {
-            anchor_step: 1.5,
-            ..ServiceConfig::default()
-        });
-        bad(ServiceConfig {
-            share_quantum: -1e-6,
-            ..ServiceConfig::default()
-        });
-        bad(ServiceConfig {
-            anchor_step: 1e-9,
-            share_quantum: 1e-6,
-            ..ServiceConfig::default()
-        });
         bad(ServiceConfig {
             max_curves: 0,
             ..ServiceConfig::default()

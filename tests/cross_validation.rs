@@ -151,14 +151,14 @@ fn build_nested(description: &ModelDescription) -> sm_mdp::Mdp {
             row.sort_unstable_by_key(|&(t, _)| t);
             let start = col.len();
             for (target, p) in row {
-                if col.len() > start && col.last() == Some(&(target as usize)) {
+                if col.len() > start && col.last() == Some(&target) {
                     *prob.last_mut().unwrap() += p;
                 } else {
-                    col.push(target as usize);
+                    col.push(target);
                     prob.push(p);
                 }
             }
-            action_ptr.push(col.len());
+            action_ptr.push(u32::try_from(col.len()).unwrap());
             let id = match names.iter().position(|n| n == name) {
                 Some(id) => id,
                 None => {
@@ -168,7 +168,7 @@ fn build_nested(description: &ModelDescription) -> sm_mdp::Mdp {
             };
             name_of_pair.push(u32::try_from(id).unwrap());
         }
-        row_ptr.push(action_ptr.len() - 1);
+        row_ptr.push(u32::try_from(action_ptr.len() - 1).unwrap());
     }
     let layout = sm_mdp::CsrLayout::from_raw_parts(row_ptr, action_ptr, col).unwrap();
     sm_mdp::Mdp::from_raw_parts(std::sync::Arc::new(layout), prob, names, name_of_pair, 0).unwrap()

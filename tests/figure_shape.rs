@@ -3,8 +3,10 @@
 //! API: model construction, the certified analysis, and both baselines.
 
 use selfish_mining::baselines::{honest_relative_revenue, SingleTreeAttack};
-use selfish_mining::experiments::CurveTracker;
+use selfish_mining::experiments::{coarse_p_grid, CurveTracker};
 use selfish_mining::{AnalysisConfig, ParametricModel};
+use selfish_mining_repro::audit::Fnv1a;
+use selfish_mining_repro::grid::SweepConfig;
 
 fn attack_revenue(p: f64, gamma: f64, depth: usize, forks: usize) -> f64 {
     let family = ParametricModel::build(depth, forks, 4).unwrap();
@@ -182,6 +184,41 @@ fn figure2_panels_have_golden_shape() {
             );
         }
     }
+}
+
+/// Pins every bit the Figure 2 sweep produces on a small grid: an FNV-1a
+/// digest over the `to_bits` of every field of every [`Figure2Point`]
+/// (`p`, `γ`, each attack revenue, the honest and single-tree baselines),
+/// in output order. The shape tests above only check ranges and orderings.
+///
+/// [`Figure2Point`]: selfish_mining::experiments::Figure2Point
+#[test]
+fn figure2_sweep_is_pinned_bit_for_bit() {
+    let points = SweepConfig {
+        attack_grid: vec![(1, 1), (2, 1)],
+        epsilon: 1e-3,
+        workers: 1,
+        ..SweepConfig::default()
+    }
+    .run(&[0.5], &coarse_p_grid())
+    .unwrap();
+    assert_eq!(points.len(), coarse_p_grid().len());
+    let mut hasher = Fnv1a::new();
+    for point in &points {
+        hasher.write_u64(point.p.to_bits());
+        hasher.write_u64(point.gamma.to_bits());
+        for revenue in &point.attack_revenue {
+            hasher.write_u64(revenue.to_bits());
+        }
+        hasher.write_u64(point.honest_revenue.to_bits());
+        hasher.write_u64(point.single_tree_revenue.to_bits());
+    }
+    assert_eq!(
+        hasher.finish(),
+        0x0b75_a275_5ddf_435a,
+        "{:#018x}",
+        hasher.finish()
+    );
 }
 
 /// Chain quality (1 - ERRev) degrades below the fair value 1 - p once the

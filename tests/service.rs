@@ -144,7 +144,6 @@ fn eviction_under_memory_pressure_never_changes_answers() {
         max_curves: 1,
         max_memo_points: 1,
         workers: 1,
-        ..ServiceConfig::default()
     })
     .expect("tiny caps are valid");
     let roomy = service(1);
