@@ -20,8 +20,7 @@ use std::collections::{HashMap, HashSet};
 /// * probabilities are finite, non-negative, at most 1, and each pair's
 ///   mass is within [`PROBABILITY_TOLERANCE`] of 1. Zero-probability
 ///   entries are legal (parametric arenas keep masked branches
-///   structurally);
-/// * the initial state is in range.
+///   structurally).
 pub fn audit_mdp(mdp: &Mdp) -> Vec<String> {
     let mut violations = Vec::new();
     let layout = mdp.layout();
@@ -33,13 +32,6 @@ pub fn audit_mdp(mdp: &Mdp) -> Vec<String> {
     let num_pairs = layout.num_pairs();
     let num_transitions = layout.num_transitions();
 
-    if mdp.initial_state() >= n {
-        violations.push(format!(
-            "initial state {} out of range ({} states)",
-            mdp.initial_state(),
-            n
-        ));
-    }
     if row_ptr.len() != n + 1 {
         violations.push(format!(
             "row_ptr has {} entries for {} states",
@@ -248,12 +240,13 @@ pub fn audit_parametric(family: &ParametricModel) -> Vec<String> {
 
 /// Proves a scenario model an *action subset* of the optimal model at the
 /// same `(p, γ)`: every scenario state exists in the optimal model, every
-/// scenario action exists (by name) at the corresponding optimal state, and
-/// the successor distributions agree entry by entry (successors compared
-/// through the state correspondence, probabilities to within `1e-12` —
-/// instantiation evaluates the same interned terms, so they are expected to
-/// be bit-identical). This is the restriction-dominance precondition
-/// (`ERRev*_scenario ≤ ERRev*`), checked exhaustively rather than sampled.
+/// scenario action exists (as an equal `SmAction`) at the corresponding
+/// optimal state, and the successor distributions agree entry by entry
+/// (successors compared through the state correspondence, probabilities to
+/// within `1e-12` — instantiation evaluates the same interned terms, so
+/// they are expected to be bit-identical). This is the restriction-dominance
+/// precondition (`ERRev*_scenario ≤ ERRev*`), checked exhaustively rather
+/// than sampled.
 pub fn audit_scenario_restriction(
     optimal: &SelfishMiningModel,
     scenario: &SelfishMiningModel,
@@ -289,11 +282,14 @@ pub fn audit_scenario_restriction(
             ));
             continue;
         };
-        for a in 0..scenario.mdp().num_actions(s) {
-            let name = scenario.mdp().action_name(s, a);
-            let Some(oa) = optimal.mdp().find_action(o, name) else {
+        for (a, action) in scenario.actions_of(s).iter().enumerate() {
+            let Some(oa) = optimal
+                .actions_of(o)
+                .iter()
+                .position(|other| other == action)
+            else {
                 violations.push(format!(
-                    "scenario state {s}: action {name:?} missing from optimal state {o}"
+                    "scenario state {s}: action \"{action}\" missing from optimal state {o}"
                 ));
                 continue;
             };
@@ -301,7 +297,7 @@ pub fn audit_scenario_restriction(
             let (o_cols, o_probs) = optimal.mdp().successors(o, oa);
             if s_cols.len() != o_cols.len() {
                 violations.push(format!(
-                    "scenario state {s} action {name:?}: {} successors vs {} in the optimal model",
+                    "scenario state {s} action \"{action}\": {} successors vs {} in the optimal model",
                     s_cols.len(),
                     o_cols.len()
                 ));
@@ -324,11 +320,11 @@ pub fn audit_scenario_restriction(
             {
                 if *mapped_target != Some(o_target as usize) {
                     violations.push(format!(
-                        "scenario state {s} action {name:?} successor {k}: maps to {mapped_target:?}, optimal has {o_target}"
+                        "scenario state {s} action \"{action}\" successor {k}: maps to {mapped_target:?}, optimal has {o_target}"
                     ));
                 } else if (weight - o_weight).abs() > 1e-12 {
                     violations.push(format!(
-                        "scenario state {s} action {name:?} successor {k}: probability {weight} vs {o_weight}"
+                        "scenario state {s} action \"{action}\" successor {k}: probability {weight} vs {o_weight}"
                     ));
                 }
             }

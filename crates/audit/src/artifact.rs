@@ -37,8 +37,7 @@ pub struct CertificateArtifact {
     /// Precision the bracket was certified at.
     pub epsilon: f64,
     /// FNV-1a digest of the arena the certificate was produced on (layout,
-    /// probabilities, both reward buffers, initial state) — see
-    /// [`model_fingerprint`].
+    /// probabilities, both reward buffers) — see [`model_fingerprint`].
     pub fingerprint: u64,
     /// Certified lower end of the revenue bracket.
     pub beta_low: f64,

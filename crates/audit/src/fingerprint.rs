@@ -1,9 +1,9 @@
 //! Model fingerprinting: a 64-bit FNV-1a digest over everything the
 //! certificate audit's arithmetic reads — the CSR layout, the probability
-//! buffer, both reward tables and the initial state. Two models with the
-//! same fingerprint present bit-identical inputs to the Bellman-residual
-//! passes, so a certificate carries the fingerprint of the arena it was
-//! solved on and the auditor refuses to check it against any other arena.
+//! buffer and both reward tables. Two models with the same fingerprint
+//! present bit-identical inputs to the Bellman-residual passes, so a
+//! certificate carries the fingerprint of the arena it was solved on and the
+//! auditor refuses to check it against any other arena.
 
 use sm_mdp::Mdp;
 
@@ -72,8 +72,7 @@ impl Fnv1a {
 /// Fingerprints an arena together with its per-pair adversarial and honest
 /// reward tables: section lengths first (so no concatenation of two
 /// sections can collide with a different split), then the three layout
-/// arrays, the probability buffer, both reward sections and the initial
-/// state.
+/// arrays, the probability buffer and both reward sections.
 ///
 /// A reward section is one `f64` per arena transition: each pair's value is
 /// streamed once per transition of that pair, the per-transition layout the
@@ -86,7 +85,9 @@ pub fn model_fingerprint(mdp: &Mdp, adversary: &[f64], honest: &[f64]) -> u64 {
     hash.write_u64(mdp.num_states() as u64);
     hash.write_u64(layout.num_pairs() as u64);
     hash.write_u64(layout.num_transitions() as u64);
-    hash.write_u64(mdp.initial_state() as u64);
+    // Slot of the retired start-state argument (the start state is always
+    // state 0), kept so `sm-audit/v1` fingerprints stay stable.
+    hash.write_u64(0);
     hash.write_u32_slice(layout.row_ptr());
     hash.write_u32_slice(layout.action_ptr());
     hash.write_u32_slice(layout.col());

@@ -11,8 +11,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Obligation {
     /// The arena presented for checking is bit-identical (layout,
-    /// probabilities, rewards, initial state) to the arena the certificate
-    /// was produced on, and the artifact's parameters match the model's.
+    /// probabilities, rewards) to the arena the certificate was produced on,
+    /// and the artifact's parameters match the model's.
     Fingerprint,
     /// The exported strategy chooses exactly one in-range action for every
     /// state of the arena.

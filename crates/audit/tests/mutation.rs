@@ -223,11 +223,11 @@ fn corrupted_probability_mass_fails_the_arena_audit() {
     let mut builder = CsrMdpBuilder::new();
     builder.begin_state();
     builder
-        .add_action("a", &[(0, 0.5), (1, 0.5)])
+        .add_action(&[(0, 0.5), (1, 0.5)])
         .expect("valid action");
     builder.begin_state();
-    builder.add_action("b", &[(0, 1.0)]).expect("valid action");
-    let mut mdp = builder.finish(0).expect("valid arena builds");
+    builder.add_action(&[(0, 1.0)]).expect("valid action");
+    let mut mdp = builder.finish().expect("valid arena builds");
     assert!(audit_mdp(&mdp).is_empty());
     // Corrupt one weight after construction (the builder rejects bad mass
     // up front, so post-hoc reweighting is the only way in).
@@ -273,4 +273,32 @@ fn parameter_mismatch_fails_the_restriction_audit() {
         .expect("instantiation succeeds");
     let violations = audit_scenario_restriction(&optimal, &other);
     assert!(!violations.is_empty());
+}
+
+#[test]
+fn disjoint_release_sets_fail_the_restriction_audit() {
+    use selfish_mining::AttackScenario;
+    // Lead-stubborn releases only tie races (length == depth) and
+    // equal-fork-stubborn only strictly winning releases, so each holds
+    // release actions the other lacks at states they share. Parameters
+    // match, so only the action lookup can catch the difference.
+    let model = |scenario| {
+        ParametricModel::build_scenario(scenario, 2, 1, 4)
+            .expect("scenario family builds")
+            .instantiate(0.3, 0.5)
+            .expect("instantiation succeeds")
+    };
+    let lead = model(AttackScenario::LeadStubborn);
+    let equal_fork = model(AttackScenario::EqualForkStubborn);
+    for (reference, restricted) in [(&equal_fork, &lead), (&lead, &equal_fork)] {
+        let violations = audit_scenario_restriction(reference, restricted);
+        assert!(
+            violations.iter().any(
+                |v| v.contains("action \"release(") && v.contains("missing from optimal state")
+            ),
+            "{} against {}: {violations:?}",
+            restricted.scenario().label(),
+            reference.scenario().label()
+        );
+    }
 }

@@ -129,18 +129,6 @@ impl BlockTree {
         }
         false
     }
-
-    /// The chain from genesis to `tip`, in genesis-first order.
-    pub fn chain_to(&self, tip: BlockId) -> Vec<BlockId> {
-        let mut chain = Vec::with_capacity(self.height(tip) as usize + 1);
-        let mut current = Some(tip);
-        while let Some(block) = current {
-            chain.push(block);
-            current = self.parent(block);
-        }
-        chain.reverse();
-        chain
-    }
 }
 
 #[cfg(test)]
@@ -188,15 +176,20 @@ mod tests {
         let a = tree.add_block(tree.genesis(), MinerClass::Honest);
         let b = tree.add_block(a, MinerClass::Adversary);
         let c = tree.add_block(b, MinerClass::Adversary);
-        let chain = tree.chain_to(c);
-        assert_eq!(chain, vec![tree.genesis(), a, b, c]);
-        let owners: Vec<MinerClass> = chain[1..].iter().map(|&block| tree.owner(block)).collect();
+        // Walk `parent` from the tip: owners tip-first, genesis excluded.
+        let mut owners = Vec::new();
+        let mut current = c;
+        while let Some(parent) = tree.parent(current) {
+            owners.push(tree.owner(current));
+            current = parent;
+        }
+        assert_eq!(current, tree.genesis());
         assert_eq!(
             owners,
             [
-                MinerClass::Honest,
                 MinerClass::Adversary,
-                MinerClass::Adversary
+                MinerClass::Adversary,
+                MinerClass::Honest
             ]
         );
     }

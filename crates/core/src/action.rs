@@ -24,25 +24,19 @@ impl SmAction {
     pub fn is_release(&self) -> bool {
         matches!(self, SmAction::Release { .. })
     }
+}
 
-    /// A stable, human-readable name used as the MDP action label.
-    pub fn name(&self) -> String {
+/// A stable, human-readable label: `mine` or `release(depth,fork,length)`.
+impl fmt::Display for SmAction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SmAction::Mine => "mine".to_string(),
+            SmAction::Mine => f.write_str("mine"),
             SmAction::Release {
                 depth,
                 fork,
                 length,
-            } => {
-                format!("release({depth},{fork},{length})")
-            }
+            } => write!(f, "release({depth},{fork},{length})"),
         }
-    }
-}
-
-impl fmt::Display for SmAction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
     }
 }
 
@@ -58,20 +52,10 @@ mod tests {
             fork: 1,
             length: 3,
         };
-        assert_eq!(mine.name(), "mine");
-        assert_eq!(release.name(), "release(2,1,3)");
+        assert_eq!(mine.to_string(), "mine");
+        assert_eq!(release.to_string(), "release(2,1,3)");
         assert_ne!(mine, release);
         assert!(!mine.is_release());
         assert!(release.is_release());
-    }
-
-    #[test]
-    fn display_matches_name() {
-        let a = SmAction::Release {
-            depth: 1,
-            fork: 2,
-            length: 1,
-        };
-        assert_eq!(format!("{a}"), a.name());
     }
 }

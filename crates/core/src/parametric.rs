@@ -11,7 +11,11 @@
 //! transition, a small list of [`ProbTerm`] atoms;
 //! [`ParametricModel::instantiate`] then evaluates the atoms at concrete
 //! `(p, γ)` and fills the probability buffer and the per-pair reward tables
-//! with no hashing and no BFS. Re-instantiating an existing model in place
+//! with no hashing and no BFS. The initial state is discovered first, so it
+//! is arena state 0, the MDP's start state. Actions are kept as the
+//! structured [`SmAction`] lists, one per state and indexed by the same
+//! (state, ordinal) pairs as the arena; the arena itself carries no action
+//! labels. Re-instantiating an existing model in place
 //! ([`ParametricModel::instantiate_into`]) performs zero allocations beyond
 //! the buffers already held by the model.
 //!
@@ -94,10 +98,6 @@ pub struct ParametricModel {
     states: Arc<Vec<SmState>>,
     actions: Arc<Vec<Vec<SmAction>>>,
     layout: Arc<CsrLayout>,
-    /// Interned action names, shared with every instantiated arena.
-    names: Arc<[String]>,
-    /// Per-pair index into `names`, shared like `names`.
-    name_of_pair: Arc<[u32]>,
     /// Per arena transition, the range of its probability atoms in
     /// `prob_atoms` (duplicate successors of one action merge into one slot
     /// whose probability is the sum of the merged atoms). Length
@@ -210,9 +210,6 @@ impl ParametricModel {
         let mut row_ptr: Vec<u32> = vec![0];
         let mut action_ptr: Vec<u32> = vec![0];
         let mut col: Vec<u32> = Vec::new();
-        let mut names: Vec<String> = Vec::new();
-        let mut name_ids: HashMap<String, u32> = HashMap::new();
-        let mut name_of_pair: Vec<u32> = Vec::new();
         let mut prob_atom_ptr: Vec<u32> = Vec::new();
         let mut prob_atoms: Vec<u32> = Vec::new();
         let mut reward_ptr: Vec<u32> = vec![0];
@@ -271,21 +268,9 @@ impl ParametricModel {
                     prob_atoms.push(term_id);
                 }
                 action_ptr.push(compact_index(col.len())?);
-
-                let name = action.name();
-                let name_id = match name_ids.get(&name) {
-                    Some(&id) => id,
-                    None => {
-                        let id = u32::try_from(names.len()).expect("name count fits u32");
-                        names.push(name.clone());
-                        name_ids.insert(name, id);
-                        id
-                    }
-                };
-                name_of_pair.push(name_id);
             }
             actions.push(state_actions);
-            row_ptr.push(compact_index(name_of_pair.len())?);
+            row_ptr.push(compact_index(action_ptr.len() - 1)?);
         }
         prob_atom_ptr.push(u32::try_from(prob_atoms.len()).expect("atom count fits u32"));
 
@@ -298,8 +283,6 @@ impl ParametricModel {
             states: Arc::new(states),
             actions: Arc::new(actions),
             layout: Arc::new(layout),
-            names: names.into(),
-            name_of_pair: name_of_pair.into(),
             prob_atom_ptr,
             prob_atoms,
             reward_ptr,
@@ -375,7 +358,7 @@ impl ParametricModel {
 
     /// Instantiates the family at `(p, gamma)`: one linear pass filling a
     /// fresh probability buffer and the two per-pair reward tables over the
-    /// shared skeleton (layout and action names are shared, not copied).
+    /// shared skeleton (the layout is shared, not copied).
     ///
     /// # Errors
     ///
@@ -398,13 +381,7 @@ impl ParametricModel {
         for (slot, value) in prob.iter_mut().enumerate() {
             *value = self.slot_probability(slot, &term_values);
         }
-        let mdp = Mdp::from_raw_parts(
-            Arc::clone(&self.layout),
-            prob,
-            Arc::clone(&self.names),
-            Arc::clone(&self.name_of_pair),
-            0,
-        )?;
+        let mdp = Mdp::from_raw_parts(Arc::clone(&self.layout), prob)?;
         let (adversary_rewards, honest_rewards) = (0..self.layout.num_pairs())
             .map(|pair| self.pair_rewards(pair, &term_values))
             .unzip();
@@ -639,13 +616,13 @@ mod tests {
                     adv += out.probability * f64::from(out.rewards.adversary);
                     hon += out.probability * f64::from(out.rewards.honest);
                 }
-                builder.add_action(&action.name(), &entries).unwrap();
+                builder.add_action(&entries).unwrap();
                 adversary.push(adv);
                 honest.push(hon);
             }
             actions.push(state_actions);
         }
-        let mdp = builder.finish(0).unwrap();
+        let mdp = builder.finish().unwrap();
         SelfishMiningModel {
             params: *params,
             scenario,

@@ -6,8 +6,6 @@
 //! run bit for bit. Production runs simply carry no plan
 //! ([`crate::GridOptions::fault_plan`] defaults to `None`).
 
-use std::time::Duration;
-
 /// What an injected fault does to a matching point-job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultKind {
@@ -20,9 +18,6 @@ pub enum FaultKind {
     /// the next scan's fingerprint verification, which re-schedules the
     /// point.
     Poison,
-    /// Sleep before writing — a straggler. Results are unaffected; this
-    /// exists to shake out ordering assumptions in schedules and tests.
-    Delay(Duration),
 }
 
 /// One fault rule: apply [`GridFault::kind`] to every point whose canonical

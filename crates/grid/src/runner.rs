@@ -524,7 +524,6 @@ fn run_shard_attempt(
         {
             match fault.kind {
                 FaultKind::Kill => return Err(GridError::Injected { point: global }),
-                FaultKind::Delay(delay) => std::thread::sleep(delay),
                 FaultKind::Poison => {
                     let artifact = PointArtifact {
                         config: digest,

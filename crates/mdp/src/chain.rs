@@ -1,6 +1,6 @@
 //! The [`MarkovChain`] a positional strategy induces on an [`crate::Mdp`].
 
-use crate::{MdpError, PROBABILITY_TOLERANCE};
+use crate::{MdpError, PositionalStrategy, PROBABILITY_TOLERANCE};
 
 /// A finite, discrete-time Markov chain: the chain a positional strategy
 /// induces on an MDP (built only by [`crate::Mdp::induced_chain`]), stored
@@ -19,10 +19,10 @@ use crate::{MdpError, PROBABILITY_TOLERANCE};
 /// # fn main() -> Result<(), sm_mdp::MdpError> {
 /// let mut builder = CsrMdpBuilder::new();
 /// builder.begin_state();
-/// builder.add_action("go", &[(1, 1.0)])?;
+/// builder.add_action(&[(1, 1.0)])?;
 /// builder.begin_state();
-/// builder.add_action("flip", &[(1, 0.5), (0, 0.5)])?;
-/// let mdp = builder.finish(0)?;
+/// builder.add_action(&[(1, 0.5), (0, 0.5)])?;
+/// let mdp = builder.finish()?;
 /// let chain = mdp.induced_chain(&PositionalStrategy::uniform_first_action(2))?;
 /// assert_eq!(chain.num_states(), 2);
 /// assert_eq!(chain.successors(1), (&[0u32, 1][..], &[0.5, 0.5][..]));
@@ -44,8 +44,8 @@ impl MarkovChain {
     /// `row_ptr` must start at 0, be non-decreasing and end at the number of
     /// stored entries; successors must be in range and strictly increasing
     /// within each row; probabilities must be finite and non-negative, and
-    /// each row must sum to 1. `action_name(state)` names the action a row
-    /// was copied from, for the error report.
+    /// each row must sum to 1. Row `state` was copied from the action
+    /// `strategy` chooses there, which a distribution error reports.
     ///
     /// # Errors
     ///
@@ -58,7 +58,7 @@ impl MarkovChain {
         row_ptr: Vec<u32>,
         col: Vec<u32>,
         prob: Vec<f64>,
-        action_name: impl Fn(usize) -> String,
+        strategy: &PositionalStrategy,
     ) -> Result<Self, MdpError> {
         if row_ptr.first() != Some(&0) {
             return Err(MdpError::InvariantViolation {
@@ -76,7 +76,7 @@ impl MarkovChain {
         }
         let invalid_distribution = |state: usize, sum: f64| MdpError::InvalidDistribution {
             state,
-            action: action_name(state),
+            action: strategy.action(state),
             sum,
         };
         for state in 0..n {
@@ -135,7 +135,7 @@ impl MarkovChain {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{CsrMdpBuilder, PositionalStrategy};
+    use crate::CsrMdpBuilder;
 
     /// The chain with the given per-state rows, built the one way chains are
     /// built: as a one-action MDP and the chain of its only strategy.
@@ -143,26 +143,37 @@ pub(crate) mod tests {
         let mut builder = CsrMdpBuilder::new();
         for row in rows {
             builder.begin_state();
-            builder.add_action("step", row).unwrap();
+            builder.add_action(row).unwrap();
         }
         let strategy = PositionalStrategy::uniform_first_action(rows.len());
-        builder.finish(0).unwrap().induced_chain(&strategy).unwrap()
+        builder.finish().unwrap().induced_chain(&strategy).unwrap()
     }
 
+    /// A chain from raw CSR arrays, its rows copied from action 2 of every
+    /// state.
     fn parts(row_ptr: Vec<u32>, col: Vec<u32>, prob: Vec<f64>) -> Result<MarkovChain, MdpError> {
-        MarkovChain::from_csr_parts(row_ptr, col, prob, |_| "step".to_string())
+        let strategy = PositionalStrategy::new(vec![2; row_ptr.len().saturating_sub(1)]);
+        MarkovChain::from_csr_parts(row_ptr, col, prob, &strategy)
     }
 
     #[test]
     fn validates_row_sums() {
         assert!(matches!(
             parts(vec![0, 1], vec![0], vec![0.5]),
-            Err(MdpError::InvalidDistribution { state: 0, .. })
+            Err(MdpError::InvalidDistribution {
+                state: 0,
+                action: 2,
+                ..
+            })
         ));
         // A row without successors sums to 0.
         assert!(matches!(
             parts(vec![0, 1, 1], vec![0], vec![1.0]),
-            Err(MdpError::InvalidDistribution { state: 1, .. })
+            Err(MdpError::InvalidDistribution {
+                state: 1,
+                action: 2,
+                ..
+            })
         ));
     }
 
@@ -174,16 +185,20 @@ pub(crate) mod tests {
         ));
         assert!(matches!(
             parts(vec![0, 1], vec![0], vec![f64::NAN]),
-            Err(MdpError::InvalidDistribution { .. })
+            Err(MdpError::InvalidDistribution {
+                state: 0,
+                action: 2,
+                ..
+            })
         ));
         // Negative entries are rejected even when the row sums to 1, and
-        // the error names the action the row came from.
+        // the error names the action the row was copied from.
         let err = parts(vec![0, 2, 3], vec![0, 1, 1], vec![-0.5, 1.5, 1.0]).unwrap_err();
         assert_eq!(
             err,
             MdpError::InvalidDistribution {
                 state: 0,
-                action: "step".to_string(),
+                action: 2,
                 sum: -0.5,
             }
         );

@@ -14,15 +14,10 @@
 //! already-sorted row slices with no per-row staging or re-sorting (the
 //! chain constructor still validates the copied arrays in one pass).
 //! Rewards are per state-action pair, indexed by the same pair offsets
-//! `action_ptr` is.
-//!
-//! Action names are interned into a deduplicated string table: the
-//! selfish-mining model reuses a handful of names (`mine`,
-//! `release(d,f,len)`) across hundreds of thousands of states, so per-pair
-//! `String`s would dominate the memory profile.
+//! `action_ptr` is. Actions are numbered, not named: an action is its
+//! ordinal within its state.
 
 use crate::{Mdp, MdpError, PROBABILITY_TOLERANCE};
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -205,9 +200,9 @@ impl CsrLayout {
 /// Streaming builder for the CSR arena: states are appended in index order
 /// ([`CsrMdpBuilder::begin_state`]) and actions are appended to the *current*
 /// state, which is exactly the order a breadth-first model exploration
-/// discovers them in. Transitions may reference states that have not been
-/// begun yet (forward edges); target bounds are checked in
-/// [`CsrMdpBuilder::finish`].
+/// discovers them in. The first state begun, state 0, is the start state.
+/// Transitions may reference states that have not been begun yet (forward
+/// edges); target bounds are checked in [`CsrMdpBuilder::finish`].
 ///
 /// # Example
 ///
@@ -216,25 +211,22 @@ impl CsrLayout {
 ///
 /// # fn main() -> Result<(), sm_mdp::MdpError> {
 /// let mut b = CsrMdpBuilder::new();
-/// b.begin_state(); // state 0
-/// b.add_action("go", &[(1, 1.0)])?; // forward edge to state 1
+/// b.begin_state(); // state 0, the start state
+/// b.add_action(&[(1, 1.0)])?; // action 0: forward edge to state 1
 /// b.begin_state(); // state 1
-/// b.add_action("stay", &[(1, 0.5), (0, 0.5)])?;
-/// let mdp = b.finish(0)?;
+/// b.add_action(&[(1, 0.5), (0, 0.5)])?;
+/// let mdp = b.finish()?;
 /// assert_eq!(mdp.num_states(), 2);
 /// assert_eq!(mdp.successors(1, 0), (&[0u32, 1][..], &[0.5f64, 0.5][..]));
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CsrMdpBuilder {
     row_ptr: Vec<u32>,
     action_ptr: Vec<u32>,
     col: Vec<u32>,
     prob: Vec<f64>,
-    names: Vec<String>,
-    name_ids: HashMap<String, u32>,
-    name_of_pair: Vec<u32>,
     states: usize,
     /// Scratch buffer reused across `add_action` calls for sort-and-merge.
     scratch: Vec<(u32, f64)>,
@@ -243,10 +235,7 @@ pub struct CsrMdpBuilder {
 impl CsrMdpBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
-        let mut builder = CsrMdpBuilder::default();
-        builder.row_ptr.push(0);
-        builder.action_ptr.push(0);
-        builder
+        CsrMdpBuilder::with_capacity(0, 0, 0)
     }
 
     /// Creates a builder with pre-reserved capacity for roughly the given
@@ -257,8 +246,8 @@ impl CsrMdpBuilder {
             action_ptr: Vec::with_capacity(pairs + 1),
             col: Vec::with_capacity(transitions),
             prob: Vec::with_capacity(transitions),
-            name_of_pair: Vec::with_capacity(pairs),
-            ..CsrMdpBuilder::default()
+            states: 0,
+            scratch: Vec::new(),
         };
         builder.row_ptr.push(0);
         builder.action_ptr.push(0);
@@ -272,7 +261,7 @@ impl CsrMdpBuilder {
 
     /// Total number of state-action pairs appended so far.
     pub fn num_pairs(&self) -> usize {
-        self.name_of_pair.len()
+        self.action_ptr.len() - 1
     }
 
     /// Total number of transitions appended so far.
@@ -311,11 +300,7 @@ impl CsrMdpBuilder {
     /// probabilities are invalid or do not sum to 1, and
     /// [`MdpError::IndexOverflow`] if a target, the transition count or the
     /// pair count no longer fits the compact `u32` arena.
-    pub fn add_action(
-        &mut self,
-        name: &str,
-        transitions: &[(usize, f64)],
-    ) -> Result<usize, MdpError> {
+    pub fn add_action(&mut self, transitions: &[(usize, f64)]) -> Result<usize, MdpError> {
         if self.states == 0 {
             return Err(MdpError::InvalidState {
                 state: 0,
@@ -323,23 +308,20 @@ impl CsrMdpBuilder {
             });
         }
         let state = self.states - 1;
+        let action = self.num_pairs() - self.row_ptr[state] as usize;
         let mut sum = 0.0;
         for &(_, p) in transitions {
             if !p.is_finite() || p < 0.0 {
                 return Err(MdpError::InvalidDistribution {
                     state,
-                    action: name.to_string(),
+                    action,
                     sum: p,
                 });
             }
             sum += p;
         }
         if (sum - 1.0).abs() > PROBABILITY_TOLERANCE {
-            return Err(MdpError::InvalidDistribution {
-                state,
-                action: name.to_string(),
-                sum,
-            });
+            return Err(MdpError::InvalidDistribution { state, action, sum });
         }
         // Keep the running pair and transition counts inside the compact
         // range *before* appending, so a failed call leaves the builder
@@ -371,39 +353,22 @@ impl CsrMdpBuilder {
             }
         }
         self.action_ptr.push(self.col.len() as u32);
-
-        let name_id = match self.name_ids.get(name) {
-            Some(&id) => id,
-            None => {
-                let id = u32::try_from(self.names.len()).expect("more than u32::MAX action names");
-                self.names.push(name.to_string());
-                self.name_ids.insert(name.to_string(), id);
-                id
-            }
-        };
-        self.name_of_pair.push(name_id);
-        Ok(self.num_pairs() - self.row_ptr[state] as usize - 1)
+        Ok(action)
     }
 
-    /// Finalises the arena into an [`Mdp`] with the given initial state.
+    /// Finalises the arena into an [`Mdp`] whose start state is state 0.
     ///
     /// # Errors
     ///
-    /// Returns an error if the model is empty, the initial state or a
-    /// transition target is out of range, or some state has no actions.
-    pub fn finish(mut self, initial_state: usize) -> Result<Mdp, MdpError> {
+    /// Returns an error if the model is empty, a transition target is out
+    /// of range, or some state has no actions.
+    pub fn finish(mut self) -> Result<Mdp, MdpError> {
         if self.states == 0 {
             return Err(MdpError::EmptyModel);
         }
         // Close the final state's pair range.
         let last = self.row_ptr.len() - 1;
         self.row_ptr[last] = self.num_pairs() as u32;
-        if initial_state >= self.states {
-            return Err(MdpError::InvalidState {
-                state: initial_state,
-                num_states: self.states,
-            });
-        }
         if let Some(state) = (0..self.states).find(|&s| self.row_ptr[s + 1] == self.row_ptr[s]) {
             return Err(MdpError::NoActions { state });
         }
@@ -418,13 +383,7 @@ impl CsrMdpBuilder {
             action_ptr: self.action_ptr,
             col: self.col,
         };
-        let mdp = Mdp::from_raw_parts(
-            Arc::new(layout),
-            self.prob,
-            self.names,
-            self.name_of_pair,
-            initial_state,
-        )?;
+        let mdp = Mdp::from_raw_parts(Arc::new(layout), self.prob)?;
         #[cfg(feature = "deep-checks")]
         debug_assert!(
             mdp.validate().is_ok(),
@@ -432,6 +391,12 @@ impl CsrMdpBuilder {
             mdp.validate()
         );
         Ok(mdp)
+    }
+}
+
+impl Default for CsrMdpBuilder {
+    fn default() -> Self {
+        CsrMdpBuilder::new()
     }
 }
 
@@ -443,28 +408,26 @@ mod tests {
     fn streaming_builder_produces_expected_layout() {
         let mut b = CsrMdpBuilder::new();
         assert_eq!(b.begin_state(), 0);
-        b.add_action("a", &[(0, 0.5), (1, 0.5)]).unwrap();
-        b.add_action("b", &[(1, 1.0)]).unwrap();
+        assert_eq!(b.add_action(&[(0, 0.5), (1, 0.5)]).unwrap(), 0);
+        assert_eq!(b.add_action(&[(1, 1.0)]).unwrap(), 1);
         assert_eq!(b.begin_state(), 1);
-        b.add_action("a", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        assert_eq!(b.add_action(&[(0, 1.0)]).unwrap(), 0);
+        let mdp = b.finish().unwrap();
         assert_eq!(mdp.num_states(), 2);
         assert_eq!(mdp.num_pairs(), 3);
         assert_eq!(mdp.num_transitions(), 4);
         assert_eq!(mdp.layout().row_ptr(), &[0, 2, 3]);
         assert_eq!(mdp.layout().action_ptr(), &[0, 2, 3, 4]);
         assert_eq!(mdp.layout().col(), &[0, 1, 1, 0]);
-        assert_eq!(mdp.action_name(0, 1), "b");
-        assert_eq!(mdp.action_name(1, 0), "a");
     }
 
     #[test]
     fn duplicate_targets_are_merged_and_zeros_dropped() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(0, 0.25), (0, 0.5), (0, 0.25), (0, 0.0)])
+        b.add_action(&[(0, 0.25), (0, 0.5), (0, 0.25), (0, 0.0)])
             .unwrap();
-        let mdp = b.finish(0).unwrap();
+        let mdp = b.finish().unwrap();
         assert_eq!(mdp.successors(0, 0), (&[0u32][..], &[1.0f64][..]));
     }
 
@@ -474,9 +437,9 @@ mod tests {
         // must not be merged together.
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(0, 1.0)]).unwrap();
-        b.add_action("b", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         assert_eq!(mdp.num_pairs(), 2);
         assert_eq!(mdp.successors(0, 0), (&[0u32][..], &[1.0f64][..]));
         assert_eq!(mdp.successors(0, 1), (&[0u32][..], &[1.0f64][..]));
@@ -486,8 +449,8 @@ mod tests {
     fn forward_references_are_allowed_until_finish() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("go", &[(5, 1.0)]).unwrap();
-        let err = b.finish(0).unwrap_err();
+        b.add_action(&[(5, 1.0)]).unwrap();
+        let err = b.finish().unwrap_err();
         assert!(matches!(err, MdpError::InvalidState { state: 5, .. }));
     }
 
@@ -495,29 +458,36 @@ mod tests {
     fn builder_rejects_bad_input() {
         let mut b = CsrMdpBuilder::new();
         assert!(matches!(
-            b.add_action("early", &[(0, 1.0)]),
+            b.add_action(&[(0, 1.0)]),
             Err(MdpError::InvalidState { .. })
         ));
         b.begin_state();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        b.begin_state();
+        assert_eq!(
+            b.add_action(&[(0, 0.5)]),
+            Err(MdpError::InvalidDistribution {
+                state: 1,
+                action: 0,
+                sum: 0.5
+            })
+        );
+        b.add_action(&[(1, 1.0)]).unwrap();
         assert!(matches!(
-            b.add_action("bad", &[(0, 0.5)]),
-            Err(MdpError::InvalidDistribution { .. })
+            b.add_action(&[(0, f64::NAN)]),
+            Err(MdpError::InvalidDistribution {
+                state: 1,
+                action: 1,
+                ..
+            })
         ));
         assert!(matches!(
-            b.add_action("nan", &[(0, f64::NAN)]),
-            Err(MdpError::InvalidDistribution { .. })
-        ));
-        assert!(matches!(
-            CsrMdpBuilder::new().finish(0),
+            CsrMdpBuilder::new().finish(),
             Err(MdpError::EmptyModel)
         ));
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        assert!(matches!(b.finish(0), Err(MdpError::NoActions { state: 0 })));
-        let mut b = CsrMdpBuilder::new();
-        b.begin_state();
-        b.add_action("a", &[(0, 1.0)]).unwrap();
-        assert!(matches!(b.finish(7), Err(MdpError::InvalidState { .. })));
+        assert!(matches!(b.finish(), Err(MdpError::NoActions { state: 0 })));
     }
 
     #[test]
@@ -555,58 +525,31 @@ mod tests {
         );
         // Zero-probability ("masked") entries are allowed as long as rows
         // still sum to 1.
-        let mdp = Mdp::from_raw_parts(
-            Arc::clone(&layout),
-            vec![1.0, 0.0, 1.0],
-            vec!["a".to_string()],
-            vec![0, 0],
-            0,
-        )
-        .unwrap();
+        let mdp = Mdp::from_raw_parts(Arc::clone(&layout), vec![1.0, 0.0, 1.0]).unwrap();
         mdp.validate().unwrap();
         assert_eq!(mdp.successors(0, 0), (&[0u32, 1][..], &[1.0f64, 0.0][..]));
 
-        // Misaligned probability buffer and name table are layout defects; an
-        // out-of-range initial state is an invalid state.
-        let invariant = |result: Result<Mdp, MdpError>| {
-            matches!(result, Err(MdpError::InvariantViolation { .. }))
-        };
-        let names = || vec!["a".to_string()];
-        assert!(invariant(Mdp::from_raw_parts(
-            Arc::clone(&layout),
-            vec![1.0],
-            names(),
-            vec![0, 0],
-            0
-        )));
-        assert!(invariant(Mdp::from_raw_parts(
-            Arc::clone(&layout),
-            vec![1.0, 0.0, 1.0],
-            names(),
-            vec![0],
-            0
-        )));
-        assert!(invariant(Mdp::from_raw_parts(
-            Arc::clone(&layout),
-            vec![1.0, 0.0, 1.0],
-            names(),
-            vec![0, 7],
-            0
-        )));
+        // A misaligned probability buffer is a layout defect, and a layout
+        // without states has no start state.
         assert!(matches!(
-            Mdp::from_raw_parts(layout, vec![1.0, 0.0, 1.0], names(), vec![0, 0], 9),
-            Err(MdpError::InvalidState { state: 9, .. })
+            Mdp::from_raw_parts(layout, vec![1.0]),
+            Err(MdpError::InvariantViolation { .. })
         ));
+        let empty = CsrLayout::from_raw_parts(vec![0], vec![0], vec![]).unwrap();
+        assert_eq!(
+            Mdp::from_raw_parts(Arc::new(empty), vec![]),
+            Err(MdpError::EmptyModel)
+        );
     }
 
     #[test]
     fn reweight_in_place_rewrites_the_probability_buffer() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(0, 0.25), (1, 0.75)]).unwrap();
+        b.add_action(&[(0, 0.25), (1, 0.75)]).unwrap();
         b.begin_state();
-        b.add_action("b", &[(0, 1.0)]).unwrap();
-        let mut mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        let mut mdp = b.finish().unwrap();
         let new_probs = [0.5, 0.5, 1.0];
         mdp.reweight_in_place(|k| new_probs[k]);
         assert_eq!(mdp.probabilities(), &new_probs);
@@ -615,14 +558,17 @@ mod tests {
 
     #[test]
     fn with_capacity_matches_default_semantics() {
-        let mut b = CsrMdpBuilder::with_capacity(2, 3, 4);
-        b.begin_state();
-        b.add_action("x", &[(1, 1.0)]).unwrap();
-        b.begin_state();
-        b.add_action("y", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(1).unwrap();
-        assert_eq!(mdp.initial_state(), 1);
+        let build = |mut b: CsrMdpBuilder| {
+            b.begin_state();
+            b.add_action(&[(1, 1.0)]).unwrap();
+            b.begin_state();
+            b.add_action(&[(0, 1.0)]).unwrap();
+            b.finish().unwrap()
+        };
+        let mdp = build(CsrMdpBuilder::with_capacity(2, 3, 4));
         assert!(mdp.validate().is_ok());
+        assert_eq!(mdp, build(CsrMdpBuilder::new()));
+        assert_eq!(mdp, build(CsrMdpBuilder::default()));
     }
 
     #[test]
@@ -640,7 +586,7 @@ mod tests {
         // its buffers.
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        let err = b.add_action("big", &[(too_big, 1.0)]).unwrap_err();
+        let err = b.add_action(&[(too_big, 1.0)]).unwrap_err();
         assert!(matches!(err, MdpError::IndexOverflow { .. }));
         assert_eq!(b.num_transitions(), 0);
     }

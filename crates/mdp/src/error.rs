@@ -18,8 +18,8 @@ pub enum MdpError {
     InvalidDistribution {
         /// State the action belongs to.
         state: usize,
-        /// Name of the offending action.
-        action: String,
+        /// Index of the offending action within its state.
+        action: usize,
         /// Sum of the provided probabilities.
         sum: f64,
     },
@@ -86,7 +86,7 @@ impl fmt::Display for MdpError {
             }
             MdpError::InvalidDistribution { state, action, sum } => write!(
                 f,
-                "action '{action}' in state {state} has probabilities summing to {sum}"
+                "action {action} of state {state} has probabilities summing to {sum}"
             ),
             MdpError::NoActions { state } => write!(f, "state {state} has no actions"),
             MdpError::InvalidAction {
@@ -128,11 +128,11 @@ mod tests {
     fn display_includes_context() {
         let err = MdpError::InvalidDistribution {
             state: 2,
-            action: "mine".to_string(),
+            action: 3,
             sum: 0.9,
         };
         let s = err.to_string();
-        assert!(s.contains("mine") && s.contains('2') && s.contains("0.9"));
+        assert!(s.contains("action 3") && s.contains("state 2") && s.contains("0.9"));
     }
 
     #[test]

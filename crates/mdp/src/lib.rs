@@ -7,9 +7,10 @@
 //!
 //! * [`Mdp`] — the finite MDP `(S, A, P, s₀)` of Section 2.3, stored as one
 //!   flat compressed-sparse-row transition arena and built state by state
-//!   with [`CsrMdpBuilder`], which validates every distribution. Every
-//!   instantiation of one skeleton shares its index arrays ([`CsrLayout`])
-//!   and action names, and the solver sweeps are cache-friendly slice walks
+//!   with [`CsrMdpBuilder`], which validates every distribution. State 0 is
+//!   the start state `s₀`, and an action is its index within its state.
+//!   Every instantiation of one skeleton shares its index arrays
+//!   ([`CsrLayout`]), and the solver sweeps are cache-friendly slice walks
 //!   over them instead of nested-`Vec` pointer chases. Rewards are one
 //!   expected value per state-action pair, indexed by arena pair offset
 //!   (the paper's `r_β = r_A − β(r_A + r_H)` is formed per pair by the
@@ -51,12 +52,12 @@
 //! // the action `leave` earns 0 and moves to state 1, from which the only
 //! // action returns to 0 earning 0.5. Optimal mean payoff is 1 (keep staying).
 //! let mut builder = CsrMdpBuilder::new();
-//! builder.begin_state(); // state 0
-//! builder.add_action("stay", &[(0, 1.0)])?;
-//! builder.add_action("leave", &[(1, 1.0)])?;
+//! builder.begin_state(); // state 0, the start state
+//! builder.add_action(&[(0, 1.0)])?; // action 0: stay
+//! builder.add_action(&[(1, 1.0)])?; // action 1: leave
 //! builder.begin_state(); // state 1
-//! builder.add_action("back", &[(0, 1.0)])?;
-//! let mdp = builder.finish(0)?;
+//! builder.add_action(&[(0, 1.0)])?; // action 0: back
+//! let mdp = builder.finish()?;
 //! // One expected reward per state-action pair, in arena order:
 //! // (0, stay), (0, leave), (1, back).
 //! let rewards = [1.0, 0.0, 0.5];

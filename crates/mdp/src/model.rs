@@ -8,38 +8,34 @@ use crate::{CsrLayout, MarkovChain, MdpError, PositionalStrategy, PROBABILITY_TO
 use std::sync::Arc;
 
 /// A finite-state Markov decision process `(S, A, P, s₀)`, stored as one flat
-/// CSR transition arena: index arrays in a shared [`CsrLayout`],
-/// probabilities in a single `Vec<f64>` aligned with `col`, and action names
-/// interned into a deduplicated table.
+/// CSR transition arena: index arrays in a shared [`CsrLayout`] and
+/// probabilities in a single `Vec<f64>` aligned with `col`.
 ///
-/// States are `0..num_states()`. Every state has one or more named actions;
-/// each action carries a probability distribution over successors. Rewards
-/// are *not* stored in the model — the solver takes one expected reward per
-/// state-action pair, indexed like the arena's pairs, which is what lets the
-/// selfish-mining analysis reuse one model for the whole `r_β` family. Build
-/// one with the streaming [`crate::CsrMdpBuilder`] or, from
+/// States are `0..num_states()`, and state 0 is the start state `s₀`. Every
+/// state has one or more actions, numbered `0..num_actions(state)`; each
+/// action carries a probability distribution over successors. Actions carry
+/// no names: a model that needs them (the selfish-mining `SmAction` tables)
+/// keeps them beside the arena, indexed by the same (state, action) pairs.
+/// Rewards are *not* stored in the model — the solver takes one expected
+/// reward per state-action pair, indexed like the arena's pairs, which is
+/// what lets the selfish-mining analysis reuse one model for the whole `r_β`
+/// family. Build one with the streaming [`crate::CsrMdpBuilder`] or, from
 /// already-assembled arrays, with [`Mdp::from_raw_parts`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mdp {
     layout: Arc<CsrLayout>,
     /// Transition probability per arena slot, aligned with `layout.col()`.
     prob: Vec<f64>,
-    /// Interned action-name table, shared by every arena over the layout.
-    names: Arc<[String]>,
-    /// Per-pair index into `names`, shared like `names`.
-    name_of_pair: Arc<[u32]>,
-    initial_state: usize,
 }
 
 impl Mdp {
     /// Assembles an arena from an already-validated layout plus the aligned
-    /// probability buffer and interned action-name table.
+    /// probability buffer.
     ///
     /// Every arena is assembled here: [`crate::CsrMdpBuilder::finish`] hands
     /// over its buffers, and parametric model families take the zero-rebuild
-    /// path — the layout and the name table (and the `Arc`s they live
-    /// behind) are shared across every instantiation, only the probability
-    /// buffer is fresh. Shapes are
+    /// path — the layout (and the `Arc` it lives behind) is shared across
+    /// every instantiation, only the probability buffer is fresh. Shapes are
     /// checked here; *distribution* validity (rows summing to 1) is the
     /// caller's responsibility — run [`Mdp::validate`] when in doubt.
     /// Zero-probability transitions are allowed: a parametric arena keeps
@@ -48,17 +44,13 @@ impl Mdp {
     ///
     /// # Errors
     ///
-    /// Returns [`MdpError::InvariantViolation`] if `prob` or `name_of_pair`
-    /// are not aligned with the layout or reference missing names, and
-    /// [`MdpError::InvalidState`] for an out-of-range initial state.
-    pub fn from_raw_parts(
-        layout: Arc<CsrLayout>,
-        prob: Vec<f64>,
-        names: impl Into<Arc<[String]>>,
-        name_of_pair: impl Into<Arc<[u32]>>,
-        initial_state: usize,
-    ) -> Result<Mdp, MdpError> {
-        let (names, name_of_pair) = (names.into(), name_of_pair.into());
+    /// Returns [`MdpError::EmptyModel`] for a layout without states (there
+    /// is no start state 0) and [`MdpError::InvariantViolation`] if `prob`
+    /// is not aligned with the layout.
+    pub fn from_raw_parts(layout: Arc<CsrLayout>, prob: Vec<f64>) -> Result<Mdp, MdpError> {
+        if layout.num_states() == 0 {
+            return Err(MdpError::EmptyModel);
+        }
         if prob.len() != layout.num_transitions() {
             return Err(MdpError::InvariantViolation {
                 detail: format!(
@@ -68,45 +60,16 @@ impl Mdp {
                 ),
             });
         }
-        if name_of_pair.len() != layout.num_pairs() {
-            return Err(MdpError::InvariantViolation {
-                detail: format!(
-                    "name table covers {} pairs, arena has {}",
-                    name_of_pair.len(),
-                    layout.num_pairs()
-                ),
-            });
-        }
-        if let Some(&id) = name_of_pair.iter().find(|&&id| id as usize >= names.len()) {
-            return Err(MdpError::InvariantViolation {
-                detail: format!(
-                    "pair references action name {id}, table has {} entries",
-                    names.len()
-                ),
-            });
-        }
-        if initial_state >= layout.num_states() {
-            return Err(MdpError::InvalidState {
-                state: initial_state,
-                num_states: layout.num_states(),
-            });
-        }
-        Ok(Mdp {
-            layout,
-            prob,
-            names,
-            name_of_pair,
-            initial_state,
-        })
+        Ok(Mdp { layout, prob })
     }
 
     /// Rewrites every transition probability in place: `weight(k)` is the new
     /// probability of arena transition `k` (the one targeting
     /// `layout.col()[k]`).
     ///
-    /// The layout and action names are untouched, which is
-    /// what lets a parametric model family re-instantiate an arena for new
-    /// parameter values in one linear pass with no rebuild. The caller is
+    /// The layout is untouched, which is what lets a parametric model family
+    /// re-instantiate an arena for new parameter values in one linear pass
+    /// with no rebuild. The caller is
     /// responsible for keeping every per-pair distribution valid (summing to
     /// 1); [`Mdp::validate`] checks that invariant.
     pub fn reweight_in_place(&mut self, mut weight: impl FnMut(usize) -> f64) {
@@ -124,11 +87,6 @@ impl Mdp {
     /// Number of states.
     pub fn num_states(&self) -> usize {
         self.layout.num_states()
-    }
-
-    /// The initial state `s₀`.
-    pub fn initial_state(&self) -> usize {
-        self.initial_state
     }
 
     /// Number of actions available in `state`.
@@ -183,15 +141,6 @@ impl Mdp {
             .sum()
     }
 
-    /// Name of the `action`-th action of `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the indices are out of bounds.
-    pub fn action_name(&self, state: usize, action: usize) -> &str {
-        &self.names[self.name_of_pair[self.layout.pair_index(state, action)] as usize]
-    }
-
     /// Successors of the `action`-th action of `state` as parallel slices of
     /// (compact `u32`) targets and probabilities.
     ///
@@ -203,17 +152,6 @@ impl Mdp {
             .layout
             .transition_range(self.layout.pair_index(state, action));
         (&self.layout.col()[range.clone()], &self.prob[range])
-    }
-
-    /// Finds the index of an action by name in the given state.
-    pub fn find_action(&self, state: usize, name: &str) -> Option<usize> {
-        if state >= self.num_states() {
-            return None;
-        }
-        let pairs = self.layout.pair_range(state);
-        self.name_of_pair[pairs]
-            .iter()
-            .position(|&id| self.names[id as usize] == name)
     }
 
     /// Checks basic sanity of the arena: a non-empty model, at least one
@@ -231,17 +169,13 @@ impl Mdp {
             if self.num_actions(state) == 0 {
                 return Err(MdpError::NoActions { state });
             }
-            for pair in self.layout.pair_range(state) {
+            for (action, pair) in self.layout.pair_range(state).enumerate() {
                 let range = self.layout.transition_range(pair);
                 let cols = &self.layout.col()[range.clone()];
                 let probs = &self.prob[range];
                 let sum: f64 = probs.iter().sum();
                 if (sum - 1.0).abs() > PROBABILITY_TOLERANCE || probs.iter().any(|&p| p < 0.0) {
-                    return Err(MdpError::InvalidDistribution {
-                        state,
-                        action: self.names[self.name_of_pair[pair] as usize].clone(),
-                        sum,
-                    });
+                    return Err(MdpError::InvalidDistribution { state, action, sum });
                 }
                 if let Some(&target) = cols.iter().find(|&&t| t as usize >= n) {
                     return Err(MdpError::InvalidState {
@@ -269,10 +203,10 @@ impl Mdp {
     ///
     /// Returns [`MdpError::InvalidAction`] if the strategy selects an action
     /// that does not exist, a shape error if the strategy does not cover
-    /// every state, and [`MdpError::InvalidDistribution`] (naming the chosen
-    /// action) if a chosen row is not a probability distribution — possible
-    /// for arenas from [`Mdp::from_raw_parts`] or [`Mdp::reweight_in_place`],
-    /// which do not validate distributions.
+    /// every state, and [`MdpError::InvalidDistribution`] (with the chosen
+    /// action's index) if a chosen row is not a probability distribution —
+    /// possible for arenas from [`Mdp::from_raw_parts`] or
+    /// [`Mdp::reweight_in_place`], which do not validate distributions.
     pub fn induced_chain(&self, strategy: &PositionalStrategy) -> Result<MarkovChain, MdpError> {
         let n = self.num_states();
         if strategy.num_states() != n {
@@ -320,9 +254,7 @@ impl Mdp {
             // the compact layout already proved fits in u32.
             row_ptr.push(col.len() as u32);
         }
-        MarkovChain::from_csr_parts(row_ptr, col, prob, |state| {
-            self.action_name(state, strategy.action(state)).to_string()
-        })
+        MarkovChain::from_csr_parts(row_ptr, col, prob, strategy)
     }
 }
 
@@ -334,11 +266,11 @@ mod tests {
     fn two_state_mdp() -> Mdp {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("stay", &[(0, 1.0)]).unwrap();
-        b.add_action("go", &[(1, 1.0)]).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("loop", &[(0, 0.25), (1, 0.75)]).unwrap();
-        b.finish(0).unwrap()
+        b.add_action(&[(0, 0.25), (1, 0.75)]).unwrap();
+        b.finish().unwrap()
     }
 
     #[test]
@@ -349,11 +281,6 @@ mod tests {
         assert_eq!(mdp.num_actions(1), 1);
         assert_eq!(mdp.num_pairs(), 3);
         assert_eq!(mdp.num_transitions(), 4);
-        assert_eq!(mdp.action_name(0, 1), "go");
-        assert_eq!(mdp.find_action(1, "loop"), Some(0));
-        assert_eq!(mdp.find_action(1, "missing"), None);
-        assert_eq!(mdp.find_action(9, "loop"), None);
-        assert_eq!(mdp.initial_state(), 0);
         assert!(mdp.validate().is_ok());
     }
 
@@ -371,44 +298,46 @@ mod tests {
     fn builder_rejects_bad_distributions() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
+        b.add_action(&[(0, 1.0)]).unwrap();
         for transitions in [
             &[(0, 0.5)][..],
             &[(0, f64::NAN)][..],
             &[(0, f64::INFINITY)][..],
             &[(0, 1.5), (0, -0.5)][..],
         ] {
+            // The error names the rejected action by the ordinal it would
+            // have taken in its state.
             assert!(matches!(
-                b.add_action("bad", transitions),
-                Err(MdpError::InvalidDistribution { .. })
+                b.add_action(transitions),
+                Err(MdpError::InvalidDistribution {
+                    state: 0,
+                    action: 1,
+                    ..
+                })
             ));
         }
         // A rejected action leaves the builder untouched.
-        assert_eq!(b.num_pairs(), 0);
-        b.add_action("oob", &[(5, 1.0)]).unwrap();
+        assert_eq!(b.num_pairs(), 1);
+        b.add_action(&[(5, 1.0)]).unwrap();
         assert!(matches!(
-            b.finish(0),
+            b.finish(),
             Err(MdpError::InvalidState { state: 5, .. })
         ));
     }
 
     #[test]
-    fn builder_rejects_deadlocks_and_bad_initial_state() {
+    fn builder_rejects_deadlocks_and_empty_models() {
         // A deadlock in a middle state is named by its index.
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(1, 1.0)]).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
         b.begin_state();
         b.begin_state();
-        b.add_action("c", &[(0, 1.0)]).unwrap();
-        assert!(matches!(b.finish(0), Err(MdpError::NoActions { state: 1 })));
-
-        let mut b = CsrMdpBuilder::new();
-        b.begin_state();
-        b.add_action("a", &[(0, 1.0)]).unwrap();
-        assert!(matches!(b.finish(3), Err(MdpError::InvalidState { .. })));
+        b.add_action(&[(0, 1.0)]).unwrap();
+        assert!(matches!(b.finish(), Err(MdpError::NoActions { state: 1 })));
 
         assert!(matches!(
-            CsrMdpBuilder::new().finish(0),
+            CsrMdpBuilder::new().finish(),
             Err(MdpError::EmptyModel)
         ));
     }
@@ -417,8 +346,8 @@ mod tests {
     fn duplicate_targets_are_merged() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(0, 0.25), (0, 0.75)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 0.25), (0, 0.75)]).unwrap();
+        let mdp = b.finish().unwrap();
         assert_eq!(mdp.successors(0, 0), (&[0u32][..], &[1.0f64][..]));
     }
 
@@ -465,22 +394,27 @@ mod tests {
         ));
         let bad_len = PositionalStrategy::new(vec![0]);
         assert!(mdp.induced_chain(&bad_len).is_err());
-        // Raw parts are not validated; the chain names the chosen action
-        // whose row does not sum to 1.
-        let halved = Mdp::from_raw_parts(
-            mdp.layout_arc(),
-            vec![1.0, 0.5, 0.25, 0.75],
-            vec!["stay".to_string(), "go".to_string(), "loop".to_string()],
-            vec![0, 1, 2],
-            0,
-        )
-        .unwrap();
+        // Raw parts are not validated; the chain reports the index of the
+        // chosen action whose row does not sum to 1.
+        let halved = Mdp::from_raw_parts(mdp.layout_arc(), vec![1.0, 0.5, 0.25, 0.75]).unwrap();
         let go = PositionalStrategy::new(vec![1, 0]);
         assert!(matches!(
             halved.induced_chain(&go),
-            Err(MdpError::InvalidDistribution { state: 0, action, sum })
-                if action == "go" && sum == 0.5
+            Err(MdpError::InvalidDistribution {
+                state: 0,
+                action: 1,
+                sum: 0.5
+            })
         ));
+        // `validate` reports the same defect by the action's ordinal too.
+        assert_eq!(
+            halved.validate(),
+            Err(MdpError::InvalidDistribution {
+                state: 0,
+                action: 1,
+                sum: 0.5
+            })
+        );
     }
 
     #[test]
@@ -489,11 +423,11 @@ mod tests {
         // that is only opened later.
         let mut b = CsrMdpBuilder::new();
         assert_eq!(b.begin_state(), 0);
-        b.add_action("a", &[(1, 1.0)]).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
         assert_eq!(b.begin_state(), 1);
-        b.add_action("b", &[(0, 1.0)]).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
         assert_eq!(b.num_states(), 2);
-        assert_eq!(b.finish(0).unwrap().num_states(), 2);
+        assert_eq!(b.finish().unwrap().num_states(), 2);
     }
 
     #[test]
@@ -503,14 +437,7 @@ mod tests {
         // per-state action lists.
         let layout =
             CsrLayout::from_raw_parts(vec![0, 2, 3], vec![0, 1, 2, 4], vec![0, 1, 0, 1]).unwrap();
-        let assembled = Mdp::from_raw_parts(
-            Arc::new(layout),
-            vec![1.0, 1.0, 0.25, 0.75],
-            vec!["stay".to_string(), "go".to_string(), "loop".to_string()],
-            vec![0, 1, 2],
-            0,
-        )
-        .unwrap();
+        let assembled = Mdp::from_raw_parts(Arc::new(layout), vec![1.0, 1.0, 0.25, 0.75]).unwrap();
         assert_eq!(assembled, two_state_mdp());
     }
 }

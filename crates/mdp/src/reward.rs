@@ -67,9 +67,9 @@ const GAIN_SWEEP_LIMIT: usize = 5_000_000;
 /// let mut builder = CsrMdpBuilder::new();
 /// for _ in 0..2 {
 ///     builder.begin_state();
-///     builder.add_action("step", &[(0, 0.5), (1, 0.5)])?;
+///     builder.add_action(&[(0, 0.5), (1, 0.5)])?;
 /// }
-/// let mdp = builder.finish(0)?;
+/// let mdp = builder.finish()?;
 /// let chain = mdp.induced_chain(&PositionalStrategy::uniform_first_action(2))?;
 /// let (gains, _bias) =
 ///     iterative_gains(&chain, &[&[1.0, 0.0], &[0.0, 2.0]], None, SolverParallelism::serial())?;

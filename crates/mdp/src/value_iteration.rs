@@ -30,8 +30,8 @@ use std::sync::{Mutex, PoisonError, RwLock};
 /// # fn main() -> Result<(), sm_mdp::MdpError> {
 /// let mut b = CsrMdpBuilder::new();
 /// b.begin_state();
-/// b.add_action("loop", &[(0, 1.0)])?;
-/// let mdp = b.finish(0)?;
+/// b.add_action(&[(0, 1.0)])?;
+/// let mdp = b.finish()?;
 /// // One expected reward per state-action pair.
 /// let result = RelativeValueIteration::default().solve(&mdp, &[2.5])?;
 /// assert!((result.gain - 2.5).abs() < 1e-9);
@@ -444,7 +444,7 @@ impl RelativeValueIteration {
             std::iter::once(0..n).collect()
         };
         let h = RwLock::new(h);
-        let mut outcome = self.sweep(arena, mdp.initial_state(), &blocks, &h)?;
+        let mut outcome = self.sweep(arena, &blocks, &h)?;
         outcome.bias = h.into_inner().unwrap_or_else(PoisonError::into_inner);
         Ok(outcome)
     }
@@ -515,20 +515,9 @@ impl RelativeValueIteration {
     fn sweep(
         &self,
         arena: Arena<'_>,
-        reference: usize,
         blocks: &[Range<usize>],
         h: &RwLock<Vec<f64>>,
     ) -> Result<ValueIterationOutcome, MdpError> {
-        // The blocks partition `0..n` and `reference < n`, so exactly one
-        // block holds the reference state; a missing one is a broken
-        // partition and surfaces as a typed error instead of a panic.
-        let reference_block = blocks
-            .iter()
-            .position(|range| range.contains(&reference))
-            .ok_or_else(|| MdpError::InvariantViolation {
-                detail: "no sweep block contains the reference state".to_string(),
-            })?;
-        let reference_offset = reference - blocks[reference_block].start;
         let chunks: Vec<Mutex<Chunk>> = blocks
             .iter()
             .map(|range| {
@@ -551,10 +540,12 @@ impl RelativeValueIteration {
             }
         };
         // Relative step: every state of the new iterate shifted so the
-        // reference state stays at 0. Returns the span statistics of the
-        // last Bellman sweep folded in block order.
+        // reference state 0 (the first entry of block 0, which every
+        // partition of a non-empty arena starts with) stays at 0. Returns
+        // the span statistics of the last Bellman sweep folded in block
+        // order.
         let renormalise = || -> (f64, f64) {
-            let offset = lock(&chunks[reference_block]).next[reference_offset];
+            let offset = lock(&chunks[0]).next[0];
             let mut h = write(h);
             let mut min_delta = f64::INFINITY;
             let mut max_delta = f64::NEG_INFINITY;
@@ -657,8 +648,8 @@ mod tests {
     fn single_state_gain_is_reward() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("loop", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = expected(&mdp, |_, _, _| -1.25);
         let out = solve(&mdp, &r);
         assert!((out.gain + 1.25).abs() < 1e-8);
@@ -671,11 +662,11 @@ mod tests {
         // chain loops with reward 3. Optimal gain is 3.
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("stay", &[(0, 1.0)]).unwrap();
-        b.add_action("go", &[(1, 1.0)]).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("loop", &[(1, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = expected(&mdp, |s, a, _| match (s, a) {
             (0, 0) => 1.0,
             (0, 1) => 0.0,
@@ -696,10 +687,10 @@ mod tests {
         // A deterministic 2-cycle alternating rewards 0 and 1: gain 0.5.
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(1, 1.0)]).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("b", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = expected(&mdp, |s, _, _| s as f64);
         let out = solve(&mdp, &r);
         assert!((out.gain - 0.5).abs() < 1e-7);
@@ -713,10 +704,10 @@ mod tests {
         // is 0.8 * 1.5 = 1.2.
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(0, 0.75), (1, 0.25)]).unwrap();
+        b.add_action(&[(0, 0.75), (1, 0.25)]).unwrap();
         b.begin_state();
-        b.add_action("b", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = expected(&mdp, |s, _, t| if s == 0 && t == 0 { 2.0 } else { 0.0 });
         let out = solve(&mdp, &r);
         assert!((out.gain - 1.2).abs() < 1e-7, "gain {}", out.gain);
@@ -726,8 +717,8 @@ mod tests {
     fn rejects_invalid_parameters_and_shapes() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("loop", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = vec![0.0; mdp.num_pairs()];
 
         let bad_eps = RelativeValueIteration {
@@ -744,10 +735,10 @@ mod tests {
 
         let mut other = CsrMdpBuilder::new();
         other.begin_state();
-        other.add_action("x", &[(1, 1.0)]).unwrap();
+        other.add_action(&[(1, 1.0)]).unwrap();
         other.begin_state();
-        other.add_action("y", &[(0, 1.0)]).unwrap();
-        let other = other.finish(0).unwrap();
+        other.add_action(&[(0, 1.0)]).unwrap();
+        let other = other.finish().unwrap();
         let wrong = vec![0.0; other.num_pairs()];
         assert!(matches!(
             RelativeValueIteration::default().solve(&mdp, &wrong),
@@ -762,14 +753,7 @@ mod tests {
         // State 1 has no actions — only constructible through the raw-parts
         // path (the builder rejects it); the solver must not propagate -inf.
         let layout = CsrLayout::from_raw_parts(vec![0, 1, 1], vec![0, 1], vec![0]).unwrap();
-        let mdp = Mdp::from_raw_parts(
-            Arc::new(layout),
-            vec![1.0],
-            vec!["loop".to_string()],
-            vec![0],
-            0,
-        )
-        .unwrap();
+        let mdp = Mdp::from_raw_parts(Arc::new(layout), vec![1.0]).unwrap();
         let rewards = vec![0.0; mdp.num_pairs()];
         assert!(matches!(
             RelativeValueIteration::default().solve(&mdp, &rewards),
@@ -781,10 +765,10 @@ mod tests {
     fn warm_start_validates_and_matches_cold_result() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(0, 0.75), (1, 0.25)]).unwrap();
+        b.add_action(&[(0, 0.75), (1, 0.25)]).unwrap();
         b.begin_state();
-        b.add_action("b", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = expected(&mdp, |s, _, t| if s == 0 && t == 0 { 2.0 } else { 0.0 });
         let solver = RelativeValueIteration::with_epsilon(1e-9);
         let cold = solver.solve(&mdp, &r).unwrap();
@@ -809,14 +793,14 @@ mod tests {
         // RVI must certify the same gain and strategy.
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a0", &[(1, 0.6), (2, 0.4)]).unwrap();
-        b.add_action("a1", &[(0, 0.5), (2, 0.5)]).unwrap();
+        b.add_action(&[(1, 0.6), (2, 0.4)]).unwrap();
+        b.add_action(&[(0, 0.5), (2, 0.5)]).unwrap();
         b.begin_state();
-        b.add_action("b0", &[(0, 1.0)]).unwrap();
-        b.add_action("b1", &[(2, 1.0)]).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        b.add_action(&[(2, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("c0", &[(0, 0.5), (1, 0.5)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 0.5), (1, 0.5)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = expected(&mdp, |s, a, t| {
             0.3 * s as f64 + 0.7 * a as f64 - 0.1 * t as f64
         });
@@ -847,10 +831,10 @@ mod tests {
         for s in 0..n {
             let successors = [(0, reset), ((s + 1) % n, 1.0 - reset)];
             b.begin_state();
-            b.add_action("high", &successors).unwrap();
-            b.add_action("low", &successors).unwrap();
+            b.add_action(&successors).unwrap();
+            b.add_action(&successors).unwrap();
         }
-        let mdp = b.finish(0).unwrap();
+        let mdp = b.finish().unwrap();
         let rewards = expected(&mdp, |s, a, _| {
             0.25 * (s % 5) as f64 - if a == 1 { gap } else { 0.0 }
         });
@@ -986,10 +970,10 @@ mod tests {
     fn iteration_budget_is_respected() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(1, 1.0)]).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("b", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = expected(&mdp, |s, _, _| s as f64);
         let solver = RelativeValueIteration {
             epsilon: 1e-14,

@@ -18,10 +18,10 @@ pub fn chain_from_rows(rows: &[Vec<(usize, f64)>]) -> Result<MarkovChain, MdpErr
     let mut builder = CsrMdpBuilder::new();
     for row in rows {
         builder.begin_state();
-        builder.add_action("step", row)?;
+        builder.add_action(row)?;
     }
     let strategy = PositionalStrategy::uniform_first_action(rows.len());
-    builder.finish(0)?.induced_chain(&strategy)
+    builder.finish()?.induced_chain(&strategy)
 }
 
 /// The exact analyses of a chain, as methods on `sm_mdp::MarkovChain`.
@@ -101,14 +101,7 @@ mod tests {
         // State 0's only action keeps a masked (probability-0) edge to the
         // absorbing state 1; the induced chain must not contain that edge, so
         // state 0 is correctly classified as its own recurrent class.
-        let mdp = Mdp::from_raw_parts(
-            layout,
-            vec![1.0, 0.0, 1.0],
-            vec!["a".to_string()],
-            vec![0, 0],
-            0,
-        )
-        .unwrap();
+        let mdp = Mdp::from_raw_parts(layout, vec![1.0, 0.0, 1.0]).unwrap();
         let strategy = PositionalStrategy::uniform_first_action(2);
         let chain = mdp.induced_chain(&strategy).unwrap();
         assert_eq!(chain.successors(0), (&[0u32][..], &[1.0f64][..]));

@@ -48,7 +48,8 @@ impl LinearProgrammingSolver {
             .into());
         }
         let n = mdp.num_states();
-        let reference = mdp.initial_state();
+        // The start state s₀ = 0.
+        let reference = 0;
 
         let mut lp = LinearProgram::new(ObjectiveSense::Minimize);
         let g = lp.add_free_variable(1.0);
@@ -112,11 +113,11 @@ mod tests {
     fn better_loop_mdp() -> (Mdp, TransitionRewards) {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("stay", &[(0, 1.0)]).unwrap();
-        b.add_action("go", &[(1, 1.0)]).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("loop", &[(1, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 1 { 4.0 } else { 1.0 });
         (mdp, r)
     }
@@ -133,14 +134,14 @@ mod tests {
     fn lp_agrees_with_other_solvers_on_stochastic_model() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a0", &[(0, 0.2), (1, 0.8)]).unwrap();
-        b.add_action("a1", &[(2, 1.0)]).unwrap();
+        b.add_action(&[(0, 0.2), (1, 0.8)]).unwrap();
+        b.add_action(&[(2, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("b0", &[(0, 0.5), (2, 0.5)]).unwrap();
-        b.add_action("b1", &[(1, 0.9), (0, 0.1)]).unwrap();
+        b.add_action(&[(0, 0.5), (2, 0.5)]).unwrap();
+        b.add_action(&[(1, 0.9), (0, 0.1)]).unwrap();
         b.begin_state();
-        b.add_action("c0", &[(0, 0.3), (1, 0.3), (2, 0.4)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 0.3), (1, 0.3), (2, 0.4)]).unwrap();
+        let mdp = b.finish().unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, t| {
             0.4 * s as f64 - 0.3 * a as f64 + 0.2 * t as f64
         });
@@ -160,8 +161,8 @@ mod tests {
     fn lp_handles_negative_rewards() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("loop", &[(0, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = TransitionRewards::from_fn(&mdp, |_, _, _| -0.75);
         let (gain, _) = LinearProgrammingSolver::default().solve(&mdp, &r).unwrap();
         assert!((gain + 0.75).abs() < 1e-9);
@@ -172,8 +173,8 @@ mod tests {
         let (mdp, _) = better_loop_mdp();
         let mut other = CsrMdpBuilder::new();
         other.begin_state();
-        other.add_action("x", &[(0, 1.0)]).unwrap();
-        let other = other.finish(0).unwrap();
+        other.add_action(&[(0, 1.0)]).unwrap();
+        let other = other.finish().unwrap();
         let wrong = TransitionRewards::zeros(&other);
         assert!(LinearProgrammingSolver::default()
             .solve(&mdp, &wrong)

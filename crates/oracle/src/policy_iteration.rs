@@ -130,11 +130,11 @@ impl PolicyEvaluation {
 /// # fn main() -> Result<(), sm_oracle::OracleError> {
 /// let mut b = CsrMdpBuilder::new();
 /// b.begin_state();
-/// b.add_action("stay", &[(0, 1.0)])?;
-/// b.add_action("go", &[(1, 1.0)])?;
+/// b.add_action(&[(0, 1.0)])?;
+/// b.add_action(&[(1, 1.0)])?;
 /// b.begin_state();
-/// b.add_action("loop", &[(1, 1.0)])?;
-/// let mdp = b.finish(0)?;
+/// b.add_action(&[(1, 1.0)])?;
+/// let mdp = b.finish()?;
 /// let r = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 1 { 2.0 } else { 1.0 });
 /// let (gain, strategy) = PolicyIteration::default().solve(&mdp, &r)?;
 /// assert!((gain - 2.0).abs() < 1e-9);
@@ -162,8 +162,8 @@ impl Default for PolicyIteration {
 }
 
 impl PolicyIteration {
-    /// Runs policy iteration and returns the optimal gain *at the initial
-    /// state* together with an optimal positional strategy.
+    /// Runs policy iteration and returns the optimal gain *at the start
+    /// state 0* together with an optimal positional strategy.
     ///
     /// # Errors
     ///
@@ -175,7 +175,7 @@ impl PolicyIteration {
         rewards: &TransitionRewards,
     ) -> Result<(f64, PositionalStrategy), OracleError> {
         let (eval, strategy) = self.solve_with_evaluation(mdp, rewards)?;
-        Ok((eval.gain_at(mdp.initial_state()), strategy))
+        Ok((eval.gain_at(0), strategy))
     }
 
     /// Like [`PolicyIteration::solve`] but also returns the full evaluation
@@ -282,14 +282,14 @@ mod tests {
         // A small hand-built MDP with non-trivial stochastic structure.
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a0", &[(0, 0.2), (1, 0.8)]).unwrap();
-        b.add_action("a1", &[(2, 1.0)]).unwrap();
+        b.add_action(&[(0, 0.2), (1, 0.8)]).unwrap();
+        b.add_action(&[(2, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("b0", &[(0, 0.5), (2, 0.5)]).unwrap();
-        b.add_action("b1", &[(1, 0.9), (0, 0.1)]).unwrap();
+        b.add_action(&[(0, 0.5), (2, 0.5)]).unwrap();
+        b.add_action(&[(1, 0.9), (0, 0.1)]).unwrap();
         b.begin_state();
-        b.add_action("c0", &[(0, 0.3), (1, 0.3), (2, 0.4)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 0.3), (1, 0.3), (2, 0.4)]).unwrap();
+        let mdp = b.finish().unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, t| {
             (s as f64) * 0.5 + (a as f64) * 0.25 + (t as f64) * 0.1
         });
@@ -299,14 +299,14 @@ mod tests {
     fn mixed_reward_mdp() -> (Mdp, TransitionRewards) {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a0", &[(1, 0.6), (2, 0.4)]).unwrap();
-        b.add_action("a1", &[(0, 0.5), (2, 0.5)]).unwrap();
+        b.add_action(&[(1, 0.6), (2, 0.4)]).unwrap();
+        b.add_action(&[(0, 0.5), (2, 0.5)]).unwrap();
         b.begin_state();
-        b.add_action("b0", &[(0, 1.0)]).unwrap();
-        b.add_action("b1", &[(2, 1.0)]).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        b.add_action(&[(2, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("c0", &[(0, 0.5), (1, 0.5)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 0.5), (1, 0.5)]).unwrap();
+        let mdp = b.finish().unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, t| {
             0.3 * s as f64 + 0.7 * a as f64 - 0.1 * t as f64
         });
@@ -345,17 +345,17 @@ mod tests {
         let (mdp, rewards) = mixed_reward_mdp();
         let (gain, strategy) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
         let eval = PolicyEvaluation::evaluate(&mdp, &rewards, &strategy).unwrap();
-        assert!((eval.gain_at(mdp.initial_state()) - gain).abs() < 1e-9);
+        assert!((eval.gain_at(0) - gain).abs() < 1e-9);
     }
 
     #[test]
     fn evaluation_matches_stationary_average() {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(0, 0.7), (1, 0.3)]).unwrap();
+        b.add_action(&[(0, 0.7), (1, 0.3)]).unwrap();
         b.begin_state();
-        b.add_action("b", &[(0, 0.6), (1, 0.4)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(0, 0.6), (1, 0.4)]).unwrap();
+        let mdp = b.finish().unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 0 { 3.0 } else { 0.0 });
         let sigma = PositionalStrategy::uniform_first_action(2);
         let eval = PolicyEvaluation::evaluate(&mdp, &rewards, &sigma).unwrap();
@@ -389,11 +389,11 @@ mod tests {
         // classes ({0} and {1}); multichain evaluation must handle this.
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("stay", &[(0, 1.0)]).unwrap();
-        b.add_action("go", &[(1, 1.0)]).unwrap();
+        b.add_action(&[(0, 1.0)]).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("loop", &[(1, 1.0)]).unwrap();
-        let mdp = b.finish(0).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
+        let mdp = b.finish().unwrap();
         let r = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 1 { 5.0 } else { 1.0 });
         let (gain, sigma) = PolicyIteration::default().solve(&mdp, &r).unwrap();
         assert!((gain - 5.0).abs() < 1e-10);
@@ -419,14 +419,7 @@ mod tests {
         use sm_mdp::CsrLayout;
         use std::sync::Arc;
         let layout = CsrLayout::from_raw_parts(vec![0, 1, 1], vec![0, 1], vec![0]).unwrap();
-        let mdp = Mdp::from_raw_parts(
-            Arc::new(layout),
-            vec![1.0],
-            vec!["loop".to_string()],
-            vec![0],
-            0,
-        )
-        .unwrap();
+        let mdp = Mdp::from_raw_parts(Arc::new(layout), vec![1.0]).unwrap();
         let rewards = TransitionRewards::zeros(&mdp);
         assert!(matches!(
             PolicyIteration::default().solve(&mdp, &rewards),
@@ -439,8 +432,8 @@ mod tests {
         let (mdp, _) = random_like_mdp();
         let mut other = CsrMdpBuilder::new();
         other.begin_state();
-        other.add_action("x", &[(0, 1.0)]).unwrap();
-        let other = other.finish(0).unwrap();
+        other.add_action(&[(0, 1.0)]).unwrap();
+        let other = other.finish().unwrap();
         let wrong = TransitionRewards::zeros(&other);
         assert!(PolicyIteration::default().solve(&mdp, &wrong).is_err());
         let sigma = PositionalStrategy::uniform_first_action(3);

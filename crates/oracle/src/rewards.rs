@@ -266,11 +266,11 @@ mod tests {
     fn mdp() -> Mdp {
         let mut b = CsrMdpBuilder::new();
         b.begin_state();
-        b.add_action("a", &[(0, 0.5), (1, 0.5)]).unwrap();
-        b.add_action("b", &[(1, 1.0)]).unwrap();
+        b.add_action(&[(0, 0.5), (1, 0.5)]).unwrap();
+        b.add_action(&[(1, 1.0)]).unwrap();
         b.begin_state();
-        b.add_action("c", &[(0, 1.0)]).unwrap();
-        b.finish(0).unwrap()
+        b.add_action(&[(0, 1.0)]).unwrap();
+        b.finish().unwrap()
     }
 
     #[test]
@@ -325,8 +325,8 @@ mod tests {
         let mdp = mdp();
         let mut other_builder = CsrMdpBuilder::new();
         other_builder.begin_state();
-        other_builder.add_action("x", &[(0, 1.0)]).unwrap();
-        let other = other_builder.finish(0).unwrap();
+        other_builder.add_action(&[(0, 1.0)]).unwrap();
+        let other = other_builder.finish().unwrap();
         let ra = TransitionRewards::zeros(&mdp);
         let rb = TransitionRewards::zeros(&other);
         assert!(ra.affine_combination(&rb, 1.0, 1.0).is_err());

@@ -103,8 +103,9 @@ fn model_action_lists_match_transition_function() {
 // Representation equivalence: raw-parts assembly vs. the streaming builder.
 // ---------------------------------------------------------------------------
 
-/// Raw per-state action lists describing a small MDP: `(name, transitions)`.
-type ModelDescription = Vec<Vec<(String, Vec<(usize, f64)>)>>;
+/// Raw per-state action lists describing a small MDP: one transition list
+/// per action.
+type ModelDescription = Vec<Vec<Vec<(usize, f64)>>>;
 
 /// One random small MDP described as raw per-state action lists.
 /// Every action carries a guaranteed transition back to state 0, which makes
@@ -115,7 +116,7 @@ fn random_model_description(rng: &mut StdRng) -> ModelDescription {
     for _ in 0..num_states {
         let num_actions = rng.gen_range(1usize..4); // 1..=3
         let mut actions = Vec::with_capacity(num_actions);
-        for a in 0..num_actions {
+        for _ in 0..num_actions {
             // 1..=3 targets; random weights, normalised so that a fixed 0.3
             // share always flows back to state 0.
             let num_targets = rng.gen_range(1usize..1 + 3.min(num_states));
@@ -127,7 +128,7 @@ fn random_model_description(rng: &mut StdRng) -> ModelDescription {
                 entry.1 = entry.1 / total * 0.7;
             }
             weights.push((0, 0.3));
-            actions.push((format!("a{a}"), weights));
+            actions.push(weights);
         }
         states.push(actions);
     }
@@ -141,9 +142,8 @@ fn random_model_description(rng: &mut StdRng) -> ModelDescription {
 fn build_nested(description: &ModelDescription) -> sm_mdp::Mdp {
     let (mut row_ptr, mut action_ptr) = (vec![0], vec![0]);
     let (mut col, mut prob) = (Vec::new(), Vec::new());
-    let (mut names, mut name_of_pair) = (Vec::<String>::new(), Vec::new());
     for actions in description {
-        for (name, transitions) in actions {
+        for transitions in actions {
             let mut row: Vec<(u32, f64)> = transitions
                 .iter()
                 .map(|&(t, p)| (u32::try_from(t).unwrap(), p))
@@ -159,19 +159,11 @@ fn build_nested(description: &ModelDescription) -> sm_mdp::Mdp {
                 }
             }
             action_ptr.push(u32::try_from(col.len()).unwrap());
-            let id = match names.iter().position(|n| n == name) {
-                Some(id) => id,
-                None => {
-                    names.push(name.clone());
-                    names.len() - 1
-                }
-            };
-            name_of_pair.push(u32::try_from(id).unwrap());
         }
         row_ptr.push(u32::try_from(action_ptr.len() - 1).unwrap());
     }
     let layout = sm_mdp::CsrLayout::from_raw_parts(row_ptr, action_ptr, col).unwrap();
-    sm_mdp::Mdp::from_raw_parts(std::sync::Arc::new(layout), prob, names, name_of_pair, 0).unwrap()
+    sm_mdp::Mdp::from_raw_parts(std::sync::Arc::new(layout), prob).unwrap()
 }
 
 /// Builds the same description by streaming it into the CSR arena builder.
@@ -179,16 +171,16 @@ fn build_arena(description: &ModelDescription) -> sm_mdp::Mdp {
     let mut builder = sm_mdp::CsrMdpBuilder::new();
     for actions in description {
         builder.begin_state();
-        for (name, transitions) in actions {
-            builder.add_action(name, transitions).unwrap();
+        for transitions in actions {
+            builder.add_action(transitions).unwrap();
         }
     }
-    builder.finish(0).unwrap()
+    builder.finish().unwrap()
 }
 
 /// Property: on random small MDPs, the hand-flattened raw-parts path and the
-/// streaming CSR arena path produce *identical* models (same arena layout,
-/// probabilities and interned names), and VI, PI and LP each report the same
+/// streaming CSR arena path produce *identical* models (same arena layout
+/// and probabilities), and VI, PI and LP each report the same
 /// optimal gain and the same strategy on both.
 #[test]
 fn nested_and_csr_arena_builders_are_equivalent() {
@@ -268,12 +260,10 @@ fn selfish_mining_model_streams_into_identical_arena() {
                 .map(|&t| t as usize)
                 .zip(probs.iter().copied())
                 .collect();
-            rebuilt
-                .add_action(mdp.action_name(state, action), &transitions)
-                .unwrap();
+            rebuilt.add_action(&transitions).unwrap();
         }
     }
-    let rebuilt = rebuilt.finish(mdp.initial_state()).unwrap();
+    let rebuilt = rebuilt.finish().unwrap();
     assert_eq!(mdp, &rebuilt);
     assert_eq!(mdp.layout().row_ptr(), rebuilt.layout().row_ptr());
     assert_eq!(mdp.layout().col(), rebuilt.layout().col());
@@ -303,9 +293,9 @@ fn iterative_revenue_matches_exact_gains_on_selfish_mining_chains() {
             let iterative = model.expected_relative_revenue(strategy).unwrap();
 
             let chain = model.mdp().induced_chain(strategy).unwrap();
-            let initial = model.mdp().initial_state();
+            // The gain at the start state 0.
             let exact_gain =
-                |per_state: &[f64]| long_run_average_reward(&chain, per_state).unwrap()[initial];
+                |per_state: &[f64]| long_run_average_reward(&chain, per_state).unwrap()[0];
             let (adversary, honest) = model.strategy_rewards(strategy).unwrap();
             let (adversary, honest) = (exact_gain(&adversary), exact_gain(&honest));
             let exact = adversary / (adversary + honest);

@@ -69,13 +69,13 @@ impl Pruned {
                     adv += out.probability * f64::from(out.rewards.adversary);
                     hon += out.probability * f64::from(out.rewards.honest);
                 }
-                builder.add_action(&action.name(), &entries).unwrap();
+                builder.add_action(&entries).unwrap();
                 adversary.push(adv);
                 honest.push(hon);
             }
             actions.push(state_actions);
         }
-        let mdp = builder.finish(0).unwrap();
+        let mdp = builder.finish().unwrap();
         Pruned {
             adversary: TransitionRewards::from_pair_values(&mdp, &adversary).unwrap(),
             honest: TransitionRewards::from_pair_values(&mdp, &honest).unwrap(),
@@ -148,7 +148,7 @@ fn bits(values: &[f64]) -> Vec<u64> {
 }
 
 /// Full structural comparison: states, action lists, the entire CSR arena
-/// (index arrays, probabilities, interned names) and both reward tables —
+/// (index arrays and probabilities) and both reward tables —
 /// every oracle transition's reward equals its pair's stored value.
 fn assert_bit_identical(instantiated: &SelfishMiningModel, pruned: &Pruned) {
     assert_eq!(instantiated.num_states(), pruned.states.len());

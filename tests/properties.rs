@@ -198,14 +198,12 @@ fn mean_payoff_solvers_agree_on_random_mdps() {
         let mut builder = CsrMdpBuilder::new();
         for state in 0..3usize {
             builder.begin_state();
+            builder.add_action(&[((state + 1) % 3, 1.0)]).unwrap();
             builder
-                .add_action("next", &[((state + 1) % 3, 1.0)])
-                .unwrap();
-            builder
-                .add_action("split", &[(state, split), ((state + 2) % 3, 1.0 - split)])
+                .add_action(&[(state, split), ((state + 2) % 3, 1.0 - split)])
                 .unwrap();
         }
-        let mdp = builder.finish(0).unwrap();
+        let mdp = builder.finish().unwrap();
         let rewards = TransitionRewards::from_fn(&mdp, |s, a, _| seed_rewards[s * 2 + a]);
         let vi = RelativeValueIteration::with_epsilon(1e-9)
             .solve(&mdp, &rewards.expected_per_pair(&mdp))
