@@ -38,8 +38,8 @@
 //!   places library code starts threads.
 //!
 //! Every iterative result is bit-identical for any thread count. The exact
-//! solvers the tests cross-check these against (Howard policy iteration, the
-//! gain LP, stationary analysis of chains) live in the dev-only
+//! solvers the tests cross-check these against (Howard policy iteration and
+//! stationary analysis of chains) live in the dev-only
 //! `sm-oracle` crate.
 //!
 //! # Example

@@ -1,12 +1,11 @@
-//! The error types of the exact oracles: [`LinalgError`] for the dense
-//! linear algebra and the simplex, and [`OracleError`] for the analyses
-//! built on them.
+//! The error types of the exact oracles: [`LinalgError`] for the dense LU
+//! solve, and [`OracleError`] for the analyses built on it.
 
 use sm_mdp::MdpError;
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by the dense linear-algebra routines and the simplex.
+/// Errors produced by the dense LU solve.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LinalgError {
     /// A matrix was expected to be square but is not.
@@ -27,29 +26,6 @@ pub enum LinalgError {
     },
     /// The matrix is singular (or numerically singular) and cannot be factorised.
     SingularMatrix,
-    /// A matrix was constructed from rows of differing lengths.
-    RaggedRows,
-    /// The linear program is infeasible.
-    Infeasible,
-    /// The linear program is unbounded in the direction of optimisation.
-    Unbounded,
-    /// The simplex solver exceeded its iteration budget (cycling safeguard).
-    IterationLimit {
-        /// The iteration budget that was exhausted.
-        limit: usize,
-    },
-    /// An index was out of bounds.
-    IndexOutOfBounds {
-        /// The offending index.
-        index: usize,
-        /// The container length.
-        len: usize,
-    },
-    /// An invalid value (NaN / infinite coefficient) was supplied.
-    InvalidValue {
-        /// Description of where the invalid value appeared.
-        context: &'static str,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -67,18 +43,6 @@ impl fmt::Display for LinalgError {
                 "dimension mismatch in {operation}: expected {expected}, got {actual}"
             ),
             LinalgError::SingularMatrix => write!(f, "matrix is singular"),
-            LinalgError::RaggedRows => write!(f, "rows have differing lengths"),
-            LinalgError::Infeasible => write!(f, "linear program is infeasible"),
-            LinalgError::Unbounded => write!(f, "linear program is unbounded"),
-            LinalgError::IterationLimit { limit } => {
-                write!(f, "simplex iteration limit of {limit} exceeded")
-            }
-            LinalgError::IndexOutOfBounds { index, len } => {
-                write!(f, "index {index} out of bounds for length {len}")
-            }
-            LinalgError::InvalidValue { context } => {
-                write!(f, "invalid value (NaN or infinity) in {context}")
-            }
         }
     }
 }
@@ -94,7 +58,7 @@ pub enum OracleError {
     /// The chain has more than one recurrent class, so it has no unique
     /// stationary distribution.
     NotIrreducible,
-    /// A dense linear solve or the simplex failed.
+    /// A dense linear solve failed.
     Linalg(LinalgError),
     /// The model, strategy, rewards or another input was rejected.
     Mdp(MdpError),
@@ -142,27 +106,13 @@ mod tests {
             (LinalgError::NotSquare { rows: 2, cols: 3 }, "not square"),
             (
                 LinalgError::DimensionMismatch {
-                    operation: "matvec",
+                    operation: "lu solve",
                     expected: 3,
                     actual: 2,
                 },
-                "matvec",
+                "lu solve",
             ),
             (LinalgError::SingularMatrix, "singular"),
-            (LinalgError::RaggedRows, "differing lengths"),
-            (LinalgError::Infeasible, "infeasible"),
-            (LinalgError::Unbounded, "unbounded"),
-            (LinalgError::IterationLimit { limit: 10 }, "10"),
-            (
-                LinalgError::IndexOutOfBounds { index: 5, len: 3 },
-                "out of bounds",
-            ),
-            (
-                LinalgError::InvalidValue {
-                    context: "objective",
-                },
-                "objective",
-            ),
         ];
         for (err, needle) in cases {
             assert!(

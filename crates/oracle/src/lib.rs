@@ -9,9 +9,8 @@
 //! tests compare them against:
 //!
 //! * [`PolicyIteration`] — Howard's algorithm with multichain gain/bias
-//!   evaluation by dense linear solves.
-//! * [`LinearProgrammingSolver`] — the gain LP over a two-phase simplex
-//!   ([`LinearProgram`] / [`SimplexSolver`]).
+//!   evaluation by dense linear solves, the one exact optimal-gain
+//!   reference.
 //! * [`long_run_average_reward`] — the exact gain of every state of a Markov
 //!   chain, from the stationary distributions of its recurrent classes
 //!   ([`ChainAnalysis::stationary_distribution`]) and absorption into them
@@ -21,14 +20,15 @@
 //!   built by [`chain_from_rows`], through the same `CsrMdpBuilder` and
 //!   `Mdp::induced_chain` path every production chain takes.
 //! * [`DenseMatrix`] and an LU solver — the dense substrate of all of the
-//!   above.
+//!   above: just enough of a matrix to assemble and solve the gain, bias
+//!   and stationary systems.
 //! * [`TransitionRewards`] — per-transition rewards `r(s, a, s')`, the input
 //!   of the exact solvers above (the production solver takes one expected
 //!   reward per state-action pair instead).
 //!
 //! The crate is a development dependency only: no library or binary of the
 //! workspace links it, so nothing here can change what the pipeline
-//! computes. The dense solvers report [`LinalgError`]; the analyses built on
+//! computes. The dense solve reports [`LinalgError`]; the analyses built on
 //! them report [`OracleError`], which wraps it, the production
 //! `sm_mdp::MdpError` and the oracle-only [`OracleError::NotIrreducible`].
 //!
@@ -58,26 +58,17 @@ mod chain;
 mod classify;
 mod dense;
 mod error;
-mod lp;
 mod lu;
 mod policy_iteration;
 mod reward;
 mod rewards;
-mod simplex;
 mod stationary;
-mod vector;
 
 pub use chain::{chain_from_rows, ChainAnalysis};
 pub use classify::{StateClass, StronglyConnectedComponents};
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, OracleError};
-pub use lp::LinearProgrammingSolver;
 use lu::solve_linear_system;
 pub use policy_iteration::PolicyIteration;
 pub use reward::long_run_average_reward;
 pub use rewards::TransitionRewards;
-pub use simplex::{Comparison, LinearProgram, LpSolution, LpStatus, ObjectiveSense, SimplexSolver};
-pub use vector::{dot, infinity_norm, max_abs_diff, scale};
-
-/// Default numerical tolerance used across the crate when comparing floats.
-pub const DEFAULT_TOLERANCE: f64 = 1e-10;

@@ -136,30 +136,22 @@ impl PolicyEvaluation {
 /// b.add_action(&[(1, 1.0)])?;
 /// let mdp = b.finish()?;
 /// let r = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 1 { 2.0 } else { 1.0 });
-/// let (gain, strategy) = PolicyIteration::default().solve(&mdp, &r)?;
+/// let (gain, strategy) = PolicyIteration::solve(&mdp, &r)?;
 /// assert!((gain - 2.0).abs() < 1e-9);
 /// assert_eq!(strategy.action(0), 1);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct PolicyIteration {
-    /// Improvement tolerance: an action must improve the gain or bias Bellman
-    /// value by more than this to replace the incumbent (guards against
-    /// cycling on floating-point ties).
-    pub improvement_tolerance: f64,
-    /// Maximum number of policy-improvement rounds.
-    pub max_iterations: usize,
-}
+#[derive(Debug)]
+pub struct PolicyIteration;
 
-impl Default for PolicyIteration {
-    fn default() -> Self {
-        PolicyIteration {
-            improvement_tolerance: 1e-9,
-            max_iterations: 10_000,
-        }
-    }
-}
+/// Improvement tolerance: an action must improve the gain or bias Bellman
+/// value by more than this to replace the incumbent (guards against cycling
+/// on floating-point ties).
+const IMPROVEMENT_TOLERANCE: f64 = 1e-9;
+
+/// Maximum number of policy-improvement rounds.
+const MAX_ITERATIONS: usize = 10_000;
 
 impl PolicyIteration {
     /// Runs policy iteration and returns the optimal gain *at the start
@@ -170,21 +162,9 @@ impl PolicyIteration {
     /// Returns an error if the rewards do not match the model, if policy
     /// evaluation fails, or if the iteration budget is exhausted.
     pub fn solve(
-        &self,
         mdp: &Mdp,
         rewards: &TransitionRewards,
     ) -> Result<(f64, PositionalStrategy), OracleError> {
-        let (eval, strategy) = self.solve_with_evaluation(mdp, rewards)?;
-        Ok((eval.gain_at(0), strategy))
-    }
-
-    /// Like [`PolicyIteration::solve`] but also returns the full evaluation
-    /// (per-state gains and biases) of the optimal strategy.
-    fn solve_with_evaluation(
-        &self,
-        mdp: &Mdp,
-        rewards: &TransitionRewards,
-    ) -> Result<(PolicyEvaluation, PositionalStrategy), OracleError> {
         if !rewards.matches(mdp) {
             return Err(MdpError::RewardShapeMismatch {
                 detail: "rewards do not match MDP shape".to_string(),
@@ -198,10 +178,10 @@ impl PolicyIteration {
         if let Some(state) = (0..n).find(|&s| mdp.num_actions(s) == 0) {
             return Err(MdpError::NoActions { state }.into());
         }
-        let tol = self.improvement_tolerance;
+        let tol = IMPROVEMENT_TOLERANCE;
         let mut strategy = PositionalStrategy::uniform_first_action(n);
 
-        for _ in 0..self.max_iterations {
+        for _ in 0..MAX_ITERATIONS {
             let eval = PolicyEvaluation::evaluate(mdp, rewards, &strategy)?;
             let mut improved = false;
             let mut next = strategy.clone();
@@ -260,13 +240,13 @@ impl PolicyIteration {
                 }
             }
             if !improved {
-                return Ok((eval, strategy));
+                return Ok((eval.gain_at(0), strategy));
             }
             strategy = next;
         }
         Err(MdpError::ConvergenceFailure {
             method: "policy iteration",
-            iterations: self.max_iterations,
+            iterations: MAX_ITERATIONS,
         }
         .into())
     }
@@ -275,7 +255,6 @@ impl PolicyIteration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LinearProgrammingSolver;
     use sm_mdp::{CsrMdpBuilder, RelativeValueIteration};
 
     fn random_like_mdp() -> (Mdp, TransitionRewards) {
@@ -319,19 +298,15 @@ mod tests {
         let vi = RelativeValueIteration::with_epsilon(1e-9)
             .solve(&mdp, &rewards.expected_per_pair(&mdp))
             .unwrap();
-        let (pi_gain, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
-        let (lp_gain, _) = LinearProgrammingSolver::default()
-            .solve(&mdp, &rewards)
-            .unwrap();
+        let (pi_gain, _) = PolicyIteration::solve(&mdp, &rewards).unwrap();
         assert!((vi.gain - pi_gain).abs() < 1e-6);
-        assert!((pi_gain - lp_gain).abs() < 1e-6);
         assert!(vi.gain_lower <= vi.gain + 1e-12 && vi.gain <= vi.gain_upper + 1e-12);
     }
 
     #[test]
     fn value_iteration_bounds_contain_exact_gain() {
         let (mdp, rewards) = mixed_reward_mdp();
-        let (exact, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
+        let (exact, _) = PolicyIteration::solve(&mdp, &rewards).unwrap();
         let vi = RelativeValueIteration::with_epsilon(1e-4)
             .solve(&mdp, &rewards.expected_per_pair(&mdp))
             .unwrap();
@@ -343,7 +318,7 @@ mod tests {
     #[test]
     fn evaluation_of_the_optimal_strategy_matches_the_optimum() {
         let (mdp, rewards) = mixed_reward_mdp();
-        let (gain, strategy) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
+        let (gain, strategy) = PolicyIteration::solve(&mdp, &rewards).unwrap();
         let eval = PolicyEvaluation::evaluate(&mdp, &rewards, &strategy).unwrap();
         assert!((eval.gain_at(0) - gain).abs() < 1e-9);
     }
@@ -395,7 +370,7 @@ mod tests {
         b.add_action(&[(1, 1.0)]).unwrap();
         let mdp = b.finish().unwrap();
         let r = TransitionRewards::from_fn(&mdp, |s, _, _| if s == 1 { 5.0 } else { 1.0 });
-        let (gain, sigma) = PolicyIteration::default().solve(&mdp, &r).unwrap();
+        let (gain, sigma) = PolicyIteration::solve(&mdp, &r).unwrap();
         assert!((gain - 5.0).abs() < 1e-10);
         assert_eq!(sigma.action(0), 1);
     }
@@ -403,7 +378,7 @@ mod tests {
     #[test]
     fn agrees_with_value_iteration() {
         let (mdp, rewards) = random_like_mdp();
-        let (pi_gain, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
+        let (pi_gain, _) = PolicyIteration::solve(&mdp, &rewards).unwrap();
         let vi = RelativeValueIteration::with_epsilon(1e-10)
             .solve(&mdp, &rewards.expected_per_pair(&mdp))
             .unwrap();
@@ -422,7 +397,7 @@ mod tests {
         let mdp = Mdp::from_raw_parts(Arc::new(layout), vec![1.0]).unwrap();
         let rewards = TransitionRewards::zeros(&mdp);
         assert!(matches!(
-            PolicyIteration::default().solve(&mdp, &rewards),
+            PolicyIteration::solve(&mdp, &rewards),
             Err(OracleError::Mdp(MdpError::NoActions { state: 1 }))
         ));
     }
@@ -435,7 +410,7 @@ mod tests {
         other.add_action(&[(0, 1.0)]).unwrap();
         let other = other.finish().unwrap();
         let wrong = TransitionRewards::zeros(&other);
-        assert!(PolicyIteration::default().solve(&mdp, &wrong).is_err());
+        assert!(PolicyIteration::solve(&mdp, &wrong).is_err());
         let sigma = PositionalStrategy::uniform_first_action(3);
         assert!(PolicyEvaluation::evaluate(&mdp, &wrong, &sigma).is_err());
     }

@@ -2,9 +2,9 @@
 //! MDP's transitions.
 //!
 //! The production stack keeps rewards per state-action pair (the solver
-//! takes one expected reward per pair); the exact oracles here — the gain
-//! LP, policy iteration and the pruned selfish-mining oracle of the
-//! integration tests — still reason about per-successor rewards.
+//! takes one expected reward per pair); the exact oracles here — policy
+//! iteration and the pruned selfish-mining oracle of the integration tests —
+//! still reason about per-successor rewards.
 
 use sm_mdp::{CsrLayout, Mdp, MdpError, PositionalStrategy};
 use std::sync::Arc;

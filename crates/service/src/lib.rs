@@ -57,7 +57,7 @@ use selfish_mining::experiments::{CertifiedSolve, CurveCarry, CurveTracker};
 use selfish_mining::{
     run_budgeted_jobs, validate_epsilon, validate_share, AnalysisConfig, AttackParams,
     AttackScenario, CertificateScope, ConsensusBackend, ParametricModel, SelfishMiningError,
-    SelfishMiningModel, SolverParallelism,
+    SolverParallelism,
 };
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -366,8 +366,6 @@ struct CurveEntry {
 
 #[derive(Default)]
 struct CurveState {
-    /// Reusable instantiated arena buffer (refilled per solve).
-    arena: Option<SelfishMiningModel>,
     /// The canonical chain: anchor `i` is `p = i · Δ`, advanced in order.
     anchors: Vec<AnchorRecord>,
     /// Served answers keyed by quantized `p`, LRU-capped.
@@ -463,6 +461,8 @@ impl Service {
 
     /// Approximate bytes held by the cached topology arenas (compact layout
     /// plus terminal tables) — the dominant resident cost of the service.
+    /// Cached curves hold anchors and answers but no instantiated model:
+    /// each solve instantiates its own and frees it when it returns.
     pub fn resident_arena_bytes(&self) -> usize {
         let registry = lock(&self.registry);
         registry
@@ -718,8 +718,7 @@ impl Service {
         parallelism: SolverParallelism,
     ) -> Result<(CertifiedInterval, usize), ServiceError> {
         let analysis = AnalysisConfig::with_epsilon(resolved.epsilon).with_parallelism(parallelism);
-        let mut tracker = CurveTracker::new(family, resolved.gamma, true, analysis)
-            .with_arena(state.arena.take());
+        let mut tracker = CurveTracker::new(family, resolved.gamma, true, analysis);
         if let Some(last) = state.anchors.last() {
             tracker.restore(&last.carry);
         }
@@ -727,13 +726,7 @@ impl Service {
         while (state.anchors.len() as u64) <= resolved.anchor_index {
             let index = state.anchors.len() as u64;
             let anchor_p = self.anchor_p(index);
-            let solve = match tracker.advance(anchor_p) {
-                Ok(solve) => solve,
-                Err(err) => {
-                    state.arena = tracker.into_arena();
-                    return Err(err.into());
-                }
-            };
+            let solve = tracker.advance(anchor_p)?;
             advanced += 1;
             StatsCells::bump(&self.stats.solves);
             StatsCells::bump(&self.stats.anchor_advances);
@@ -744,44 +737,23 @@ impl Service {
                 carry: tracker.snapshot(),
             });
         }
+        let Some(record) = anchor_record(state, resolved.anchor_index) else {
+            return Err(ServiceError::Analysis(
+                SelfishMiningError::InvalidParameter {
+                    name: "p",
+                    constraint: "anchor index must fit the chain",
+                },
+            ));
+        };
         let interval = if resolved.exact_anchor {
-            match anchor_record(state, resolved.anchor_index) {
-                Some(record) => record.interval.clone(),
-                None => {
-                    state.arena = tracker.into_arena();
-                    return Err(ServiceError::Analysis(
-                        SelfishMiningError::InvalidParameter {
-                            name: "p",
-                            constraint: "anchor index must fit the chain",
-                        },
-                    ));
-                }
-            }
+            record.interval.clone()
         } else {
-            match anchor_record(state, resolved.anchor_index) {
-                Some(record) => tracker.restore(&record.carry),
-                None => {
-                    state.arena = tracker.into_arena();
-                    return Err(ServiceError::Analysis(
-                        SelfishMiningError::InvalidParameter {
-                            name: "p",
-                            constraint: "anchor index must fit the chain",
-                        },
-                    ));
-                }
-            }
-            let solve = match tracker.probe(resolved.p) {
-                Ok(solve) => solve,
-                Err(err) => {
-                    state.arena = tracker.into_arena();
-                    return Err(err.into());
-                }
-            };
+            tracker.restore(&record.carry);
+            let solve = tracker.probe(resolved.p)?;
             StatsCells::bump(&self.stats.solves);
             StatsCells::bump(&self.stats.probes);
             CertifiedInterval::from_solve(&solve, resolved.backend)
         };
-        state.arena = tracker.into_arena();
         Ok((interval, advanced))
     }
 

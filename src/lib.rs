@@ -29,7 +29,7 @@
 //!   re-verification, arena invariant checks and the source lint.
 //!
 //! The exact reference solvers the integration tests cross-check against
-//! (dense LU, simplex LP, policy iteration, stationary analysis) are the
+//! (policy iteration, stationary analysis, dense LU) are the
 //! dev-only `sm-oracle` crate, deliberately not re-exported here.
 //!
 //! See `README.md` for a quickstart, `ARCHITECTURE.md` for the workspace

@@ -109,7 +109,9 @@ type ModelDescription = Vec<Vec<Vec<(usize, f64)>>>;
 
 /// One random small MDP described as raw per-state action lists.
 /// Every action carries a guaranteed transition back to state 0, which makes
-/// every induced chain unichain — the precondition of the LP solver.
+/// every induced chain unichain, so the optimal gain is the same at every
+/// state and value iteration's one gain is comparable with policy
+/// iteration's gain at state 0.
 fn random_model_description(rng: &mut StdRng) -> ModelDescription {
     let num_states = rng.gen_range(2usize..6); // 2..=5
     let mut states = Vec::with_capacity(num_states);
@@ -180,25 +182,22 @@ fn build_arena(description: &ModelDescription) -> sm_mdp::Mdp {
 
 /// Property: on random small MDPs, the hand-flattened raw-parts path and the
 /// streaming CSR arena path produce *identical* models (same arena layout
-/// and probabilities), and VI, PI and LP each report the same
-/// optimal gain and the same strategy on both.
+/// and probabilities), and VI and PI each report the same optimal gain
+/// and the same strategy on both.
 #[test]
 fn nested_and_csr_arena_builders_are_equivalent() {
     use sm_mdp::{Mdp, PositionalStrategy, RelativeValueIteration};
-    use sm_oracle::{LinearProgrammingSolver, PolicyIteration, TransitionRewards};
+    use sm_oracle::{PolicyIteration, TransitionRewards};
 
-    /// Optimal gain and strategy by value iteration, policy iteration and
-    /// the LP, in that order.
-    fn solve_all(mdp: &Mdp, rewards: &TransitionRewards) -> [(f64, PositionalStrategy); 3] {
+    /// Optimal gain and strategy by value iteration and policy iteration, in
+    /// that order.
+    fn solve_all(mdp: &Mdp, rewards: &TransitionRewards) -> [(f64, PositionalStrategy); 2] {
         let vi = RelativeValueIteration::with_epsilon(1e-9)
             .solve(mdp, &rewards.expected_per_pair(mdp))
             .unwrap();
         [
             (vi.gain, vi.strategy),
-            PolicyIteration::default().solve(mdp, rewards).unwrap(),
-            LinearProgrammingSolver::default()
-                .solve(mdp, rewards)
-                .unwrap(),
+            PolicyIteration::solve(mdp, rewards).unwrap(),
         ]
     }
 
@@ -224,7 +223,7 @@ fn nested_and_csr_arena_builders_are_equivalent() {
         // Buffers built against either representation align with both.
         assert!(r_nested.matches(&arena) && r_arena.matches(&nested));
 
-        let methods = ["value iteration", "policy iteration", "linear programming"];
+        let methods = ["value iteration", "policy iteration"];
         let on_nested = solve_all(&nested, &r_nested);
         let on_arena = solve_all(&arena, &r_arena);
         for ((method, a), b) in methods.iter().zip(on_nested).zip(on_arena) {

@@ -31,6 +31,7 @@ const TOPOLOGIES: [(usize, usize, usize); 4] = [(1, 1, 2), (2, 1, 3), (2, 2, 3),
 /// The selfish-mining MDP built by a direct BFS at concrete parameters: the
 /// test oracle the parametric arena is pinned against.
 struct Pruned {
+    params: AttackParams,
     states: Vec<SmState>,
     actions: Vec<Vec<SmAction>>,
     mdp: Mdp,
@@ -79,6 +80,7 @@ impl Pruned {
         Pruned {
             adversary: TransitionRewards::from_pair_values(&mdp, &adversary).unwrap(),
             honest: TransitionRewards::from_pair_values(&mdp, &honest).unwrap(),
+            params,
             states,
             actions,
             mdp,
@@ -147,10 +149,11 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Full structural comparison: states, action lists, the entire CSR arena
-/// (index arrays and probabilities) and both reward tables —
+/// Full structural comparison: the parameters, states, action lists, the
+/// entire CSR arena (index arrays and probabilities) and both reward tables —
 /// every oracle transition's reward equals its pair's stored value.
 fn assert_bit_identical(instantiated: &SelfishMiningModel, pruned: &Pruned) {
+    assert_eq!(instantiated.params(), &pruned.params);
     assert_eq!(instantiated.num_states(), pruned.states.len());
     for (s, state) in pruned.states.iter().enumerate() {
         assert_eq!(instantiated.state(s), state);
@@ -188,10 +191,8 @@ fn assert_identical_solver_results(instantiated: &SelfishMiningModel, pruned: &P
     assert_eq!(va.iterations, vb.iterations);
     let (adversary, honest) = per_transition_rewards(instantiated);
     let ra = per_transition_beta_rewards(&adversary, &honest, beta);
-    let (pa, sa) = PolicyIteration::default()
-        .solve(instantiated.mdp(), &ra)
-        .unwrap();
-    let (pb, sb) = PolicyIteration::default().solve(&pruned.mdp, &rb).unwrap();
+    let (pa, sa) = PolicyIteration::solve(instantiated.mdp(), &ra).unwrap();
+    let (pb, sb) = PolicyIteration::solve(&pruned.mdp, &rb).unwrap();
     assert_eq!(pa, pb, "PI gains must be bit-identical");
     assert_eq!(sa, sb, "PI strategies must be identical");
 }

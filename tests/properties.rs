@@ -14,7 +14,7 @@ use selfish_mining::{
     SelfishMiningModel, SmState,
 };
 use sm_mdp::{CsrMdpBuilder, RelativeValueIteration};
-use sm_oracle::{LinearProgrammingSolver, PolicyIteration, TransitionRewards};
+use sm_oracle::{PolicyIteration, TransitionRewards};
 use std::collections::HashMap;
 
 /// A varied grid of small attack parameter sets (the shim for the former
@@ -186,7 +186,7 @@ fn parametric_instantiation_matches_fresh_build_on_the_grid() {
     }
 }
 
-/// On random small MDPs the three mean-payoff solvers agree.
+/// On random small MDPs value iteration agrees with exact policy iteration.
 #[test]
 fn mean_payoff_solvers_agree_on_random_mdps() {
     let mut rng = StdRng::seed_from_u64(123456789);
@@ -209,11 +209,7 @@ fn mean_payoff_solvers_agree_on_random_mdps() {
             .solve(&mdp, &rewards.expected_per_pair(&mdp))
             .unwrap()
             .gain;
-        let (pi, _) = PolicyIteration::default().solve(&mdp, &rewards).unwrap();
-        let (lp, _) = LinearProgrammingSolver::default()
-            .solve(&mdp, &rewards)
-            .unwrap();
+        let (pi, _) = PolicyIteration::solve(&mdp, &rewards).unwrap();
         assert!((vi - pi).abs() < 1e-5, "case {case}: vi {vi} vs pi {pi}");
-        assert!((lp - pi).abs() < 1e-5, "case {case}: lp {lp} vs pi {pi}");
     }
 }
