@@ -21,8 +21,9 @@
 //!   casts outside test code.
 //! * `unsafe-no-safety` — an `unsafe` token with no `SAFETY:` comment within
 //!   the three preceding lines.
-//! * `wall-clock` — the `Instant` or `SystemTime` clock types outside test
-//!   code: timing belongs to the benchmark harnesses, not to the library.
+//! * `wall-clock` — the `Instant` or `SystemTime` clock types, or a
+//!   `thread::sleep`, outside test code: timing belongs to the benchmark
+//!   harnesses, not to the library.
 //!
 //! Code under `#[cfg(test)]` is skipped entirely (unit tests may unwrap).
 
@@ -487,7 +488,10 @@ pub fn lint_source(source: &str, path: &str) -> Vec<Finding> {
                 push("unsafe-no-safety");
             }
         }
-        if whole_word(line, "Instant") || whole_word(line, "SystemTime") {
+        if whole_word(line, "Instant")
+            || whole_word(line, "SystemTime")
+            || line.contains("thread::sleep")
+        {
             push("wall-clock");
         }
     }
@@ -681,6 +685,10 @@ mod tests {
             rules_of("fn f() { let t = std::time::SystemTime::now(); }"),
             vec!["wall-clock"]
         );
+        assert_eq!(
+            rules_of("fn f(d: Duration) { std::thread::sleep(d); }"),
+            vec!["wall-clock"]
+        );
         assert!(rules_of("use std::time::Duration;").is_empty());
         // Identifiers that merely contain the word, comments and strings.
         assert!(rules_of("fn f(instant_ms: u64, t: InstantLike) {}").is_empty());
@@ -689,6 +697,9 @@ mod tests {
         let in_test =
             "#[cfg(test)]\nmod tests {\n    fn t() { let _ = std::time::Instant::now(); }\n}\n";
         assert!(rules_of(in_test).is_empty());
+        let sleep_in_test =
+            "#[cfg(test)]\nmod tests {\n    fn t(d: Duration) { std::thread::sleep(d); }\n}\n";
+        assert!(rules_of(sleep_in_test).is_empty());
     }
 
     #[test]

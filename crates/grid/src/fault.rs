@@ -1,9 +1,9 @@
 //! Deterministic fault injection for the grid runner — the test harness
 //! that proves the crash/resume story. A plan selects points by a
-//! stride/offset pattern over the canonical point index and an attempt
-//! budget, so a test (or a CI smoke run) can kill "every third job on its
-//! first attempt" and assert the retry, rescan and merge machinery heals the
-//! run bit for bit. Production runs simply carry no plan
+//! stride/offset pattern over the canonical point index and a round
+//! budget, so a test (or a CI smoke run) can kill "every third job in the
+//! first round" and assert the rescan and merge machinery heals the run bit
+//! for bit. Production runs simply carry no plan
 //! ([`crate::GridOptions::fault_plan`] defaults to `None`).
 
 /// What an injected fault does to a matching point-job.
@@ -21,7 +21,7 @@ pub enum FaultKind {
 }
 
 /// One fault rule: apply [`GridFault::kind`] to every point whose canonical
-/// index is ≡ `offset (mod stride)`, on attempts `0..attempts`.
+/// index is ≡ `offset (mod stride)`, in rounds `0..attempts` of a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GridFault {
     /// The injected behaviour.
@@ -30,19 +30,18 @@ pub struct GridFault {
     pub stride: usize,
     /// Offset of the point selector, taken `mod stride`.
     pub offset: usize,
-    /// Number of attempts the fault fires on. Attempts are 0-based and
-    /// matched against a *run-cumulative* clock: in-place retries and later
-    /// scan/execute rounds both advance it, so `1` faults only the first
-    /// try of a run (a retry or the next round heals it) and `usize::MAX`
-    /// never heals within a run — only a later resume without the plan.
+    /// Number of rounds of a run the fault fires on. Rounds are 0-based and
+    /// a shard runs once per round, so `1` faults only the first round (the
+    /// next round heals it) and `usize::MAX` never heals within a run —
+    /// only a later resume without the plan.
     pub attempts: usize,
 }
 
 impl GridFault {
-    fn applies(&self, point: usize, attempt: usize) -> bool {
+    fn applies(&self, point: usize, round: usize) -> bool {
         self.stride >= 1
             && point % self.stride == self.offset % self.stride
-            && attempt < self.attempts
+            && round < self.attempts
     }
 }
 
@@ -56,8 +55,8 @@ pub struct GridFaultPlan {
 }
 
 impl GridFaultPlan {
-    /// Kills every `stride`-th point-job (offset 0) on its first `attempts`
-    /// attempts.
+    /// Kills every `stride`-th point-job (offset 0) in the first `attempts`
+    /// rounds of a run.
     pub fn kill_every(stride: usize, attempts: usize) -> Self {
         GridFaultPlan {
             faults: vec![GridFault {
@@ -69,16 +68,14 @@ impl GridFaultPlan {
         }
     }
 
-    /// The first rule matching `(point, attempt)`, if any.
-    pub fn fault_for(&self, point: usize, attempt: usize) -> Option<&GridFault> {
-        self.faults
-            .iter()
-            .find(|fault| fault.applies(point, attempt))
+    /// The first rule matching `(point, round)`, if any (`round` 0-based).
+    pub fn fault_for(&self, point: usize, round: usize) -> Option<&GridFault> {
+        self.faults.iter().find(|fault| fault.applies(point, round))
     }
 
-    /// Fraction of `points` whose *first* attempt is faulted — what the
-    /// acceptance criterion "≥ 20 % of jobs killed or poisoned" is measured
-    /// against.
+    /// Fraction of `points` whose *first* attempt (round 0) is faulted —
+    /// what the acceptance criterion "≥ 20 % of jobs killed or poisoned" is
+    /// measured against.
     pub fn first_attempt_coverage(&self, points: usize) -> f64 {
         if points == 0 {
             return 0.0;
@@ -100,7 +97,7 @@ mod tests {
         assert!(plan.fault_for(0, 0).is_some());
         assert!(plan.fault_for(3, 0).is_some());
         assert!(plan.fault_for(1, 0).is_none());
-        // Attempt budget: first attempt only.
+        // Round budget: first round only.
         assert!(plan.fault_for(3, 1).is_none());
         // Stride 0 matches nothing (instead of dividing by zero).
         let inert = GridFaultPlan::kill_every(0, usize::MAX);

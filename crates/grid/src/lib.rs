@@ -15,17 +15,18 @@
 //!   `p` indices — and carrying an FNV-1a fingerprint of its own payload;
 //! * a work-queue runner ([`run_grid`]) fans **shard jobs** (contiguous runs
 //!   of one curve's missing points) over the workspace's one job loop
-//!   ([`selfish_mining::run_budgeted_jobs`]) with bounded retry + exponential
-//!   backoff ([`RetryPolicy`]) and an optional fault-injection
-//!   hook ([`GridFaultPlan`]: kill/poison/delay selected jobs — for tests
-//!   and CI smoke runs, never production);
+//!   ([`selfish_mining::run_budgeted_jobs`]), runs each shard once per
+//!   round and lets the next round's scan re-schedule whatever a failed
+//!   shard left missing, with an optional fault-injection hook
+//!   ([`GridFaultPlan`]: kill/poison selected jobs — for tests and CI smoke
+//!   runs, never production);
 //! * resume is the default: every run starts by scanning the artifact
 //!   directory ([`scan_grid`]), verifying each file's fingerprint and
 //!   coordinates, and scheduling **only** the missing or corrupt points;
 //! * the merge folds completed artifacts in canonical point order into one
 //!   [`ConformanceReport`] that is `f64::to_bits`-identical to an
 //!   uninterrupted warm-started pass over every curve — for any worker
-//!   count, shard size, crash/resume schedule or retry history.
+//!   count, shard size, crash/resume schedule or number of rounds.
 //!
 //! # Why sharded jobs can be bit-identical to the warm-started pass
 //!
@@ -85,16 +86,13 @@ mod sweep;
 
 pub use artifact::{artifact_file_name, PointArtifact, GRID_SCHEMA};
 pub use fault::{FaultKind, GridFault, GridFaultPlan};
-pub use runner::{
-    merge_grid, run_grid, scan_grid, GridOptions, GridOutcome, GridScan, PointState, RetryPolicy,
-};
+pub use runner::{merge_grid, run_grid, scan_grid, GridOptions, GridOutcome, GridScan, PointState};
 pub use spec::{GridError, GridSpec, PointCoordinates};
 pub use sweep::SweepConfig;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::run_with_retry;
     use selfish_mining::experiments::{CurveTracker, Figure2Point};
     use selfish_mining::{
         AnalysisConfig, AttackScenario, ConsensusBackend, ParametricModel, SelfishMiningError,
@@ -102,7 +100,6 @@ mod tests {
     use sm_conformance::{ConformanceError, ConformanceReport, ConformanceSettings};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
 
     fn small_config(workers: usize) -> SweepConfig {
         SweepConfig {
@@ -286,6 +283,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_rounds_are_rejected_before_the_directory_is_created() {
+        let spec = spec(&[(1, 1)], &[AttackScenario::Optimal], 1e-2, &[0.5], &[0.2]);
+        let dir = fresh_dir();
+        let mut options = GridOptions::new(&dir);
+        options.max_rounds = 0;
+        assert!(matches!(
+            run_grid(&spec, &options),
+            Err(GridError::InvalidOptions {
+                name: "max_rounds",
+                ..
+            })
+        ));
+        assert!(!dir.exists(), "rejected options must not touch the disk");
+    }
+
+    #[test]
     fn conformance_pass_certifies_a_small_grid() {
         let spec = spec(
             &[(2, 1)],
@@ -448,61 +461,5 @@ mod tests {
         let report = run_fresh(&spec, 1).unwrap();
         assert!(report.is_empty());
         assert!(report.all_conform());
-    }
-
-    #[test]
-    fn retry_returns_first_success_and_reports_attempt_numbers() {
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        };
-        let mut seen = Vec::new();
-        let outcome: Result<usize, &str> = run_with_retry(&policy, |attempt| {
-            seen.push(attempt);
-            if attempt < 2 {
-                Err("transient")
-            } else {
-                Ok(attempt * 10)
-            }
-        });
-        assert_eq!(outcome, Ok(20));
-        assert_eq!(seen, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn retry_exhausts_the_budget_and_returns_the_last_error() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::ZERO,
-            max_backoff: Duration::ZERO,
-        };
-        let outcome: Result<(), String> =
-            run_with_retry(&policy, |attempt| Err(format!("attempt {attempt}")));
-        assert_eq!(outcome, Err("attempt 2".to_string()));
-        // A zero budget still runs the job once.
-        let zero = RetryPolicy {
-            max_attempts: 0,
-            ..policy
-        };
-        let mut calls = 0;
-        let _: Result<(), &str> = run_with_retry(&zero, |_| {
-            calls += 1;
-            Err("always")
-        });
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let policy = RetryPolicy {
-            max_attempts: 8,
-            backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(35),
-        };
-        assert_eq!(policy.delay_before(1), Duration::from_millis(10));
-        assert_eq!(policy.delay_before(2), Duration::from_millis(20));
-        assert_eq!(policy.delay_before(3), Duration::from_millis(35));
-        assert_eq!(policy.delay_before(60), Duration::from_millis(35));
     }
 }

@@ -6,11 +6,12 @@
 //! corrupt, grouped into per-curve **shards**. A shard job replays its
 //! curve's canonical warm-start prefix and writes one durable artifact per
 //! assigned point (tmp-file + rename, so a crash never leaves a half-written
-//! file under the final name); failed shards are retried in place with
-//! exponential backoff ([`RetryPolicy`]). When a scan finds
-//! every point durable, the artifacts are folded **in canonical point
-//! order** into one [`ConformanceReport`] — byte-identical for any schedule,
-//! crash or retry history.
+//! file under the final name). A shard that fails is not retried in place:
+//! the points it already wrote stay durable, and the next round's scan
+//! schedules only the rest, so rounds are the one heal loop. When a scan
+//! finds every point durable, the artifacts are folded **in canonical point
+//! order** into one [`ConformanceReport`] — byte-identical for any schedule
+//! or crash/resume history.
 
 use crate::artifact::{artifact_file_name, PointArtifact};
 use crate::fault::{FaultKind, GridFaultPlan};
@@ -21,78 +22,6 @@ use selfish_mining::{
 };
 use sm_conformance::{certify_point, ConformanceReport};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
-
-/// Bounded-retry policy with exponential backoff for the shard jobs of
-/// [`run_grid`]: attempt `k` (1-based) of a failed job is retried after
-/// `backoff · 2^(k−1)`, capped at [`RetryPolicy::max_backoff`], until
-/// [`RetryPolicy::max_attempts`] attempts have been spent.
-///
-/// The policy only shapes *when* work re-runs, never *what* it computes —
-/// every job in this workspace is deterministic, so a retried job returns
-/// the same bits as an uninterrupted one and the retry history is invisible
-/// in the results.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts a job may spend (first try included); at least 1 is
-    /// always spent.
-    pub max_attempts: usize,
-    /// Backoff before the first retry; doubled per subsequent retry.
-    pub backoff: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    /// Three attempts, 25 ms initial backoff, capped at one second — sized
-    /// for transient local failures (I/O hiccups, injected test faults), not
-    /// for waiting out a remote outage.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(25),
-            max_backoff: Duration::from_secs(1),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff slept before retry number `retry` (1-based):
-    /// `backoff · 2^(retry−1)`, saturating, capped at
-    /// [`RetryPolicy::max_backoff`].
-    pub fn delay_before(&self, retry: usize) -> Duration {
-        let exponent = u32::try_from(retry.saturating_sub(1)).unwrap_or(20).min(20);
-        let factor = 1_u32 << exponent;
-        self.backoff.saturating_mul(factor).min(self.max_backoff)
-    }
-}
-
-/// Runs `job` until it succeeds or the policy's attempt budget is spent,
-/// sleeping the policy's backoff between attempts; returns the first success
-/// or the *last* error. The closure receives the 0-based attempt number so
-/// fault-injection harnesses can fail specific attempts deterministically.
-pub(crate) fn run_with_retry<T, E, F>(policy: &RetryPolicy, mut job: F) -> Result<T, E>
-where
-    F: FnMut(usize) -> Result<T, E>,
-{
-    let attempts = policy.max_attempts.max(1);
-    let mut attempt = 0;
-    loop {
-        match job(attempt) {
-            Ok(value) => return Ok(value),
-            Err(error) => {
-                attempt += 1;
-                if attempt >= attempts {
-                    return Err(error);
-                }
-                let delay = policy.delay_before(attempt);
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
-            }
-        }
-    }
-}
 
 /// Orchestration knobs of one grid run — everything that shapes *how* the
 /// grid is computed without ever affecting *what* it computes: the merged
@@ -112,10 +41,9 @@ pub struct GridOptions {
     /// bound the work lost to a mid-shard crash at the cost of replaying
     /// the curve prefix per shard.
     pub shard_points: usize,
-    /// Bounded retry with exponential backoff for failed shard attempts.
-    pub retry: RetryPolicy,
-    /// Scan → execute rounds before the run gives up; ≥ 1. Retries heal a
-    /// shard that *errors*; rounds heal damage retries cannot see, e.g. a
+    /// Scan → execute rounds before the run gives up; ≥ 1. Each round
+    /// re-schedules every point that is still missing or corrupt, so one
+    /// loop heals both a shard that *errors* (a kill, an I/O failure) and a
     /// torn write that only the next scan's fingerprint check exposes.
     pub max_rounds: usize,
     /// Deterministic fault injection (tests and CI smoke runs only);
@@ -124,15 +52,13 @@ pub struct GridOptions {
 }
 
 impl GridOptions {
-    /// Defaults for `dir`: auto thread budget, whole-curve shards, the
-    /// default retry policy (3 attempts, 25 ms backoff), 3 rounds, no
-    /// faults.
+    /// Defaults for `dir`: auto thread budget, whole-curve shards, 3
+    /// rounds, no faults.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         GridOptions {
             dir: dir.into(),
             workers: 0,
             shard_points: 0,
-            retry: RetryPolicy::default(),
             max_rounds: 3,
             fault_plan: None,
         }
@@ -242,8 +168,6 @@ pub struct GridOutcome {
     pub reused: usize,
     /// Clean point artifacts written by this run (rewrites included).
     pub produced: usize,
-    /// Failed shard attempts that were retried in place.
-    pub retries: usize,
     /// Scan → execute rounds this run used (1 = nothing to heal twice).
     pub rounds: usize,
 }
@@ -334,15 +258,17 @@ struct Shard {
 }
 
 /// Runs the grid to completion over `options.dir`: scan, schedule the
-/// missing/corrupt points as per-curve shards with retry + backoff, rescan,
-/// and merge once everything is durable — see the crate docs for the full
-/// contract. Re-running over a completed directory is a verified no-op;
-/// pointing at a dead run's directory resumes it.
+/// missing/corrupt points as per-curve shards, run each shard once, and
+/// repeat until a scan finds everything durable, then merge — see the crate
+/// docs for the full contract. A failed shard is healed by the next round,
+/// never in place. Re-running over a completed directory is a verified
+/// no-op; pointing at a dead run's directory resumes it.
 ///
 /// # Errors
 ///
-/// [`GridError::Incomplete`] when the retry/round budgets are spent with
-/// points still missing; spec validation, I/O and solver errors as they
+/// [`GridError::InvalidOptions`] when `max_rounds` is 0;
+/// [`GridError::Incomplete`] when `max_rounds` rounds leave points still
+/// missing or corrupt; spec validation, I/O and solver errors as they
 /// surface.
 pub fn run_grid(spec: &GridSpec, options: &GridOptions) -> Result<GridOutcome, GridError> {
     spec.validate()?;
@@ -362,7 +288,6 @@ pub fn run_grid(spec: &GridSpec, options: &GridOptions) -> Result<GridOutcome, G
 
     let mut reused = None;
     let mut produced = 0;
-    let mut retries = 0;
     let mut last_error: Option<String> = None;
     let mut rounds = 0;
     loop {
@@ -375,7 +300,6 @@ pub fn run_grid(spec: &GridSpec, options: &GridOptions) -> Result<GridOutcome, G
                 report: scan.into_report()?,
                 reused: reused.unwrap_or(0),
                 produced,
-                retries,
                 rounds: rounds.max(1),
             });
         }
@@ -409,33 +333,23 @@ pub fn run_grid(spec: &GridSpec, options: &GridOptions) -> Result<GridOutcome, G
             let shard = shards.get(index).ok_or(GridError::Internal {
                 what: "shard index fell outside the schedule",
             })?;
-            run_with_retry(&options.retry, |attempt| {
-                // The fault clock is cumulative across rounds, so a fault
-                // with `attempts: 1` fires once per *run* and a later round
-                // heals it, rather than re-firing on every rescan.
-                let fault_clock = (rounds - 1) * options.retry.max_attempts.max(1) + attempt;
-                run_shard_attempt(
-                    spec,
-                    &families,
-                    digest,
-                    options,
-                    shard,
-                    fault_clock,
-                    allowance,
-                )
-                .map(|written| (written, attempt))
-            })
+            // The fault clock is the 0-based round, so a fault with
+            // `attempts: 1` fires in the first round only and the next
+            // round heals it, rather than re-firing on every rescan.
+            run_shard_attempt(
+                spec,
+                &families,
+                digest,
+                options,
+                shard,
+                rounds - 1,
+                allowance,
+            )
         });
         for outcome in results {
             match outcome {
-                Ok((written, attempts_used)) => {
-                    produced += written;
-                    retries += attempts_used;
-                }
-                Err(error) => {
-                    retries += options.retry.max_attempts.max(1) - 1;
-                    last_error = Some(error.to_string());
-                }
+                Ok(written) => produced += written,
+                Err(error) => last_error = Some(error.to_string()),
             }
         }
     }
@@ -474,9 +388,8 @@ fn plan_shards(spec: &GridSpec, pending: &[usize], shard_points: usize) -> Vec<S
 /// One attempt at one shard: replay the curve's canonical warm-start prefix
 /// (`p` indices `0..=last_target`), certify the assigned points and write
 /// their artifacts durably (tmp + rename). Returns the number of clean
-/// artifacts written. `fault_clock` is the run-cumulative attempt number
-/// faults are matched against (in-place retries and later rounds both
-/// advance it).
+/// artifacts written. `fault_clock` is the 0-based round of the run that
+/// faults are matched against.
 fn run_shard_attempt(
     spec: &GridSpec,
     families: &[ParametricModel],
@@ -516,43 +429,34 @@ fn run_shard_attempt(
             continue;
         }
         let global = shard.curve * spec.ps.len() + p_index;
-        let name = artifact_file_name(digest, shard.curve, p_index);
-        if let Some(fault) = options
+        let fault = options
             .fault_plan
             .as_ref()
             .and_then(|plan| plan.fault_for(global, fault_clock))
-        {
-            match fault.kind {
-                FaultKind::Kill => return Err(GridError::Injected { point: global }),
-                FaultKind::Poison => {
-                    let artifact = PointArtifact {
-                        config: digest,
-                        curve: shard.curve,
-                        p_index,
-                        point: certify_point(&export, &solve, &spec.settings)?,
-                    };
-                    let json = artifact.to_json();
-                    let torn = json.get(..json.len() / 2).unwrap_or("{");
-                    // Deliberately *not* the tmp+rename path: a torn write
-                    // is exactly a raw partial write under the final name.
-                    std::fs::write(options.dir.join(&name), torn).map_err(|error| {
-                        GridError::Io {
-                            path: name.clone(),
-                            message: error.to_string(),
-                        }
-                    })?;
-                    continue;
-                }
-            }
+            .map(|fault| &fault.kind);
+        if fault == Some(&FaultKind::Kill) {
+            return Err(GridError::Injected { point: global });
         }
-        let artifact = PointArtifact {
+        let name = artifact_file_name(digest, shard.curve, p_index);
+        let json = PointArtifact {
             config: digest,
             curve: shard.curve,
             p_index,
             point: certify_point(&export, &solve, &spec.settings)?,
-        };
-        write_durably(&options.dir, &name, &artifact.to_json())?;
-        written += 1;
+        }
+        .to_json();
+        if fault == Some(&FaultKind::Poison) {
+            let torn = json.get(..json.len() / 2).unwrap_or("{");
+            // Deliberately *not* the tmp+rename path: a torn write is
+            // exactly a raw partial write under the final name.
+            std::fs::write(options.dir.join(&name), torn).map_err(|error| GridError::Io {
+                path: name,
+                message: error.to_string(),
+            })?;
+        } else {
+            write_durably(&options.dir, &name, &json)?;
+            written += 1;
+        }
     }
     Ok(written)
 }

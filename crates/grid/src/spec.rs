@@ -232,8 +232,8 @@ pub enum GridError {
         /// The OS error description.
         message: String,
     },
-    /// The run ended with unfinished points: the retry/round budget was
-    /// spent before every artifact became durable.
+    /// The run ended with unfinished points: its `max_rounds` scan → execute
+    /// rounds were spent before every artifact became durable.
     Incomplete {
         /// Number of points still missing or corrupt.
         pending: usize,

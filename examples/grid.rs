@@ -29,10 +29,13 @@
 //!
 //! Orchestration knobs: `--threads N` (global thread budget), `--backends
 //! LIST|all` (default: Bernoulli + PoW lottery), `--shard N` (points per
-//! shard, 0 = whole curve), `--retries N` (attempts per shard), `--rounds N`
-//! (scan/execute rounds). The report is identical for any of them. Fault
-//! injection, for smoke-testing the resume machinery only: `--fault-kill S`
-//! / `--fault-poison S` fault every `S`-th point-job on its first attempt.
+//! shard, 0 = whole curve), `--rounds N` (scan/execute rounds, ≥ 1; a
+//! round re-schedules whatever the previous one left missing or torn). The
+//! report is identical for any of them. Fault injection, for smoke-testing
+//! the resume machinery only: `--fault-kill S` / `--fault-poison S` fault
+//! every `S`-th point-job in the first round. Flags take their value as
+//! `--flag V` or `--flag=V`; any other argument is rejected before the
+//! artifact directory is touched.
 //!
 //! The process exits non-zero on any conformance violation, backend
 //! disagreement, (in scenarios mode) dominance or honest-anchor violation,
@@ -42,7 +45,7 @@ use selfish_mining::AttackScenario;
 use selfish_mining_repro::cli::{backend_matrix, thread_budget};
 use selfish_mining_repro::conformance::ConformanceSettings;
 use selfish_mining_repro::grid::{
-    run_grid, FaultKind, GridFault, GridFaultPlan, GridOptions, GridSpec, GRID_SCHEMA,
+    run_grid, FaultKind, GridError, GridFault, GridFaultPlan, GridOptions, GridSpec, GRID_SCHEMA,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -51,6 +54,43 @@ use std::process::ExitCode;
 /// comparison (the brackets themselves are only certified up to the inner
 /// precision).
 const DOMINANCE_SLACK: f64 = 1e-9;
+
+/// The positional words the driver understands.
+const WORDS: [&str; 2] = ["reduced", "scenarios"];
+
+/// The flags the driver understands, each taking one value.
+const FLAGS: [&str; 8] = [
+    "--threads",
+    "--backends",
+    "--shard",
+    "--rounds",
+    "--fault-kill",
+    "--fault-poison",
+    "--dir",
+    "--resume",
+];
+
+/// Rejects the first argument that is neither a known word nor a known flag
+/// (as `--flag V` or `--flag=V`).
+fn check_arguments(args: &[String]) -> Result<(), String> {
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        if FLAGS.contains(&arg.as_str()) {
+            iter.next();
+        } else if !WORDS.contains(&arg.as_str())
+            && !arg
+                .split_once('=')
+                .is_some_and(|(flag, _)| FLAGS.contains(&flag))
+        {
+            return Err(format!(
+                "unknown argument {arg:?} (words: {}; flags: {})",
+                WORDS.join(", "),
+                FLAGS.join(", ")
+            ));
+        }
+    }
+    Ok(())
+}
 
 /// Whether `dir` already holds `sm-grid/v1` artifacts, of any grid spec.
 fn holds_artifacts(dir: &Path) -> bool {
@@ -95,6 +135,10 @@ fn usize_flag(name: &str, args: &[String]) -> Result<Option<usize>, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(message) = check_arguments(&args) {
+        eprintln!("grid: {message}");
+        return ExitCode::FAILURE;
+    }
     let scenarios_mode = args.iter().any(|arg| arg == "scenarios");
     let reduced = args.iter().any(|arg| arg == "reduced");
     let mode = if scenarios_mode {
@@ -117,7 +161,6 @@ fn main() -> ExitCode {
     let workers = parse!(thread_budget(args.iter().cloned())).unwrap_or(0);
     let backends = parse!(backend_matrix(args.iter().cloned()));
     let shard_points = parse!(usize_flag("--shard", &args)).unwrap_or(0);
-    let retries = parse!(usize_flag("--retries", &args));
     let rounds = parse!(usize_flag("--rounds", &args));
     let fault_kill = parse!(usize_flag("--fault-kill", &args));
     let fault_poison = parse!(usize_flag("--fault-poison", &args));
@@ -218,11 +261,8 @@ fn main() -> ExitCode {
     let mut options = GridOptions::new(&dir);
     options.workers = workers;
     options.shard_points = shard_points;
-    if let Some(retries) = retries {
-        options.retry.max_attempts = retries.max(1);
-    }
     if let Some(rounds) = rounds {
-        options.max_rounds = rounds.max(1);
+        options.max_rounds = rounds;
     }
     if !fault_plan.faults.is_empty() {
         println!(
@@ -246,13 +286,15 @@ fn main() -> ExitCode {
         Ok(outcome) => outcome,
         Err(err) => {
             eprintln!("grid run failed: {err}");
-            eprintln!("resume with: --resume {}", dir.display());
+            if !matches!(err, GridError::InvalidOptions { .. }) {
+                eprintln!("resume with: --resume {}", dir.display());
+            }
             return ExitCode::FAILURE;
         }
     };
     println!(
-        "orchestration: {} reused, {} produced, {} retried shard attempt(s), {} round(s)",
-        outcome.reused, outcome.produced, outcome.retries, outcome.rounds
+        "orchestration: {} reused, {} produced, {} round(s)",
+        outcome.reused, outcome.produced, outcome.rounds
     );
     let report = outcome.report;
 

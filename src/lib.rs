@@ -19,8 +19,8 @@
 //!   exported strategies and solver-vs-simulator certification.
 //! * [`grid`] — the conformance grid and its one runner, a fault-tolerant
 //!   sharded orchestrator: idempotent point-jobs with durable `sm-grid/v1`
-//!   artifacts, bounded retry + backoff, checkpoint/resume and a
-//!   deterministic merge; plus the parallel `(p, γ)` Figure 2 sweep over
+//!   artifacts, scan → execute rounds that re-schedule failed or torn
+//!   points, checkpoint/resume and a deterministic merge; plus the parallel `(p, γ)` Figure 2 sweep over
 //!   the parametric transition arena (`grid::SweepConfig`: worker pool +
 //!   warm-started solves).
 //! * [`service`] — the persistent certified-analysis query service: cached

@@ -9,10 +9,9 @@ use selfish_mining::{AnalysisConfig, AttackScenario, StrategyExport};
 use selfish_mining_repro::conformance::{certify_point, ConformanceReport, ConformanceSettings};
 use selfish_mining_repro::grid::{
     merge_grid, run_grid, scan_grid, FaultKind, GridError, GridFault, GridFaultPlan, GridOptions,
-    GridSpec, RetryPolicy,
+    GridSpec,
 };
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Cheap but non-trivial grid: 2 families (optimal + honest-mining on
 /// (2, 1)) × 2 γ × 3 p = 12 points, full replica budget per point.
@@ -60,15 +59,6 @@ fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sm-grid-test-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Zero-backoff retry so fault-heavy tests stay fast.
-fn fast_retry(max_attempts: usize) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts,
-        backoff: Duration::ZERO,
-        max_backoff: Duration::ZERO,
-    }
 }
 
 /// `f64::to_bits` equality over every float in both reports (PartialEq
@@ -138,11 +128,12 @@ fn heavily_faulted_run_heals_and_matches_the_reference_bitwise() {
     let spec = spec();
     let reference = reference(&spec);
     let dir = fresh_dir("faulted");
-    // Kill every 3rd job and poison every 3rd-offset-2 job on their first
-    // attempts: 8 of 12 points (67 %) fault — well past the 20 % the
-    // acceptance criterion demands. With 2-point shards the kills land in
-    // the two-point shards (healed by in-place retry) and the poisons in
-    // the singleton shards (only healable by the next round's rescan).
+    // Kill every 3rd job and poison every 3rd-offset-2 job in the first
+    // round: 8 of 12 points (67 %) fault — well past the 20 % the
+    // acceptance criterion demands. A kill ends its shard before the
+    // point is written and a poison tears the point's write; either way
+    // the second round's rescan finds the point missing or corrupt and
+    // re-schedules it.
     let plan = GridFaultPlan {
         faults: vec![
             GridFault {
@@ -163,10 +154,14 @@ fn heavily_faulted_run_heals_and_matches_the_reference_bitwise() {
     let mut options = GridOptions::new(&dir);
     options.workers = 4;
     options.shard_points = 2;
-    options.retry = fast_retry(3);
     options.fault_plan = Some(plan);
     let outcome = run_grid(&spec, &options).expect("faulted run must heal");
-    assert!(outcome.retries > 0, "kill faults must have forced retries");
+    assert_eq!(outcome.rounds, 2, "the second round heals every fault");
+    assert_eq!(
+        outcome.produced,
+        spec.num_points(),
+        "every point is written cleanly exactly once"
+    );
     assert!(
         outcome.rounds > 1,
         "poison faults are only visible to the next scan"
@@ -179,13 +174,12 @@ fn heavily_faulted_run_heals_and_matches_the_reference_bitwise() {
 fn kill_mid_shard_then_resume_is_bitwise_identical_across_schedules() {
     let spec = spec();
     let reference = reference(&spec);
-    // An unretryable kill (attempt budget 1, rounds budget 1) leaves the
-    // run dead with partial progress — the crash-mid-shard scenario.
+    // A kill that fires in every round (rounds budget 1) leaves the run
+    // dead with partial progress — the crash-mid-shard scenario.
     let dir = fresh_dir("resume");
     let mut crashed = GridOptions::new(&dir);
     crashed.workers = 1;
     crashed.shard_points = 0; // whole-curve shards: the kill hits mid-shard
-    crashed.retry = fast_retry(1);
     crashed.max_rounds = 1;
     crashed.fault_plan = Some(GridFaultPlan::kill_every(4, usize::MAX));
     let error = run_grid(&spec, &crashed).expect_err("the kill must be fatal");
@@ -208,7 +202,6 @@ fn kill_mid_shard_then_resume_is_bitwise_identical_across_schedules() {
     let mut resumed = GridOptions::new(&dir);
     resumed.workers = 4;
     resumed.shard_points = 1;
-    resumed.retry = fast_retry(2);
     let outcome = run_grid(&spec, &resumed).expect("resume must complete");
     assert_eq!(outcome.reused, scan.complete(), "durable points are reused");
     assert_eq!(
@@ -230,8 +223,7 @@ fn kill_mid_shard_then_resume_is_bitwise_identical_across_schedules() {
 fn corrupted_artifacts_are_fingerprint_detected_and_rescheduled() {
     let spec = spec();
     let dir = fresh_dir("corrupt");
-    let mut options = GridOptions::new(&dir);
-    options.retry = fast_retry(2);
+    let options = GridOptions::new(&dir);
     let first = run_grid(&spec, &options).expect("initial run");
     assert_eq!(first.produced, spec.num_points());
 
@@ -301,5 +293,42 @@ fn artifacts_of_a_different_spec_are_invisible_to_resume() {
     // Both directories stay independently resumable.
     assert_eq!(run_grid(&spec_a, &options).expect("re-merge a").produced, 0);
     assert_eq!(run_grid(&spec_b, &options).expect("re-merge b").produced, 0);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+#[test]
+fn the_fault_clock_is_the_round() {
+    // One curve, every point killed in the first two rounds of a run: two
+    // rounds leave the whole curve pending, a third heals it, and the healed
+    // report matches a fault-free run bit for bit.
+    let mut spec = spec();
+    spec.scenarios = vec![AttackScenario::HonestMining];
+    spec.gammas = vec![0.5];
+    spec.ps = vec![0.1, 0.2];
+    let faulted = |dir: &PathBuf, max_rounds: usize| {
+        let mut options = GridOptions::new(dir);
+        options.max_rounds = max_rounds;
+        options.fault_plan = Some(GridFaultPlan::kill_every(1, 2));
+        run_grid(&spec, &options)
+    };
+
+    let dir = fresh_dir("round-clock");
+    let error = faulted(&dir, 2).expect_err("two faulted rounds cannot heal");
+    assert!(
+        matches!(error, GridError::Incomplete { pending, .. } if pending == spec.num_points()),
+        "unexpected failure: {error}"
+    );
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    let dir = fresh_dir("round-clock-healed");
+    let healed = faulted(&dir, 3).expect("the third round heals");
+    assert_eq!(healed.rounds, 3);
+    assert_eq!(healed.produced, spec.num_points());
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+
+    let dir = fresh_dir("round-clock-clean");
+    let clean = run_grid(&spec, &GridOptions::new(&dir)).expect("fault-free run");
+    assert_eq!(clean.rounds, 1);
+    assert_bitwise_equal(&healed.report, &clean.report);
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
